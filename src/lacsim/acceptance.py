@@ -350,12 +350,12 @@ def criterion_10() -> CriterionResult:
     a = run(cfg, field, DynamicWindow(3))
     b = run(cfg, field, DynamicWindow(3))
     det = (np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
-           and a.audit == b.audit)
+           and np.array_equal(a.audit, b.audit))
     ok &= det
     parts.append(f"bit-identical rerun {det}")
 
     # dynamic-window payload is exactly half_width + 1 values
-    payload_ok = all(rec.size == 4 for rec in a.audit)
+    payload_ok = bool(np.all(a.audit["size"] == 4))
     ok &= payload_ok
     parts.append(f"payload size L+1 {payload_ok}")
 

@@ -157,7 +157,9 @@ def fb_transition(k, own, fwd, bwd, x_i, own_row, fwd_row, bwd_row, row_sum):
     and `bwd` are the forward/backward neighbors' FBState histories (depth 2),
     or None for a missing neighbor, which then contributes nothing.  Rows are
     weight vectors indexed by offset + radius; the neighbor rows supply the
-    denominators, so a sensor must know the weights its neighbors use.
+    denominators, so a sensor must know the weights its neighbors use.  For
+    many sensors at once, every value is an array over the sensors and each
+    row entry one array of their weights at that offset.
     """
     radius = (len(own_row) - 1) // 2
     if k > radius:
@@ -172,12 +174,12 @@ def fb_transition(k, own, fwd, bwd, x_i, own_row, fwd_row, bwd_row, row_sum):
         num = own_row[radius + k]
         den = fwd_row[radius + k - 1]
         prev = fwd[1].forward if k >= 2 else 0.0
-        f += num / den * (fwd[0].forward - prev)
+        f = f + num / den * (fwd[0].forward - prev)
     if bwd is not None:
         num = own_row[radius - k]
         den = bwd_row[radius - (k - 1)]
         prev = bwd[1].backward if k >= 2 else 0.0
-        b += num / den * (bwd[0].backward - prev)
+        b = b + num / den * (bwd[0].backward - prev)
     return FBState(f, b)
 
 

@@ -3,8 +3,10 @@
 One round = one synchronous exchange: every sensor broadcasts its state, then
 every sensor updates from the same round snapshot.  Sensors see only the last
 two messages from each immediate neighbor and at most three rounds of their
-own history, so locality is enforced by construction and every delivered
-message is recorded in an audit log.
+own history, so locality is enforced by construction.  `run` makes one call
+of the rule's transition per round on whole-chain arrays, gathering neighbor
+states by index, and records every delivered message as one row of a compact
+integer audit array.
 
 Boundary policies:
   Ring       indices wrap modulo n (exact for spatially periodic fields);
@@ -17,13 +19,13 @@ Boundary policies:
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
-from .arbitrary_weights import BandedWeighting, fb_transition, glue, validate_weights
+from .arbitrary_weights import (BandedWeighting, FBState, fb_transition, glue,
+                                validate_weights)
 from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
                             dyn_exp_transition, z_slot_transition)
 from .errors import DivergedError, ValidationError
@@ -81,18 +83,16 @@ class ChainConfig:
         return d
 
 
-class MessageRecord(NamedTuple):
-    round: int
-    receiver: int
-    sender: int
-    size: int
+# one audit row per delivered message; size is the payload length in values
+MessageRecord = np.dtype([("round", np.int32), ("receiver", np.int32),
+                          ("sender", np.int32), ("size", np.int32)])
 
 
 @dataclass
 class ConsensusTrace:
     y: np.ndarray                       # (n, rounds + 1)
     z: np.ndarray | None                # (n, rounds + 1, slots) for the dynamic window
-    audit: list
+    audit: np.ndarray                   # MessageRecord rows in delivery order
     config: ChainConfig
     algo: AlgorithmSpec
     own_history_depth: int = 3
@@ -145,223 +145,70 @@ def _validate(config: ChainConfig, algo: AlgorithmSpec) -> None:
                     f"{report.bad_rows[:4]}")
 
 
-class _Layout:
-    """Maps engine indices onto sensor labels, neighbors, and measurements."""
+def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, off: int, left: np.ndarray,
+          right: np.ndarray, rounds: int):
+    """Bind `algo`'s transition to whole-chain arrays.
 
-    def __init__(self, config: ChainConfig, field_: MeasurementField, time_varying: bool):
-        self.config = config
-        n, rounds = config.n, config.rounds
-        if isinstance(config.boundary, Ring):
-            self.size = n
-            self.offset = 0
-            self.ring = True
-        else:
-            self.offset = config.halo_depth()
-            self.size = n + 2 * self.offset
-            self.ring = False
-        cols = rounds + 1 if time_varying else 1
-        x = [[0.0] * cols for _ in range(self.size)]  # plain floats: ghosts stay zero
-        for e in range(self.size):
-            label = e - self.offset
-            if 0 <= label < n:
-                for k in range(cols):
-                    x[e][k] = evaluate_field(field_, label, k)
-        self.x = x
+    Returns (state rows, last round each engine index updates, step, readout).
+    `step(t, i, own, lh, rh)` gives the round-t states of engine indices `i`
+    from histories of shape (rows, len(i)), most recent first; `readout(state,
+    prev, t)` gives y of the real sensors.
+    """
+    size = len(left)
+    real = slice(off, off + n)
+    stop = np.full(size, rounds)
 
-    def label(self, e: int) -> int:
-        return e - self.offset
+    def plain(state, prev, t):
+        return state[0, real]
 
-    def left(self, e: int) -> int | None:
-        if self.ring:
-            return (e - 1) % self.size
-        return e - 1 if e > 0 else None
-
-    def right(self, e: int) -> int | None:
-        if self.ring:
-            return (e + 1) % self.size
-        return e + 1 if e < self.size - 1 else None
-
-
-class _ScalarRunner:
-    """Adapter for rules whose state and message are a single y value."""
-
-    payload_len = 1
-
-    def __init__(self, algo, layout: _Layout):
-        self.layout = layout
-        self.algo = algo
-        x0 = [row[0] for row in layout.x]
-        a = algo
-        if isinstance(a, ExponentialWeighting):
-            self._step = lambda t, e, own, lh, rh: exp_transition(t, own, lh, rh, x0[e], a.rho)
-            self._stop = None
-        elif isinstance(a, AsymmetricWeighting):
-            self._step = lambda t, e, own, lh, rh: asym_transition(
-                t, own, lh, rh, x0[e], a.rho_back, a.rho_forward)
-            self._stop = None
-        elif isinstance(a, FiniteWindow):
-            self._step = lambda t, e, own, lh, rh: window_transition(
-                t, own, lh, rh, x0[e], a.half_width)
-            self._stop = [a.half_width] * layout.size
-        else:  # PerSensorWindow
-            widths = self._extend_widths(a.half_widths)
-            self._step = lambda t, e, own, lh, rh: variable_window_transition(
-                t, own, lh, rh, x0[e], widths[e])
-            self._stop = widths
-        self._zero = (0.0, 0.0)
-
-    def _extend_widths(self, widths):
-        lay = self.layout
-        if lay.ring:
-            return list(widths)
-        # constant extension keeps the differ-by-one constraint across the halo
-        return ([widths[0]] * lay.offset + list(widths) + [widths[-1]] * lay.offset)
-
-    def stop_round(self, e):
-        return None if self._stop is None else self._stop[e]
-
-    def init(self, e):
-        return self._step(0, e, (), (), ())
-
-    def step(self, t, e, own, lh, rh):
-        return self._step(t, e, own, lh or self._zero, rh or self._zero)
-
-    def finite(self, state):
-        return math.isfinite(state)
-
-    def y_value(self, states, prev_states, e, t):
-        return states[e]
-
-    def z_value(self, states, e):
-        return None
-
-
-class _BandedRunner:
-    payload_len = 2
-
-    def __init__(self, algo: BandedWeighting, layout: _Layout):
-        self.layout = layout
-        self.table = algo.table
-        self.x0 = [row[0] for row in layout.x]
-        n = layout.config.n
-
-        def row_of(e):
-            label = layout.label(e)
-            if layout.ring:
-                return self.table.row(label % n)
-            return self.table.row(min(max(label, 0), n - 1))  # ghosts reuse edge rows
-
-        self._rows = [tuple(map(float, row_of(e))) for e in range(layout.size)]
-        self._stop = self.table.radius
-
-    def stop_round(self, e):
-        return self._stop
-
-    def init(self, e):
-        return fb_transition(0, (), None, None, self.x0[e], self._rows[e], None, None,
-                             self.table.row_sum)
-
-    def step(self, t, e, own, lh, rh):
-        le = self.layout.left(e)
-        ri = self.layout.right(e)
-        fwd_row = self._rows[ri] if ri is not None else None
-        bwd_row = self._rows[le] if le is not None else None
-        return fb_transition(t, own, rh, lh, self.x0[e], self._rows[e],
-                             fwd_row, bwd_row, self.table.row_sum)
-
-    def finite(self, state):
-        return math.isfinite(state.forward) and math.isfinite(state.backward)
-
-    def y_value(self, states, prev_states, e, t):
-        row = self._rows[e]
-        return glue(states[e], self.x0[e], row[self.table.radius], self.table.row_sum)
-
-    def z_value(self, states, e):
-        return None
-
-
-class _DynExpRunner:
-    payload_len = 1
-
-    def __init__(self, algo: DynamicExponential, layout: _Layout):
-        self.layout = layout
-        self.rho = algo.rho
-        self.x = layout.x
-
-    def stop_round(self, e):
-        return None
-
-    def _x_recent(self, e, t):
-        lo = max(t - 3, 0)
-        return tuple(self.x[e][k] for k in range(t, lo - 1, -1))
-
-    def init(self, e):
-        return dyn_exp_transition(0, (), (), (), self._x_recent(e, 0), self.rho)
-
-    def step(self, t, e, own, lh, rh):
-        zero = (0.0, 0.0)
-        return dyn_exp_transition(t, own, lh or zero, rh or zero,
-                                  self._x_recent(e, t), self.rho)
-
-    def finite(self, state):
-        return math.isfinite(state)
-
-    def y_value(self, states, prev_states, e, t):
-        return states[e]
-
-    def z_value(self, states, e):
-        return None
-
-
-class _DynWindowRunner:
-    def __init__(self, algo: DynamicWindow, layout: _Layout):
-        self.layout = layout
-        self.half_width = algo.half_width
-        self.slots = algo.half_width + 1
-        self.payload_len = self.slots  # the full slot vector travels each round
-        self.x = layout.x
-        self._zero = (0.0,) * self.slots
-
-    def stop_round(self, e):
-        return None
-
-    def init(self, e):
-        L = self.half_width
-        return tuple(z_slot_transition(0, j, (), (), (), self.x[e][0], L)
-                     for j in range(self.slots))
-
-    def step(self, t, e, own, lh, rh):
-        L = self.half_width
-        lh = lh or (self._zero, self._zero)
-        rh = rh or (self._zero, self._zero)
-        x_t = self.x[e][t]
-        out = []
-        for j in range(self.slots):
-            own_j = tuple(v[j] for v in own)
-            left_j = tuple(v[j] for v in lh)
-            right_j = tuple(v[j] for v in rh)
-            out.append(z_slot_transition(t, j, own_j, left_j, right_j, x_t, L))
-        return tuple(out)
-
-    def finite(self, state):
-        return all(math.isfinite(v) for v in state)
-
-    def y_value(self, states, prev_states, e, t):
-        prev = prev_states[e] if prev_states is not None else self._zero
-        return assemble_y(states[e], prev, t, self.half_width)
-
-    def z_value(self, states, e):
-        return states[e]
-
-
-def _make_runner(algo: AlgorithmSpec, layout: _Layout):
-    if isinstance(algo, BandedWeighting):
-        return _BandedRunner(algo, layout)
+    if isinstance(algo, ExponentialWeighting):
+        return 1, stop, lambda t, i, own, lh, rh: exp_transition(
+            t, own, lh, rh, x[0, i], algo.rho), plain
+    if isinstance(algo, AsymmetricWeighting):
+        return 1, stop, lambda t, i, own, lh, rh: asym_transition(
+            t, own, lh, rh, x[0, i], algo.rho_back, algo.rho_forward), plain
+    if isinstance(algo, FiniteWindow):
+        stop[:] = algo.half_width  # past it a sensor is frozen
+        return 1, stop, lambda t, i, own, lh, rh: window_transition(
+            t, own, lh, rh, x[0, i], algo.half_width), plain
+    edge = np.clip(np.arange(size) - off, 0, n - 1)  # ghosts reuse the edge sensor's parameters
+    if isinstance(algo, PerSensorWindow):
+        widths = np.asarray(algo.half_widths)[edge]
+        return 1, widths, lambda t, i, own, lh, rh: variable_window_transition(
+            t, own, lh, rh, x[0, i], widths[i]), plain
     if isinstance(algo, DynamicExponential):
-        return _DynExpRunner(algo, layout)
+        return 1, stop, lambda t, i, own, lh, rh: dyn_exp_transition(
+            t, own, lh, rh, x[max(t - 3, 0):t + 1, i][::-1], algo.rho), plain
     if isinstance(algo, DynamicWindow):
-        return _DynWindowRunner(algo, layout)
-    return _ScalarRunner(algo, layout)
+        L = algo.half_width
+
+        def step(t, i, own, lh, rh):
+            z = np.zeros((L + 1, len(i)))
+            for j in range(L + 1):
+                z[j] = z_slot_transition(t, j, [h[j] for h in own], [h[j] for h in lh],
+                                         [h[j] for h in rh], x[t, i], L)
+            return z
+
+        return L + 1, stop, step, lambda state, prev, t: assemble_y(
+            state[:, real], prev[:, real], t, L)
+    table = algo.table
+    # weight rows as columns, so band[offset + radius] holds one weight per sensor;
+    # the last column stands in for a missing neighbor and its terms are dropped
+    band = np.vstack([table.weights[edge], np.ones(table.weights.shape[1])]).T
+    stop[:] = table.radius
+
+    def step(t, i, own, lh, rh):
+        s = fb_transition(t, [FBState(*h) for h in own], [FBState(*h) for h in rh],
+                          [FBState(*h) for h in lh], x[0, i], band[:, i], band[:, right[i]],
+                          band[:, left[i]], table.row_sum)
+        if t == 0:
+            return s
+        # a cut end keeps its sum in the direction that has no neighbor
+        return (np.where(right[i] == size, own[0][0], s.forward),
+                np.where(left[i] == size, own[0][1], s.backward))
+
+    return 2, stop, step, lambda state, prev, t: glue(
+        FBState(*state[:, real]), x[0, real], band[table.radius, real], table.row_sum)
 
 
 def _variable_window_weight_sums(algo: PerSensorWindow, config: ChainConfig):
@@ -390,70 +237,55 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     ValidationError up front and DivergedError if a value leaves float range.
     """
     _validate(config, algo)
-    time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
-    layout = _Layout(config, field_, time_varying)
-    runner = _make_runner(algo, layout)
     n, rounds = config.n, config.rounds
-    size = layout.size
-    off = layout.offset
-
-    states = [runner.init(e) for e in range(size)]
-    for e in range(size):
-        if not runner.finite(states[e]):
-            raise DivergedError(layout.label(e), 0)
-
-    slots = getattr(runner, "slots", None)
-    y = np.empty((n, rounds + 1))
-    z = np.empty((n, rounds + 1, slots)) if slots else None
+    off = config.halo_depth()
+    size = n + 2 * off  # engine index e is sensor label e - off
+    # neighbor engine indices; index `size` is a zero slot for a missing neighbor
+    left, right = np.arange(-1, size - 1), np.arange(1, size + 1)
+    if isinstance(config.boundary, Ring):
+        left[0], right[-1] = size - 1, 0
+    else:
+        left[0] = size
+    time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
+    x = np.zeros((rounds + 1 if time_varying else 1, size + 1))  # ghosts measure zero
     for i in range(n):
-        y[i, 0] = runner.y_value(states, None, i + off, 0)
-        if z is not None:
-            z[i, 0] = runner.z_value(states, i + off)
+        for k in range(x.shape[0]):
+            x[k, i + off] = evaluate_field(field_, i, k)
+    rows, stop, step, readout = _rule(algo, x, n, off, left, right, rounds)
 
-    audit: list[MessageRecord] = []
-    prev2: list | None = None
-    prev3: list | None = None
-    payload = runner.payload_len
-
-    for t in range(1, rounds + 1):
-        prev1 = states
-        new = list(prev1)
-        for e in range(size):
-            stop = runner.stop_round(e)
-            if stop is not None and t > stop:
-                continue  # frozen: keeps broadcasting its last state
-            if t == 1:
-                own = (prev1[e],)
-            elif t == 2:
-                own = (prev1[e], prev2[e])
-            else:
-                own = (prev1[e], prev2[e], prev3[e])
-            le = layout.left(e)
-            ri = layout.right(e)
-            lh = rh = None
-            lbl = layout.label(e)
-            if le is not None:
-                lh = (prev1[le],) if t == 1 else (prev1[le], prev2[le])
-                audit.append(MessageRecord(t, lbl, layout.label(le), payload))
-            if ri is not None:
-                rh = (prev1[ri],) if t == 1 else (prev1[ri], prev2[ri])
-                audit.append(MessageRecord(t, lbl, layout.label(ri), payload))
-            state = runner.step(t, e, own, lh, rh)
-            if not runner.finite(state):
-                raise DivergedError(lbl, t)
-            new[e] = state
-        prev3 = prev2
-        prev2 = prev1
-        states = new
-        for i in range(n):
-            y[i, t] = runner.y_value(states, prev2, i + off, t)
+    y = np.empty((n, rounds + 1))
+    z = np.empty((n, rounds + 1, rows)) if isinstance(algo, DynamicWindow) else None
+    audit = [np.empty(0, MessageRecord)]
+    hist = [np.zeros((rows, size + 1))]  # the zero state before round 0, then most recent first
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        for t in range(rounds + 1):
+            i = np.flatnonzero(stop >= t)  # frozen sensors keep broadcasting their last state
+            li, ri = left[i], right[i]
+            new = hist[0].copy()
+            if len(i):
+                nb = hist[:min(t, 2)]
+                new[:, i] = step(t, i, [h[:, i] for h in hist[:min(t, 3)]],
+                                 [h[:, li] for h in nb], [h[:, ri] for h in nb])
+                bad = ~np.isfinite(new[:, i]).all(axis=0)
+                if bad.any():
+                    raise DivergedError(int(i[bad.argmax()]) - off, t)
+            if t:
+                sender = np.column_stack((li, ri)).ravel()  # each receiver hears left, then right
+                keep = sender != size
+                msgs = np.empty(np.count_nonzero(keep), MessageRecord)
+                msgs["round"], msgs["size"] = t, rows
+                msgs["receiver"] = np.repeat(i, 2)[keep] - off
+                msgs["sender"] = sender[keep] - off
+                audit.append(msgs)
+            hist = [new] + hist[:2]
+            y[:, t] = readout(new, hist[1], t)
             if z is not None:
-                z[i, t] = runner.z_value(states, i + off)
+                z[:, t] = new[:, off:off + n].T
 
     metadata = {}
     if isinstance(algo, PerSensorWindow):
         metadata["weight_sums"] = _variable_window_weight_sums(algo, config)
-    return ConsensusTrace(y=y, z=z, audit=audit, config=config, algo=algo,
+    return ConsensusTrace(y=y, z=z, audit=np.concatenate(audit), config=config, algo=algo,
                           own_history_depth=3, metadata=metadata)
 
 
@@ -461,19 +293,10 @@ def audit_locality(trace: ConsensusTrace) -> int:
     """Number of audit records whose sender is not an immediate neighbor of
     the receiver under the trace's boundary arithmetic.  A transition history
     deeper than three rounds also counts as one violation."""
-    bad = 0
+    hop = trace.audit["receiver"] - trace.audit["sender"]
     if isinstance(trace.config.boundary, Ring):
-        n = trace.config.n
-        for rec in trace.audit:
-            if (rec.receiver - rec.sender) % n not in (1, n - 1):
-                bad += 1
-    else:
-        for rec in trace.audit:
-            if abs(rec.receiver - rec.sender) != 1:
-                bad += 1
-    if trace.own_history_depth > 3:
-        bad += 1
-    return bad
+        hop = (hop + 1) % trace.config.n - 1  # a wrap pair is one hop apart
+    return int(np.count_nonzero(np.abs(hop) != 1)) + (trace.own_history_depth > 3)
 
 
 def trace_to_csv(trace: ConsensusTrace) -> str:

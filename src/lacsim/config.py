@@ -92,6 +92,7 @@ def _parse_float(section, key, raw):
 def read_ini(text: str) -> dict:
     """Parse INI text into {section: {key: raw string}}, dropping blank values."""
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys such as L and K are case-sensitive
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -182,27 +183,25 @@ def _table_from_csv(section: str, path_text: str, base_dir: Path) -> TableField:
         else Path(path_text)
     if not path.exists():
         raise _err(section, "csv", f"table file {path} does not exist")
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    header = [h.strip() for h in rows[0]]
-    entries = rows[1:]
-    if header == ["sensor", "value"]:
-        values = {}
-        for parts in entries:
-            values[int(parts[0])] = float(parts[1])
-        n = max(values) + 1
-        arr = np.zeros(n)
-        for i, v in values.items():
-            arr[i] = v
-        return TableField(arr)
-    if header == ["sensor", "step", "value"]:
-        pts = [(int(p[0]), int(p[1]), float(p[2])) for p in entries]
-        n = max(p[0] for p in pts) + 1
-        steps = max(p[1] for p in pts) + 1
-        arr = np.zeros((n, steps))
-        for i, k, v in pts:
-            arr[i, k] = v
-        return TableField(arr)
-    raise _err(section, "csv", "header must be sensor,value or sensor,step,value")
+    lines = path.read_text().strip().splitlines()
+    header = [h.strip() for h in lines[0].split(",")] if lines else []
+    if header not in (["sensor", "value"], ["sensor", "step", "value"]):
+        raise _err(section, "csv", "header must be sensor,value or sensor,step,value")
+    pts = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        try:
+            if len(parts) != len(header):
+                raise ValueError
+            pts.append((tuple(int(c) for c in parts[:-1]), float(parts[-1])))
+        except ValueError:
+            raise _err(section, "csv", f"bad row {line!r} in table file {path}") from None
+    if not pts:
+        raise _err(section, "csv", f"table file {path} has no data rows")
+    arr = np.zeros(tuple(max(p[0][d] for p in pts) + 1 for d in range(len(header) - 1)))
+    for index, v in pts:
+        arr[index] = v
+    return TableField(arr)
 
 
 def _build_field_kind(raw: dict, section: str, base_dir: Path, depth: int = 0):

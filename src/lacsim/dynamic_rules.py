@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HistoryError, ValidationError
+from .static_rules import _need, window_transition
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,6 @@ class DynamicWindow:
     def __post_init__(self):
         if not isinstance(self.half_width, int) or self.half_width < 1:
             raise ValidationError(f"half_width must be an integer >= 1, got {self.half_width!r}")
-
-
-def _need(k, own, left, right, n_own, n_nb):
-    if len(own) < n_own or len(left) < n_nb or len(right) < n_nb:
-        raise HistoryError(
-            f"round {k} needs own depth {n_own} and neighbor depth {n_nb}; "
-            f"got {len(own)}/{len(left)}/{len(right)}")
 
 
 def dyn_exp_transition(k, own, left, right, x_recent, rho):
@@ -76,7 +70,7 @@ def slot_phase(k: int, slot: int, half_width: int) -> int | None:
 def z_slot_transition(k, slot, own, left, right, x_k, half_width):
     """Slot value z_{i,slot}(k).
 
-    Histories are per-slot scalars, most recent first (own depth 3, neighbors
+    Histories are per-slot values, most recent first (own depth 3, neighbors
     depth 2).  Restart rounds consume the current measurement x_i(k); all
     other phases replay the static window stages, so slot trajectories are
     mutually independent.
@@ -84,16 +78,7 @@ def z_slot_transition(k, slot, own, left, right, x_k, half_width):
     phase = slot_phase(k, slot, half_width)
     if phase is None:
         return 0.0
-    if phase == 0:
-        return x_k / (2.0 * half_width + 1.0)
-    if phase == 1:
-        _need(k, own, left, right, 1, 1)
-        return own[0] + left[0] + right[0]
-    if phase == 2:
-        _need(k, own, left, right, 2, 2)
-        return own[0] + (left[0] - left[1]) + (right[0] - right[1]) - 2.0 * own[1]
-    _need(k, own, left, right, 3, 2)
-    return own[0] + (left[0] - left[1]) + (right[0] - right[1]) - (own[1] - own[2])
+    return window_transition(phase, own, left, right, x_k, half_width)
 
 
 def assemble_y(z_now, z_prev, k, half_width):
@@ -107,5 +92,5 @@ def assemble_y(z_now, z_prev, k, half_width):
     y = z_now[j]
     for l in range(half_width + 1):
         if l != j:
-            y += z_now[l] - z_prev[l]
+            y = y + (z_now[l] - z_prev[l])
     return y

@@ -9,11 +9,14 @@ histories, most recent first:
 
 k = 0 is the initialization stage and needs only the local measurement.
 Stage dispatch is driven by the round index alone; the initialization is never
-folded into the generic stage.
+folded into the generic stage.  Every history entry may be a scalar or one
+numpy array over many sensors; the engine steps the whole chain in one call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import HistoryError, TerminatedError, ValidationError
 
@@ -124,10 +127,12 @@ def window_transition(k, own, left, right, x_i, half_width):
 
     The recursion terminates once the window is full; stepping past that is an
     error so accidental over-running surfaces instead of silently freezing.
+    `half_width` may hold one value per sensor when the histories are arrays.
     """
-    if k > half_width:
+    last = np.min(half_width)
+    if k > last:
         raise TerminatedError(
-            f"window recursion terminates at round {half_width}; asked for round {k}")
+            f"window recursion terminates at round {last}; asked for round {k}")
     if k == 0:
         return x_i / (2.0 * half_width + 1.0)
     if k == 1:
@@ -140,13 +145,8 @@ def window_transition(k, own, left, right, x_i, half_width):
     return own[0] + (left[0] - left[1]) + (right[0] - right[1]) - (own[1] - own[2])
 
 
-def variable_window_transition(k, own, left, right, x_i, half_width,
-                               left_half_width=None, right_half_width=None):
+def variable_window_transition(k, own, left, right, x_i, half_width):
     """Per-sensor-window variant: the sensor's own half-width replaces the
-    uniform one throughout.  Neighbor half-widths, when supplied, are checked
-    against the differ-by-at-most-one constraint."""
-    for nb in (left_half_width, right_half_width):
-        if nb is not None and abs(nb - half_width) > 1:
-            raise ValidationError(
-                f"neighboring half-widths differ by more than one: {half_width}, {nb}")
+    uniform one throughout.  Neighboring half-widths differing by at most one
+    is checked by `PerSensorWindow` and, for the ring wrap pair, by the engine."""
     return window_transition(k, own, left, right, x_i, half_width)

@@ -141,6 +141,37 @@ def test_cli_rerun_from_embedded_config(tmp_path):
     assert (out1 / "run_trace.csv").read_bytes() == (out2 / "run_trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("variant", ["window", "dyn_window", "arbitrary"])
+def test_cli_rerun_from_embedded_config_with_case_sensitive_keys(tmp_path, variant):
+    csv = tmp_path / "w.csv"
+    csv.write_text(WeightTable.geometric(0.5, 3, 9).to_csv())
+    params = {"window": ["algorithm.L=3"], "dyn_window": ["algorithm.L=2"],
+              "arbitrary": [f"algorithm.weights_csv={csv}", "algorithm.K=3.0"]}[variant]
+    args = ["--set", "chain.n=9", "--set", "chain.rounds=4",
+            "--set", f"algorithm.variant={variant}"]
+    for p in params:
+        args += ["--set", p]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--out", str(out1)] + args) == 0
+    meta = json.loads((out1 / "run_metadata.json").read_text())
+    cfg_path = tmp_path / "replay.ini"
+    cfg_path.write_text(meta["config_ini"])
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
+    assert (out1 / "run_trace.csv").read_bytes() == (out2 / "run_trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text", ["sensor,value\n0,1.0\n1,np.float64(0.1)\n",
+                                  "sensor,step,value\n0,0,1.0\n1,0\n",
+                                  "sensor,value\n", ""])
+def test_cli_malformed_table_csv_is_a_validation_error(tmp_path, capsys, text):
+    csv = tmp_path / "vals.csv"
+    csv.write_text(text)
+    code = main(["simulate", "--out", str(tmp_path), "--set", "chain.n=3",
+                 "--set", "field.kind=table", "--set", f"field.csv={csv}"])
+    assert code == 1
+    assert "[field] csv" in capsys.readouterr().err
+
+
 def test_cli_validation_exit_code(tmp_path):
     code = main(["simulate", "--out", str(tmp_path), "--set", "chain.n=2"])
     assert code == 1

@@ -173,7 +173,7 @@ def test_dyn_window_payload_is_slot_count():
     L = 3
     cfg = ChainConfig(n=8, boundary=Ring(), rounds=5)
     trace = run(cfg, MeasurementField(Constant(1.0)), DynamicWindow(L))
-    assert all(rec.size == L + 1 for rec in trace.audit)
+    assert np.all(trace.audit["size"] == L + 1)
 
 
 def test_assemble_y_zero_slots_contribute_nothing():

@@ -1,0 +1,271 @@
+"""The round loop in `chain.run` against the per-sensor transition functions.
+
+The scalar transitions are the reference spec: `_reference` steps them one
+sensor at a time, and `run()` must agree with it bit for bit on y, z and the
+message audit for every rule and boundary.  The golden digests pin the exact
+CSV bytes of fixed runs.
+"""
+import hashlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, DynamicExponential,
+                    DynamicWindow, ExponentialWeighting, FBState, FiniteWindow,
+                    MeasurementField, Noise, PerSensorWindow, Ring, SpatialCosine, TableField,
+                    Truncated, WeightTable, ZeroHalo, asym_transition, assemble_y,
+                    dyn_exp_transition, evaluate_field, exp_transition, fb_transition, glue,
+                    run, trace_to_csv, variable_window_transition, window_transition,
+                    z_slot_transition)
+
+_DYNAMIC = (DynamicExponential, DynamicWindow)
+
+
+def _reference(config, field, algo):
+    """(y, z, audit) from the scalar transitions, one sensor at a time."""
+    n, rounds = config.n, config.rounds
+    ring = isinstance(config.boundary, Ring)
+    off = config.halo_depth()
+    size = n + 2 * off
+    dynamic = isinstance(algo, _DYNAMIC)
+    slots = algo.half_width + 1 if isinstance(algo, DynamicWindow) else 0
+
+    def x(e, k):
+        label = e - off
+        return evaluate_field(field, label, k if dynamic else 0) if 0 <= label < n else 0.0
+
+    def nb(e):
+        if ring:
+            return (e - 1) % size, (e + 1) % size
+        return (e - 1 if e > 0 else None), (e + 1 if e < size - 1 else None)
+
+    def clamp(e):  # ghosts reuse the edge sensor's parameters
+        return min(max(e - off, 0), n - 1)
+
+    zero = (0.0, 0.0)
+    zeros = (0.0,) * slots
+    stop, payload = (lambda e: rounds), 1
+    y_of = (lambda s, prev, e, t: s[e])
+    if isinstance(algo, ExponentialWeighting):
+        def step(t, e, own, lh, rh):
+            return exp_transition(t, own, lh or zero, rh or zero, x(e, 0), algo.rho)
+    elif isinstance(algo, AsymmetricWeighting):
+        def step(t, e, own, lh, rh):
+            return asym_transition(t, own, lh or zero, rh or zero, x(e, 0),
+                                   algo.rho_back, algo.rho_forward)
+    elif isinstance(algo, FiniteWindow):
+        stop = lambda e: algo.half_width
+
+        def step(t, e, own, lh, rh):
+            return window_transition(t, own, lh or zero, rh or zero, x(e, 0), algo.half_width)
+    elif isinstance(algo, PerSensorWindow):
+        stop = lambda e: algo.half_widths[clamp(e)]
+
+        def step(t, e, own, lh, rh):
+            return variable_window_transition(t, own, lh or zero, rh or zero, x(e, 0), stop(e))
+    elif isinstance(algo, BandedWeighting):
+        table = algo.table
+        stop, payload = (lambda e: table.radius), 2
+
+        def row(e):
+            return None if e is None else table.row(clamp(e))
+
+        def step(t, e, own, lh, rh):
+            le, ri = nb(e)
+            return fb_transition(t, own, rh, lh, x(e, 0), row(e), row(ri), row(le),
+                                 table.row_sum)
+
+        y_of = lambda s, prev, e, t: glue(s[e], x(e, 0), row(e)[table.radius], table.row_sum)
+    elif isinstance(algo, DynamicExponential):
+        def step(t, e, own, lh, rh):
+            recent = tuple(x(e, k) for k in range(t, max(t - 3, 0) - 1, -1))
+            return dyn_exp_transition(t, own, lh or zero, rh or zero, recent, algo.rho)
+    else:
+        payload = slots
+
+        def step(t, e, own, lh, rh):
+            lh, rh = lh or (zeros, zeros), rh or (zeros, zeros)
+            return tuple(z_slot_transition(t, j, tuple(v[j] for v in own),
+                                           tuple(v[j] for v in lh), tuple(v[j] for v in rh),
+                                           x(e, t), algo.half_width)
+                         for j in range(slots))
+
+        y_of = lambda s, prev, e, t: assemble_y(s[e], prev[e] if prev else zeros, t,
+                                                algo.half_width)
+
+    hist = [[step(0, e, (), (), ()) for e in range(size)]]
+    ys = [[y_of(hist[0], None, e + off, 0) for e in range(n)]]
+    zs = [hist[0][off:off + n]]
+    audit = []
+    for t in range(1, rounds + 1):
+        new = list(hist[0])
+        for e in range(size):
+            if t > stop(e):
+                continue
+            le, ri = nb(e)
+            lh = rh = None
+            if le is not None:
+                lh = tuple(h[le] for h in hist[:2])
+                audit.append((t, e - off, le - off, payload))
+            if ri is not None:
+                rh = tuple(h[ri] for h in hist[:2])
+                audit.append((t, e - off, ri - off, payload))
+            new[e] = step(t, e, tuple(h[e] for h in hist[:3]), lh, rh)
+        hist = [new] + hist[:2]
+        ys.append([y_of(new, hist[1], e + off, t) for e in range(n)])
+        zs.append(new[off:off + n])
+    y = np.array(ys, dtype=float).T
+    z = np.array(zs, dtype=float).transpose(1, 0, 2) if slots else None
+    return y, z, audit
+
+
+def _bits(a):
+    return None if a is None else np.ascontiguousarray(a).tobytes()
+
+
+def _widths(steps, first):
+    """Half-widths >= 1 whose neighbors differ by at most one."""
+    widths = [first]
+    for s in steps:
+        widths.append(max(1, widths[-1] + s))
+    return tuple(widths)
+
+
+@st.composite
+def _cases(draw):
+    kind = draw(st.sampled_from(["exp", "asym", "window", "variable_window", "arbitrary",
+                                 "dyn_exp", "dyn_window"]))
+    boundary = draw(st.sampled_from(["ring", "zero_halo", "truncated"]))
+    rounds = draw(st.integers(0, 9))
+    reach = draw(st.integers(1, 4))
+    n = draw(st.integers(max(3, 2 * reach + 1 if boundary == "ring" else 3), 16))
+    rho = draw(st.floats(0.05, 0.95))
+    if boundary == "ring":
+        bnd = Ring()
+    elif boundary == "zero_halo":
+        bnd = ZeroHalo(draw(st.one_of(st.none(), st.integers(rounds, rounds + 3))))
+    else:
+        bnd = Truncated()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "exp":
+        algo = ExponentialWeighting(rho)
+    elif kind == "asym":
+        algo = AsymmetricWeighting(rho, draw(st.floats(0.05, 0.95)))
+    elif kind == "window":
+        algo = FiniteWindow(reach)
+    elif kind == "variable_window":
+        steps = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n - 1, max_size=n - 1))
+        widths = _widths(steps, reach)
+        if boundary == "ring":  # wrap pair within one, and room for the widest window
+            widths = tuple(min(w, 1 + i, n - i, (n - 1) // 2) for i, w in enumerate(widths))
+        algo = PerSensorWindow(widths)
+    elif kind == "arbitrary":
+        weights = rng.uniform(-1.0, 1.0, (n, 2 * reach + 1))
+        weights[weights == 0.0] = 0.5
+        algo = BandedWeighting(WeightTable(weights, float(rng.uniform(0.5, 2.0)), reach))
+    elif kind == "dyn_exp":
+        algo = DynamicExponential(rho)
+    else:
+        algo = DynamicWindow(reach)
+    shape = (n, rounds + 1) if isinstance(algo, _DYNAMIC) else n
+    values = rng.uniform(-1.0, 1.0, shape)
+    values[rng.random(shape) < 0.25] = 0.0  # exact zeros exercise signed-zero arithmetic
+    return ChainConfig(n=n, boundary=bnd, rounds=rounds), MeasurementField(TableField(values)), algo
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases())
+def test_run_matches_per_sensor_transitions(case):
+    trace = run(*case)
+    y, z, audit = _reference(*case)
+    assert _bits(trace.y) == _bits(y)
+    assert _bits(trace.z) == _bits(z)
+    assert trace.audit.tolist() == audit
+
+
+def _golden_cases():
+    n, rounds = 12, 9
+    static = MeasurementField(TableField(np.linspace(-1.0, 1.0, n) ** 3))
+    dynamic = MeasurementField(TableField(
+        np.sin(np.arange(n)[:, None] * 0.7 + np.arange(rounds + 1)[None, :] * 0.3)))
+    weights = np.cos(np.arange(n * 7).reshape(n, 7) * 0.9) + 0.05
+    rules = {
+        "exp": (ExponentialWeighting(0.6), static),
+        "asym": (AsymmetricWeighting(0.5, 0.25), static),
+        "window": (FiniteWindow(3), static),
+        "variable_window": (PerSensorWindow((2, 2, 3, 3, 4, 5, 5, 4, 3, 3, 2, 2)), static),
+        "arbitrary": (BandedWeighting(WeightTable(weights, 1.7, 3)), static),
+        "dyn_exp": (DynamicExponential(0.7), dynamic),
+        "dyn_window": (DynamicWindow(2), dynamic),
+    }
+    boundaries = {"ring": Ring(), "zero_halo": ZeroHalo(), "truncated": Truncated()}
+    for rule, (algo, field) in rules.items():
+        for name, boundary in boundaries.items():
+            yield f"{rule}/{name}", ChainConfig(n=n, boundary=boundary, rounds=rounds), field, algo
+    noisy = MeasurementField(SpatialCosine(1.0, 0.4), noise=Noise(0.3, seed=11))
+    yield "exp/noisy", ChainConfig(n=n, boundary=ZeroHalo(), rounds=rounds), noisy, \
+        ExponentialWeighting(0.8)
+
+
+# generated by the per-sensor engine this round loop replaced
+GOLDEN = {
+    "exp/ring": "0cd787881eb000a379fd74ff1a21ba2b2ce8aa776eee11a60658e7e0b3dfbd6c",
+    "exp/zero_halo": "33620f3b173ae13c3385cdafc8c1b0441f62d26b61344ae8ca67fb734b10af06",
+    "exp/truncated": "11090c0d9482195da43f2621fcd68069139c2b197ad05df0977f4f2d9cac9976",
+    "asym/ring": "7d37ed654b357411d4473c5d72b89ccd726399ec200a16e0aedbe82c307c82d1",
+    "asym/zero_halo": "629aed5c27e72f71d4a28a57ac0d5cca790ca90c16b9b2a914859a63dce9f574",
+    "asym/truncated": "3917648a913c109f7a7608608e4cd37010c56e848f9f9197bad3e1eaceea5182",
+    "window/ring": "68d1cd953a2eb025a35a6cc6d1a957cb067ec6d4b62ca1a469e5e73756d75419",
+    "window/zero_halo": "b0d838536e8ebb7aac2f0a049eae06144b0c72e35a8341ba72498b7a2f0fcce4",
+    "window/truncated": "ccb011065e089b4bb2841664a0404ea1e631a4ea8f5534d447fc700747d832af",
+    "variable_window/ring": "f0e4b7781b00d5b10448fd124edf13c488697e9ee96eadf02d3517e517a56325",
+    "variable_window/zero_halo": "dc7bdc443feea668a60a2e2a946e7e22e396f86047770d3631a1b5ed99a646d3",
+    "variable_window/truncated": "3c2aed9dc89a17d24cee894f3a56d681327b921f698439a8887b4fab3f49af0b",
+    "arbitrary/ring": "1a8b919b2be45e0c57103ae8ac35ba967626f9baebfba30fe648449f7c2b60a6",
+    "arbitrary/zero_halo": "ab8a4bd455e1eb5d5cb7feb66b87580b92c5990e9855d3755bb1bec4598d254c",
+    "arbitrary/truncated": "ab8a4bd455e1eb5d5cb7feb66b87580b92c5990e9855d3755bb1bec4598d254c",
+    "dyn_exp/ring": "aed0f3ab395c9446c1a66d8118e827599de40108d21145147f97a04ada299c67",
+    "dyn_exp/zero_halo": "02ddf4493e92df15fc1d030dc5acbe4e2b1c89b94b930badc6ccd88e8cd75bbc",
+    "dyn_exp/truncated": "2e307fd424a0e56185d48d5d3d66b1176c2fdb8fab09b1bb81ff5b180afe1c65",
+    "dyn_window/ring": "c531db98a30f6a6647a27f63b3835f07e5a7b652165e323b92ed22d566061bfe",
+    "dyn_window/zero_halo": "72fe2def600132fdf49bd3780df33b2e6d3a3f95e7adaaf67650c5800a2131eb",
+    "dyn_window/truncated": "c73518a6681f7e9fdc6069b27c0929c50c7f02f0782ce0f9b08d782281d0c9bd",
+    "exp/noisy": "ea8032fe59bd444c4c7c539bf0ed626ebfd88ece2d75e5cbf418b26ced03d805",
+}
+
+
+def test_golden_trace_digests():
+    digests = {name: hashlib.sha256(trace_to_csv(run(cfg, field, algo)).encode()).hexdigest()
+               for name, cfg, field, algo in _golden_cases()}
+    assert digests == GOLDEN
+
+
+def test_transitions_leave_array_inputs_unmodified():
+    rng = np.random.default_rng(3)
+    m, L = 5, 3
+
+    def arrays(count):
+        return [rng.uniform(-1.0, 1.0, m) for _ in range(count)]
+
+    for k in range(4):
+        own, left, right, x = arrays(min(k, 3)), arrays(min(k, 2)), arrays(min(k, 2)), arrays(4)
+        # round 0 hands out one array as both sums, so aliasing must be harmless
+        fb = [FBState(a, a) for a in own]
+        fwd, bwd = [FBState(a, a[::-1]) for a in left], [FBState(a[::-1], a) for a in right]
+        band = rng.uniform(0.5, 1.5, (2 * L + 1, m))
+        z_now, z_prev = rng.uniform(-1.0, 1.0, (2, L + 1, m))
+        inputs = [own, left, right, x, band, z_now, z_prev]
+        before = [np.array(v, copy=True) for v in inputs]
+        exp_transition(k, own, left, right, x[0], 0.5)
+        asym_transition(k, own, left, right, x[0], 0.5, 0.3)
+        window_transition(k, own, left, right, x[0], L)
+        variable_window_transition(k, own, left, right, x[0], np.array([3, 4, 3, 5, 4]))
+        dyn_exp_transition(k, own, left, right, x, 0.5)
+        for j in range(L + 1):
+            z_slot_transition(k, j, own, left, right, x[0], L)
+        glue(fb_transition(k, fb, fwd, bwd, x[0], band, band[::-1], band, 1.5), x[0],
+             band[L], 1.5)
+        assemble_y(z_now, z_prev, k, L)
+        for b, v in zip(before, inputs):
+            assert _bits(np.asarray(v)) == _bits(b)

@@ -18,7 +18,7 @@ def test_rounds_zero_gives_initialization_only():
     trace = run(cfg, _table(np.arange(8.0)), ExponentialWeighting(0.5))
     assert trace.y.shape == (8, 1)
     assert np.allclose(trace.y[:, 0], np.arange(8.0) / 3.0, atol=1e-15, rtol=0)
-    assert trace.audit == []
+    assert len(trace.audit) == 0
     assert audit_locality(trace) == 0
 
 
@@ -56,14 +56,14 @@ def test_determinism_bit_identical():
     a = run(cfg, field, ExponentialWeighting(0.7))
     b = run(cfg, field, ExponentialWeighting(0.7))
     assert np.array_equal(a.y, b.y)
-    assert a.audit == b.audit
+    assert np.array_equal(a.audit, b.audit)
 
 
 def test_audit_locality_zero_and_forgery_detected():
     cfg = ChainConfig(n=10, boundary=Ring(), rounds=6)
     trace = run(cfg, MeasurementField(Constant(1.0)), ExponentialWeighting(0.5))
     assert audit_locality(trace) == 0
-    trace.audit.append(MessageRecord(1, 5, 2, 1))
+    trace.audit = np.append(trace.audit, np.array([(1, 5, 2, 1)], dtype=MessageRecord))
     assert audit_locality(trace) == 1
 
 
@@ -71,7 +71,8 @@ def test_audit_locality_ring_wraps():
     cfg = ChainConfig(n=6, boundary=Ring(), rounds=2)
     trace = run(cfg, MeasurementField(Constant(1.0)), ExponentialWeighting(0.5))
     # wrap pairs (0, 5) appear and are legitimate neighbors
-    assert any({r.receiver, r.sender} == {0, 5} for r in trace.audit)
+    pairs = zip(trace.audit["receiver"].tolist(), trace.audit["sender"].tolist())
+    assert any({r, s} == {0, 5} for r, s in pairs)
     assert audit_locality(trace) == 0
 
 
@@ -86,7 +87,7 @@ def test_audit_records_only_active_receivers():
     # window of half-width 2 exchanges messages for rounds 1..2 only
     cfg = ChainConfig(n=9, boundary=Ring(), rounds=6)
     trace = run(cfg, MeasurementField(Constant(1.0)), FiniteWindow(2))
-    assert max(r.round for r in trace.audit) == 2
+    assert trace.audit["round"].max() == 2
     assert len(trace.audit) == 9 * 2 * 2
 
 
@@ -138,6 +139,23 @@ def test_divergence_reported_with_sensor_and_round():
             MeasurementField(Constant(1.0)), BandedWeighting(table))
     assert err.value.round == 1
     assert err.value.sensor == 0
+
+
+def test_divergence_names_first_sensor_in_engine_order():
+    from lacsim import BandedWeighting, WeightTable
+
+    # ghost -2 reuses row 0, whose forward ratio overflows: it comes first
+    weights = np.ones((4, 3))
+    weights[0] = [1.0, 1e-308, 1e308]
+    with pytest.raises(DivergedError) as err:
+        run(ChainConfig(n=4, boundary=ZeroHalo(), rounds=2), _table([1.0] * 4),
+            BandedWeighting(WeightTable(weights, 1.0, 1)))
+    assert (err.value.sensor, err.value.round) == (-2, 1)
+    # the initialization stage is checked too
+    with pytest.raises(DivergedError) as err:
+        run(ChainConfig(n=4, boundary=Ring(), rounds=0), _table([1.0, 1e308, 1e308, 1.0]),
+            BandedWeighting(WeightTable(np.full((4, 3), 10.0), 1.0, 1)))
+    assert (err.value.sensor, err.value.round) == (1, 0)
 
 
 def test_trace_csv_round_trips():

@@ -7,7 +7,7 @@ from lacsim import (AsymmetricWeighting, ChainConfig, ExponentialWeighting, Fini
                     HistoryError, MeasurementField, PerSensorWindow, Ring, TableField,
                     TerminatedError, ValidationError, ZeroHalo, Constant, Impulse,
                     asym_transition, exp_transition, random_spatial_table, run,
-                    variable_window_transition, window_transition)
+                    window_transition)
 from lacsim import oracle
 
 
@@ -160,8 +160,6 @@ def test_variable_window_constant_field_weight_sums():
 def test_variable_window_adjacency_validation():
     with pytest.raises(ValidationError):
         PerSensorWindow((1, 3, 1))
-    with pytest.raises(ValidationError):
-        variable_window_transition(0, (), (), (), 1.0, 2, left_half_width=4)
     # ring wrap pair is checked at run time
     with pytest.raises(ValidationError):
         run(ChainConfig(n=9, boundary=Ring(), rounds=1),
