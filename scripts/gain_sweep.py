@@ -10,11 +10,11 @@ import math
 
 from lacsim import (ChainConfig, DynamicExponential, ExponentialWeighting,
                     MeasurementField, Ring, SpatialCosine, TemporalCosine, h_exp,
-                    k_temporal_exp, measure_gain, run)
+                    k_temporal_exp, measure_gain, run, settle_rounds)
 
 
 def spatial_sweep(n, rho, harmonics):
-    settle = math.ceil(math.log(1e-9) / math.log(rho))
+    settle = settle_rounds(ExponentialWeighting(rho))
     cfg = ChainConfig(n=n, boundary=Ring(), rounds=settle)
     print(f"spatial, rho={rho}, ring n={n}, settle={settle}")
     print(f"{'omega':>10} {'analytic':>12} {'measured':>12} {'phase':>10}")
@@ -27,7 +27,7 @@ def spatial_sweep(n, rho, harmonics):
 
 
 def temporal_sweep(rho, omegas):
-    settle = math.ceil(math.log(1e-9) / math.log(rho))
+    settle = settle_rounds(DynamicExponential(rho))
     print(f"temporal, rho={rho}, settle={settle}")
     print(f"{'omega':>10} {'analytic':>12} {'measured':>12} {'phase':>10}")
     for omega in omegas:

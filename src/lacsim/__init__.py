@@ -3,7 +3,7 @@
 from .analysis import (BandwidthResult, GainEstimate, GlobalAverage, MatchedRho, NoiseReport,
                        bandwidth, h_exp, h_window, k_temporal_exp, k_temporal_window,
                        measure_gain, monte_carlo_noise, noise_var_exp, noise_var_global,
-                       noise_var_window, variance_match_rho)
+                       noise_var_window, settle_rounds, variance_match_rho)
 from .arbitrary_weights import (BandedWeighting, FBState, WeightReport, WeightTable,
                                 fb_transition, glue, validate_weights)
 from .chain import (AlgorithmSpec, Boundary, ChainConfig, ConsensusTrace, MessageRecord,

@@ -188,7 +188,7 @@ def criterion_5() -> CriterionResult:
     dc_worst = 0.0
     for rho in (0.8, 0.9):
         algo = DynamicExponential(rho)
-        settle = math.ceil(math.log(1e-9) / math.log(rho))
+        settle = ana.settle_rounds(algo)
         for omega in (0.05, 0.1, 0.5):
             span = max(math.ceil(4.0 * math.pi / omega), 64)
             cfg = ChainConfig(n=5, boundary=Ring(), rounds=settle + span)
@@ -322,8 +322,8 @@ def criterion_10() -> CriterionResult:
     # locality: zero violations on every run, across rules and boundaries
     violations = 0
     for boundary in (Ring(), ZeroHalo()):
-        cfg = ChainConfig(n=n, boundary=boundary, rounds=rounds, master_seed=5)
-        for _, algo, field, _ in _oracle_cases_small(n, rounds, 21):
+        cfg = ChainConfig(n=64, boundary=boundary, rounds=rounds, master_seed=5)
+        for _, algo, field, _ in _oracle_cases(64, rounds, 21):
             violations += audit_locality(run(cfg, field, algo))
     good = violations == 0
     ok &= good
@@ -378,22 +378,6 @@ def criterion_10() -> CriterionResult:
     elapsed = time.perf_counter() - t0
     return CriterionResult(10, "structural properties (locality, linearity, determinism)",
                            ok, "; ".join(parts), elapsed)
-
-
-def _oracle_cases_small(n: int, rounds: int, seed: int):
-    """Same rule set as criterion 1 but sized for a short structural check."""
-    static = MeasurementField(random_spatial_table(n, seed))
-    dynamic = MeasurementField(random_space_time_table(n, rounds + 1, seed + 100))
-    widths = (3, 3, 4, 4, 4, 4, 3, 3) * (n // 8)
-    return [
-        ("exp", ExponentialWeighting(0.8), static, None),
-        ("asym", AsymmetricWeighting(0.5, 0.25), static, None),
-        ("window", FiniteWindow(4), static, None),
-        ("variable_window", PerSensorWindow(widths), static, None),
-        ("arbitrary", BandedWeighting(WeightTable.geometric(0.6, 8, n)), static, None),
-        ("dyn_exp", DynamicExponential(0.8), dynamic, None),
-        ("dyn_window", DynamicWindow(3), dynamic, None),
-    ]
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -161,22 +161,32 @@ class GainEstimate:
     warning: str | None = None
 
 
-def _settle_warning(algo, settle: int) -> str | None:
-    if isinstance(algo, (ExponentialWeighting, DynamicExponential)):
-        if algo.rho ** max(settle, 0) >= SETTLE_TAIL:
-            return f"rho^settle = {algo.rho ** settle:.3g} has not decayed below {SETTLE_TAIL}"
-    elif isinstance(algo, AsymmetricWeighting):
-        hi = max(algo.rho_back, algo.rho_forward)
-        if hi ** max(settle, 0) >= SETTLE_TAIL:
-            return f"max(rho)^settle = {hi ** settle:.3g} has not decayed below {SETTLE_TAIL}"
-    elif isinstance(algo, (FiniteWindow, PerSensorWindow)):
-        need = algo.half_width if isinstance(algo, FiniteWindow) else max(algo.half_widths)
-        if settle < need:
-            return f"window needs settle >= {need}, got {settle}"
-    elif isinstance(algo, DynamicWindow):
-        if settle < algo.half_width + 1:
-            return f"dynamic window needs settle >= {algo.half_width + 1}, got {settle}"
+def settle_rounds(algo) -> int | None:
+    """The fewest settle rounds for which `measure_gain` gives no warning:
+    the geometric rules' transient has decayed below SETTLE_TAIL, and the
+    window rules have finished.  None for banded weights, which have no
+    settle condition."""
+    if isinstance(algo, (ExponentialWeighting, DynamicExponential, AsymmetricWeighting)):
+        rho = (max(algo.rho_back, algo.rho_forward) if isinstance(algo, AsymmetricWeighting)
+               else algo.rho)
+        settle = max(math.floor(math.log(SETTLE_TAIL) / math.log(rho)) - 1, 0)
+        while rho ** settle >= SETTLE_TAIL:  # the logarithm can miss by a round
+            settle += 1
+        return settle
+    if isinstance(algo, FiniteWindow):
+        return algo.half_width
+    if isinstance(algo, PerSensorWindow):
+        return max(algo.half_widths)
+    if isinstance(algo, DynamicWindow):
+        return algo.half_width + 1
     return None
+
+
+def _settle_warning(algo, settle: int) -> str | None:
+    need = settle_rounds(algo)
+    if need is None or settle >= need:
+        return None
+    return f"{type(algo).__name__} needs settle >= {need}, got {settle}"
 
 
 def _fit_cosine(values: np.ndarray, arg: np.ndarray, amplitude: float,

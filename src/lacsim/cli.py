@@ -81,18 +81,6 @@ def _cmd_simulate(exp: Experiment) -> list:
     return written + [meta_path]
 
 
-def _settle_for(algo, explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    if isinstance(algo, (ExponentialWeighting, DynamicExponential)):
-        return math.ceil(math.log(1e-9) / math.log(algo.rho))
-    if isinstance(algo, FiniteWindow):
-        return algo.half_width
-    if isinstance(algo, DynamicWindow):
-        return algo.half_width + 1
-    raise ValidationError(f"no settle rule for {type(algo).__name__}")
-
-
 def _cmd_freq_spatial(exp: Experiment) -> list:
     algo = exp.algorithm
     if not isinstance(algo, (ExponentialWeighting, FiniteWindow)):
@@ -100,7 +88,7 @@ def _cmd_freq_spatial(exp: Experiment) -> list:
     if not isinstance(exp.chain.boundary, Ring):
         raise ValidationError("freq-spatial needs chain.boundary = ring")
     n = exp.chain.n
-    settle = _settle_for(algo, exp.analysis["settle"])
+    settle = exp.analysis.get("settle", ana.settle_rounds(algo))
     harmonics = exp.analysis["harmonic"]
     lines = ["omega,gain_analytic,gain_measured,phase_measured"]
     for m in harmonics:
@@ -127,7 +115,7 @@ def _cmd_freq_temporal(exp: Experiment) -> list:
     if not isinstance(algo, (DynamicExponential, DynamicWindow)):
         raise ValidationError(
             "freq-temporal needs algorithm.variant dyn_exponential or dyn_window")
-    settle = _settle_for(algo, exp.analysis["settle"])
+    settle = exp.analysis.get("settle", ana.settle_rounds(algo))
     lines = ["omega,gain_analytic,gain_measured,phase_measured"]
     for omega in exp.analysis["omegas"]:
         span = 32 if omega == 0 else max(math.ceil(4.0 * math.pi / omega), 64)

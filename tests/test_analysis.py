@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacsim import (ChainConfig, DynamicExponential, DynamicWindow, ExponentialWeighting,
-                    FiniteWindow, GlobalAverage, MeasurementField, Ring, SpatialCosine,
-                    TemporalCosine, ValidationError, ZeroHalo, bandwidth, h_exp, h_window,
-                    k_temporal_exp, k_temporal_window, measure_gain, monte_carlo_noise,
-                    noise_var_exp, noise_var_global, noise_var_window, run,
-                    variance_match_rho)
+from lacsim import (AsymmetricWeighting, ChainConfig, DynamicExponential, DynamicWindow,
+                    ExponentialWeighting, FiniteWindow, GlobalAverage, MeasurementField,
+                    PerSensorWindow, Ring, SpatialCosine, TemporalCosine, ValidationError,
+                    ZeroHalo, bandwidth, h_exp, h_window, k_temporal_exp, k_temporal_window,
+                    measure_gain, monte_carlo_noise, noise_var_exp, noise_var_global,
+                    noise_var_window, run, settle_rounds, variance_match_rho)
 from lacsim.analysis import h_exp_from_poles
 
 
@@ -240,6 +240,30 @@ def test_measure_gain_settle_warning():
     trace = run(cfg, field, ExponentialWeighting(0.9))
     est = measure_gain(trace, field, omega, "spatial", 5)
     assert est.warning is not None
+
+
+@pytest.mark.parametrize("algo", [
+    ExponentialWeighting(0.1), ExponentialWeighting(0.001), ExponentialWeighting(0.5),
+    ExponentialWeighting(0.9), AsymmetricWeighting(0.5, 0.25), FiniteWindow(3),
+    PerSensorWindow((2, 3, 4, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2)),
+    DynamicExponential(0.8), DynamicWindow(3)], ids=repr)
+def test_default_settle_is_the_fewest_rounds_without_warning(algo):
+    n = 16
+    settle = settle_rounds(algo)
+    if isinstance(algo, (DynamicExponential, DynamicWindow)):
+        mode, omega = "temporal", 0.3
+        field = MeasurementField(TemporalCosine(1.0, omega))
+    else:
+        mode, omega = "spatial", 2 * math.pi / n
+        field = MeasurementField(SpatialCosine(1.0, omega))
+    trace = run(ChainConfig(n=n, boundary=Ring(), rounds=settle + 8), field, algo)
+    assert measure_gain(trace, field, omega, mode, settle).warning is None
+    assert measure_gain(trace, field, omega, mode, settle - 1).warning is not None
+
+
+def test_settle_rounds_of_the_temporal_criterion():
+    assert settle_rounds(DynamicExponential(0.8)) == 93
+    assert settle_rounds(DynamicExponential(0.9)) == 197
 
 
 def test_monte_carlo_noise_small_run():

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,90 @@ def test_stochastic_runs_require_seed():
     assert viaflag.field.noise.seed == 9
     with pytest.raises(ValidationError):
         _resolve("", command="noise")
+
+
+_FIELD_TEXT = {
+    "constant": "kind = constant\nvalue = 2.5\n",
+    "impulse": "kind = impulse\ncenter = 3\nbound = 4.0\n",
+    "spatial_cosine": "kind = spatial_cosine\namplitude = 1.0\nomega = 0.25\n",
+    "temporal_cosine": "kind = temporal_cosine\namplitude = 2\nomega = 0.1\nphase = 0.5\n",
+    "table": "kind = table\ncsv = vals.csv\nnoise_sigma = 0.5\n",
+    "sum": ("kind = sum\ncomponents = a, b\nnoise_sigma = 0.25\nnoise_distribution = uniform\n"
+            "[field.a]\nkind = impulse\n[field.b]\nkind = table\ncsv = vals.csv\n"),
+}
+_VARIANT_TEXT = {
+    "exponential": "rho = 0.7", "asymmetric": "rho_b = 0.5\nrho_f = 0.25", "window": "L = 2",
+    "variable_window": "lengths = 2,2,3,3,3,2,2,2", "arbitrary": "weights_csv = w.csv\nK = 3.0",
+    "dyn_exponential": "rho = 0.6", "dyn_window": "L = 2",
+}
+_ANALYSIS_TEXT = {
+    "simulate": "", "freq-spatial": "harmonic = 1, 2\nsettle = 5\n",
+    "freq-temporal": "omegas = 0.1\n", "noise": "noise_target = window\nL = 3\n",
+    "spacing": "law = uniform\n", "figures": "",
+}
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_resolved_echo_round_trips(tmp_path, case):
+    # seven configs that between them use every field kind, variant and command
+    kind, variant = list(_FIELD_TEXT)[case % 6], list(_VARIANT_TEXT)[case]
+    command = list(_ANALYSIS_TEXT)[case % 6]
+    (tmp_path / "vals.csv").write_text("sensor,value\n" + "".join(
+        f"{i},{i * 0.5 - 1}\n" for i in range(8)))
+    (tmp_path / "w.csv").write_text(WeightTable.geometric(0.5, 2, 8).to_csv())
+    boundary = "boundary = zero_halo\nhalo_depth = 6\n" if case % 2 else ""
+    text = (f"[chain]\nn = 8\nrounds = 4\nmaster_seed = 3\n{boundary}"
+            f"[field]\n{_FIELD_TEXT[kind]}"
+            f"[algorithm]\nvariant = {variant}\n{_VARIANT_TEXT[variant]}\n"
+            f"[analysis]\n{_ANALYSIS_TEXT[command]}")
+    exp = resolve(read_ini(text), command, tmp_path)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    again = resolve(read_ini(config_to_ini(exp.resolved)), command, elsewhere)
+    assert again.resolved == exp.resolved
+    for name in ("chain", "field", "algorithm", "analysis"):
+        assert pickle.dumps(getattr(again, name)) == pickle.dumps(getattr(exp, name))
+
+
+@pytest.mark.parametrize("command, echo", [
+    ("noise", {"noise_target": "exponential", "rho": "0.5", "L": "2", "count": "100",
+               "sigma": "1.0", "replicates": "10000"}),
+    ("spacing", {"law": "exp_density", "rho": repr(math.exp(-1.0)), "eta": "0.3",
+                 "replicates": "20000", "tail_eps": "1e-12"})])
+def test_analysis_echo_holds_every_default(command, echo):
+    assert _resolve("", command=command, seed_override=1).resolved["analysis"] == echo
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", "[analysis]\nsigma = 2\n"),
+    ("freq-spatial", "[analysis]\nomegas = 0.1\n"),
+    ("simulate", "[field.junk]\nbogus = 1\n"),
+    ("simulate", "[field]\nnoise_distribution = cauchy\nnoise_sigma = 0\n"),
+    ("simulate", "[field]\nnoise_sigma = -1\n")])
+def test_keys_outside_the_tables_rejected(command, text):
+    with pytest.raises(ValidationError):
+        _resolve(text, command=command)
+
+
+def test_cli_rejects_another_commands_analysis_key(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path), "--set", "analysis.sigma=2"]) == 1
+    assert "[analysis] sigma" in capsys.readouterr().err
+
+
+def test_cli_rerun_from_config_ini_saved_beside_outputs(tmp_path):
+    # relative input paths are echoed absolute, so the embedded config runs
+    # from any directory
+    (tmp_path / "vals.csv").write_text("sensor,value\n0,1.5\n1,2.5\n2,-0.5\n3,4.0\n")
+    (tmp_path / "w.csv").write_text(WeightTable.geometric(0.5, 1, 4).to_csv())
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[chain]\nn = 4\nrounds = 3\n[field]\nkind = table\ncsv = vals.csv\n"
+                   "[algorithm]\nvariant = arbitrary\nweights_csv = w.csv\nK = 3.0\n")
+    out1, out2 = tmp_path / "out", tmp_path / "again"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
+    replay = out1 / "replay.ini"
+    replay.write_text(json.loads((out1 / "run_metadata.json").read_text())["config_ini"])
+    assert main(["simulate", "--config", str(replay), "--out", str(out2)]) == 0
+    assert (out1 / "run_trace.csv").read_bytes() == (out2 / "run_trace.csv").read_bytes()
 
 
 def test_table_field_csv(tmp_path):
