@@ -13,8 +13,8 @@ from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
 from .errors import (DivergedError, HistoryError, NeedsMoreSensorsError, OutOfDomainError,
                      TerminatedError, ValidationError)
 from .fields import (Constant, Impulse, MeasurementField, Noise, SpatialCosine, SumField,
-                     TableField, TemporalCosine, evaluate_field, random_space_time_table,
-                     random_spatial_table)
+                     TableField, TemporalCosine, evaluate_field, evaluate_grid,
+                     random_space_time_table, random_spatial_table)
 from .spacing import (ExpGaps, SpacingDraw, SpacingMCReport, SpacingModel, SpacingMoments,
                       UniformGaps, k_poisson, k_uniform, monte_carlo_spacing,
                       sample_spacings, spacing_moments, table_from_draw, weighted_target)

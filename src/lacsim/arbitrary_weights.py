@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TerminatedError, ValidationError
+from .tables import read_index_csv
 
 
 class FBState(NamedTuple):
@@ -76,29 +77,9 @@ class WeightTable:
     def from_csv(cls, text: str, row_sum: float, row_tol: float | None = None) -> "WeightTable":
         """Parse `sensor,offset,weight` rows; the normalization total comes in
         separately since the CSV carries only the band."""
-        entries = {}
-        radius = 0
-        n = 0
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["sensor", "offset", "weight"]:
-            raise ValidationError("weight CSV must start with header sensor,offset,weight")
-        for parts in reader:
-            if not parts:
-                continue
-            try:
-                s, off, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"bad weight CSV row {parts!r}") from exc
-            entries[(s, off)] = w
-            radius = max(radius, abs(off))
-            n = max(n, s + 1)
-        if not entries:
-            raise ValidationError("weight CSV contains no entries")
-        arr = np.zeros((n, 2 * radius + 1))
-        for (s, off), w in entries.items():
-            arr[s, off + radius] = w
-        return cls(arr, row_sum, radius, row_tol=row_tol)
+        weights = read_index_csv(text, ("sensor,offset,weight",), "weight CSV",
+                                 centered=("offset",))
+        return cls(weights, row_sum, weights.shape[1] // 2, row_tol=row_tol)
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -18,7 +18,6 @@ Boundary policies:
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -29,7 +28,9 @@ from .arbitrary_weights import (BandedWeighting, FBState, fb_transition, glue,
 from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
                             dyn_exp_transition, z_slot_transition)
 from .errors import DivergedError, ValidationError
-from .fields import MeasurementField, evaluate_field
+# evaluate_field is not called here, but stays a name of this module:
+# perfbench/tracer.py wraps lacsim.chain.evaluate_field
+from .fields import MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow, asym_transition, exp_transition,
                            variable_window_transition, window_transition)
@@ -248,9 +249,7 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
         left[0] = size
     time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
     x = np.zeros((rounds + 1 if time_varying else 1, size + 1))  # ghosts measure zero
-    for i in range(n):
-        for k in range(x.shape[0]):
-            x[k, i + off] = evaluate_field(field_, i, k)
+    x[:, off:off + n] = evaluate_grid(field_, n, x.shape[0])
     rows, stop, step, readout = _rule(algo, x, n, off, left, right, rounds)
 
     y = np.empty((n, rounds + 1))
@@ -302,17 +301,13 @@ def audit_locality(trace: ConsensusTrace) -> int:
 def trace_to_csv(trace: ConsensusTrace) -> str:
     """Rows `round,sensor,y` (plus z0..zL columns for the dynamic window),
     full float precision so values survive a round-trip."""
-    out = io.StringIO()
     slots = trace.z.shape[2] if trace.z is not None else 0
-    header = "round,sensor,y"
-    if slots:
-        header += "," + ",".join(f"z{j}" for j in range(slots))
-    out.write(header + "\n")
+    out = ["round,sensor,y" + "".join(f",z{j}" for j in range(slots)) + "\n"]
     n, cols = trace.y.shape
+    # one round's rows as one %-format; `@` stands for the round number.
+    # '%.17g' % v converts as format(v, '.17g') does
+    template = "".join(f"@,{i},%.17g{',%.17g' * slots}\n" for i in range(n))
     for t in range(cols):
-        for i in range(n):
-            row = f"{t},{i},{format(trace.y[i, t], '.17g')}"
-            if slots:
-                row += "," + ",".join(format(trace.z[i, t, j], ".17g") for j in range(slots))
-            out.write(row + "\n")
-    return out.getvalue()
+        values = trace.y[:, t] if not slots else np.column_stack((trace.y[:, t], trace.z[:, t]))
+        out.append(template.replace("@", str(t)) % tuple(values.ravel().tolist()))
+    return "".join(out)

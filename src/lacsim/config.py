@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import GlobalAverage
 from .arbitrary_weights import BandedWeighting, WeightTable
 from .chain import ChainConfig, Ring, Truncated, ZeroHalo
@@ -28,6 +26,7 @@ from .fields import (Constant, Impulse, MeasurementField, Noise, SpatialCosine, 
 from .spacing import ExpGaps, SpacingModel, UniformGaps
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow)
+from .tables import read_index_csv
 
 REQUIRED = object()  # default of a key that must be given; a default of None marks an optional key
 
@@ -72,25 +71,8 @@ def _choice(*names):
 
 
 def _table_from_csv(path: Path) -> TableField:
-    lines = path.read_text().strip().splitlines()
-    header = [h.strip() for h in lines[0].split(",")] if lines else []
-    if header not in (["sensor", "value"], ["sensor", "step", "value"]):
-        raise ValueError("csv: header must be sensor,value or sensor,step,value")
-    pts = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        try:
-            if len(parts) != len(header):
-                raise ValueError
-            pts.append((tuple(int(c) for c in parts[:-1]), float(parts[-1])))
-        except ValueError:
-            raise ValueError(f"csv: bad row {line!r} in table file {path}") from None
-    if not pts:
-        raise ValueError(f"csv: table file {path} has no data rows")
-    arr = np.zeros(tuple(max(p[0][d] for p in pts) + 1 for d in range(len(header) - 1)))
-    for index, v in pts:
-        arr[index] = v
-    return TableField(arr)
+    return TableField(read_index_csv(path.read_text(), ("sensor,value", "sensor,step,value"),
+                                     f"csv: table file {path}"))
 
 
 def _banded(path: Path, row_sum: float, row_tol: float | None) -> BandedWeighting:

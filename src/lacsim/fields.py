@@ -4,6 +4,11 @@ A field assigns a bounded value x_i(k) to every sensor index i and time step
 k >= 0.  Noise, when configured, is drawn from a counter-based stream keyed by
 (seed, i, k), so evaluation order never matters and repeated evaluation of the
 same point is bit-identical.
+
+`evaluate_field` is the point-by-point reference; `evaluate_grid` gives the
+same values for a whole (step, sensor) grid at once.  Each kind's `grid(n,
+steps)` returns its values for sensors 0..n-1 and steps 0..steps-1 in any
+shape that broadcasts to (steps, n).
 """
 from __future__ import annotations
 
@@ -35,6 +40,9 @@ class Constant:
     def at(self, i: int, k: int) -> float:
         return self.value
 
+    def grid(self, n: int, steps: int) -> np.ndarray:
+        return np.array(float(self.value))
+
     def sup(self) -> float:
         return abs(self.value)
 
@@ -47,6 +55,9 @@ class Impulse:
 
     def at(self, i: int, k: int) -> float:
         return 1.0 if i == self.center else 0.0
+
+    def grid(self, n: int, steps: int) -> np.ndarray:
+        return (np.arange(n) == self.center).astype(float)
 
     def sup(self) -> float:
         return 1.0
@@ -64,6 +75,10 @@ class SpatialCosine:
     def at(self, i: int, k: int) -> float:
         return self.amplitude * math.cos(self.omega * i + self.phase)
 
+    def grid(self, n: int, steps: int) -> np.ndarray:
+        # math.cos per sensor: np.cos need not round as math.cos does
+        return np.array([self.at(i, 0) for i in range(n)])
+
     def sup(self) -> float:
         return abs(self.amplitude)
 
@@ -79,6 +94,9 @@ class TemporalCosine:
 
     def at(self, i: int, k: int) -> float:
         return self.amplitude * math.cos(self.omega * k + self.phase)
+
+    def grid(self, n: int, steps: int) -> np.ndarray:
+        return np.array([self.at(0, k) for k in range(steps)])[:, None]
 
     def sup(self) -> float:
         return abs(self.amplitude)
@@ -110,6 +128,12 @@ class TableField:
             raise OutOfDomainError(f"step {k} outside table columns [0, {self.values.shape[1]})")
         return float(self.values[row, k])
 
+    def grid(self, n: int, steps: int) -> np.ndarray:
+        lo, values = -self.first_sensor, self.values
+        if lo < 0 or lo + n > values.shape[0] or (values.ndim == 2 and steps > values.shape[1]):
+            raise OutOfDomainError(f"table does not cover {n} sensors and {steps} steps")
+        return values[lo:lo + n] if values.ndim == 1 else values[lo:lo + n, :steps].T
+
     def sup(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
@@ -118,8 +142,19 @@ class TableField:
 class SumField:
     parts: tuple
 
+    # parts are added left to right in both methods; sum() of floats is
+    # compensated from Python 3.12 on, which the array path would not match
     def at(self, i: int, k: int) -> float:
-        return sum(p.at(i, k) for p in self.parts)
+        total = 0.0
+        for p in self.parts:
+            total += p.at(i, k)
+        return total
+
+    def grid(self, n: int, steps: int) -> np.ndarray:
+        total = np.array(0.0)
+        for p in self.parts:
+            total = total + p.grid(n, steps)
+        return total
 
     def sup(self) -> float:
         return sum(p.sup() for p in self.parts)
@@ -172,6 +207,26 @@ def _noise_at(noise: Noise, i: int, k: int) -> float:
     return float(gen.uniform(-_ROOT3 * noise.sigma, _ROOT3 * noise.sigma))
 
 
+def _noise_grid(noise: Noise, n: int, steps: int) -> np.ndarray:
+    """`_noise_at` over the (steps, n) grid from one generator: before each
+    draw its Philox counter is reset to the state a point's own generator
+    starts in."""
+    key = [noise.seed & _MASK64, (noise.seed >> 64) & _MASK64]
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "Philox", "state": {"counter": None, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    gaussian = noise.distribution == "gaussian"
+    half = _ROOT3 * noise.sigma
+    out = np.empty((steps, n))
+    for i in range(n):
+        for k in range(steps):
+            state["state"]["counter"] = [k, i, 0, 0]
+            bits.state = state
+            out[k, i] = gen.standard_normal() if gaussian else gen.uniform(-half, half)
+    return noise.sigma * out if gaussian else out
+
+
 def evaluate_field(field: MeasurementField, i: int, k: int) -> float:
     """x_i(k): the deterministic kind plus the seeded noise term, if any."""
     if k < 0:
@@ -180,6 +235,21 @@ def evaluate_field(field: MeasurementField, i: int, k: int) -> float:
     if field.noise is not None and field.noise.sigma > 0:
         v += _noise_at(field.noise, i, k)
     return v
+
+
+def evaluate_grid(field: MeasurementField, n: int, steps: int) -> np.ndarray:
+    """x_i(k) for sensors 0..n-1 and steps 0..steps-1 as a (steps, n) array,
+    bit for bit what `evaluate_field` gives at each point."""
+    try:
+        x = np.broadcast_to(field.kind.grid(n, steps), (steps, n)).astype(float)
+    except OutOfDomainError:
+        for i in range(n):  # raise the error a point-by-point scan meets first
+            for k in range(steps):
+                field.kind.at(i, k)
+        raise
+    if field.noise is not None and field.noise.sigma > 0:
+        x += _noise_grid(field.noise, n, steps)
+    return x
 
 
 def random_spatial_table(n: int, seed: int, low: float = -1.0, high: float = 1.0) -> TableField:

@@ -10,14 +10,15 @@ import hashlib
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, DynamicExponential,
-                    DynamicWindow, ExponentialWeighting, FBState, FiniteWindow,
-                    MeasurementField, Noise, PerSensorWindow, Ring, SpatialCosine, TableField,
-                    Truncated, WeightTable, ZeroHalo, asym_transition, assemble_y,
-                    dyn_exp_transition, evaluate_field, exp_transition, fb_transition, glue,
-                    run, trace_to_csv, variable_window_transition, window_transition,
-                    z_slot_transition)
+from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, ConsensusTrace,
+                    DynamicExponential, DynamicWindow, ExponentialWeighting, FBState,
+                    FiniteWindow, MeasurementField, MessageRecord, Noise, PerSensorWindow, Ring,
+                    SpatialCosine, TableField, Truncated, WeightTable, ZeroHalo,
+                    asym_transition, assemble_y, dyn_exp_transition, evaluate_field,
+                    exp_transition, fb_transition, glue, run, trace_to_csv,
+                    variable_window_transition, window_transition, z_slot_transition)
 
 _DYNAMIC = (DynamicExponential, DynamicWindow)
 
@@ -239,6 +240,40 @@ def test_golden_trace_digests():
     digests = {name: hashlib.sha256(trace_to_csv(run(cfg, field, algo)).encode()).hexdigest()
                for name, cfg, field, algo in _golden_cases()}
     assert digests == GOLDEN
+
+
+def _csv_rows(trace):
+    """trace_to_csv's bytes, written one row at a time."""
+    slots = trace.z.shape[2] if trace.z is not None else 0
+    lines = ["round,sensor,y" + "".join(f",z{j}" for j in range(slots))]
+    n, cols = trace.y.shape
+    for t in range(cols):
+        for i in range(n):
+            row = [format(trace.y[i, t], ".17g")]
+            row += [format(trace.z[i, t, j], ".17g") for j in range(slots)]
+            lines.append(f"{t},{i}," + ",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0,
+                                2.0 ** 53, 0.1])
+
+
+@st.composite
+def _traces(draw):
+    n, cols, slots = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    values = st.one_of(_EDGE_VALUES, st.floats(allow_nan=False, allow_infinity=False))
+    y = draw(arrays(np.float64, (n, cols), elements=values))
+    z = draw(arrays(np.float64, (n, cols, slots), elements=values)) if slots else None
+    # the writer reads only y and z
+    return ConsensusTrace(y=y, z=z, audit=np.empty(0, MessageRecord), config=ChainConfig(n=3),
+                          algo=ExponentialWeighting(0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces())
+def test_trace_csv_matches_row_by_row_writer(trace):
+    assert trace_to_csv(trace) == _csv_rows(trace)
 
 
 def test_transitions_leave_array_inputs_unmodified():

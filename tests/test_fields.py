@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lacsim import (Constant, Impulse, MeasurementField, Noise, OutOfDomainError,
                     SpatialCosine, SumField, TableField, TemporalCosine, ValidationError,
-                    evaluate_field)
+                    evaluate_field, evaluate_grid)
 
 
 def test_constant_field():
@@ -111,3 +112,78 @@ def test_declared_bound_overrides_derived():
     assert f.bound_m() == 10.0
     g = MeasurementField(Constant(1.0), noise=Noise(2.0, seed=0))
     assert g.bound_m() == 1.0 + 12.0  # 6 sigma allowance
+
+
+# values whose sums of up to three parts and noise stay finite
+_VALUES = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+def _kind(draw, n, steps, top=True):
+    """A field kind over about n sensors and steps; tables may fall short."""
+    name = draw(st.sampled_from(["constant", "impulse", "spatial", "temporal", "table1",
+                                 "table2"] + (["sum"] if top else [])))
+    if name == "constant":
+        return Constant(draw(_VALUES))
+    if name == "impulse":
+        return Impulse(draw(st.integers(-2, n + 2)))
+    if name in ("spatial", "temporal"):
+        cosine = SpatialCosine if name == "spatial" else TemporalCosine
+        return cosine(draw(_VALUES), draw(st.floats(-10.0, 10.0)), draw(st.floats(-4.0, 4.0)))
+    if name == "sum":
+        return SumField(tuple(_kind(draw, n, steps, top=False)
+                              for _ in range(draw(st.integers(0, 3)))))
+    first = draw(st.integers(-3, 1))
+    rows = draw(st.integers(max(1, n - first - 1), n - first + 2))
+    shape = rows if name == "table1" else (rows, draw(st.integers(max(1, steps - 1), steps + 2)))
+    return TableField(draw(arrays(np.float64, shape, elements=_VALUES)), first_sensor=first)
+
+
+@st.composite
+def _fields(draw):
+    n, steps = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    kind = _kind(draw, n, steps)
+    noise = draw(st.sampled_from([None, "gaussian", "uniform"]))
+    if noise is not None:  # seeds above 2**64 use the key's second word
+        noise = Noise(draw(st.floats(0.0, 5.0)), noise, draw(st.integers(0, 2 ** 130)))
+    return MeasurementField(kind, noise=noise), n, steps
+
+
+def _pointwise(field, n, steps):
+    """The (steps, n) grid from evaluate_field, scanned sensor by sensor as
+    `run` used to fill it, or the first error's message."""
+    try:
+        return np.array([[evaluate_field(field, i, k) for k in range(steps)]
+                         for i in range(n)], dtype=float).T
+    except OutOfDomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fields())
+def test_grid_matches_pointwise_evaluation(case):
+    field, n, steps = case
+    expected = _pointwise(field, n, steps)
+    try:
+        got = evaluate_grid(field, n, steps)
+    except OutOfDomainError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.shape == (steps, n)
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_grid_noise_matches_pointwise_above_two_to_the_64():
+    for distribution in ("gaussian", "uniform"):
+        field = MeasurementField(Constant(0.5), noise=Noise(0.7, distribution, 2 ** 64 + 12345))
+        assert evaluate_grid(field, 9, 4).tobytes() == _pointwise(field, 9, 4).tobytes()
+
+
+def test_short_table_grid_raises_the_pointwise_scan_error():
+    table = TableField(np.ones((3, 2)), first_sensor=1)
+    with pytest.raises(OutOfDomainError, match=r"^sensor 0 outside table rows \[1, 4\)$"):
+        evaluate_grid(MeasurementField(table), 3, 2)
+    table = TableField(np.ones((4, 2)))
+    with pytest.raises(OutOfDomainError, match=r"^step 2 outside table columns \[0, 2\)$"):
+        evaluate_grid(MeasurementField(SumField((Constant(1.0), table))), 5, 3)
