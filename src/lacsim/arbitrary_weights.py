@@ -39,7 +39,9 @@ class WeightTable:
     row_tol: float | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.weights, dtype=float)
+        # an owned, read-only copy, as for TableField.values
+        arr = np.array(self.weights, dtype=float)
+        arr.flags.writeable = False
         if arr.ndim != 2 or arr.shape[1] != 2 * self.radius + 1:
             raise ValidationError(
                 f"weight table must have shape (n, {2 * self.radius + 1}), got {arr.shape}")

@@ -30,7 +30,7 @@ from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
 from .errors import DivergedError, ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.chain.evaluate_field
-from .fields import MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
+from .fields import Constant, MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow, asym_transition, exp_transition,
                            variable_window_transition, window_transition)
@@ -212,25 +212,6 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, off: int, left: np.ndarray
         FBState(*state[:, real]), x[0, real], band[table.radius, real], table.row_sum)
 
 
-def _variable_window_weight_sums(algo: PerSensorWindow, config: ChainConfig):
-    """Final-value coefficient totals per sensor; they need not equal one, so
-    they are surfaced in the trace metadata rather than silently trusted."""
-    widths = list(algo.half_widths)
-    n = config.n
-    sums = []
-    for i in range(n):
-        total = 1.0 / (2 * widths[i] + 1)
-        for j in range(1, widths[i] + 1):
-            for nb in (i - j, i + j):
-                if isinstance(config.boundary, Ring):
-                    total += 1.0 / (2 * widths[nb % n] + 1)
-                elif 0 <= nb < n:
-                    total += 1.0 / (2 * widths[nb] + 1)
-                # beyond a halo the measurement is zero; its weight is moot
-        sums.append(total)
-    return tuple(sums)
-
-
 def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> ConsensusTrace:
     """Execute `rounds` synchronous rounds and return the full trace.
 
@@ -283,7 +264,13 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
 
     metadata = {}
     if isinstance(algo, PerSensorWindow):
-        metadata["weight_sums"] = _variable_window_weight_sums(algo, config)
+        # final-value coefficient totals per sensor: they need not equal one, so
+        # they are surfaced rather than silently trusted
+        from .oracle import variable_window_row  # oracle imports this module
+        boundary = Ring() if isinstance(config.boundary, Ring) else ZeroHalo()
+        sums = variable_window_row(MeasurementField(Constant(1.0)), algo.half_widths,
+                                   n=n, boundary=boundary)
+        metadata["weight_sums"] = tuple(sums.tolist())
     return ConsensusTrace(y=y, z=z, audit=np.concatenate(audit), config=config, algo=algo,
                           own_history_depth=3, metadata=metadata)
 

@@ -110,7 +110,10 @@ class TableField:
     first_sensor: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        # an owned, read-only copy: the table hashes by identity, so a write
+        # through the caller's array must not change it under the oracle's memo
+        arr = np.array(self.values, dtype=float)
+        arr.flags.writeable = False
         if arr.ndim not in (1, 2):
             raise ValidationError("table field expects a 1-D or 2-D array")
         if not np.all(np.isfinite(arr)):
@@ -198,10 +201,12 @@ class MeasurementField:
 
 def _noise_at(noise: Noise, i: int, k: int) -> float:
     # Philox counter (k, i) under a fixed key: an order-independent stream
-    # that is reproducible per (seed, i, k).
+    # that is reproducible per (seed, i, k).  The words go in as uint64
+    # arrays: from a list of Python ints numpy rounds a word >= 2**63
+    # through float64, so seeds would collide and `_noise_grid` would differ
     gen = np.random.Generator(np.random.Philox(
-        counter=[k & _MASK64, i & _MASK64, 0, 0],
-        key=[noise.seed & _MASK64, (noise.seed >> 64) & _MASK64]))
+        counter=np.array([k & _MASK64, i & _MASK64, 0, 0], dtype=np.uint64),
+        key=np.array([noise.seed & _MASK64, (noise.seed >> 64) & _MASK64], dtype=np.uint64)))
     if noise.distribution == "gaussian":
         return noise.sigma * float(gen.standard_normal())
     return float(gen.uniform(-_ROOT3 * noise.sigma, _ROOT3 * noise.sigma))
@@ -211,7 +216,7 @@ def _noise_grid(noise: Noise, n: int, steps: int) -> np.ndarray:
     """`_noise_at` over the (steps, n) grid from one generator: before each
     draw its Philox counter is reset to the state a point's own generator
     starts in."""
-    key = [noise.seed & _MASK64, (noise.seed >> 64) & _MASK64]
+    key = np.array([noise.seed & _MASK64, (noise.seed >> 64) & _MASK64], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     gen = np.random.Generator(bits)
     state = {"bit_generator": "Philox", "state": {"counter": None, "key": key},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,3 +188,20 @@ def test_short_table_grid_raises_the_pointwise_scan_error():
     table = TableField(np.ones((4, 2)))
     with pytest.raises(OutOfDomainError, match=r"^step 2 outside table columns \[0, 2\)$"):
         evaluate_grid(MeasurementField(SumField((Constant(1.0), table))), 5, 3)
+
+
+@pytest.mark.parametrize("seed", [2 ** 63 + 1, 2 ** 64 - 1, 2 ** 63 + 2 ** 40 + 1,
+                                  2 ** 127 + 2 ** 64 + 2 ** 63 + 7])
+def test_noise_words_at_or_above_two_to_the_63_are_kept_exactly(seed):
+    # numpy rounds such a word through float64 when it comes in a list of
+    # Python ints; the point and grid streams must both use the exact key
+    for distribution in ("gaussian", "uniform"):
+        field = MeasurementField(Constant(0.0), noise=Noise(1.0, distribution, seed))
+        nearby = MeasurementField(Constant(0.0), noise=Noise(1.0, distribution, seed - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = evaluate_grid(field, 5, 3)
+            assert grid.tobytes() == _pointwise(field, 5, 3).tobytes()
+            assert evaluate_field(field, 0, 0) != evaluate_field(nearby, 0, 0)
+            # sensor -1 is counter word 2**64 - 1, not sensor 0's stream
+            assert evaluate_field(field, -1, 0) != evaluate_field(field, 0, 0)

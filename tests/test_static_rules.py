@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lacsim import (AsymmetricWeighting, ChainConfig, ExponentialWeighting, FiniteWindow,
                     HistoryError, MeasurementField, PerSensorWindow, Ring, TableField,
-                    TerminatedError, ValidationError, ZeroHalo, Constant, Impulse,
+                    TerminatedError, Truncated, ValidationError, ZeroHalo, Constant, Impulse,
                     asym_transition, exp_transition, random_spatial_table, run,
                     window_transition)
 from lacsim import oracle
@@ -187,3 +187,32 @@ def test_exp_stages_agree_with_asym_diagonal(rho, seed):
         a = exp_transition(k, own, left, right, 0.3, rho)
         b = asym_transition(k, own, left, right, 0.3, rho, rho)
         assert a == pytest.approx(b, abs=1e-14)
+
+
+def _weight_sums_per_sensor(widths, n, ring):
+    """Coefficient totals one sensor at a time: the loop `run` once used."""
+    sums = []
+    for i in range(n):
+        total = 1.0 / (2 * widths[i] + 1)
+        for j in range(1, widths[i] + 1):
+            for nb in (i - j, i + j):
+                if ring:
+                    total += 1.0 / (2 * widths[nb % n] + 1)
+                elif 0 <= nb < n:
+                    total += 1.0 / (2 * widths[nb] + 1)
+        sums.append(total)
+    return tuple(sums)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-1, 1), min_size=2, max_size=30), st.integers(1, 5),
+       st.sampled_from([Ring(), ZeroHalo(), Truncated()]))
+def test_variable_window_weight_sums_equal_the_per_sensor_loop(steps, start, boundary):
+    widths = [start]
+    for d in steps:  # adjacent half-widths differ by at most one
+        widths.append(max(1, widths[-1] + d))
+    n, ring = len(widths), isinstance(boundary, Ring)
+    assume(not ring or (n >= 2 * max(widths) + 1 and abs(widths[0] - widths[-1]) <= 1))
+    trace = run(ChainConfig(n=n, boundary=boundary, rounds=1),
+                MeasurementField(Constant(1.0)), PerSensorWindow(tuple(widths)))
+    assert trace.metadata["weight_sums"] == _weight_sums_per_sensor(widths, n, ring)
