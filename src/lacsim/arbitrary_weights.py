@@ -76,11 +76,12 @@ class WeightTable:
                    row_tol=2.0 * rho ** radius / (1.0 - rho))
 
     @classmethod
-    def from_csv(cls, text: str, row_sum: float, row_tol: float | None = None) -> "WeightTable":
+    def from_csv(cls, text: str, row_sum: float, row_tol: float | None = None,
+                 n: int | None = None) -> "WeightTable":
         """Parse `sensor,offset,weight` rows; the normalization total comes in
-        separately since the CSV carries only the band."""
+        separately since the CSV carries only the band; a sensor must be below `n` if given."""
         weights = read_index_csv(text, ("sensor,offset,weight",), "weight CSV",
-                                 centered=("offset",))
+                                 centered=("offset",), sensors=n)
         return cls(weights, row_sum, weights.shape[1] // 2, row_tol=row_tol)
 
     def to_csv(self) -> str:
@@ -119,16 +120,10 @@ class WeightReport:
 def validate_weights(table: WeightTable, tol: float) -> WeightReport:
     """Check every stored entry is nonzero and every row total matches the
     declared common sum within `tol`; offenders are listed, never raised."""
-    zeros = []
-    rows, cols = table.weights.shape
-    for s in range(rows):
-        for c in range(cols):
-            if table.weights[s, c] == 0.0:
-                zeros.append((s, c - table.radius))
-    bad = []
-    for s, total in enumerate(table.row_totals()):
-        if abs(total - table.row_sum) > tol:
-            bad.append((s, float(total)))
+    zeros = [(s, c - table.radius) for s, c in np.argwhere(table.weights == 0.0).tolist()]
+    totals = table.row_totals()
+    outside = np.flatnonzero(np.abs(totals - table.row_sum) > tol)
+    bad = [(s, float(totals[s])) for s in outside.tolist()]
     return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros),
                         bad_rows=tuple(bad), tol=tol)
 

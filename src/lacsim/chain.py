@@ -5,8 +5,8 @@ every sensor updates from the same round snapshot.  Sensors see only the last
 two messages from each immediate neighbor and at most three rounds of their
 own history, so locality is enforced by construction.  `run` makes one call
 of the rule's transition per round on whole-chain arrays, gathering neighbor
-states by index, and records every delivered message as one row of a compact
-integer audit array.
+states by index.  The audit, one integer row per delivered message, is
+derived on read from the same neighbor arrays and last active rounds.
 
 Boundary policies:
   Ring       indices wrap modulo n (exact for spatially periodic fields);
@@ -19,6 +19,7 @@ Boundary policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -93,7 +94,6 @@ MessageRecord = np.dtype([("round", np.int32), ("receiver", np.int32),
 class ConsensusTrace:
     y: np.ndarray                       # (n, rounds + 1)
     z: np.ndarray | None                # (n, rounds + 1, slots) for the dynamic window
-    audit: np.ndarray                   # MessageRecord rows in delivery order
     config: ChainConfig
     algo: AlgorithmSpec
     own_history_depth: int = 3
@@ -103,39 +103,60 @@ class ConsensusTrace:
     def rounds(self) -> int:
         return self.y.shape[1] - 1
 
+    @cached_property
+    def audit(self) -> np.ndarray:
+        """MessageRecord rows in delivery order (per round, each active receiver
+        hears its left, then its right neighbor), derived from `run`'s topology."""
+        off, left, right, rows, stop = _topology(self.config, self.algo)
+        receiver = np.repeat(np.arange(len(left)), 2)
+        sender = np.column_stack((left, right)).ravel()
+        rounds = np.arange(1, self.config.rounds + 1)[:, None]
+        active = (stop[receiver] >= rounds) & (sender != len(left))  # row-major: round, message
+        audit = np.empty(np.count_nonzero(active), MessageRecord)
+        audit["size"] = rows
+        for name, v in ("round", rounds), ("receiver", receiver - off), ("sender", sender - off):
+            audit[name] = np.broadcast_to(v.astype(np.int32), active.shape)[active]
+        return audit
 
-def _half_width_demand(algo: AlgorithmSpec) -> int | None:
-    """Largest hop reach whose wrapped window must not self-intersect."""
-    if isinstance(algo, (FiniteWindow, DynamicWindow)):
-        return algo.half_width
-    if isinstance(algo, PerSensorWindow):
-        return max(algo.half_widths)
-    if isinstance(algo, BandedWeighting):
-        return algo.table.radius
-    return None
 
-
-def _validate(config: ChainConfig, algo: AlgorithmSpec) -> None:
-    config.halo_depth()
-    reach = _half_width_demand(algo)
-    if isinstance(config.boundary, Ring) and reach is not None and config.n < 2 * reach + 1:
+def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
+    """Who hears whom in which round, the one source of `run`'s gathers and of
+    the audit: (off, left, right, rows, stop) are the halo depth (engine index
+    e is sensor e - off), the neighbor engine indices (index len(left) is a zero
+    slot for a missing neighbor), the state rows (a message's payload length)
+    and the last round each engine index updates.  Raises ValidationError when
+    `algo` cannot run on the chain."""
+    n, off, ring = config.n, config.halo_depth(), isinstance(config.boundary, Ring)
+    size = n + 2 * off
+    left, right = np.arange(-1, size - 1), np.arange(1, size + 1)
+    left[0], right[-1] = (size - 1, 0) if ring else (size, size)
+    rows, reach, stop = 1, None, np.full(size, config.rounds)
+    if isinstance(algo, FiniteWindow):
+        reach = stop[:] = algo.half_width  # past it a sensor is frozen
+    elif isinstance(algo, BandedWeighting):
+        rows, reach = 2, algo.table.radius
+        stop[:] = reach
+    elif isinstance(algo, PerSensorWindow):  # ghosts reuse the edge sensor's half-width
+        reach, stop = max(algo.half_widths), np.pad(algo.half_widths, off, mode="edge")
+    elif isinstance(algo, DynamicWindow):
+        reach, rows = algo.half_width, algo.half_width + 1
+    # the wrapped window of the largest hop reach must not self-intersect
+    if ring and reach is not None and n < 2 * reach + 1:
         raise ValidationError(
-            f"ring of n={config.n} sensors cannot host a window of half-width {reach}; "
+            f"ring of n={n} sensors cannot host a window of half-width {reach}; "
             f"need n >= {2 * reach + 1}")
     if isinstance(algo, PerSensorWindow):
-        if len(algo.half_widths) != config.n:
+        if len(algo.half_widths) != n:
             raise ValidationError(
-                f"need one half-width per sensor: got {len(algo.half_widths)} for n={config.n}")
-        if isinstance(config.boundary, Ring):
-            a, b = algo.half_widths[-1], algo.half_widths[0]
-            if abs(a - b) > 1:
-                raise ValidationError(
-                    f"ring wrap pair of half-widths differs by more than one: {a}, {b}")
+                f"need one half-width per sensor: got {len(algo.half_widths)} for n={n}")
+        a, b = algo.half_widths[-1], algo.half_widths[0]
+        if ring and abs(a - b) > 1:
+            raise ValidationError(
+                f"ring wrap pair of half-widths differs by more than one: {a}, {b}")
     if isinstance(algo, BandedWeighting):
         table = algo.table
-        if table.n != config.n:
-            raise ValidationError(
-                f"weight table has {table.n} rows for a chain of {config.n} sensors")
+        if table.n != n:
+            raise ValidationError(f"weight table has {table.n} rows for a chain of {n} sensors")
         if np.any(table.weights == 0.0):
             raise ValidationError("weight table contains zero entries")
         if table.row_tol is not None:
@@ -144,41 +165,35 @@ def _validate(config: ChainConfig, algo: AlgorithmSpec) -> None:
                 raise ValidationError(
                     f"weight rows deviate from the common total beyond {table.row_tol}: "
                     f"{report.bad_rows[:4]}")
+    return off, left, right, rows, stop
 
 
-def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, off: int, left: np.ndarray,
-          right: np.ndarray, rounds: int):
+def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple):
     """Bind `algo`'s transition to whole-chain arrays.
 
-    Returns (state rows, last round each engine index updates, step, readout).
-    `step(t, i, own, lh, rh)` gives the round-t states of engine indices `i`
-    from histories of shape (rows, len(i)), most recent first; `readout(state,
-    prev, t)` gives y of the real sensors.
+    Returns (step, readout).  `step(t, i, own, lh, rh)` gives the round-t
+    states of engine indices `i` from histories of shape (rows, len(i)), most
+    recent first; `readout(state, prev, t)` gives y of the real sensors.
     """
-    size = len(left)
+    off, left, right, _, stop = topo
     real = slice(off, off + n)
-    stop = np.full(size, rounds)
 
     def plain(state, prev, t):
         return state[0, real]
 
     if isinstance(algo, ExponentialWeighting):
-        return 1, stop, lambda t, i, own, lh, rh: exp_transition(
-            t, own, lh, rh, x[0, i], algo.rho), plain
+        return lambda t, i, own, lh, rh: exp_transition(t, own, lh, rh, x[0, i], algo.rho), plain
     if isinstance(algo, AsymmetricWeighting):
-        return 1, stop, lambda t, i, own, lh, rh: asym_transition(
+        return lambda t, i, own, lh, rh: asym_transition(
             t, own, lh, rh, x[0, i], algo.rho_back, algo.rho_forward), plain
     if isinstance(algo, FiniteWindow):
-        stop[:] = algo.half_width  # past it a sensor is frozen
-        return 1, stop, lambda t, i, own, lh, rh: window_transition(
+        return lambda t, i, own, lh, rh: window_transition(
             t, own, lh, rh, x[0, i], algo.half_width), plain
-    edge = np.clip(np.arange(size) - off, 0, n - 1)  # ghosts reuse the edge sensor's parameters
-    if isinstance(algo, PerSensorWindow):
-        widths = np.asarray(algo.half_widths)[edge]
-        return 1, widths, lambda t, i, own, lh, rh: variable_window_transition(
-            t, own, lh, rh, x[0, i], widths[i]), plain
+    if isinstance(algo, PerSensorWindow):  # each index stops at its own half-width
+        return lambda t, i, own, lh, rh: variable_window_transition(
+            t, own, lh, rh, x[0, i], stop[i]), plain
     if isinstance(algo, DynamicExponential):
-        return 1, stop, lambda t, i, own, lh, rh: dyn_exp_transition(
+        return lambda t, i, own, lh, rh: dyn_exp_transition(
             t, own, lh, rh, x[max(t - 3, 0):t + 1, i][::-1], algo.rho), plain
     if isinstance(algo, DynamicWindow):
         L = algo.half_width
@@ -190,13 +205,12 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, off: int, left: np.ndarray
                                          [h[j] for h in rh], x[t, i], L)
             return z
 
-        return L + 1, stop, step, lambda state, prev, t: assemble_y(
-            state[:, real], prev[:, real], t, L)
-    table = algo.table
-    # weight rows as columns, so band[offset + radius] holds one weight per sensor;
-    # the last column stands in for a missing neighbor and its terms are dropped
-    band = np.vstack([table.weights[edge], np.ones(table.weights.shape[1])]).T
-    stop[:] = table.radius
+        return step, lambda state, prev, t: assemble_y(state[:, real], prev[:, real], t, L)
+    table, size = algo.table, len(left)
+    # weight rows as columns, so band[offset + radius] holds one weight per sensor (ghosts
+    # reuse the edge sensor's row); the last column stands in for a missing neighbor
+    band = np.vstack([np.pad(table.weights, ((off, off), (0, 0)), mode="edge"),
+                      np.ones(table.weights.shape[1])]).T
 
     def step(t, i, own, lh, rh):
         s = fb_transition(t, [FBState(*h) for h in own], [FBState(*h) for h in rh],
@@ -208,7 +222,7 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, off: int, left: np.ndarray
         return (np.where(right[i] == size, own[0][0], s.forward),
                 np.where(left[i] == size, own[0][1], s.backward))
 
-    return 2, stop, step, lambda state, prev, t: glue(
+    return step, lambda state, prev, t: glue(
         FBState(*state[:, real]), x[0, real], band[table.radius, real], table.row_sum)
 
 
@@ -218,45 +232,27 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     Deterministic in (config, field_, algo) including the noise seed; raises
     ValidationError up front and DivergedError if a value leaves float range.
     """
-    _validate(config, algo)
-    n, rounds = config.n, config.rounds
-    off = config.halo_depth()
-    size = n + 2 * off  # engine index e is sensor label e - off
-    # neighbor engine indices; index `size` is a zero slot for a missing neighbor
-    left, right = np.arange(-1, size - 1), np.arange(1, size + 1)
-    if isinstance(config.boundary, Ring):
-        left[0], right[-1] = size - 1, 0
-    else:
-        left[0] = size
+    off, left, right, rows, stop = topo = _topology(config, algo)
+    n, rounds, size = config.n, config.rounds, len(left)
     time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
     x = np.zeros((rounds + 1 if time_varying else 1, size + 1))  # ghosts measure zero
     x[:, off:off + n] = evaluate_grid(field_, n, x.shape[0])
-    rows, stop, step, readout = _rule(algo, x, n, off, left, right, rounds)
+    step, readout = _rule(algo, x, n, topo)
 
     y = np.empty((n, rounds + 1))
     z = np.empty((n, rounds + 1, rows)) if isinstance(algo, DynamicWindow) else None
-    audit = [np.empty(0, MessageRecord)]
     hist = [np.zeros((rows, size + 1))]  # the zero state before round 0, then most recent first
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         for t in range(rounds + 1):
             i = np.flatnonzero(stop >= t)  # frozen sensors keep broadcasting their last state
-            li, ri = left[i], right[i]
             new = hist[0].copy()
             if len(i):
-                nb = hist[:min(t, 2)]
+                li, ri, nb = left[i], right[i], hist[:min(t, 2)]
                 new[:, i] = step(t, i, [h[:, i] for h in hist[:min(t, 3)]],
                                  [h[:, li] for h in nb], [h[:, ri] for h in nb])
                 bad = ~np.isfinite(new[:, i]).all(axis=0)
                 if bad.any():
                     raise DivergedError(int(i[bad.argmax()]) - off, t)
-            if t:
-                sender = np.column_stack((li, ri)).ravel()  # each receiver hears left, then right
-                keep = sender != size
-                msgs = np.empty(np.count_nonzero(keep), MessageRecord)
-                msgs["round"], msgs["size"] = t, rows
-                msgs["receiver"] = np.repeat(i, 2)[keep] - off
-                msgs["sender"] = sender[keep] - off
-                audit.append(msgs)
             hist = [new] + hist[:2]
             y[:, t] = readout(new, hist[1], t)
             if z is not None:
@@ -271,8 +267,7 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
         sums = variable_window_row(MeasurementField(Constant(1.0)), algo.half_widths,
                                    n=n, boundary=boundary)
         metadata["weight_sums"] = tuple(sums.tolist())
-    return ConsensusTrace(y=y, z=z, audit=np.concatenate(audit), config=config, algo=algo,
-                          own_history_depth=3, metadata=metadata)
+    return ConsensusTrace(y=y, z=z, config=config, algo=algo, metadata=metadata)
 
 
 def audit_locality(trace: ConsensusTrace) -> int:

@@ -70,19 +70,20 @@ def _choice(*names):
     return parse
 
 
-def _table_from_csv(path: Path) -> TableField:
+def _table_from_csv(path: Path, n: int) -> TableField:
     return TableField(read_index_csv(path.read_text(), ("sensor,value", "sensor,step,value"),
-                                     f"csv: table file {path}"))
+                                     f"csv: table file {path}", sensors=n))
 
 
-def _banded(path: Path, row_sum: float, row_tol: float | None) -> BandedWeighting:
-    return BandedWeighting(WeightTable.from_csv(path.read_text(), row_sum, row_tol=row_tol))
+def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> BandedWeighting:
+    return BandedWeighting(WeightTable.from_csv(path.read_text(), row_sum, row_tol=row_tol, n=n))
 
 
 # Key tables: key -> (parser, default).  A parser of `Path` names an input
 # file, resolved against the config's directory and echoed absolute.  A
 # section with a selector key (boundary, kind, variant) maps each choice to
-# its own key table and a builder of the object the choice stands for.
+# its own key table and a builder of the object the choice stands for (a
+# table file's builder also takes the chain size n, bound by `_sized`).
 _CHAIN = {"n": (_int, 64), "rounds": (_int, 40), "master_seed": (_int, 0)}
 _BOUNDARIES = {
     "ring": ({}, lambda v: Ring()),
@@ -99,7 +100,7 @@ _FIELD_KINDS = {
     "spatial_cosine": (_COSINE, lambda v: SpatialCosine(v["amplitude"], v["omega"], v["phase"])),
     "temporal_cosine": (_COSINE,
                         lambda v: TemporalCosine(v["amplitude"], v["omega"], v["phase"])),
-    "table": ({"csv": (Path, REQUIRED)}, lambda v: _table_from_csv(v["csv"])),
+    "table": ({"csv": (Path, REQUIRED)}, lambda v, n: _table_from_csv(v["csv"], n)),
     "sum": ({"components": (_list(str), REQUIRED)}, None),  # built from [field.<name>]
 }
 
@@ -112,7 +113,7 @@ _VARIANTS = {
                         lambda v: PerSensorWindow(v["lengths"])),
     "arbitrary": ({"weights_csv": (Path, REQUIRED), "K": (_float, REQUIRED),
                    "row_tol": (_float, None)},
-                  lambda v: _banded(v["weights_csv"], v["K"], v.get("row_tol"))),
+                  lambda v, n: _banded(v["weights_csv"], v["K"], v.get("row_tol"), n)),
     "dyn_exponential": ({"rho": (_float, REQUIRED)}, lambda v: DynamicExponential(v["rho"])),
     "dyn_window": ({"L": (_int, REQUIRED)}, lambda v: DynamicWindow(v["L"])),
 }
@@ -170,6 +171,12 @@ def _read(section: str, entries: dict, table: dict, base_dir: Path) -> tuple:
     return values, {key: _show(v) for key, v in values.items()}
 
 
+def _sized(kinds: dict, name: str, n: int) -> dict:
+    """`kinds` with the (values, n) builder of choice `name` bound to n sensors."""
+    table, build = kinds[name]
+    return {**kinds, name: (table, lambda v: build(v, n))}
+
+
 def _read_kind(section: str, entries: dict, selector: str, default: str, kinds: dict,
                common: dict, base_dir: Path) -> tuple:
     """Read a section whose `selector` key picks one of `kinds`, and build
@@ -184,12 +191,13 @@ def _read_kind(section: str, entries: dict, selector: str, default: str, kinds: 
         raise ValidationError(f"[{section}] {exc}") from None
 
 
-def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict) -> tuple:
-    """The field kind of [field] or of one [field.<name>] component; writes
-    each section's echo into `echo`."""
+def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict, n: int) -> tuple:
+    """The field kind of [field] or of one [field.<name>] component on a
+    chain of `n` sensors; writes each section's echo into `echo`."""
     top = section == "field"
     kind, values, echo[section] = _read_kind(section, raw.get(section, {}), "kind", "constant",
-                                             _FIELD_KINDS, _FIELD if top else {}, base_dir)
+                                             _sized(_FIELD_KINDS, "table", n),
+                                             _FIELD if top else {}, base_dir)
     if values["kind"] != "sum":
         return kind, values
     if not top:
@@ -198,7 +206,7 @@ def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict) -> tuple:
     for name in values["components"]:
         if f"field.{name}" not in raw:
             raise _err(section, "components", f"missing section [field.{name}]")
-        parts.append(_field_kind(raw, f"field.{name}", base_dir, echo)[0])
+        parts.append(_field_kind(raw, f"field.{name}", base_dir, echo, n)[0])
     return SumField(tuple(parts)), values
 
 
@@ -254,7 +262,7 @@ def resolve(raw: dict, command: str, base_dir: Path,
         chain_entries["master_seed"] = str(seed_override)
     boundary, chain, resolved["chain"] = _read_kind("chain", chain_entries, "boundary", "ring",
                                                     _BOUNDARIES, _CHAIN, base_dir)
-    kind, field = _field_kind(raw, "field", base_dir, resolved)
+    kind, field = _field_kind(raw, "field", base_dir, resolved, chain["n"])
     stochastic = command in ("noise", "spacing") or field["noise_sigma"] > 0
     if stochastic and "master_seed" not in chain_entries:
         raise _err("chain", "master_seed", "required for stochastic runs (or pass --seed)")
@@ -262,7 +270,8 @@ def resolve(raw: dict, command: str, base_dir: Path,
     noise = Noise(field["noise_sigma"], field["noise_distribution"],
                   field.get("noise_seed", chain["master_seed"]))
     algorithm, _, resolved["algorithm"] = _read_kind(
-        "algorithm", raw.get("algorithm", {}), "variant", "exponential", _VARIANTS, {}, base_dir)
+        "algorithm", raw.get("algorithm", {}), "variant", "exponential",
+        _sized(_VARIANTS, "arbitrary", chain["n"]), {}, base_dir)
     analysis, resolved["analysis"] = _read("analysis", raw.get("analysis", {}),
                                            _ANALYSIS[command], base_dir)
     output = dict(raw.get("output", {}))

@@ -16,16 +16,17 @@ def _parse(rows: list, dtype: np.dtype) -> np.ndarray:
     return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = ()) -> np.ndarray:
+def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = (),
+                   sensors: int | None = None) -> np.ndarray:
     """Parse CSV `text` whose header is one of `headers`: integer index
     columns, then one float value column.  Returns the values scattered into a
     zero array whose shape covers every index.  A column named in `centered`
     may be negative and is shifted so that its zero sits in the middle; every
-    other index must be >= 0.
+    other index must be >= 0, and a `sensor` index below `sensors` if given.
 
     Raises ValidationError, prefixed with `source`, for a header outside
     `headers`, no data rows, a row that does not parse (its line number and
-    text), and a negative or repeated index (the row that has it).
+    text), and a negative, out-of-range or repeated index (the row that has it).
     """
     lines = text.strip().splitlines()
     header = ",".join(h.strip() for h in lines[0].split(",")) if lines else ""
@@ -59,6 +60,10 @@ def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = ())
         negative = np.flatnonzero(data[name] < 0)
         if len(negative):
             raise bad(negative[0], f"negative {name}")
+    if sensors is not None:  # checked before an array sized by the largest index is made
+        over = np.flatnonzero(data["sensor"] >= sensors)
+        if len(over):
+            raise bad(over[0], f"sensor outside 0..{sensors - 1}")
     keys = np.column_stack([data[name] for name in index])
     order = np.lexsort(keys.T[::-1])  # stable: a repeat sorts after the row it repeats
     repeat = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacsim import (BandedWeighting, ChainConfig, Constant, ExponentialWeighting, FBState,
-                    MeasurementField, Ring, TerminatedError, ValidationError, WeightTable,
-                    ZeroHalo, fb_transition, glue, random_spatial_table, run,
+                    MeasurementField, Ring, TerminatedError, ValidationError, WeightReport,
+                    WeightTable, ZeroHalo, fb_transition, glue, random_spatial_table, run,
                     validate_weights)
 from lacsim import oracle
 
@@ -36,6 +40,41 @@ def test_zero_entry_reported():
     report = validate_weights(WeightTable(weights, table.row_sum, 4), 1.0)
     assert not report.ok
     assert (2, 1) in report.zero_entries
+
+
+def _validate_weights_by_entry(table, tol):
+    """validate_weights as one Python comparison per entry and per row, kept
+    as the reference for the array form."""
+    zeros = []
+    rows, cols = table.weights.shape
+    for s in range(rows):
+        for c in range(cols):
+            if table.weights[s, c] == 0.0:
+                zeros.append((s, c - table.radius))
+    bad = []
+    for s, total in enumerate(table.row_totals()):
+        if abs(total - table.row_sum) > tol:
+            bad.append((s, float(total)))
+    return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros),
+                        bad_rows=tuple(bad), tol=tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 6),
+       st.sampled_from([0.0, 1e-12, 0.05, 0.5, math.inf]))
+def test_validate_weights_matches_per_entry_loop(seed, n, radius, tol):
+    rng = np.random.default_rng(seed)
+    base = WeightTable.geometric(0.5, radius, n)
+    weights = base.weights * rng.choice([1.0, 1.0, 1.0, 0.9, 2.5], size=(n, 1))
+    weights[rng.random(weights.shape) < 0.15] = 0.0
+    table = WeightTable(weights, base.row_sum, radius)
+    got, expected = validate_weights(table, tol), _validate_weights_by_entry(table, tol)
+    assert got == expected
+    for s, total in got.bad_rows:
+        assert type(s) is int and type(total) is float
+    assert all(type(s) is int and type(c) is int for s, c in got.zero_entries)
+    if tol == math.inf:
+        assert got.bad_rows == ()
 
 
 def test_report_serializes():

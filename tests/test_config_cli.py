@@ -257,6 +257,25 @@ def test_cli_malformed_table_csv_is_a_validation_error(tmp_path, capsys, text):
     assert "[field] csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["field", "weights"])
+def test_cli_table_sensor_past_the_chain_is_a_validation_error(tmp_path, capsys, kind):
+    # a sensor index past the chain is rejected before a dense array sized by it
+    # (80 MB here) is allocated; steps and offsets stay unbounded
+    csv = tmp_path / "table.csv"
+    if kind == "field":
+        csv.write_text("sensor,step,value\n0,0,1.0\n10000000,0,2.0\n")
+        args = ["--set", "field.kind=table", "--set", f"field.csv={csv}"]
+    else:
+        csv.write_text("sensor,offset,weight\n0,0,1.0\n10000000,0,2.0\n")
+        args = ["--set", "algorithm.variant=arbitrary", "--set", "algorithm.K=1.0",
+                "--set", f"algorithm.weights_csv={csv}"]
+    code = main(["simulate", "--out", str(tmp_path), "--set", "chain.n=3"] + args)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "row 3 '10000000,0,2.0'" in err and "sensor outside 0..2" in err
+    assert not (tmp_path / "run_trace.csv").exists()
+
+
 def test_cli_validation_exit_code(tmp_path):
     code = main(["simulate", "--out", str(tmp_path), "--set", "chain.n=2"])
     assert code == 1

@@ -266,8 +266,7 @@ def _traces(draw):
     y = draw(arrays(np.float64, (n, cols), elements=values))
     z = draw(arrays(np.float64, (n, cols, slots), elements=values)) if slots else None
     # the writer reads only y and z
-    return ConsensusTrace(y=y, z=z, audit=np.empty(0, MessageRecord), config=ChainConfig(n=3),
-                          algo=ExponentialWeighting(0.5))
+    return ConsensusTrace(y=y, z=z, config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
 
 
 @settings(max_examples=200, deadline=None)

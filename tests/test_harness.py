@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,21 @@ def test_audit_records_only_active_receivers():
     trace = run(cfg, MeasurementField(Constant(1.0)), FiniteWindow(2))
     assert trace.audit["round"].max() == 2
     assert len(trace.audit) == 9 * 2 * 2
+
+
+def test_run_steps_states_without_building_the_audit():
+    # the audit (16 B per message, 2 messages per sensor-round) is derived on
+    # first read; the loop's own peak stays near the size of y
+    cfg = ChainConfig(n=16384, boundary=Ring(), rounds=50)
+    tracemalloc.start()
+    try:
+        trace = run(cfg, MeasurementField(Constant(1.0)), ExponentialWeighting(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "audit" not in vars(trace)
+    assert peak < 3 * trace.y.nbytes
+    assert len(trace.audit) == 2 * cfg.n * cfg.rounds
 
 
 def test_superposition_componentwise():

@@ -1,0 +1,25 @@
+"""The example scripts run end to end on small inputs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, args", [
+    ("gain_sweep.py", ["--n", "64"]),
+    ("noise_and_spacing.py", ["--replicates", "1000"]),
+    ("reproduce_figures.py", ["--out", "{tmp}"]),
+])
+def test_script_exits_zero(tmp_path, script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
+                            + [a.format(tmp=tmp_path) for a in args],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
