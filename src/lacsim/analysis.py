@@ -20,6 +20,7 @@ from .errors import ValidationError
 from .fields import MeasurementField, SpatialCosine, TemporalCosine
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow)
+from .streams import check_seed, replicate_generators
 
 SETTLE_TAIL = 1e-9
 BISECTION_TOL = 1e-10
@@ -290,6 +291,9 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     """
     if replicates < 100:
         raise ValidationError(f"need at least 100 replicates, got {replicates}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValidationError(f"sigma must be finite and >= 0, got {sigma!r}")
+    check_seed(master_seed)
     kernel, analytic = _noise_kernel(target)
     n = len(kernel)
     kernel_hat = np.fft.rfft(kernel)  # symmetric kernel: transform is real
@@ -300,9 +304,8 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     while done < replicates:
         count = min(block, replicates - done)
         eps = np.empty((count, n))
-        for r in range(count):
-            seq = np.random.SeedSequence(master_seed, spawn_key=(done + r,))
-            eps[r] = np.random.Generator(np.random.PCG64(seq)).normal(0.0, sigma, n)
+        for r, gen in enumerate(replicate_generators(master_seed, done, count)):
+            eps[r] = gen.normal(0.0, sigma, n)
         y = np.fft.irfft(np.fft.rfft(eps, axis=1) * kernel_hat, n=n, axis=1)
         sums += y.sum(axis=0)
         sq_sums += (y * y).sum(axis=0)

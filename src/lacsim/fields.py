@@ -19,6 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import OutOfDomainError, ValidationError
+from .streams import generator
 
 _MASK64 = (1 << 64) - 1
 _ROOT3 = math.sqrt(3.0)
@@ -259,12 +260,12 @@ def evaluate_grid(field: MeasurementField, n: int, steps: int) -> np.ndarray:
 
 def random_spatial_table(n: int, seed: int, low: float = -1.0, high: float = 1.0) -> TableField:
     """Time-invariant uniform random values on sensors 0..n-1."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     return TableField(rng.uniform(low, high, n))
 
 
 def random_space_time_table(n: int, steps: int, seed: int,
                             low: float = -1.0, high: float = 1.0) -> TableField:
     """Random values on sensors 0..n-1 for steps 0..steps-1."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     return TableField(rng.uniform(low, high, (n, steps)))

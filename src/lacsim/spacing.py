@@ -19,6 +19,12 @@ import numpy as np
 
 from .errors import NeedsMoreSensorsError, ValidationError
 from .fields import MeasurementField, evaluate_field
+from .streams import check_seed, generator, replicate_generators
+
+# replicates per block of `monte_carlo_spacing`, bounded so that a block's
+# gap arrays hold at most _BLOCK_ELEMENTS values each
+_BLOCK_REPLICATES = 2048
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,12 +78,6 @@ class SpacingDraw:
         return float(self.gaps[lo:hi].sum())
 
 
-def _rng(seed: int, replicate: int | None = None) -> np.random.Generator:
-    key = np.random.SeedSequence(seed) if replicate is None else \
-        np.random.SeedSequence(seed, spawn_key=(replicate,))
-    return np.random.Generator(np.random.PCG64(key))
-
-
 def _draw_gaps(law: SpacingLaw, count: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(law, ExpGaps):
         return rng.standard_exponential(count)
@@ -88,7 +88,7 @@ def sample_spacings(model: SpacingModel, count: int, seed: int | None = None) ->
     """Deterministic draw of `count` gaps; same seed, same gaps."""
     if count < 1:
         raise ValidationError(f"need at least one gap, got {count}")
-    rng = _rng(model.seed if seed is None else seed)
+    rng = generator(model.seed if seed is None else seed)
     return SpacingDraw(_draw_gaps(model.law, count, rng))
 
 
@@ -149,6 +149,11 @@ def spacing_moments(rho: float) -> SpacingMoments:
     return SpacingMoments(e_xi=e_xi, e_xi2=e_xi2, var_xi=var_xi, var_u=var_u, var_y=var_y)
 
 
+def _check_tail_eps(tail_eps: float) -> None:
+    if not 0.0 < tail_eps < 1.0:
+        raise ValidationError(f"tail_eps must lie strictly inside (0, 1), got {tail_eps!r}")
+
+
 def _required_sensors(rho: float, law: SpacingLaw, tail_eps: float) -> int:
     needed = math.log(tail_eps) / math.log(rho)
     if isinstance(law, UniformGaps):
@@ -167,6 +172,7 @@ def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: flo
     """
     if not 0 <= i < draw.sensors:
         raise ValidationError(f"sensor {i} outside draw of {draw.sensors} sensors")
+    _check_tail_eps(tail_eps)
     gaps = draw.gaps
     total = evaluate_field(field, i, 0)
     for step, stop in ((1, draw.sensors - 1), (-1, 0)):
@@ -217,7 +223,9 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     """
     if replicates < 1000:
         raise ValidationError(f"need at least 1000 replicates, got {replicates}")
+    _check_tail_eps(tail_eps)
     base_seed = model.seed if seed is None else seed
+    check_seed(base_seed)
     law = model.law
     if isinstance(law, ExpGaps):
         k_norm = k_poisson(rho)
@@ -228,15 +236,22 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
         law_name = f"uniform(eta={law.eta})"
         var_analytic = None
     gap_count = _required_sensors(rho, law, tail_eps)
+    block = max(1, min(_BLOCK_REPLICATES, _BLOCK_ELEMENTS // (2 * gap_count)))
     values = np.empty(replicates)
-    for r in range(replicates):
-        rng = _rng(base_seed, r)
-        sides = 0.0
-        for _ in range(2):
-            cum = np.cumsum(_draw_gaps(law, gap_count, rng))
-            w = rho ** cum
-            sides += float(w[w >= tail_eps].sum())
-        values[r] = k_norm * (1.0 + sides)
+    for done in range(0, replicates, block):
+        count = min(block, replicates - done)
+        gaps = np.empty((count, 2, gap_count))
+        # one draw of 2g values is the two sides' consecutive draws of g
+        for r, rng in enumerate(replicate_generators(base_seed, done, count)):
+            gaps[r] = _draw_gaps(law, 2 * gap_count, rng).reshape(2, gap_count)
+        w = rho ** np.cumsum(gaps, axis=-1)
+        # w never increases along a side, so the kept terms are a prefix
+        kept = (w >= tail_eps).sum(axis=-1)
+        for r in range(count):
+            sides = 0.0
+            for side in range(2):
+                sides += float(w[r, side, :kept[r, side]].sum())
+            values[done + r] = k_norm * (1.0 + sides)
     mean = float(values.mean())
     var = float(values.var(ddof=1))
     mean_se = math.sqrt(var / replicates)
