@@ -32,6 +32,7 @@ from .errors import DivergedError, ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.chain.evaluate_field
 from .fields import Constant, MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
+from .g17 import WIDTH, write_g17
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow, asym_transition, exp_transition,
                            variable_window_transition, window_transition)
@@ -53,6 +54,10 @@ class Truncated:
 
 
 Boundary = Union[Ring, ZeroHalo, Truncated]
+
+# values per block of trace_to_csv: its temporaries stay cache-sized and its
+# memory bounded, whatever the trace size
+_BLOCK_VALUES = 16384
 
 AlgorithmSpec = Union[ExponentialWeighting, AsymmetricWeighting, FiniteWindow,
                       PerSensorWindow, BandedWeighting, DynamicExponential, DynamicWindow]
@@ -280,16 +285,51 @@ def audit_locality(trace: ConsensusTrace) -> int:
     return int(np.count_nonzero(np.abs(hop) != 1)) + (trace.own_history_depth > 3)
 
 
+def _labels(count: int, lead: int, end: int) -> np.ndarray:
+    """(count, lead // 8) uint64: the bytes of `i,` for each i in
+    range(count), ending at byte `end` of `lead`, and nul elsewhere."""
+    text = np.zeros((count, lead), dtype=np.uint8)
+    text[:, end - 1] = ord(",")
+    i = np.arange(count)
+    for p in range(len(str(count - 1))):
+        shifted = i // 10 ** p
+        text[:, end - 2 - p] = (shifted % 10 + ord("0")) * ((shifted > 0) | (p == 0))
+    return text.view(np.uint64)
+
+
 def trace_to_csv(trace: ConsensusTrace) -> str:
     """Rows `round,sensor,y` (plus z0..zL columns for the dynamic window),
-    full float precision so values survive a round-trip."""
+    each value written as `'%.17g' % v` writes it, so values survive a
+    round-trip."""
+    # the chunks come from a generator so that its buffers are freed before
+    # the join: the peak stays near twice the size of the text
+    return "".join(_csv_chunks(trace))
+
+
+def _csv_chunks(trace: ConsensusTrace):
+    """The header line, then the text of successive blocks of rows.  A block
+    is built as fixed-width byte rows, and the nul bytes between their
+    characters are deleted."""
     slots = trace.z.shape[2] if trace.z is not None else 0
-    out = ["round,sensor,y" + "".join(f",z{j}" for j in range(slots)) + "\n"]
+    yield "round,sensor,y" + "".join(f",z{j}" for j in range(slots)) + "\n"
     n, cols = trace.y.shape
-    # one round's rows as one %-format; `@` stands for the round number.
-    # '%.17g' % v converts as format(v, '.17g') does
-    template = "".join(f"@,{i},%.17g{',%.17g' * slots}\n" for i in range(n))
-    for t in range(cols):
-        values = trace.y[:, t] if not slots else np.column_stack((trace.y[:, t], trace.z[:, t]))
-        out.append(template.replace("@", str(t)) % tuple(values.ravel().tolist()))
-    return "".join(out)
+    width = 1 + slots
+    wr, ws = len(str(cols - 1)) + 1, len(str(n - 1)) + 1
+    lead = -(-(wr + ws) // 8) * 8  # keeps the value columns 8-byte aligned
+    rounds, sensors = _labels(cols, lead, wr), _labels(n, lead, wr + ws)
+    step = max(1, _BLOCK_VALUES // width)
+    for start in range(0, n * cols, step):  # rows in round-major order
+        row = np.arange(start, min(start + step, n * cols))
+        t = row // n
+        i = row - t * n
+        block = np.empty((len(row), lead + width * WIDTH), dtype=np.uint8)
+        np.bitwise_or(np.take(rounds, t, axis=0), np.take(sensors, i, axis=0),
+                      out=block[:, :lead].view(np.uint64))
+        values = trace.y[i, t, None]
+        if slots:
+            values = np.concatenate((values, trace.z[i, t]), axis=1)
+        cells = block[:, lead:].reshape(len(row), width, WIDTH)
+        write_g17(values, cells)
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        yield block.tobytes().translate(None, b"\0").decode("ascii")

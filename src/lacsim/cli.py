@@ -57,6 +57,16 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Reject an output directory that cannot be created because its
+    nearest existing path is not a directory, before any work is done."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(f"output directory {out_dir}: {path} is not a directory")
+            return
+
+
 def _cmd_simulate(exp: Experiment) -> list:
     trace = run(exp.chain, exp.field, exp.algorithm)
     csv_path = exp.out_dir / f"{exp.prefix}_trace.csv"
@@ -223,6 +233,7 @@ def main(argv=None) -> int:
         raw = merge_settings(raw, args.overrides)
         exp = resolve(raw, args.command, base_dir,
                       seed_override=args.seed, out_override=args.out)
+        _check_out_dir(exp.out_dir)
         written = _HANDLERS[args.command](exp)
     except (ValidationError, OutOfDomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

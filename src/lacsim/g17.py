@@ -1,0 +1,138 @@
+"""`'%.17g' % v` for whole arrays of float64, as fixed-width byte rows.
+
+Each value becomes one row of `WIDTH` bytes; the bytes between its
+characters are nul, so deleting every nul byte (`bytes.translate(None,
+b"\\0")`) leaves exactly the text `'%.17g' % v`.
+
+Values with 1e-4 <= |v| < 1e15, and zeros, are converted with integer
+arithmetic only, after Adams, "Ryu revisited: printf floating point
+conversion" (OOPSLA 2019).  Write |v| = M * 2**E with M < 2**53 and let d be
+the decimal exponent; the 17 significant digits are M * 5**s / 2**-(E + s)
+for s = 16 - d, rounded half to even.  %g prints all these values in fixed
+notation, so the text follows from the digits, d and the sign alone.  Every
+other value (inf, nan, the smallest and largest magnitudes, and the few near
+a power of ten whose log10 estimate of d is off by one) is formatted by
+Python, one at a time.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+# bytes per value: sign | "0.000" | 17 x (digit, point slot).  The point
+# slot after the 17th digit is never used, so the last byte is always nul.
+WIDTH = 40
+_DIGITS = slice(6, WIDTH, 2)
+
+# uint64 scalars only: a uint64 array mixed with a Python int or an int64
+# array is promoted to float64, which loses digits
+_U = np.uint64
+_ONE, _32, _64 = _U(1), _U(32), _U(64)
+_LOW32, _HALF = _U(0xFFFFFFFF), _U(1 << 63)
+_E16, _E17 = _U(10 ** 16), _U(10 ** 17)
+_POW5 = np.array([5 ** s for s in range(21)], dtype=np.uint64)
+_POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _32
+
+
+def _quads() -> tuple[np.ndarray, np.ndarray]:
+    """For each 4-digit group "0000".."9999": its digits in the even bytes
+    of a native uint64 word, odd bytes nul; and, for the group at digits
+    4j - 3 .. 4j (j = 1..4, the first digit being 0), the count of
+    significant digits up to its last nonzero digit, at least 1."""
+    g = np.arange(10000)
+    text = np.zeros((10000, 8), dtype=np.uint8)
+    for k, p in enumerate((3, 2, 1, 0)):
+        text[:, 2 * k] = g // 10 ** p % 10 + ord("0")
+    used = 4 - sum((g % 10 ** p == 0).astype(np.int8) for p in (1, 2, 3, 4))
+    counts = np.array([np.where(used > 0, used + 4 * j - 3, 1) for j in (1, 2, 3, 4)])
+    return text.view(np.uint64).ravel(), counts.astype(np.int8)
+
+
+def _layout() -> tuple[np.ndarray, np.ndarray]:
+    """For each key ((d + 4) * 18 + c) * 2 + negative, with decimal exponent
+    d in [-4, 14] and significant-digit count c in [0, 17]: the mask of the
+    digit bytes kept, and the other bytes of the text (sign, "0.000",
+    point), each as a row of WIDTH // 8 native uint64 words."""
+    template = np.frombuffer(b"-0.000" + b"\0." * 17, dtype=np.uint8)
+    keep = np.zeros((19, 18, 2, WIDTH), dtype=bool)
+    keep[:, :, 1, 0] = True  # the sign
+    for d in range(-4, 15):
+        for c in range(1, 18):
+            row = keep[d + 4, c]
+            if d >= 0:  # d + 1 integer digits, then a point only before a fraction
+                row[:, _DIGITS][:, :max(d + 1, c)] = True
+                row[:, 7 + 2 * d] = c > d + 1
+            else:  # "0." and -d - 1 zeros, then the digits
+                row[:, 1:2 - d] = True
+                row[:, _DIGITS][:, :c] = True
+    keep = keep.reshape(-1, WIDTH)
+    rows = (np.where(keep & (template == 0), 0xFF, 0), np.where(keep, template, 0))
+    return tuple(r.astype(np.uint8).view(np.uint64) for r in rows)
+
+
+_QUADS, _COUNTS = _quads()
+_KEEP, _OVERLAY = _layout()
+
+
+def _digits17(a: np.ndarray):
+    """(q, d, exact) for 1e-4 <= a < 1e15: q the 17 significant digits of a
+    as an int64 in [10**16, 10**17) and d its decimal exponent, with `exact`
+    False where the estimate of d was wrong and q is not set."""
+    m, e = np.frexp(a)
+    mant = (m * 2.0 ** 53).astype(np.uint64)  # exact: a = mant * 2**(e - 53)
+    d = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.intp)
+    s = 16 - d
+    r = (d - e + 37).astype(np.uint64)  # a * 10**s = mant * 5**s / 2**r, 1 <= r <= 47
+    # mant * 5**s = hi * 2**64 + lo, from 32-bit halves (5**20 < 2**47)
+    m_lo, m_hi = mant & _LOW32, mant >> _32
+    f_lo, f_hi = np.take(_POW5_LO, s), np.take(_POW5_HI, s)
+    low = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo  # < 2**54
+    lo = low + (mid << _32)
+    hi = m_hi * f_hi + (mid >> _32) + (lo < low)
+    left = _64 - r
+    q = (lo >> r) | (hi << left)  # < 10**18 < 2**64: the estimate is off by at most one
+    exact = q >= _E16
+    q += (lo << left) + (q & _ONE) > _HALF  # the dropped bits against one half, ties to even
+    # q < 10**17 also after rounding: no double in the window lies within
+    # half a unit of the 17th digit below a power of ten, so there is no
+    # carry into an 18th digit to handle
+    exact &= q < _E17
+    q[~exact] = _E16
+    return q.view(np.int64), d, exact
+
+
+def write_g17(values: np.ndarray, out: np.ndarray) -> None:
+    """Write `'%.17g' % v` for each v of the float64 array `values` into the
+    matching row of `out`, a uint8 array of shape values.shape + (WIDTH,)
+    whose rows are contiguous and 8-byte aligned, with nul bytes between the
+    characters and in the last byte of each row."""
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e15)
+    zero = values == 0.0
+    q, d, exact = _digits17(np.where(fast, a, 1.0))  # 1.0 gives q = 10**16, d = 0
+    fast &= exact
+    q[zero] = 0  # "0": d = 0 and one significant digit
+    top = q // 10 ** 16
+    rest = q - top * 10 ** 16
+    mid = rest // 10 ** 8
+    low = rest - mid * 10 ** 8
+    quads = [top]
+    for half in (mid, low):
+        hi4 = half // 10 ** 4
+        quads += [hi4, half - hi4 * 10 ** 4]
+    # 20 digits in 5 words; the first 3 are always "0" and fall on the sign
+    # and "0.000" bytes, whose keep-mask is clear.  The words are built apart
+    # from `out`: bitwise ops on its strided rows run several times slower
+    words = np.empty(values.shape + (5,), dtype=np.uint64)
+    for j, quad in enumerate(quads):  # "clip" writes to the strided column unbuffered
+        np.take(_QUADS, quad, out=words[..., j], mode="clip")
+    count = np.max([np.take(c, g) for c, g in zip(_COUNTS, quads[1:])], axis=0)
+    key = ((d + 4) * 18 + count) * 2 + np.signbit(values)
+    words &= np.take(_KEEP, key, axis=0)
+    words |= np.take(_OVERLAY, key, axis=0)
+    out.view(np.uint64)[...] = words
+    done = fast | zero
+    if not done.all():
+        slow = np.nonzero(~done)
+        text = [("%.17g" % v).encode() for v in values[slow].tolist()]
+        out[slow] = np.array(text, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)

@@ -5,6 +5,7 @@ be replaced while the tracer is installed and be the original again after
 import importlib.util
 from pathlib import Path
 
+import lacsim.cli
 import lacsim.spacing
 
 
@@ -38,3 +39,25 @@ def test_tracer_patches_existing_attributes_and_restores_them():
         t.uninstall()
     assert all(replaced)
     assert all(getattr(m, name) is fn for (m, name), fn in zip(targets, originals))
+
+
+def test_simulate_writes_what_cli_trace_to_csv_returns(tmp_path, monkeypatch):
+    # perfbench's Capture and the tracer's csv hook replace
+    # lacsim.cli.trace_to_csv: it takes the trace as its one positional
+    # argument and returns the str that becomes <prefix>_trace.csv
+    original, calls, returned = lacsim.cli.trace_to_csv, [], []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(lacsim.cli, "trace_to_csv", wrapper)
+    assert lacsim.cli.main(["simulate", "--out", str(tmp_path), "--set", "chain.n=9",
+                            "--set", "chain.rounds=11", "--set", "algorithm.variant=dyn_window",
+                            "--set", "algorithm.L=2"]) == 0
+    assert len(calls) == 1
+    (args, kwargs), = calls
+    assert len(args) == 1 and not kwargs
+    assert isinstance(returned[0], str)
+    assert (tmp_path / "run_trace.csv").read_bytes() == returned[0].encode()

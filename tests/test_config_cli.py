@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lacsim.cli as cli
 from lacsim import ValidationError, WeightTable, h_exp, k_temporal_exp, k_temporal_window
 from lacsim.cli import main
 from lacsim.config import config_to_ini, merge_settings, read_ini, resolve
@@ -421,3 +422,20 @@ def test_cli_arbitrary_emits_weight_report(tmp_path):
     report = json.loads((tmp_path / "run_weight_report.json").read_text())
     assert report["ok"] is True
     assert report["zero_entries"] == [] and report["bad_rows"] == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "freq-spatial"])
+def test_cli_rejects_an_output_path_under_a_file_before_running(command, tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the engine ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a directory" in err
+        assert "Traceback" not in err
+    assert blocker.read_text() == ""

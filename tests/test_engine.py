@@ -6,12 +6,17 @@ message audit for every rule and boundary.  The golden digests pin the exact
 CSV bytes of fixed runs.
 """
 import hashlib
+import math
+import operator
+import struct
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lacsim.chain as chain_module
 from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, ConsensusTrace,
                     DynamicExponential, DynamicWindow, ExponentialWeighting, FBState,
                     FiniteWindow, MeasurementField, MessageRecord, Noise, PerSensorWindow, Ring,
@@ -273,6 +278,109 @@ def _traces(draw):
 @given(_traces())
 def test_trace_csv_matches_row_by_row_writer(trace):
     assert trace_to_csv(trace) == _csv_rows(trace)
+
+
+def _template_csv(trace):
+    """The %-template writer that trace_to_csv replaced: the reference for
+    its bytes and its peak memory."""
+    slots = trace.z.shape[2] if trace.z is not None else 0
+    out = ["round,sensor,y" + "".join(f",z{j}" for j in range(slots)) + "\n"]
+    n, cols = trace.y.shape
+    # one round's rows as one %-format; `@` stands for the round number.
+    # '%.17g' % v converts as format(v, '.17g') does
+    template = "".join(f"@,{i},%.17g{',%.17g' * slots}\n" for i in range(n))
+    for t in range(cols):
+        values = trace.y[:, t] if not slots else np.column_stack((trace.y[:, t], trace.z[:, t]))
+        out.append(template.replace("@", str(t)) % tuple(values.ravel().tolist()))
+    return "".join(out)
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _ulps_away(v, k):
+    """The float k representable steps from v > 0."""
+    return _from_bits(struct.unpack("<Q", struct.pack("<d", v))[0] + k)
+
+
+_POWERS = [1e-4, 1e15] + [10.0 ** d for d in range(-5, 17)]
+
+# each kind of value the block formatter treats apart: the integer-digit
+# window 1e-4 <= |v| < 1e15 and its edges, values near powers of ten (where
+# the estimate of the decimal exponent can be off by one), rounding carries,
+# short decimals, zeros, and everything left to the per-value fallback
+_G17_VALUES = st.one_of(
+    st.builds(lambda m, e: float(f"{m!r}e{e}"),
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-330, 310)),
+    st.integers(0, 2 ** 64 - 1).map(_from_bits),
+    st.builds(_ulps_away, st.sampled_from(_POWERS), st.integers(-3, 3)),
+    st.sampled_from([0.99999999999999999, 0.9999999999999999, 9.9999999999999995e14,
+                     99999999999999.99, 0.00099999999999999999, 0.5, 100.0, 0.1, 2.5,
+                     0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.integers(-10 ** 15, 10 ** 15).map(float),
+    st.builds(round, st.floats(-1e6, 1e6), st.integers(0, 6)),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def _block_traces(draw):
+    """Traces around the widths of the round and sensor labels, filled from
+    a drawn pool of values."""
+    n = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 999, 1000]))
+    cols, slots = draw(st.integers(1, 14)), draw(st.integers(0, 4))
+    signs = st.sampled_from([1.0, -1.0])
+    pool = np.array(draw(st.lists(st.builds(operator.mul, signs, _G17_VALUES),
+                                  min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = pool[rng.integers(0, len(pool), (n, cols, 1 + slots))]
+    return ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:] if slots else None,
+                          config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_traces())
+def test_trace_csv_matches_template_writer(trace):
+    assert trace_to_csv(trace) == _template_csv(trace)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(_G17_VALUES, min_size=1, max_size=64), st.integers(0, 2 ** 32 - 1))
+def test_trace_csv_matches_template_writer_across_blocks(pool, seed):
+    # more values than one block holds, and a count that is no multiple of it
+    rng = np.random.default_rng(seed)
+    for n, cols, slots in ((4099, 5, 0), (1000, 7, 2)):
+        assert (n * cols * (1 + slots)) % chain_module._BLOCK_VALUES
+        values = np.array(pool)[rng.integers(0, len(pool), (n, cols, 1 + slots))]
+        trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:] if slots else None,
+                               config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
+        assert trace_to_csv(trace) == _template_csv(trace)
+
+
+def test_trace_csv_matches_template_writer_on_random_values():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 2 ** 15, dtype=np.uint64, endpoint=False).view(np.float64)
+    spread = rng.choice([-1.0, 1.0], 2 ** 15) * 10.0 ** rng.uniform(-6.0, 17.0, 2 ** 15)
+    values = np.concatenate((bits, spread)).reshape(-1, 8, 2)
+    trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:], config=ChainConfig(n=3),
+                           algo=ExponentialWeighting(0.5))
+    assert trace_to_csv(trace) == _template_csv(trace)
+
+
+def test_trace_csv_peak_memory_within_template_writer():
+    trace = run(ChainConfig(n=65536, rounds=3), MeasurementField(SpatialCosine(1.0, 0.3)),
+                ExponentialWeighting(0.8))
+
+    def peak(writer):
+        tracemalloc.start()
+        try:
+            writer(trace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(trace_to_csv) <= peak(_template_csv)
 
 
 def test_transitions_leave_array_inputs_unmodified():
