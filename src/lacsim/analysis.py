@@ -212,6 +212,9 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
     peak-picking so small amplitudes stay well conditioned.
     """
     rounds = trace.rounds
+    # numpy groups the terms of a mean by memory layout, so a reduction over
+    # a transposed view can differ in the last bit: reduce over (n, rounds + 1)
+    y = np.ascontiguousarray(trace.y)
     if not 0 <= settle <= rounds:
         raise ValidationError(f"settle must lie in [0, {rounds}], got {settle}")
     if mode == "spatial":
@@ -227,7 +230,7 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
         if abs(cycles - round(cycles)) > 1e-9:
             raise ValidationError(
                 f"omega = {omega} is not a ring harmonic 2 pi m / {n}")
-        profile = trace.y[:, settle:].mean(axis=1)
+        profile = y[:, settle:].mean(axis=1)
         gain, phase = _fit_cosine(profile, np.arange(n, dtype=float),
                                   kind.amplitude, omega, kind.phase)
     elif mode == "temporal":
@@ -236,7 +239,7 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
             raise ValidationError("temporal gain needs a pure temporal cosine field")
         if abs(kind.omega - omega) > 1e-12:
             raise ValidationError(f"field frequency {kind.omega} does not match {omega}")
-        series = trace.y[:, settle:].mean(axis=0)
+        series = y[:, settle:].mean(axis=0)
         steps = np.arange(settle, rounds + 1, dtype=float)
         gain, phase = _fit_cosine(series, steps, kind.amplitude, omega, kind.phase)
     else:

@@ -4,9 +4,12 @@ One round = one synchronous exchange: every sensor broadcasts its state, then
 every sensor updates from the same round snapshot.  Sensors see only the last
 two messages from each immediate neighbor and at most three rounds of their
 own history, so locality is enforced by construction.  `run` makes one call
-of the rule's transition per round on whole-chain arrays, gathering neighbor
-states by index.  The audit, one integer row per delivered message, is
-derived on read from the same neighbor arrays and last active rounds.
+of the rule's transition per round on whole-chain arrays: each update rule is
+a 3-point stencil, so a sensor's own, left and right histories are three
+shifted views of one padded state buffer, and each round's y is written into
+round-major (rounds + 1, n) storage.  The audit, one integer row per delivered
+message, is derived on read from the chain's neighbor arrays and last active
+rounds.
 
 Boundary policies:
   Ring       indices wrap modulo n (exact for spatially periodic fields);
@@ -125,12 +128,12 @@ class ConsensusTrace:
 
 
 def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
-    """Who hears whom in which round, the one source of `run`'s gathers and of
-    the audit: (off, left, right, rows, stop) are the halo depth (engine index
-    e is sensor e - off), the neighbor engine indices (index len(left) is a zero
-    slot for a missing neighbor), the state rows (a message's payload length)
-    and the last round each engine index updates.  Raises ValidationError when
-    `algo` cannot run on the chain."""
+    """Who hears whom in which round, for `run` and the audit: (off, left,
+    right, rows, stop) are the halo depth (engine index e is sensor e - off),
+    the neighbor engine indices (index len(left) stands for a missing
+    neighbor), the state rows (a message's payload length) and the last round
+    each engine index updates.  Raises ValidationError when `algo` cannot run
+    on the chain."""
     n, off, ring = config.n, config.halo_depth(), isinstance(config.boundary, Ring)
     size = n + 2 * off
     left, right = np.arange(-1, size - 1), np.arange(1, size + 1)
@@ -173,62 +176,70 @@ def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
     return off, left, right, rows, stop
 
 
-def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple):
+def _wrap(padded: np.ndarray, ring: bool) -> None:
+    """Fill the pad columns of a (rows, size + 2) array with the ring-wrap
+    copies of its end columns; other boundaries leave them as they are."""
+    if ring:
+        padded[:, 0] = padded[:, -2]
+        padded[:, -1] = padded[:, 1]
+
+
+def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple, ring: bool):
     """Bind `algo`'s transition to whole-chain arrays.
 
-    Returns (step, readout).  `step(t, i, own, lh, rh)` gives the round-t
-    states of engine indices `i` from histories of shape (rows, len(i)), most
+    Returns (step, readout).  `step(t, own, lh, rh)` gives the round-t state
+    rows of every engine index from histories of shape (rows, size), most
     recent first; `readout(state, prev, t)` gives y of the real sensors.
     """
-    off, left, right, _, stop = topo
+    off, _, _, _, stop = topo
     real = slice(off, off + n)
+    x0 = x[0]
 
-    def plain(state, prev, t):
-        return state[0, real]
-
-    if isinstance(algo, ExponentialWeighting):
-        return lambda t, i, own, lh, rh: exp_transition(t, own, lh, rh, x[0, i], algo.rho), plain
-    if isinstance(algo, AsymmetricWeighting):
-        return lambda t, i, own, lh, rh: asym_transition(
-            t, own, lh, rh, x[0, i], algo.rho_back, algo.rho_forward), plain
-    if isinstance(algo, FiniteWindow):
-        return lambda t, i, own, lh, rh: window_transition(
-            t, own, lh, rh, x[0, i], algo.half_width), plain
-    if isinstance(algo, PerSensorWindow):  # each index stops at its own half-width
-        return lambda t, i, own, lh, rh: variable_window_transition(
-            t, own, lh, rh, x[0, i], stop[i]), plain
-    if isinstance(algo, DynamicExponential):
-        return lambda t, i, own, lh, rh: dyn_exp_transition(
-            t, own, lh, rh, x[max(t - 3, 0):t + 1, i][::-1], algo.rho), plain
     if isinstance(algo, DynamicWindow):
         L = algo.half_width
+        return (lambda t, own, lh, rh: [
+            z_slot_transition(t, j, [h[j] for h in own], [h[j] for h in lh],
+                              [h[j] for h in rh], x[t], L) for j in range(L + 1)],
+            lambda state, prev, t: assemble_y(state[:, real], prev[:, real], t, L))
+    if not isinstance(algo, BandedWeighting):  # one state row, which is y
+        if isinstance(algo, ExponentialWeighting):
+            value = lambda t, own, lh, rh: exp_transition(t, own, lh, rh, x0, algo.rho)
+        elif isinstance(algo, AsymmetricWeighting):
+            value = lambda t, own, lh, rh: asym_transition(
+                t, own, lh, rh, x0, algo.rho_back, algo.rho_forward)
+        elif isinstance(algo, FiniteWindow):
+            value = lambda t, own, lh, rh: window_transition(t, own, lh, rh, x0, algo.half_width)
+        elif isinstance(algo, PerSensorWindow):
+            # each index stops at its own half-width; a frozen index's value is
+            # discarded, so its half-width need only pass the termination check
+            value = lambda t, own, lh, rh: variable_window_transition(
+                t, own, lh, rh, x0, np.maximum(stop, t))
+        else:
+            value = lambda t, own, lh, rh: dyn_exp_transition(
+                t, own, lh, rh, x[max(t - 3, 0):t + 1][::-1], algo.rho)
+        return (lambda t, own, lh, rh: (value(t, own, lh, rh),),
+                lambda state, prev, t: state[0, real])
+    table = algo.table
+    # weight rows as columns, so band[offset + radius] holds one weight per
+    # sensor (ghosts reuse the edge sensor's row), padded like the histories;
+    # a pad of ones stands in for a missing neighbor
+    band = np.ones((2 * table.radius + 1, len(x0) + 2))
+    band[:, 1:-1] = np.pad(table.weights, ((off, off), (0, 0)), mode="edge").T
+    _wrap(band, ring)
+    own_band, left_band, right_band = band[:, 1:-1], band[:, :-2], band[:, 2:]
 
-        def step(t, i, own, lh, rh):
-            z = np.zeros((L + 1, len(i)))
-            for j in range(L + 1):
-                z[j] = z_slot_transition(t, j, [h[j] for h in own], [h[j] for h in lh],
-                                         [h[j] for h in rh], x[t, i], L)
-            return z
-
-        return step, lambda state, prev, t: assemble_y(state[:, real], prev[:, real], t, L)
-    table, size = algo.table, len(left)
-    # weight rows as columns, so band[offset + radius] holds one weight per sensor (ghosts
-    # reuse the edge sensor's row); the last column stands in for a missing neighbor
-    band = np.vstack([np.pad(table.weights, ((off, off), (0, 0)), mode="edge"),
-                      np.ones(table.weights.shape[1])]).T
-
-    def step(t, i, own, lh, rh):
+    def step(t, own, lh, rh):
         s = fb_transition(t, [FBState(*h) for h in own], [FBState(*h) for h in rh],
-                          [FBState(*h) for h in lh], x[0, i], band[:, i], band[:, right[i]],
-                          band[:, left[i]], table.row_sum)
-        if t == 0:
-            return s
-        # a cut end keeps its sum in the direction that has no neighbor
-        return (np.where(right[i] == size, own[0][0], s.forward),
-                np.where(left[i] == size, own[0][1], s.backward))
+                          [FBState(*h) for h in lh], x0, own_band, right_band, left_band,
+                          table.row_sum)
+        if t and not ring:
+            # a cut end keeps its sum in the direction that has no neighbor;
+            # past round 0 both sums are fresh arrays
+            s.forward[-1], s.backward[0] = own[0][0, -1], own[0][1, 0]
+        return s
 
     return step, lambda state, prev, t: glue(
-        FBState(*state[:, real]), x[0, real], band[table.radius, real], table.row_sum)
+        FBState(*state[:, real]), x0[real], own_band[table.radius, real], table.row_sum)
 
 
 def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> ConsensusTrace:
@@ -237,31 +248,44 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     Deterministic in (config, field_, algo) including the noise seed; raises
     ValidationError up front and DivergedError if a value leaves float range.
     """
-    off, left, right, rows, stop = topo = _topology(config, algo)
+    off, left, _, rows, stop = topo = _topology(config, algo)
     n, rounds, size = config.n, config.rounds, len(left)
+    ring = isinstance(config.boundary, Ring)
     time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
-    x = np.zeros((rounds + 1 if time_varying else 1, size + 1))  # ghosts measure zero
+    x = np.zeros((rounds + 1 if time_varying else 1, size))  # ghosts measure zero
     x[:, off:off + n] = evaluate_grid(field_, n, x.shape[0])
-    step, readout = _rule(algo, x, n, topo)
+    step, readout = _rule(algo, x, n, topo, ring)
 
-    y = np.empty((n, rounds + 1))
-    z = np.empty((n, rounds + 1, rows)) if isinstance(algo, DynamicWindow) else None
-    hist = [np.zeros((rows, size + 1))]  # the zero state before round 0, then most recent first
+    # round-major storage; the trace holds transposed views of it
+    y = np.empty((rounds + 1, n))
+    z = np.empty((rounds + 1, n, rows)) if isinstance(algo, DynamicWindow) else None
+    # three reused state buffers, most recent first, zero before round 0,
+    # padded by one column per side with ring-wrap copies, or zeros for a
+    # missing neighbor: [:, 1:-1] holds each index's own state, [:, :-2] its
+    # left and [:, 2:] its right neighbor's
+    hist = [np.zeros((rows, size + 2)) for _ in range(3)]
+    all_step, any_step = stop.min(), stop.max()  # the last rounds every / some index steps
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         for t in range(rounds + 1):
-            i = np.flatnonzero(stop >= t)  # frozen sensors keep broadcasting their last state
-            new = hist[0].copy()
-            if len(i):
-                li, ri, nb = left[i], right[i], hist[:min(t, 2)]
-                new[:, i] = step(t, i, [h[:, i] for h in hist[:min(t, 3)]],
-                                 [h[:, li] for h in nb], [h[:, ri] for h in nb])
-                bad = ~np.isfinite(new[:, i]).all(axis=0)
-                if bad.any():
-                    raise DivergedError(int(i[bad.argmax()]) - off, t)
-            hist = [new] + hist[:2]
-            y[:, t] = readout(new, hist[1], t)
+            if t <= any_step:  # frozen sensors keep broadcasting their last state
+                new = hist[2][:, 1:-1]  # the oldest buffer; transitions return fresh arrays
+                state = step(t, [h[:, 1:-1] for h in hist[:min(t, 3)]],
+                             [h[:, :-2] for h in hist[:min(t, 2)]],
+                             [h[:, 2:] for h in hist[:min(t, 2)]])
+                for row, value in zip(new, state):
+                    row[...] = value
+                if t > all_step:
+                    np.copyto(new, hist[0][:, 1:-1], where=stop < t)
+                if not np.isfinite(new).all():
+                    bad = ~np.isfinite(new).all(axis=0)
+                    raise DivergedError(int(bad.argmax()) - off, t)
+                _wrap(hist[2], ring)
+                hist = hist[2:] + hist[:2]
+            # once every sensor is frozen the state stays put, and only the
+            # dynamic window, which never freezes, reads the previous state
+            y[t] = readout(hist[0][:, 1:-1], hist[1][:, 1:-1], t)
             if z is not None:
-                z[:, t] = new[:, off:off + n].T
+                z[t] = hist[0][:, 1 + off:1 + off + n].T
 
     metadata = {}
     if isinstance(algo, PerSensorWindow):
@@ -272,7 +296,8 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
         sums = variable_window_row(MeasurementField(Constant(1.0)), algo.half_widths,
                                    n=n, boundary=boundary)
         metadata["weight_sums"] = tuple(sums.tolist())
-    return ConsensusTrace(y=y, z=z, config=config, algo=algo, metadata=metadata)
+    return ConsensusTrace(y=y.T, z=None if z is None else z.transpose(1, 0, 2),
+                          config=config, algo=algo, metadata=metadata)
 
 
 def audit_locality(trace: ConsensusTrace) -> int:
@@ -314,22 +339,25 @@ def _csv_chunks(trace: ConsensusTrace):
     yield "round,sensor,y" + "".join(f",z{j}" for j in range(slots)) + "\n"
     n, cols = trace.y.shape
     width = 1 + slots
+    # one row of values per CSV row, rows in round-major order: views of
+    # `run`'s storage, copied only for a trace built with another layout
+    y = np.ascontiguousarray(trace.y.T).reshape(-1, 1)
+    z = np.ascontiguousarray(trace.z.transpose(1, 0, 2)).reshape(-1, slots) if slots else None
     wr, ws = len(str(cols - 1)) + 1, len(str(n - 1)) + 1
     lead = -(-(wr + ws) // 8) * 8  # keeps the value columns 8-byte aligned
     rounds, sensors = _labels(cols, lead, wr), _labels(n, lead, wr + ws)
     step = max(1, _BLOCK_VALUES // width)
-    for start in range(0, n * cols, step):  # rows in round-major order
+    for start in range(0, n * cols, step):
         row = np.arange(start, min(start + step, n * cols))
         t = row // n
         i = row - t * n
         block = np.empty((len(row), lead + width * WIDTH), dtype=np.uint8)
         np.bitwise_or(np.take(rounds, t, axis=0), np.take(sensors, i, axis=0),
                       out=block[:, :lead].view(np.uint64))
-        values = trace.y[i, t, None]
-        if slots:
-            values = np.concatenate((values, trace.z[i, t]), axis=1)
         cells = block[:, lead:].reshape(len(row), width, WIDTH)
-        write_g17(values, cells)
+        write_g17(y[start:start + len(row)], cells[:, :1])
+        if slots:
+            write_g17(z[start:start + len(row)], cells[:, 1:])
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
         yield block.tobytes().translate(None, b"\0").decode("ascii")

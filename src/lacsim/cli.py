@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -194,7 +195,10 @@ def _cmd_verify() -> int:
     return 0 if failed == 0 else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing
+    leaves it unchanged (argparse copies the `--set` list default)."""
     parser = argparse.ArgumentParser(prog="lacsim",
                                      description="local average consensus simulator")
     sub = parser.add_subparsers(dest="command", required=True)

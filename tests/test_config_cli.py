@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pickle
@@ -331,6 +332,50 @@ def test_cli_freq_temporal(tmp_path):
         omega, analytic, measured, _ = map(float, row.split(","))
         assert analytic == pytest.approx(k_temporal_exp(0.8, omega)[0], abs=1e-14)
         assert measured == pytest.approx(analytic, abs=1e-3)
+
+
+# generated by the engine that kept y sensor-major: the measured gains are
+# means over y, so their last bits depend on the order numpy sums them in
+FREQ_GOLDEN = {
+    ("freq-spatial", "exponential"): (
+        ["--set", "chain.n=64", "--set", "algorithm.rho=0.8",
+         "--set", "analysis.harmonic=1,3,8,13"],
+        "7cc81b2e5156fcb089d7b25d5366ca4f07ad85f294dcc28ace7e32d28f40a2e6"),
+    ("freq-spatial", "window"): (
+        ["--set", "chain.n=48", "--set", "algorithm.variant=window", "--set", "algorithm.L=4",
+         "--set", "analysis.harmonic=2,5,7"],
+        "f453a6c6d49695b351c2f2a8bd203cdae07f93fd5e493dbdb160934afd0acb49"),
+    ("freq-temporal", "dyn_exponential"): (
+        ["--set", "chain.n=7", "--set", "algorithm.variant=dyn_exponential",
+         "--set", "algorithm.rho=0.8", "--set", "analysis.omegas=0.05,0.1,0.5,2"],
+        "2f83ceab938018ff15c71556fb1f643c9636f25f0bfc71a3c7edfaf032bc9314"),
+    ("freq-temporal", "dyn_window"): (
+        ["--set", "chain.n=9", "--set", "algorithm.variant=dyn_window", "--set", "algorithm.L=3",
+         "--set", "analysis.omegas=0.1,0.7,1.5"],
+        "2a5fde6abf3e36fc178aeab0f0f57482181dc8ff86f796a84eaeb4f01470b71d"),
+}
+
+
+@pytest.mark.parametrize("command, variant", list(FREQ_GOLDEN))
+def test_cli_freq_csv_digests(tmp_path, command, variant):
+    args, digest = FREQ_GOLDEN[command, variant]
+    assert main([command, "--out", str(tmp_path)] + args) == 0
+    csv = tmp_path / f"run_{command.replace('-', '_')}.csv"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+def test_cli_parser_reuse_keeps_no_overrides(tmp_path):
+    # the parser is built once per process; a second call must not see the
+    # --set values of the first
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--out", str(first), "--set", "chain.n=5",
+                 "--set", "chain.rounds=2"]) == 0
+    assert main(["simulate", "--out", str(second)]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    for out, n, rounds in ((first, 5, 2), (second, 64, 40)):
+        config = json.loads((out / "run_metadata.json").read_text())["config"]
+        assert (config["chain"]["n"], config["chain"]["rounds"]) == (str(n), str(rounds))
+        assert len((out / "run_trace.csv").read_text().splitlines()) == 1 + n * (rounds + 1)
 
 
 def test_cli_noise_report(tmp_path):

@@ -12,6 +12,7 @@ import struct
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -188,6 +189,35 @@ def test_run_matches_per_sensor_transitions(case):
     assert _bits(trace.y) == _bits(y)
     assert _bits(trace.z) == _bits(z)
     assert trace.audit.tolist() == audit
+
+
+@pytest.mark.parametrize("boundary", [Ring(), ZeroHalo(), Truncated()])
+def test_run_matches_per_sensor_transitions_while_some_sensors_are_frozen(boundary):
+    # rounds 2..4 step only the sensors whose half-width is not yet reached
+    widths = (1, 2, 3, 4, 4, 3, 2, 1, 1, 2, 3, 2)
+    rng = np.random.default_rng(5)
+    case = (ChainConfig(n=len(widths), boundary=boundary, rounds=7),
+            MeasurementField(TableField(rng.uniform(-1.0, 1.0, len(widths)))),
+            PerSensorWindow(widths))
+    trace = run(*case)
+    y, z, audit = _reference(*case)
+    assert _bits(trace.y) == _bits(y)
+    assert trace.audit.tolist() == audit
+    # a frozen sensor's value stays put while its neighbors still move
+    assert np.array_equal(trace.y[0, 1:], np.repeat(trace.y[0, 1], 7))
+    assert trace.y[3, 3] != trace.y[3, 4]
+
+
+@pytest.mark.parametrize("algo", [ExponentialWeighting(0.5), DynamicWindow(2)])
+@pytest.mark.parametrize("boundary", [Ring(), ZeroHalo()])
+def test_run_stores_the_trace_round_major(algo, boundary):
+    trace = run(ChainConfig(n=9, boundary=boundary, rounds=4),
+                MeasurementField(SpatialCosine(1.0, 0.3)), algo)
+    assert trace.y.shape == (9, 5)
+    assert trace.y.T.flags.c_contiguous
+    if trace.z is not None:
+        assert trace.z.shape == (9, 5, 3)
+        assert trace.z.transpose(1, 0, 2).flags.c_contiguous
 
 
 def _golden_cases():

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("gain_sweep.py", ["--n", "64"]),
     ("noise_and_spacing.py", ["--replicates", "1000"]),
     ("reproduce_figures.py", ["--out", "{tmp}"]),
+    ("scale_run.py", ["--n", "1024", "--rounds", "5"]),
 ])
 def test_script_exits_zero(tmp_path, script, args):
     env = dict(os.environ)
