@@ -12,8 +12,8 @@ from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
                             dyn_exp_transition, z_slot_transition)
 from .errors import (DivergedError, HistoryError, NeedsMoreSensorsError, OutOfDomainError,
                      TerminatedError, ValidationError)
-from .fields import (Constant, Impulse, MeasurementField, Noise, SpatialCosine, SumField,
-                     TableField, TemporalCosine, evaluate_field, evaluate_grid,
+from .fields import (Constant, Cosine, Impulse, MeasurementField, Noise, SpatialCosine,
+                     SumField, TableField, TemporalCosine, evaluate_field, evaluate_grid,
                      random_space_time_table, random_spatial_table)
 from .spacing import (ExpGaps, SpacingDraw, SpacingMCReport, SpacingModel, SpacingMoments,
                       UniformGaps, k_poisson, k_uniform, monte_carlo_spacing,

@@ -17,7 +17,7 @@ import numpy as np
 from .chain import ConsensusTrace, Ring
 from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
-from .fields import MeasurementField, SpatialCosine, TemporalCosine
+from .fields import Cosine, MeasurementField
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow)
 from .streams import check_seed, replicate_generators
@@ -217,12 +217,16 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
     y = np.ascontiguousarray(trace.y)
     if not 0 <= settle <= rounds:
         raise ValidationError(f"settle must lie in [0, {rounds}], got {settle}")
-    if mode == "spatial":
-        kind = field.kind
-        if not isinstance(kind, SpatialCosine):
-            raise ValidationError("spatial gain needs a pure spatial cosine field")
-        if abs(kind.omega - omega) > 1e-12:
-            raise ValidationError(f"field frequency {kind.omega} does not match {omega}")
+    if mode not in ("spatial", "temporal"):
+        raise ValidationError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
+    kind = field.kind
+    spatial = mode == "spatial"
+    if not isinstance(kind, Cosine) or (kind.omega_t if spatial else kind.omega_s) != 0.0:
+        raise ValidationError(f"{mode} gain needs a pure {mode} cosine field")
+    on_axis = kind.omega_s if spatial else kind.omega_t
+    if abs(on_axis - omega) > 1e-12:
+        raise ValidationError(f"field frequency {on_axis} does not match {omega}")
+    if spatial:
         if not isinstance(trace.config.boundary, Ring):
             raise ValidationError("spatial gain is defined on the ring boundary")
         n = trace.config.n
@@ -233,17 +237,10 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
         profile = y[:, settle:].mean(axis=1)
         gain, phase = _fit_cosine(profile, np.arange(n, dtype=float),
                                   kind.amplitude, omega, kind.phase)
-    elif mode == "temporal":
-        kind = field.kind
-        if not isinstance(kind, TemporalCosine):
-            raise ValidationError("temporal gain needs a pure temporal cosine field")
-        if abs(kind.omega - omega) > 1e-12:
-            raise ValidationError(f"field frequency {kind.omega} does not match {omega}")
+    else:
         series = y[:, settle:].mean(axis=0)
         steps = np.arange(settle, rounds + 1, dtype=float)
         gain, phase = _fit_cosine(series, steps, kind.amplitude, omega, kind.phase)
-    else:
-        raise ValidationError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
     return GainEstimate(gain=gain, phase=phase, warning=_settle_warning(trace.algo, settle))
 
 

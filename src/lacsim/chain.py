@@ -22,7 +22,7 @@ Boundary policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -242,6 +242,16 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple, ring: bool):
         FBState(*state[:, real]), x0[real], own_band[table.radius, real], table.row_sum)
 
 
+@lru_cache(maxsize=1)
+def _weight_sums(half_widths: tuple, n: int, ring: bool) -> tuple:
+    """Final-value coefficient totals per sensor of a per-sensor window, which
+    need not equal one, so a run surfaces them; kept for the latest case."""
+    from .oracle import variable_window_row  # oracle imports this module
+    sums = variable_window_row(MeasurementField(Constant(1.0)), half_widths, n=n,
+                               boundary=Ring() if ring else ZeroHalo())
+    return tuple(sums.tolist())
+
+
 def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> ConsensusTrace:
     """Execute `rounds` synchronous rounds and return the full trace.
 
@@ -289,13 +299,7 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
 
     metadata = {}
     if isinstance(algo, PerSensorWindow):
-        # final-value coefficient totals per sensor: they need not equal one, so
-        # they are surfaced rather than silently trusted
-        from .oracle import variable_window_row  # oracle imports this module
-        boundary = Ring() if isinstance(config.boundary, Ring) else ZeroHalo()
-        sums = variable_window_row(MeasurementField(Constant(1.0)), algo.half_widths,
-                                   n=n, boundary=boundary)
-        metadata["weight_sums"] = tuple(sums.tolist())
+        metadata["weight_sums"] = _weight_sums(algo.half_widths, n, ring)
     return ConsensusTrace(y=y.T, z=None if z is None else z.transpose(1, 0, 2),
                           config=config, algo=algo, metadata=metadata)
 

@@ -126,6 +126,8 @@ def _cmd_freq_temporal(exp: Experiment) -> list:
     if not isinstance(algo, (DynamicExponential, DynamicWindow)):
         raise ValidationError(
             "freq-temporal needs algorithm.variant dyn_exponential or dyn_window")
+    if not isinstance(exp.chain.boundary, Ring):
+        raise ValidationError("freq-temporal needs chain.boundary = ring")
     settle = exp.analysis.get("settle", ana.settle_rounds(algo))
     lines = ["omega,gain_analytic,gain_measured,phase_measured"]
     for omega in exp.analysis["omegas"]:

@@ -1,18 +1,20 @@
 """Update rules tracking measurements that vary in time.
 
-The exponential variant adds local temporal-difference corrections to the
-static recursion and needs no neighbor measurements.  The window variant keeps
-a vector of half_width+1 tracker slots per sensor; slot j restarts from the
-current measurement whenever k = j (mod half_width+1) and otherwise replays
-the static window recursion, so each measurement time is owned by exactly one
-slot.
+Each is built on its static counterpart, the case of a measurement frozen in
+time.  The exponential variant is the static exponential stage on the current
+measurement plus local temporal-difference corrections, which are zero when
+the measurement does not change; it needs no neighbor measurements.  The
+window variant keeps a vector of half_width+1 tracker slots per sensor; slot j
+restarts from the current measurement whenever k = j (mod half_width+1) and
+otherwise replays the static window recursion, so each measurement time is
+owned by exactly one slot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import HistoryError, ValidationError
-from .static_rules import _need, window_transition
+from .static_rules import _check_rho, exp_transition, window_transition
 
 
 @dataclass(frozen=True)
@@ -20,8 +22,7 @@ class DynamicExponential:
     rho: float
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError(f"rho must lie strictly inside (0, 1), got {self.rho!r}")
+        _check_rho("rho", self.rho)
 
 
 @dataclass(frozen=True)
@@ -34,29 +35,23 @@ class DynamicWindow:
 
 
 def dyn_exp_transition(k, own, left, right, x_recent, rho):
-    """y_i(k) with temporal corrections.
+    """y_i(k) with temporal corrections: the static exponential stage on the
+    current measurement, plus lam * (x_i(k) - x_i(k-1)) from round 1 and
+    minus rho^2 lam * (x_i(k-2) - x_i(k-3)) from round 3.
 
     `x_recent` holds the sensor's own measurements most recent first:
     (x_i(k), x_i(k-1), x_i(k-2), x_i(k-3)) as deep as the stage needs.
     Neighbor measurements are never consulted.
     """
-    lam = (1.0 - rho) / (1.0 + rho)
-    if k == 0:
-        return lam * x_recent[0]
-    if k == 1:
-        _need(k, own, left, right, 1, 1)
-        return own[0] + rho * (left[0] + right[0]) + lam * (x_recent[0] - x_recent[1])
-    if k == 2:
-        _need(k, own, left, right, 2, 2)
-        return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
-                - 2.0 * rho * rho * own[1] + lam * (x_recent[0] - x_recent[1]))
-    _need(k, own, left, right, 3, 2)
-    if len(x_recent) < 4:
+    y = exp_transition(k, own, left, right, x_recent[0], rho)
+    if k >= 3 and len(x_recent) < 4:
         raise HistoryError(f"round {k} needs own measurement depth 4; got {len(x_recent)}")
-    return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
-            - rho * rho * (own[1] - own[2])
-            + lam * (x_recent[0] - x_recent[1])
-            - rho * rho * lam * (x_recent[2] - x_recent[3]))
+    lam = (1.0 - rho) / (1.0 + rho)
+    if k >= 1:
+        y = y + lam * (x_recent[0] - x_recent[1])
+    if k >= 3:
+        y = y - rho * rho * lam * (x_recent[2] - x_recent[3])
+    return y
 
 
 def slot_phase(k: int, slot: int, half_width: int) -> int | None:

@@ -13,6 +13,7 @@ shape that broadcasts to (steps, n).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -65,42 +66,40 @@ class Impulse:
 
 
 @dataclass(frozen=True)
-class SpatialCosine:
+class Cosine:
+    """A cos(omega_s i + omega_t k + phase): a wave over sensors and steps."""
+
     amplitude: float
-    omega: float  # radians per hop
+    omega_s: float  # radians per hop
+    omega_t: float  # radians per step
     phase: float = 0.0
 
     def __post_init__(self):
-        _require_finite("spatial_cosine", self.amplitude, self.omega, self.phase)
+        _require_finite("cosine", self.amplitude, self.omega_s, self.omega_t, self.phase)
 
     def at(self, i: int, k: int) -> float:
-        return self.amplitude * math.cos(self.omega * i + self.phase)
+        return self.amplitude * math.cos(self.omega_s * i + self.omega_t * k + self.phase)
 
     def grid(self, n: int, steps: int) -> np.ndarray:
-        # math.cos per sensor: np.cos need not round as math.cos does
-        return np.array([self.at(i, 0) for i in range(n)])
+        # math.cos per point (np.cos need not round as it does), only along an
+        # axis that varies: a zero frequency adds +-0.0, which changes no cosine
+        sensors = range(n) if self.omega_s else (0,)
+        times = range(steps) if self.omega_t else (0,)
+        return np.array([[self.at(i, k) for i in sensors] for k in times],
+                        dtype=float).reshape(len(times), len(sensors))
 
     def sup(self) -> float:
         return abs(self.amplitude)
 
 
-@dataclass(frozen=True)
-class TemporalCosine:
-    amplitude: float
-    omega: float  # radians per step
-    phase: float = 0.0
+def SpatialCosine(amplitude: float, omega: float, phase: float = 0.0) -> Cosine:
+    """A cos(omega i + phase), constant in time; omega in radians per hop."""
+    return Cosine(amplitude, omega, 0.0, phase)
 
-    def __post_init__(self):
-        _require_finite("temporal_cosine", self.amplitude, self.omega, self.phase)
 
-    def at(self, i: int, k: int) -> float:
-        return self.amplitude * math.cos(self.omega * k + self.phase)
-
-    def grid(self, n: int, steps: int) -> np.ndarray:
-        return np.array([self.at(0, k) for k in range(steps)])[:, None]
-
-    def sup(self) -> float:
-        return abs(self.amplitude)
+def TemporalCosine(amplitude: float, omega: float, phase: float = 0.0) -> Cosine:
+    """A cos(omega k + phase), uniform in space; omega in radians per step."""
+    return Cosine(amplitude, 0.0, omega, phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +163,7 @@ class SumField:
         return sum(p.sup() for p in self.parts)
 
 
-FieldKind = Union[Constant, Impulse, SpatialCosine, TemporalCosine, TableField, SumField]
+FieldKind = Union[Constant, Impulse, Cosine, TableField, SumField]
 
 
 @dataclass(frozen=True)
@@ -179,6 +178,11 @@ class Noise:
             raise ValidationError("noise sigma must be >= 0")
         if self.distribution not in ("gaussian", "uniform"):
             raise ValidationError(f"unknown noise distribution {self.distribution!r}")
+        # the seed is the two 64-bit words of the Philox key: any other
+        # integer would share its key, and so its noise, with one in range
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 1 << 128:
+            raise ValidationError(
+                f"noise seed must be an integer in [0, 2**128), got {self.seed!r}")
 
 
 @dataclass(frozen=True)

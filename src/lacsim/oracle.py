@@ -2,8 +2,10 @@
 
 Everything here is computed from the limit/partial-sum formulas alone, never
 from the distributed recursions, so trace-versus-oracle agreement is a genuine
-two-implementation check.  Static targets read the field at step 0; the
-dynamic targets use the lagged time arguments x_{i +- j}(k - j).
+two-implementation check.  Each static target is the time-frozen case of its
+dynamic form: the exponential and window sums are written once, and hop j of
+a static target reads the field at step 0, where the dynamic target reads the
+lagged time argument x_{i +- j}(k - j).
 
 Each target has an array form (`exp_row`, ...) that gives its value at every
 sensor 0..n-1 for one k.  It reads the field once through `evaluate_grid`
@@ -54,6 +56,34 @@ def _shifts(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, z
         if zero:
             padded = np.where((idx >= 0) & (idx < n), padded, 0.0)
     return lambda d: padded[..., reach + d:reach + d + m]
+
+
+def _cone(x: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, now):
+    """`at(d)` of the (steps, sensors) grid `x` for |d| <= reach: at step 0
+    when `now` is None (a static target), else on the space-time cone of
+    round `now`, where hop d reads step now - |d|."""
+    if now is None:
+        return _shifts(x[0], n, boundary, lo, m, reach)
+    at = _shifts(x[now - reach:now + 1], n, boundary, lo, m, reach)
+    return lambda d: at(d)[reach - abs(d)]
+
+
+def _geometric(at, rho, k):
+    """lam * (x_i + sum_{j<=k} rho**j (x_{i-j} + x_{i+j})) over `at`."""
+    total = at(0)
+    power = 1.0
+    for j in range(1, k + 1):
+        power *= rho
+        total = total + power * (at(-j) + at(j))
+    return (1.0 - rho) / (1.0 + rho) * total
+
+
+def _window(at, half_width, reach):
+    """(x_i + sum_{j<=reach} (x_{i-j} + x_{i+j})) / (2 half_width + 1) over `at`."""
+    total = at(0)
+    for j in range(1, reach + 1):
+        total = total + (at(-j) + at(j))
+    return total / (2.0 * half_width + 1.0)
 
 
 class _Memo:
@@ -124,22 +154,11 @@ def _plan_exp(field, rho, n, boundary, k, eps):
     _check_boundary(boundary)
     if not 0.0 < rho < 1.0:
         raise ValidationError("rho must lie strictly inside (0, 1)")
-    lam = (1.0 - rho) / (1.0 + rho)
     if k is None:
         if eps is None:
             eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
-        k = _tail_hops(rho, lam * field.bound_m(), eps)
-
-    def row(x, lo, m):
-        at = _shifts(x[0], n, boundary, lo, m, k)
-        total = at(0)
-        power = 1.0
-        for j in range(1, k + 1):
-            power *= rho
-            total = total + power * (at(-j) + at(j))
-        return lam * total
-
-    return 1, row
+        k = _tail_hops(rho, (1.0 - rho) / (1.0 + rho) * field.bound_m(), eps)
+    return 1, lambda x, lo, m: _geometric(_cone(x, n, boundary, lo, m, k, None), rho, k)
 
 
 def _plan_asym(field, rb, rf, n, boundary, k, eps):
@@ -167,15 +186,8 @@ def _plan_window(half_width, n, boundary, k):
     _check_boundary(boundary)
     _check_ring(boundary, n, half_width)
     reach = half_width if k is None else min(k, half_width)
-
-    def row(x, lo, m):
-        at = _shifts(x[0], n, boundary, lo, m, reach)
-        total = at(0)
-        for j in range(1, reach + 1):
-            total = total + (at(-j) + at(j))
-        return total / (2.0 * half_width + 1.0)
-
-    return 1, row
+    return 1, lambda x, lo, m: _window(_cone(x, n, boundary, lo, m, reach, None),
+                                       half_width, reach)
 
 
 def _plan_variable_window(widths, n, boundary, k):
@@ -219,33 +231,16 @@ def _plan_arbitrary(table, k, n, boundary):
 def _plan_dyn_exp(k, rho, n, boundary):
     _check_boundary(boundary)
     _check_step(k)
-
-    def row(x, lo, m):
-        at = _shifts(x[:k + 1], n, boundary, lo, m, k)
-        total = at(0)[k]
-        power = 1.0
-        for j in range(1, k + 1):
-            power *= rho
-            total = total + power * (at(-j)[k - j] + at(j)[k - j])
-        return (1.0 - rho) / (1.0 + rho) * total
-
-    return k + 1, row
+    return k + 1, lambda x, lo, m: _geometric(_cone(x, n, boundary, lo, m, k, k), rho, k)
 
 
 def _plan_dyn_window(k, half_width, n, boundary):
     _check_boundary(boundary)
     _check_ring(boundary, n, half_width)
     _check_step(k)
-
-    def row(x, lo, m):
-        reach = min(k, half_width)
-        at = _shifts(x[k - reach:k + 1], n, boundary, lo, m, reach)
-        total = at(0)[reach]
-        for j in range(1, reach + 1):
-            total = total + (at(-j)[reach - j] + at(j)[reach - j])
-        return total / (2.0 * half_width + 1.0)
-
-    return k + 1, row
+    reach = min(k, half_width)
+    return k + 1, lambda x, lo, m: _window(_cone(x, n, boundary, lo, m, reach, k),
+                                           half_width, reach)
 
 
 def _row(field, n, plan) -> np.ndarray:

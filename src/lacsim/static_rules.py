@@ -9,8 +9,10 @@ histories, most recent first:
 
 k = 0 is the initialization stage and needs only the local measurement.
 Stage dispatch is driven by the round index alone; the initialization is never
-folded into the generic stage.  Every history entry may be a scalar or one
-numpy array over many sensors; the engine steps the whole chain in one call.
+folded into the generic stage.  Rounds k >= 1 of all three recursions are one
+3-point stencil with a backward and a forward weight per hop, written once in
+`_stencil`.  Every history entry may be a scalar or one numpy array over many
+sensors; the engine steps the whole chain in one call.
 """
 from __future__ import annotations
 
@@ -89,20 +91,31 @@ def _need(k: int, own, left, right, n_own: int, n_nb: int) -> None:
             f"got {len(own)}/{len(left)}/{len(right)}")
 
 
+def _stencil(k, own, left, right, a, b):
+    """Round k >= 1 with backward weight a (left) and forward weight b (right)
+    per hop: the asymmetric rule, the exponential rule from round 2 (a = b =
+    rho) and the window rule (a = b = 1.0, whose products are exact)."""
+    if k == 1:
+        _need(k, own, left, right, 1, 1)
+        return own[0] + a * left[0] + b * right[0]
+    if k == 2:
+        _need(k, own, left, right, 2, 2)
+        return (own[0] + a * (left[0] - left[1]) + b * (right[0] - right[1])
+                - 2.0 * a * b * own[1])
+    _need(k, own, left, right, 3, 2)
+    return (own[0] + a * (left[0] - left[1]) + b * (right[0] - right[1])
+            - a * b * (own[1] - own[2]))
+
+
 def exp_transition(k, own, left, right, x_i, rho):
     """y_i(k) of the symmetric exponential recursion."""
     if k == 0:
         return (1.0 - rho) / (1.0 + rho) * x_i
     if k == 1:
+        # one product, not the stencil's two: rho * (l + r) rounds differently
         _need(k, own, left, right, 1, 1)
         return own[0] + rho * (left[0] + right[0])
-    if k == 2:
-        _need(k, own, left, right, 2, 2)
-        return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
-                - 2.0 * rho * rho * own[1])
-    _need(k, own, left, right, 3, 2)
-    return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
-            - rho * rho * (own[1] - own[2]))
+    return _stencil(k, own, left, right, rho, rho)
 
 
 def asym_transition(k, own, left, right, x_i, rho_back, rho_forward):
@@ -110,16 +123,7 @@ def asym_transition(k, own, left, right, x_i, rho_back, rho_forward):
     rb, rf = rho_back, rho_forward
     if k == 0:
         return (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf) * x_i
-    if k == 1:
-        _need(k, own, left, right, 1, 1)
-        return own[0] + rb * left[0] + rf * right[0]
-    if k == 2:
-        _need(k, own, left, right, 2, 2)
-        return (own[0] + rb * (left[0] - left[1]) + rf * (right[0] - right[1])
-                - 2.0 * rb * rf * own[1])
-    _need(k, own, left, right, 3, 2)
-    return (own[0] + rb * (left[0] - left[1]) + rf * (right[0] - right[1])
-            - rb * rf * (own[1] - own[2]))
+    return _stencil(k, own, left, right, rb, rf)
 
 
 def window_transition(k, own, left, right, x_i, half_width):
@@ -135,18 +139,10 @@ def window_transition(k, own, left, right, x_i, half_width):
             f"window recursion terminates at round {last}; asked for round {k}")
     if k == 0:
         return x_i / (2.0 * half_width + 1.0)
-    if k == 1:
-        _need(k, own, left, right, 1, 1)
-        return own[0] + left[0] + right[0]
-    if k == 2:
-        _need(k, own, left, right, 2, 2)
-        return own[0] + (left[0] - left[1]) + (right[0] - right[1]) - 2.0 * own[1]
-    _need(k, own, left, right, 3, 2)
-    return own[0] + (left[0] - left[1]) + (right[0] - right[1]) - (own[1] - own[2])
+    return _stencil(k, own, left, right, 1.0, 1.0)
 
 
-def variable_window_transition(k, own, left, right, x_i, half_width):
-    """Per-sensor-window variant: the sensor's own half-width replaces the
-    uniform one throughout.  Neighboring half-widths differing by at most one
-    is checked by `PerSensorWindow` and, for the ring wrap pair, by the engine."""
-    return window_transition(k, own, left, right, x_i, half_width)
+# The per-sensor-window rule is the window rule with one half-width per
+# sensor.  Neighboring half-widths differing by at most one is checked by
+# `PerSensorWindow` and, for the ring wrap pair, by the engine.
+variable_window_transition = window_transition

@@ -484,3 +484,21 @@ def test_cli_rejects_an_output_path_under_a_file_before_running(command, tmp_pat
         assert err.startswith("error: ") and "not a directory" in err
         assert "Traceback" not in err
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("boundary", ["zero_halo", "truncated"])
+def test_cli_freq_temporal_rejects_a_line_boundary(tmp_path, capsys, boundary):
+    # the sweep runs on a ring, so the metadata would echo a boundary it never used
+    code = main(["freq-temporal", "--out", str(tmp_path), "--set", f"chain.boundary={boundary}",
+                 "--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.8"])
+    assert code == 1
+    assert "chain.boundary = ring" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+def test_cli_rejects_a_seed_outside_the_philox_key(tmp_path, capsys, seed):
+    # without noise too: the config checks the noise keys of every run
+    assert main(["simulate", "--out", str(tmp_path), "--seed", seed]) == 1
+    assert "noise seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

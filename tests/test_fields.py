@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lacsim import (Constant, Impulse, MeasurementField, Noise, OutOfDomainError,
+from lacsim import (Constant, Cosine, Impulse, MeasurementField, Noise, OutOfDomainError,
                     SpatialCosine, SumField, TableField, TemporalCosine, ValidationError,
                     evaluate_field, evaluate_grid)
 
@@ -36,6 +36,24 @@ def test_temporal_cosine_uniform_in_space():
     f = MeasurementField(TemporalCosine(2.0, 0.3, 0.1))
     assert evaluate_field(f, 0, 5) == evaluate_field(f, 17, 5)
     assert evaluate_field(f, 0, 5) == pytest.approx(2.0 * math.cos(0.3 * 5 + 0.1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0), st.floats(-4.0, 4.0) | st.just(-0.0),
+       st.integers(-5, 50), st.integers(0, 50))
+def test_axis_cosines_are_the_one_wave_with_a_zero_frequency(amplitude, omega, phase, i, k):
+    # x + 0.0 == x unless x is -0.0, whose cosine is that of 0.0: each axis
+    # builder gives, bit for bit, the value of its own one-axis formula
+    spatial = SpatialCosine(amplitude, omega, phase)
+    temporal = TemporalCosine(amplitude, omega, phase)
+    assert spatial == Cosine(amplitude, omega, 0.0, phase)
+    assert temporal == Cosine(amplitude, 0.0, omega, phase)
+    assert _bits(spatial.at(i, k)) == _bits(amplitude * math.cos(omega * i + phase))
+    assert _bits(temporal.at(i, k)) == _bits(amplitude * math.cos(omega * k + phase))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
 
 
 def test_table_field_out_of_domain():
@@ -86,6 +104,15 @@ def test_noise_is_reproducible_per_point():
     assert evaluate_field(f, 4, 5) != a
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 2 ** 130, 1.0])
+def test_noise_seed_outside_the_philox_key_is_rejected(seed):
+    # reduced mod 2**128 the key would repeat a seed in range: -1 and
+    # 2**128 - 1 drew the same noise, and so did 2**128 and 0
+    with pytest.raises(ValidationError, match="noise seed"):
+        Noise(1.0, seed=seed)
+    Noise(1.0, seed=2 ** 128 - 1)
+
+
 def test_noise_seed_changes_stream():
     f1 = MeasurementField(Constant(0.0), noise=Noise(1.0, seed=1))
     f2 = MeasurementField(Constant(0.0), noise=Noise(1.0, seed=2))
@@ -121,8 +148,8 @@ _VALUES = st.floats(-1e300, 1e300, allow_nan=False)
 
 def _kind(draw, n, steps, top=True):
     """A field kind over about n sensors and steps; tables may fall short."""
-    name = draw(st.sampled_from(["constant", "impulse", "spatial", "temporal", "table1",
-                                 "table2"] + (["sum"] if top else [])))
+    name = draw(st.sampled_from(["constant", "impulse", "spatial", "temporal", "cosine",
+                                 "table1", "table2"] + (["sum"] if top else [])))
     if name == "constant":
         return Constant(draw(_VALUES))
     if name == "impulse":
@@ -130,6 +157,9 @@ def _kind(draw, n, steps, top=True):
     if name in ("spatial", "temporal"):
         cosine = SpatialCosine if name == "spatial" else TemporalCosine
         return cosine(draw(_VALUES), draw(st.floats(-10.0, 10.0)), draw(st.floats(-4.0, 4.0)))
+    if name == "cosine":  # a wave along both axes
+        return Cosine(draw(_VALUES), draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)),
+                      draw(st.floats(-4.0, 4.0)))
     if name == "sum":
         return SumField(tuple(_kind(draw, n, steps, top=False)
                               for _ in range(draw(st.integers(0, 3)))))
@@ -145,7 +175,7 @@ def _fields(draw):
     kind = _kind(draw, n, steps)
     noise = draw(st.sampled_from([None, "gaussian", "uniform"]))
     if noise is not None:  # seeds above 2**64 use the key's second word
-        noise = Noise(draw(st.floats(0.0, 5.0)), noise, draw(st.integers(0, 2 ** 130)))
+        noise = Noise(draw(st.floats(0.0, 5.0)), noise, draw(st.integers(0, 2 ** 128 - 1)))
     return MeasurementField(kind, noise=noise), n, steps
 
 

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lacsim.oracle
@@ -104,6 +104,28 @@ def test_dyn_targets_reduce_to_static_for_constant_time():
                 pytest.approx(oracle.exp_target(stat, i, 0.7, n=n, k=k), abs=1e-14)
             assert oracle.dyn_window_target(dyn, i, k, 3, n=n) == \
                 pytest.approx(oracle.window_target(stat, i, 3, n=n, k=k), abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data(), st.floats(0.01, 0.99),
+       st.sampled_from([Ring(), ZeroHalo()]))
+def test_static_rows_are_the_dynamic_rows_of_a_field_frozen_in_time(n, data, rho, boundary):
+    # the static and dynamic targets share one sum; on a field constant in
+    # time the dynamic row at k is the static row truncated at k, bit for bit
+    cell = st.sampled_from((0.0, -0.0, 1.0, -2.5)) | st.floats(-1e3, 1e3)
+    kind = data.draw(st.sampled_from([
+        TableField(np.array(data.draw(st.lists(cell, min_size=n, max_size=n)))),
+        SpatialCosine(data.draw(st.floats(-2, 2)), data.draw(st.floats(-3, 3)),
+                      data.draw(st.floats(-1, 1))),
+        Impulse(center=data.draw(st.integers(-1, n)))]))
+    field = MeasurementField(kind)
+    half_width = data.draw(st.integers(1, max(1, (n - 1) // 2)))
+    assume(not isinstance(boundary, Ring) or n >= 2 * half_width + 1)
+    for k in range(2 * half_width + 3):
+        assert oracle.exp_row(field, rho, n=n, boundary=boundary, k=k).tobytes() \
+            == oracle.dyn_exp_row(field, k, rho, n=n, boundary=boundary).tobytes()
+        assert oracle.window_row(field, half_width, n=n, boundary=boundary, k=k).tobytes() \
+            == oracle.dyn_window_row(field, k, half_width, n=n, boundary=boundary).tobytes()
 
 
 def test_dyn_exp_target_first_round_display():

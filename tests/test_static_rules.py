@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from lacsim import (AsymmetricWeighting, ChainConfig, ExponentialWeighting, FiniteWindow,
                     HistoryError, MeasurementField, PerSensorWindow, Ring, TableField,
                     TerminatedError, Truncated, ValidationError, ZeroHalo, Constant, Impulse,
-                    asym_transition, exp_transition, random_spatial_table, run,
-                    window_transition)
+                    asym_transition, dyn_exp_transition, exp_transition, random_spatial_table,
+                    run, variable_window_transition, window_transition)
 from lacsim import oracle
 
 
@@ -216,3 +218,169 @@ def test_variable_window_weight_sums_equal_the_per_sensor_loop(steps, start, bou
     trace = run(ChainConfig(n=n, boundary=boundary, rounds=1),
                 MeasurementField(Constant(1.0)), PerSensorWindow(tuple(widths)))
     assert trace.metadata["weight_sums"] == _weight_sums_per_sensor(widths, n, ring)
+
+
+# -- the stages before they shared one stencil: the reference for it -----------
+
+def _need_ref(k, own, left, right, n_own, n_nb):
+    if len(own) < n_own or len(left) < n_nb or len(right) < n_nb:
+        raise HistoryError(f"round {k}")
+
+
+def _exp_ref(k, own, left, right, x_i, rho):
+    if k == 0:
+        return (1.0 - rho) / (1.0 + rho) * x_i
+    if k == 1:
+        _need_ref(k, own, left, right, 1, 1)
+        return own[0] + rho * (left[0] + right[0])
+    if k == 2:
+        _need_ref(k, own, left, right, 2, 2)
+        return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
+                - 2.0 * rho * rho * own[1])
+    _need_ref(k, own, left, right, 3, 2)
+    return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
+            - rho * rho * (own[1] - own[2]))
+
+
+def _asym_ref(k, own, left, right, x_i, rb, rf):
+    if k == 0:
+        return (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf) * x_i
+    if k == 1:
+        _need_ref(k, own, left, right, 1, 1)
+        return own[0] + rb * left[0] + rf * right[0]
+    if k == 2:
+        _need_ref(k, own, left, right, 2, 2)
+        return (own[0] + rb * (left[0] - left[1]) + rf * (right[0] - right[1])
+                - 2.0 * rb * rf * own[1])
+    _need_ref(k, own, left, right, 3, 2)
+    return (own[0] + rb * (left[0] - left[1]) + rf * (right[0] - right[1])
+            - rb * rf * (own[1] - own[2]))
+
+
+def _window_ref(k, own, left, right, x_i, half_width):
+    if k > np.min(half_width):
+        raise TerminatedError(f"round {k}")
+    if k == 0:
+        return x_i / (2.0 * half_width + 1.0)
+    if k == 1:
+        _need_ref(k, own, left, right, 1, 1)
+        return own[0] + left[0] + right[0]
+    if k == 2:
+        _need_ref(k, own, left, right, 2, 2)
+        return own[0] + (left[0] - left[1]) + (right[0] - right[1]) - 2.0 * own[1]
+    _need_ref(k, own, left, right, 3, 2)
+    return own[0] + (left[0] - left[1]) + (right[0] - right[1]) - (own[1] - own[2])
+
+
+# signed zeros, exact small values and wide magnitudes, where a changed
+# operation order or a dropped sign of zero would show in the bits
+STAGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                         st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@st.composite
+def stage_histories(draw):
+    """(own, left, right, x) of drawn depths; every entry is a scalar, or an
+    array of one common length."""
+    m = draw(st.sampled_from([None, 1, 4]))
+
+    def value():
+        if m is None:
+            return draw(STAGE_VALUES)
+        return np.array(draw(st.lists(STAGE_VALUES, min_size=m, max_size=m)))
+
+    depth = lambda top: tuple(value() for _ in range(draw(st.integers(0, top))))
+    return depth(3), depth(2), depth(2), value()
+
+
+def same_outcome(new, ref, *args):
+    """Both raise the same error type, or both return the same bits.  (A
+    measurement history too short for rounds 1 and 2 is an IndexError.)"""
+    outcomes = []
+    for fn in (new, ref):
+        try:
+            outcomes.append(np.asarray(fn(*args)).tobytes())
+        except (HistoryError, TerminatedError, IndexError) as exc:
+            outcomes.append(type(exc))
+    return outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), stage_histories(), st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+       st.integers(1, 5))
+def test_stencil_stages_equal_the_separate_stages_bit_for_bit(k, hist, rb, rf, half_width):
+    own, left, right, x = hist
+    with np.errstate(all="ignore"):
+        assert same_outcome(exp_transition, _exp_ref, k, own, left, right, x, rb)
+        assert same_outcome(asym_transition, _asym_ref, k, own, left, right, x, rb, rf)
+        assert same_outcome(window_transition, _window_ref, k, own, left, right, x, half_width)
+        if isinstance(x, np.ndarray):  # one half-width per sensor
+            widths = np.full(len(x), half_width) + np.arange(len(x)) % 2
+            assert same_outcome(variable_window_transition, _window_ref,
+                                k, own, left, right, x, widths)
+
+
+def _dyn_exp_ref(k, own, left, right, x_recent, rho):
+    """The dynamic exponential stages as written before they were built on
+    `exp_transition`: the reference for that form."""
+    lam = (1.0 - rho) / (1.0 + rho)
+    if k == 0:
+        return lam * x_recent[0]
+    if k == 1:
+        _need_ref(k, own, left, right, 1, 1)
+        return own[0] + rho * (left[0] + right[0]) + lam * (x_recent[0] - x_recent[1])
+    if k == 2:
+        _need_ref(k, own, left, right, 2, 2)
+        return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
+                - 2.0 * rho * rho * own[1] + lam * (x_recent[0] - x_recent[1]))
+    _need_ref(k, own, left, right, 3, 2)
+    if len(x_recent) < 4:
+        raise HistoryError(f"round {k} needs own measurement depth 4")
+    return (own[0] + rho * (left[0] - left[1]) + rho * (right[0] - right[1])
+            - rho * rho * (own[1] - own[2])
+            + lam * (x_recent[0] - x_recent[1])
+            - rho * rho * lam * (x_recent[2] - x_recent[3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), stage_histories(), st.data(), st.floats(0.01, 0.99))
+def test_dyn_exp_stages_equal_the_separate_stages_bit_for_bit(k, hist, data, rho):
+    own, left, right, x = hist
+    with np.errstate(all="ignore"):
+        # measurements shaped as the histories; 1..4 of them, most recent first
+        x_recent = (x,) + tuple(x * data.draw(STAGE_VALUES)
+                                for _ in range(data.draw(st.integers(0, 3))))
+        assert same_outcome(dyn_exp_transition, _dyn_exp_ref, k, own, left, right, x_recent, rho)
+
+
+def test_stages_raise_at_the_same_rounds_for_every_history_depth():
+    # every depth of each history at every round, which a random draw may miss
+    values = (0.25, -0.0, 3.0, 0.5)
+    for k, own, nl, nr, nx in itertools.product(range(7), range(4), range(3), range(3),
+                                                range(1, 5)):
+        hist = (values[:own], values[:nl], values[:nr])
+        assert same_outcome(exp_transition, _exp_ref, k, *hist, 1.5, 0.3)
+        assert same_outcome(asym_transition, _asym_ref, k, *hist, 1.5, 0.3, 0.6)
+        assert same_outcome(dyn_exp_transition, _dyn_exp_ref, k, *hist, values[:nx], 0.3)
+        for half_width in (1, 2, 3):
+            assert same_outcome(window_transition, _window_ref, k, *hist, 1.5, half_width)
+
+
+def test_weight_sums_are_kept_for_the_latest_case(monkeypatch):
+    import lacsim.chain
+    calls = []
+    real = oracle.variable_window_row
+    monkeypatch.setattr(oracle, "variable_window_row",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    lacsim.chain._weight_sums.cache_clear()
+    widths = (1, 2, 2, 1, 1, 2, 3, 2)
+    field = MeasurementField(random_spatial_table(8, 3))
+    first = run(ChainConfig(n=8, rounds=3), field, PerSensorWindow(widths))
+    again = run(ChainConfig(n=8, rounds=2), MeasurementField(Constant(2.0)),
+                PerSensorWindow(widths))
+    assert len(calls) == 1
+    assert again.metadata["weight_sums"] == first.metadata["weight_sums"] \
+        == _weight_sums_per_sensor(widths, 8, True)
+    line = run(ChainConfig(n=8, boundary=Truncated(), rounds=3), field, PerSensorWindow(widths))
+    assert len(calls) == 2
+    assert line.metadata["weight_sums"] == _weight_sums_per_sensor(widths, 8, False)
