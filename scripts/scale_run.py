@@ -5,13 +5,15 @@ Runs `lacsim.run` once for a rule, a boundary, a chain length n and a round
 count R (default: the exponential rule on a ring of 10^6 sensors for 200
 rounds) and prints the wall time, the time per sensor-round and the peak
 resident set size of this process.  The trace alone takes 8 (R + 1) n bytes.
+`--noise-sigma` adds seeded Gaussian noise to the field, so the run also
+draws the (R + 1) x n noise grid, or an n-point one for a static rule.
 """
 import argparse
 import resource
 import time
 
 from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, DynamicExponential,
-                    DynamicWindow, ExponentialWeighting, FiniteWindow, MeasurementField,
+                    DynamicWindow, ExponentialWeighting, FiniteWindow, MeasurementField, Noise,
                     PerSensorWindow, Ring, SpatialCosine, SumField, TemporalCosine, Truncated,
                     WeightTable, ZeroHalo, run)
 
@@ -36,16 +38,20 @@ def main():
     parser.add_argument("--boundary", choices=BOUNDARIES, default="ring")
     parser.add_argument("--n", type=int, default=10 ** 6)
     parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument("--noise-sigma", type=float, default=0.0,
+                        help="standard deviation of Gaussian noise on the field (seed 0)")
     args = parser.parse_args()
     config = ChainConfig(n=args.n, boundary=BOUNDARIES[args.boundary](), rounds=args.rounds)
-    field = MeasurementField(SumField((SpatialCosine(1.0, 0.3), TemporalCosine(0.5, 0.2))))
+    field = MeasurementField(SumField((SpatialCosine(1.0, 0.3), TemporalCosine(0.5, 0.2))),
+                             noise=Noise(args.noise_sigma) if args.noise_sigma else None)
     algo = RULES[args.rule](args.n)
     start = time.perf_counter()
     trace = run(config, field, algo)
     elapsed = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     sensor_rounds = args.n * (args.rounds + 1)
-    print(f"{args.rule} on {args.boundary}, n={args.n}, R={args.rounds}: "
+    noise = f", noise sigma {args.noise_sigma}" if args.noise_sigma else ""
+    print(f"{args.rule} on {args.boundary}, n={args.n}, R={args.rounds}{noise}: "
           f"{elapsed:.3f} s, {elapsed / sensor_rounds * 1e9:.1f} ns per sensor-round, "
           f"peak RSS {peak_mb:.0f} MB, trace {trace.y.nbytes / 2 ** 20:.0f} MiB")
 

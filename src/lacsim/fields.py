@@ -19,11 +19,15 @@ from typing import Union
 
 import numpy as np
 
+from . import philox
 from .errors import OutOfDomainError, ValidationError
 from .streams import generator
 
 _MASK64 = (1 << 64) - 1
 _ROOT3 = math.sqrt(3.0)
+# noise points per Philox call: enough to spread numpy's cost per call, few
+# enough that the 0.8 MB of word buffers stay in cache
+_BLOCK = 8192
 
 
 def _require_finite(name, *values):
@@ -218,23 +222,44 @@ def _noise_at(noise: Noise, i: int, k: int) -> float:
 
 
 def _noise_grid(noise: Noise, n: int, steps: int) -> np.ndarray:
-    """`_noise_at` over the (steps, n) grid from one generator: before each
-    draw its Philox counter is reset to the state a point's own generator
-    starts in."""
-    key = np.array([noise.seed & _MASK64, (noise.seed >> 64) & _MASK64], dtype=np.uint64)
+    """`_noise_at` over the (steps, n) grid, bit for bit.  Point (i, k) draws
+    from word 0 of Philox4x64-10 at counter [k + 1, i, 0, 0], computed for
+    `_BLOCK` points at a time; the few Gaussian points whose word the
+    ziggurat does not accept at once are drawn again one by one."""
+    out = np.empty(steps * n)
+    bits = philox.Philox(noise.seed, min(_BLOCK, out.size))
+    half = _ROOT3 * noise.sigma
+    redraw = []
+    for start in range(0, out.size, _BLOCK):
+        k, i = np.divmod(np.arange(start, min(start + _BLOCK, out.size), dtype=np.uint64),
+                         np.uint64(n))
+        words = bits.first_words(k + np.uint64(1), i)
+        block = out[start:start + len(words)]
+        if noise.distribution == "gaussian":
+            redraw += (start + np.flatnonzero(philox.normal_accepts(words, block))).tolist()
+        else:
+            block[...] = philox.uniform(words, -half, half)
+    if noise.distribution == "gaussian":
+        if redraw:
+            _normal_at(noise.seed, n, redraw, out)
+        out *= noise.sigma
+    return out.reshape(steps, n)
+
+
+def _normal_at(seed: int, n: int, points: list, out: np.ndarray) -> None:
+    """`standard_normal()` of `_noise_at` at each flat grid point p = k n + i
+    into out[p], from one generator: before each draw its Philox counter is
+    reset to the state the point's own generator starts in."""
+    key = np.array([seed & _MASK64, (seed >> 64) & _MASK64], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     gen = np.random.Generator(bits)
     state = {"bit_generator": "Philox", "state": {"counter": None, "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    gaussian = noise.distribution == "gaussian"
-    half = _ROOT3 * noise.sigma
-    out = np.empty((steps, n))
-    for i in range(n):
-        for k in range(steps):
-            state["state"]["counter"] = [k, i, 0, 0]
-            bits.state = state
-            out[k, i] = gen.standard_normal() if gaussian else gen.uniform(-half, half)
-    return noise.sigma * out if gaussian else out
+    for p in points:
+        k, i = divmod(p, n)
+        state["state"]["counter"] = [k, i, 0, 0]
+        bits.state = state
+        out[p] = gen.standard_normal()
 
 
 def evaluate_field(field: MeasurementField, i: int, k: int) -> float:

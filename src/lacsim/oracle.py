@@ -39,6 +39,7 @@ from .errors import ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.oracle.evaluate_field
 from .fields import evaluate_field, evaluate_grid  # noqa: F401
+from .static_rules import _check_rho
 
 DEFAULT_TAIL = 1e-12
 
@@ -152,8 +153,7 @@ def _tail_hops(decay: float, bound_m: float, eps: float) -> int:
 
 def _plan_exp(field, rho, n, boundary, k, eps):
     _check_boundary(boundary)
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie strictly inside (0, 1)")
+    _check_rho("rho", rho)
     if k is None:
         if eps is None:
             eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
@@ -163,6 +163,8 @@ def _plan_exp(field, rho, n, boundary, k, eps):
 
 def _plan_asym(field, rb, rf, n, boundary, k, eps):
     _check_boundary(boundary)
+    _check_rho("rho_back", rb)
+    _check_rho("rho_forward", rf)
     if k is None:
         if eps is None:
             eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
@@ -230,6 +232,7 @@ def _plan_arbitrary(table, k, n, boundary):
 
 def _plan_dyn_exp(k, rho, n, boundary):
     _check_boundary(boundary)
+    _check_rho("rho", rho)
     _check_step(k)
     return k + 1, lambda x, lo, m: _geometric(_cone(x, n, boundary, lo, m, k, k), rho, k)
 

@@ -10,6 +10,9 @@ from hypothesis.extra.numpy import arrays
 from lacsim import (Constant, Cosine, Impulse, MeasurementField, Noise, OutOfDomainError,
                     SpatialCosine, SumField, TableField, TemporalCosine, ValidationError,
                     evaluate_field, evaluate_grid)
+from lacsim import philox
+from lacsim._ziggurat import WI
+from lacsim.fields import _noise_at, _noise_grid
 
 
 def test_constant_field():
@@ -209,6 +212,45 @@ def test_grid_noise_matches_pointwise_above_two_to_the_64():
     for distribution in ("gaussian", "uniform"):
         field = MeasurementField(Constant(0.5), noise=Noise(0.7, distribution, 2 ** 64 + 12345))
         assert evaluate_grid(field, 9, 4).tobytes() == _pointwise(field, 9, 4).tobytes()
+
+
+# seeds whose key has a zero high word, a low word at or above 2**63, and a
+# nonzero high word
+_SEEDS = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(2 ** 63, 2 ** 64 - 1),
+                   st.integers(2 ** 64, 2 ** 128 - 1))
+
+
+def _noise_pointwise(noise, n, steps):
+    return np.array([[_noise_at(noise, i, k) for i in range(n)] for k in range(steps)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_SEEDS, st.sampled_from(["gaussian", "uniform"]), st.floats(0.01, 10.0),
+       st.integers(1, 2200))
+def test_noise_grid_matches_the_point_spec_on_grids_with_rejections(seed, distribution,
+                                                                   sigma, n):
+    # 2,000 to 4,400 points: a Gaussian grid has about 1.5 % of its points
+    # outside the ziggurat's accept path, and rows may be shorter or longer
+    # than one block of the generator
+    steps = -(-2000 // n)
+    noise = Noise(sigma, distribution, seed)
+    assert _noise_grid(noise, n, steps).tobytes() == _noise_pointwise(noise, n, steps).tobytes()
+
+
+def test_noise_grid_matches_the_point_spec_on_layer_zero():
+    # seed 1 on 50 x 40: point (36, 0) falls in the base layer (idx 0) and is
+    # rejected into the tail, beyond r = 3.654..; point (36, 17) is accepted there
+    n, steps, noise = 50, 40, Noise(1.0, "gaussian", 1)
+    k, i = np.divmod(np.arange(n * steps, dtype=np.uint64), np.uint64(n))
+    words = philox.Philox(1, n * steps).first_words(k + np.uint64(1), i)
+    layer = (words & np.uint64(0xFF)).reshape(steps, n)
+    rejected = philox.normal_accepts(words, np.empty(n * steps)).reshape(steps, n)
+    assert layer[0, 36] == 0 and rejected[0, 36]
+    assert layer[17, 36] == 0 and not rejected[17, 36]
+    grid = _noise_grid(noise, n, steps)
+    r = WI[255] * 2.0 ** 52  # where the tail starts
+    assert abs(grid[0, 36]) > r > abs(grid[17, 36])
+    assert grid.tobytes() == _noise_pointwise(noise, n, steps).tobytes()
 
 
 def test_short_table_grid_raises_the_pointwise_scan_error():

@@ -189,6 +189,8 @@ def ref_exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
 
 def ref_asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None, eps=None):
     _check_boundary(boundary)
+    if not (0.0 < rho_back < 1.0 and 0.0 < rho_forward < 1.0):
+        raise ValidationError("rates must lie strictly inside (0, 1)")
     rb, rf = rho_back, rho_forward
     if k is None:
         if eps is None:
@@ -258,6 +260,8 @@ def ref_arbitrary_target(field, i, table: WeightTable, k, *, n, boundary=Ring())
 
 def ref_dyn_exp_target(field, i, k, rho, *, n, boundary=Ring()):
     _check_boundary(boundary)
+    if not 0.0 < rho < 1.0:
+        raise ValidationError("rho must lie strictly inside (0, 1)")
     total = _x(field, i, k, boundary, n)
     power = 1.0
     for j in range(1, k + 1):
@@ -388,7 +392,7 @@ def _outcome(call):
     """The bits of a value, or the type of the exception raised instead."""
     try:
         return _bits(call())
-    except ValueError as exc:  # log(0) on the asymmetric tail path with both rates 0
+    except ValueError as exc:  # a ValidationError, such as an asymmetric rate of 0
         return type(exc)
 
 
@@ -475,6 +479,21 @@ def test_target_errors_are_kept():
             _scalar(name, field, 0, calls[name], -1, None, n, ZeroHalo())
     with pytest.raises(ValidationError, match="one half-width per sensor"):
         oracle.variable_window_target(field, 0, (1,) * (n - 1), n=n)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
+def test_asym_and_dyn_exp_targets_reject_rates_outside_the_unit_interval(rho):
+    # with rate 1.5 these returned -9.0 and -3.05 for a constant field of 1
+    field = MeasurementField(Constant(1.0))
+    with pytest.raises(ValidationError, match=r"^rho must lie strictly inside \(0, 1\)"):
+        oracle.dyn_exp_target(field, 0, 3, rho, n=8)
+    with pytest.raises(ValidationError, match="rho"):
+        oracle.dyn_exp_row(field, 3, rho, n=8)
+    for back, forward, name in ((rho, 0.5, "rho_back"), (0.5, rho, "rho_forward")):
+        with pytest.raises(ValidationError, match=f"^{name} must lie strictly inside"):
+            oracle.asym_target(field, 0, back, forward, n=8, k=3)
+        with pytest.raises(ValidationError, match=name):
+            oracle.asym_row(field, back, forward, n=8, k=3)
 
 
 def test_table_shorter_than_the_chain_raises_at_every_sensor():

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("noise_and_spacing.py", ["--replicates", "1000"]),
     ("reproduce_figures.py", ["--out", "{tmp}"]),
     ("scale_run.py", ["--n", "1024", "--rounds", "5"]),
+    ("scale_run.py", ["--rule", "dyn_exponential", "--n", "1024", "--rounds", "5",
+                      "--noise-sigma", "0.3"]),
 ])
 def test_script_exits_zero(tmp_path, script, args):
     env = dict(os.environ)

@@ -384,3 +384,12 @@ def test_weight_sums_are_kept_for_the_latest_case(monkeypatch):
     line = run(ChainConfig(n=8, boundary=Truncated(), rounds=3), field, PerSensorWindow(widths))
     assert len(calls) == 2
     assert line.metadata["weight_sums"] == _weight_sums_per_sensor(widths, 8, False)
+
+
+def test_cached_weight_sums_equal_a_fresh_computation():
+    import lacsim.chain
+    widths = (1, 2, 2, 1, 1, 2, 3, 2)
+    for ring in (True, False):
+        cached = lacsim.chain._weight_sums(widths, 8, ring)
+        assert lacsim.chain._weight_sums(widths, 8, ring) is cached
+        assert cached == lacsim.chain._weight_sums.__wrapped__(widths, 8, ring)
