@@ -229,12 +229,18 @@ def _noise_pointwise(noise, n, steps):
        st.integers(1, 2200))
 def test_noise_grid_matches_the_point_spec_on_grids_with_rejections(seed, distribution,
                                                                    sigma, n):
-    # 2,000 to 4,400 points: a Gaussian grid has about 1.5 % of its points
-    # outside the ziggurat's accept path, and rows may be shorter or longer
-    # than one block of the generator
+    # 2,000 to 4,000 points: a Gaussian grid has about 1.5 % of its points
+    # outside the ziggurat's accept path
     steps = -(-2000 // n)
     noise = Noise(sigma, distribution, seed)
     assert _noise_grid(noise, n, steps).tobytes() == _noise_pointwise(noise, n, steps).tobytes()
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
+def test_noise_grid_matches_the_point_spec_across_blocks(distribution):
+    # 12,297 points: a second block of the generator starts inside row 1
+    noise = Noise(0.5, distribution, 2 ** 64 + 3)
+    assert _noise_grid(noise, 4099, 3).tobytes() == _noise_pointwise(noise, 4099, 3).tobytes()
 
 
 def test_noise_grid_matches_the_point_spec_on_layer_zero():
