@@ -137,16 +137,13 @@ def criterion_3() -> CriterionResult:
     omega = 2.0 * math.pi * 8 / n
     field = MeasurementField(SpatialCosine(1.0, omega))
 
-    cfg = ChainConfig(n=n, boundary=Ring(), rounds=220)
-    trace = run(cfg, field, ExponentialWeighting(0.9))
-    est = ana.measure_gain(trace, field, omega, "spatial", 220)
-    gain_err = abs(est.gain - ana.h_exp(0.9, omega))
-    phase_err = abs(est.phase)
+    def fit(algo, rounds):
+        trace = run(ChainConfig(n=n, boundary=Ring(), rounds=rounds), field, algo)
+        est = ana.measure_gain(trace, field, omega, "spatial", rounds)
+        return abs(est.gain - ana.closed_form_gain(algo, omega)), abs(est.phase)
 
-    cfg_w = ChainConfig(n=n, boundary=Ring(), rounds=5)
-    trace_w = run(cfg_w, field, FiniteWindow(5))
-    est_w = ana.measure_gain(trace_w, field, omega, "spatial", 5)
-    win_err = abs(est_w.gain - abs(ana.h_window(5, omega)))
+    gain_err, phase_err = fit(ExponentialWeighting(0.9), 220)
+    win_err, _ = fit(FiniteWindow(5), 5)
 
     elapsed = time.perf_counter() - t0
     passed = gain_err <= 1e-6 and phase_err < 1e-9 and win_err <= 1e-10 and elapsed < 2.0
@@ -189,18 +186,14 @@ def criterion_5() -> CriterionResult:
     for rho in (0.8, 0.9):
         algo = DynamicExponential(rho)
         settle = ana.settle_rounds(algo)
-        for omega in (0.05, 0.1, 0.5):
-            span = max(math.ceil(4.0 * math.pi / omega), 64)
-            cfg = ChainConfig(n=5, boundary=Ring(), rounds=settle + span)
+        for omega in (0.05, 0.1, 0.5, 0.0):
+            cfg = ChainConfig(n=5, boundary=Ring(), rounds=settle + ana.fit_rounds(omega))
             field = MeasurementField(TemporalCosine(1.0, omega))
-            trace = run(cfg, field, algo)
-            est = ana.measure_gain(trace, field, omega, "temporal", settle)
-            worst = max(worst, abs(est.gain - ana.k_temporal_exp(rho, omega)[0]))
-        cfg = ChainConfig(n=5, boundary=Ring(), rounds=settle + 32)
-        field = MeasurementField(TemporalCosine(1.0, 0.0))
-        trace = run(cfg, field, algo)
-        est = ana.measure_gain(trace, field, 0.0, "temporal", settle)
-        dc_worst = max(dc_worst, abs(est.gain - 1.0))
+            est = ana.measure_gain(run(cfg, field, algo), field, omega, "temporal", settle)
+            if omega:
+                worst = max(worst, abs(est.gain - ana.closed_form_gain(algo, omega)))
+            else:
+                dc_worst = max(dc_worst, abs(est.gain - 1.0))
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-3 and dc_worst <= 1e-9
     return CriterionResult(5, "measured temporal gain matches the closed form", passed,

@@ -78,6 +78,27 @@ def k_temporal_window(half_width: int, omega: float) -> tuple[float, float]:
     return abs(val), cmath.phase(val)
 
 
+def closed_form_gain(algo, omega: float) -> float:
+    """The closed-form gain of `algo` at `omega`: the spatial gain of the
+    exponential and window rules, the temporal gain of their dynamic forms.
+    Other rules have none here and raise ValidationError."""
+    if isinstance(algo, ExponentialWeighting):
+        return h_exp(algo.rho, omega)
+    if isinstance(algo, FiniteWindow):
+        return abs(h_window(algo.half_width, omega))
+    if isinstance(algo, DynamicExponential):
+        return k_temporal_exp(algo.rho, omega)[0]
+    if isinstance(algo, DynamicWindow):
+        return k_temporal_window(algo.half_width, omega)[0]
+    raise ValidationError(f"no closed-form gain for {type(algo).__name__}")
+
+
+def fit_rounds(omega: float) -> int:
+    """Rounds a temporal fit at `omega` runs past its settle: two periods but
+    at least 64 rounds, or 32 for a constant input."""
+    return 32 if omega == 0 else max(math.ceil(4.0 * math.pi / omega), 64)
+
+
 @dataclass(frozen=True)
 class BandwidthResult:
     omega_half: float | None  # None when the gain never drops to 1/2
@@ -85,32 +106,35 @@ class BandwidthResult:
     saturated: bool
 
 
+# scheme -> (rule class built from the parameter, rule of thumb)
 _SCHEMES = {
-    "exp_spatial": (lambda p, w: h_exp(p, w), lambda p: 1.0 - p),
-    "window_spatial": (lambda p, w: abs(h_window(p, w)), lambda p: 1.7 / (p + 0.5)),
-    "exp_temporal": (lambda p, w: k_temporal_exp(p, w)[0], lambda p: 1.0 - p),
-    "window_temporal": (lambda p, w: k_temporal_window(p, w)[0], lambda p: 4.0 / (p + 0.5)),
+    "exp_spatial": (ExponentialWeighting, lambda p: 1.0 - p),
+    "window_spatial": (FiniteWindow, lambda p: 1.7 / (p + 0.5)),
+    "exp_temporal": (DynamicExponential, lambda p: 1.0 - p),
+    "window_temporal": (DynamicWindow, lambda p: 4.0 / (p + 0.5)),
 }
 
 
 def bandwidth(scheme: str, param) -> BandwidthResult:
     """Half-gain frequency: the first root of gain = 1/2 on (0, pi], found by
     bisection to 1e-10, together with the rule-of-thumb value.  `param` is rho
-    for the exponential schemes and the half-width for the window schemes.
-    Saturated means the gain stays above 1/2 everywhere."""
+    for the exponential schemes and the half-width for the window schemes,
+    checked by the scheme's rule class.  Saturated means the gain stays above
+    1/2 everywhere."""
     try:
-        gain, rule = _SCHEMES[scheme]
+        cls, rule = _SCHEMES[scheme]
     except KeyError:
         raise ValidationError(f"unknown bandwidth scheme {scheme!r}") from None
+    algo = cls(param)
     grid = np.linspace(1e-9, math.pi, 4097)
     lo = None
     for a, b in zip(grid, grid[1:]):
-        if gain(param, b) < 0.5:
+        if closed_form_gain(algo, b) < 0.5:
             lo, hi = float(a), float(b)
             break
     if lo is None:
         return BandwidthResult(None, rule(param), True)
-    f = lambda w: gain(param, w) - 0.5
+    f = lambda w: closed_form_gain(algo, w) - 0.5
     fa = f(lo)
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TerminatedError, ValidationError
+from .static_rules import _check_rho
 from .tables import read_index_csv
 
 
@@ -47,8 +49,8 @@ class WeightTable:
                 f"weight table must have shape (n, {2 * self.radius + 1}), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("weight table contains non-finite entries")
-        if self.row_sum == 0:
-            raise ValidationError("row_sum must be nonzero")
+        if not math.isfinite(self.row_sum) or self.row_sum == 0:
+            raise ValidationError(f"row_sum must be finite and nonzero, got {self.row_sum!r}")
         object.__setattr__(self, "weights", arr)
 
     @property
@@ -68,8 +70,7 @@ class WeightTable:
     def geometric(cls, rho: float, radius: int, n: int) -> "WeightTable":
         """rho**|offset| rows with the closed-form total (1+rho)/(1-rho); the
         row tolerance defaults to the truncation tail 2*rho**radius/(1-rho)."""
-        if not 0.0 < rho < 1.0:
-            raise ValidationError("rho must lie strictly inside (0, 1)")
+        _check_rho("rho", rho)
         offs = np.abs(np.arange(-radius, radius + 1))
         row = rho ** offs
         return cls(np.tile(row, (n, 1)), (1.0 + rho) / (1.0 - rho), radius,

@@ -228,18 +228,11 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple, ring: bool):
     _wrap(band, ring)
     own_band, left_band, right_band = band[:, 1:-1], band[:, :-2], band[:, 2:]
 
-    def step(t, own, lh, rh):
-        s = fb_transition(t, [FBState(*h) for h in own], [FBState(*h) for h in rh],
-                          [FBState(*h) for h in lh], x0, own_band, right_band, left_band,
-                          table.row_sum)
-        if t and not ring:
-            # a cut end keeps its sum in the direction that has no neighbor;
-            # past round 0 both sums are fresh arrays
-            s.forward[-1], s.backward[0] = own[0][0, -1], own[0][1, 0]
-        return s
-
-    return step, lambda state, prev, t: glue(
-        FBState(*state[:, real]), x0[real], own_band[table.radius, real], table.row_sum)
+    return (lambda t, own, lh, rh: fb_transition(
+                t, [FBState(*h) for h in own], [FBState(*h) for h in rh],
+                [FBState(*h) for h in lh], x0, own_band, right_band, left_band, table.row_sum),
+            lambda state, prev, t: glue(FBState(*state[:, real]), x0[real],
+                                        own_band[table.radius, real], table.row_sum))
 
 
 @lru_cache(maxsize=1)

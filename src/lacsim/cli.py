@@ -92,60 +92,42 @@ def _cmd_simulate(exp: Experiment) -> list:
     return written + [meta_path]
 
 
-def _cmd_freq_spatial(exp: Experiment) -> list:
+# mode -> (the rules whose closed-form gain lies on that axis, their variants)
+_FREQ_RULES = {
+    "spatial": ((ExponentialWeighting, FiniteWindow), "exponential or window"),
+    "temporal": ((DynamicExponential, DynamicWindow), "dyn_exponential or dyn_window"),
+}
+
+
+def _cmd_freq(exp: Experiment, mode: str) -> list:
+    """Measured against closed-form gain at each frequency of the sweep: ring
+    harmonics 2 pi m / n in spatial mode, `analysis.omegas` in temporal mode."""
+    command = f"freq-{mode}"
     algo = exp.algorithm
-    if not isinstance(algo, (ExponentialWeighting, FiniteWindow)):
-        raise ValidationError("freq-spatial needs algorithm.variant exponential or window")
+    rules, variants = _FREQ_RULES[mode]
+    if not isinstance(algo, rules):
+        raise ValidationError(f"{command} needs algorithm.variant {variants}")
     if not isinstance(exp.chain.boundary, Ring):
-        raise ValidationError("freq-spatial needs chain.boundary = ring")
+        raise ValidationError(f"{command} needs chain.boundary = ring")
     n = exp.chain.n
     settle = exp.analysis.get("settle", ana.settle_rounds(algo))
-    harmonics = exp.analysis["harmonic"]
+    spatial = mode == "spatial"
+    cosine = SpatialCosine if spatial else TemporalCosine
+    omegas = ([2.0 * math.pi * m / n for m in exp.analysis["harmonic"]] if spatial
+              else exp.analysis["omegas"])
     lines = ["omega,gain_analytic,gain_measured,phase_measured"]
-    for m in harmonics:
-        omega = 2.0 * math.pi * m / n
-        field = MeasurementField(SpatialCosine(1.0, omega))
-        cfg = ChainConfig(n=n, boundary=Ring(), rounds=max(settle, 1),
+    for omega in omegas:
+        field = MeasurementField(cosine(1.0, omega))
+        rounds = max(settle, 1) if spatial else settle + ana.fit_rounds(omega)
+        cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds,
                           master_seed=exp.chain.master_seed)
-        trace = run(cfg, field, algo)
-        est = ana.measure_gain(trace, field, omega, "spatial", settle)
-        if isinstance(algo, ExponentialWeighting):
-            gain = ana.h_exp(algo.rho, omega)
-        else:
-            gain = abs(ana.h_window(algo.half_width, omega))
+        est = ana.measure_gain(run(cfg, field, algo), field, omega, mode, settle)
+        gain = ana.closed_form_gain(algo, omega)
         lines.append(",".join(format(v, ".17g") for v in (omega, gain, est.gain, est.phase)))
-    csv_path = exp.out_dir / f"{exp.prefix}_freq_spatial.csv"
+    csv_path = exp.out_dir / f"{exp.prefix}_freq_{mode}.csv"
     _write_text(csv_path, "\n".join(lines) + "\n")
-    meta_path = exp.out_dir / f"{exp.prefix}_freq_spatial_metadata.json"
-    _write_json(meta_path, _metadata("freq-spatial", exp, [csv_path.name]))
-    return [csv_path, meta_path]
-
-
-def _cmd_freq_temporal(exp: Experiment) -> list:
-    algo = exp.algorithm
-    if not isinstance(algo, (DynamicExponential, DynamicWindow)):
-        raise ValidationError(
-            "freq-temporal needs algorithm.variant dyn_exponential or dyn_window")
-    if not isinstance(exp.chain.boundary, Ring):
-        raise ValidationError("freq-temporal needs chain.boundary = ring")
-    settle = exp.analysis.get("settle", ana.settle_rounds(algo))
-    lines = ["omega,gain_analytic,gain_measured,phase_measured"]
-    for omega in exp.analysis["omegas"]:
-        span = 32 if omega == 0 else max(math.ceil(4.0 * math.pi / omega), 64)
-        cfg = ChainConfig(n=exp.chain.n, boundary=Ring(), rounds=settle + span,
-                          master_seed=exp.chain.master_seed)
-        field = MeasurementField(TemporalCosine(1.0, omega))
-        trace = run(cfg, field, algo)
-        est = ana.measure_gain(trace, field, omega, "temporal", settle)
-        if isinstance(algo, DynamicExponential):
-            gain, _ = ana.k_temporal_exp(algo.rho, omega)
-        else:
-            gain, _ = ana.k_temporal_window(algo.half_width, omega)
-        lines.append(",".join(format(v, ".17g") for v in (omega, gain, est.gain, est.phase)))
-    csv_path = exp.out_dir / f"{exp.prefix}_freq_temporal.csv"
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    meta_path = exp.out_dir / f"{exp.prefix}_freq_temporal_metadata.json"
-    _write_json(meta_path, _metadata("freq-temporal", exp, [csv_path.name]))
+    meta_path = exp.out_dir / f"{exp.prefix}_freq_{mode}_metadata.json"
+    _write_json(meta_path, _metadata(command, exp, [csv_path.name]))
     return [csv_path, meta_path]
 
 
@@ -217,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "simulate": _cmd_simulate,
-    "freq-spatial": _cmd_freq_spatial,
-    "freq-temporal": _cmd_freq_temporal,
+    "freq-spatial": functools.partial(_cmd_freq, mode="spatial"),
+    "freq-temporal": functools.partial(_cmd_freq, mode="temporal"),
     "noise": _cmd_noise,
     "spacing": _cmd_spacing,
     "figures": _cmd_figures,

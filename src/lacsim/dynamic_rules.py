@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HistoryError, ValidationError
-from .static_rules import _check_rho, exp_transition, window_transition
+from .errors import HistoryError
+from .static_rules import _check_half_width, _check_rho, exp_transition, window_transition
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class DynamicWindow:
     half_width: int
 
     def __post_init__(self):
-        if not isinstance(self.half_width, int) or self.half_width < 1:
-            raise ValidationError(f"half_width must be an integer >= 1, got {self.half_width!r}")
+        object.__setattr__(self, "half_width", _check_half_width("half_width", self.half_width))
 
 
 def dyn_exp_transition(k, own, left, right, x_recent, rho):

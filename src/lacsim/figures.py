@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import h_exp, k_temporal_exp, k_temporal_window
+from .analysis import closed_form_gain
+from .dynamic_rules import DynamicExponential, DynamicWindow
+from .static_rules import ExponentialWeighting
 
 RHO_GRID = (0.8, 0.9, 0.95, 0.99)
 WINDOW_GRID = (2, 5, 10, 20)
@@ -20,21 +22,22 @@ OMEGA_ORIGIN = np.linspace(0.0, 0.5, 251)
 OMEGA_FULL = np.linspace(0.0, math.pi, 601)
 
 
-def _rows(gain_fn, params, omegas):
-    return [(w, gain_fn(p, w), p) for p in params for w in omegas]
+def _rows(rule, params, omegas):
+    rows = []
+    for p in params:
+        algo = rule(p)
+        rows += [(w, closed_form_gain(algo, w), p) for w in omegas]
+    return rows
 
 
 def figure_tables() -> dict:
     """Figure name -> list of (omega, gain, param) rows."""
     return {
-        "fig1_spatial_exp_origin": _rows(h_exp, RHO_GRID, OMEGA_ORIGIN),
-        "fig2_spatial_exp_full": _rows(h_exp, RHO_GRID, OMEGA_FULL),
-        "fig3_temporal_exp_origin": _rows(lambda p, w: k_temporal_exp(p, w)[0],
-                                          RHO_GRID, OMEGA_ORIGIN),
-        "fig4_temporal_exp_full": _rows(lambda p, w: k_temporal_exp(p, w)[0],
-                                        RHO_GRID, OMEGA_FULL),
-        "fig5_temporal_window_full": _rows(lambda p, w: k_temporal_window(p, w)[0],
-                                           WINDOW_GRID, OMEGA_FULL),
+        "fig1_spatial_exp_origin": _rows(ExponentialWeighting, RHO_GRID, OMEGA_ORIGIN),
+        "fig2_spatial_exp_full": _rows(ExponentialWeighting, RHO_GRID, OMEGA_FULL),
+        "fig3_temporal_exp_origin": _rows(DynamicExponential, RHO_GRID, OMEGA_ORIGIN),
+        "fig4_temporal_exp_full": _rows(DynamicExponential, RHO_GRID, OMEGA_FULL),
+        "fig5_temporal_window_full": _rows(DynamicWindow, WINDOW_GRID, OMEGA_FULL),
     }
 
 

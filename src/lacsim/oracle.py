@@ -39,7 +39,7 @@ from .errors import ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.oracle.evaluate_field
 from .fields import evaluate_field, evaluate_grid  # noqa: F401
-from .static_rules import _check_rho
+from .static_rules import _check_half_width, _check_rho
 
 DEFAULT_TAIL = 1e-12
 
@@ -186,6 +186,7 @@ def _plan_asym(field, rb, rf, n, boundary, k, eps):
 
 def _plan_window(half_width, n, boundary, k):
     _check_boundary(boundary)
+    half_width = _check_half_width("half_width", half_width)
     _check_ring(boundary, n, half_width)
     reach = half_width if k is None else min(k, half_width)
     return 1, lambda x, lo, m: _window(_cone(x, n, boundary, lo, m, reach, None),
@@ -194,6 +195,7 @@ def _plan_window(half_width, n, boundary, k):
 
 def _plan_variable_window(widths, n, boundary, k):
     _check_boundary(boundary)
+    widths = tuple(_check_half_width("half-widths", w) for w in widths)
     if len(widths) != n:
         raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
     _check_ring(boundary, n, max(widths))
@@ -239,6 +241,7 @@ def _plan_dyn_exp(k, rho, n, boundary):
 
 def _plan_dyn_window(k, half_width, n, boundary):
     _check_boundary(boundary)
+    half_width = _check_half_width("half_width", half_width)
     _check_ring(boundary, n, half_width)
     _check_step(k)
     reach = min(k, half_width)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import NeedsMoreSensorsError, ValidationError
 from .fields import MeasurementField, evaluate_field
+from .static_rules import _check_rho
 from .streams import check_seed, generator, replicate_generators
 
 # replicates per block of `monte_carlo_spacing`, bounded so that a block's
@@ -39,8 +40,7 @@ class UniformGaps:
     eta: float
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValidationError(f"eta must lie strictly inside (0, 1), got {self.eta!r}")
+        _check_rho("eta", self.eta)
 
 
 SpacingLaw = Union[ExpGaps, UniformGaps]
@@ -95,8 +95,7 @@ def sample_spacings(model: SpacingModel, count: int, seed: int | None = None) ->
 def k_poisson(rho: float) -> float:
     """Normalization constant under e^{-d} gaps: (-log rho)/(2 - log rho);
     approximately (1-rho)/2 when 1-rho is small."""
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie strictly inside (0, 1)")
+    _check_rho("rho", rho)
     s = -math.log(rho)
     return s / (2.0 + s)
 
@@ -105,10 +104,8 @@ def k_uniform(rho: float, eta: float) -> float:
     """Normalization constant under uniform gaps.  Written via sinh for
     stability at small eta; the eta -> 0 limit is (1-rho)/(1+rho), recovering
     the unit-spacing constant."""
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie strictly inside (0, 1)")
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta must lie strictly inside (0, 1), got {eta!r}")
+    _check_rho("rho", rho)
+    _check_rho("eta", eta)
     # E[rho^d] = (rho^{1+eta} - rho^{1-eta}) / (2 eta log rho); K = (1-E)/(1+E)
     t = math.log(rho)
     num = eta * t - rho * math.sinh(eta * t)
@@ -128,8 +125,7 @@ class SpacingMoments:
 def spacing_moments(rho: float) -> SpacingMoments:
     """Moment chain for e^{-d} gaps; the two routes to var_u (closed form and
     the product-variance fixed point) are checked against each other."""
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie strictly inside (0, 1)")
+    _check_rho("rho", rho)
     s = -math.log(rho)
     e_xi = 1.0 / (1.0 + s)
     e_xi2 = 1.0 / (1.0 + 2.0 * s)
@@ -147,11 +143,6 @@ def spacing_moments(rho: float) -> SpacingMoments:
     if abs(var_y - 2.0 * k * k * var_u) > 1e-14:
         raise AssertionError("var_y identity 2 K^2 var_u violated")
     return SpacingMoments(e_xi=e_xi, e_xi2=e_xi2, var_xi=var_xi, var_u=var_u, var_y=var_y)
-
-
-def _check_tail_eps(tail_eps: float) -> None:
-    if not 0.0 < tail_eps < 1.0:
-        raise ValidationError(f"tail_eps must lie strictly inside (0, 1), got {tail_eps!r}")
 
 
 def _required_sensors(rho: float, law: SpacingLaw, tail_eps: float) -> int:
@@ -172,7 +163,7 @@ def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: flo
     """
     if not 0 <= i < draw.sensors:
         raise ValidationError(f"sensor {i} outside draw of {draw.sensors} sensors")
-    _check_tail_eps(tail_eps)
+    _check_rho("tail_eps", tail_eps)
     gaps = draw.gaps
     total = evaluate_field(field, i, 0)
     for step, stop in ((1, draw.sensors - 1), (-1, 0)):
@@ -223,7 +214,7 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     """
     if replicates < 1000:
         raise ValidationError(f"need at least 1000 replicates, got {replicates}")
-    _check_tail_eps(tail_eps)
+    _check_rho("tail_eps", tail_eps)
     base_seed = model.seed if seed is None else seed
     check_seed(base_seed)
     law = model.law

@@ -24,8 +24,17 @@ from .errors import HistoryError, TerminatedError, ValidationError
 
 
 def _check_rho(name: str, value: float) -> None:
+    """Reject a decay rate, or any other value, not strictly inside (0, 1)."""
     if not 0.0 < value < 1.0:
         raise ValidationError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
+def _check_half_width(name: str, value) -> int:
+    """`value` as an int, if it is an integer >= 1: a Python or numpy
+    integer, not a bool, and never a float rounded down."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -57,8 +66,7 @@ class FiniteWindow:
     half_width: int
 
     def __post_init__(self):
-        if not isinstance(self.half_width, int) or self.half_width < 1:
-            raise ValidationError(f"half_width must be an integer >= 1, got {self.half_width!r}")
+        object.__setattr__(self, "half_width", _check_half_width("half_width", self.half_width))
 
 
 @dataclass(frozen=True)
@@ -72,13 +80,10 @@ class PerSensorWindow:
     half_widths: tuple
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.half_widths)
+        widths = tuple(_check_half_width("half-widths", w) for w in self.half_widths)
         object.__setattr__(self, "half_widths", widths)
         if not widths:
             raise ValidationError("half_widths must be non-empty")
-        for w in widths:
-            if w < 1:
-                raise ValidationError(f"half-widths must be >= 1, got {w}")
         for a, b in zip(widths, widths[1:]):
             if abs(a - b) > 1:
                 raise ValidationError(f"adjacent half-widths differ by more than one: {a}, {b}")

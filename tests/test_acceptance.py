@@ -7,6 +7,8 @@ are asserted as stated and are expected to fail honestly:
   - criterion 7: the variance-match ratio at L = 5 is exactly
     935/729 ~ 1.2826, above the stated 1.25 bound.
 """
+import re
+
 import pytest
 
 from lacsim import acceptance
@@ -20,3 +22,19 @@ def test_criterion(criterion):
            f"{result.name} - {result.detail}"
     print(line)
     assert result.passed, line
+
+
+# the detail lines of the two frequency-response criteria, runtimes removed,
+# as printed before their closed forms and fit lengths were shared with the
+# CLI sweep
+FREQ_DETAILS = {
+    3: "exp gain err 3.56e-11 (tol 1e-6), phase 3.02e-16 (tol 1e-9), "
+       "window gain err 3.33e-16 (tol 1e-10), runtime < 2s",
+    5: "worst gain err 4.94e-11 (tol 1e-3), DC err 2.69e-10 (tol 1e-9)",
+}
+
+
+@pytest.mark.parametrize("index", list(FREQ_DETAILS))
+def test_frequency_criteria_print_their_pinned_details(index):
+    result = acceptance.CRITERIA[index - 1]()
+    assert re.sub(r"runtime \d+\.\d+s", "runtime", result.detail) == FREQ_DETAILS[index]

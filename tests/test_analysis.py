@@ -12,7 +12,8 @@ from lacsim import (AsymmetricWeighting, ChainConfig, DynamicExponential, Dynami
                     ZeroHalo, bandwidth, h_exp, h_window, k_temporal_exp, k_temporal_window,
                     measure_gain, monte_carlo_noise, noise_var_exp, noise_var_global,
                     noise_var_window, run, settle_rounds, variance_match_rho)
-from lacsim.analysis import h_exp_from_poles
+from lacsim.analysis import closed_form_gain, fit_rounds, h_exp_from_poles
+from lacsim.arbitrary_weights import BandedWeighting, WeightTable
 
 
 def test_h_exp_reference_points():
@@ -289,3 +290,41 @@ def test_monte_carlo_noise_deterministic_in_seed():
 def test_monte_carlo_noise_requires_replicates():
     with pytest.raises(ValidationError):
         monte_carlo_noise(GlobalAverage(10), 1.0, 99, 0)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-12, 0.3, 1.0, 2.5, math.pi])
+def test_closed_form_gain_is_the_rule_s_own_formula_bit_for_bit(omega):
+    cases = [(ExponentialWeighting(0.8), h_exp(0.8, omega)),
+             (FiniteWindow(3), abs(h_window(3, omega))),
+             (DynamicExponential(0.8), k_temporal_exp(0.8, omega)[0]),
+             (DynamicWindow(3), k_temporal_window(3, omega)[0])]
+    for algo, want in cases:
+        got = closed_form_gain(algo, omega)
+        assert type(got) is float and got.hex() == want.hex(), algo
+
+
+@pytest.mark.parametrize("algo", [AsymmetricWeighting(0.5, 0.25), PerSensorWindow((2, 2, 3)),
+                                  BandedWeighting(WeightTable.geometric(0.5, 2, 8))],
+                         ids=lambda a: type(a).__name__)
+def test_closed_form_gain_rejects_a_rule_without_one(algo):
+    with pytest.raises(ValidationError, match=f"no closed-form gain for {type(algo).__name__}"):
+        closed_form_gain(algo, 0.5)
+
+
+def test_fit_rounds_covers_two_periods_and_at_least_64_rounds():
+    assert fit_rounds(0.0) == 32
+    assert fit_rounds(0.5) == 64
+    assert fit_rounds(0.1) == math.ceil(40 * math.pi) == 126
+    assert fit_rounds(0.05) == 252
+
+
+@pytest.mark.parametrize("scheme, param, message", [
+    ("exp_spatial", 1.5, r"^rho must lie strictly inside \(0, 1\), got 1\.5$"),
+    ("exp_temporal", -0.2, r"^rho must lie strictly inside \(0, 1\), got -0\.2$"),
+    ("window_spatial", 0, r"^half_width must be an integer >= 1, got 0$"),
+    ("window_temporal", 2.5, r"^half_width must be an integer >= 1, got 2\.5$"),
+])
+def test_bandwidth_rejects_a_parameter_outside_the_rule_s_domain(scheme, param, message):
+    # before, these gave a finite root or "saturated" from a meaningless gain
+    with pytest.raises(ValidationError, match=message):
+        bandwidth(scheme, param)

@@ -191,3 +191,18 @@ def test_table_shape_validation():
         WeightTable(np.ones((4, 6)), 1.0, 3)  # needs 2*3+1 columns
     with pytest.raises(ValidationError):
         WeightTable(np.ones((4, 7)), 0.0, 3)
+
+
+@pytest.mark.parametrize("row_sum", [math.nan, math.inf, -math.inf])
+def test_table_rejects_a_row_sum_that_is_not_finite_and_nonzero(row_sum):
+    # before, NaN made `run` raise DivergedError at round 0 and inf gave an
+    # all-zero trace
+    with pytest.raises(ValidationError, match=r"^row_sum must be finite and nonzero, got "):
+        WeightTable(np.ones((4, 3)), row_sum, 1)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
+def test_geometric_table_names_the_rate_it_rejects(rho):
+    with pytest.raises(ValidationError,
+                       match=rf"^rho must lie strictly inside \(0, 1\), got {rho!r}$"):
+        WeightTable.geometric(rho, 3, 8)

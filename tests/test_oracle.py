@@ -206,8 +206,14 @@ def ref_asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=No
     return (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf) * total
 
 
+def _check_half_width(half_width):
+    if half_width < 1:
+        raise ValidationError(f"half_width must be an integer >= 1, got {half_width!r}")
+
+
 def ref_window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
     _check_boundary(boundary)
+    _check_half_width(half_width)
     if isinstance(boundary, Ring) and n < 2 * half_width + 1:
         raise ValidationError(f"ring of {n} sensors cannot host half-width {half_width}")
     reach = half_width if k is None else min(k, half_width)
@@ -220,6 +226,8 @@ def ref_window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
 def ref_variable_window_target(field, i, half_widths, *, n, boundary=Ring(), k=None):
     _check_boundary(boundary)
     widths = list(half_widths)
+    for w in widths:
+        _check_half_width(w)
     if len(widths) != n:
         raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
     if isinstance(boundary, Ring) and n < 2 * max(widths) + 1:
@@ -273,6 +281,7 @@ def ref_dyn_exp_target(field, i, k, rho, *, n, boundary=Ring()):
 
 def ref_dyn_window_target(field, i, k, half_width, *, n, boundary=Ring()):
     _check_boundary(boundary)
+    _check_half_width(half_width)
     if isinstance(boundary, Ring) and n < 2 * half_width + 1:
         raise ValidationError(f"ring of {n} sensors cannot host half-width {half_width}")
     total = _x(field, i, k, boundary, n)
@@ -392,7 +401,7 @@ def _outcome(call):
     """The bits of a value, or the type of the exception raised instead."""
     try:
         return _bits(call())
-    except ValueError as exc:  # a ValidationError, such as an asymmetric rate of 0
+    except ValueError as exc:  # a ValidationError, such as a rate or a half-width of 0
         return type(exc)
 
 
@@ -568,3 +577,29 @@ def test_threads_sharing_a_memo_get_their_own_case(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in workers)
     assert bad == []
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.5, True])
+def test_window_targets_reject_a_half_width_that_is_not_an_integer_of_at_least_one(bad):
+    # before, half-width -2 gave -0.333 and 0 gave 1.0 for a constant field of
+    # 1, and -1 or 2.5 failed with a bare IndexError
+    field = MeasurementField(Constant(1.0))
+    message = r"half_width must be an integer >= 1, got "
+    for call in (lambda: oracle.window_target(field, 0, bad, n=8),
+                 lambda: oracle.window_row(field, bad, n=8),
+                 lambda: oracle.dyn_window_target(field, 0, 3, bad, n=8),
+                 lambda: oracle.dyn_window_row(field, 3, bad, n=8)):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    for call in (lambda: oracle.variable_window_target(field, 0, (2,) * 7 + (bad,), n=8),
+                 lambda: oracle.variable_window_row(field, (bad,) + (2,) * 7, n=8)):
+        with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1"):
+            call()
+
+
+def test_window_targets_take_numpy_integer_half_widths():
+    field = MeasurementField(random_spatial_table(8, 3))
+    assert oracle.window_row(field, np.int64(2), n=8).tolist() == \
+        oracle.window_row(field, 2, n=8).tolist()
+    assert oracle.variable_window_row(field, np.full(8, 2), n=8).tolist() == \
+        oracle.variable_window_row(field, (2,) * 8, n=8).tolist()

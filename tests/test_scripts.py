@@ -10,19 +10,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, args", [
-    ("gain_sweep.py", ["--n", "64"]),
     ("noise_and_spacing.py", ["--replicates", "1000"]),
-    ("reproduce_figures.py", ["--out", "{tmp}"]),
     ("scale_run.py", ["--n", "1024", "--rounds", "5"]),
     ("scale_run.py", ["--rule", "dyn_exponential", "--n", "1024", "--rounds", "5",
                       "--noise-sigma", "0.3"]),
 ])
-def test_script_exits_zero(tmp_path, script, args):
+def test_script_exits_zero(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
-                            + [a.format(tmp=tmp_path) for a in args],
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / script)] + args,
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout

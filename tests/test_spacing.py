@@ -223,3 +223,13 @@ def test_distributed_run_on_spacing_weights():
     for s in (i - 1, i, i + 1):
         assert s in interior_rows
         assert trace_ones.y[s, radius] / row_sums[s] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
+def test_spacing_constants_name_the_rate_they_reject(rho):
+    message = rf"^rho must lie strictly inside \(0, 1\), got {rho!r}$"
+    for call in (lambda: k_poisson(rho), lambda: k_uniform(rho, 0.3),
+                 lambda: spacing_moments(rho)):
+        with pytest.raises(ValidationError, match=message):
+            call()
+

@@ -10,7 +10,7 @@ from lacsim import (AsymmetricWeighting, ChainConfig, ExponentialWeighting, Fini
                     TerminatedError, Truncated, ValidationError, ZeroHalo, Constant, Impulse,
                     asym_transition, dyn_exp_transition, exp_transition, random_spatial_table,
                     run, variable_window_transition, window_transition)
-from lacsim import oracle
+from lacsim import DynamicWindow, oracle
 
 
 def test_exp_init_stage():
@@ -393,3 +393,28 @@ def test_cached_weight_sums_equal_a_fresh_computation():
         cached = lacsim.chain._weight_sums(widths, 8, ring)
         assert lacsim.chain._weight_sums(widths, 8, ring) is cached
         assert cached == lacsim.chain._weight_sums.__wrapped__(widths, 8, ring)
+
+
+@pytest.mark.parametrize("rule", [FiniteWindow, DynamicWindow])
+def test_window_rules_take_a_numpy_integer_half_width_as_an_int(rule):
+    algo = rule(np.int64(3))
+    assert algo.half_width == 3 and type(algo.half_width) is int
+    assert algo == rule(3)
+
+
+@pytest.mark.parametrize("rule", [FiniteWindow, DynamicWindow])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, 3.0, True, np.float64(3.0), "3"])
+def test_window_rules_reject_a_half_width_that_is_not_an_integer_of_at_least_one(rule, bad):
+    with pytest.raises(ValidationError, match=r"^half_width must be an integer >= 1, got "):
+        rule(bad)
+
+
+def test_per_sensor_window_rejects_fractional_half_widths_instead_of_rounding_down():
+    # before, these became (2, 2, 3)
+    with pytest.raises(ValidationError, match=r"^half-widths must be an integer >= 1, got 2\.7$"):
+        PerSensorWindow((2.7, 2.2, 3.9))
+    for bad in ((2, 0, 1), (2, True, 2)):
+        with pytest.raises(ValidationError, match="half-widths must be an integer >= 1"):
+            PerSensorWindow(bad)
+    widths = PerSensorWindow(np.array([2, 3, 3])).half_widths
+    assert widths == (2, 3, 3) and all(type(w) is int for w in widths)
