@@ -23,11 +23,7 @@ OMEGA_FULL = np.linspace(0.0, math.pi, 601)
 
 
 def _rows(rule, params, omegas):
-    rows = []
-    for p in params:
-        algo = rule(p)
-        rows += [(w, closed_form_gain(algo, w), p) for w in omegas]
-    return rows
+    return [(w, closed_form_gain(rule(p), w), p) for p in params for w in omegas]
 
 
 def figure_tables() -> dict:

@@ -29,6 +29,7 @@ Truncated chains have no closed-form target.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 import numpy as np
@@ -193,9 +194,19 @@ def _plan_window(half_width, n, boundary, k):
                                        half_width, reach)
 
 
+# the latest half-widths checked, and them as ints: the plans for the k of one
+# case check its widths once, and only the very same objects are not checked
+_checked_widths = ((), ())
+
+
 def _plan_variable_window(widths, n, boundary, k):
+    global _checked_widths
     _check_boundary(boundary)
-    widths = tuple(_check_half_width("half-widths", w) for w in widths)
+    seen, ints = _checked_widths
+    if len(widths) != len(seen) or not all(map(operator.is_, widths, seen)):
+        ints = tuple(_check_half_width("half-widths", w) for w in widths)
+        _checked_widths = (widths, ints)
+    widths = ints
     if len(widths) != n:
         raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
     _check_ring(boundary, n, max(widths))

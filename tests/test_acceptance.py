@@ -14,16 +14,6 @@ import pytest
 from lacsim import acceptance
 
 
-@pytest.mark.parametrize("criterion", acceptance.CRITERIA,
-                         ids=[f"criterion_{i}" for i in range(1, 11)])
-def test_criterion(criterion):
-    result = criterion()
-    line = f"{'PASS' if result.passed else 'FAIL'} criterion {result.index}: " \
-           f"{result.name} - {result.detail}"
-    print(line)
-    assert result.passed, line
-
-
 # the detail lines of the two frequency-response criteria, runtimes removed,
 # as printed before their closed forms and fit lengths were shared with the
 # CLI sweep
@@ -34,7 +24,13 @@ FREQ_DETAILS = {
 }
 
 
-@pytest.mark.parametrize("index", list(FREQ_DETAILS))
-def test_frequency_criteria_print_their_pinned_details(index):
-    result = acceptance.CRITERIA[index - 1]()
-    assert re.sub(r"runtime \d+\.\d+s", "runtime", result.detail) == FREQ_DETAILS[index]
+@pytest.mark.parametrize("criterion", acceptance.CRITERIA,
+                         ids=[f"criterion_{i}" for i in range(1, 11)])
+def test_criterion(criterion):
+    result = criterion()
+    line = f"{'PASS' if result.passed else 'FAIL'} criterion {result.index}: " \
+           f"{result.name} - {result.detail}"
+    print(line)
+    assert result.passed, line
+    if result.index in FREQ_DETAILS:
+        assert re.sub(r"runtime \d+\.\d+s", "runtime", result.detail) == FREQ_DETAILS[result.index]

@@ -206,14 +206,8 @@ def ref_asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=No
     return (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf) * total
 
 
-def _check_half_width(half_width):
-    if half_width < 1:
-        raise ValidationError(f"half_width must be an integer >= 1, got {half_width!r}")
-
-
 def ref_window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
     _check_boundary(boundary)
-    _check_half_width(half_width)
     if isinstance(boundary, Ring) and n < 2 * half_width + 1:
         raise ValidationError(f"ring of {n} sensors cannot host half-width {half_width}")
     reach = half_width if k is None else min(k, half_width)
@@ -226,8 +220,6 @@ def ref_window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
 def ref_variable_window_target(field, i, half_widths, *, n, boundary=Ring(), k=None):
     _check_boundary(boundary)
     widths = list(half_widths)
-    for w in widths:
-        _check_half_width(w)
     if len(widths) != n:
         raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
     if isinstance(boundary, Ring) and n < 2 * max(widths) + 1:
@@ -281,7 +273,6 @@ def ref_dyn_exp_target(field, i, k, rho, *, n, boundary=Ring()):
 
 def ref_dyn_window_target(field, i, k, half_width, *, n, boundary=Ring()):
     _check_boundary(boundary)
-    _check_half_width(half_width)
     if isinstance(boundary, Ring) and n < 2 * half_width + 1:
         raise ValidationError(f"ring of {n} sensors cannot host half-width {half_width}")
     total = _x(field, i, k, boundary, n)
@@ -358,7 +349,7 @@ def _fields(draw, n, steps):
 @st.composite
 def _params(draw, name, n):
     """Parameters of `name` that fit a ring of n sensors."""
-    hw = st.integers(0, (n - 1) // 2)
+    hw = st.integers(1, (n - 1) // 2)
     if name in ("exp", "dyn_exp"):
         return (draw(st.floats(0.01, 0.9)),)
     if name == "asym":
@@ -367,7 +358,7 @@ def _params(draw, name, n):
         return (draw(hw),)
     if name == "variable_window":
         return (tuple(draw(st.lists(hw, min_size=n, max_size=n))),)
-    radius = draw(hw)
+    radius = draw(st.integers(0, (n - 1) // 2))
     weights = draw(st.lists(st.floats(-2, 2), min_size=n * (2 * radius + 1),
                             max_size=n * (2 * radius + 1)))
     return (WeightTable(np.reshape(weights, (n, 2 * radius + 1)),
@@ -401,7 +392,7 @@ def _outcome(call):
     """The bits of a value, or the type of the exception raised instead."""
     try:
         return _bits(call())
-    except ValueError as exc:  # a ValidationError, such as a rate or a half-width of 0
+    except ValueError as exc:  # a ValidationError, such as an asymmetric rate of 0
         return type(exc)
 
 
@@ -603,3 +594,18 @@ def test_window_targets_take_numpy_integer_half_widths():
         oracle.window_row(field, 2, n=8).tolist()
     assert oracle.variable_window_row(field, np.full(8, 2), n=8).tolist() == \
         oracle.variable_window_row(field, (2,) * 8, n=8).tolist()
+
+
+def test_variable_window_checks_one_case_once_and_never_an_equal_tuple_of_floats(monkeypatch):
+    field = MeasurementField(random_spatial_table(8, 3))
+    widths = [1, 2, 3, 1, 2, 3, 1, 2]
+    calls = []
+    check = oracle._check_half_width
+    monkeypatch.setattr(oracle, "_check_half_width", lambda *a: calls.append(a) or check(*a))
+    for k in range(4):
+        for i in range(8):
+            oracle.variable_window_target(field, i, widths, n=8, k=k)
+    assert len(calls) == 8  # once per width, not once per k
+    # the latest checked tuple is matched by identity, not by equality
+    with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
+        oracle.variable_window_row(field, [float(w) for w in widths], n=8)
