@@ -38,17 +38,18 @@ class CriterionResult:
     elapsed: float
 
 
-def _profile_64() -> tuple:
+def _profile(n: int) -> tuple:
     block = (4, 4, 5, 5, 6, 6, 6, 6, 5, 5, 4, 4, 4, 4, 4, 4)
-    return block * 4
+    return (block * (n // len(block) + 1))[:n]
 
 
 def _oracle_cases(n: int, rounds: int, seed: int):
-    """(name, algorithm, field, oracle(boundary, i, k)) for every rule."""
+    """(name, algorithm, field, oracle(boundary, i, k)) for every rule; the
+    band radius is 20, or the largest a ring of n < 41 sensors can host."""
     static = MeasurementField(random_spatial_table(n, seed))
     dynamic = MeasurementField(random_space_time_table(n, rounds + 1, seed + 100))
-    table = WeightTable.geometric(0.6, 20, n)
-    widths = _profile_64()
+    table = WeightTable.geometric(0.6, min(20, (n - 1) // 2), n)
+    widths = _profile(n)
 
     def o_exp(b, i, k):
         return oracle.exp_target(static, i, 0.8, n=n, boundary=b, k=k)

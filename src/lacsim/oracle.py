@@ -17,8 +17,12 @@ scalar form keeps a memo of its latest case only: the (field, parameters, n,
 boundary) key, the grid read for it and its rows by k.  A sweep over one
 case's (i, k) points, in any order, therefore reads the field once (a dynamic
 target once per larger k) and builds each row once; a new key drops it all.
-The field and a weight table count as the same only if they are the same
-object, and a number only if its repr agrees (0.0 is not -0.0).
+A static row k goes on from the running sum of the rows before it, so rows
+0..K take K hops (a smaller k starts again from hop 0); a dynamic row reads
+its own round's cone, k hops.  The field and a weight table count as the
+same only if they are the same object, and a number only if it is or its
+repr agrees (0.0 is not -0.0).  A call with the very objects of the last,
+for a built row, is served with no repr, closure or plan.
 
 Boundary semantics: a Ring wraps indices modulo n; ZeroHalo (or any non-ring
 boundary) means the zero-extended line, where indices outside 0..n-1
@@ -28,6 +32,7 @@ Truncated chains have no closed-form target.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import threading
@@ -46,75 +51,142 @@ DEFAULT_TAIL = 1e-12
 
 
 def _shifts(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, zero=True):
-    """`at(d)`: `values` (last axis: sensors 0..n-1) at sensors lo+d .. lo+m-1+d
-    for |d| <= reach.  A ring wraps; the line gives 0.0 outside 0..n-1, or the
-    nearer end's value when `zero` is false."""
-    reach = max(reach, 0)
-    idx = np.arange(lo - reach, lo + m + reach)
-    if isinstance(boundary, Ring):
-        padded = values[..., idx % n]
-    else:
-        padded = values[..., np.clip(idx, 0, n - 1)]
+    """`at(d)`: `values` (last axis: sensors 0..n-1) at sensors lo+d .. lo+m-1+d.
+    A ring wraps; the line gives 0.0 outside 0..n-1, or the nearer end's value
+    when `zero` is false.  The slices come from one padded copy for
+    |d| <= reach, made again for reach 2|d| when a larger |d| comes."""
+    def pad(reach):
+        idx = np.arange(lo - reach, lo + m + reach)
+        if isinstance(boundary, Ring):
+            return reach, values[..., idx % n]
         if zero:
-            padded = np.where((idx >= 0) & (idx < n), padded, 0.0)
-    return lambda d: padded[..., reach + d:reach + d + m]
+            return reach, np.where((idx >= 0) & (idx < n), values[..., idx % n], 0.0)
+        return reach, values[..., np.minimum(np.maximum(idx, 0), n - 1)]
+
+    reach, padded = pad(max(reach, 0))
+
+    def at(d):
+        nonlocal reach, padded
+        if abs(d) > reach:
+            reach, padded = pad(2 * abs(d))
+        return padded[..., reach + d:reach + d + m]
+    return at
 
 
-def _cone(x: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, now):
-    """`at(d)` of the (steps, sensors) grid `x` for |d| <= reach: at step 0
-    when `now` is None (a static target), else on the space-time cone of
-    round `now`, where hop d reads step now - |d|."""
-    if now is None:
-        return _shifts(x[0], n, boundary, lo, m, reach)
+def _cone(x: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, now: int):
+    """`at(d)` of the (steps, sensors) grid `x` for |d| <= reach on the
+    space-time cone of round `now`, where hop d reads step now - |d|; a
+    static target reads step 0, `_shifts(x[0], ...)`."""
     at = _shifts(x[now - reach:now + 1], n, boundary, lo, m, reach)
     return lambda d: at(d)[reach - abs(d)]
 
 
-def _geometric(at, rho, k):
-    """lam * (x_i + sum_{j<=k} rho**j (x_{i-j} + x_{i+j})) over `at`."""
-    total = at(0)
-    power = 1.0
-    for j in range(1, k + 1):
+# Each sum yields its running total over `at` after hops 0, 1, 2, ...: hop j
+# adds the terms of sensors i - j and i + j, in the order of the defining sum.
+
+def _geometric(at, rho):
+    """x_i + sum_j rho**j (x_{i-j} + x_{i+j})."""
+    total, power = at(0), 1.0
+    for j in itertools.count(1):
+        yield total
         power *= rho
         total = total + power * (at(-j) + at(j))
-    return (1.0 - rho) / (1.0 + rho) * total
 
 
-def _window(at, half_width, reach):
-    """(x_i + sum_{j<=reach} (x_{i-j} + x_{i+j})) / (2 half_width + 1) over `at`."""
+def _asymmetric(at, rb, rf):
+    """x_i + sum_j (rb**j x_{i-j} + rf**j x_{i+j})."""
+    total, pb, pf = at(0), 1.0, 1.0
+    for j in itertools.count(1):
+        yield total
+        pb *= rb
+        pf *= rf
+        total = total + pb * at(-j)
+        total = total + pf * at(j)
+
+
+def _window(at):
+    """x_i + sum_j (x_{i-j} + x_{i+j})."""
     total = at(0)
-    for j in range(1, reach + 1):
+    for j in itertools.count(1):
+        yield total
         total = total + (at(-j) + at(j))
-    return total / (2.0 * half_width + 1.0)
+
+
+def _variable_window(at, width):
+    """x_i / (2 L_i + 1) + sum_{j <= L_i} x_{i+-j} / (2 L_{i+-j} + 1), with
+    `width(d)` the half-widths L: each neighbor over its own window length."""
+    li = width(0)
+    total = at(0) / (2.0 * li + 1.0)
+    for j in itertools.count(1):
+        yield total
+        for d in (-j, j):
+            total = np.where(j <= li, total + at(d) / (2.0 * width(d) + 1.0), total)
+
+
+def _banded(at, weight, radius):
+    """w_0 x_i + sum_{j <= radius} (w_{-j} x_{i-j} + w_j x_{i+j}), from the
+    weight rows `weight(0)` (offsets -radius..radius first)."""
+    w = weight(0)
+    total = w[radius] * at(0)
+    for j in itertools.count(1):
+        yield total
+        total = total + w[radius - j] * at(-j)
+        total = total + w[radius + j] * at(j)
+
+
+def _same(a, b) -> bool:
+    """Numbers name the same case if they are the same object or have the same
+    repr (0.0 is not -0.0, 1 is not 1.0); tuples of them element by element."""
+    if type(a) is tuple and type(b) is tuple:
+        return len(a) == len(b) and (all(map(operator.is_, a, b)) or all(map(_same, a, b)))
+    return a is b or repr(a) == repr(b)
+
+
+def _row(field, n, plan, lo=0, m=None) -> np.ndarray:
+    """A plan's target at sensors lo..lo+m-1 (default: all n) from a fresh grid."""
+    steps, hops, sums, finish = plan
+    totals = sums(evaluate_grid(field, n, steps), lo, n if m is None else m)
+    return finish(next(itertools.islice(totals, hops, None)))
 
 
 class _Memo:
-    """One scalar target's latest case: its key, the field grid read for it
-    and its rows by k.  A different key drops all three."""
+    """One scalar target's latest case with its rows by k, the field grid read
+    for it and, for a static target, its running sum (generator, hops done,
+    total).  A different case drops them all."""
 
-    def __init__(self):
-        self.key, self.x, self.rows = None, None, {}
+    def __init__(self, static: bool):
+        self.static, self.last, self.x, self.run = static, ((), {}), None, None
         self.lock = threading.Lock()  # one case at a time, whatever the thread
 
-    def at(self, field, i, n, boundary, params, k, plan, table=None):
-        """The target at sensor i.  `params` (numbers as reprs) and `table`
-        complete the case's key; `k` names the row; `plan()` validates the
-        arguments and gives (steps, row).  A stored row was validated with
-        the same key and k, so it is served without planning again."""
+    def at(self, plan, i, k, *case):
+        """The target at sensor i of the case (field, table, n, boundary,
+        *numbers), row k.  The very objects of the last case, with an int or
+        None k that names a built row, are served without the lock or a plan:
+        `last` holds a case and its rows, read and replaced as one."""
+        last, rows = self.last
+        if ((k is None or k.__class__ is int) and all(map(operator.is_, case, last))
+                and 0 <= i < case[2] and (row := rows.get(k)) is not None):
+            return row.item(i)
+        field, table, n, boundary = case[:4]
         if not isinstance(boundary, Ring) and not 0 <= i < n:
-            steps, row = plan()
-            return row(evaluate_grid(field, n, steps), i, 1).item(0)
-        key = (field, table, n, boundary, params)
+            return _row(field, n, plan(k, *case), i, 1).item(0)
         with self.lock:
-            old = self.key
-            if old is None or old[0] is not field or old[1] is not table or old != key:
-                self.key, self.x, self.rows = key, None, {}
-            if k not in self.rows:
-                steps, row = plan()
+            steps, hops, sums, finish = plan(k, *case)
+            last, rows = self.last
+            if not (last and last[0] is field and last[1] is table and last[2:4] == case[2:4]
+                    and all(map(_same, case[4:], last[4:]))):
+                self.x, self.run, rows = None, None, {}
+            self.last = case, rows
+            if (row := rows.get(k)) is None:
                 if self.x is None or len(self.x) < steps:
                     self.x = evaluate_grid(field, n, steps)
-                self.rows[k] = row(self.x, 0, n)
-            return self.rows[k].item(i % n)
+                run = self.run if self.run and self.run[1] <= hops else None
+                gen, done, total = run or (sums(self.x, 0, n), -1, None)
+                for _ in range(hops - done):
+                    total = next(gen)
+                self.run = (gen, hops, total) if self.static else None
+                row = rows[k] = finish(total)
+            return row.item(i % n)
 
 
 def _check_boundary(boundary):
@@ -127,9 +199,11 @@ def _check_ring(boundary, n, half_width, what="half-width"):
         raise ValidationError(f"ring of {n} sensors cannot host {what} {half_width}")
 
 
-def _check_step(k):
-    if k < 0:
-        raise ValidationError(f"time step must be >= 0, got {k}")
+def _check_step(k) -> int:
+    """`k` as an int, if it is an integer >= 0: a Python or numpy integer, not a bool."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValidationError(f"time step must be an integer >= 0, got {k!r}")
+    return int(k)
 
 
 def exp_tail_bound(rho: float, k: int, bound_m: float) -> float:
@@ -148,50 +222,48 @@ def _tail_hops(decay: float, bound_m: float, eps: float) -> int:
     return max(1, math.ceil(math.log(target) / math.log(decay)))
 
 
-# Each `_plan_*` validates its arguments and returns (steps, row), where
-# `row(x, lo, m)` is the target at sensors lo..lo+m-1 from a field grid `x` of
-# at least `steps` steps.  Its loop is the defining sum, one hop per pass.
+def _hops(k, eps, field, decay, scale):
+    """`k` checked, or for None the hops to a tail of `decay` on scale * M below eps."""
+    if eps is not None and not eps > 0:
+        raise ValidationError(f"eps must be > 0, got {eps!r}")
+    if k is not None:
+        return _check_step(k)
+    if eps is None:
+        eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
+    return _tail_hops(decay, scale * field.bound_m(), eps)
 
-def _plan_exp(field, rho, n, boundary, k, eps):
+
+# Each `_plan_*` validates k and a memo's case and returns (steps, hops, sums,
+# finish): `sums(x, lo, m)` yields the running totals at sensors lo..lo+m-1
+# from a field grid `x` of at least `steps` steps, and the target is `finish`
+# of the total after `hops` hops.  Only a static target's hops depend on k.
+
+def _plan_exp(k, field, table, n, boundary, rho, eps):
     _check_boundary(boundary)
     _check_rho("rho", rho)
-    if k is None:
-        if eps is None:
-            eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
-        k = _tail_hops(rho, (1.0 - rho) / (1.0 + rho) * field.bound_m(), eps)
-    return 1, lambda x, lo, m: _geometric(_cone(x, n, boundary, lo, m, k, None), rho, k)
+    lam = (1.0 - rho) / (1.0 + rho)
+    hops = _hops(k, eps, field, rho, lam)
+    return (1, hops, lambda x, lo, m: _geometric(_shifts(x[0], n, boundary, lo, m, hops), rho),
+            lambda total: lam * total)
 
 
-def _plan_asym(field, rb, rf, n, boundary, k, eps):
+def _plan_asym(k, field, table, n, boundary, rb, rf, eps):
     _check_boundary(boundary)
     _check_rho("rho_back", rb)
     _check_rho("rho_forward", rf)
-    if k is None:
-        if eps is None:
-            eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
-        k = _tail_hops(max(rb, rf), field.bound_m(), eps)
-
-    def row(x, lo, m):
-        at = _shifts(x[0], n, boundary, lo, m, k)
-        total = at(0)
-        pb = pf = 1.0
-        for j in range(1, k + 1):
-            pb *= rb
-            pf *= rf
-            total = total + pb * at(-j)
-            total = total + pf * at(j)
-        return (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf) * total
-
-    return 1, row
+    hops = _hops(k, eps, field, max(rb, rf), 1.0)
+    c = (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf)
+    return (1, hops, lambda x, lo, m: _asymmetric(_shifts(x[0], n, boundary, lo, m, hops), rb, rf),
+            lambda total: c * total)
 
 
-def _plan_window(half_width, n, boundary, k):
+def _plan_window(k, field, table, n, boundary, half_width):
     _check_boundary(boundary)
     half_width = _check_half_width("half_width", half_width)
     _check_ring(boundary, n, half_width)
-    reach = half_width if k is None else min(k, half_width)
-    return 1, lambda x, lo, m: _window(_cone(x, n, boundary, lo, m, reach, None),
-                                       half_width, reach)
+    hops = half_width if k is None else min(_check_step(k), half_width)
+    return (1, hops, lambda x, lo, m: _window(_shifts(x[0], n, boundary, lo, m, half_width)),
+            lambda total: total / (2.0 * half_width + 1.0))
 
 
 # the latest half-widths checked, and them as ints: the plans for the k of one
@@ -199,7 +271,7 @@ def _plan_window(half_width, n, boundary, k):
 _checked_widths = ((), ())
 
 
-def _plan_variable_window(widths, n, boundary, k):
+def _plan_variable_window(k, field, table, n, boundary, widths):
     global _checked_widths
     _check_boundary(boundary)
     seen, ints = _checked_widths
@@ -209,100 +281,82 @@ def _plan_variable_window(widths, n, boundary, k):
     widths = ints
     if len(widths) != n:
         raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
-    _check_ring(boundary, n, max(widths))
-
-    def row(x, lo, m):
-        # each neighbor enters with the weight of its own window length
-        at = _shifts(x[0], n, boundary, lo, m, max(widths))
-        width = _shifts(np.asarray(widths), n, boundary, lo, m, max(widths), zero=False)
-        li = width(0)
-        reach = li if k is None else np.minimum(k, li)
-        total = at(0) / (2.0 * li + 1.0)
-        for j in range(1, int(reach.max()) + 1):
-            for d in (-j, j):
-                total = np.where(j <= reach, total + at(d) / (2.0 * width(d) + 1.0), total)
-        return total
-
-    return 1, row
+    reach = max(widths)
+    _check_ring(boundary, n, reach)
+    hops = reach if k is None else min(_check_step(k), reach)
+    return (1, hops, lambda x, lo, m: _variable_window(
+        _shifts(x[0], n, boundary, lo, m, reach),
+        _shifts(np.asarray(widths), n, boundary, lo, m, reach, zero=False)), lambda total: total)
 
 
-def _plan_arbitrary(table, k, n, boundary):
+def _plan_arbitrary(k, field, table, n, boundary):
     _check_boundary(boundary)
     _check_ring(boundary, n, table.radius, "radius")
     radius = table.radius
-
-    def row(x, lo, m):
-        at = _shifts(x[0], n, boundary, lo, m, min(k, radius))
-        w = _shifts(table.weights.T, n, boundary, lo, m, 0, zero=False)(0)
-        total = w[radius] * at(0)
-        for j in range(1, min(k, radius) + 1):
-            total = total + w[radius - j] * at(-j)
-            total = total + w[radius + j] * at(j)
-        return total / table.row_sum
-
-    return 1, row
+    hops = min(_check_step(k), radius)
+    return (1, hops, lambda x, lo, m: _banded(
+        _shifts(x[0], n, boundary, lo, m, radius),
+        _shifts(table.weights.T, n, boundary, lo, m, 0, zero=False), radius),
+        lambda total: total / table.row_sum)
 
 
-def _plan_dyn_exp(k, rho, n, boundary):
+def _plan_dyn_exp(k, field, table, n, boundary, rho):
     _check_boundary(boundary)
     _check_rho("rho", rho)
-    _check_step(k)
-    return k + 1, lambda x, lo, m: _geometric(_cone(x, n, boundary, lo, m, k, k), rho, k)
+    k = _check_step(k)
+    lam = (1.0 - rho) / (1.0 + rho)
+    return (k + 1, k, lambda x, lo, m: _geometric(_cone(x, n, boundary, lo, m, k, k), rho),
+            lambda total: lam * total)
 
 
-def _plan_dyn_window(k, half_width, n, boundary):
+def _plan_dyn_window(k, field, table, n, boundary, half_width):
     _check_boundary(boundary)
     half_width = _check_half_width("half_width", half_width)
     _check_ring(boundary, n, half_width)
-    _check_step(k)
-    reach = min(k, half_width)
-    return k + 1, lambda x, lo, m: _window(_cone(x, n, boundary, lo, m, reach, k),
-                                           half_width, reach)
-
-
-def _row(field, n, plan) -> np.ndarray:
-    steps, row = plan
-    return row(evaluate_grid(field, n, steps), 0, n)
+    k = _check_step(k)
+    hops = min(k, half_width)
+    return (k + 1, hops, lambda x, lo, m: _window(_cone(x, n, boundary, lo, m, hops, k)),
+            lambda total: total / (2.0 * half_width + 1.0))
 
 
 def exp_row(field, rho, *, n, boundary=Ring(), k=None, eps=None) -> np.ndarray:
     """`exp_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_exp(field, rho, n, boundary, k, eps))
+    return _row(field, n, _plan_exp(k, field, None, n, boundary, rho, eps))
 
 
 def asym_row(field, rho_back, rho_forward, *, n, boundary=Ring(), k=None,
              eps=None) -> np.ndarray:
     """`asym_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_asym(field, rho_back, rho_forward, n, boundary, k, eps))
+    return _row(field, n, _plan_asym(k, field, None, n, boundary, rho_back, rho_forward, eps))
 
 
 def window_row(field, half_width, *, n, boundary=Ring(), k=None) -> np.ndarray:
     """`window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_window(half_width, n, boundary, k))
+    return _row(field, n, _plan_window(k, field, None, n, boundary, half_width))
 
 
 def variable_window_row(field, half_widths, *, n, boundary=Ring(), k=None) -> np.ndarray:
     """`variable_window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_variable_window(tuple(half_widths), n, boundary, k))
+    return _row(field, n, _plan_variable_window(k, field, None, n, boundary, tuple(half_widths)))
 
 
 def arbitrary_row(field, table: WeightTable, k, *, n, boundary=Ring()) -> np.ndarray:
     """`arbitrary_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_arbitrary(table, k, n, boundary))
+    return _row(field, n, _plan_arbitrary(k, field, table, n, boundary))
 
 
 def dyn_exp_row(field, k, rho, *, n, boundary=Ring()) -> np.ndarray:
     """`dyn_exp_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_dyn_exp(k, rho, n, boundary))
+    return _row(field, n, _plan_dyn_exp(k, field, None, n, boundary, rho))
 
 
 def dyn_window_row(field, k, half_width, *, n, boundary=Ring()) -> np.ndarray:
     """`dyn_window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_dyn_window(k, half_width, n, boundary))
+    return _row(field, n, _plan_dyn_window(k, field, None, n, boundary, half_width))
 
 
-_MEMOS = {name: _Memo() for name in ("exp", "asym", "window", "variable_window", "arbitrary",
-                                     "dyn_exp", "dyn_window")}
+_MEMOS = {name: _Memo(static=not name.startswith("dyn")) for name in
+          ("exp", "asym", "window", "variable_window", "arbitrary", "dyn_exp", "dyn_window")}
 
 
 def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
@@ -310,44 +364,37 @@ def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
 
     Truncate at `k` hops, or at tail tolerance `eps` (default 1e-12 * M).
     """
-    return _MEMOS["exp"].at(field, i, n, boundary, repr(rho), (k, eps),
-                            lambda: _plan_exp(field, rho, n, boundary, k, eps))
+    return _MEMOS["exp"].at(_plan_exp, i, k, field, None, n, boundary, rho, eps)
 
 
 def asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None, eps=None):
     """Direction-dependent geometric average."""
-    return _MEMOS["asym"].at(field, i, n, boundary, repr((rho_back, rho_forward)), (k, eps),
-                             lambda: _plan_asym(field, rho_back, rho_forward, n, boundary,
-                                                k, eps))
+    return _MEMOS["asym"].at(_plan_asym, i, k, field, None, n, boundary, rho_back, rho_forward,
+                             eps)
 
 
 def window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
     """Mean of the 2*half_width+1 window; `k` truncates to the growing phase."""
-    return _MEMOS["window"].at(field, i, n, boundary, repr(half_width), k,
-                               lambda: _plan_window(half_width, n, boundary, k))
+    return _MEMOS["window"].at(_plan_window, i, k, field, None, n, boundary, half_width)
 
 
 def variable_window_target(field, i, half_widths, *, n, boundary=Ring(), k=None):
     """Per-sensor-window final value: each neighbor enters with the weight of
     its own window length, so the coefficients need not sum to one."""
-    widths = tuple(half_widths)
-    return _MEMOS["variable_window"].at(field, i, n, boundary, widths, k,
-                                        lambda: _plan_variable_window(widths, n, boundary, k))
+    return _MEMOS["variable_window"].at(_plan_variable_window, i, k, field, None, n, boundary,
+                                        tuple(half_widths))
 
 
 def arbitrary_target(field, i, table: WeightTable, k, *, n, boundary=Ring()):
     """Partial sum of the banded weighted average after k rounds."""
-    return _MEMOS["arbitrary"].at(field, i, n, boundary, None, k,
-                                  lambda: _plan_arbitrary(table, k, n, boundary), table)
+    return _MEMOS["arbitrary"].at(_plan_arbitrary, i, k, field, table, n, boundary)
 
 
 def dyn_exp_target(field, i, k, rho, *, n, boundary=Ring()):
     """Geometric average with lagged time arguments."""
-    return _MEMOS["dyn_exp"].at(field, i, n, boundary, repr(rho), k,
-                                lambda: _plan_dyn_exp(k, rho, n, boundary))
+    return _MEMOS["dyn_exp"].at(_plan_dyn_exp, i, k, field, None, n, boundary, rho)
 
 
 def dyn_window_target(field, i, k, half_width, *, n, boundary=Ring()):
     """Lagged window mean; the reach grows with k until the window is full."""
-    return _MEMOS["dyn_window"].at(field, i, n, boundary, repr(half_width), k,
-                                   lambda: _plan_dyn_window(k, half_width, n, boundary))
+    return _MEMOS["dyn_window"].at(_plan_dyn_window, i, k, field, None, n, boundary, half_width)

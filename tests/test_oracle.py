@@ -609,3 +609,127 @@ def test_variable_window_checks_one_case_once_and_never_an_equal_tuple_of_floats
     # the latest checked tuple is matched by identity, not by equality
     with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
         oracle.variable_window_row(field, [float(w) for w in widths], n=8)
+
+
+def test_variable_window_memo_does_not_serve_an_equal_list_of_floats():
+    # the memo once compared the widths by ==, so the second call returned 1.0
+    field = MeasurementField(Constant(1.0))
+    assert oracle.variable_window_target(field, 0, [1] * 8, n=8, k=2) == 1.0
+    with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
+        oracle.variable_window_target(field, 0, [1.0] * 8, n=8, k=2)
+
+
+STATIC = ("exp", "asym", "window", "variable_window", "arbitrary")
+
+
+def _static_params(n):
+    return {"exp": (0.8,), "asym": (0.5, 0.25), "window": (2,), "variable_window": ((2,) * n,),
+            "arbitrary": (WeightTable.geometric(0.5, 2, n),)}
+
+
+@pytest.mark.parametrize("name", STATIC)
+@pytest.mark.parametrize("bad", [-1, 2.5, 2.0, True, np.float64(1.0), "2"])
+def test_static_targets_and_rows_reject_a_step_that_is_not_an_integer_of_at_least_0(name, bad):
+    # before, k=-1 gave 0.111 (exp), 0.2 (window) and 0.333 (arbitrary) on a
+    # constant field of 1, and k=2.5 failed with a bare IndexError
+    n = 8
+    field = MeasurementField(Constant(1.0))
+    params = _static_params(n)[name]
+    # a built row for the int equal to `bad` must not serve it
+    _scalar(name, field, 0, params, 2, None, n, Ring())
+    _scalar(name, field, 0, params, 1, None, n, Ring())
+    for boundary in (Ring(), ZeroHalo()):
+        for call in (lambda: _scalar(name, field, 0, params, bad, None, n, boundary),
+                     lambda: _scalar(name, field, -1, params, bad, None, n, boundary),
+                     lambda: _array(name, field, params, bad, None, n, boundary)):
+            with pytest.raises(ValidationError, match=r"^time step must be an integer >= 0"):
+                call()
+
+
+def test_arbitrary_target_and_row_reject_no_step():
+    field = MeasurementField(Constant(1.0))
+    table = WeightTable.geometric(0.5, 2, 8)
+    with pytest.raises(ValidationError, match="time step"):
+        oracle.arbitrary_target(field, 0, table, None, n=8)
+    with pytest.raises(ValidationError, match="time step"):
+        oracle.arbitrary_row(field, table, None, n=8)
+
+
+@pytest.mark.parametrize("name", STATIC)
+def test_static_targets_take_numpy_integer_steps(name):
+    n = 8
+    field = MeasurementField(random_spatial_table(n, 4))
+    params = _static_params(n)[name]
+    for k in (0, 1, 3):
+        want = _bits(_array(name, field, params, k, None, n, ZeroHalo()))
+        assert _bits(_array(name, field, params, np.int64(k), None, n, ZeroHalo())) == want
+        assert [_bits(_scalar(name, field, i, params, np.int32(k), None, n, ZeroHalo()))
+                for i in range(n)] == want
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, math.nan])
+def test_exp_and_asym_reject_a_tolerance_that_is_not_positive(eps):
+    # before, eps=-1.0 failed with "ValueError: math domain error"
+    field = MeasurementField(Constant(1.0))
+    for k in (None, 2):
+        for call in (lambda: oracle.exp_target(field, 0, 0.8, n=8, k=k, eps=eps),
+                     lambda: oracle.exp_row(field, 0.8, n=8, k=k, eps=eps),
+                     lambda: oracle.asym_target(field, 0, 0.5, 0.25, n=8, k=k, eps=eps),
+                     lambda: oracle.asym_row(field, 0.5, 0.25, n=8, k=k, eps=eps)):
+            with pytest.raises(ValidationError, match=r"^eps must be > 0"):
+                call()
+
+
+def _k_orders(rounds, with_none):
+    """Increasing, decreasing and shuffled k, with None (to the tail) mixed in."""
+    ks = list(range(rounds + 1))
+    shuffled = ks[:]
+    np.random.default_rng(8).shuffle(shuffled)
+    orders = [ks, ks[::-1], shuffled]
+    if with_none:
+        orders = [order[:3] + [None] + order[3:] + [None] for order in orders]
+    return orders
+
+
+@pytest.mark.parametrize("boundary", [Ring(), ZeroHalo()], ids=["ring", "zero_halo"])
+def test_static_rows_extended_hop_by_hop_equal_the_row_forms(boundary):
+    n, rounds = 64, 40
+    for name, field, params in _cases_64(rounds):
+        if name not in STATIC:
+            continue
+        with_none = name in ("exp", "asym", "window")
+        want = {k: _bits(_array(name, field, params, k, None, n, boundary))
+                for k in list(range(rounds + 1)) + ([None] if with_none else [])}
+        for order in _k_orders(rounds, with_none):
+            # a fresh field object each time, so every sweep starts a new case
+            field = MeasurementField(field.kind)
+            for k in order:
+                got = [_bits(_scalar(name, field, i, params, k, None, n, boundary))
+                       for i in range(n)]
+                assert got == want[k], (name, k)
+
+
+@pytest.mark.parametrize("k_outer", [True, False])
+def test_an_increasing_static_sweep_takes_one_hop_per_round(monkeypatch, k_outer):
+    n, rounds = 64, 40
+    hops = [0]
+
+    def counted(sums):
+        def wrapper(*args):
+            for total in sums(*args):
+                hops[0] += 1
+                yield total
+        return wrapper
+
+    for sums in ("_geometric", "_asymmetric", "_window", "_variable_window", "_banded"):
+        monkeypatch.setattr(lacsim.oracle, sums, counted(getattr(lacsim.oracle, sums)))
+    for name, field, params in _cases_64(rounds):
+        if name not in STATIC:
+            continue
+        for boundary in (Ring(), ZeroHalo()):
+            hops[0] = 0
+            points = [(i, k) for k in range(rounds + 1) for i in range(n)]
+            for i, k in points if k_outer else sorted(points):
+                _scalar(name, field, i, params, k, None, n, boundary)
+            # rebuilt from hop 0 for every k, the rows would take 861 steps
+            assert 1 <= hops[0] <= 2 * rounds + 2, (name, hops[0])
