@@ -3,26 +3,35 @@
 
 Prints Monte Carlo output variances for the exponential and window rules next
 to the analytic formulas, the window/exponential variance-match ratios, and a
-random-spacing run for both gap laws.
+random-spacing run for both gap laws.  Each Monte Carlo row also shows its
+wall-clock cost in microseconds per replicate.
 """
 import argparse
 import math
+import time
 
 from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
                     SpacingModel, UniformGaps, monte_carlo_noise, monte_carlo_spacing,
                     noise_var_exp, noise_var_window, variance_match_rho)
 
 
+def timed(call, replicates):
+    """`call()` and its wall-clock microseconds per replicate."""
+    start = time.perf_counter()
+    result = call()
+    return result, (time.perf_counter() - start) * 1e6 / replicates
+
+
 def noise_table(replicates, seed):
-    print(f"{'target':>16} {'analytic':>10} {'sampled':>10} {'rel err':>9}")
+    print(f"{'target':>16} {'analytic':>10} {'sampled':>10} {'rel err':>9} {'us/rep':>7}")
     rows = [(f"exp rho={r}", ExponentialWeighting(r), noise_var_exp(r))
             for r in (0.3, 0.5, 0.7, 0.9)]
     rows += [(f"window L={L}", FiniteWindow(L), noise_var_window(L)) for L in (2, 5, 10)]
     rows.append(("global N=100", GlobalAverage(100), 0.01))
     for name, target, analytic in rows:
-        rep = monte_carlo_noise(target, 1.0, replicates, seed)
+        rep, us = timed(lambda: monte_carlo_noise(target, 1.0, replicates, seed), replicates)
         rel = abs(rep.sampled_variance - analytic) / analytic
-        print(f"{name:>16} {analytic:10.6f} {rep.sampled_variance:10.6f} {rel:9.2%}")
+        print(f"{name:>16} {analytic:10.6f} {rep.sampled_variance:10.6f} {rel:9.2%} {us:7.2f}")
 
 
 def match_table():
@@ -34,13 +43,15 @@ def match_table():
 
 
 def spacing_table(replicates, seed):
-    print(f"{'law':>18} {'rho':>8} {'K':>8} {'mean':>8} {'var':>9} {'var analytic':>13}")
+    print(f"{'law':>18} {'rho':>8} {'K':>8} {'mean':>8} {'var':>9} {'var analytic':>13} "
+          f"{'us/rep':>7}")
     for law, rho in ((ExpGaps(), math.exp(-1)), (ExpGaps(), 0.5),
                      (UniformGaps(0.3), 0.9)):
-        rep = monte_carlo_spacing(rho, SpacingModel(law, seed), replicates)
+        rep, us = timed(lambda: monte_carlo_spacing(rho, SpacingModel(law, seed), replicates),
+                        replicates)
         var_a = "-" if rep.var_analytic is None else f"{rep.var_analytic:13.6f}"
         print(f"{rep.law:>18} {rho:8.4f} {rep.k_analytic:8.4f} "
-              f"{rep.mean:8.5f} {rep.var_sampled:9.6f} {var_a:>13}")
+              f"{rep.mean:8.5f} {rep.var_sampled:9.6f} {var_a:>13} {us:7.2f}")
 
 
 def main():

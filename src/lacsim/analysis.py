@@ -19,7 +19,7 @@ from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 from .fields import Cosine, MeasurementField
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
-                           PerSensorWindow)
+                           PerSensorWindow, _check_integer)
 from .streams import check_seed, replicate_generators
 
 SETTLE_TAIL = 1e-9
@@ -313,8 +313,7 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     Replicate r draws its noise from the stream spawned at (master_seed, r),
     so a parallel split would merge to the identical result.
     """
-    if replicates < 100:
-        raise ValidationError(f"need at least 100 replicates, got {replicates}")
+    replicates = _check_integer("replicates", replicates, 100)
     if not 0.0 <= sigma < math.inf:
         raise ValidationError(f"sigma must be finite and >= 0, got {sigma!r}")
     check_seed(master_seed)
@@ -328,8 +327,9 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     while done < replicates:
         count = min(block, replicates - done)
         eps = np.empty((count, n))
-        for r, gen in enumerate(replicate_generators(master_seed, done, count)):
-            eps[r] = gen.normal(0.0, sigma, n)
+        for row, gen in zip(eps, replicate_generators(master_seed, done, count)):
+            gen.standard_normal(out=row)
+        eps *= sigma  # sigma z, where gen.normal gives 0.0 + sigma z: the same but for -0.0
         y = np.fft.irfft(np.fft.rfft(eps, axis=1) * kernel_hat, n=n, axis=1)
         sums += y.sum(axis=0)
         sq_sums += (y * y).sum(axis=0)

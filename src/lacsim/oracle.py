@@ -45,7 +45,7 @@ from .errors import ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.oracle.evaluate_field
 from .fields import evaluate_field, evaluate_grid  # noqa: F401
-from .static_rules import _check_half_width, _check_rho
+from .static_rules import _check_half_width, _check_integer, _check_rho
 
 DEFAULT_TAIL = 1e-12
 
@@ -200,10 +200,7 @@ def _check_ring(boundary, n, half_width, what="half-width"):
 
 
 def _check_step(k) -> int:
-    """`k` as an int, if it is an integer >= 0: a Python or numpy integer, not a bool."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValidationError(f"time step must be an integer >= 0, got {k!r}")
-    return int(k)
+    return _check_integer("time step", k, 0)
 
 
 def exp_tail_bound(rho: float, k: int, bound_m: float) -> float:

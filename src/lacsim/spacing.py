@@ -19,13 +19,18 @@ import numpy as np
 
 from .errors import NeedsMoreSensorsError, ValidationError
 from .fields import MeasurementField, evaluate_field
-from .static_rules import _check_rho
+from .static_rules import _check_integer, _check_rho
 from .streams import check_seed, generator, replicate_generators
 
 # replicates per block of `monte_carlo_spacing`, bounded so that a block's
 # gap arrays hold at most _BLOCK_ELEMENTS values each
 _BLOCK_REPLICATES = 2048
 _BLOCK_ELEMENTS = 1 << 16
+# a computed rho**c can pass `>= tail_eps` only if c is at most
+# log(tail_eps)/log(rho), up to pow's few-ulp error; `monte_carlo_spacing`
+# computes no term past that bound, widened by this margin (absolute on
+# log(tail_eps), relative on the quotient), which exceeds the error manyfold
+_LOG_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,7 @@ def _draw_gaps(law: SpacingLaw, count: int, rng: np.random.Generator) -> np.ndar
 
 def sample_spacings(model: SpacingModel, count: int, seed: int | None = None) -> SpacingDraw:
     """Deterministic draw of `count` gaps; same seed, same gaps."""
-    if count < 1:
-        raise ValidationError(f"need at least one gap, got {count}")
+    count = _check_integer("gap count", count, 1)
     rng = generator(model.seed if seed is None else seed)
     return SpacingDraw(_draw_gaps(model.law, count, rng))
 
@@ -204,6 +208,20 @@ class SpacingMCReport:
         }
 
 
+def _side_sums(w: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Row i's sum of w[i, :kept[i]], added in the pairwise order numpy sums
+    a 1-D array of kept[i] terms: the rows are grouped by kept count, and
+    each group is one `sum(axis=-1)` over its rows' common prefix."""
+    order = np.argsort(kept)
+    counts = kept[order]
+    grouped = w[order]
+    starts = np.flatnonzero(np.diff(counts, prepend=-1)).tolist()
+    sums = np.empty(len(kept))
+    for a, b in zip(starts, starts[1:] + [len(counts)]):
+        sums[order[a:b]] = grouped[a:b, :counts[a]].sum(axis=-1)
+    return sums
+
+
 def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
                         seed: int | None = None, tail_eps: float = 1e-12) -> SpacingMCReport:
     """Sample mean and variance of the normalized consensus value on an
@@ -212,8 +230,7 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     Each replicate draws both directions from the stream spawned at
     (seed, replicate), so the merge is order-independent.
     """
-    if replicates < 1000:
-        raise ValidationError(f"need at least 1000 replicates, got {replicates}")
+    replicates = _check_integer("replicates", replicates, 1000)
     _check_rho("tail_eps", tail_eps)
     base_seed = model.seed if seed is None else seed
     check_seed(base_seed)
@@ -228,21 +245,24 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
         var_analytic = None
     gap_count = _required_sensors(rho, law, tail_eps)
     block = max(1, min(_BLOCK_REPLICATES, _BLOCK_ELEMENTS // (2 * gap_count)))
+    limit = (math.log(tail_eps) - _LOG_MARGIN) / math.log(rho) * (1.0 + _LOG_MARGIN)
     values = np.empty(replicates)
     for done in range(0, replicates, block):
         count = min(block, replicates - done)
-        gaps = np.empty((count, 2, gap_count))
-        # one draw of 2g values is the two sides' consecutive draws of g
-        for r, rng in enumerate(replicate_generators(base_seed, done, count)):
-            gaps[r] = _draw_gaps(law, 2 * gap_count, rng).reshape(2, gap_count)
-        w = rho ** np.cumsum(gaps, axis=-1)
+        # one draw of 2g values is the two sides' consecutive draws of g:
+        # rows 2r and 2r + 1 are replicate r's sides
+        draws = [_draw_gaps(law, 2 * gap_count, rng)
+                 for rng in replicate_generators(base_seed, done, count)]
+        cum = np.concatenate(draws).reshape(2 * count, gap_count)
+        np.cumsum(cum, axis=-1, out=cum)  # in place: no fresh block to fault in
+        # c grows along each side, so its column minima do too: the columns in
+        # which any side can keep a term are a prefix
+        reach = int(np.count_nonzero(cum.min(axis=0) <= limit))
+        w = rho ** cum[:, :reach]
         # w never increases along a side, so the kept terms are a prefix
-        kept = (w >= tail_eps).sum(axis=-1)
-        for r in range(count):
-            sides = 0.0
-            for side in range(2):
-                sides += float(w[r, side, :kept[r, side]].sum())
-            values[done + r] = k_norm * (1.0 + sides)
+        sides = _side_sums(w, (w >= tail_eps).sum(axis=-1)).reshape(count, 2)
+        # a replicate is k (1 + ((0.0 + s0) + s1)); no sum of w is -0.0, so 0.0 + s0 is s0
+        values[done:done + count] = k_norm * (1.0 + (sides[:, 0] + sides[:, 1]))
     mean = float(values.mean())
     var = float(values.var(ddof=1))
     mean_se = math.sqrt(var / replicates)

@@ -29,12 +29,16 @@ def _check_rho(name: str, value: float) -> None:
         raise ValidationError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
-def _check_half_width(name: str, value) -> int:
-    """`value` as an int, if it is an integer >= 1: a Python or numpy
+def _check_integer(name: str, value, least: int) -> int:
+    """`value` as an int, if it is an integer >= least: a Python or numpy
     integer, not a bool, and never a float rounded down."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_half_width(name: str, value) -> int:
+    return _check_integer(name, value, 1)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,14 @@ words of a whole block of replicates at once: it starts from the pool of one
 real `SeedSequence(seed)` and repeats numpy's uint32 hash mixing of the spawn
 word and of `generate_state` as array arithmetic.  The words, and so every
 draw, are bit for bit those of the per-replicate construction.
+
+Each replicate's `PCG64` takes its row of words through `_seed_words()`, a
+real subclass of numpy's `ISeedSequence` (PCG64 checks its seed against that
+class), so a replicate costs one `PCG64`, one `Generator` and its own draws.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -76,25 +81,31 @@ def spawned_words(seed, first: int, count: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _Words:
-    """Precomputed seeding words, handed to PCG64 as its seed sequence (an
-    `ISeedSequence`, registered on first use so that importing lacsim does
-    not load numpy.random)."""
+@functools.cache
+def _seed_words() -> type:
+    """The class of precomputed seeding words, handed to PCG64 as its seed
+    sequence.  It subclasses numpy's `ISeedSequence`, which PCG64 checks its
+    seed against: a real subclass passes that check faster than a registered
+    one.  Built on first use so that importing lacsim does not load
+    numpy.random."""
 
-    __slots__ = ("words",)
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint64):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("precomputed words serve PCG64's 4 uint64 words only")
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint64):
+            if n_words != 4 or dtype != np.uint64:
+                raise ValueError("precomputed words serve PCG64's 4 uint64 words only")
+            return self.words
+
+    return SeedWords
 
 
 def replicate_generators(seed, first: int, count: int):
     """The generators of replicates first..first+count-1, in order, each the
     one `Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))` gives."""
-    np.random.bit_generator.ISeedSequence.register(_Words)
+    words = _seed_words()
     Generator, PCG64 = np.random.Generator, np.random.PCG64
-    return (Generator(PCG64(_Words(row))) for row in spawned_words(seed, first, count))
+    return (Generator(PCG64(words(row))) for row in spawned_words(seed, first, count))

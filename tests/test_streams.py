@@ -3,7 +3,11 @@ SeedSequence, and both Monte Carlo drivers against their per-replicate
 SeedSequence loops, kept here verbatim as the reference."""
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from lacsim.analysis import NoiseReport, _noise_kernel
 from lacsim.cli import main
 from lacsim.fields import random_space_time_table, random_spatial_table
 from lacsim.spacing import SpacingMCReport
-from lacsim.streams import _Words, generator, replicate_generators, spawned_words
+from lacsim.streams import _seed_words, generator, replicate_generators, spawned_words
 
 
 # -- reference: the per-replicate SeedSequence loops --------------------------
@@ -137,8 +141,18 @@ def test_replicate_generators_draw_the_spawned_streams():
         assert np.array_equal(gen.standard_exponential(50), ref.standard_exponential(50))
 
 
+def test_importing_lacsim_does_not_load_numpy_random():
+    code = "import sys, lacsim; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_words_serve_pcg64_seeding_only():
-    words = _Words(np.zeros(4, dtype=np.uint64))
+    words = _seed_words()(np.zeros(4, dtype=np.uint64))
     with pytest.raises(ValueError):
         words.generate_state(8, np.uint32)
 
@@ -177,6 +191,37 @@ def test_monte_carlo_noise_equals_the_per_replicate_loop(target, sigma, replicat
 def test_monte_carlo_spacing_equals_the_per_replicate_loop(rho, eta, replicates, seed,
                                                            tail_eps):
     model = SpacingModel(ExpGaps() if eta is None else UniformGaps(eta), seed)
+    assert monte_carlo_spacing(rho, model, replicates, tail_eps=tail_eps) == \
+        reference_spacing(rho, model, replicates, tail_eps=tail_eps)
+
+
+def _kept_terms(rho, law, tail_eps, seed, replicates):
+    """How many terms each side of the first replicates keeps."""
+    gap_count = spacing._required_sensors(rho, law, tail_eps)
+    kept = []
+    for r in range(replicates):
+        rng = _rng(seed, r)
+        kept += [int((rho ** np.cumsum(spacing._draw_gaps(law, gap_count, rng)) >= tail_eps).sum())
+                 for _ in range(2)]
+    return kept
+
+
+# The side sums are grouped by kept count.  numpy's pairwise sum changes shape
+# at 8 and at 128 terms, and a side may keep none: among the first 64
+# replicates, each case's kept counts cover at least lo..hi.  Blocks hold
+# 1260, 780, 555, 128, 36 and 34 replicates; only 1024 is a multiple of its block.
+@pytest.mark.parametrize("rho, law, tail_eps, replicates, lo, hi", [
+    (0.1, ExpGaps(), 0.5, 2049, 0, 1),
+    (0.5, ExpGaps(), 0.1, 1000, 7, 8),
+    (0.5, UniformGaps(0.3), 1e-12, 1500, 37, 42),
+    (0.8, ExpGaps(), 1e-12, 1024, 128, 129),
+    (0.95, ExpGaps(), 1e-14, 1000, 600, 650),
+    (0.97, UniformGaps(0.05), 1e-12, 1001, 905, 905),
+])
+def test_grouped_side_sums_equal_the_per_replicate_loop(rho, law, tail_eps, replicates, lo, hi):
+    kept = _kept_terms(rho, law, tail_eps, 9, 64)
+    assert min(kept) <= lo and max(kept) >= hi
+    model = SpacingModel(law, 9)
     assert monte_carlo_spacing(rho, model, replicates, tail_eps=tail_eps) == \
         reference_spacing(rho, model, replicates, tail_eps=tail_eps)
 
@@ -275,6 +320,10 @@ def test_spacing_memory_is_bounded_by_the_block():
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps()), 1000, tail_eps=2.0),
     lambda: sample_spacings(SpacingModel(ExpGaps(), -1), 10),
     lambda: sample_spacings(SpacingModel(ExpGaps()), 10, seed=0.5),
+    lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), 1), 1500.0),
+    lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100.5, 0),
+    lambda: monte_carlo_noise(GlobalAverage(10), 1.0, "200", 0),
+    lambda: sample_spacings(SpacingModel(ExpGaps(), 1), 2.5),
     lambda: weighted_target(SpacingDraw(np.ones(50)), MeasurementField(Constant(1.0)), 25, 0.5,
                             0.3, tail_eps=0.0),
 ])
