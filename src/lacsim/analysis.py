@@ -171,9 +171,7 @@ def variance_match_rho(half_width: int) -> MatchedRho:
     """Decay rate (2L-3)/(2L+1) that makes the exponential rule's noise
     variance match the window's.  The match is asymptotic: the exact ratio
     exp/window decreases toward 1 as L grows (it is 935/729 ~ 1.28 at L = 5)."""
-    if half_width < 2:
-        raise ValidationError(f"matching needs half_width >= 2, got {half_width}")
-    L = half_width
+    L = _check_integer("half_width", half_width, 2)
     rho = (2.0 * L - 3.0) / (2.0 * L + 1.0)
     exact = (4.0 * L * L - 4.0 * L + 5.0) / (2.0 * L - 1.0) ** 3
     return MatchedRho(rho=rho, exp_variance=exact, window_variance=1.0 / (2.0 * L + 1.0))
@@ -239,7 +237,7 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
     # numpy groups the terms of a mean by memory layout, so a reduction over
     # a transposed view can differ in the last bit: reduce over (n, rounds + 1)
     y = np.ascontiguousarray(trace.y)
-    if not 0 <= settle <= rounds:
+    if _check_integer("settle", settle, 0) > rounds:
         raise ValidationError(f"settle must lie in [0, {rounds}], got {settle}")
     if mode not in ("spatial", "temporal"):
         raise ValidationError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
@@ -276,8 +274,7 @@ class GlobalAverage:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValidationError("global average needs count >= 1")
+        object.__setattr__(self, "count", _check_integer("count", self.count, 1))
 
 
 @dataclass(frozen=True)

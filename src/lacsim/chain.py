@@ -21,8 +21,8 @@ Boundary policies:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -34,10 +34,10 @@ from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
 from .errors import DivergedError, ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.chain.evaluate_field
-from .fields import Constant, MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
+from .fields import MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
 from .g17 import WIDTH, write_g17
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
-                           PerSensorWindow, asym_transition, exp_transition,
+                           PerSensorWindow, _check_integer, asym_transition, exp_transition,
                            variable_window_transition, window_transition)
 
 
@@ -49,6 +49,10 @@ class Ring:
 @dataclass(frozen=True)
 class ZeroHalo:
     depth: int | None = None  # None resolves to the round count
+
+    def __post_init__(self):
+        if self.depth is not None:
+            object.__setattr__(self, "depth", _check_integer("halo depth", self.depth, 0))
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,8 @@ class ChainConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise ValidationError(f"chain needs n >= 3 sensors, got {self.n!r}")
-        if not isinstance(self.rounds, int) or self.rounds < 0:
-            raise ValidationError(f"rounds must be an integer >= 0, got {self.rounds!r}")
+        object.__setattr__(self, "n", _check_integer("n", self.n, 3))
+        object.__setattr__(self, "rounds", _check_integer("rounds", self.rounds, 0))
 
     def halo_depth(self) -> int:
         """Resolved halo depth; defaults to the horizon so no unmodeled
@@ -105,7 +107,6 @@ class ConsensusTrace:
     config: ChainConfig
     algo: AlgorithmSpec
     own_history_depth: int = 3
-    metadata: dict = field(default_factory=dict)
 
     @property
     def rounds(self) -> int:
@@ -235,16 +236,6 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple, ring: bool):
                                         own_band[table.radius, real], table.row_sum))
 
 
-@lru_cache(maxsize=1)
-def _weight_sums(half_widths: tuple, n: int, ring: bool) -> tuple:
-    """Final-value coefficient totals per sensor of a per-sensor window, which
-    need not equal one, so a run surfaces them; kept for the latest case."""
-    from .oracle import variable_window_row  # oracle imports this module
-    sums = variable_window_row(MeasurementField(Constant(1.0)), half_widths, n=n,
-                               boundary=Ring() if ring else ZeroHalo())
-    return tuple(sums.tolist())
-
-
 def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> ConsensusTrace:
     """Execute `rounds` synchronous rounds and return the full trace.
 
@@ -290,11 +281,8 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
             if z is not None:
                 z[t] = hist[0][:, 1 + off:1 + off + n].T
 
-    metadata = {}
-    if isinstance(algo, PerSensorWindow):
-        metadata["weight_sums"] = _weight_sums(algo.half_widths, n, ring)
     return ConsensusTrace(y=y.T, z=None if z is None else z.transpose(1, 0, 2),
-                          config=config, algo=algo, metadata=metadata)
+                          config=config, algo=algo)
 
 
 def audit_locality(trace: ConsensusTrace) -> int:

@@ -21,15 +21,16 @@ from pathlib import Path
 
 from . import analysis as ana
 from .arbitrary_weights import BandedWeighting, validate_weights
-from .chain import ChainConfig, Ring, run, trace_to_csv
+from .chain import ChainConfig, Ring, ZeroHalo, run, trace_to_csv
 from .config import (Experiment, config_to_ini, merge_settings, noise_target, read_ini,
                      resolve, spacing_model)
 from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import DivergedError, OutOfDomainError, ValidationError
-from .fields import MeasurementField, SpatialCosine, TemporalCosine
+from .fields import Constant, MeasurementField, SpatialCosine, TemporalCosine
 from .figures import write_figures
+from .oracle import variable_window_row
 from .spacing import monte_carlo_spacing
-from .static_rules import ExponentialWeighting, FiniteWindow
+from .static_rules import ExponentialWeighting, FiniteWindow, PerSensorWindow
 
 SCHEMA_VERSION = 1
 
@@ -85,9 +86,13 @@ def _cmd_simulate(exp: Experiment) -> list:
         written.append(report_path)
     meta_path = exp.out_dir / f"{exp.prefix}_metadata.json"
     meta = _metadata("simulate", exp, [p.name for p in written])
-    if trace.metadata:
-        meta["trace_metadata"] = {k: list(v) if isinstance(v, tuple) else v
-                                  for k, v in trace.metadata.items()}
+    if isinstance(exp.algorithm, PerSensorWindow):
+        # final-value coefficient totals, which need not equal one for a
+        # per-sensor window: on the ring, or else on the zero-extended line
+        boundary = exp.chain.boundary if isinstance(exp.chain.boundary, Ring) else ZeroHalo()
+        sums = variable_window_row(MeasurementField(Constant(1.0)), exp.algorithm.half_widths,
+                                   n=exp.chain.n, boundary=boundary)
+        meta["trace_metadata"] = {"weight_sums": sums.tolist()}
     _write_json(meta_path, meta)
     return written + [meta_path]
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NeedsMoreSensorsError, ValidationError
 from .fields import MeasurementField, evaluate_field
@@ -74,13 +75,6 @@ class SpacingDraw:
     @property
     def sensors(self) -> int:
         return self.gaps.size + 1
-
-    def distance(self, i: int, j: int) -> float:
-        """Cumulative distance between sensors i and j (gap exponents add)."""
-        lo, hi = sorted((i, j))
-        if lo < 0 or hi > self.gaps.size:
-            raise ValidationError(f"sensors {i}, {j} outside draw of {self.sensors} sensors")
-        return float(self.gaps[lo:hi].sum())
 
 
 def _draw_gaps(law: SpacingLaw, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,14 +277,13 @@ def table_from_draw(draw: SpacingDraw, rho: float, radius: int):
     n = draw.sensors
     if n < 2 * radius + 1:
         raise ValidationError(f"draw of {n} sensors cannot host radius {radius}")
-    weights = np.empty((n, 2 * radius + 1))
-    for s in range(n):
-        for off in range(-radius, radius + 1):
-            t = s + off
-            if 0 <= t < n:
-                weights[s, off + radius] = rho ** draw.distance(s, t)
-            else:
-                # past the chain end: only ever multiplies a zero measurement,
-                # but must stay nonzero for the coefficient ratios
-                weights[s, off + radius] = rho ** abs(off)
+    # past the chain ends rho^|offset|: it only ever multiplies a zero
+    # measurement, but must stay nonzero for the coefficient ratios.
+    # float_power rounds as Python's ** does, which np.power need not
+    weights = np.tile(np.float_power(rho, np.abs(np.arange(-radius, radius + 1.0))), (n, 1))
+    for j in range(1, radius + 1):
+        # d(s, s + j), summed in the order of gaps[s:s + j].sum()
+        w = np.float_power(rho, sliding_window_view(draw.gaps, j).sum(axis=1))
+        weights[:n - j, radius + j] = w
+        weights[j:, radius - j] = w
     return WeightTable(weights, 1.0, radius, row_tol=None)

@@ -233,6 +233,33 @@ def test_measure_gain_validation():
         measure_gain(halo_trace, field, omega, "spatial", 2)
 
 
+def _settled_gain(settle):
+    omega = 2 * math.pi * 2 / 16
+    field = MeasurementField(SpatialCosine(1.0, omega))
+    trace = run(ChainConfig(n=16, boundary=Ring(), rounds=4), field, FiniteWindow(2))
+    return measure_gain(trace, field, omega, "spatial", settle)
+
+
+@pytest.mark.parametrize("call, name, least", [
+    (_settled_gain, "settle", 0),
+    (GlobalAverage, "count", 1),
+    (variance_match_rho, "half_width", 2),
+])
+@pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, np.float64(3.0), "3", -1])
+def test_analysis_counts_reject_what_is_not_an_integer_of_their_least(call, name, least, bad):
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer >= {least}, got "):
+        call(bad)
+
+
+def test_analysis_counts_take_numpy_integers():
+    assert _settled_gain(np.int64(2)) == _settled_gain(2)
+    assert GlobalAverage(np.int64(40)) == GlobalAverage(40)
+    assert type(GlobalAverage(np.int64(40)).count) is int
+    assert variance_match_rho(np.int64(5)) == variance_match_rho(5)
+    with pytest.raises(ValidationError, match=r"^settle must lie in \[0, 4\], got 5$"):
+        _settled_gain(5)
+
+
 def test_measure_gain_settle_warning():
     n = 16
     omega = 2 * math.pi * 2 / n

@@ -247,6 +247,22 @@ def test_cli_rerun_from_embedded_config_with_case_sensitive_keys(tmp_path, varia
     assert (out1 / "run_trace.csv").read_bytes() == (out2 / "run_trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("variant", sorted(_VARIANT_TEXT))
+@pytest.mark.parametrize("boundary", ["ring", "zero_halo", "truncated"])
+def test_cli_writes_trace_metadata_for_the_per_sensor_window_only(tmp_path, variant, boundary):
+    (tmp_path / "w.csv").write_text(WeightTable.geometric(0.5, 2, 8).to_csv())
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[chain]\nn = 8\nrounds = 3\nboundary = {boundary}\n"
+                   f"[algorithm]\nvariant = {variant}\n{_VARIANT_TEXT[variant]}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+    if variant == "variable_window":
+        assert set(meta["trace_metadata"]) == {"weight_sums"}
+        assert len(meta["trace_metadata"]["weight_sums"]) == 8
+    else:
+        assert "trace_metadata" not in meta
+
+
 @pytest.mark.parametrize("text", ["sensor,value\n0,1.0\n1,np.float64(0.1)\n",
                                   "sensor,step,value\n0,0,1.0\n1,0\n",
                                   "sensor,value\n", ""])

@@ -52,6 +52,24 @@ def test_config_domain_validation():
         ChainConfig(n=8, rounds=-1)
 
 
+@pytest.mark.parametrize("build, name, least", [
+    (lambda v: ChainConfig(n=v), "n", 3),
+    (lambda v: ChainConfig(n=8, rounds=v), "rounds", 0),
+    (lambda v: ZeroHalo(v), "halo depth", 0),
+])
+@pytest.mark.parametrize("bad", [True, False, 2.5, 8.0, np.float64(4.0), "8", -1])
+def test_engine_counts_reject_what_is_not_an_integer_of_their_least(build, name, least, bad):
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer >= {least}, got "):
+        build(bad)
+
+
+def test_engine_counts_take_numpy_integers_as_ints():
+    cfg = ChainConfig(n=np.int64(8), boundary=ZeroHalo(np.int32(4)), rounds=np.int64(3))
+    assert all(type(v) is int for v in (cfg.n, cfg.rounds, cfg.boundary.depth))
+    assert cfg == ChainConfig(n=8, boundary=ZeroHalo(4), rounds=3)
+    assert ZeroHalo().depth is None
+
+
 def test_determinism_bit_identical():
     cfg = ChainConfig(n=10, boundary=Ring(), rounds=9, master_seed=4)
     field = MeasurementField(random_spatial_table(10, 12))

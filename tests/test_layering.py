@@ -1,0 +1,71 @@
+"""The engine layer stands alone: it imports nothing from the modules built
+on top of it, so the recursions and the closed-form oracles they are checked
+against stay two independent implementations."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lacsim
+
+PACKAGE = Path(lacsim.__file__).parent
+ENGINE = ("chain", "static_rules", "dynamic_rules", "arbitrary_weights", "fields", "philox",
+          "g17", "streams", "tables", "errors")
+ABOVE = {"oracle", "analysis", "spacing", "config", "cli", "acceptance", "figures"}
+
+
+def _imported_modules(path: Path) -> set:
+    """Every lacsim module `path` imports, at module level or inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("lacsim."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and node.module.startswith("lacsim"):
+                parts = node.module.split(".")
+            elif node.level == 1:
+                parts = ["lacsim"] + (node.module.split(".") if node.module else [])
+            else:
+                continue
+            if len(parts) > 1:
+                names.add(parts[1])
+            else:  # from lacsim import x / from . import x
+                names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_engine_module_exists():
+    assert {p.stem for p in PACKAGE.glob("*.py")} >= set(ENGINE) | ABOVE
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_engine_module_imports_nothing_above_the_engine(module):
+    assert _imported_modules(PACKAGE / f"{module}.py") & ABOVE == set()
+
+
+def test_import_scan_sees_function_level_and_package_imports(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("from . import oracle\nimport lacsim.cli\n"
+                      "def f():\n    from .analysis import bandwidth\n"
+                      "    from lacsim.figures import write_figures\n")
+    assert _imported_modules(source) == {"oracle", "cli", "analysis", "figures"}
+
+
+def test_per_sensor_window_run_leaves_the_oracle_unloaded():
+    script = (
+        "import sys\n"
+        "from lacsim.chain import ChainConfig, ZeroHalo, run\n"
+        "from lacsim.fields import Constant, MeasurementField\n"
+        "from lacsim.static_rules import PerSensorWindow\n"
+        "run(ChainConfig(n=8, boundary=ZeroHalo(), rounds=3),\n"
+        "    MeasurementField(Constant(1.0)), PerSensorWindow((1, 2, 2, 3, 3, 2, 1, 1)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lacsim')))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    loaded = ast.literal_eval(done.stdout)
+    assert "lacsim.chain" in loaded
+    assert "lacsim.oracle" not in loaded

@@ -43,15 +43,45 @@ def test_sampler_validation():
         sample_spacings(SpacingModel(ExpGaps(), 0), 0)
 
 
+def _distance(draw, i, j):
+    """Cumulative distance between sensors i and j (gap exponents add): the
+    per-pair reference for `table_from_draw`."""
+    lo, hi = sorted((i, j))
+    assert 0 <= lo and hi <= draw.gaps.size
+    return float(draw.gaps[lo:hi].sum())
+
+
+def _table_per_pair(draw, rho, radius):
+    """`table_from_draw`'s weights one entry at a time, as it once built them."""
+    n = draw.sensors
+    weights = np.empty((n, 2 * radius + 1))
+    for s in range(n):
+        for off in range(-radius, radius + 1):
+            t = s + off
+            weights[s, off + radius] = rho ** (_distance(draw, s, t) if 0 <= t < n
+                                               else abs(off))
+    return weights
+
+
 def test_draw_distances_telescope():
     draw = SpacingDraw(np.array([1.0, 2.0, 0.5]))
     assert draw.sensors == 4
-    assert draw.distance(0, 3) == pytest.approx(3.5)
-    assert draw.distance(2, 1) == pytest.approx(2.0)
-    with pytest.raises(ValidationError):
-        draw.distance(0, 4)
-    with pytest.raises(ValidationError):
-        SpacingDraw(np.array([1.0, -0.5]))
+    assert _distance(draw, 0, 3) == pytest.approx(3.5)
+    assert _distance(draw, 2, 1) == pytest.approx(2.0)
+    for bad in ([1.0, -0.5], [1.0, 0.0], [], [[1.0]]):
+        with pytest.raises(ValidationError):
+            SpacingDraw(np.array(bad))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([ExpGaps(), UniformGaps(0.3)]),
+       st.sampled_from([0.5, 0.9, math.exp(-1.0)]) | st.floats(0.01, 0.99),
+       st.integers(1, 40), st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_table_from_draw_equals_the_per_pair_table_bit_for_bit(law, rho, radius, extra, seed):
+    draw = sample_spacings(SpacingModel(law, seed), 2 * radius + extra)
+    table = table_from_draw(draw, rho, radius)
+    expected = _table_per_pair(draw, rho, radius)
+    assert table.weights.tobytes() == expected.tobytes()
 
 
 def test_k_poisson_values():

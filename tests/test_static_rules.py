@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from lacsim import (AsymmetricWeighting, ChainConfig, ExponentialWeighting, FiniteWindow,
                     HistoryError, MeasurementField, PerSensorWindow, Ring, TableField,
-                    TerminatedError, Truncated, ValidationError, ZeroHalo, Constant, Impulse,
+                    TerminatedError, ValidationError, ZeroHalo, Constant, Impulse,
                     asym_transition, dyn_exp_transition, exp_transition, random_spatial_table,
                     run, variable_window_transition, window_transition)
 from lacsim import DynamicWindow, oracle
+from lacsim.cli import main
 
 
 def test_exp_init_stage():
@@ -143,20 +145,37 @@ def test_variable_window_uniform_reduction():
     assert np.array_equal(a.y, b.y)
 
 
-def test_variable_window_constant_field_weight_sums():
+def _simulated_weight_sums(out, widths, boundary):
+    """The weight sums `lacsim simulate` writes for a per-sensor window."""
+    args = ["simulate", "--out", str(out)]
+    for setting in (f"chain.n={len(widths)}", "chain.rounds=1", f"chain.boundary={boundary}",
+                    "algorithm.variant=variable_window",
+                    "algorithm.lengths=" + ",".join(map(str, widths))):
+        args += ["--set", setting]
+    assert main(args) == 0
+    meta = json.loads((out / "run_metadata.json").read_text())
+    return tuple(meta["trace_metadata"]["weight_sums"])
+
+
+@pytest.mark.parametrize("boundary", ["ring", "zero_halo", "truncated"])
+def test_variable_window_constant_field_weight_sums(tmp_path, boundary):
     # the closed form is not a convex combination: constant c maps to c * weight_sum
     widths = (2, 2, 3, 3, 3, 2, 2)
-    c = 5.0
-    cfg = ChainConfig(n=7, boundary=Ring(), rounds=4)
-    trace = run(cfg, MeasurementField(Constant(c)), PerSensorWindow(widths))
-    sums = trace.metadata["weight_sums"]
-    for i, w in enumerate(widths):
-        expected = 1 / (2 * w + 1) + sum(
-            1 / (2 * widths[(i + d) % 7] + 1) + 1 / (2 * widths[(i - d) % 7] + 1)
-            for d in range(1, w + 1))
-        assert sums[i] == pytest.approx(expected, abs=1e-14)
-        assert trace.y[i, w] == pytest.approx(c * expected, abs=1e-12)
+    c, ring = 5.0, boundary == "ring"
+    sums = _simulated_weight_sums(tmp_path, widths, boundary)
+    assert sums == _weight_sums_per_sensor(widths, 7, ring)
     assert any(abs(s - 1.0) > 1e-3 for s in sums)
+    if ring:
+        for i, w in enumerate(widths):
+            expected = 1 / (2 * w + 1) + sum(
+                1 / (2 * widths[(i + d) % 7] + 1) + 1 / (2 * widths[(i - d) % 7] + 1)
+                for d in range(1, w + 1))
+            assert sums[i] == pytest.approx(expected, abs=1e-14)
+    if boundary != "truncated":  # a truncated chain's ends lose more than the zero line's
+        cfg = ChainConfig(n=7, boundary=Ring() if ring else ZeroHalo(), rounds=4)
+        trace = run(cfg, MeasurementField(Constant(c)), PerSensorWindow(widths))
+        for i, w in enumerate(widths):
+            assert trace.y[i, w] == pytest.approx(c * sums[i], abs=1e-12)
 
 
 def test_variable_window_adjacency_validation():
@@ -208,16 +227,16 @@ def _weight_sums_per_sensor(widths, n, ring):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-1, 1), min_size=2, max_size=30), st.integers(1, 5),
-       st.sampled_from([Ring(), ZeroHalo(), Truncated()]))
-def test_variable_window_weight_sums_equal_the_per_sensor_loop(steps, start, boundary):
+       st.sampled_from(["ring", "zero_halo", "truncated"]))
+def test_variable_window_weight_sums_equal_the_per_sensor_loop(tmp_path_factory, steps, start,
+                                                               boundary):
     widths = [start]
     for d in steps:  # adjacent half-widths differ by at most one
         widths.append(max(1, widths[-1] + d))
-    n, ring = len(widths), isinstance(boundary, Ring)
+    n, ring = len(widths), boundary == "ring"
     assume(not ring or (n >= 2 * max(widths) + 1 and abs(widths[0] - widths[-1]) <= 1))
-    trace = run(ChainConfig(n=n, boundary=boundary, rounds=1),
-                MeasurementField(Constant(1.0)), PerSensorWindow(tuple(widths)))
-    assert trace.metadata["weight_sums"] == _weight_sums_per_sensor(widths, n, ring)
+    sums = _simulated_weight_sums(tmp_path_factory.mktemp("simulate"), widths, boundary)
+    assert sums == _weight_sums_per_sensor(widths, n, ring)
 
 
 # -- the stages before they shared one stencil: the reference for it -----------
@@ -364,35 +383,6 @@ def test_stages_raise_at_the_same_rounds_for_every_history_depth():
         assert same_outcome(dyn_exp_transition, _dyn_exp_ref, k, *hist, values[:nx], 0.3)
         for half_width in (1, 2, 3):
             assert same_outcome(window_transition, _window_ref, k, *hist, 1.5, half_width)
-
-
-def test_weight_sums_are_kept_for_the_latest_case(monkeypatch):
-    import lacsim.chain
-    calls = []
-    real = oracle.variable_window_row
-    monkeypatch.setattr(oracle, "variable_window_row",
-                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    lacsim.chain._weight_sums.cache_clear()
-    widths = (1, 2, 2, 1, 1, 2, 3, 2)
-    field = MeasurementField(random_spatial_table(8, 3))
-    first = run(ChainConfig(n=8, rounds=3), field, PerSensorWindow(widths))
-    again = run(ChainConfig(n=8, rounds=2), MeasurementField(Constant(2.0)),
-                PerSensorWindow(widths))
-    assert len(calls) == 1
-    assert again.metadata["weight_sums"] == first.metadata["weight_sums"] \
-        == _weight_sums_per_sensor(widths, 8, True)
-    line = run(ChainConfig(n=8, boundary=Truncated(), rounds=3), field, PerSensorWindow(widths))
-    assert len(calls) == 2
-    assert line.metadata["weight_sums"] == _weight_sums_per_sensor(widths, 8, False)
-
-
-def test_cached_weight_sums_equal_a_fresh_computation():
-    import lacsim.chain
-    widths = (1, 2, 2, 1, 1, 2, 3, 2)
-    for ring in (True, False):
-        cached = lacsim.chain._weight_sums(widths, 8, ring)
-        assert lacsim.chain._weight_sums(widths, 8, ring) is cached
-        assert cached == lacsim.chain._weight_sums.__wrapped__(widths, 8, ring)
 
 
 @pytest.mark.parametrize("rule", [FiniteWindow, DynamicWindow])
