@@ -36,7 +36,7 @@ def main():
     for seed in (11, 12, 13):
         cases = _oracle_cases(n, rounds, seed)
         for boundary in (Ring(), ZeroHalo()):
-            config = ChainConfig(n=n, boundary=boundary, rounds=rounds, master_seed=seed)
+            config = ChainConfig(n=n, boundary=boundary, rounds=rounds)
             for name, algo, field, target in cases:
                 if args.rule not in ("all", name):
                     continue

@@ -92,7 +92,7 @@ def criterion_1() -> CriterionResult:
     for seed in (11, 12, 13):
         cases = _oracle_cases(n, rounds, seed)
         for boundary in (Ring(), ZeroHalo()):
-            cfg = ChainConfig(n=n, boundary=boundary, rounds=rounds, master_seed=seed)
+            cfg = ChainConfig(n=n, boundary=boundary, rounds=rounds)
             for name, algo, field, target in cases:
                 trace = run(cfg, field, algo)
                 for k in range(rounds + 1):
@@ -115,7 +115,7 @@ def criterion_2() -> CriterionResult:
     worst = 0.0
     for seed in (3, 4, 5):
         field = MeasurementField(random_space_time_table(n, 4, seed))
-        cfg = ChainConfig(n=n, boundary=Ring(), rounds=3, master_seed=seed)
+        cfg = ChainConfig(n=n, boundary=Ring(), rounds=3)
         trace = run(cfg, field, DynamicWindow(L))
         x = lambda i, k: field.kind.at(i % n, k)
         for i in range(n):
@@ -316,7 +316,7 @@ def criterion_10() -> CriterionResult:
     # locality: zero violations on every run, across rules and boundaries
     violations = 0
     for boundary in (Ring(), ZeroHalo()):
-        cfg = ChainConfig(n=64, boundary=boundary, rounds=rounds, master_seed=5)
+        cfg = ChainConfig(n=64, boundary=boundary, rounds=rounds)
         for _, algo, field, _ in _oracle_cases(64, rounds, 21):
             violations += audit_locality(run(cfg, field, algo))
     good = violations == 0
@@ -327,7 +327,7 @@ def criterion_10() -> CriterionResult:
     f = random_spatial_table(n, 31)
     g = random_spatial_table(n, 32)
     combined = MeasurementField(TableField(0.7 * f.values - 1.3 * g.values))
-    cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds, master_seed=5)
+    cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds)
     sup_worst = 0.0
     for algo in (ExponentialWeighting(0.7), DynamicWindow(2)):
         t_comb = run(cfg, combined, algo)

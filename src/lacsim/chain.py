@@ -13,9 +13,9 @@ rounds.
 
 Boundary policies:
   Ring       indices wrap modulo n (exact for spatially periodic fields);
-  ZeroHalo   ghost sensors running the same rule with x = 0 pad both ends;
-             with depth >= rounds nothing beyond the halo can reach a real
-             sensor, making the zero-extended-line targets exact;
+  ZeroHalo   `rounds` ghost sensors running the same rule with x = 0 pad
+             each end; nothing beyond them can reach a real sensor, making
+             the zero-extended-line targets exact;
   Truncated  missing neighbors contribute zero to every difference term,
              which exhibits the boundary end effect.
 """
@@ -48,11 +48,7 @@ class Ring:
 
 @dataclass(frozen=True)
 class ZeroHalo:
-    depth: int | None = None  # None resolves to the round count
-
-    def __post_init__(self):
-        if self.depth is not None:
-            object.__setattr__(self, "depth", _check_integer("halo depth", self.depth, 0))
+    pass
 
 
 @dataclass(frozen=True)
@@ -75,24 +71,16 @@ class ChainConfig:
     n: int
     boundary: Boundary = Ring()
     rounds: int = 0
-    master_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer("n", self.n, 3))
         object.__setattr__(self, "rounds", _check_integer("rounds", self.rounds, 0))
 
     def halo_depth(self) -> int:
-        """Resolved halo depth; defaults to the horizon so no unmodeled
-        information can reach a real sensor (one hop per round)."""
-        if not isinstance(self.boundary, ZeroHalo):
-            return 0
-        d = self.boundary.depth
-        if d is None:
-            return self.rounds
-        if d < self.rounds:
-            raise ValidationError(
-                f"zero-halo depth {d} is shallower than the {self.rounds}-round horizon")
-        return d
+        """Ghost sensors per end: the horizon for a zero halo, so no unmodeled
+        information can reach a real sensor (one hop per round), and a
+        deeper halo would change nothing; 0 for the other boundaries."""
+        return self.rounds if isinstance(self.boundary, ZeroHalo) else 0
 
 
 # one audit row per delivered message; size is the payload length in values
@@ -106,7 +94,6 @@ class ConsensusTrace:
     z: np.ndarray | None                # (n, rounds + 1, slots) for the dynamic window
     config: ChainConfig
     algo: AlgorithmSpec
-    own_history_depth: int = 3
 
     @property
     def rounds(self) -> int:
@@ -287,12 +274,11 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
 
 def audit_locality(trace: ConsensusTrace) -> int:
     """Number of audit records whose sender is not an immediate neighbor of
-    the receiver under the trace's boundary arithmetic.  A transition history
-    deeper than three rounds also counts as one violation."""
+    the receiver under the trace's boundary arithmetic."""
     hop = trace.audit["receiver"] - trace.audit["sender"]
     if isinstance(trace.config.boundary, Ring):
         hop = (hop + 1) % trace.config.n - 1  # a wrap pair is one hop apart
-    return int(np.count_nonzero(np.abs(hop) != 1)) + (trace.own_history_depth > 3)
+    return int(np.count_nonzero(np.abs(hop) != 1))
 
 
 def _labels(count: int, lead: int, end: int) -> np.ndarray:

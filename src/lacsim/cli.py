@@ -21,15 +21,14 @@ from pathlib import Path
 
 from . import analysis as ana
 from .arbitrary_weights import BandedWeighting, validate_weights
-from .chain import ChainConfig, Ring, ZeroHalo, run, trace_to_csv
-from .config import (Experiment, config_to_ini, merge_settings, noise_target, read_ini,
-                     resolve, spacing_model)
+from .chain import ChainConfig, Ring, Truncated, run, trace_to_csv
+from .config import Experiment, config_to_ini, merge_settings, read_ini, resolve
 from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import DivergedError, OutOfDomainError, ValidationError
 from .fields import Constant, MeasurementField, SpatialCosine, TemporalCosine
 from .figures import write_figures
 from .oracle import variable_window_row
-from .spacing import monte_carlo_spacing
+from .spacing import SpacingModel, monte_carlo_spacing
 from .static_rules import ExponentialWeighting, FiniteWindow, PerSensorWindow
 
 SCHEMA_VERSION = 1
@@ -45,7 +44,7 @@ def _metadata(command: str, exp: Experiment | None, outputs: list) -> dict:
     if exp is not None:
         meta["config"] = exp.resolved
         meta["config_ini"] = config_to_ini(exp.resolved)
-        meta["seed"] = exp.chain.master_seed
+        meta["seed"] = exp.seed
     return meta
 
 
@@ -86,12 +85,12 @@ def _cmd_simulate(exp: Experiment) -> list:
         written.append(report_path)
     meta_path = exp.out_dir / f"{exp.prefix}_metadata.json"
     meta = _metadata("simulate", exp, [p.name for p in written])
-    if isinstance(exp.algorithm, PerSensorWindow):
+    if isinstance(exp.algorithm, PerSensorWindow) and \
+            not isinstance(exp.chain.boundary, Truncated):
         # final-value coefficient totals, which need not equal one for a
-        # per-sensor window: on the ring, or else on the zero-extended line
-        boundary = exp.chain.boundary if isinstance(exp.chain.boundary, Ring) else ZeroHalo()
+        # per-sensor window; a truncated chain's end sensors fall short of them
         sums = variable_window_row(MeasurementField(Constant(1.0)), exp.algorithm.half_widths,
-                                   n=exp.chain.n, boundary=boundary)
+                                   n=exp.chain.n, boundary=exp.chain.boundary)
         meta["trace_metadata"] = {"weight_sums": sums.tolist()}
     _write_json(meta_path, meta)
     return written + [meta_path]
@@ -121,25 +120,31 @@ def _cmd_freq(exp: Experiment, mode: str) -> list:
     omegas = ([2.0 * math.pi * m / n for m in exp.analysis["harmonic"]] if spatial
               else exp.analysis["omegas"])
     lines = ["omega,gain_analytic,gain_measured,phase_measured"]
+    warnings = []  # measure_gain's, each once: a short settle taints every row
     for omega in omegas:
         field = MeasurementField(cosine(1.0, omega))
         rounds = max(settle, 1) if spatial else settle + ana.fit_rounds(omega)
-        cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds,
-                          master_seed=exp.chain.master_seed)
+        cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds)
         est = ana.measure_gain(run(cfg, field, algo), field, omega, mode, settle)
         gain = ana.closed_form_gain(algo, omega)
         lines.append(",".join(format(v, ".17g") for v in (omega, gain, est.gain, est.phase)))
+        if est.warning is not None and est.warning not in warnings:
+            warnings.append(est.warning)
     csv_path = exp.out_dir / f"{exp.prefix}_freq_{mode}.csv"
     _write_text(csv_path, "\n".join(lines) + "\n")
     meta_path = exp.out_dir / f"{exp.prefix}_freq_{mode}_metadata.json"
-    _write_json(meta_path, _metadata(command, exp, [csv_path.name]))
+    meta = _metadata(command, exp, [csv_path.name])
+    if warnings:
+        meta["warnings"] = warnings
+    _write_json(meta_path, meta)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return [csv_path, meta_path]
 
 
 def _cmd_noise(exp: Experiment) -> list:
-    target = noise_target(exp.analysis)
-    report = ana.monte_carlo_noise(target, exp.analysis["sigma"],
-                                   exp.analysis["replicates"], exp.chain.master_seed)
+    report = ana.monte_carlo_noise(exp.sampled, exp.analysis["sigma"],
+                                   exp.analysis["replicates"], exp.seed)
     payload = _metadata("noise", exp, [])
     payload["report"] = {
         "analytic_variance": report.analytic_variance,
@@ -153,7 +158,7 @@ def _cmd_noise(exp: Experiment) -> list:
 
 
 def _cmd_spacing(exp: Experiment) -> list:
-    model = spacing_model(exp.analysis, exp.chain.master_seed)
+    model = SpacingModel(exp.sampled, exp.seed)
     report = monte_carlo_spacing(exp.analysis["rho"], model, exp.analysis["replicates"],
                                  tail_eps=exp.analysis["tail_eps"])
     payload = _metadata("spacing", exp, [])

@@ -2,10 +2,11 @@
 
 Sections are [chain], [field], [algorithm], [analysis], [output]; summed
 fields add [field.<name>] subsections.  One key table per section, boundary,
-field kind, variant and command names every accepted key with its parser and
-default.  Keys outside the table are rejected, and the fully resolved key set
-(defaults included) is echoed into every output's metadata so each artifact
-is self-describing and reproducible.  A master seed must be given explicitly
+field kind, variant, command, noise target and spacing law names every
+accepted key with its parser and default.  Keys outside the table are
+rejected, and the fully resolved key set (defaults included) is echoed into
+every output's metadata so each artifact is self-describing and
+reproducible.  A master seed must be given explicitly
 for any stochastic run.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 from .fields import (Constant, Impulse, MeasurementField, Noise, SpatialCosine, SumField,
                      TableField, TemporalCosine)
-from .spacing import ExpGaps, SpacingModel, UniformGaps
+from .spacing import ExpGaps, UniformGaps
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow)
 from .tables import read_index_csv
@@ -81,18 +82,19 @@ def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> Banded
 
 # Key tables: key -> (parser, default).  A parser of `Path` names an input
 # file, resolved against the config's directory and echoed absolute.  A
-# section with a selector key (boundary, kind, variant) maps each choice to
-# its own key table and a builder of the object the choice stands for (a
-# table file's builder also takes the chain size n, bound by `_sized`).
+# section with a selector key (boundary, kind, variant, noise_target, law)
+# maps each choice to its own key table and a builder of the object the
+# choice stands for (a table file's builder also takes the chain size n,
+# bound by `_sized`).
 _CHAIN = {"n": (_int, 64), "rounds": (_int, 40), "master_seed": (_int, 0)}
 _BOUNDARIES = {
     "ring": ({}, lambda v: Ring()),
-    "zero_halo": ({"halo_depth": (_int, None)}, lambda v: ZeroHalo(v.get("halo_depth"))),
+    "zero_halo": ({}, lambda v: ZeroHalo()),
     "truncated": ({}, lambda v: Truncated()),
 }
 
 _FIELD = {"noise_sigma": (_float, 0.0), "noise_distribution": (str, "gaussian"),
-          "noise_seed": (_int, None), "bound": (_float, None)}
+          "noise_seed": (_int, None)}
 _COSINE = {"amplitude": (_float, REQUIRED), "omega": (_float, REQUIRED), "phase": (_float, 0.0)}
 _FIELD_KINDS = {
     "constant": ({"value": (_float, 1.0)}, lambda v: Constant(v["value"])),
@@ -119,16 +121,28 @@ _VARIANTS = {
 }
 
 _SETTLE = (_int, None)  # None: the rule's own settle_rounds
+_NOISE = {"sigma": (_float, 1.0), "replicates": (_int, 10000)}
+_SPACING = {"replicates": (_int, 20000), "tail_eps": (_float, 1e-12)}
+_E_INV = (_float, math.exp(-1.0))
+# command -> its [analysis] key table, or (selector, default, choices) when a
+# selector key picks what the command samples: the noise target's rule or
+# the spacing law's gaps.  The shared keys sit inside each choice's table,
+# which keeps the echo's key order
 _ANALYSIS = {
     "simulate": {},
     "freq-spatial": {"harmonic": (_list(_int), (8,)), "settle": _SETTLE},
     "freq-temporal": {"omegas": (_list(_float), (0.05, 0.1, 0.5)), "settle": _SETTLE},
-    "noise": {"noise_target": (_choice("exponential", "window", "global"), "exponential"),
-              "rho": (_float, 0.5), "L": (_int, 2), "count": (_int, 100),
-              "sigma": (_float, 1.0), "replicates": (_int, 10000)},
-    "spacing": {"law": (_choice("exp_density", "uniform"), "exp_density"),
-                "rho": (_float, math.exp(-1.0)), "eta": (_float, 0.3),
-                "replicates": (_int, 20000), "tail_eps": (_float, 1e-12)},
+    "noise": ("noise_target", "exponential", {
+        "exponential": ({"rho": (_float, 0.5), **_NOISE},
+                        lambda v: ExponentialWeighting(v["rho"])),
+        "window": ({"L": (_int, 2), **_NOISE}, lambda v: FiniteWindow(v["L"])),
+        "global": ({"count": (_int, 100), **_NOISE}, lambda v: GlobalAverage(v["count"])),
+    }),
+    "spacing": ("law", "exp_density", {
+        "exp_density": ({"rho": _E_INV, **_SPACING}, lambda v: ExpGaps()),
+        "uniform": ({"rho": _E_INV, "eta": (_float, 0.3), **_SPACING},
+                    lambda v: UniformGaps(v["eta"])),
+    }),
     "figures": {},
 }
 _OUTPUT = {"dir": (str, "out"), "prefix": (str, "run")}
@@ -240,9 +254,11 @@ def merge_settings(base: dict, overrides: list) -> dict:
 @dataclass
 class Experiment:
     chain: ChainConfig
+    seed: int  # [chain] master_seed
     field: MeasurementField
     algorithm: object
     analysis: dict
+    sampled: object  # what `noise` or `spacing` samples (a rule, a gap law); else None
     out_dir: Path
     prefix: str
     resolved: dict = dc_field(default_factory=dict)
@@ -272,8 +288,13 @@ def resolve(raw: dict, command: str, base_dir: Path,
     algorithm, _, resolved["algorithm"] = _read_kind(
         "algorithm", raw.get("algorithm", {}), "variant", "exponential",
         _sized(_VARIANTS, "arbitrary", chain["n"]), {}, base_dir)
-    analysis, resolved["analysis"] = _read("analysis", raw.get("analysis", {}),
-                                           _ANALYSIS[command], base_dir)
+    table, sampled = _ANALYSIS[command], None
+    if isinstance(table, tuple):
+        sampled, analysis, resolved["analysis"] = _read_kind(
+            "analysis", raw.get("analysis", {}), *table, {}, base_dir)
+    else:
+        analysis, resolved["analysis"] = _read("analysis", raw.get("analysis", {}), table,
+                                               base_dir)
     output = dict(raw.get("output", {}))
     if out_override:
         output["dir"] = out_override
@@ -284,26 +305,11 @@ def resolve(raw: dict, command: str, base_dir: Path,
                 else ""
             raise ValidationError(f"unknown config section [{section}]{hint}")
     return Experiment(
-        chain=ChainConfig(n=chain["n"], boundary=boundary, rounds=chain["rounds"],
-                          master_seed=chain["master_seed"]),
-        field=MeasurementField(kind, noise=noise if noise.sigma > 0 else None,
-                               bound=field.get("bound")),
-        algorithm=algorithm, analysis=analysis, out_dir=Path(output["dir"]),
+        chain=ChainConfig(n=chain["n"], boundary=boundary, rounds=chain["rounds"]),
+        seed=chain["master_seed"],
+        field=MeasurementField(kind, noise=noise if noise.sigma > 0 else None),
+        algorithm=algorithm, analysis=analysis, sampled=sampled, out_dir=Path(output["dir"]),
         prefix=output["prefix"], resolved=resolved)
-
-
-def spacing_model(analysis: dict, seed: int) -> SpacingModel:
-    law = ExpGaps() if analysis["law"] == "exp_density" else UniformGaps(analysis["eta"])
-    return SpacingModel(law=law, seed=seed)
-
-
-def noise_target(analysis: dict):
-    name = analysis["noise_target"]
-    if name == "exponential":
-        return ExponentialWeighting(analysis["rho"])
-    if name == "window":
-        return FiniteWindow(analysis["L"])
-    return GlobalAverage(analysis["count"])
 
 
 def config_to_ini(resolved: dict) -> str:

@@ -191,17 +191,14 @@ class Noise:
 
 @dataclass(frozen=True)
 class MeasurementField:
-    """A field kind plus optional additive noise and a declared bound M."""
+    """A field kind plus optional additive noise."""
 
     kind: FieldKind
     noise: Noise | None = None
-    bound: float | None = None
 
     def bound_m(self) -> float:
-        """Bound used for truncation tails.  Gaussian noise is unbounded, so
-        the derived value allows 6 sigma; declare `bound` to override."""
-        if self.bound is not None:
-            return self.bound
+        """Bound M used for truncation tails.  Gaussian noise is unbounded,
+        so the value allows 6 sigma."""
         m = self.kind.sup()
         if self.noise is not None and self.noise.sigma > 0:
             m += (6.0 if self.noise.distribution == "gaussian" else _ROOT3) * self.noise.sigma
@@ -287,14 +284,11 @@ def evaluate_grid(field: MeasurementField, n: int, steps: int) -> np.ndarray:
     return x
 
 
-def random_spatial_table(n: int, seed: int, low: float = -1.0, high: float = 1.0) -> TableField:
-    """Time-invariant uniform random values on sensors 0..n-1."""
-    rng = generator(seed)
-    return TableField(rng.uniform(low, high, n))
+def random_spatial_table(n: int, seed: int) -> TableField:
+    """Time-invariant values uniform on [-1, 1) on sensors 0..n-1."""
+    return TableField(generator(seed).uniform(-1.0, 1.0, n))
 
 
-def random_space_time_table(n: int, steps: int, seed: int,
-                            low: float = -1.0, high: float = 1.0) -> TableField:
-    """Random values on sensors 0..n-1 for steps 0..steps-1."""
-    rng = generator(seed)
-    return TableField(rng.uniform(low, high, (n, steps)))
+def random_space_time_table(n: int, steps: int, seed: int) -> TableField:
+    """Values uniform on [-1, 1) on sensors 0..n-1 for steps 0..steps-1."""
+    return TableField(generator(seed).uniform(-1.0, 1.0, (n, steps)))

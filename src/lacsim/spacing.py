@@ -68,8 +68,8 @@ class SpacingDraw:
         arr = np.asarray(self.gaps, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("a draw needs a non-empty 1-D gap array")
-        if np.any(arr <= 0):
-            raise ValidationError("gaps must be strictly positive")
+        if not np.all((arr > 0) & np.isfinite(arr)):
+            raise ValidationError("gaps must be finite and strictly positive")
         object.__setattr__(self, "gaps", arr)
 
     @property
@@ -83,11 +83,10 @@ def _draw_gaps(law: SpacingLaw, count: int, rng: np.random.Generator) -> np.ndar
     return rng.uniform(1.0 - law.eta, 1.0 + law.eta, count)
 
 
-def sample_spacings(model: SpacingModel, count: int, seed: int | None = None) -> SpacingDraw:
+def sample_spacings(model: SpacingModel, count: int) -> SpacingDraw:
     """Deterministic draw of `count` gaps; same seed, same gaps."""
     count = _check_integer("gap count", count, 1)
-    rng = generator(model.seed if seed is None else seed)
-    return SpacingDraw(_draw_gaps(model.law, count, rng))
+    return SpacingDraw(_draw_gaps(model.law, count, generator(model.seed)))
 
 
 def k_poisson(rho: float) -> float:
@@ -217,17 +216,16 @@ def _side_sums(w: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 
 def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
-                        seed: int | None = None, tail_eps: float = 1e-12) -> SpacingMCReport:
+                        tail_eps: float = 1e-12) -> SpacingMCReport:
     """Sample mean and variance of the normalized consensus value on an
     all-ones field over independent spacing draws.
 
     Each replicate draws both directions from the stream spawned at
-    (seed, replicate), so the merge is order-independent.
+    (model.seed, replicate), so the merge is order-independent.
     """
     replicates = _check_integer("replicates", replicates, 1000)
     _check_rho("tail_eps", tail_eps)
-    base_seed = model.seed if seed is None else seed
-    check_seed(base_seed)
+    check_seed(model.seed)
     law = model.law
     if isinstance(law, ExpGaps):
         k_norm = k_poisson(rho)
@@ -246,7 +244,7 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
         # one draw of 2g values is the two sides' consecutive draws of g:
         # rows 2r and 2r + 1 are replicate r's sides
         draws = [_draw_gaps(law, 2 * gap_count, rng)
-                 for rng in replicate_generators(base_seed, done, count)]
+                 for rng in replicate_generators(model.seed, done, count)]
         cum = np.concatenate(draws).reshape(2 * count, gap_count)
         np.cumsum(cum, axis=-1, out=cum)  # in place: no fresh block to fault in
         # c grows along each side, so its column minima do too: the columns in
@@ -274,6 +272,8 @@ def table_from_draw(draw: SpacingDraw, rho: float, radius: int):
     normalize afterwards by the law's K or by per-row totals."""
     from .arbitrary_weights import WeightTable
 
+    _check_rho("rho", rho)
+    radius = _check_integer("radius", radius, 1)
     n = draw.sensors
     if n < 2 * radius + 1:
         raise ValidationError(f"draw of {n} sensors cannot host radius {radius}")

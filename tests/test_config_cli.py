@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import lacsim.cli as cli
-from lacsim import ValidationError, WeightTable, h_exp, k_temporal_exp, k_temporal_window
+from lacsim import (DynamicExponential, ExponentialWeighting, ValidationError, WeightTable,
+                    h_exp, k_temporal_exp, k_temporal_window, settle_rounds)
 from lacsim.cli import main
 from lacsim.config import config_to_ini, merge_settings, read_ini, resolve
 from lacsim.figures import OMEGA_FULL, OMEGA_ORIGIN, RHO_GRID, WINDOW_GRID
@@ -96,7 +97,7 @@ def test_stochastic_runs_require_seed():
 
 _FIELD_TEXT = {
     "constant": "kind = constant\nvalue = 2.5\n",
-    "impulse": "kind = impulse\ncenter = 3\nbound = 4.0\n",
+    "impulse": "kind = impulse\ncenter = 3\n",
     "spatial_cosine": "kind = spatial_cosine\namplitude = 1.0\nomega = 0.25\n",
     "temporal_cosine": "kind = temporal_cosine\namplitude = 2\nomega = 0.1\nphase = 0.5\n",
     "table": "kind = table\ncsv = vals.csv\nnoise_sigma = 0.5\n",
@@ -123,7 +124,7 @@ def test_resolved_echo_round_trips(tmp_path, case):
     (tmp_path / "vals.csv").write_text("sensor,value\n" + "".join(
         f"{i},{i * 0.5 - 1}\n" for i in range(8)))
     (tmp_path / "w.csv").write_text(WeightTable.geometric(0.5, 2, 8).to_csv())
-    boundary = "boundary = zero_halo\nhalo_depth = 6\n" if case % 2 else ""
+    boundary = "boundary = zero_halo\n" if case % 2 else ""
     text = (f"[chain]\nn = 8\nrounds = 4\nmaster_seed = 3\n{boundary}"
             f"[field]\n{_FIELD_TEXT[kind]}"
             f"[algorithm]\nvariant = {variant}\n{_VARIANT_TEXT[variant]}\n"
@@ -137,13 +138,25 @@ def test_resolved_echo_round_trips(tmp_path, case):
         assert pickle.dumps(getattr(again, name)) == pickle.dumps(getattr(exp, name))
 
 
-@pytest.mark.parametrize("command, echo", [
-    ("noise", {"noise_target": "exponential", "rho": "0.5", "L": "2", "count": "100",
-               "sigma": "1.0", "replicates": "10000"}),
-    ("spacing", {"law": "exp_density", "rho": repr(math.exp(-1.0)), "eta": "0.3",
-                 "replicates": "20000", "tail_eps": "1e-12"})])
-def test_analysis_echo_holds_every_default(command, echo):
-    assert _resolve("", command=command, seed_override=1).resolved["analysis"] == echo
+@pytest.mark.parametrize("command, choice, echo", [
+    ("noise", "exponential", {"noise_target": "exponential", "rho": "0.5", "sigma": "1.0",
+                              "replicates": "10000"}),
+    ("noise", "window", {"noise_target": "window", "L": "2", "sigma": "1.0",
+                         "replicates": "10000"}),
+    ("noise", "global", {"noise_target": "global", "count": "100", "sigma": "1.0",
+                         "replicates": "10000"}),
+    ("spacing", "exp_density", {"law": "exp_density", "rho": repr(math.exp(-1.0)),
+                                "replicates": "20000", "tail_eps": "1e-12"}),
+    ("spacing", "uniform", {"law": "uniform", "rho": repr(math.exp(-1.0)), "eta": "0.3",
+                            "replicates": "20000", "tail_eps": "1e-12"})])
+def test_analysis_echo_holds_every_default(command, choice, echo):
+    # in key-table order, so `config_ini` keeps its layout; no key the choice cannot read
+    selector = next(iter(echo))
+    overrides = [f"analysis.{selector}={choice}"]
+    resolved = _resolve("", command=command, overrides=overrides, seed_override=1).resolved
+    assert list(resolved["analysis"].items()) == list(echo.items())
+    if choice in ("exponential", "exp_density"):  # the defaults
+        assert _resolve("", command=command, seed_override=1).resolved == resolved
 
 
 @pytest.mark.parametrize("command, text", [
@@ -256,7 +269,7 @@ def test_cli_writes_trace_metadata_for_the_per_sensor_window_only(tmp_path, vari
                    f"[algorithm]\nvariant = {variant}\n{_VARIANT_TEXT[variant]}\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
-    if variant == "variable_window":
+    if variant == "variable_window" and boundary != "truncated":
         assert set(meta["trace_metadata"]) == {"weight_sums"}
         assert len(meta["trace_metadata"]["weight_sums"]) == 8
     else:
@@ -518,3 +531,75 @@ def test_cli_rejects_a_seed_outside_the_philox_key(tmp_path, capsys, seed):
     assert main(["simulate", "--out", str(tmp_path), "--seed", seed]) == 1
     assert "noise seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# -- every setting acts -----------------------------------------------------------
+
+_CHOICES = {"noise": ("noise_target", ("exponential", "window", "global"), "200"),
+            "spacing": ("law", ("exp_density", "uniform"), "1000")}
+# another valid value for each [analysis] key of `noise` and `spacing`
+_OTHER = {"rho": "0.7", "L": "3", "count": "50", "sigma": "2.0", "replicates": "1100",
+          "eta": "0.1", "tail_eps": "1e-6"}
+
+
+def _mc_payload(out, command, settings):
+    args = [command, "--seed", "3", "--out", str(out)]
+    for setting in settings:
+        args += ["--set", setting]
+    assert main(args) == 0
+    return json.loads((out / f"run_{command}.json").read_text())
+
+
+@pytest.mark.parametrize("command, choice", [(c, choice) for c, (_, choices, _) in
+                                             _CHOICES.items() for choice in choices])
+def test_every_echoed_analysis_key_changes_the_report(tmp_path, command, choice):
+    selector, choices, replicates = _CHOICES[command]
+    base = [f"analysis.{selector}={choice}", f"analysis.replicates={replicates}"]
+    payload = _mc_payload(tmp_path / "base", command, base)
+    other = {**_OTHER, selector: next(c for c in choices if c != choice)}
+    for key in payload["config"]["analysis"]:
+        changed = _mc_payload(tmp_path / key, command, base + [f"analysis.{key}={other[key]}"])
+        assert changed["report"] != payload["report"], key
+
+
+@pytest.mark.parametrize("args, key", [
+    (["simulate", "--set", "chain.boundary=zero_halo", "--set", "chain.halo_depth=40"],
+     "[chain] halo_depth"),
+    (["simulate", "--set", "field.bound=4.0"], "[field] bound"),
+    (["noise", "--set", "analysis.L=3"], "[analysis] L"),
+    (["noise", "--set", "analysis.count=50"], "[analysis] count"),
+    (["noise", "--set", "analysis.noise_target=window", "--set", "analysis.rho=0.5"],
+     "[analysis] rho"),
+    (["noise", "--set", "analysis.noise_target=window", "--set", "analysis.count=50"],
+     "[analysis] count"),
+    (["noise", "--set", "analysis.noise_target=global", "--set", "analysis.rho=0.5"],
+     "[analysis] rho"),
+    (["noise", "--set", "analysis.noise_target=global", "--set", "analysis.L=3"],
+     "[analysis] L"),
+    (["spacing", "--set", "analysis.eta=0.3"], "[analysis] eta"),
+    (["spacing", "--set", "analysis.law=exp_density", "--set", "analysis.eta=0.1"],
+     "[analysis] eta"),
+])
+def test_a_key_that_cannot_act_is_an_unknown_key(tmp_path, capsys, args, key):
+    assert main(args + ["--seed", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {key}: unknown key\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode, args", [
+    ("spatial", ["--set", "algorithm.rho=0.8"]),
+    ("temporal", ["--set", "chain.n=5", "--set", "algorithm.variant=dyn_exponential",
+                  "--set", "algorithm.rho=0.8", "--set", "analysis.omegas=0.1,0.5"]),
+])
+def test_cli_freq_reports_a_short_settle(tmp_path, capsys, mode, args):
+    command = f"freq-{mode}"
+    meta_path = tmp_path / f"run_freq_{mode}_metadata.json"
+    assert main([command, "--out", str(tmp_path)] + args) == 0
+    assert capsys.readouterr().err == ""
+    assert "warnings" not in json.loads(meta_path.read_text())
+    # a settle of 2 leaves the transient in every row: one warning for the sweep
+    assert main([command, "--out", str(tmp_path), "--set", "analysis.settle=2"] + args) == 0
+    rule = ExponentialWeighting(0.8) if mode == "spatial" else DynamicExponential(0.8)
+    warning = f"{type(rule).__name__} needs settle >= {settle_rounds(rule)}, got 2"
+    assert json.loads(meta_path.read_text())["warnings"] == [warning]
+    assert capsys.readouterr().err == f"warning: {warning}\n"

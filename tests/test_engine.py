@@ -151,7 +151,7 @@ def _cases(draw):
     if boundary == "ring":
         bnd = Ring()
     elif boundary == "zero_halo":
-        bnd = ZeroHalo(draw(st.one_of(st.none(), st.integers(rounds, rounds + 3))))
+        bnd = ZeroHalo()
     else:
         bnd = Truncated()
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -138,9 +138,7 @@ def test_noise_pure_in_point_and_seed(seed, i, k):
     assert evaluate_field(f, i, k) == evaluate_field(f, i, k)
 
 
-def test_declared_bound_overrides_derived():
-    f = MeasurementField(Constant(1.0), noise=Noise(2.0, seed=0), bound=10.0)
-    assert f.bound_m() == 10.0
+def test_bound_allows_six_sigma_of_gaussian_noise():
     g = MeasurementField(Constant(1.0), noise=Noise(2.0, seed=0))
     assert g.bound_m() == 1.0 + 12.0  # 6 sigma allowance
 

@@ -25,7 +25,7 @@ def test_rounds_zero_gives_initialization_only():
 
 
 def test_zero_halo_interior_window_average_of_ones():
-    cfg = ChainConfig(n=12, boundary=ZeroHalo(10), rounds=10)
+    cfg = ChainConfig(n=12, boundary=ZeroHalo(), rounds=10)
     trace = run(cfg, MeasurementField(Constant(1.0)), FiniteWindow(3))
     interior = trace.y[3:9, 3]
     assert interior == pytest.approx(1.0, abs=1e-15)
@@ -33,10 +33,9 @@ def test_zero_halo_interior_window_average_of_ones():
     assert trace.y[0, 3] == pytest.approx(4.0 / 7.0, abs=1e-15)
 
 
-def test_zero_halo_depth_validation():
-    with pytest.raises(ValidationError):
-        run(ChainConfig(n=8, boundary=ZeroHalo(3), rounds=5),
-            MeasurementField(Constant(1.0)), ExponentialWeighting(0.5))
+@pytest.mark.parametrize("boundary, depth", [(ZeroHalo(), 5), (Ring(), 0), (Truncated(), 0)])
+def test_halo_depth_is_the_horizon_on_a_zero_halo_only(boundary, depth):
+    assert ChainConfig(n=8, boundary=boundary, rounds=5).halo_depth() == depth
 
 
 def test_ring_capacity_validation():
@@ -55,7 +54,6 @@ def test_config_domain_validation():
 @pytest.mark.parametrize("build, name, least", [
     (lambda v: ChainConfig(n=v), "n", 3),
     (lambda v: ChainConfig(n=8, rounds=v), "rounds", 0),
-    (lambda v: ZeroHalo(v), "halo depth", 0),
 ])
 @pytest.mark.parametrize("bad", [True, False, 2.5, 8.0, np.float64(4.0), "8", -1])
 def test_engine_counts_reject_what_is_not_an_integer_of_their_least(build, name, least, bad):
@@ -64,14 +62,13 @@ def test_engine_counts_reject_what_is_not_an_integer_of_their_least(build, name,
 
 
 def test_engine_counts_take_numpy_integers_as_ints():
-    cfg = ChainConfig(n=np.int64(8), boundary=ZeroHalo(np.int32(4)), rounds=np.int64(3))
-    assert all(type(v) is int for v in (cfg.n, cfg.rounds, cfg.boundary.depth))
-    assert cfg == ChainConfig(n=8, boundary=ZeroHalo(4), rounds=3)
-    assert ZeroHalo().depth is None
+    cfg = ChainConfig(n=np.int64(8), boundary=ZeroHalo(), rounds=np.int64(3))
+    assert all(type(v) is int for v in (cfg.n, cfg.rounds, cfg.halo_depth()))
+    assert cfg == ChainConfig(n=8, boundary=ZeroHalo(), rounds=3)
 
 
 def test_determinism_bit_identical():
-    cfg = ChainConfig(n=10, boundary=Ring(), rounds=9, master_seed=4)
+    cfg = ChainConfig(n=10, boundary=Ring(), rounds=9)
     field = MeasurementField(random_spatial_table(10, 12))
     a = run(cfg, field, ExponentialWeighting(0.7))
     b = run(cfg, field, ExponentialWeighting(0.7))
@@ -94,13 +91,6 @@ def test_audit_locality_ring_wraps():
     pairs = zip(trace.audit["receiver"].tolist(), trace.audit["sender"].tolist())
     assert any({r, s} == {0, 5} for r, s in pairs)
     assert audit_locality(trace) == 0
-
-
-def test_own_history_depth_flagged():
-    cfg = ChainConfig(n=6, boundary=Ring(), rounds=2)
-    trace = run(cfg, MeasurementField(Constant(1.0)), ExponentialWeighting(0.5))
-    trace.own_history_depth = 4
-    assert audit_locality(trace) == 1
 
 
 def test_audit_records_only_active_receivers():

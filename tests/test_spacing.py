@@ -18,7 +18,7 @@ def test_sampler_deterministic():
     a = sample_spacings(model, 50)
     b = sample_spacings(model, 50)
     assert np.array_equal(a.gaps, b.gaps)
-    c = sample_spacings(model, 50, seed=6)
+    c = sample_spacings(SpacingModel(ExpGaps(), seed=6), 50)
     assert not np.array_equal(a.gaps, c.gaps)
 
 
@@ -68,7 +68,8 @@ def test_draw_distances_telescope():
     assert draw.sensors == 4
     assert _distance(draw, 0, 3) == pytest.approx(3.5)
     assert _distance(draw, 2, 1) == pytest.approx(2.0)
-    for bad in ([1.0, -0.5], [1.0, 0.0], [], [[1.0]]):
+    for bad in ([1.0, -0.5], [1.0, 0.0], [], [[1.0]], [1.0, np.nan, 1.0, 1.0],
+                [1.0, np.inf], [-np.inf, 1.0]):
         with pytest.raises(ValidationError):
             SpacingDraw(np.array(bad))
 
@@ -82,6 +83,27 @@ def test_table_from_draw_equals_the_per_pair_table_bit_for_bit(law, rho, radius,
     table = table_from_draw(draw, rho, radius)
     expected = _table_per_pair(draw, rho, radius)
     assert table.weights.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rho, radius, message", [
+    (1.5, 2, r"^rho must lie strictly inside \(0, 1\), got 1\.5$"),
+    (0.0, 2, r"^rho must lie strictly inside \(0, 1\), got 0\.0$"),
+    (0.5, True, r"^radius must be an integer >= 1, got True$"),
+    (0.5, 2.5, r"^radius must be an integer >= 1, got 2\.5$"),
+    (0.5, 2.0, r"^radius must be an integer >= 1, got 2\.0$"),
+    (0.5, 0, r"^radius must be an integer >= 1, got 0$"),
+])
+def test_table_from_draw_rejects_a_rate_or_radius_out_of_domain(rho, radius, message):
+    draw = SpacingDraw(np.ones(20))
+    with pytest.raises(ValidationError, match=message):
+        table_from_draw(draw, rho, radius)
+
+
+def test_table_from_draw_keeps_a_numpy_radius_as_an_int():
+    draw = SpacingDraw(np.ones(20))
+    table = table_from_draw(draw, 0.5, np.int64(2))
+    assert type(table.radius) is int
+    assert table.weights.tobytes() == table_from_draw(draw, 0.5, 2).weights.tobytes()
 
 
 def test_k_poisson_values():

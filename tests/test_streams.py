@@ -62,13 +62,12 @@ def _rng(seed: int, replicate: int | None = None) -> np.random.Generator:
 
 
 def reference_spacing(rho: float, model: SpacingModel, replicates: int,
-                      seed: int | None = None, tail_eps: float = 1e-12) -> SpacingMCReport:
+                      tail_eps: float = 1e-12) -> SpacingMCReport:
     _draw_gaps, _required_sensors = spacing._draw_gaps, spacing._required_sensors
     k_poisson, k_uniform, spacing_moments = (spacing.k_poisson, spacing.k_uniform,
                                              spacing.spacing_moments)
     if replicates < 1000:
         raise ValidationError(f"need at least 1000 replicates, got {replicates}")
-    base_seed = model.seed if seed is None else seed
     law = model.law
     if isinstance(law, ExpGaps):
         k_norm = k_poisson(rho)
@@ -81,7 +80,7 @@ def reference_spacing(rho: float, model: SpacingModel, replicates: int,
     gap_count = _required_sensors(rho, law, tail_eps)
     values = np.empty(replicates)
     for r in range(replicates):
-        rng = _rng(base_seed, r)
+        rng = _rng(model.seed, r)
         sides = 0.0
         for _ in range(2):
             cum = np.cumsum(_draw_gaps(law, gap_count, rng))
@@ -165,7 +164,7 @@ def test_seeded_generator_helpers_keep_their_values(seed):
                           _rng(seed).uniform(-1.0, 1.0, (4, 3)))
     model = SpacingModel(UniformGaps(0.3), seed)
     assert np.array_equal(sample_spacings(model, 30).gaps, _rng(seed).uniform(0.7, 1.3, 30))
-    assert np.array_equal(sample_spacings(SpacingModel(ExpGaps()), 30, seed=seed).gaps,
+    assert np.array_equal(sample_spacings(SpacingModel(ExpGaps(), seed), 30).gaps,
                           _rng(seed).standard_exponential(30))
 
 
@@ -314,12 +313,12 @@ def test_spacing_memory_is_bounded_by_the_block():
     lambda: monte_carlo_noise(GlobalAverage(10), math.nan, 100, 0),
     lambda: monte_carlo_noise(GlobalAverage(10), math.inf, 100, 0),
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), -3), 1000),
-    lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps()), 1000, seed=1.5),
+    lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), 1.5), 1000),
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps()), 1000, tail_eps=0.0),
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps()), 1000, tail_eps=1.0),
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps()), 1000, tail_eps=2.0),
     lambda: sample_spacings(SpacingModel(ExpGaps(), -1), 10),
-    lambda: sample_spacings(SpacingModel(ExpGaps()), 10, seed=0.5),
+    lambda: sample_spacings(SpacingModel(ExpGaps(), 0.5), 10),
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), 1), 1500.0),
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100.5, 0),
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, "200", 0),
