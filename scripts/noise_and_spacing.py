@@ -45,8 +45,10 @@ def match_table():
 def spacing_table(replicates, seed):
     print(f"{'law':>18} {'rho':>8} {'K':>8} {'mean':>8} {'var':>9} {'var analytic':>13} "
           f"{'us/rep':>7}")
+    # rho = 0.5 with exponential and eta = 0.3 uniform gaps are the
+    # perfbench monte-carlo workload's spacing cases
     for law, rho in ((ExpGaps(), math.exp(-1)), (ExpGaps(), 0.5),
-                     (UniformGaps(0.3), 0.9)):
+                     (UniformGaps(0.3), 0.5), (UniformGaps(0.3), 0.9)):
         rep, us = timed(lambda: monte_carlo_spacing(rho, SpacingModel(law, seed), replicates),
                         replicates)
         var_a = "-" if rep.var_analytic is None else f"{rep.var_analytic:13.6f}"

@@ -320,16 +320,20 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     sums = np.zeros(n)
     sq_sums = np.zeros(n)
     block = 2048
+    eps_buf = np.empty((min(block, replicates), n))  # every block's draws
     done = 0
     while done < replicates:
         count = min(block, replicates - done)
-        eps = np.empty((count, n))
+        eps = eps_buf[:count]
         for row, gen in zip(eps, replicate_generators(master_seed, done, count)):
             gen.standard_normal(out=row)
         eps *= sigma  # sigma z, where gen.normal gives 0.0 + sigma z: the same but for -0.0
-        y = np.fft.irfft(np.fft.rfft(eps, axis=1) * kernel_hat, n=n, axis=1)
+        spectrum = np.fft.rfft(eps, axis=1)
+        spectrum *= kernel_hat
+        y = np.fft.irfft(spectrum, n=n, axis=1)
         sums += y.sum(axis=0)
-        sq_sums += (y * y).sum(axis=0)
+        y *= y
+        sq_sums += y.sum(axis=0)
         done += count
     per_sensor = (sq_sums - sums ** 2 / replicates) / (replicates - 1)
     sampled = float(per_sensor.mean())

@@ -53,6 +53,15 @@ SpacingLaw = Union[ExpGaps, UniformGaps]
 
 
 @dataclass(frozen=True)
+class _UnitUniform:
+    """U[0, 1) variates: uniform gaps before `monte_carlo_spacing` maps a
+    whole block of them to [1 - eta, 1 + eta) at once."""
+
+
+_UNIT_UNIFORM = _UnitUniform()
+
+
+@dataclass(frozen=True)
 class SpacingModel:
     law: SpacingLaw
     seed: int = 0
@@ -77,9 +86,12 @@ class SpacingDraw:
         return self.gaps.size + 1
 
 
-def _draw_gaps(law: SpacingLaw, count: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_gaps(law: SpacingLaw | _UnitUniform, count: int,
+               rng: np.random.Generator) -> np.ndarray:
     if isinstance(law, ExpGaps):
         return rng.standard_exponential(count)
+    if isinstance(law, _UnitUniform):
+        return rng.random(count)
     return rng.uniform(1.0 - law.eta, 1.0 + law.eta, count)
 
 
@@ -158,6 +170,7 @@ def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: flo
     The draw must be long enough to reach that attenuation on both sides;
     otherwise a NeedsMoreSensorsError reports a sufficient sensor count.
     """
+    _check_rho("rho", rho)
     if not 0 <= i < draw.sensors:
         raise ValidationError(f"sensor {i} outside draw of {draw.sensors} sensors")
     _check_rho("tail_eps", tail_eps)
@@ -231,26 +244,38 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
         k_norm = k_poisson(rho)
         law_name = "exp_density"
         var_analytic = spacing_moments(rho).var_y
+        drawn = law
     else:
         k_norm = k_uniform(rho, law.eta)
         law_name = f"uniform(eta={law.eta})"
         var_analytic = None
+        # drawn as U[0, 1) and mapped a block at a time with Generator.uniform's
+        # own arithmetic, low + (high - low) u: the gaps rng.uniform would give
+        drawn = _UNIT_UNIFORM
+        low, high = 1.0 - law.eta, 1.0 + law.eta
     gap_count = _required_sensors(rho, law, tail_eps)
     block = max(1, min(_BLOCK_REPLICATES, _BLOCK_ELEMENTS // (2 * gap_count)))
     limit = (math.log(tail_eps) - _LOG_MARGIN) / math.log(rho) * (1.0 + _LOG_MARGIN)
+    # every block's draws and rho^c reuse these, so no block faults in fresh pages
+    size = 2 * min(block, replicates) * gap_count
+    cum_buf, w_buf = np.empty(size), np.empty(size)
     values = np.empty(replicates)
     for done in range(0, replicates, block):
         count = min(block, replicates - done)
         # one draw of 2g values is the two sides' consecutive draws of g:
         # rows 2r and 2r + 1 are replicate r's sides
-        draws = [_draw_gaps(law, 2 * gap_count, rng)
+        draws = [_draw_gaps(drawn, 2 * gap_count, rng)
                  for rng in replicate_generators(model.seed, done, count)]
-        cum = np.concatenate(draws).reshape(2 * count, gap_count)
-        np.cumsum(cum, axis=-1, out=cum)  # in place: no fresh block to fault in
+        cum = np.concatenate(draws, out=cum_buf[:2 * count * gap_count])
+        if drawn is _UNIT_UNIFORM:
+            cum *= high - low
+            cum += low
+        cum = cum.reshape(2 * count, gap_count)
+        np.cumsum(cum, axis=-1, out=cum)
         # c grows along each side, so its column minima do too: the columns in
         # which any side can keep a term are a prefix
         reach = int(np.count_nonzero(cum.min(axis=0) <= limit))
-        w = rho ** cum[:, :reach]
+        w = np.power(rho, cum[:, :reach], out=w_buf[:2 * count * reach].reshape(2 * count, reach))
         # w never increases along a side, so the kept terms are a prefix
         sides = _side_sums(w, (w >= tail_eps).sum(axis=-1)).reshape(count, 2)
         # a replicate is k (1 + ((0.0 + s0) + s1)); no sum of w is -0.0, so 0.0 + s0 is s0

@@ -142,7 +142,7 @@ def window_transition(k, own, left, right, x_i, half_width):
     error so accidental over-running surfaces instead of silently freezing.
     `half_width` may hold one value per sensor when the histories are arrays.
     """
-    last = np.min(half_width)
+    last = np.min(half_width) if isinstance(half_width, np.ndarray) else half_width
     if k > last:
         raise TerminatedError(
             f"window recursion terminates at round {last}; asked for round {k}")

@@ -225,7 +225,8 @@ def test_grouped_side_sums_equal_the_per_replicate_loop(rho, law, tail_eps, repl
         reference_spacing(rho, model, replicates, tail_eps=tail_eps)
 
 
-def test_spacing_draws_count_two_sides_per_replicate(monkeypatch):
+@pytest.mark.parametrize("law", [ExpGaps(), UniformGaps(0.3)], ids=["exp", "uniform"])
+def test_spacing_draws_count_two_sides_per_replicate(monkeypatch, law):
     calls = []
     draw = spacing._draw_gaps
 
@@ -234,8 +235,8 @@ def test_spacing_draws_count_two_sides_per_replicate(monkeypatch):
         return draw(law, count, rng)
 
     monkeypatch.setattr(spacing, "_draw_gaps", counting)
-    monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), 1), 1000)
-    assert calls == [2 * spacing._required_sensors(0.5, ExpGaps(), 1e-12)] * 1000
+    monte_carlo_spacing(0.5, SpacingModel(law, 1), 1000)
+    assert calls == [2 * spacing._required_sensors(0.5, law, 1e-12)] * 1000
 
 
 # -- golden values ---------------------------------------------------------------
@@ -325,6 +326,12 @@ def test_spacing_memory_is_bounded_by_the_block():
     lambda: sample_spacings(SpacingModel(ExpGaps(), 1), 2.5),
     lambda: weighted_target(SpacingDraw(np.ones(50)), MeasurementField(Constant(1.0)), 25, 0.5,
                             0.3, tail_eps=0.0),
+    lambda: weighted_target(SpacingDraw(np.ones(40)), MeasurementField(Constant(1.0)), 20, 0.0,
+                            0.3),
+    lambda: weighted_target(SpacingDraw(np.ones(40)), MeasurementField(Constant(1.0)), 20, -0.5,
+                            0.3),
+    lambda: weighted_target(SpacingDraw(np.ones(40)), MeasurementField(Constant(1.0)), 20, 1.5,
+                            0.3),
 ])
 def test_monte_carlo_inputs_rejected_up_front(call):
     with pytest.raises(ValidationError):
