@@ -223,6 +223,11 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple, ring: bool):
                                         own_band[table.radius, real], table.row_sum))
 
 
+# `run`'s three state buffers, most recent first, after 0, 1 and 2 rounds
+# (mod 3): each round overwrites the oldest, which becomes the most recent
+_ORDERS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+
+
 def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> ConsensusTrace:
     """Execute `rounds` synchronous rounds and return the full trace.
 
@@ -240,33 +245,39 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     # round-major storage; the trace holds transposed views of it
     y = np.empty((rounds + 1, n))
     z = np.empty((rounds + 1, n, rows)) if isinstance(algo, DynamicWindow) else None
-    # three reused state buffers, most recent first, zero before round 0,
-    # padded by one column per side with ring-wrap copies, or zeros for a
-    # missing neighbor: [:, 1:-1] holds each index's own state, [:, :-2] its
-    # left and [:, 2:] its right neighbor's
+    # three reused state buffers, zero before round 0, padded by one column
+    # per side with ring-wrap copies, or zeros for a missing neighbor: [:, 1:-1]
+    # holds each index's own state, [:, :-2] its left and [:, 2:] its right
+    # neighbor's.  These views are built once; after p rounds `views[p]`
+    # holds them most recent first, as the transitions read them.
     hist = [np.zeros((rows, size + 2)) for _ in range(3)]
+    own, lh, rh = ([h[:, s] for h in hist] for s in (np.s_[1:-1], np.s_[:-2], np.s_[2:]))
+    views = [([own[b] for b in order], [lh[b] for b in order[:2]], [rh[b] for b in order[:2]])
+             for order in _ORDERS]
+    p = 0
     all_step, any_step = stop.min(), stop.max()  # the last rounds every / some index steps
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         for t in range(rounds + 1):
             if t <= any_step:  # frozen sensors keep broadcasting their last state
-                new = hist[2][:, 1:-1]  # the oldest buffer; transitions return fresh arrays
-                state = step(t, [h[:, 1:-1] for h in hist[:min(t, 3)]],
-                             [h[:, :-2] for h in hist[:min(t, 2)]],
-                             [h[:, 2:] for h in hist[:min(t, 2)]])
+                latest, _, oldest = _ORDERS[p]
+                new = own[oldest]  # transitions return fresh arrays
+                own_t, lh_t, rh_t = views[p]
+                state = step(t, own_t[:t], lh_t[:t], rh_t[:t])
                 for row, value in zip(new, state):
                     row[...] = value
                 if t > all_step:
-                    np.copyto(new, hist[0][:, 1:-1], where=stop < t)
+                    np.copyto(new, own[latest], where=stop < t)
                 if not np.isfinite(new).all():
                     bad = ~np.isfinite(new).all(axis=0)
                     raise DivergedError(int(bad.argmax()) - off, t)
-                _wrap(hist[2], ring)
-                hist = hist[2:] + hist[:2]
+                _wrap(hist[oldest], ring)
+                p = (p + 1) % 3
             # once every sensor is frozen the state stays put, and only the
             # dynamic window, which never freezes, reads the previous state
-            y[t] = readout(hist[0][:, 1:-1], hist[1][:, 1:-1], t)
+            latest, previous, _ = _ORDERS[p]
+            y[t] = readout(own[latest], own[previous], t)
             if z is not None:
-                z[t] = hist[0][:, 1 + off:1 + off + n].T
+                z[t] = own[latest][:, off:off + n].T
 
     return ConsensusTrace(y=y.T, z=None if z is None else z.transpose(1, 0, 2),
                           config=config, algo=algo)
@@ -318,11 +329,13 @@ def _csv_chunks(trace: ConsensusTrace):
     lead = -(-(wr + ws) // 8) * 8  # keeps the value columns 8-byte aligned
     rounds, sensors = _labels(cols, lead, wr), _labels(n, lead, wr + ws)
     step = max(1, _BLOCK_VALUES // width)
+    # one block buffer per call: a fresh one per block costs page faults
+    buffer = np.empty((min(step, n * cols), lead + width * WIDTH), dtype=np.uint8)
     for start in range(0, n * cols, step):
         row = np.arange(start, min(start + step, n * cols))
         t = row // n
         i = row - t * n
-        block = np.empty((len(row), lead + width * WIDTH), dtype=np.uint8)
+        block = buffer[:len(row)]
         np.bitwise_or(np.take(rounds, t, axis=0), np.take(sensors, i, axis=0),
                       out=block[:, :lead].view(np.uint64))
         cells = block[:, lead:].reshape(len(row), width, WIDTH)

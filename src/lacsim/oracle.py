@@ -3,9 +3,9 @@
 Everything here is computed from the limit/partial-sum formulas alone, never
 from the distributed recursions, so trace-versus-oracle agreement is a genuine
 two-implementation check.  Each static target is the time-frozen case of its
-dynamic form: the exponential and window sums are written once, and hop j of
-a static target reads the field at step 0, where the dynamic target reads the
-lagged time argument x_{i +- j}(k - j).
+dynamic form: the exponential and window hop terms are written once, and hop
+j of a static target reads the field at step 0, where the dynamic target
+reads the lagged time argument x_{i +- j}(k - j).
 
 Each target has an array form (`exp_row`, ...) that gives its value at every
 sensor 0..n-1 for one k.  It reads the field once through `evaluate_grid`
@@ -18,11 +18,15 @@ boundary) key, the grid read for it and its rows by k.  A sweep over one
 case's (i, k) points, in any order, therefore reads the field once (a dynamic
 target once per larger k) and builds each row once; a new key drops it all.
 A static row k goes on from the running sum of the rows before it, so rows
-0..K take K hops (a smaller k starts again from hop 0); a dynamic row reads
-its own round's cone, k hops.  The field and a weight table count as the
-same only if they are the same object, and a number only if it is or its
-repr agrees (0.0 is not -0.0).  A call with the very objects of the last,
-for a built row, is served with no repr, closure or plan.
+0..K take K hops (a smaller k starts again from hop 0).  A dynamic row reads
+its own round's space-time cone once, as two views of one padded slab, forms
+all k hop terms with one add and one multiply and adds them to the running
+total in hop order: a few numpy calls, not k Python steps.  Built rows are
+kept as memoryviews, which a hit indexes for its float.  The field and a
+weight table count as the same only if they are the same object, and a
+number only if it is or its repr agrees (0.0 is not -0.0).  A call with the
+very objects of the last, for a built row, is served with no repr, closure
+or plan.
 
 Boundary semantics: a Ring wraps indices modulo n; ZeroHalo (or any non-ring
 boundary) means the zero-extended line, where indices outside 0..n-1
@@ -50,35 +54,64 @@ from .static_rules import _check_half_width, _check_integer, _check_rho
 DEFAULT_TAIL = 1e-12
 
 
-def _shifts(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, zero=True):
-    """`at(d)`: `values` (last axis: sensors 0..n-1) at sensors lo+d .. lo+m-1+d.
+def _pad(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, zero=True):
+    """`values` (last axis: sensors 0..n-1) at sensors lo-reach .. lo+m-1+reach.
     A ring wraps; the line gives 0.0 outside 0..n-1, or the nearer end's value
-    when `zero` is false.  The slices come from one padded copy for
-    |d| <= reach, made again for reach 2|d| when a larger |d| comes."""
-    def pad(reach):
-        idx = np.arange(lo - reach, lo + m + reach)
-        if isinstance(boundary, Ring):
-            return reach, values[..., idx % n]
-        if zero:
-            return reach, np.where((idx >= 0) & (idx < n), values[..., idx % n], 0.0)
-        return reach, values[..., np.minimum(np.maximum(idx, 0), n - 1)]
+    when `zero` is false."""
+    start, stop = lo - reach, lo + m + reach
+    if zero and not isinstance(boundary, Ring):
+        padded = np.zeros(values.shape[:-1] + (stop - start,))
+        a, b = max(start, 0), min(stop, n)  # the sensors of the chain in range
+        if a < b:
+            padded[..., a - start:b - start] = values[..., a:b]
+        return padded
+    idx = np.arange(start, stop)
+    if isinstance(boundary, Ring):
+        return values[..., idx % n]
+    return values[..., np.minimum(np.maximum(idx, 0), n - 1)]
 
-    reach, padded = pad(max(reach, 0))
+
+def _shifts(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, zero=True):
+    """`at(d)`: `values` at sensors lo+d .. lo+m-1+d, sliced from one `_pad`
+    copy for |d| <= reach, made again for reach 2|d| when a larger |d| comes."""
+    reach = max(reach, 0)
+    padded = _pad(values, n, boundary, lo, m, reach, zero)
 
     def at(d):
         nonlocal reach, padded
         if abs(d) > reach:
-            reach, padded = pad(2 * abs(d))
+            reach = 2 * abs(d)
+            padded = _pad(values, n, boundary, lo, m, reach, zero)
         return padded[..., reach + d:reach + d + m]
     return at
 
 
 def _cone(x: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, now: int):
-    """`at(d)` of the (steps, sensors) grid `x` for |d| <= reach on the
-    space-time cone of round `now`, where hop d reads step now - |d|; a
-    static target reads step 0, `_shifts(x[0], ...)`."""
-    at = _shifts(x[now - reach:now + 1], n, boundary, lo, m, reach)
-    return lambda d: at(d)[reach - abs(d)]
+    """The space-time cone of round `now` in the (steps, sensors) grid `x`, as
+    two (reach + 1, m) views of one padded slab: row j of the first holds
+    x_{i-j} and of the second x_{i+j}, both at step now - j, for the sensors
+    i = lo..lo+m-1 (so both rows 0 hold x_i at step now).  A static target
+    reads step 0, `_shifts(x[0], ...)`."""
+    slab = _pad(x[now - reach:now + 1][::-1], n, boundary, lo, m, reach)
+    # row j of a view starts j slab rows and -j or +j columns on from x_i(now),
+    # so the views are the flat slab cut into rows of width -+ 1 values (at
+    # least m), with room after it for the last row of width + 1
+    width = slab.shape[1]
+    flat = np.concatenate((slab.ravel(), np.zeros(2 * reach + 1)))
+    back, ahead = max(width - 1, m), width + 1
+    return (flat[reach:reach + (reach + 1) * back].reshape(reach + 1, back)[:, :m],
+            flat[reach:reach + (reach + 1) * ahead].reshape(reach + 1, ahead)[:, :m])
+
+
+# Hop j's terms, sensors i - j and i + j: each sum's one definition, taken
+# one hop at a time by a static sum and for all hops of a cone at once.
+
+def _geometric_hop(back, ahead, power):
+    return power * (back + ahead)
+
+
+def _window_hop(back, ahead):
+    return back + ahead
 
 
 # Each sum yields its running total over `at` after hops 0, 1, 2, ...: hop j
@@ -90,7 +123,7 @@ def _geometric(at, rho):
     for j in itertools.count(1):
         yield total
         power *= rho
-        total = total + power * (at(-j) + at(j))
+        total = total + _geometric_hop(at(-j), at(j), power)
 
 
 def _asymmetric(at, rb, rf):
@@ -109,7 +142,27 @@ def _window(at):
     total = at(0)
     for j in itertools.count(1):
         yield total
-        total = total + (at(-j) + at(j))
+        total = total + _window_hop(at(-j), at(j))
+
+
+def _cone_totals(first, terms):
+    """The running totals of a cone's sum, as rows: `first`, then hop j's row
+    of `terms` added for j = 1, 2, ... in order, as the hop loop adds them
+    (row 0 of `terms` is replaced by `first`)."""
+    terms[0] = first
+    return iter(np.add.accumulate(terms, axis=0))
+
+
+def _dyn_geometric(cone, rho):
+    """`_geometric` over a `_cone`, its powers by the same running products."""
+    powers = np.full((len(cone[0]), 1), rho)
+    powers[0] = 1.0
+    return _cone_totals(cone[0][0], _geometric_hop(*cone, np.multiply.accumulate(powers)))
+
+
+def _dyn_window(cone):
+    """`_window` over a `_cone`."""
+    return _cone_totals(cone[0][0], _window_hop(*cone))
 
 
 def _variable_window(at, width):
@@ -166,7 +219,7 @@ class _Memo:
         last, rows = self.last
         if ((k is None or k.__class__ is int) and all(map(operator.is_, case, last))
                 and 0 <= i < case[2] and (row := rows.get(k)) is not None):
-            return row.item(i)
+            return row[i]
         field, table, n, boundary = case[:4]
         if not isinstance(boundary, Ring) and not 0 <= i < n:
             return _row(field, n, plan(k, *case), i, 1).item(0)
@@ -182,11 +235,12 @@ class _Memo:
                     self.x = evaluate_grid(field, n, steps)
                 run = self.run if self.run and self.run[1] <= hops else None
                 gen, done, total = run or (sums(self.x, 0, n), -1, None)
-                for _ in range(hops - done):
-                    total = next(gen)
+                if hops > done:
+                    total = next(itertools.islice(gen, hops - done - 1, None))
                 self.run = (gen, hops, total) if self.static else None
-                row = rows[k] = finish(total)
-            return row.item(i % n)
+                # a memoryview: a hit indexes it for a float without `item`
+                row = rows[k] = memoryview(finish(total))
+            return row[i % n]
 
 
 def _check_boundary(boundary):
@@ -302,7 +356,7 @@ def _plan_dyn_exp(k, field, table, n, boundary, rho):
     _check_rho("rho", rho)
     k = _check_step(k)
     lam = (1.0 - rho) / (1.0 + rho)
-    return (k + 1, k, lambda x, lo, m: _geometric(_cone(x, n, boundary, lo, m, k, k), rho),
+    return (k + 1, k, lambda x, lo, m: _dyn_geometric(_cone(x, n, boundary, lo, m, k, k), rho),
             lambda total: lam * total)
 
 
@@ -312,7 +366,7 @@ def _plan_dyn_window(k, field, table, n, boundary, half_width):
     _check_ring(boundary, n, half_width)
     k = _check_step(k)
     hops = min(k, half_width)
-    return (k + 1, hops, lambda x, lo, m: _window(_cone(x, n, boundary, lo, m, hops, k)),
+    return (k + 1, hops, lambda x, lo, m: _dyn_window(_cone(x, n, boundary, lo, m, hops, k)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 

@@ -69,9 +69,11 @@ class SpacingModel:
 
 @dataclass(frozen=True, eq=False)
 class SpacingDraw:
-    """One realization of consecutive gaps d_{g,g+1} for sensors 0..len(gaps)."""
+    """One realization of consecutive gaps d_{g,g+1} for sensors 0..len(gaps),
+    with the law that drew them (None for gaps given as they are)."""
 
     gaps: np.ndarray
+    law: SpacingLaw | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.gaps, dtype=float)
@@ -98,7 +100,7 @@ def _draw_gaps(law: SpacingLaw | _UnitUniform, count: int,
 def sample_spacings(model: SpacingModel, count: int) -> SpacingDraw:
     """Deterministic draw of `count` gaps; same seed, same gaps."""
     count = _check_integer("gap count", count, 1)
-    return SpacingDraw(_draw_gaps(model.law, count, generator(model.seed)))
+    return SpacingDraw(_draw_gaps(model.law, count, generator(model.seed)), model.law)
 
 
 def k_poisson(rho: float) -> float:
@@ -168,7 +170,8 @@ def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: flo
     truncated once the attenuation drops below tail_eps on each side.
 
     The draw must be long enough to reach that attenuation on both sides;
-    otherwise a NeedsMoreSensorsError reports a sufficient sensor count.
+    otherwise a NeedsMoreSensorsError reports a sufficient sensor count for
+    the draw's law (the exponential law's for gaps given without one).
     """
     _check_rho("rho", rho)
     if not 0 <= i < draw.sensors:
@@ -183,7 +186,7 @@ def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: flo
             if j == stop:
                 raise NeedsMoreSensorsError(
                     f"attenuation rho^{cum:.3g} has not reached {tail_eps} at sensor {j}",
-                    required=_required_sensors(rho, ExpGaps(), tail_eps))
+                    required=_required_sensors(rho, draw.law or ExpGaps(), tail_eps))
             cum += gaps[j] if step == 1 else gaps[j - 1]
             j += step
             w = rho ** cum

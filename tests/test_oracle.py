@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -733,3 +734,21 @@ def test_an_increasing_static_sweep_takes_one_hop_per_round(monkeypatch, k_outer
                 _scalar(name, field, i, params, k, None, n, boundary)
             # rebuilt from hop 0 for every k, the rows would take 861 steps
             assert 1 <= hops[0] <= 2 * rounds + 2, (name, hops[0])
+
+
+@pytest.mark.parametrize("boundary", [Ring(), ZeroHalo()], ids=["ring", "zero_halo"])
+def test_long_dynamic_cones_equal_the_per_sensor_loops(boundary):
+    # criterion 1's size, n = 64 and k = 0..40, where the hypothesis sweeps
+    # reach four hops: cones of up to 40 hops (31 for the widest ring window),
+    # row and scalar forms, bit for bit
+    n, rounds = 64, 40
+    fields = [MeasurementField(random_space_time_table(n, rounds + 1, seed)) for seed in (23, 24)]
+    for field, (name, params) in itertools.product(fields, (
+            ("dyn_exp", (0.8,)), ("dyn_exp", (0.37,)), ("dyn_window", (3,)), ("dyn_window", (31,)))):
+        for k in range(rounds + 1):
+            want = [_bits(_reference(name, field, i, params, k, None, n, boundary))
+                    for i in range(n)]
+            assert _bits(_array(name, field, params, k, None, n, boundary)) == want, \
+                (name, params, k)
+            assert [_bits(_scalar(name, field, i, params, k, None, n, boundary))
+                    for i in range(n)] == want, (name, params, k)

@@ -203,6 +203,22 @@ def test_weighted_target_needs_longer_draw():
     assert err.value.required > 4
 
 
+@pytest.mark.parametrize("law, required", [(UniformGaps(0.3), 59), (ExpGaps(), 124)],
+                         ids=["uniform", "exp"])
+def test_weighted_target_names_the_sensor_count_of_its_draws_law(law, required):
+    # rho = 0.5 needs ceil(log(1e-12) / log(0.5) / (1 - eta)) + 2 = 59 uniform
+    # gaps, and the exponential law's margin gives 124; gaps given without a
+    # law keep the exponential count
+    draw = sample_spacings(SpacingModel(law, 5), 20)
+    field = MeasurementField(Constant(1.0))
+    with pytest.raises(NeedsMoreSensorsError) as err:
+        weighted_target(draw, field, 10, 0.5, 1.0)
+    assert err.value.required == required
+    with pytest.raises(NeedsMoreSensorsError) as err:
+        weighted_target(SpacingDraw(draw.gaps), field, 10, 0.5, 1.0)
+    assert err.value.required == 124
+
+
 def test_monte_carlo_spacing_exp_gaps():
     rho = math.exp(-1.0)
     rep = monte_carlo_spacing(rho, SpacingModel(ExpGaps(), 3), 2000)
