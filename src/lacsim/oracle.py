@@ -14,19 +14,19 @@ the order of the defining sum, hop by hop with the same running products, so
 each entry equals, bit for bit, the sum taken one sensor at a time.  The
 scalar form (`exp_target`, ...) keeps its signature and indexes the row.  Each
 scalar form keeps a memo of its latest case only: the (field, parameters, n,
-boundary) key, the grid read for it and its rows by k.  A sweep over one
-case's (i, k) points, in any order, therefore reads the field once (a dynamic
-target once per larger k) and builds each row once; a new key drops it all.
-A static row k goes on from the running sum of the rows before it, so rows
-0..K take K hops (a smaller k starts again from hop 0).  A dynamic row reads
-its own round's space-time cone once, as two views of one padded slab, forms
-all k hop terms with one add and one multiply and adds them to the running
-total in hop order: a few numpy calls, not k Python steps.  Built rows are
-kept as memoryviews, which a hit indexes for its float.  The field and a
-weight table count as the same only if they are the same object, and a
-number only if it is or its repr agrees (0.0 is not -0.0).  A call with the
-very objects of the last, for a built row, is served with no repr, closure
-or plan.
+boundary) objects, the case's plan, the grid read for it and its rows by k.
+A call names the same case only with the very same objects; any other, even
+an equal one (a fresh list of half-widths, `np.float64(0.8)` for 0.8), starts
+a new case.  A new case is planned, and so validated, once, and a row then
+checks only its k.  A sweep over one case's (i, k) points, in any order,
+therefore reads the field once (a dynamic target once per larger k) and
+builds each row once.  A static row k goes on from the running sum of the
+rows before it, so rows 0..K take K hops (a smaller k starts again from hop
+0).  A dynamic row reads its own round's space-time cone once, as two views
+of one padded slab, forms all k hop terms with one add and one multiply and
+adds them to the running total in hop order: a few numpy calls, not k Python
+steps.  Built rows are kept as memoryviews, which a hit indexes for its float
+with no lock, plan or check beyond the identity of its arguments.
 
 Boundary semantics: a Ring wraps indices modulo n; ZeroHalo (or any non-ring
 boundary) means the zero-extended line, where indices outside 0..n-1
@@ -86,16 +86,16 @@ def _shifts(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, z
     return at
 
 
-def _cone(x: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, now: int):
-    """The space-time cone of round `now` in the (steps, sensors) grid `x`, as
-    two (reach + 1, m) views of one padded slab: row j of the first holds
-    x_{i-j} and of the second x_{i+j}, both at step now - j, for the sensors
-    i = lo..lo+m-1 (so both rows 0 hold x_i at step now).  A static target
-    reads step 0, `_shifts(x[0], ...)`."""
-    slab = _pad(x[now - reach:now + 1][::-1], n, boundary, lo, m, reach)
-    # row j of a view starts j slab rows and -j or +j columns on from x_i(now),
-    # so the views are the flat slab cut into rows of width -+ 1 values (at
-    # least m), with room after it for the last row of width + 1
+def _cone(x: np.ndarray, n: int, boundary, lo: int, m: int, reach: int):
+    """The space-time cone of the last step of the (steps, sensors) grid `x`,
+    as two (reach + 1, m) views of one padded slab: row j of the first holds
+    x_{i-j} and of the second x_{i+j}, both j steps before the last, for the
+    sensors i = lo..lo+m-1 (so both rows 0 hold x_i at the last step).  A
+    static target reads step 0, `_shifts(x[0], ...)`."""
+    slab = _pad(x[::-1][:reach + 1], n, boundary, lo, m, reach)
+    # row j of a view starts j slab rows and -j or +j columns on from x_i at
+    # the last step, so the views are the flat slab cut into rows of width -+ 1
+    # values (at least m), with room after it for the last row of width + 1
     width = slab.shape[1]
     flat = np.concatenate((slab.ravel(), np.zeros(2 * reach + 1)))
     back, ahead = max(width - 1, m), width + 1
@@ -187,74 +187,63 @@ def _banded(at, weight, radius):
         total = total + w[radius + j] * at(j)
 
 
-def _same(a, b) -> bool:
-    """Numbers name the same case if they are the same object or have the same
-    repr (0.0 is not -0.0, 1 is not 1.0); tuples of them element by element."""
-    if type(a) is tuple and type(b) is tuple:
-        return len(a) == len(b) and (all(map(operator.is_, a, b)) or all(map(_same, a, b)))
-    return a is b or repr(a) == repr(b)
-
-
-def _row(field, n, plan, lo=0, m=None) -> np.ndarray:
-    """A plan's target at sensors lo..lo+m-1 (default: all n) from a fresh grid."""
-    steps, hops, sums, finish = plan
-    totals = sums(evaluate_grid(field, n, steps), lo, n if m is None else m)
+def _row(field, n, plan, k, lo=0, m=None) -> np.ndarray:
+    """Row k of a plan at sensors lo..lo+m-1 (default: all n) from a fresh grid."""
+    hops, steps = _reach(plan, k)
+    *_, sums, finish = plan
+    totals = sums(evaluate_grid(field, n, steps), lo, n if m is None else m, hops)
     return finish(next(itertools.islice(totals, hops, None)))
 
 
 class _Memo:
-    """One scalar target's latest case with its rows by k, the field grid read
-    for it and, for a static target, its running sum (generator, hops done,
-    total).  A different case drops them all."""
+    """One scalar target's latest case with its plan and rows by k, the field
+    grid read for it and, for a static target, its running sum (generator,
+    hops done, total).  A call with any other object starts a new case."""
 
-    def __init__(self, static: bool):
-        self.static, self.last, self.x, self.run = static, ((), {}), None, None
+    def __init__(self):
+        self.last, self.x, self.run = ((), None, {}), None, None
         self.lock = threading.Lock()  # one case at a time, whatever the thread
 
-    def at(self, plan, i, k, *case):
+    def at(self, make, i, k, *case):
         """The target at sensor i of the case (field, table, n, boundary,
-        *numbers), row k.  The very objects of the last case, with an int or
-        None k that names a built row, are served without the lock or a plan:
-        `last` holds a case and its rows, read and replaced as one."""
-        last, rows = self.last
-        if ((k is None or k.__class__ is int) and all(map(operator.is_, case, last))
-                and 0 <= i < case[2] and (row := rows.get(k)) is not None):
+        *numbers), row k.  The very objects of the last case, with an int i
+        and an int or None k that names a built row, are served without the
+        lock: `last` holds a case, its plan and its rows, read and replaced
+        as one."""
+        last, plan, rows = self.last
+        if (i.__class__ is int and (k is None or k.__class__ is int)
+                and all(map(operator.is_, case, last)) and (row := rows.get(k)) is not None
+                and 0 <= i < case[2]):
             return row[i]
-        field, table, n, boundary = case[:4]
-        if not isinstance(boundary, Ring) and not 0 <= i < n:
-            return _row(field, n, plan(k, *case), i, 1).item(0)
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValidationError(f"sensor index must be an integer, got {i!r}")
+        field, _, n, boundary = case[:4]
         with self.lock:
-            steps, hops, sums, finish = plan(k, *case)
-            last, rows = self.last
-            if not (last and last[0] is field and last[1] is table and last[2:4] == case[2:4]
-                    and all(map(_same, case[4:], last[4:]))):
-                self.x, self.run, rows = None, None, {}
-            self.last = case, rows
+            last, plan, rows = self.last
+            if plan is None or not all(map(operator.is_, case, last)):
+                plan, rows = _plan(make, *case), {}
+                self.last, self.x, self.run = (case, plan, rows), None, None
+            if not isinstance(boundary, Ring) and not 0 <= i < n:
+                return _row(field, n, plan, k, i, 1).item(0)
+            hops, steps = _reach(plan, k)
             if (row := rows.get(k)) is None:
+                *_, sums, finish = plan
                 if self.x is None or len(self.x) < steps:
                     self.x = evaluate_grid(field, n, steps)
-                run = self.run if self.run and self.run[1] <= hops else None
-                gen, done, total = run or (sums(self.x, 0, n), -1, None)
+                run = self.run if steps == 1 and self.run and self.run[1] <= hops else None
+                gen, done, total = run or (sums(self.x[:steps], 0, n, hops), -1, None)
                 if hops > done:
                     total = next(itertools.islice(gen, hops - done - 1, None))
-                self.run = (gen, hops, total) if self.static else None
+                # a sum over step 0 alone (a static row) goes on to later rows
+                self.run = (gen, hops, total) if steps == 1 else None
                 # a memoryview: a hit indexes it for a float without `item`
                 row = rows[k] = memoryview(finish(total))
             return row[i % n]
 
 
-def _check_boundary(boundary):
-    if isinstance(boundary, Truncated):
-        raise ValidationError("truncated chains have no closed-form target")
-
-
 def _check_ring(boundary, n, half_width, what="half-width"):
     if isinstance(boundary, Ring) and n < 2 * half_width + 1:
         raise ValidationError(f"ring of {n} sensors cannot host {what} {half_width}")
-
-
-def _check_step(k) -> int:
-    return _check_integer("time step", k, 0)
 
 
 def exp_tail_bound(rho: float, k: int, bound_m: float) -> float:
@@ -273,140 +262,140 @@ def _tail_hops(decay: float, bound_m: float, eps: float) -> int:
     return max(1, math.ceil(math.log(target) / math.log(decay)))
 
 
-def _hops(k, eps, field, decay, scale):
-    """`k` checked, or for None the hops to a tail of `decay` on scale * M below eps."""
+def _tail(field, eps, decay, scale):
+    """`eps` checked, and the hops of k=None: to a tail of `decay` on
+    scale * M below eps (default 1e-12 * max(M, 1)), the field's bound M
+    read only when they are asked for."""
     if eps is not None and not eps > 0:
         raise ValidationError(f"eps must be > 0, got {eps!r}")
-    if k is not None:
-        return _check_step(k)
-    if eps is None:
-        eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
-    return _tail_hops(decay, scale * field.bound_m(), eps)
+    return lambda: _tail_hops(decay, scale * field.bound_m(),
+                              DEFAULT_TAIL * max(field.bound_m(), 1.0) if eps is None else eps)
 
 
-# Each `_plan_*` validates k and a memo's case and returns (steps, hops, sums,
-# finish): `sums(x, lo, m)` yields the running totals at sensors lo..lo+m-1
-# from a field grid `x` of at least `steps` steps, and the target is `finish`
-# of the total after `hops` hops.  Only a static target's hops depend on k.
+def _plan(make, field, table, n, boundary, *numbers):
+    """`make`'s plan of a case, once its chain is checked."""
+    _check_integer("n", n, 1)
+    if isinstance(boundary, Truncated):
+        raise ValidationError("truncated chains have no closed-form target")
+    return make(field, table, n, boundary, *numbers)
 
-def _plan_exp(k, field, table, n, boundary, rho, eps):
-    _check_boundary(boundary)
+
+def _reach(plan, k):
+    """(hops, steps) of row k: k checked, its hops up to the plan's cap, or for
+    k=None the plan's tail hops, over the field's steps 0..k (a dynamic
+    target) or step 0 (a static one)."""
+    cap, tail, dynamic = plan[:3]
+    if k is None and tail is not None:
+        return tail(), 1
+    k = _check_integer("time step", k, 0)
+    return min(k, cap), k + 1 if dynamic else 1
+
+
+# Each `_plan_*` validates the rest of a case and returns (cap, tail, dynamic,
+# sums, finish), which `_reach` turns into a row's hops and steps:
+# `sums(x, lo, m, hops)` yields the running totals at sensors lo..lo+m-1 from
+# the field grid `x` of those steps, and the target is `finish` of the total
+# after those hops.  A target without a `tail` needs k.
+
+def _plan_exp(field, table, n, boundary, rho, eps):
     _check_rho("rho", rho)
     lam = (1.0 - rho) / (1.0 + rho)
-    hops = _hops(k, eps, field, rho, lam)
-    return (1, hops, lambda x, lo, m: _geometric(_shifts(x[0], n, boundary, lo, m, hops), rho),
+    return (math.inf, _tail(field, eps, rho, lam), False,
+            lambda x, lo, m, hops: _geometric(_shifts(x[0], n, boundary, lo, m, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_asym(k, field, table, n, boundary, rb, rf, eps):
-    _check_boundary(boundary)
+def _plan_asym(field, table, n, boundary, rb, rf, eps):
     _check_rho("rho_back", rb)
     _check_rho("rho_forward", rf)
-    hops = _hops(k, eps, field, max(rb, rf), 1.0)
     c = (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf)
-    return (1, hops, lambda x, lo, m: _asymmetric(_shifts(x[0], n, boundary, lo, m, hops), rb, rf),
+    return (math.inf, _tail(field, eps, max(rb, rf), 1.0), False,
+            lambda x, lo, m, hops: _asymmetric(_shifts(x[0], n, boundary, lo, m, hops), rb, rf),
             lambda total: c * total)
 
 
-def _plan_window(k, field, table, n, boundary, half_width):
-    _check_boundary(boundary)
+def _plan_window(field, table, n, boundary, half_width):
     half_width = _check_half_width("half_width", half_width)
     _check_ring(boundary, n, half_width)
-    hops = half_width if k is None else min(_check_step(k), half_width)
-    return (1, hops, lambda x, lo, m: _window(_shifts(x[0], n, boundary, lo, m, half_width)),
+    return (half_width, lambda: half_width, False,
+            lambda x, lo, m, hops: _window(_shifts(x[0], n, boundary, lo, m, half_width)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
-# the latest half-widths checked, and them as ints: the plans for the k of one
-# case check its widths once, and only the very same objects are not checked
-_checked_widths = ((), ())
-
-
-def _plan_variable_window(k, field, table, n, boundary, widths):
-    global _checked_widths
-    _check_boundary(boundary)
-    seen, ints = _checked_widths
-    if len(widths) != len(seen) or not all(map(operator.is_, widths, seen)):
-        ints = tuple(_check_half_width("half-widths", w) for w in widths)
-        _checked_widths = (widths, ints)
-    widths = ints
+def _plan_variable_window(field, table, n, boundary, widths):
+    widths = tuple(_check_half_width("half-widths", w) for w in widths)
     if len(widths) != n:
         raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
     reach = max(widths)
     _check_ring(boundary, n, reach)
-    hops = reach if k is None else min(_check_step(k), reach)
-    return (1, hops, lambda x, lo, m: _variable_window(
+    return (reach, lambda: reach, False, lambda x, lo, m, hops: _variable_window(
         _shifts(x[0], n, boundary, lo, m, reach),
         _shifts(np.asarray(widths), n, boundary, lo, m, reach, zero=False)), lambda total: total)
 
 
-def _plan_arbitrary(k, field, table, n, boundary):
-    _check_boundary(boundary)
-    _check_ring(boundary, n, table.radius, "radius")
+def _plan_arbitrary(field, table, n, boundary):
     radius = table.radius
-    hops = min(_check_step(k), radius)
-    return (1, hops, lambda x, lo, m: _banded(
+    _check_ring(boundary, n, radius, "radius")
+    return (radius, None, False, lambda x, lo, m, hops: _banded(
         _shifts(x[0], n, boundary, lo, m, radius),
         _shifts(table.weights.T, n, boundary, lo, m, 0, zero=False), radius),
         lambda total: total / table.row_sum)
 
 
-def _plan_dyn_exp(k, field, table, n, boundary, rho):
-    _check_boundary(boundary)
+def _plan_dyn_exp(field, table, n, boundary, rho):
     _check_rho("rho", rho)
-    k = _check_step(k)
     lam = (1.0 - rho) / (1.0 + rho)
-    return (k + 1, k, lambda x, lo, m: _dyn_geometric(_cone(x, n, boundary, lo, m, k, k), rho),
+    return (math.inf, None, True,
+            lambda x, lo, m, hops: _dyn_geometric(_cone(x, n, boundary, lo, m, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_dyn_window(k, field, table, n, boundary, half_width):
-    _check_boundary(boundary)
+def _plan_dyn_window(field, table, n, boundary, half_width):
     half_width = _check_half_width("half_width", half_width)
     _check_ring(boundary, n, half_width)
-    k = _check_step(k)
-    hops = min(k, half_width)
-    return (k + 1, hops, lambda x, lo, m: _dyn_window(_cone(x, n, boundary, lo, m, hops, k)),
+    return (half_width, None, True,
+            lambda x, lo, m, hops: _dyn_window(_cone(x, n, boundary, lo, m, hops)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
 def exp_row(field, rho, *, n, boundary=Ring(), k=None, eps=None) -> np.ndarray:
     """`exp_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_exp(k, field, None, n, boundary, rho, eps))
+    return _row(field, n, _plan(_plan_exp, field, None, n, boundary, rho, eps), k)
 
 
 def asym_row(field, rho_back, rho_forward, *, n, boundary=Ring(), k=None,
              eps=None) -> np.ndarray:
     """`asym_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_asym(k, field, None, n, boundary, rho_back, rho_forward, eps))
+    return _row(field, n, _plan(_plan_asym, field, None, n, boundary, rho_back, rho_forward,
+                                eps), k)
 
 
 def window_row(field, half_width, *, n, boundary=Ring(), k=None) -> np.ndarray:
     """`window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_window(k, field, None, n, boundary, half_width))
+    return _row(field, n, _plan(_plan_window, field, None, n, boundary, half_width), k)
 
 
 def variable_window_row(field, half_widths, *, n, boundary=Ring(), k=None) -> np.ndarray:
     """`variable_window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_variable_window(k, field, None, n, boundary, tuple(half_widths)))
+    return _row(field, n, _plan(_plan_variable_window, field, None, n, boundary, half_widths), k)
 
 
 def arbitrary_row(field, table: WeightTable, k, *, n, boundary=Ring()) -> np.ndarray:
     """`arbitrary_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_arbitrary(k, field, table, n, boundary))
+    return _row(field, n, _plan(_plan_arbitrary, field, table, n, boundary), k)
 
 
 def dyn_exp_row(field, k, rho, *, n, boundary=Ring()) -> np.ndarray:
     """`dyn_exp_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_dyn_exp(k, field, None, n, boundary, rho))
+    return _row(field, n, _plan(_plan_dyn_exp, field, None, n, boundary, rho), k)
 
 
 def dyn_window_row(field, k, half_width, *, n, boundary=Ring()) -> np.ndarray:
     """`dyn_window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan_dyn_window(k, field, None, n, boundary, half_width))
+    return _row(field, n, _plan(_plan_dyn_window, field, None, n, boundary, half_width), k)
 
 
-_MEMOS = {name: _Memo(static=not name.startswith("dyn")) for name in
+_MEMOS = {name: _Memo() for name in
           ("exp", "asym", "window", "variable_window", "arbitrary", "dyn_exp", "dyn_window")}
 
 

@@ -55,6 +55,12 @@ def test_import_scan_sees_function_level_and_package_imports(tmp_path):
     assert _imported_modules(source) == {"oracle", "cli", "analysis", "figures"}
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_keeps_state_in_a_global_statement(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+
+
 def test_per_sensor_window_run_leaves_the_oracle_unloaded():
     script = (
         "import sys\n"

@@ -599,15 +599,19 @@ def test_window_targets_take_numpy_integer_half_widths():
 
 def test_variable_window_checks_one_case_once_and_never_an_equal_tuple_of_floats(monkeypatch):
     field = MeasurementField(random_spatial_table(8, 3))
-    widths = [1, 2, 3, 1, 2, 3, 1, 2]
+    widths = (1, 2, 3, 1, 2, 3, 1, 2)
     calls = []
     check = oracle._check_half_width
     monkeypatch.setattr(oracle, "_check_half_width", lambda *a: calls.append(a) or check(*a))
-    for k in range(4):
-        for i in range(8):
-            oracle.variable_window_target(field, i, widths, n=8, k=k)
-    assert len(calls) == 8  # once per width, not once per k
-    # the latest checked tuple is matched by identity, not by equality
+    want = [[_bits(oracle.variable_window_target(field, i, widths, n=8, k=k)) for i in range(8)]
+            for k in range(4)]
+    assert len(calls) == 8  # the very same tuple: once per width, not once per k
+    # a fresh equal list is a new case, checked again, with the same bits
+    assert [[_bits(oracle.variable_window_target(field, i, list(widths), n=8, k=k))
+             for i in range(8)] for k in range(4)] == want
+    # an equal tuple of floats is a new case too, and rejected
+    with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
+        oracle.variable_window_target(field, 0, tuple(map(float, widths)), n=8, k=3)
     with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
         oracle.variable_window_row(field, [float(w) for w in widths], n=8)
 
@@ -618,6 +622,69 @@ def test_variable_window_memo_does_not_serve_an_equal_list_of_floats():
     assert oracle.variable_window_target(field, 0, [1] * 8, n=8, k=2) == 1.0
     with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
         oracle.variable_window_target(field, 0, [1.0] * 8, n=8, k=2)
+
+
+@pytest.mark.parametrize("k_outer", [True, False])
+def test_one_case_swept_over_its_rounds_is_planned_once(monkeypatch, k_outer):
+    n, rounds = 64, 40
+    plans = []
+
+    def counted(name):
+        make = getattr(lacsim.oracle, f"_plan_{name}")
+        return lambda *case: plans.append(name) or make(*case)
+
+    for name in TARGETS:
+        monkeypatch.setattr(lacsim.oracle, f"_plan_{name}", counted(name))
+    for name, field, params in _cases_64(rounds):
+        for boundary in (Ring(), ZeroHalo()):
+            plans.clear()
+            points = [(i, k) for k in range(rounds + 1) for i in range(n)]
+            for i, k in points if k_outer else sorted(points):
+                _scalar(name, field, i, params, k, None, n, boundary)
+            assert plans == [name], (name, len(plans))  # not once per row, 41 times
+
+
+def _all_params(n):
+    return {**_static_params(n), "dyn_exp": (0.8,), "dyn_window": (2,)}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, None])
+def test_targets_and_rows_reject_a_chain_size_that_is_not_an_integer_of_at_least_1(bad):
+    # before, n=0 raised IndexError or returned an empty row (warning "divide
+    # by zero" on a ring), n=-1 failed inside numpy and 2.5, True or None
+    # with a bare TypeError
+    field = MeasurementField(Constant(1.0))
+    for name, params in _all_params(8).items():
+        for boundary in (Ring(), ZeroHalo()):
+            for call in (lambda: _scalar(name, field, 0, params, 2, None, bad, boundary),
+                         lambda: _array(name, field, params, 2, None, bad, boundary)):
+                with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
+                    call()
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 1.0, "1", None, np.float64(1.0)])
+def test_targets_reject_a_sensor_index_that_is_not_an_integer(bad):
+    # before, i=True was served sensor 1's value, 2.5 and 1.0 failed with
+    # "memoryview: invalid slice key", and "1" and None on a comparison
+    n = 8
+    field = MeasurementField(random_spatial_table(n, 7))
+    for name, params in _all_params(n).items():
+        for boundary in (Ring(), ZeroHalo()):
+            _scalar(name, field, 1, params, 2, None, n, boundary)  # row 2 built
+            with pytest.raises(ValidationError, match=r"^sensor index must be an integer, got "):
+                _scalar(name, field, bad, params, 2, None, n, boundary)
+
+
+def test_targets_take_numpy_integer_and_out_of_line_sensor_indices():
+    n = 8
+    field = MeasurementField(random_spatial_table(n, 7))
+    for name, params in _all_params(n).items():
+        for boundary in (Ring(), ZeroHalo()):
+            for i in (-3, 0, 5, n, 2 * n + 1):
+                want = _bits(_reference(name, field, i, params, 2, None, n, boundary))
+                for index in (i, np.int64(i), np.int32(i)):
+                    assert _bits(_scalar(name, field, index, params, 2, None, n, boundary)) \
+                        == want, (name, boundary, i)
 
 
 STATIC = ("exp", "asym", "window", "variable_window", "arbitrary")
