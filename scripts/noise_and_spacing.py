@@ -4,10 +4,12 @@
 Prints Monte Carlo output variances for the exponential and window rules next
 to the analytic formulas, the window/exponential variance-match ratios, and a
 random-spacing run for both gap laws.  Each Monte Carlo row also shows its
-wall-clock cost in microseconds per replicate.
+wall-clock cost in microseconds per replicate and the minor page faults of
+its call, so arrays allocated afresh for every block show.
 """
 import argparse
 import math
+import resource
 import time
 
 from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
@@ -16,22 +18,28 @@ from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
 
 
 def timed(call, replicates):
-    """`call()` and its wall-clock microseconds per replicate."""
+    """`call()`, its wall-clock microseconds per replicate and its minor page
+    faults."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     result = call()
-    return result, (time.perf_counter() - start) * 1e6 / replicates
+    us = (time.perf_counter() - start) * 1e6 / replicates
+    return result, us, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def noise_table(replicates, seed):
-    print(f"{'target':>16} {'analytic':>10} {'sampled':>10} {'rel err':>9} {'us/rep':>7}")
+    print(f"{'target':>16} {'analytic':>10} {'sampled':>10} {'rel err':>9} {'us/rep':>7} "
+          f"{'faults':>7}")
     rows = [(f"exp rho={r}", ExponentialWeighting(r), noise_var_exp(r))
             for r in (0.3, 0.5, 0.7, 0.9)]
     rows += [(f"window L={L}", FiniteWindow(L), noise_var_window(L)) for L in (2, 5, 10)]
     rows.append(("global N=100", GlobalAverage(100), 0.01))
     for name, target, analytic in rows:
-        rep, us = timed(lambda: monte_carlo_noise(target, 1.0, replicates, seed), replicates)
+        rep, us, faults = timed(lambda: monte_carlo_noise(target, 1.0, replicates, seed),
+                                replicates)
         rel = abs(rep.sampled_variance - analytic) / analytic
-        print(f"{name:>16} {analytic:10.6f} {rep.sampled_variance:10.6f} {rel:9.2%} {us:7.2f}")
+        print(f"{name:>16} {analytic:10.6f} {rep.sampled_variance:10.6f} {rel:9.2%} {us:7.2f} "
+              f"{faults:7d}")
 
 
 def match_table():
@@ -44,16 +52,16 @@ def match_table():
 
 def spacing_table(replicates, seed):
     print(f"{'law':>18} {'rho':>8} {'K':>8} {'mean':>8} {'var':>9} {'var analytic':>13} "
-          f"{'us/rep':>7}")
+          f"{'us/rep':>7} {'faults':>7}")
     # rho = 0.5 with exponential and eta = 0.3 uniform gaps are the
     # perfbench monte-carlo workload's spacing cases
     for law, rho in ((ExpGaps(), math.exp(-1)), (ExpGaps(), 0.5),
                      (UniformGaps(0.3), 0.5), (UniformGaps(0.3), 0.9)):
-        rep, us = timed(lambda: monte_carlo_spacing(rho, SpacingModel(law, seed), replicates),
-                        replicates)
+        rep, us, faults = timed(
+            lambda: monte_carlo_spacing(rho, SpacingModel(law, seed), replicates), replicates)
         var_a = "-" if rep.var_analytic is None else f"{rep.var_analytic:13.6f}"
         print(f"{rep.law:>18} {rho:8.4f} {rep.k_analytic:8.4f} "
-              f"{rep.mean:8.5f} {rep.var_sampled:9.6f} {var_a:>13} {us:7.2f}")
+              f"{rep.mean:8.5f} {rep.var_sampled:9.6f} {var_a:>13} {us:7.2f} {faults:7d}")
 
 
 def main():

@@ -307,8 +307,12 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     """Sample variance of the converged consensus value over seeded replicates
     of pure measurement noise on a constant field, against the closed form.
 
-    Replicate r draws its noise from the stream spawned at (master_seed, r),
-    so a parallel split would merge to the identical result.
+    Replicate r draws its noise from the stream spawned at (master_seed, r).
+    The running sums add one block of 2048 replicates at a time, so a parallel
+    split merges to the identical result only at multiples of 2048
+    replicates, its parts' block sums added in block order.  Each block is
+    filtered in place, 2^15 values (or one row) at a time, so a call holds
+    one block of draws and one chunk's spectrum.
     """
     replicates = _check_integer("replicates", replicates, 100)
     if not 0.0 <= sigma < math.inf:
@@ -320,6 +324,7 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     sums = np.zeros(n)
     sq_sums = np.zeros(n)
     block = 2048
+    chunk = max(1, (1 << 15) // n)  # rows per transform
     eps_buf = np.empty((min(block, replicates), n))  # every block's draws
     done = 0
     while done < replicates:
@@ -328,12 +333,15 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
         for row, gen in zip(eps, replicate_generators(master_seed, done, count)):
             gen.standard_normal(out=row)
         eps *= sigma  # sigma z, where gen.normal gives 0.0 + sigma z: the same but for -0.0
-        spectrum = np.fft.rfft(eps, axis=1)
-        spectrum *= kernel_hat
-        y = np.fft.irfft(spectrum, n=n, axis=1)
-        sums += y.sum(axis=0)
-        y *= y
-        sq_sums += y.sum(axis=0)
+        # rows transform independently; numpy 1.22's FFTs take no out=
+        for lo in range(0, count, chunk):
+            rows = eps[lo:lo + chunk]
+            spectrum = np.fft.rfft(rows, axis=1)
+            spectrum *= kernel_hat
+            rows[...] = np.fft.irfft(spectrum, n=n, axis=1)
+        sums += eps.sum(axis=0)
+        eps *= eps
+        sq_sums += eps.sum(axis=0)
         done += count
     per_sensor = (sq_sums - sums ** 2 / replicates) / (replicates - 1)
     sampled = float(per_sensor.mean())

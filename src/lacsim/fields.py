@@ -184,7 +184,8 @@ class Noise:
             raise ValidationError(f"unknown noise distribution {self.distribution!r}")
         # the seed is the two 64-bit words of the Philox key: any other
         # integer would share its key, and so its noise, with one in range
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 1 << 128:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= self.seed < 1 << 128):
             raise ValidationError(
                 f"noise seed must be an integer in [0, 2**128), got {self.seed!r}")
 

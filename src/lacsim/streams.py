@@ -33,8 +33,8 @@ _POOL_SIZE = 4
 
 
 def check_seed(seed) -> None:
-    """A seed is a non-negative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    """A seed is a non-negative integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -106,6 +106,6 @@ def _seed_words() -> type:
 def replicate_generators(seed, first: int, count: int):
     """The generators of replicates first..first+count-1, in order, each the
     one `Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))` gives."""
-    words = _seed_words()
-    Generator, PCG64 = np.random.Generator, np.random.PCG64
-    return (Generator(PCG64(words(row))) for row in spawned_words(seed, first, count))
+    # maps build each generator without a Python frame per replicate
+    words = map(_seed_words(), spawned_words(seed, first, count))
+    return map(np.random.Generator, map(np.random.PCG64, words))

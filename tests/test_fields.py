@@ -107,7 +107,7 @@ def test_noise_is_reproducible_per_point():
     assert evaluate_field(f, 4, 5) != a
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 128, 2 ** 130, 1.0])
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 2 ** 130, 1.0, True])
 def test_noise_seed_outside_the_philox_key_is_rejected(seed):
     # reduced mod 2**128 the key would repeat a seed in range: -1 and
     # 2**128 - 1 drew the same noise, and so did 2**128 and 0

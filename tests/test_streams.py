@@ -307,6 +307,22 @@ def test_spacing_memory_is_bounded_by_the_block():
     assert large <= 1.5 * small
 
 
+def test_noise_memory_is_bounded_by_the_block():
+    # one (2048, n) block of draws, filtered in place a chunk at a time;
+    # transforms of the whole block would hold three blocks at once
+    target = ExponentialWeighting(0.95)
+    n = len(_noise_kernel(target)[0])
+    assert n == 539
+    monte_carlo_noise(target, 1.0, 2049, 7)  # warm-up: numpy's FFT plan caches
+    tracemalloc.start()
+    try:
+        monte_carlo_noise(target, 1.0, 2049, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2048 * n * 8
+
+
 @pytest.mark.parametrize("call", [
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100, -1),
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100, 2.5),
@@ -332,6 +348,8 @@ def test_spacing_memory_is_bounded_by_the_block():
                             0.3),
     lambda: weighted_target(SpacingDraw(np.ones(40)), MeasurementField(Constant(1.0)), 20, 1.5,
                             0.3),
+    lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100, True),
+    lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), True), 1000),
 ])
 def test_monte_carlo_inputs_rejected_up_front(call):
     with pytest.raises(ValidationError):
