@@ -327,21 +327,22 @@ def _csv_chunks(trace: ConsensusTrace):
     z = np.ascontiguousarray(trace.z.transpose(1, 0, 2)).reshape(-1, slots) if slots else None
     wr, ws = len(str(cols - 1)) + 1, len(str(n - 1)) + 1
     lead = -(-(wr + ws) // 8) * 8  # keeps the value columns 8-byte aligned
-    rounds, sensors = _labels(cols, lead, wr), _labels(n, lead, wr + ws)
+    rounds, sensors = _labels(cols, lead, wr)[:, None], _labels(n, lead, wr + ws)
+    # a block is whole rounds, or a slice of one round that outgrows a block
     step = max(1, _BLOCK_VALUES // width)
+    per_block, per_slice = min(max(1, step // n), cols), min(step, n)
     # one block buffer per call: a fresh one per block costs page faults
-    buffer = np.empty((min(step, n * cols), lead + width * WIDTH), dtype=np.uint8)
-    for start in range(0, n * cols, step):
-        row = np.arange(start, min(start + step, n * cols))
-        t = row // n
-        i = row - t * n
-        block = buffer[:len(row)]
-        np.bitwise_or(np.take(rounds, t, axis=0), np.take(sensors, i, axis=0),
-                      out=block[:, :lead].view(np.uint64))
-        cells = block[:, lead:].reshape(len(row), width, WIDTH)
-        write_g17(y[start:start + len(row)], cells[:, :1])
+    buffer = np.empty((per_block * per_slice, lead + width * WIDTH), dtype=np.uint8)
+    for t, i in ((t, i) for t in range(0, cols, per_block) for i in range(0, n, per_slice)):
+        r, s = min(per_block, cols - t), min(per_slice, n - i)
+        start, count = t * n + i, r * s
+        block = buffer[:count]
+        np.bitwise_or(rounds[t:t + r], sensors[i:i + s],
+                      out=block[:, :lead].view(np.uint64).reshape(r, s, -1))
+        cells = block[:, lead:].reshape(count, width, WIDTH)
+        write_g17(y[start:start + count], cells[:, :1])
         if slots:
-            write_g17(z[start:start + len(row)], cells[:, 1:])
+            write_g17(z[start:start + count], cells[:, 1:])
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
         yield block.tobytes().translate(None, b"\0").decode("ascii")

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -49,13 +50,16 @@ def _metadata(command: str, exp: Experiment | None, outputs: list) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write `text` to `path` in place, then cut it to length: truncating first
+    would free the blocks of an existing file only to fill new ones."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as out:
+        out.write(text)
+        out.truncate()
 
 
 def _check_out_dir(out_dir: Path) -> None:

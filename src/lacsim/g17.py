@@ -4,15 +4,17 @@ Each value becomes one row of `WIDTH` bytes; the bytes between its
 characters are nul, so deleting every nul byte (`bytes.translate(None,
 b"\\0")`) leaves exactly the text `'%.17g' % v`.
 
-Values with 1e-4 <= |v| < 1e15, and zeros, are converted with integer
+Values with 1e-4 <= |v| < 1e15, and zeros, are converted with array
 arithmetic only, after Adams, "Ryu revisited: printf floating point
-conversion" (OOPSLA 2019).  Write |v| = M * 2**E with M < 2**53 and let d be
-the decimal exponent; the 17 significant digits are M * 5**s / 2**-(E + s)
-for s = 16 - d, rounded half to even.  %g prints all these values in fixed
-notation, so the text follows from the digits, d and the sign alone.  Every
-other value (inf, nan, the smallest and largest magnitudes, and the few near
-a power of ten whose log10 estimate of d is off by one) is formatted by
-Python, one at a time.
+conversion" (OOPSLA 2019).  With d the decimal exponent, the 17 significant
+digits are |v| * 10**s for s = 16 - d, rounded half to even.  Dekker's
+product (Dekker, "A floating-point technique for extending the available
+precision", Numer. Math. 1971) of the doubles |v| and 10**s gives it exactly
+as ph + pl; ph >= 2**53 is an even integer, so the digits are ph + rint(pl).
+%g prints all these values in fixed notation, so the text follows from the
+digits, d and the sign alone.  Every other value (inf, nan, the smallest and
+largest magnitudes, and the few near a power of ten whose log10 estimate of d
+is off by one) is formatted by Python, one at a time.
 """
 from __future__ import annotations
 
@@ -23,14 +25,18 @@ import numpy as np
 WIDTH = 40
 _DIGITS = slice(6, WIDTH, 2)
 
-# uint64 scalars only: a uint64 array mixed with a Python int or an int64
-# array is promoted to float64, which loses digits
-_U = np.uint64
-_ONE, _32, _64 = _U(1), _U(32), _U(64)
-_LOW32, _HALF = _U(0xFFFFFFFF), _U(1 << 63)
-_E16, _E17 = _U(10 ** 16), _U(10 ** 17)
-_POW5 = np.array([5 ** s for s in range(21)], dtype=np.uint64)
-_POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _32
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
+_POW10 = np.array([float(10 ** s) for s in range(21)])  # exact: 5**20 < 2**53
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: v = hi + lo exactly, each half of at most 26 bits."""
+    t = v * _SPLIT
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _quads() -> tuple[np.ndarray, np.ndarray]:
@@ -77,28 +83,22 @@ def _digits17(a: np.ndarray):
     """(q, d, exact) for 1e-4 <= a < 1e15: q the 17 significant digits of a
     as an int64 in [10**16, 10**17) and d its decimal exponent, with `exact`
     False where the estimate of d was wrong and q is not set."""
-    m, e = np.frexp(a)
-    mant = (m * 2.0 ** 53).astype(np.uint64)  # exact: a = mant * 2**(e - 53)
     d = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.intp)
     s = 16 - d
-    r = (d - e + 37).astype(np.uint64)  # a * 10**s = mant * 5**s / 2**r, 1 <= r <= 47
-    # mant * 5**s = hi * 2**64 + lo, from 32-bit halves (5**20 < 2**47)
-    m_lo, m_hi = mant & _LOW32, mant >> _32
-    f_lo, f_hi = np.take(_POW5_LO, s), np.take(_POW5_HI, s)
-    low = m_lo * f_lo
-    mid = m_lo * f_hi + m_hi * f_lo  # < 2**54
-    lo = low + (mid << _32)
-    hi = m_hi * f_hi + (mid >> _32) + (lo < low)
-    left = _64 - r
-    q = (lo >> r) | (hi << left)  # < 10**18 < 2**64: the estimate is off by at most one
-    exact = q >= _E16
-    q += (lo << left) + (q & _ONE) > _HALF  # the dropped bits against one half, ties to even
-    # q < 10**17 also after rounding: no double in the window lies within
-    # half a unit of the 17th digit below a power of ten, so there is no
-    # carry into an 18th digit to handle
-    exact &= q < _E17
-    q[~exact] = _E16
-    return q.view(np.int64), d, exact
+    # a * 10**s = ph + pl exactly, by Dekker's product of the split halves
+    ah, al = _split(a)
+    bh, bl = np.take(_POW10_HI, s), np.take(_POW10_LO, s)
+    ph = a * np.take(_POW10, s)
+    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    # a * 10**s >= 10**16, since ph - 1e16 is exact near 1e16 and outweighs pl
+    # elsewhere; then ph >= 2**53 is even, and rint(pl) rounds the sum half to even
+    exact = (ph - 1e16) + pl >= 0.0
+    q = ph.astype(np.int64) + np.rint(pl).astype(np.int64)  # < 10**18
+    # q < 10**17 also after rounding: no double in the window lies within half
+    # a unit of the 17th digit below a power of ten, so no carry to an 18th
+    exact &= q < 10 ** 17
+    q[~exact] = 10 ** 16
+    return q, d, exact
 
 
 def write_g17(values: np.ndarray, out: np.ndarray) -> None:

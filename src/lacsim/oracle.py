@@ -49,7 +49,7 @@ from .errors import ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.oracle.evaluate_field
 from .fields import evaluate_field, evaluate_grid  # noqa: F401
-from .static_rules import _check_half_width, _check_integer, _check_rho
+from .static_rules import _check_half_width, _check_half_widths, _check_integer, _check_rho
 
 DEFAULT_TAIL = 1e-12
 
@@ -323,7 +323,7 @@ def _plan_window(field, table, n, boundary, half_width):
 
 
 def _plan_variable_window(field, table, n, boundary, widths):
-    widths = tuple(_check_half_width("half-widths", w) for w in widths)
+    widths = _check_half_widths(widths)
     if len(widths) != n:
         raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
     reach = max(widths)

@@ -41,6 +41,19 @@ def _check_half_width(name: str, value) -> int:
     return _check_integer(name, value, 1)
 
 
+def _check_half_widths(widths, adjacent: bool = False) -> tuple:
+    """`widths` as a tuple checked by `_check_half_width`, if `adjacent` each within
+    one of the next: plain ints as a whole, else, or on a failure, one by one."""
+    widths = tuple(widths)
+    if set(map(type, widths)) != {int} or min(widths) < 1 or (
+            adjacent and np.abs(np.diff(widths)).max(initial=0) > 1):
+        widths = tuple(_check_half_width("half-widths", w) for w in widths)
+        for a, b in zip(widths, widths[1:]) if adjacent else ():
+            if abs(a - b) > 1:
+                raise ValidationError(f"adjacent half-widths differ by more than one: {a}, {b}")
+    return widths
+
+
 @dataclass(frozen=True)
 class ExponentialWeighting:
     """Symmetric geometric weights: hop distance j contributes rho**j."""
@@ -84,13 +97,10 @@ class PerSensorWindow:
     half_widths: tuple
 
     def __post_init__(self):
-        widths = tuple(_check_half_width("half-widths", w) for w in self.half_widths)
+        widths = _check_half_widths(self.half_widths, adjacent=True)
         object.__setattr__(self, "half_widths", widths)
         if not widths:
             raise ValidationError("half_widths must be non-empty")
-        for a, b in zip(widths, widths[1:]):
-            if abs(a - b) > 1:
-                raise ValidationError(f"adjacent half-widths differ by more than one: {a}, {b}")
 
 
 def _need(k: int, own, left, right, n_own: int, n_nb: int) -> None:

@@ -64,17 +64,17 @@ def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = (),
         over = np.flatnonzero(data["sensor"] >= sensors)
         if len(over):
             raise bad(over[0], f"sensor outside 0..{sensors - 1}")
-    keys = np.column_stack([data[name] for name in index])
-    order = np.lexsort(keys.T[::-1])  # stable: a repeat sorts after the row it repeats
-    repeat = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
-    if repeat.any():
-        raise bad(order[1:][repeat].min(), f"repeats an earlier ({','.join(index)})")
     shape, at = [], []
     for name in index:
         col = data[name]
         shift = int(np.abs(col).max()) if name in centered else 0
         shape.append(2 * shift + 1 if name in centered else int(col.max()) + 1)
         at.append(col + shift)
+    flat = np.ravel_multi_index(at, shape)  # one cell per key
+    if np.bincount(flat).max() > 1:  # sorted only when some key repeats
+        order = np.argsort(flat, kind="stable")  # a repeat sorts after the row it repeats
+        repeat = flat[order[1:]] == flat[order[:-1]]
+        raise bad(order[1:][repeat].min(), f"repeats an earlier ({','.join(index)})")
     values = np.zeros(shape)
-    values[tuple(at)] = data[names[-1]]
+    values.put(flat, data[names[-1]])
     return values

@@ -229,6 +229,22 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert meta1 == meta2
 
 
+def test_cli_rewrites_outputs_in_place_to_the_bytes_of_a_fresh_run(tmp_path, monkeypatch):
+    # a shorter rewrite must not keep the tail of the longer output before it
+    def simulate(base, rounds):
+        base.mkdir(exist_ok=True)
+        monkeypatch.chdir(base)  # the same relative --out, echoed in the metadata
+        assert main(["simulate", "--out", "out", "--set", "chain.n=16",
+                     "--set", f"chain.rounds={rounds}"]) == 0
+        trace = (base / "out" / "run_trace.csv").read_bytes()
+        meta = (base / "out" / "run_metadata.json").read_text().splitlines()
+        return trace, [line for line in meta if '"timestamp"' not in line]
+
+    for j, rounds in enumerate((12, 3, 12)):
+        rewritten = simulate(tmp_path / "shared", rounds)
+        assert rewritten == simulate(tmp_path / f"fresh{j}", rounds)
+
+
 def test_cli_rerun_from_embedded_config(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

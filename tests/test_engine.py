@@ -388,6 +388,20 @@ def test_trace_csv_matches_template_writer_across_blocks(pool, seed):
         assert trace_to_csv(trace) == _template_csv(trace)
 
 
+@settings(max_examples=3, deadline=None)
+@given(st.lists(_G17_VALUES, min_size=1, max_size=64), st.integers(0, 2 ** 32 - 1))
+def test_trace_csv_matches_template_writer_when_blocks_slice_a_round(pool, seed):
+    # a round alone holds more values than one block, and no multiple of it
+    rng = np.random.default_rng(seed)
+    for n, cols, slots in ((16411, 2, 0), (3299, 3, 4)):
+        assert n * (1 + slots) > chain_module._BLOCK_VALUES
+        assert (n * (1 + slots)) % chain_module._BLOCK_VALUES
+        values = np.array(pool)[rng.integers(0, len(pool), (n, cols, 1 + slots))]
+        trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:] if slots else None,
+                               config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
+        assert trace_to_csv(trace) == _template_csv(trace)
+
+
 def test_trace_csv_matches_template_writer_on_random_values():
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2 ** 64, 2 ** 15, dtype=np.uint64, endpoint=False).view(np.float64)

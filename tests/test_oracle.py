@@ -601,11 +601,11 @@ def test_variable_window_checks_one_case_once_and_never_an_equal_tuple_of_floats
     field = MeasurementField(random_spatial_table(8, 3))
     widths = (1, 2, 3, 1, 2, 3, 1, 2)
     calls = []
-    check = oracle._check_half_width
-    monkeypatch.setattr(oracle, "_check_half_width", lambda *a: calls.append(a) or check(*a))
+    check = oracle._check_half_widths
+    monkeypatch.setattr(oracle, "_check_half_widths", lambda *a: calls.append(a) or check(*a))
     want = [[_bits(oracle.variable_window_target(field, i, widths, n=8, k=k)) for i in range(8)]
             for k in range(4)]
-    assert len(calls) == 8  # the very same tuple: once per width, not once per k
+    assert len(calls) == 1  # the very same tuple: once for the case, not once per k
     # a fresh equal list is a new case, checked again, with the same bits
     assert [[_bits(oracle.variable_window_target(field, i, list(widths), n=8, k=k))
              for i in range(8)] for k in range(4)] == want

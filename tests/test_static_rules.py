@@ -11,7 +11,7 @@ from lacsim import (AsymmetricWeighting, ChainConfig, ExponentialWeighting, Fini
                     TerminatedError, Truncated, ValidationError, ZeroHalo, Constant, Impulse,
                     asym_transition, dyn_exp_transition, exp_transition, random_spatial_table,
                     run, variable_window_transition, window_transition)
-from lacsim import DynamicWindow, oracle
+from lacsim import DynamicWindow, oracle, static_rules
 from lacsim.cli import main
 
 
@@ -417,3 +417,31 @@ def test_per_sensor_window_rejects_fractional_half_widths_instead_of_rounding_do
             PerSensorWindow(bad)
     widths = PerSensorWindow(np.array([2, 3, 3])).half_widths
     assert widths == (2, 3, 3) and all(type(w) is int for w in widths)
+
+
+def _per_element_half_widths(widths, adjacent):
+    """The per-element check that `_check_half_widths` replaced."""
+    widths = tuple(static_rules._check_half_width("half-widths", w) for w in widths)
+    for a, b in zip(widths, widths[1:]) if adjacent else ():
+        if abs(a - b) > 1:
+            raise ValidationError(f"adjacent half-widths differ by more than one: {a}, {b}")
+    return widths
+
+
+_WIDTHS = st.lists(st.one_of(st.integers(-1, 5), st.integers(2 ** 62, 2 ** 65),
+                             st.sampled_from([True, 2.0, np.int64(3), np.uint64(2 ** 63)])),
+                   max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_WIDTHS, st.lists(st.integers(1, 4), max_size=12)), st.booleans())
+def test_half_widths_checked_as_a_whole_as_one_by_one(widths, adjacent):
+    try:
+        want = _per_element_half_widths(widths, adjacent)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            static_rules._check_half_widths(widths, adjacent)
+        assert str(got.value) == str(exc)
+    else:
+        got = static_rules._check_half_widths(widths, adjacent)
+        assert got == want and all(type(w) is int for w in got)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lacsim import WeightTable
+from lacsim import ValidationError, WeightTable
 from lacsim.cli import main
 from lacsim.tables import read_index_csv
 
@@ -152,3 +152,41 @@ def test_dynamic_table_shorter_than_the_rounds_is_a_validation_error(tmp_path, c
                            "--set", "algorithm.variant=dyn_exponential",
                            "--set", "algorithm.rho=0.5") == 1
     assert capsys.readouterr().err == "error: step 3 outside table columns [0, 3)\n"
+
+
+@st.composite
+def _tables_with_repeats(draw):
+    """(CSV text, header, centered columns, the 0-based data row the reader
+    must name): a drawn static, dynamic or weight table whose entries, in a
+    drawn order, hold one to three repeated keys at drawn rows."""
+    layout = draw(st.sampled_from(["static", "dynamic", "weights"]))
+    n = draw(st.integers(1, 8))
+    shape = {"static": (n,), "dynamic": (n, draw(st.integers(1, 5))),
+             "weights": (n, 2 * draw(st.integers(0, 3)) + 1)}[layout]
+    keys = [tuple(int(v) for v in k) for k in np.ndindex(*shape)]
+    keys = draw(st.permutations(keys))[:draw(st.integers(1, len(keys)))]
+    if layout == "weights":  # offsets -radius..radius
+        keys = [(s, j - shape[1] // 2) for s, j in keys]
+    for _ in range(draw(st.integers(1, 3))):
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+    seen = set()
+    for row, key in enumerate(keys):  # the first row whose key an earlier row has
+        if key in seen:
+            break
+        seen.add(key)
+    header = {"static": "sensor,value", "dynamic": "sensor,step,value",
+              "weights": "sensor,offset,weight"}[layout]
+    lines = [",".join(map(str, k)) + f",{draw(_VALUES)!r}" for k in keys]
+    centered = ("offset",) if layout == "weights" else ()
+    return header + "\n" + "\n".join(lines) + "\n", header, centered, row
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_with_repeats())
+def test_reader_names_the_first_repeated_key_in_file_order(case):
+    text, header, centered, row = case
+    line = text.splitlines()[row + 1]
+    names = ",".join(header.split(",")[:-1])
+    with pytest.raises(ValidationError) as err:
+        read_index_csv(text, (header,), "csv", centered)
+    assert str(err.value) == f"csv: row {row + 2} {line!r}: repeats an earlier ({names})"
