@@ -7,7 +7,7 @@ from .analysis import (BandwidthResult, GainEstimate, GlobalAverage, MatchedRho,
 from .arbitrary_weights import (BandedWeighting, FBState, WeightReport, WeightTable,
                                 fb_transition, glue, validate_weights)
 from .chain import (AlgorithmSpec, Boundary, ChainConfig, ConsensusTrace, MessageRecord,
-                    Ring, Truncated, ZeroHalo, audit_locality, run, trace_to_csv)
+                    Ring, Truncated, ZeroHalo, run, trace_to_csv)
 from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
                             dyn_exp_transition, z_slot_transition)
 from .errors import (DivergedError, HistoryError, NeedsMoreSensorsError, OutOfDomainError,

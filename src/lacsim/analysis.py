@@ -37,14 +37,6 @@ def h_exp(rho: float, omega: float) -> float:
     return (1.0 - rho) ** 2 / ((1.0 - rho) ** 2 + 4.0 * rho * s * s)
 
 
-def h_exp_from_poles(rho: float, omega: float) -> complex:
-    """The same transfer function evaluated from its pole form
-    (1-rho)^2 / ((1 - rho z^-1)(1 - rho z)) on the unit circle; kept as an
-    independent cross-check of h_exp."""
-    z = cmath.exp(1j * omega)
-    return (1.0 - rho) ** 2 / ((1.0 - rho / z) * (1.0 - rho * z))
-
-
 def h_window(half_width: int, omega: float) -> float:
     """Signed spatial gain of the uniform window (a Dirichlet kernel):
     sin((L+1/2) w) / ((2L+1) sin(w/2)), with the w -> 0 limit of 1."""

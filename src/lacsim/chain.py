@@ -283,15 +283,6 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
                           config=config, algo=algo)
 
 
-def audit_locality(trace: ConsensusTrace) -> int:
-    """Number of audit records whose sender is not an immediate neighbor of
-    the receiver under the trace's boundary arithmetic."""
-    hop = trace.audit["receiver"] - trace.audit["sender"]
-    if isinstance(trace.config.boundary, Ring):
-        hop = (hop + 1) % trace.config.n - 1  # a wrap pair is one hop apart
-    return int(np.count_nonzero(np.abs(hop) != 1))
-
-
 def _labels(count: int, lead: int, end: int) -> np.ndarray:
     """(count, lead // 8) uint64: the bytes of `i,` for each i in
     range(count), ending at byte `end` of `lead`, and nul elsewhere."""

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from . import analysis as ana
+from . import oracle
 from .arbitrary_weights import BandedWeighting, validate_weights
 from .chain import ChainConfig, Ring, Truncated, run, trace_to_csv
 from .config import Experiment, config_to_ini, merge_settings, read_ini, resolve
@@ -28,7 +29,6 @@ from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import DivergedError, OutOfDomainError, ValidationError
 from .fields import Constant, MeasurementField, SpatialCosine, TemporalCosine
 from .figures import write_figures
-from .oracle import variable_window_row
 from .spacing import SpacingModel, monte_carlo_spacing
 from .static_rules import ExponentialWeighting, FiniteWindow, PerSensorWindow
 
@@ -93,8 +93,8 @@ def _cmd_simulate(exp: Experiment) -> list:
             not isinstance(exp.chain.boundary, Truncated):
         # final-value coefficient totals, which need not equal one for a
         # per-sensor window; a truncated chain's end sensors fall short of them
-        sums = variable_window_row(MeasurementField(Constant(1.0)), exp.algorithm.half_widths,
-                                   n=exp.chain.n, boundary=exp.chain.boundary)
+        sums = oracle.rows(exp.algorithm, MeasurementField(Constant(1.0)), exp.chain.n,
+                           exp.chain.boundary)
         meta["trace_metadata"] = {"weight_sums": sums.tolist()}
     _write_json(meta_path, meta)
     return written + [meta_path]

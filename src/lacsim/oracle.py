@@ -7,26 +7,28 @@ dynamic form: the exponential and window hop terms are written once, and hop
 j of a static target reads the field at step 0, where the dynamic target
 reads the lagged time argument x_{i +- j}(k - j).
 
-Each target has an array form (`exp_row`, ...) that gives its value at every
-sensor 0..n-1 for one k.  It reads the field once through `evaluate_grid`
-(steps 0..k for the dynamic targets) and adds shifted slices of that grid in
-the order of the defining sum, hop by hop with the same running products, so
-each entry equals, bit for bit, the sum taken one sensor at a time.  The
-scalar form (`exp_target`, ...) keeps its signature and indexes the row.  Each
-scalar form keeps a memo of its latest case only: the (field, parameters, n,
-boundary) objects, the case's plan, the grid read for it and its rows by k.
-A call names the same case only with the very same objects; any other, even
-an equal one (a fresh list of half-widths, `np.float64(0.8)` for 0.8), starts
-a new case.  A new case is planned, and so validated, once, and a row then
-checks only its k.  A sweep over one case's (i, k) points, in any order,
+`rows(algo, field, n, boundary, ks)` gives the target of a rule object
+(`ExponentialWeighting(0.8)`, ...) at every sensor 0..n-1 for one k, or a
+block of rows for a range of k.  It reads the field once through
+`evaluate_grid` (steps 0..k for the dynamic targets) and adds shifted slices
+of that grid in the order of the defining sum, hop by hop with the same
+running products, so each entry equals, bit for bit, the sum taken one sensor
+at a time.  A static row k goes on from the running sum of the rows before
+it, so rows 0..K take K hops (a smaller k starts again from hop 0).  A
+dynamic row reads its own round's space-time cone once, as two views of one
+padded slab, forms all k hop terms with one add and one multiply and adds
+them to the running total in hop order: a few numpy calls, not k Python steps.
+
+The scalar forms (`exp_target`, ...) index the same rows.  Each keeps a memo
+of its latest case only: the (field, parameters, n, boundary) objects, the
+case's plan, the grid read for it and its rows by k.  A call names the same
+case only with the very same objects; any other, even an equal one (a fresh
+list of half-widths, `np.float64(0.8)` for 0.8), starts a new case, planned,
+and so validated, once.  A sweep over one case's (i, k) points, in any order,
 therefore reads the field once (a dynamic target once per larger k) and
-builds each row once.  A static row k goes on from the running sum of the
-rows before it, so rows 0..K take K hops (a smaller k starts again from hop
-0).  A dynamic row reads its own round's space-time cone once, as two views
-of one padded slab, forms all k hop terms with one add and one multiply and
-adds them to the running total in hop order: a few numpy calls, not k Python
-steps.  Built rows are kept as memoryviews, which a hit indexes for its float
-with no lock, plan or check beyond the identity of its arguments.
+builds each row once.  Built rows are kept as memoryviews, which a hit
+indexes for its float with no lock, plan or check beyond the identity of its
+arguments.
 
 Boundary semantics: a Ring wraps indices modulo n; ZeroHalo (or any non-ring
 boundary) means the zero-extended line, where indices outside 0..n-1
@@ -43,13 +45,16 @@ import threading
 
 import numpy as np
 
-from .arbitrary_weights import WeightTable
+from .arbitrary_weights import BandedWeighting, WeightTable
 from .chain import Ring, Truncated
+from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.oracle.evaluate_field
 from .fields import evaluate_field, evaluate_grid  # noqa: F401
-from .static_rules import _check_half_width, _check_half_widths, _check_integer, _check_rho
+from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
+                           PerSensorWindow, _check_half_width, _check_half_widths,
+                           _check_integer, _check_rho)
 
 DEFAULT_TAIL = 1e-12
 
@@ -187,14 +192,6 @@ def _banded(at, weight, radius):
         total = total + w[radius + j] * at(j)
 
 
-def _row(field, n, plan, k, lo=0, m=None) -> np.ndarray:
-    """Row k of a plan at sensors lo..lo+m-1 (default: all n) from a fresh grid."""
-    hops, steps = _reach(plan, k)
-    *_, sums, finish = plan
-    totals = sums(evaluate_grid(field, n, steps), lo, n if m is None else m, hops)
-    return finish(next(itertools.islice(totals, hops, None)))
-
-
 class _Memo:
     """One scalar target's latest case with its plan and rows by k, the field
     grid read for it and, for a static target, its running sum (generator,
@@ -223,33 +220,35 @@ class _Memo:
             if plan is None or not all(map(operator.is_, case, last)):
                 plan, rows = _plan(make, *case), {}
                 self.last, self.x, self.run = (case, plan, rows), None, None
-            if not isinstance(boundary, Ring) and not 0 <= i < n:
-                return _row(field, n, plan, k, i, 1).item(0)
             hops, steps = _reach(plan, k)
+            if not isinstance(boundary, Ring) and not 0 <= i < n:
+                return _carry(plan, evaluate_grid(field, n, steps), hops, None, i, 1)[0].item(0)
             if (row := rows.get(k)) is None:
-                *_, sums, finish = plan
                 if self.x is None or len(self.x) < steps:
                     self.x = evaluate_grid(field, n, steps)
-                run = self.run if steps == 1 and self.run and self.run[1] <= hops else None
-                gen, done, total = run or (sums(self.x[:steps], 0, n, hops), -1, None)
-                if hops > done:
-                    total = next(itertools.islice(gen, hops - done - 1, None))
-                # a sum over step 0 alone (a static row) goes on to later rows
-                self.run = (gen, hops, total) if steps == 1 else None
+                row, self.run = _carry(plan, self.x[:steps], hops, self.run, 0, n)
                 # a memoryview: a hit indexes it for a float without `item`
-                row = rows[k] = memoryview(finish(total))
+                row = rows[k] = memoryview(row)
             return row[i % n]
+
+
+def _carry(plan, x, hops, run, lo, m):
+    """A plan's row at sensors lo..lo+m-1 after `hops` hops over the field
+    grid `x`, and the run (sum, hops, total) that a later row goes on from.  A
+    sum over step 0 alone (a static row) goes on from `run` unless `run` has
+    passed `hops`; any other starts afresh."""
+    *_, sums, finish = plan
+    static = len(x) == 1
+    gen, done, total = (run if static and run and run[1] <= hops
+                        else (sums(x, lo, m, hops), -1, None))
+    if hops > done:
+        total = next(itertools.islice(gen, hops - done - 1, None))
+    return finish(total), (gen, hops, total) if static else None
 
 
 def _check_ring(boundary, n, half_width, what="half-width"):
     if isinstance(boundary, Ring) and n < 2 * half_width + 1:
         raise ValidationError(f"ring of {n} sensors cannot host {what} {half_width}")
-
-
-def exp_tail_bound(rho: float, k: int, bound_m: float) -> float:
-    """Magnitude of everything the k-term partial sum discards."""
-    lam = (1.0 - rho) / (1.0 + rho)
-    return lam * 2.0 * bound_m * rho ** (k + 1) / (1.0 - rho)
 
 
 def _tail_hops(decay: float, bound_m: float, eps: float) -> int:
@@ -358,41 +357,40 @@ def _plan_dyn_window(field, table, n, boundary, half_width):
             lambda total: total / (2.0 * half_width + 1.0))
 
 
-def exp_row(field, rho, *, n, boundary=Ring(), k=None, eps=None) -> np.ndarray:
-    """`exp_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan(_plan_exp, field, None, n, boundary, rho, eps), k)
+# rule class -> its plan and the (table, *numbers) of its case; the
+# exponential and asymmetric plans take eps after them
+_PLANS = {
+    ExponentialWeighting: lambda a: (_plan_exp, None, a.rho),
+    AsymmetricWeighting: lambda a: (_plan_asym, None, a.rho_back, a.rho_forward),
+    FiniteWindow: lambda a: (_plan_window, None, a.half_width),
+    PerSensorWindow: lambda a: (_plan_variable_window, None, a.half_widths),
+    BandedWeighting: lambda a: (_plan_arbitrary, a.table),
+    DynamicExponential: lambda a: (_plan_dyn_exp, None, a.rho),
+    DynamicWindow: lambda a: (_plan_dyn_window, None, a.half_width),
+}
 
 
-def asym_row(field, rho_back, rho_forward, *, n, boundary=Ring(), k=None,
-             eps=None) -> np.ndarray:
-    """`asym_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan(_plan_asym, field, None, n, boundary, rho_back, rho_forward,
-                                eps), k)
-
-
-def window_row(field, half_width, *, n, boundary=Ring(), k=None) -> np.ndarray:
-    """`window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan(_plan_window, field, None, n, boundary, half_width), k)
-
-
-def variable_window_row(field, half_widths, *, n, boundary=Ring(), k=None) -> np.ndarray:
-    """`variable_window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan(_plan_variable_window, field, None, n, boundary, half_widths), k)
-
-
-def arbitrary_row(field, table: WeightTable, k, *, n, boundary=Ring()) -> np.ndarray:
-    """`arbitrary_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan(_plan_arbitrary, field, table, n, boundary), k)
-
-
-def dyn_exp_row(field, k, rho, *, n, boundary=Ring()) -> np.ndarray:
-    """`dyn_exp_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan(_plan_dyn_exp, field, None, n, boundary, rho), k)
-
-
-def dyn_window_row(field, k, half_width, *, n, boundary=Ring()) -> np.ndarray:
-    """`dyn_window_target` at every sensor 0..n-1."""
-    return _row(field, n, _plan(_plan_dyn_window, field, None, n, boundary, half_width), k)
+def rows(algo, field, n, boundary=Ring(), ks=None, *, eps=None) -> np.ndarray:
+    """The target of the rule `algo` at every sensor 0..n-1: row k for an int
+    `ks`, the final value for None (the exponential and asymmetric rules to
+    tail tolerance `eps`, default 1e-12 * M), or for a range one
+    (len(ks), n) block from one read of the field, a static sum going on
+    from each row to the next."""
+    if type(algo) not in _PLANS:
+        raise ValidationError(f"{type(algo).__name__} has no closed-form target")
+    make, table, *numbers = _PLANS[type(algo)](algo)
+    if isinstance(algo, (ExponentialWeighting, AsymmetricWeighting)):
+        numbers.append(eps)
+    elif eps is not None:
+        raise ValidationError(f"eps sets a geometric tail, which {type(algo).__name__} lacks")
+    plan = _plan(make, field, table, n, boundary, *numbers)
+    block = isinstance(ks, range)
+    reach = [_reach(plan, k) for k in (ks if block else (ks,))]
+    x = evaluate_grid(field, n, max((steps for _, steps in reach), default=0))
+    out, run = np.empty((len(reach), n)), None
+    for row, (hops, steps) in zip(out, reach):
+        row[:], run = _carry(plan, x[:steps], hops, run, 0, n)
+    return out if block else out[0]
 
 
 _MEMOS = {name: _Memo() for name in

@@ -9,15 +9,20 @@ are asserted as stated and are expected to fail honestly:
 """
 import re
 
+import numpy as np
 import pytest
 
+import lacsim.chain
 from lacsim import acceptance
 
 
-# the detail lines of the two frequency-response criteria, runtimes removed,
-# as printed before their closed forms and fit lengths were shared with the
-# CLI sweep
-FREQ_DETAILS = {
+# detail lines, runtimes removed: criterion 1's as printed when it compared
+# each trace point with a scalar target, and the two frequency-response
+# criteria's as printed before their closed forms and fit lengths were shared
+# with the CLI sweep
+DETAILS = {
+    1: "worst |trace-oracle| = 2.831e-15 at dyn_exp seed=12 Ring i=0 k=38 (tol 1e-10), "
+       "runtime < 5s",
     3: "exp gain err 3.56e-11 (tol 1e-6), phase 3.02e-16 (tol 1e-9), "
        "window gain err 3.33e-16 (tol 1e-10), runtime < 2s",
     5: "worst gain err 4.94e-11 (tol 1e-3), DC err 2.69e-10 (tol 1e-9)",
@@ -32,5 +37,16 @@ def test_criterion(criterion):
            f"{result.name} - {result.detail}"
     print(line)
     assert result.passed, line
-    if result.index in FREQ_DETAILS:
-        assert re.sub(r"runtime \d+\.\d+s", "runtime", result.detail) == FREQ_DETAILS[result.index]
+    if result.index in DETAILS:
+        assert re.sub(r"runtime \d+\.\d+s", "runtime", result.detail) == DETAILS[result.index]
+
+
+def test_criterion_10_fails_when_a_rule_reads_two_hops_away(monkeypatch):
+    # the exponential rule made to read the sensor two hops to its left as
+    # well: a bump then moves y_i(k) at a distance k + 1
+    real = lacsim.chain.exp_transition
+    monkeypatch.setattr(lacsim.chain, "exp_transition", lambda k, own, *rest:
+                        real(k, own, *rest) + (1e-3 * np.roll(own[0], 2) if k else 0.0))
+    result = acceptance.criterion_10()
+    assert not result.passed
+    assert "beyond the bump's reach 0;" not in result.detail

@@ -12,7 +12,7 @@ from lacsim import (AsymmetricWeighting, ChainConfig, DynamicExponential, Dynami
                     ZeroHalo, bandwidth, h_exp, h_window, k_temporal_exp, k_temporal_window,
                     measure_gain, monte_carlo_noise, noise_var_exp, noise_var_global,
                     noise_var_window, run, settle_rounds, variance_match_rho)
-from lacsim.analysis import closed_form_gain, fit_rounds, h_exp_from_poles
+from lacsim.analysis import closed_form_gain, fit_rounds
 from lacsim.arbitrary_weights import BandedWeighting, WeightTable
 
 
@@ -34,6 +34,14 @@ def test_h_exp_monotone_decreasing_on_grid():
         vals = [h_exp(rho, w) for w in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx((1 - rho) ** 2 / (1 + rho) ** 2, abs=1e-14)
+
+
+def h_exp_from_poles(rho: float, omega: float) -> complex:
+    """The same transfer function evaluated from its pole form
+    (1-rho)^2 / ((1 - rho z^-1)(1 - rho z)) on the unit circle; kept as an
+    independent cross-check of h_exp."""
+    z = cmath.exp(1j * omega)
+    return (1.0 - rho) ** 2 / ((1.0 - rho / z) * (1.0 - rho * z))
 
 
 def test_h_exp_matches_pole_form_on_unit_circle():

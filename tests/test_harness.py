@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacsim import (ChainConfig, Constant, DivergedError, DynamicWindow,
-                    ExponentialWeighting, FiniteWindow, MeasurementField, MessageRecord,
-                    Ring, TableField, Truncated, ValidationError, ZeroHalo, audit_locality,
+                    ExponentialWeighting, FiniteWindow, MeasurementField,
+                    Ring, TableField, Truncated, ValidationError, ZeroHalo,
                     random_spatial_table, run, trace_to_csv)
 
 
@@ -21,7 +21,6 @@ def test_rounds_zero_gives_initialization_only():
     assert trace.y.shape == (8, 1)
     assert np.allclose(trace.y[:, 0], np.arange(8.0) / 3.0, atol=1e-15, rtol=0)
     assert len(trace.audit) == 0
-    assert audit_locality(trace) == 0
 
 
 def test_zero_halo_interior_window_average_of_ones():
@@ -76,21 +75,12 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.audit, b.audit)
 
 
-def test_audit_locality_zero_and_forgery_detected():
-    cfg = ChainConfig(n=10, boundary=Ring(), rounds=6)
-    trace = run(cfg, MeasurementField(Constant(1.0)), ExponentialWeighting(0.5))
-    assert audit_locality(trace) == 0
-    trace.audit = np.append(trace.audit, np.array([(1, 5, 2, 1)], dtype=MessageRecord))
-    assert audit_locality(trace) == 1
-
-
 def test_audit_locality_ring_wraps():
     cfg = ChainConfig(n=6, boundary=Ring(), rounds=2)
     trace = run(cfg, MeasurementField(Constant(1.0)), ExponentialWeighting(0.5))
     # wrap pairs (0, 5) appear and are legitimate neighbors
     pairs = zip(trace.audit["receiver"].tolist(), trace.audit["sender"].tolist())
     assert any({r, s} == {0, 5} for r, s in pairs)
-    assert audit_locality(trace) == 0
 
 
 def test_audit_records_only_active_receivers():

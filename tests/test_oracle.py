@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import typing
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lacsim.oracle
-from lacsim import (Constant, Impulse, MeasurementField, Noise, OutOfDomainError, Ring,
-                    SpatialCosine, SumField, TableField, TemporalCosine, Truncated,
-                    ValidationError, WeightTable, ZeroHalo, evaluate_field,
-                    random_space_time_table, random_spatial_table)
+from lacsim import (AlgorithmSpec, AsymmetricWeighting, BandedWeighting, Constant,
+                    DynamicExponential, DynamicWindow, ExponentialWeighting, FiniteWindow,
+                    GlobalAverage, Impulse, MeasurementField, Noise, OutOfDomainError,
+                    PerSensorWindow, Ring, SpatialCosine, SumField, TableField,
+                    TemporalCosine, Truncated, ValidationError, WeightTable, ZeroHalo,
+                    evaluate_field, random_space_time_table, random_spatial_table)
 from lacsim import analysis, oracle
 
 
@@ -46,6 +49,12 @@ def test_exp_target_harmonic_gain():
         assert direct == pytest.approx(gain * math.cos(omega * i), abs=1e-11)
 
 
+def exp_tail_bound(rho: float, k: int, bound_m: float) -> float:
+    """Magnitude of everything the k-term partial sum discards."""
+    lam = (1.0 - rho) / (1.0 + rho)
+    return lam * 2.0 * bound_m * rho ** (k + 1) / (1.0 - rho)
+
+
 def test_exp_tail_bound_is_a_bound():
     rho, n = 0.7, 16
     f = MeasurementField(random_spatial_table(n, 3))
@@ -53,7 +62,7 @@ def test_exp_tail_bound_is_a_bound():
     full = oracle.exp_target(f, 5, rho, n=n, eps=1e-16)
     for k in (0, 2, 6, 12):
         part = oracle.exp_target(f, 5, rho, n=n, k=k)
-        assert abs(full - part) <= oracle.exp_tail_bound(rho, k, m) + 1e-12
+        assert abs(full - part) <= exp_tail_bound(rho, k, m) + 1e-12
 
 
 def test_window_target_three_point():
@@ -122,11 +131,11 @@ def test_static_rows_are_the_dynamic_rows_of_a_field_frozen_in_time(n, data, rho
     field = MeasurementField(kind)
     half_width = data.draw(st.integers(1, max(1, (n - 1) // 2)))
     assume(not isinstance(boundary, Ring) or n >= 2 * half_width + 1)
-    for k in range(2 * half_width + 3):
-        assert oracle.exp_row(field, rho, n=n, boundary=boundary, k=k).tobytes() \
-            == oracle.dyn_exp_row(field, k, rho, n=n, boundary=boundary).tobytes()
-        assert oracle.window_row(field, half_width, n=n, boundary=boundary, k=k).tobytes() \
-            == oracle.dyn_window_row(field, k, half_width, n=n, boundary=boundary).tobytes()
+    ks = range(2 * half_width + 3)
+    for static, dynamic in ((ExponentialWeighting(rho), DynamicExponential(rho)),
+                            (FiniteWindow(half_width), DynamicWindow(half_width))):
+        assert oracle.rows(static, field, n, boundary, ks).tobytes() \
+            == oracle.rows(dynamic, field, n, boundary, ks).tobytes()
 
 
 def test_dyn_exp_target_first_round_display():
@@ -285,6 +294,8 @@ def ref_dyn_window_target(field, i, k, half_width, *, n, boundary=Ring()):
 
 TARGETS = ("exp", "asym", "window", "variable_window", "arbitrary", "dyn_exp", "dyn_window")
 REFERENCE = {name: globals()[f"ref_{name}_target"] for name in TARGETS}
+RULES = dict(zip(TARGETS, (ExponentialWeighting, AsymmetricWeighting, FiniteWindow,
+                           PerSensorWindow, BandedWeighting, DynamicExponential, DynamicWindow)))
 
 
 def _args(name, params, k, eps):
@@ -308,9 +319,8 @@ def _scalar(name, field, i, params, k, eps, n, boundary):
     return getattr(oracle, f"{name}_target")(field, i, *args, n=n, boundary=boundary, **kw)
 
 
-def _array(name, field, params, k, eps, n, boundary):
-    args, kw = _args(name, params, k, eps)
-    return getattr(oracle, f"{name}_row")(field, *args, n=n, boundary=boundary, **kw)
+def _array(name, field, params, ks, eps, n, boundary):
+    return oracle.rows(RULES[name](*params), field, n, boundary, ks, eps=eps)
 
 
 def _bits(v):
@@ -386,7 +396,7 @@ def _sweeps(draw):
                         k, eps = draw(st.integers(0, rounds)), None
                     case = (name, field, params, k, eps, n, boundary)
                     points += [(case, i) for i in range(-2, n + 2)]
-    return n, draw(st.permutations(points))
+    return n, rounds, draw(st.permutations(points))
 
 
 def _outcome(call):
@@ -400,15 +410,23 @@ def _outcome(call):
 @settings(max_examples=40, deadline=None)
 @given(_sweeps())
 def test_array_and_scalar_targets_equal_the_per_sensor_loops(sweep):
-    n, points = sweep
+    n, rounds, points = sweep
     cases = {id(case): case for case, _ in points}
     expected = {(key, i): _outcome(lambda: _reference(case[0], case[1], i, *case[2:]))
                 for key, case in cases.items() for i in range(-2, n + 2)}
-    # the array form, one row per case
+    # the array form: one row per case, and one block of its rows 0..rounds
     for key, case in cases.items():
+        name, field, params, _, eps, _, boundary = case
         want = [expected[key, i] for i in range(n)]
-        got = _outcome(lambda: _array(*case))
-        assert got == (want[0] if isinstance(want[0], type) else want)
+        block = [[_outcome(lambda: _reference(name, field, i, params, k, eps, n, boundary))
+                  for i in range(n)] for k in range(rounds + 1)]
+        want, block = (want[0] if isinstance(want[0], type) else want,
+                       block[0][0] if isinstance(block[0][0], type) else block)
+        if name == "variable_window" and np.abs(np.diff(params[0])).max(initial=0) > 1:
+            want = block = ValidationError  # no PerSensorWindow has such a profile
+        assert _outcome(lambda: _array(*case)) == want
+        assert _outcome(lambda: _array(name, field, params, range(rounds + 1), eps, n,
+                                       boundary)) == block
     # the scalar view, called in shuffled order across fields, parameters and
     # boundaries, so a row served for the wrong key would show
     for case, i in points:
@@ -474,7 +492,7 @@ def test_target_errors_are_kept():
         with pytest.raises(ValidationError, match="rho"):
             oracle.exp_target(field, 0, rho, n=n, k=2)
         with pytest.raises(ValidationError, match="rho"):
-            oracle.exp_row(field, rho, n=n, k=2)
+            oracle.rows(ExponentialWeighting(rho), field, n, Ring(), 2)
     for name in ("dyn_exp", "dyn_window"):
         with pytest.raises(ValidationError, match="time step"):
             _scalar(name, field, 0, calls[name], -1, None, n, ZeroHalo())
@@ -489,12 +507,12 @@ def test_asym_and_dyn_exp_targets_reject_rates_outside_the_unit_interval(rho):
     with pytest.raises(ValidationError, match=r"^rho must lie strictly inside \(0, 1\)"):
         oracle.dyn_exp_target(field, 0, 3, rho, n=8)
     with pytest.raises(ValidationError, match="rho"):
-        oracle.dyn_exp_row(field, 3, rho, n=8)
+        oracle.rows(DynamicExponential(rho), field, 8, Ring(), 3)
     for back, forward, name in ((rho, 0.5, "rho_back"), (0.5, rho, "rho_forward")):
         with pytest.raises(ValidationError, match=f"^{name} must lie strictly inside"):
             oracle.asym_target(field, 0, back, forward, n=8, k=3)
         with pytest.raises(ValidationError, match=name):
-            oracle.asym_row(field, back, forward, n=8, k=3)
+            oracle.rows(AsymmetricWeighting(back, forward), field, 8, Ring(), 3)
 
 
 def test_table_shorter_than_the_chain_raises_at_every_sensor():
@@ -538,7 +556,7 @@ def test_threads_sharing_a_memo_get_their_own_case(monkeypatch):
     # row stored or served under another thread's key would show
     n, rounds, threads = 8, 3, 8
     fields = [MeasurementField(random_spatial_table(n, seed)) for seed in range(threads)]
-    want = [[oracle.exp_row(f, 0.7, n=n, k=k).tolist() for k in range(rounds + 1)]
+    want = [oracle.rows(ExponentialWeighting(0.7), f, n, Ring(), range(rounds + 1)).tolist()
             for f in fields]
     grid = lacsim.oracle.evaluate_grid
 
@@ -578,23 +596,23 @@ def test_window_targets_reject_a_half_width_that_is_not_an_integer_of_at_least_o
     field = MeasurementField(Constant(1.0))
     message = r"half_width must be an integer >= 1, got "
     for call in (lambda: oracle.window_target(field, 0, bad, n=8),
-                 lambda: oracle.window_row(field, bad, n=8),
+                 lambda: oracle.rows(FiniteWindow(bad), field, 8),
                  lambda: oracle.dyn_window_target(field, 0, 3, bad, n=8),
-                 lambda: oracle.dyn_window_row(field, 3, bad, n=8)):
+                 lambda: oracle.rows(DynamicWindow(bad), field, 8, Ring(), 3)):
         with pytest.raises(ValidationError, match=message):
             call()
     for call in (lambda: oracle.variable_window_target(field, 0, (2,) * 7 + (bad,), n=8),
-                 lambda: oracle.variable_window_row(field, (bad,) + (2,) * 7, n=8)):
+                 lambda: oracle.rows(PerSensorWindow((bad,) + (2,) * 7), field, 8)):
         with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1"):
             call()
 
 
 def test_window_targets_take_numpy_integer_half_widths():
     field = MeasurementField(random_spatial_table(8, 3))
-    assert oracle.window_row(field, np.int64(2), n=8).tolist() == \
-        oracle.window_row(field, 2, n=8).tolist()
-    assert oracle.variable_window_row(field, np.full(8, 2), n=8).tolist() == \
-        oracle.variable_window_row(field, (2,) * 8, n=8).tolist()
+    assert oracle.rows(FiniteWindow(np.int64(2)), field, 8).tolist() == \
+        oracle.rows(FiniteWindow(2), field, 8).tolist()
+    assert oracle.rows(PerSensorWindow(np.full(8, 2)), field, 8).tolist() == \
+        oracle.rows(PerSensorWindow((2,) * 8), field, 8).tolist()
 
 
 def test_variable_window_checks_one_case_once_and_never_an_equal_tuple_of_floats(monkeypatch):
@@ -613,7 +631,7 @@ def test_variable_window_checks_one_case_once_and_never_an_equal_tuple_of_floats
     with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
         oracle.variable_window_target(field, 0, tuple(map(float, widths)), n=8, k=3)
     with pytest.raises(ValidationError, match=r"half-widths must be an integer >= 1, got 1.0"):
-        oracle.variable_window_row(field, [float(w) for w in widths], n=8)
+        oracle.rows(PerSensorWindow([float(w) for w in widths]), field, 8)
 
 
 def test_variable_window_memo_does_not_serve_an_equal_list_of_floats():
@@ -720,7 +738,7 @@ def test_arbitrary_target_and_row_reject_no_step():
     with pytest.raises(ValidationError, match="time step"):
         oracle.arbitrary_target(field, 0, table, None, n=8)
     with pytest.raises(ValidationError, match="time step"):
-        oracle.arbitrary_row(field, table, None, n=8)
+        oracle.rows(BandedWeighting(table), field, 8)
 
 
 @pytest.mark.parametrize("name", STATIC)
@@ -741,11 +759,24 @@ def test_exp_and_asym_reject_a_tolerance_that_is_not_positive(eps):
     field = MeasurementField(Constant(1.0))
     for k in (None, 2):
         for call in (lambda: oracle.exp_target(field, 0, 0.8, n=8, k=k, eps=eps),
-                     lambda: oracle.exp_row(field, 0.8, n=8, k=k, eps=eps),
+                     lambda: oracle.rows(ExponentialWeighting(0.8), field, 8, Ring(), k, eps=eps),
                      lambda: oracle.asym_target(field, 0, 0.5, 0.25, n=8, k=k, eps=eps),
-                     lambda: oracle.asym_row(field, 0.5, 0.25, n=8, k=k, eps=eps)):
+                     lambda: oracle.rows(AsymmetricWeighting(0.5, 0.25), field, 8, Ring(), k,
+                                         eps=eps)):
             with pytest.raises(ValidationError, match=r"^eps must be > 0"):
                 call()
+
+
+def test_every_rule_has_an_oracle_plan():
+    assert set(typing.get_args(AlgorithmSpec)) <= set(oracle._PLANS)
+
+
+def test_rows_reject_a_rule_without_a_plan_and_eps_without_a_tail():
+    field = MeasurementField(Constant(1.0))
+    with pytest.raises(ValidationError, match="^GlobalAverage has no closed-form target"):
+        oracle.rows(GlobalAverage(5), field, 8)
+    with pytest.raises(ValidationError, match="^eps .* FiniteWindow"):
+        oracle.rows(FiniteWindow(2), field, 8, eps=0.1)
 
 
 def _k_orders(rounds, with_none):
@@ -768,6 +799,8 @@ def test_static_rows_extended_hop_by_hop_equal_the_row_forms(boundary):
         with_none = name in ("exp", "asym", "window")
         want = {k: _bits(_array(name, field, params, k, None, n, boundary))
                 for k in list(range(rounds + 1)) + ([None] if with_none else [])}
+        assert _bits(_array(name, field, params, range(rounds + 1), None, n, boundary)) \
+            == [want[k] for k in range(rounds + 1)], name
         for order in _k_orders(rounds, with_none):
             # a fresh field object each time, so every sweep starts a new case
             field = MeasurementField(field.kind)
@@ -807,11 +840,12 @@ def test_an_increasing_static_sweep_takes_one_hop_per_round(monkeypatch, k_outer
 def test_long_dynamic_cones_equal_the_per_sensor_loops(boundary):
     # criterion 1's size, n = 64 and k = 0..40, where the hypothesis sweeps
     # reach four hops: cones of up to 40 hops (31 for the widest ring window),
-    # row and scalar forms, bit for bit
+    # row, block and scalar forms, bit for bit
     n, rounds = 64, 40
     fields = [MeasurementField(random_space_time_table(n, rounds + 1, seed)) for seed in (23, 24)]
     for field, (name, params) in itertools.product(fields, (
             ("dyn_exp", (0.8,)), ("dyn_exp", (0.37,)), ("dyn_window", (3,)), ("dyn_window", (31,)))):
+        block = []
         for k in range(rounds + 1):
             want = [_bits(_reference(name, field, i, params, k, None, n, boundary))
                     for i in range(n)]
@@ -819,3 +853,6 @@ def test_long_dynamic_cones_equal_the_per_sensor_loops(boundary):
                 (name, params, k)
             assert [_bits(_scalar(name, field, i, params, k, None, n, boundary))
                     for i in range(n)] == want, (name, params, k)
+            block.append(want)
+        assert _bits(_array(name, field, params, range(rounds + 1), None, n, boundary)) \
+            == block, (name, params)

@@ -15,9 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
     ("scale_run.py", ["--n", "1024", "--rounds", "5"]),
     ("scale_run.py", ["--rule", "dyn_exponential", "--n", "1024", "--rounds", "5",
                       "--noise-sigma", "0.3"]),
-    ("oracle_sweep.py", ["--n", "16", "--rounds", "4"]),
-    # the order perfbench's oracle-agreement cases sweep in
-    ("oracle_sweep.py", ["--n", "16", "--rounds", "4", "--order", "i-outer"]),
 ])
 def test_script_exits_zero(script, args):
     env = dict(os.environ)
