@@ -74,6 +74,9 @@ class ChainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer("n", self.n, 3))
+        if not isinstance(self.boundary, (Ring, ZeroHalo, Truncated)):
+            raise ValidationError(
+                f"boundary must be Ring(), ZeroHalo() or Truncated(), got {self.boundary!r}")
         object.__setattr__(self, "rounds", _check_integer("rounds", self.rounds, 0))
 
     def halo_depth(self) -> int:
@@ -115,44 +118,51 @@ class ConsensusTrace:
         return audit
 
 
+def check_fit(algo: AlgorithmSpec, n: int, ring: bool) -> int | None:
+    """The largest hop reach of `algo` (None for a geometric rule), once the
+    rule is checked to fit a chain of n sensors, for `run` and the oracle
+    alike; the rule's own numbers are checked by its class."""
+    reach = None
+    if isinstance(algo, (FiniteWindow, DynamicWindow)):
+        reach = algo.half_width
+    elif isinstance(algo, BandedWeighting):
+        reach = algo.table.radius
+        if algo.table.n != n:
+            raise ValidationError(f"weight table has {algo.table.n} rows for n={n} sensors")
+    elif isinstance(algo, PerSensorWindow):
+        widths = algo.half_widths
+        reach = max(widths)
+        if len(widths) != n:
+            raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
+        if ring and abs(widths[-1] - widths[0]) > 1:
+            raise ValidationError("ring wrap pair of half-widths differs by more than one: "
+                                  f"{widths[-1]}, {widths[0]}")
+    # the wrapped window of the largest hop reach must not self-intersect
+    if ring and reach is not None and n < 2 * reach + 1:
+        raise ValidationError(f"ring of n={n} sensors cannot host a window of half-width "
+                              f"{reach}; need n >= {2 * reach + 1}")
+    return reach
+
+
 def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
-    """Who hears whom in which round, for `run` and the audit: (off, left,
-    right, rows, stop) are the halo depth (engine index e is sensor e - off),
-    the neighbor engine indices (index len(left) stands for a missing
-    neighbor), the state rows (a message's payload length) and the last round
-    each engine index updates.  Raises ValidationError when `algo` cannot run
-    on the chain."""
+    """Who hears whom in which round, for `run` and the audit: the halo depth
+    off (engine index e is sensor e - off), the neighbor engine indices left
+    and right (len(left) for a missing neighbor), the state rows (a message's
+    length) and the last round each index updates.  Raises ValidationError
+    unless `algo` fits the chain (`check_fit`) with weights it can divide by."""
     n, off, ring = config.n, config.halo_depth(), isinstance(config.boundary, Ring)
     size = n + 2 * off
     left, right = np.arange(-1, size - 1), np.arange(1, size + 1)
     left[0], right[-1] = (size - 1, 0) if ring else (size, size)
-    rows, reach, stop = 1, None, np.full(size, config.rounds)
-    if isinstance(algo, FiniteWindow):
-        reach = stop[:] = algo.half_width  # past it a sensor is frozen
-    elif isinstance(algo, BandedWeighting):
-        rows, reach = 2, algo.table.radius
-        stop[:] = reach
+    rows, reach, stop = 1, check_fit(algo, n, ring), np.full(size, config.rounds)
+    if isinstance(algo, (FiniteWindow, BandedWeighting)):
+        stop[:] = reach  # past it a sensor is frozen
     elif isinstance(algo, PerSensorWindow):  # ghosts reuse the edge sensor's half-width
-        reach, stop = max(algo.half_widths), np.pad(algo.half_widths, off, mode="edge")
+        stop = np.pad(algo.half_widths, off, mode="edge")
     elif isinstance(algo, DynamicWindow):
-        reach, rows = algo.half_width, algo.half_width + 1
-    # the wrapped window of the largest hop reach must not self-intersect
-    if ring and reach is not None and n < 2 * reach + 1:
-        raise ValidationError(
-            f"ring of n={n} sensors cannot host a window of half-width {reach}; "
-            f"need n >= {2 * reach + 1}")
-    if isinstance(algo, PerSensorWindow):
-        if len(algo.half_widths) != n:
-            raise ValidationError(
-                f"need one half-width per sensor: got {len(algo.half_widths)} for n={n}")
-        a, b = algo.half_widths[-1], algo.half_widths[0]
-        if ring and abs(a - b) > 1:
-            raise ValidationError(
-                f"ring wrap pair of half-widths differs by more than one: {a}, {b}")
+        rows = reach + 1
     if isinstance(algo, BandedWeighting):
-        table = algo.table
-        if table.n != n:
-            raise ValidationError(f"weight table has {table.n} rows for a chain of {n} sensors")
+        table, rows = algo.table, 2
         if np.any(table.weights == 0.0):
             raise ValidationError("weight table contains zero entries")
         if table.row_tol is not None:

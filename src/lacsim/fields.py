@@ -59,6 +59,10 @@ class Impulse:
 
     center: int = 0
 
+    def __post_init__(self):
+        if isinstance(self.center, bool) or not isinstance(self.center, (int, np.integer)):
+            raise ValidationError(f"impulse center must be an integer, got {self.center!r}")
+
     def at(self, i: int, k: int) -> float:
         return 1.0 if i == self.center else 0.0
 

@@ -20,21 +20,21 @@ padded slab, forms all k hop terms with one add and one multiply and adds
 them to the running total in hop order: a few numpy calls, not k Python steps.
 
 The scalar forms (`exp_target`, ...) index the same rows.  Each keeps a memo
-of its latest case only: the (field, parameters, n, boundary) objects, the
-case's plan, the grid read for it and its rows by k.  A call names the same
-case only with the very same objects; any other, even an equal one (a fresh
-list of half-widths, `np.float64(0.8)` for 0.8), starts a new case, planned,
-and so validated, once.  A sweep over one case's (i, k) points, in any order,
-therefore reads the field once (a dynamic target once per larger k) and
-builds each row once.  Built rows are kept as memoryviews, which a hit
-indexes for its float with no lock, plan or check beyond the identity of its
-arguments.
+of its latest case only: the (field, n, boundary, eps, parameters) objects,
+the case's plan, the grid read for it and its rows by k.  A call names the
+same case only with the very same objects; any other, even an equal one (a
+fresh list of half-widths, `np.float64(0.8)` for 0.8), starts a new case,
+whose rule object is built, and so checked, and planned once.  A sweep over
+one case's (i, k) points, in any order, therefore reads the field once (a
+dynamic target once per larger k) and builds each row once.  Built rows are
+kept as memoryviews, which a hit indexes for its float with no lock, plan or
+check beyond the identity of its arguments.
 
-Boundary semantics: a Ring wraps indices modulo n; ZeroHalo (or any non-ring
-boundary) means the zero-extended line, where indices outside 0..n-1
-contribute zero and a sensor outside 0..n-1 takes the half-width or weight
-row of the nearer end.  Such a sensor is computed on its own, unmemoised.
-Truncated chains have no closed-form target.
+Boundary semantics: a Ring wraps indices modulo n; ZeroHalo means the
+zero-extended line, where indices outside 0..n-1 contribute zero.  Targets
+exist for the chain's own sensors 0..n-1, which a trace holds; Truncated
+chains have none.  A case is checked as `run` checks it: the rule's numbers
+by its class, its fit to the chain by `chain.check_fit`.
 """
 from __future__ import annotations
 
@@ -46,66 +46,57 @@ import threading
 import numpy as np
 
 from .arbitrary_weights import BandedWeighting, WeightTable
-from .chain import Ring, Truncated
+from .chain import Ring, Truncated, ZeroHalo, check_fit
 from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.oracle.evaluate_field
 from .fields import evaluate_field, evaluate_grid  # noqa: F401
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
-                           PerSensorWindow, _check_half_width, _check_half_widths,
-                           _check_integer, _check_rho)
+                           PerSensorWindow, _check_integer)
 
 DEFAULT_TAIL = 1e-12
 
 
-def _pad(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, zero=True):
-    """`values` (last axis: sensors 0..n-1) at sensors lo-reach .. lo+m-1+reach.
-    A ring wraps; the line gives 0.0 outside 0..n-1, or the nearer end's value
-    when `zero` is false."""
-    start, stop = lo - reach, lo + m + reach
-    if zero and not isinstance(boundary, Ring):
-        padded = np.zeros(values.shape[:-1] + (stop - start,))
-        a, b = max(start, 0), min(stop, n)  # the sensors of the chain in range
-        if a < b:
-            padded[..., a - start:b - start] = values[..., a:b]
-        return padded
-    idx = np.arange(start, stop)
+def _pad(values: np.ndarray, n: int, boundary, reach: int):
+    """`values` (last axis: sensors 0..n-1) at sensors -reach .. n-1+reach:
+    a ring wraps, the line gives 0.0 outside 0..n-1."""
     if isinstance(boundary, Ring):
-        return values[..., idx % n]
-    return values[..., np.minimum(np.maximum(idx, 0), n - 1)]
+        return values[..., np.arange(-reach, n + reach) % n]
+    padded = np.zeros(values.shape[:-1] + (n + 2 * reach,))
+    padded[..., reach:reach + n] = values
+    return padded
 
 
-def _shifts(values: np.ndarray, n: int, boundary, lo: int, m: int, reach: int, zero=True):
-    """`at(d)`: `values` at sensors lo+d .. lo+m-1+d, sliced from one `_pad`
-    copy for |d| <= reach, made again for reach 2|d| when a larger |d| comes."""
-    reach = max(reach, 0)
-    padded = _pad(values, n, boundary, lo, m, reach, zero)
+def _shifts(values: np.ndarray, n: int, boundary, reach: int):
+    """`at(d)`: `values` at sensors d .. n-1+d, sliced from one `_pad` copy
+    for |d| <= reach, made again for reach 2|d| when a larger |d| comes."""
+    padded = _pad(values, n, boundary, reach)
 
     def at(d):
         nonlocal reach, padded
         if abs(d) > reach:
             reach = 2 * abs(d)
-            padded = _pad(values, n, boundary, lo, m, reach, zero)
-        return padded[..., reach + d:reach + d + m]
+            padded = _pad(values, n, boundary, reach)
+        return padded[..., reach + d:reach + d + n]
     return at
 
 
-def _cone(x: np.ndarray, n: int, boundary, lo: int, m: int, reach: int):
+def _cone(x: np.ndarray, n: int, boundary, reach: int):
     """The space-time cone of the last step of the (steps, sensors) grid `x`,
-    as two (reach + 1, m) views of one padded slab: row j of the first holds
+    as two (reach + 1, n) views of one padded slab: row j of the first holds
     x_{i-j} and of the second x_{i+j}, both j steps before the last, for the
-    sensors i = lo..lo+m-1 (so both rows 0 hold x_i at the last step).  A
-    static target reads step 0, `_shifts(x[0], ...)`."""
-    slab = _pad(x[::-1][:reach + 1], n, boundary, lo, m, reach)
+    sensors i = 0..n-1 (so both rows 0 hold x_i at the last step).  A static
+    target reads step 0, `_shifts(x[0], ...)`."""
+    slab = _pad(x[::-1][:reach + 1], n, boundary, reach)
     # row j of a view starts j slab rows and -j or +j columns on from x_i at
     # the last step, so the views are the flat slab cut into rows of width -+ 1
-    # values (at least m), with room after it for the last row of width + 1
+    # values (at least n), with room after it for the last row of width + 1
     width = slab.shape[1]
     flat = np.concatenate((slab.ravel(), np.zeros(2 * reach + 1)))
-    back, ahead = max(width - 1, m), width + 1
-    return (flat[reach:reach + (reach + 1) * back].reshape(reach + 1, back)[:, :m],
-            flat[reach:reach + (reach + 1) * ahead].reshape(reach + 1, ahead)[:, :m])
+    back, ahead = max(width - 1, n), width + 1
+    return (flat[reach:reach + (reach + 1) * back].reshape(reach + 1, back)[:, :n],
+            flat[reach:reach + (reach + 1) * ahead].reshape(reach + 1, ahead)[:, :n])
 
 
 # Hop j's terms, sensors i - j and i + j: each sum's one definition, taken
@@ -181,10 +172,9 @@ def _variable_window(at, width):
             total = np.where(j <= li, total + at(d) / (2.0 * width(d) + 1.0), total)
 
 
-def _banded(at, weight, radius):
+def _banded(at, w, radius):
     """w_0 x_i + sum_{j <= radius} (w_{-j} x_{i-j} + w_j x_{i+j}), from the
-    weight rows `weight(0)` (offsets -radius..radius first)."""
-    w = weight(0)
+    weight rows `w` (offsets -radius..radius first)."""
     total = w[radius] * at(0)
     for j in itertools.count(1):
         yield total
@@ -197,58 +187,53 @@ class _Memo:
     grid read for it and, for a static target, its running sum (generator,
     hops done, total).  A call with any other object starts a new case."""
 
-    def __init__(self):
+    def __init__(self, rule):
+        self.rule = rule  # the rule class, built from a new case's numbers
         self.last, self.x, self.run = ((), None, {}), None, None
         self.lock = threading.Lock()  # one case at a time, whatever the thread
 
-    def at(self, make, i, k, *case):
-        """The target at sensor i of the case (field, table, n, boundary,
-        *numbers), row k.  The very objects of the last case, with an int i
-        and an int or None k that names a built row, are served without the
-        lock: `last` holds a case, its plan and its rows, read and replaced
-        as one."""
+    def at(self, i, k, *case):
+        """The target at sensor i of the case (field, n, boundary, eps,
+        *numbers) of `rule(*numbers)`, row k.  The very objects of the last
+        case, with an int i and an int or None k that names a built row, are
+        served without the lock: `last` holds a case, its plan and its rows,
+        read and replaced as one."""
         last, plan, rows = self.last
         if (i.__class__ is int and (k is None or k.__class__ is int)
                 and all(map(operator.is_, case, last)) and (row := rows.get(k)) is not None
-                and 0 <= i < case[2]):
+                and 0 <= i < case[1]):
             return row[i]
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
             raise ValidationError(f"sensor index must be an integer, got {i!r}")
-        field, _, n, boundary = case[:4]
+        field, n, boundary, eps, *numbers = case
         with self.lock:
             last, plan, rows = self.last
             if plan is None or not all(map(operator.is_, case, last)):
-                plan, rows = _plan(make, *case), {}
+                plan, rows = _plan(self.rule(*numbers), field, n, boundary, eps), {}
                 self.last, self.x, self.run = (case, plan, rows), None, None
             hops, steps = _reach(plan, k)
-            if not isinstance(boundary, Ring) and not 0 <= i < n:
-                return _carry(plan, evaluate_grid(field, n, steps), hops, None, i, 1)[0].item(0)
+            if not 0 <= i < n:
+                raise ValidationError(f"sensor index must lie in 0..{n - 1}, got {i!r}")
             if (row := rows.get(k)) is None:
                 if self.x is None or len(self.x) < steps:
                     self.x = evaluate_grid(field, n, steps)
-                row, self.run = _carry(plan, self.x[:steps], hops, self.run, 0, n)
+                row, self.run = _carry(plan, self.x[:steps], hops, self.run)
                 # a memoryview: a hit indexes it for a float without `item`
                 row = rows[k] = memoryview(row)
-            return row[i % n]
+            return row[i]
 
 
-def _carry(plan, x, hops, run, lo, m):
-    """A plan's row at sensors lo..lo+m-1 after `hops` hops over the field
-    grid `x`, and the run (sum, hops, total) that a later row goes on from.  A
-    sum over step 0 alone (a static row) goes on from `run` unless `run` has
-    passed `hops`; any other starts afresh."""
+def _carry(plan, x, hops, run):
+    """A plan's row after `hops` hops over the field grid `x`, and the run
+    (sum, hops, total) that a later row goes on from: a static row (step 0
+    alone) goes on from `run` unless `run` has passed `hops`."""
     *_, sums, finish = plan
     static = len(x) == 1
     gen, done, total = (run if static and run and run[1] <= hops
-                        else (sums(x, lo, m, hops), -1, None))
+                        else (sums(x, hops), -1, None))
     if hops > done:
         total = next(itertools.islice(gen, hops - done - 1, None))
     return finish(total), (gen, hops, total) if static else None
-
-
-def _check_ring(boundary, n, half_width, what="half-width"):
-    if isinstance(boundary, Ring) and n < 2 * half_width + 1:
-        raise ValidationError(f"ring of {n} sensors cannot host {what} {half_width}")
 
 
 def _tail_hops(decay: float, bound_m: float, eps: float) -> int:
@@ -271,14 +256,6 @@ def _tail(field, eps, decay, scale):
                               DEFAULT_TAIL * max(field.bound_m(), 1.0) if eps is None else eps)
 
 
-def _plan(make, field, table, n, boundary, *numbers):
-    """`make`'s plan of a case, once its chain is checked."""
-    _check_integer("n", n, 1)
-    if isinstance(boundary, Truncated):
-        raise ValidationError("truncated chains have no closed-form target")
-    return make(field, table, n, boundary, *numbers)
-
-
 def _reach(plan, k):
     """(hops, steps) of row k: k checked, its hops up to the plan's cap, or for
     k=None the plan's tail hops, over the field's steps 0..k (a dynamic
@@ -290,111 +267,102 @@ def _reach(plan, k):
     return min(k, cap), k + 1 if dynamic else 1
 
 
-# Each `_plan_*` validates the rest of a case and returns (cap, tail, dynamic,
-# sums, finish), which `_reach` turns into a row's hops and steps:
-# `sums(x, lo, m, hops)` yields the running totals at sensors lo..lo+m-1 from
+# Each `_plan_*` takes a checked case and returns (tail, dynamic, sums,
+# finish), which `_plan` heads with the rule's cap of hops and `_reach` turns
+# into a row's hops and steps: `sums(x, hops)` yields the running totals from
 # the field grid `x` of those steps, and the target is `finish` of the total
 # after those hops.  A target without a `tail` needs k.
 
-def _plan_exp(field, table, n, boundary, rho, eps):
-    _check_rho("rho", rho)
+def _plan_exp(algo, field, n, boundary, eps):
+    rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
-    return (math.inf, _tail(field, eps, rho, lam), False,
-            lambda x, lo, m, hops: _geometric(_shifts(x[0], n, boundary, lo, m, hops), rho),
+    return (_tail(field, eps, rho, lam), False,
+            lambda x, hops: _geometric(_shifts(x[0], n, boundary, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_asym(field, table, n, boundary, rb, rf, eps):
-    _check_rho("rho_back", rb)
-    _check_rho("rho_forward", rf)
+def _plan_asym(algo, field, n, boundary, eps):
+    rb, rf = algo.rho_back, algo.rho_forward
     c = (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf)
-    return (math.inf, _tail(field, eps, max(rb, rf), 1.0), False,
-            lambda x, lo, m, hops: _asymmetric(_shifts(x[0], n, boundary, lo, m, hops), rb, rf),
+    return (_tail(field, eps, max(rb, rf), 1.0), False,
+            lambda x, hops: _asymmetric(_shifts(x[0], n, boundary, hops), rb, rf),
             lambda total: c * total)
 
 
-def _plan_window(field, table, n, boundary, half_width):
-    half_width = _check_half_width("half_width", half_width)
-    _check_ring(boundary, n, half_width)
-    return (half_width, lambda: half_width, False,
-            lambda x, lo, m, hops: _window(_shifts(x[0], n, boundary, lo, m, half_width)),
+def _plan_window(algo, field, n, boundary, eps):
+    half_width = algo.half_width
+    return (lambda: half_width, False,
+            lambda x, hops: _window(_shifts(x[0], n, boundary, half_width)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
-def _plan_variable_window(field, table, n, boundary, widths):
-    widths = _check_half_widths(widths)
-    if len(widths) != n:
-        raise ValidationError(f"need one half-width per sensor: got {len(widths)} for n={n}")
+def _plan_variable_window(algo, field, n, boundary, eps):
+    widths = algo.half_widths
     reach = max(widths)
-    _check_ring(boundary, n, reach)
-    return (reach, lambda: reach, False, lambda x, lo, m, hops: _variable_window(
-        _shifts(x[0], n, boundary, lo, m, reach),
-        _shifts(np.asarray(widths), n, boundary, lo, m, reach, zero=False)), lambda total: total)
+    return (lambda: reach, False, lambda x, hops: _variable_window(
+        _shifts(x[0], n, boundary, reach), _shifts(np.asarray(widths), n, boundary, reach)),
+        lambda total: total)
 
 
-def _plan_arbitrary(field, table, n, boundary):
-    radius = table.radius
-    _check_ring(boundary, n, radius, "radius")
-    return (radius, None, False, lambda x, lo, m, hops: _banded(
-        _shifts(x[0], n, boundary, lo, m, radius),
-        _shifts(table.weights.T, n, boundary, lo, m, 0, zero=False), radius),
+def _plan_arbitrary(algo, field, n, boundary, eps):
+    table = algo.table
+    return (None, False, lambda x, hops: _banded(
+        _shifts(x[0], n, boundary, table.radius), table.weights.T, table.radius),
         lambda total: total / table.row_sum)
 
 
-def _plan_dyn_exp(field, table, n, boundary, rho):
-    _check_rho("rho", rho)
+def _plan_dyn_exp(algo, field, n, boundary, eps):
+    rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
-    return (math.inf, None, True,
-            lambda x, lo, m, hops: _dyn_geometric(_cone(x, n, boundary, lo, m, hops), rho),
+    return (None, True, lambda x, hops: _dyn_geometric(_cone(x, n, boundary, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_dyn_window(field, table, n, boundary, half_width):
-    half_width = _check_half_width("half_width", half_width)
-    _check_ring(boundary, n, half_width)
-    return (half_width, None, True,
-            lambda x, lo, m, hops: _dyn_window(_cone(x, n, boundary, lo, m, hops)),
+def _plan_dyn_window(algo, field, n, boundary, eps):
+    half_width = algo.half_width
+    return (None, True, lambda x, hops: _dyn_window(_cone(x, n, boundary, hops)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
-# rule class -> its plan and the (table, *numbers) of its case; the
-# exponential and asymmetric plans take eps after them
-_PLANS = {
-    ExponentialWeighting: lambda a: (_plan_exp, None, a.rho),
-    AsymmetricWeighting: lambda a: (_plan_asym, None, a.rho_back, a.rho_forward),
-    FiniteWindow: lambda a: (_plan_window, None, a.half_width),
-    PerSensorWindow: lambda a: (_plan_variable_window, None, a.half_widths),
-    BandedWeighting: lambda a: (_plan_arbitrary, a.table),
-    DynamicExponential: lambda a: (_plan_dyn_exp, None, a.rho),
-    DynamicWindow: lambda a: (_plan_dyn_window, None, a.half_width),
-}
+_PLANS = {ExponentialWeighting: _plan_exp, AsymmetricWeighting: _plan_asym,
+          FiniteWindow: _plan_window, PerSensorWindow: _plan_variable_window,
+          BandedWeighting: _plan_arbitrary, DynamicExponential: _plan_dyn_exp,
+          DynamicWindow: _plan_dyn_window}
+
+
+def _plan(algo, field, n, boundary, eps):
+    """The plan of the rule object `algo` on a chain of n sensors, once the
+    case is checked: its boundary, its `eps` and its fit by `check_fit`."""
+    if type(algo) not in _PLANS:
+        raise ValidationError(f"{type(algo).__name__} has no closed-form target")
+    n = _check_integer("n", n, 1)
+    if not isinstance(boundary, (Ring, ZeroHalo)):
+        raise ValidationError("truncated chains have no closed-form target"
+                              if isinstance(boundary, Truncated) else
+                              f"boundary must be Ring() or ZeroHalo(), got {boundary!r}")
+    if eps is not None and not isinstance(algo, (ExponentialWeighting, AsymmetricWeighting)):
+        raise ValidationError(f"eps sets a geometric tail, which {type(algo).__name__} lacks")
+    reach = check_fit(algo, n, isinstance(boundary, Ring))
+    return (math.inf if reach is None else reach,
+            *_PLANS[type(algo)](algo, field, n, boundary, eps))
 
 
 def rows(algo, field, n, boundary=Ring(), ks=None, *, eps=None) -> np.ndarray:
     """The target of the rule `algo` at every sensor 0..n-1: row k for an int
     `ks`, the final value for None (the exponential and asymmetric rules to
-    tail tolerance `eps`, default 1e-12 * M), or for a range one
-    (len(ks), n) block from one read of the field, a static sum going on
-    from each row to the next."""
-    if type(algo) not in _PLANS:
-        raise ValidationError(f"{type(algo).__name__} has no closed-form target")
-    make, table, *numbers = _PLANS[type(algo)](algo)
-    if isinstance(algo, (ExponentialWeighting, AsymmetricWeighting)):
-        numbers.append(eps)
-    elif eps is not None:
-        raise ValidationError(f"eps sets a geometric tail, which {type(algo).__name__} lacks")
-    plan = _plan(make, field, table, n, boundary, *numbers)
+    tail tolerance `eps`, default 1e-12 * M), or for a range one (len(ks), n)
+    block from one field read, a static sum going on from row to row."""
+    plan = _plan(algo, field, n, boundary, eps)
     block = isinstance(ks, range)
     reach = [_reach(plan, k) for k in (ks if block else (ks,))]
     x = evaluate_grid(field, n, max((steps for _, steps in reach), default=0))
     out, run = np.empty((len(reach), n)), None
     for row, (hops, steps) in zip(out, reach):
-        row[:], run = _carry(plan, x[:steps], hops, run, 0, n)
+        row[:], run = _carry(plan, x[:steps], hops, run)
     return out if block else out[0]
 
 
-_MEMOS = {name: _Memo() for name in
-          ("exp", "asym", "window", "variable_window", "arbitrary", "dyn_exp", "dyn_window")}
+_MEMOS = {rule: _Memo(rule) for rule in _PLANS}
 
 
 def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
@@ -402,37 +370,35 @@ def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
 
     Truncate at `k` hops, or at tail tolerance `eps` (default 1e-12 * M).
     """
-    return _MEMOS["exp"].at(_plan_exp, i, k, field, None, n, boundary, rho, eps)
+    return _MEMOS[ExponentialWeighting].at(i, k, field, n, boundary, eps, rho)
 
 
 def asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None, eps=None):
     """Direction-dependent geometric average."""
-    return _MEMOS["asym"].at(_plan_asym, i, k, field, None, n, boundary, rho_back, rho_forward,
-                             eps)
+    return _MEMOS[AsymmetricWeighting].at(i, k, field, n, boundary, eps, rho_back, rho_forward)
 
 
 def window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
     """Mean of the 2*half_width+1 window; `k` truncates to the growing phase."""
-    return _MEMOS["window"].at(_plan_window, i, k, field, None, n, boundary, half_width)
+    return _MEMOS[FiniteWindow].at(i, k, field, n, boundary, None, half_width)
 
 
 def variable_window_target(field, i, half_widths, *, n, boundary=Ring(), k=None):
     """Per-sensor-window final value: each neighbor enters with the weight of
     its own window length, so the coefficients need not sum to one."""
-    return _MEMOS["variable_window"].at(_plan_variable_window, i, k, field, None, n, boundary,
-                                        tuple(half_widths))
+    return _MEMOS[PerSensorWindow].at(i, k, field, n, boundary, None, tuple(half_widths))
 
 
 def arbitrary_target(field, i, table: WeightTable, k, *, n, boundary=Ring()):
     """Partial sum of the banded weighted average after k rounds."""
-    return _MEMOS["arbitrary"].at(_plan_arbitrary, i, k, field, table, n, boundary)
+    return _MEMOS[BandedWeighting].at(i, k, field, n, boundary, None, table)
 
 
 def dyn_exp_target(field, i, k, rho, *, n, boundary=Ring()):
     """Geometric average with lagged time arguments."""
-    return _MEMOS["dyn_exp"].at(_plan_dyn_exp, i, k, field, None, n, boundary, rho)
+    return _MEMOS[DynamicExponential].at(i, k, field, n, boundary, None, rho)
 
 
 def dyn_window_target(field, i, k, half_width, *, n, boundary=Ring()):
     """Lagged window mean; the reach grows with k until the window is full."""
-    return _MEMOS["dyn_window"].at(_plan_dyn_window, i, k, field, None, n, boundary, half_width)
+    return _MEMOS[DynamicWindow].at(i, k, field, n, boundary, None, half_width)

@@ -26,6 +26,16 @@ def test_impulse_field():
     assert evaluate_field(f, 0, 0) == 1.0
     assert evaluate_field(f, 1, 0) == 0.0
     assert evaluate_field(f, 0, 9) == 1.0  # constant in time
+    # any integer centre, numpy and negative ones too
+    assert evaluate_grid(MeasurementField(Impulse(np.int64(3))), 5, 1).tolist() == [[0, 0, 0, 1, 0]]
+    assert not evaluate_grid(MeasurementField(Impulse(-2)), 5, 1).any()
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(2.0), "2", None])
+def test_impulse_center_must_be_an_integer(bad):
+    # before, center 2.5 gave an all-zero field and True a spike at sensor 1
+    with pytest.raises(ValidationError, match=r"^impulse center must be an integer, got "):
+        Impulse(center=bad)
 
 
 def test_spatial_cosine_quarter_turn():

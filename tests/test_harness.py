@@ -43,6 +43,15 @@ def test_ring_capacity_validation():
             MeasurementField(Constant(1.0)), FiniteWindow(4))
 
 
+@pytest.mark.parametrize("bad", ["ring", Ring, ZeroHalo, Truncated, None])
+def test_chain_config_takes_only_a_boundary_instance(bad):
+    # before, "ring" and the class Ring ran silently as a truncated chain:
+    # sensor 0 of exp rho=0.5 on a constant 1 read 0.5 at round 3, not 0.917
+    with pytest.raises(ValidationError,
+                       match=r"^boundary must be Ring\(\), ZeroHalo\(\) or Truncated\(\), got "):
+        ChainConfig(8, bad, 3)
+
+
 def test_config_domain_validation():
     with pytest.raises(ValidationError):
         ChainConfig(n=2)

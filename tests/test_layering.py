@@ -61,6 +61,18 @@ def test_no_module_keeps_state_in_a_global_statement(module):
     assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
 
 
+def test_the_oracle_keeps_no_copy_of_the_rule_and_chain_checks():
+    # a rule's numbers are checked by its class and its fit to a chain by
+    # chain.check_fit, for the engine and the oracle alike; the oracle's own
+    # copies of these checks once drifted from the engine's
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert imported & {"_check_rho", "_check_half_width", "_check_half_widths"} == set()
+    assert "_check_ring" not in defined
+
+
 def test_per_sensor_window_run_leaves_the_oracle_unloaded():
     script = (
         "import sys\n"

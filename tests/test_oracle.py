@@ -11,13 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lacsim.oracle
-from lacsim import (AlgorithmSpec, AsymmetricWeighting, BandedWeighting, Constant,
+from lacsim import (AlgorithmSpec, AsymmetricWeighting, BandedWeighting, ChainConfig, Constant,
                     DynamicExponential, DynamicWindow, ExponentialWeighting, FiniteWindow,
                     GlobalAverage, Impulse, MeasurementField, Noise, OutOfDomainError,
                     PerSensorWindow, Ring, SpatialCosine, SumField, TableField,
                     TemporalCosine, Truncated, ValidationError, WeightTable, ZeroHalo,
-                    evaluate_field, random_space_time_table, random_spatial_table)
-from lacsim import analysis, oracle
+                    evaluate_field, random_space_time_table, random_spatial_table, run)
+from lacsim import analysis, oracle, static_rules
 
 
 def test_exp_target_constant_partial_sums():
@@ -33,7 +33,7 @@ def test_exp_target_constant_partial_sums():
 
 def test_exp_target_impulse_zero_extension():
     f = MeasurementField(Impulse(center=0))
-    vals = [oracle.exp_target(f, i, 0.5, n=1, boundary=ZeroHalo(), eps=1e-15)
+    vals = [oracle.exp_target(f, i, 0.5, n=8, boundary=ZeroHalo(), eps=1e-15)
             for i in (0, 1, 2)]
     assert vals == pytest.approx([1 / 3, 1 / 6, 1 / 12], abs=1e-13)
 
@@ -86,9 +86,9 @@ def test_variable_window_target_uniform_reduction():
 
 
 def test_asym_target_forward_weight():
-    f = MeasurementField(Impulse(center=0))
+    f = MeasurementField(Impulse(center=1))
     # one hop forward of the spike: scale * rho_f
-    val = oracle.asym_target(f, -1, 0.5, 0.25, n=1, boundary=ZeroHalo(), eps=1e-15)
+    val = oracle.asym_target(f, 0, 0.5, 0.25, n=8, boundary=ZeroHalo(), eps=1e-15)
     assert val == pytest.approx(3 / 28, abs=1e-13)
 
 
@@ -379,7 +379,7 @@ def _params(draw, name, n):
 @st.composite
 def _sweeps(draw):
     """Two fields, two parameter sets per target and both boundaries, with
-    the (case, i) points to call them at, i = -2..n+1, in shuffled order.  A
+    the (case, i) points to call them at, i = 0..n-1, in shuffled order.  A
     case is (target, field, parameters, k, eps, n, boundary)."""
     n, rounds = draw(st.integers(3, 7)), draw(st.integers(0, 4))
     fields = [draw(_fields(n, rounds + 1)) for _ in range(2)]
@@ -395,7 +395,7 @@ def _sweeps(draw):
                     else:
                         k, eps = draw(st.integers(0, rounds)), None
                     case = (name, field, params, k, eps, n, boundary)
-                    points += [(case, i) for i in range(-2, n + 2)]
+                    points += [(case, i) for i in range(n)]
     return n, rounds, draw(st.permutations(points))
 
 
@@ -412,8 +412,14 @@ def _outcome(call):
 def test_array_and_scalar_targets_equal_the_per_sensor_loops(sweep):
     n, rounds, points = sweep
     cases = {id(case): case for case, _ in points}
-    expected = {(key, i): _outcome(lambda: _reference(case[0], case[1], i, *case[2:]))
-                for key, case in cases.items() for i in range(-2, n + 2)}
+    # no PerSensorWindow has a profile with a step of more than one, and no
+    # ring wraps one whose wrap pair has such a step
+    unfit = {key for key, (name, _, params, *_, boundary) in cases.items()
+             if name == "variable_window" and (np.abs(np.diff(params[0])).max(initial=0) > 1 or (
+                 isinstance(boundary, Ring) and abs(params[0][-1] - params[0][0]) > 1))}
+    expected = {(key, i): ValidationError if key in unfit else
+                _outcome(lambda: _reference(case[0], case[1], i, *case[2:]))
+                for key, case in cases.items() for i in range(n)}
     # the array form: one row per case, and one block of its rows 0..rounds
     for key, case in cases.items():
         name, field, params, _, eps, _, boundary = case
@@ -422,8 +428,8 @@ def test_array_and_scalar_targets_equal_the_per_sensor_loops(sweep):
                   for i in range(n)] for k in range(rounds + 1)]
         want, block = (want[0] if isinstance(want[0], type) else want,
                        block[0][0] if isinstance(block[0][0], type) else block)
-        if name == "variable_window" and np.abs(np.diff(params[0])).max(initial=0) > 1:
-            want = block = ValidationError  # no PerSensorWindow has such a profile
+        if key in unfit:
+            want = block = ValidationError
         assert _outcome(lambda: _array(*case)) == want
         assert _outcome(lambda: _array(name, field, params, range(rounds + 1), eps, n,
                                        boundary)) == block
@@ -498,6 +504,54 @@ def test_target_errors_are_kept():
             _scalar(name, field, 0, calls[name], -1, None, n, ZeroHalo())
     with pytest.raises(ValidationError, match="one half-width per sensor"):
         oracle.variable_window_target(field, 0, (1,) * (n - 1), n=n)
+
+
+@pytest.mark.parametrize("bad", ["ring", Ring, ZeroHalo, Truncated, None])
+def test_targets_take_only_a_ring_or_zero_halo_instance(bad):
+    # before, "ring" and the class Ring gave the zero-extended line's values
+    field = MeasurementField(Constant(1.0))
+    for call in (lambda: oracle.rows(ExponentialWeighting(0.5), field, 8, bad, 3),
+                 lambda: oracle.exp_target(field, 0, 0.5, n=8, boundary=bad, k=3)):
+        with pytest.raises(ValidationError, match=r"^boundary must be Ring\(\) or ZeroHalo\(\)"):
+            call()
+
+
+def _fit_cases(n):
+    """All seven rules, in cases at and past the edges of fitting n sensors."""
+    fits = (n - 1) // 2  # the widest reach a ring of n sensors hosts
+    rising = tuple(min(j + 1, fits) for j in range(n))  # 1, 2, .., fits, fits, ..
+    yield from (ExponentialWeighting(0.5), AsymmetricWeighting(0.5, 0.25), DynamicExponential(0.5))
+    for reach in (1, fits, fits + 1):
+        yield from (FiniteWindow(reach), DynamicWindow(reach), PerSensorWindow((reach,) * n))
+        for count in (n - 1, n, n + 1):
+            yield BandedWeighting(WeightTable.geometric(0.5, reach, count))
+    # the wrong count, and a wrap pair that differs by more than one for n >= 8
+    yield from (PerSensorWindow((1,) * (n - 1)), PerSensorWindow((1,) * (n + 1)),
+                PerSensorWindow(rising))
+
+
+@pytest.mark.parametrize("n", [5, 8, 16])
+@pytest.mark.parametrize("boundary", [Ring(), ZeroHalo()], ids=["ring", "zero_halo"])
+def test_engine_and_oracle_accept_the_same_cases(n, boundary):
+    # run also rejects weight tables with a zero entry or a row total off by
+    # more than row_tol, because its ratios divide by weights; no table here
+    # has either.  Before, the oracle took a table of n + 1 rows and a ring
+    # wrap pair that run rejects
+    field = MeasurementField(random_spatial_table(n, 3))
+
+    def rejects(call):
+        try:
+            call()
+        except ValidationError:
+            return True
+        return False
+
+    seen = set()
+    for algo in _fit_cases(n):
+        engine = rejects(lambda: run(ChainConfig(n, boundary, 2), field, algo))
+        assert rejects(lambda: oracle.rows(algo, field, n, boundary, 2)) == engine, algo
+        seen.add(engine)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
@@ -617,10 +671,11 @@ def test_window_targets_take_numpy_integer_half_widths():
 
 def test_variable_window_checks_one_case_once_and_never_an_equal_tuple_of_floats(monkeypatch):
     field = MeasurementField(random_spatial_table(8, 3))
-    widths = (1, 2, 3, 1, 2, 3, 1, 2)
+    widths = (1, 2, 3, 2, 1, 2, 3, 2)
     calls = []
-    check = oracle._check_half_widths
-    monkeypatch.setattr(oracle, "_check_half_widths", lambda *a: calls.append(a) or check(*a))
+    check = static_rules._check_half_widths
+    monkeypatch.setattr(static_rules, "_check_half_widths",
+                        lambda *a, **kw: calls.append(a) or check(*a, **kw))
     want = [[_bits(oracle.variable_window_target(field, i, widths, n=8, k=k)) for i in range(8)]
             for k in range(4)]
     assert len(calls) == 1  # the very same tuple: once for the case, not once per k
@@ -648,11 +703,11 @@ def test_one_case_swept_over_its_rounds_is_planned_once(monkeypatch, k_outer):
     plans = []
 
     def counted(name):
-        make = getattr(lacsim.oracle, f"_plan_{name}")
+        make = oracle._PLANS[RULES[name]]
         return lambda *case: plans.append(name) or make(*case)
 
     for name in TARGETS:
-        monkeypatch.setattr(lacsim.oracle, f"_plan_{name}", counted(name))
+        monkeypatch.setitem(oracle._PLANS, RULES[name], counted(name))
     for name, field, params in _cases_64(rounds):
         for boundary in (Ring(), ZeroHalo()):
             plans.clear()
@@ -693,16 +748,21 @@ def test_targets_reject_a_sensor_index_that_is_not_an_integer(bad):
                 _scalar(name, field, bad, params, 2, None, n, boundary)
 
 
-def test_targets_take_numpy_integer_and_out_of_line_sensor_indices():
+def test_targets_take_numpy_integer_sensor_indices_and_reject_those_off_the_chain():
+    # targets exist for the chain's sensors 0..n-1 only; -1 and n were once
+    # served from the ring wrap or the zero-extended line
     n = 8
     field = MeasurementField(random_spatial_table(n, 7))
     for name, params in _all_params(n).items():
         for boundary in (Ring(), ZeroHalo()):
-            for i in (-3, 0, 5, n, 2 * n + 1):
+            for i in (0, 5, n - 1):
                 want = _bits(_reference(name, field, i, params, 2, None, n, boundary))
                 for index in (i, np.int64(i), np.int32(i)):
                     assert _bits(_scalar(name, field, index, params, 2, None, n, boundary)) \
                         == want, (name, boundary, i)
+            for index in (-1, n, np.int64(-1), np.int32(n)):
+                with pytest.raises(ValidationError, match=r"^sensor index must lie in 0\.\.7"):
+                    _scalar(name, field, index, params, 2, None, n, boundary)
 
 
 STATIC = ("exp", "asym", "window", "variable_window", "arbitrary")
