@@ -117,7 +117,7 @@ def criterion_3() -> CriterionResult:
 
     def fit(algo, rounds):
         trace = run(ChainConfig(n=n, boundary=Ring(), rounds=rounds), field, algo)
-        est = ana.measure_gain(trace, field, omega, "spatial", rounds)
+        est = ana.measure_gain(trace, field, "spatial", rounds)
         return abs(est.gain - ana.closed_form_gain(algo, omega)), abs(est.phase)
 
     gain_err, phase_err = fit(ExponentialWeighting(0.9), 220)
@@ -141,13 +141,13 @@ def criterion_4() -> CriterionResult:
         ok &= good
         parts.append(f"h_exp({rho},1-rho)={v:.4f}{'' if good else '!'}")
     for L in (5, 10, 20):
-        bw = ana.bandwidth("window_spatial", L)
+        bw = ana.bandwidth(FiniteWindow(L))
         dev = abs(bw.omega_half - bw.rule_of_thumb) / bw.rule_of_thumb
         good = dev <= 0.10
         ok &= good
         parts.append(f"spatial L={L} dev={100 * dev:.1f}%{'' if good else '>10%!'}")
     for L in (5, 10, 20):
-        bw = ana.bandwidth("window_temporal", L)
+        bw = ana.bandwidth(DynamicWindow(L))
         dev = abs(bw.omega_half - bw.rule_of_thumb) / bw.rule_of_thumb
         good = dev <= 0.15
         ok &= good
@@ -167,7 +167,7 @@ def criterion_5() -> CriterionResult:
         for omega in (0.05, 0.1, 0.5, 0.0):
             cfg = ChainConfig(n=5, boundary=Ring(), rounds=settle + ana.fit_rounds(omega))
             field = MeasurementField(TemporalCosine(1.0, omega))
-            est = ana.measure_gain(run(cfg, field, algo), field, omega, "temporal", settle)
+            est = ana.measure_gain(run(cfg, field, algo), field, "temporal", settle)
             if omega:
                 worst = max(worst, abs(est.gain - ana.closed_form_gain(algo, omega)))
             else:
@@ -254,6 +254,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
     tol = 1e-12
+    name = "figure CSVs reproduce the analytic curves pointwise"
     gain_fns = {
         "fig1_spatial_exp_origin": (ana.h_exp, RHO_GRID, OMEGA_ORIGIN),
         "fig2_spatial_exp_full": (ana.h_exp, RHO_GRID, OMEGA_FULL),
@@ -271,17 +272,14 @@ def criterion_9() -> CriterionResult:
             rows = path.read_text().strip().splitlines()[1:]
             expected_count = len(params) * len(omegas)
             if len(rows) != expected_count:
-                return CriterionResult(9, "figure CSVs reproduce the analytic curves", False,
-                                       f"{path.name}: {len(rows)} rows, "
-                                       f"expected {expected_count}",
-                                       time.perf_counter() - t0)
+                return CriterionResult(9, name, False, f"{path.name}: {len(rows)} rows, "
+                                       f"expected {expected_count}", time.perf_counter() - t0)
             for row in rows:
                 w_txt, g_txt, p_txt = row.split(",")
                 worst = max(worst, abs(float(g_txt) - fn(float(p_txt), float(w_txt))))
     elapsed = time.perf_counter() - t0
-    return CriterionResult(9, "figure CSVs reproduce the analytic curves pointwise",
-                           worst <= tol, f"worst |csv-formula| = {worst:.2e} (tol {tol})",
-                           elapsed)
+    return CriterionResult(9, name, worst <= tol,
+                           f"worst |csv-formula| = {worst:.2e} (tol {tol})", elapsed)
 
 
 def criterion_10() -> CriterionResult:

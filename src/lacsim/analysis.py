@@ -98,26 +98,24 @@ class BandwidthResult:
     saturated: bool
 
 
-# scheme -> (rule class built from the parameter, rule of thumb)
-_SCHEMES = {
-    "exp_spatial": (ExponentialWeighting, lambda p: 1.0 - p),
-    "window_spatial": (FiniteWindow, lambda p: 1.7 / (p + 0.5)),
-    "exp_temporal": (DynamicExponential, lambda p: 1.0 - p),
-    "window_temporal": (DynamicWindow, lambda p: 4.0 / (p + 0.5)),
+# rule class -> its rule-of-thumb half-gain frequency
+_RULES_OF_THUMB = {
+    ExponentialWeighting: lambda algo: 1.0 - algo.rho,
+    FiniteWindow: lambda algo: 1.7 / (algo.half_width + 0.5),
+    DynamicExponential: lambda algo: 1.0 - algo.rho,
+    DynamicWindow: lambda algo: 4.0 / (algo.half_width + 0.5),
 }
 
 
-def bandwidth(scheme: str, param) -> BandwidthResult:
-    """Half-gain frequency: the first root of gain = 1/2 on (0, pi], found by
-    bisection to 1e-10, together with the rule-of-thumb value.  `param` is rho
-    for the exponential schemes and the half-width for the window schemes,
-    checked by the scheme's rule class.  Saturated means the gain stays above
-    1/2 everywhere."""
+def bandwidth(algo) -> BandwidthResult:
+    """Half-gain frequency of `algo`'s closed-form gain: the first root of
+    gain = 1/2 on (0, pi], found by bisection to 1e-10, together with the
+    rule-of-thumb value of the rule's class (ValidationError for a class
+    without one).  Saturated means the gain stays above 1/2 everywhere."""
     try:
-        cls, rule = _SCHEMES[scheme]
+        rule = _RULES_OF_THUMB[type(algo)]
     except KeyError:
-        raise ValidationError(f"unknown bandwidth scheme {scheme!r}") from None
-    algo = cls(param)
+        raise ValidationError(f"no rule-of-thumb bandwidth for {type(algo).__name__}") from None
     grid = np.linspace(1e-9, math.pi, 4097)
     lo = None
     for a, b in zip(grid, grid[1:]):
@@ -125,7 +123,7 @@ def bandwidth(scheme: str, param) -> BandwidthResult:
             lo, hi = float(a), float(b)
             break
     if lo is None:
-        return BandwidthResult(None, rule(param), True)
+        return BandwidthResult(None, rule(algo), True)
     f = lambda w: closed_form_gain(algo, w) - 0.5
     fa = f(lo)
     while hi - lo > BISECTION_TOL:
@@ -135,21 +133,22 @@ def bandwidth(scheme: str, param) -> BandwidthResult:
         else:
             lo = mid
             fa = f(lo)
-    return BandwidthResult(0.5 * (lo + hi), rule(param), False)
+    return BandwidthResult(0.5 * (lo + hi), rule(algo), False)
 
 
-def noise_var_exp(rho: float, sigma2: float = 1.0) -> float:
-    """Steady-state output variance under iid measurement noise:
-    (1-rho)(1+rho^2)/(1+rho)^3 * sigma^2, inside ((1-rho)/4, 1-rho) * sigma^2."""
-    return (1.0 - rho) * (1.0 + rho * rho) / (1.0 + rho) ** 3 * sigma2
+# each rule's steady-state output variance per unit variance of iid
+# measurement noise; `monte_carlo_noise` scales it by sigma^2
+def noise_var_exp(rho: float) -> float:
+    """(1-rho)(1+rho^2)/(1+rho)^3, inside ((1-rho)/4, 1-rho)."""
+    return (1.0 - rho) * (1.0 + rho * rho) / (1.0 + rho) ** 3
 
 
-def noise_var_window(half_width: int, sigma2: float = 1.0) -> float:
-    return sigma2 / (2.0 * half_width + 1.0)
+def noise_var_window(half_width: int) -> float:
+    return 1.0 / (2.0 * half_width + 1.0)
 
 
-def noise_var_global(count: int, sigma2: float = 1.0) -> float:
-    return sigma2 / count
+def noise_var_global(count: int) -> float:
+    return 1.0 / count
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,9 @@ def _fit_cosine(values: np.ndarray, arg: np.ndarray, amplitude: float,
     return math.hypot(a, b) / amplitude, math.atan2(-b, a)
 
 
-def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
-                 mode: str, settle: int) -> GainEstimate:
-    """Amplitude ratio and phase of the settled response to a pure cosine.
+def measure_gain(trace: ConsensusTrace, field: MeasurementField, mode: str,
+                 settle: int) -> GainEstimate:
+    """Amplitude ratio and phase of the settled response to the field's pure cosine.
 
     Spatial mode fits the post-settle sensor profile against {cos, sin} at a
     ring harmonic; temporal mode fits the post-settle time series of a
@@ -237,9 +236,7 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, omega: float,
     spatial = mode == "spatial"
     if not isinstance(kind, Cosine) or (kind.omega_t if spatial else kind.omega_s) != 0.0:
         raise ValidationError(f"{mode} gain needs a pure {mode} cosine field")
-    on_axis = kind.omega_s if spatial else kind.omega_t
-    if abs(on_axis - omega) > 1e-12:
-        raise ValidationError(f"field frequency {on_axis} does not match {omega}")
+    omega = kind.omega_s if spatial else kind.omega_t
     if spatial:
         if not isinstance(trace.config.boundary, Ring):
             raise ValidationError("spatial gain is defined on the ring boundary")

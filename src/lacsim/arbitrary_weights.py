@@ -80,9 +80,10 @@ class WeightTable:
     def from_csv(cls, text: str, row_sum: float, row_tol: float | None = None,
                  n: int | None = None) -> "WeightTable":
         """Parse `sensor,offset,weight` rows; the normalization total comes in
-        separately since the CSV carries only the band; a sensor must be below `n` if given."""
-        weights = read_index_csv(text, ("sensor,offset,weight",), "weight CSV",
-                                 centered=("offset",), sensors=n)
+        separately since the CSV carries only the band.  Given `n`, a sensor
+        and |offset| must be below it: a longer offset weights no sensor."""
+        bounds = None if n is None else {"sensor": n, "offset": n}
+        weights = read_index_csv(text, ("sensor,offset,weight",), "weight CSV", ("offset",), bounds)
         return cls(weights, row_sum, weights.shape[1] // 2, row_tol=row_tol)
 
     def to_csv(self) -> str:

@@ -2,7 +2,7 @@
 
 Subcommands: simulate, freq-spatial, freq-temporal, noise, spacing, figures,
 verify.  Every run resolves its configuration (file, then --set overrides,
-then --seed), writes its data files with full float precision, and embeds the
+then --seed and --out), writes its data files with full float precision, and embeds the
 resolved configuration in a metadata JSON so outputs are reproducible
 byte-for-byte; timestamps live only in metadata.
 
@@ -129,7 +129,7 @@ def _cmd_freq(exp: Experiment, mode: str) -> list:
         field = MeasurementField(cosine(1.0, omega))
         rounds = max(settle, 1) if spatial else settle + ana.fit_rounds(omega)
         cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds)
-        est = ana.measure_gain(run(cfg, field, algo), field, omega, mode, settle)
+        est = ana.measure_gain(run(cfg, field, algo), field, mode, settle)
         gain = ana.closed_form_gain(algo, omega)
         lines.append(",".join(format(v, ".17g") for v in (omega, gain, est.gain, est.phase)))
         if est.warning is not None and est.warning not in warnings:
@@ -232,9 +232,10 @@ def main(argv=None) -> int:
         else:
             raw = {}
             base_dir = Path.cwd()
-        raw = merge_settings(raw, args.overrides)
-        exp = resolve(raw, args.command, base_dir,
-                      seed_override=args.seed, out_override=args.out)
+        # --seed and --out go after the --set overrides, so they win
+        flags = [f"chain.master_seed={args.seed}"] if args.seed is not None else []
+        flags += [f"output.dir={args.out}"] if args.out else []
+        exp = resolve(merge_settings(raw, args.overrides + flags), args.command, base_dir)
         _check_out_dir(exp.out_dir)
         written = _HANDLERS[args.command](exp)
     except (ValidationError, OutOfDomainError, FileNotFoundError) as exc:

@@ -71,9 +71,11 @@ def _choice(*names):
     return parse
 
 
-def _table_from_csv(path: Path, n: int) -> TableField:
+def _table_from_csv(path: Path, chain: dict) -> TableField:
+    # no round reads a step past the last one
     return TableField(read_index_csv(path.read_text(), ("sensor,value", "sensor,step,value"),
-                                     f"csv: table file {path}", sensors=n))
+                                     f"csv: table file {path}",
+                                     bounds={"sensor": chain["n"], "step": chain["rounds"] + 1}))
 
 
 def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> BandedWeighting:
@@ -84,7 +86,7 @@ def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> Banded
 # file, resolved against the config's directory and echoed absolute.  A
 # section with a selector key (boundary, kind, variant, noise_target, law)
 # maps each choice to its own key table and a builder of the object the
-# choice stands for (a table file's builder also takes the chain size n,
+# choice stands for (a table file's builder also takes the [chain] values,
 # bound by `_sized`).
 _CHAIN = {"n": (_int, 64), "rounds": (_int, 40), "master_seed": (_int, 0)}
 _BOUNDARIES = {
@@ -93,8 +95,7 @@ _BOUNDARIES = {
     "truncated": ({}, lambda v: Truncated()),
 }
 
-_FIELD = {"noise_sigma": (_float, 0.0), "noise_distribution": (str, "gaussian"),
-          "noise_seed": (_int, None)}
+_FIELD = {"noise_sigma": (_float, 0.0), "noise_distribution": (str, "gaussian")}
 _COSINE = {"amplitude": (_float, REQUIRED), "omega": (_float, REQUIRED), "phase": (_float, 0.0)}
 _FIELD_KINDS = {
     "constant": ({"value": (_float, 1.0)}, lambda v: Constant(v["value"])),
@@ -102,7 +103,7 @@ _FIELD_KINDS = {
     "spatial_cosine": (_COSINE, lambda v: SpatialCosine(v["amplitude"], v["omega"], v["phase"])),
     "temporal_cosine": (_COSINE,
                         lambda v: TemporalCosine(v["amplitude"], v["omega"], v["phase"])),
-    "table": ({"csv": (Path, REQUIRED)}, lambda v, n: _table_from_csv(v["csv"], n)),
+    "table": ({"csv": (Path, REQUIRED)}, lambda v, c: _table_from_csv(v["csv"], c)),
     "sum": ({"components": (_list(str), REQUIRED)}, None),  # built from [field.<name>]
 }
 
@@ -115,7 +116,7 @@ _VARIANTS = {
                         lambda v: PerSensorWindow(v["lengths"])),
     "arbitrary": ({"weights_csv": (Path, REQUIRED), "K": (_float, REQUIRED),
                    "row_tol": (_float, None)},
-                  lambda v, n: _banded(v["weights_csv"], v["K"], v.get("row_tol"), n)),
+                  lambda v, c: _banded(v["weights_csv"], v["K"], v.get("row_tol"), c["n"])),
     "dyn_exponential": ({"rho": (_float, REQUIRED)}, lambda v: DynamicExponential(v["rho"])),
     "dyn_window": ({"L": (_int, REQUIRED)}, lambda v: DynamicWindow(v["L"])),
 }
@@ -185,10 +186,10 @@ def _read(section: str, entries: dict, table: dict, base_dir: Path) -> tuple:
     return values, {key: _show(v) for key, v in values.items()}
 
 
-def _sized(kinds: dict, name: str, n: int) -> dict:
-    """`kinds` with the (values, n) builder of choice `name` bound to n sensors."""
+def _sized(kinds: dict, name: str, chain: dict) -> dict:
+    """`kinds` with the (values, chain) builder of choice `name` bound to `chain`."""
     table, build = kinds[name]
-    return {**kinds, name: (table, lambda v: build(v, n))}
+    return {**kinds, name: (table, lambda v: build(v, chain))}
 
 
 def _read_kind(section: str, entries: dict, selector: str, default: str, kinds: dict,
@@ -205,12 +206,12 @@ def _read_kind(section: str, entries: dict, selector: str, default: str, kinds: 
         raise ValidationError(f"[{section}] {exc}") from None
 
 
-def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict, n: int) -> tuple:
-    """The field kind of [field] or of one [field.<name>] component on a
-    chain of `n` sensors; writes each section's echo into `echo`."""
+def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict, chain: dict) -> tuple:
+    """The field kind of [field] or of one [field.<name>] component on the
+    chain of [chain] values `chain`; writes each section's echo into `echo`."""
     top = section == "field"
     kind, values, echo[section] = _read_kind(section, raw.get(section, {}), "kind", "constant",
-                                             _sized(_FIELD_KINDS, "table", n),
+                                             _sized(_FIELD_KINDS, "table", chain),
                                              _FIELD if top else {}, base_dir)
     if values["kind"] != "sum":
         return kind, values
@@ -220,7 +221,7 @@ def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict, n: int) -> 
     for name in values["components"]:
         if f"field.{name}" not in raw:
             raise _err(section, "components", f"missing section [field.{name}]")
-        parts.append(_field_kind(raw, f"field.{name}", base_dir, echo, n)[0])
+        parts.append(_field_kind(raw, f"field.{name}", base_dir, echo, chain)[0])
     return SumField(tuple(parts)), values
 
 
@@ -264,8 +265,7 @@ class Experiment:
     resolved: dict = dc_field(default_factory=dict)
 
 
-def resolve(raw: dict, command: str, base_dir: Path,
-            seed_override: int | None = None, out_override: str | None = None) -> Experiment:
+def resolve(raw: dict, command: str, base_dir: Path) -> Experiment:
     """Validate and build the typed experiment for one command.
 
     `raw` is the merged {section: {key: value}} mapping.  The echo in
@@ -273,21 +273,18 @@ def resolve(raw: dict, command: str, base_dir: Path,
     included, in canonical string form.
     """
     resolved = {}
-    chain_entries = dict(raw.get("chain", {}))
-    if seed_override is not None:
-        chain_entries["master_seed"] = str(seed_override)
+    chain_entries = raw.get("chain", {})
     boundary, chain, resolved["chain"] = _read_kind("chain", chain_entries, "boundary", "ring",
                                                     _BOUNDARIES, _CHAIN, base_dir)
-    kind, field = _field_kind(raw, "field", base_dir, resolved, chain["n"])
+    kind, field = _field_kind(raw, "field", base_dir, resolved, chain)
     stochastic = command in ("noise", "spacing") or field["noise_sigma"] > 0
     if stochastic and "master_seed" not in chain_entries:
         raise _err("chain", "master_seed", "required for stochastic runs (or pass --seed)")
     # built even when noise_sigma is 0, so that its keys are checked
-    noise = Noise(field["noise_sigma"], field["noise_distribution"],
-                  field.get("noise_seed", chain["master_seed"]))
+    noise = Noise(field["noise_sigma"], field["noise_distribution"], chain["master_seed"])
     algorithm, _, resolved["algorithm"] = _read_kind(
         "algorithm", raw.get("algorithm", {}), "variant", "exponential",
-        _sized(_VARIANTS, "arbitrary", chain["n"]), {}, base_dir)
+        _sized(_VARIANTS, "arbitrary", chain), {}, base_dir)
     table, sampled = _ANALYSIS[command], None
     if isinstance(table, tuple):
         sampled, analysis, resolved["analysis"] = _read_kind(
@@ -295,10 +292,7 @@ def resolve(raw: dict, command: str, base_dir: Path,
     else:
         analysis, resolved["analysis"] = _read("analysis", raw.get("analysis", {}), table,
                                                base_dir)
-    output = dict(raw.get("output", {}))
-    if out_override:
-        output["dir"] = out_override
-    output, resolved["output"] = _read("output", output, _OUTPUT, base_dir)
+    output, resolved["output"] = _read("output", raw.get("output", {}), _OUTPUT, base_dir)
     for section in raw:
         if section not in resolved:
             hint = " (no [field] components list names it)" if section.startswith("field.") \

@@ -112,10 +112,9 @@ def TemporalCosine(amplitude: float, omega: float, phase: float = 0.0) -> Cosine
 
 @dataclass(frozen=True, eq=False)
 class TableField:
-    """Explicit values: 1-D array (static in time) or 2-D (sensor, step)."""
+    """Explicit values from sensor 0 on: 1-D (static in time) or 2-D (sensor, step)."""
 
     values: np.ndarray
-    first_sensor: int = 0
 
     def __post_init__(self):
         # an owned, read-only copy: the table hashes by identity, so a write
@@ -129,21 +128,18 @@ class TableField:
         object.__setattr__(self, "values", arr)
 
     def at(self, i: int, k: int) -> float:
-        row = i - self.first_sensor
-        if not 0 <= row < self.values.shape[0]:
-            raise OutOfDomainError(f"sensor {i} outside table rows "
-                                   f"[{self.first_sensor}, {self.first_sensor + self.values.shape[0]})")
+        if not 0 <= i < self.values.shape[0]:
+            raise OutOfDomainError(f"sensor {i} outside table rows [0, {self.values.shape[0]})")
         if self.values.ndim == 1:
-            return float(self.values[row])
+            return float(self.values[i])
         if not 0 <= k < self.values.shape[1]:
             raise OutOfDomainError(f"step {k} outside table columns [0, {self.values.shape[1]})")
-        return float(self.values[row, k])
+        return float(self.values[i, k])
 
     def grid(self, n: int, steps: int) -> np.ndarray:
-        lo, values = -self.first_sensor, self.values
-        if lo < 0 or lo + n > values.shape[0] or (values.ndim == 2 and steps > values.shape[1]):
+        if n > self.values.shape[0] or (self.values.ndim == 2 and steps > self.values.shape[1]):
             raise OutOfDomainError(f"table does not cover {n} sensors and {steps} steps")
-        return values[lo:lo + n] if values.ndim == 1 else values[lo:lo + n, :steps].T
+        return self.values[:n] if self.values.ndim == 1 else self.values[:n, :steps].T
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0

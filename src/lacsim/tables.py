@@ -17,12 +17,12 @@ def _parse(rows: list, dtype: np.dtype) -> np.ndarray:
 
 
 def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = (),
-                   sensors: int | None = None) -> np.ndarray:
+                   bounds: dict | None = None) -> np.ndarray:
     """Parse CSV `text` whose header is one of `headers`: integer index
     columns, then one float value column.  Returns the values scattered into a
     zero array whose shape covers every index.  A column named in `centered`
     may be negative and is shifted so that its zero sits in the middle; every
-    other index must be >= 0, and a `sensor` index below `sensors` if given.
+    other index must be >= 0, and any index below its `bounds` entry in magnitude.
 
     Raises ValidationError, prefixed with `source`, for a header outside
     `headers`, no data rows, a row that does not parse (its line number and
@@ -60,10 +60,12 @@ def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = (),
         negative = np.flatnonzero(data[name] < 0)
         if len(negative):
             raise bad(negative[0], f"negative {name}")
-    if sensors is not None:  # checked before an array sized by the largest index is made
-        over = np.flatnonzero(data["sensor"] >= sensors)
+    bounds = bounds or {}
+    for name in (name for name in index if name in bounds):  # before an array is sized by it
+        over = np.flatnonzero(np.abs(data[name]) >= bounds[name])
         if len(over):
-            raise bad(over[0], f"sensor outside 0..{sensors - 1}")
+            low = 1 - bounds[name] if name in centered else 0
+            raise bad(over[0], f"{name} outside {low}..{bounds[name] - 1}")
     shape, at = [], []
     for name in index:
         col = data[name]

@@ -50,3 +50,20 @@ def test_criterion_10_fails_when_a_rule_reads_two_hops_away(monkeypatch):
     result = acceptance.criterion_10()
     assert not result.passed
     assert "beyond the bump's reach 0;" not in result.detail
+
+
+def test_criterion_9_keeps_its_name_when_a_figure_csv_loses_a_row(monkeypatch):
+    passing = acceptance.criterion_9()
+    real = acceptance.write_figures
+
+    def short(out_dir):
+        paths = real(out_dir)
+        lines = paths[0].read_text().splitlines(keepends=True)
+        paths[0].write_text("".join(lines[:-1]))
+        return paths
+
+    monkeypatch.setattr(acceptance, "write_figures", short)
+    failing = acceptance.criterion_9()
+    assert passing.passed and not failing.passed
+    assert "rows, expected" in failing.detail
+    assert failing.name == passing.name

@@ -82,7 +82,7 @@ def test_k_temporal_window_matches_direct_sum():
 
 
 def test_bandwidth_exponential():
-    res = bandwidth("exp_spatial", 0.9)
+    res = bandwidth(ExponentialWeighting(0.9))
     assert not res.saturated
     assert res.omega_half == pytest.approx(0.10546, abs=1e-3)
     assert res.rule_of_thumb == pytest.approx(0.1)
@@ -90,7 +90,7 @@ def test_bandwidth_exponential():
 
 
 def test_bandwidth_saturated_for_small_rho():
-    res = bandwidth("exp_spatial", 0.1)
+    res = bandwidth(ExponentialWeighting(0.1))
     assert res.saturated and res.omega_half is None
     assert h_exp(0.1, math.pi) > 0.5
 
@@ -98,7 +98,7 @@ def test_bandwidth_saturated_for_small_rho():
 def test_bandwidth_window_roots():
     # the true half-gain root sits ~11.5-11.8% above the 1.7/(L+1/2) rule
     for L, expected in ((5, 0.345681), (10, 0.1806731), (20, 0.0924833)):
-        res = bandwidth("window_spatial", L)
+        res = bandwidth(FiniteWindow(L))
         assert res.omega_half == pytest.approx(expected, abs=1e-5)
         assert abs(h_window(L, res.omega_half)) == pytest.approx(0.5, abs=1e-9)
         dev = abs(res.omega_half - res.rule_of_thumb) / res.rule_of_thumb
@@ -107,14 +107,17 @@ def test_bandwidth_window_roots():
 
 def test_bandwidth_temporal_window_near_rule():
     for L in (5, 10, 20):
-        res = bandwidth("window_temporal", L)
+        res = bandwidth(DynamicWindow(L))
         dev = abs(res.omega_half - res.rule_of_thumb) / res.rule_of_thumb
         assert dev < 0.15
 
 
-def test_bandwidth_unknown_scheme():
-    with pytest.raises(ValidationError):
-        bandwidth("nope", 1)
+@pytest.mark.parametrize("algo", [AsymmetricWeighting(0.5, 0.25), PerSensorWindow((2, 2, 3)),
+                                  GlobalAverage(10)], ids=lambda a: type(a).__name__)
+def test_bandwidth_rejects_a_rule_without_a_rule_of_thumb(algo):
+    with pytest.raises(ValidationError,
+                       match=f"^no rule-of-thumb bandwidth for {type(algo).__name__}$"):
+        bandwidth(algo)
 
 
 def test_bandwidths_agree_in_the_half_power_sense():
@@ -122,7 +125,7 @@ def test_bandwidths_agree_in_the_half_power_sense():
     # i.e. |K|^2 = 2 rho/(1+rho)^2 -> 1/2 as rho -> 1: the two bandwidths agree
     # when the temporal one is read at half power
     for rho in (0.9, 0.95, 0.99):
-        ws = bandwidth("exp_spatial", rho).omega_half
+        ws = bandwidth(ExponentialWeighting(rho)).omega_half
         assert k_temporal_exp(rho, ws)[0] ** 2 == pytest.approx(
             2 * rho / (1 + rho) ** 2, abs=1e-6)  # ws carries the bisection tolerance
         # temporal half-power frequency within 15% of the spatial half-gain one
@@ -139,16 +142,16 @@ def test_bandwidths_agree_in_the_half_power_sense():
 
 
 def test_noise_variance_values():
-    assert noise_var_exp(0.5, 1.0) == pytest.approx(5 / 27, abs=1e-15)
-    assert noise_var_window(2, 1.0) == pytest.approx(0.2)
-    assert noise_var_global(100, 1.0) == pytest.approx(0.01)
-    assert noise_var_exp(1e-9, 1.0) == pytest.approx(1.0, abs=1e-8)
+    assert noise_var_exp(0.5) == pytest.approx(5 / 27, abs=1e-15)
+    assert noise_var_window(2) == pytest.approx(0.2)
+    assert noise_var_global(100) == pytest.approx(0.01)
+    assert noise_var_exp(1e-9) == pytest.approx(1.0, abs=1e-8)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(1e-6, 1 - 1e-6))
 def test_noise_variance_interval(rho):
-    v = noise_var_exp(rho, 1.0)
+    v = noise_var_exp(rho)
     assert (1 - rho) / 4 < v < (1 - rho) + 1e-15
 
 
@@ -177,7 +180,7 @@ def test_measure_gain_spatial_exponential():
     settle = math.ceil(math.log(1e-9) / math.log(rho))
     cfg = ChainConfig(n=n, boundary=Ring(), rounds=settle)
     trace = run(cfg, field, ExponentialWeighting(rho))
-    est = measure_gain(trace, field, omega, "spatial", settle)
+    est = measure_gain(trace, field, "spatial", settle)
     assert est.gain == pytest.approx(h_exp(rho, omega), abs=1e-6)
     assert abs(est.phase) < 1e-9
     assert est.warning is None
@@ -191,7 +194,7 @@ def test_measure_gain_spatial_window_signed_magnitude():
     field = MeasurementField(SpatialCosine(1.0, omega))
     cfg = ChainConfig(n=n, boundary=Ring(), rounds=L)
     trace = run(cfg, field, FiniteWindow(L))
-    est = measure_gain(trace, field, omega, "spatial", L)
+    est = measure_gain(trace, field, "spatial", L)
     signed = h_window(L, omega)
     assert signed < 0
     assert est.gain == pytest.approx(abs(signed), abs=1e-12)
@@ -204,7 +207,7 @@ def test_measure_gain_temporal_dyn_exp():
     cfg = ChainConfig(n=5, boundary=Ring(), rounds=settle + 80)
     field = MeasurementField(TemporalCosine(1.0, omega))
     trace = run(cfg, field, DynamicExponential(rho))
-    est = measure_gain(trace, field, omega, "temporal", settle)
+    est = measure_gain(trace, field, "temporal", settle)
     gain, phase = k_temporal_exp(rho, omega)
     assert est.gain == pytest.approx(gain, abs=1e-3)
     assert est.phase == pytest.approx(phase, abs=1e-3)
@@ -215,7 +218,7 @@ def test_measure_gain_temporal_dyn_window():
     cfg = ChainConfig(n=9, boundary=Ring(), rounds=L + 1 + 80)
     field = MeasurementField(TemporalCosine(1.0, omega))
     trace = run(cfg, field, DynamicWindow(L))
-    est = measure_gain(trace, field, omega, "temporal", L + 1)
+    est = measure_gain(trace, field, "temporal", L + 1)
     gain, phase = k_temporal_window(L, omega)
     assert est.gain == pytest.approx(gain, abs=1e-10)
     assert est.phase == pytest.approx(phase, abs=1e-10)
@@ -228,24 +231,22 @@ def test_measure_gain_validation():
     cfg = ChainConfig(n=n, boundary=Ring(), rounds=4)
     trace = run(cfg, field, FiniteWindow(2))
     with pytest.raises(ValidationError):
-        measure_gain(trace, field, 0.123, "spatial", 2)  # frequency mismatch
-    with pytest.raises(ValidationError):
-        measure_gain(trace, field, omega, "sideways", 2)
+        measure_gain(trace, field, "sideways", 2)
     bad = MeasurementField(SpatialCosine(1.0, 0.1234))
     cfg2 = ChainConfig(n=n, boundary=Ring(), rounds=4)
     trace2 = run(cfg2, bad, FiniteWindow(2))
     with pytest.raises(ValidationError):
-        measure_gain(trace2, bad, 0.1234, "spatial", 2)  # not a ring harmonic
+        measure_gain(trace2, bad, "spatial", 2)  # not a ring harmonic
     halo_trace = run(ChainConfig(n=n, boundary=ZeroHalo(), rounds=4), field, FiniteWindow(2))
     with pytest.raises(ValidationError):
-        measure_gain(halo_trace, field, omega, "spatial", 2)
+        measure_gain(halo_trace, field, "spatial", 2)
 
 
 def _settled_gain(settle):
     omega = 2 * math.pi * 2 / 16
     field = MeasurementField(SpatialCosine(1.0, omega))
     trace = run(ChainConfig(n=16, boundary=Ring(), rounds=4), field, FiniteWindow(2))
-    return measure_gain(trace, field, omega, "spatial", settle)
+    return measure_gain(trace, field, "spatial", settle)
 
 
 @pytest.mark.parametrize("call, name, least", [
@@ -274,7 +275,7 @@ def test_measure_gain_settle_warning():
     field = MeasurementField(SpatialCosine(1.0, omega))
     cfg = ChainConfig(n=n, boundary=Ring(), rounds=5)
     trace = run(cfg, field, ExponentialWeighting(0.9))
-    est = measure_gain(trace, field, omega, "spatial", 5)
+    est = measure_gain(trace, field, "spatial", 5)
     assert est.warning is not None
 
 
@@ -293,8 +294,8 @@ def test_default_settle_is_the_fewest_rounds_without_warning(algo):
         mode, omega = "spatial", 2 * math.pi / n
         field = MeasurementField(SpatialCosine(1.0, omega))
     trace = run(ChainConfig(n=n, boundary=Ring(), rounds=settle + 8), field, algo)
-    assert measure_gain(trace, field, omega, mode, settle).warning is None
-    assert measure_gain(trace, field, omega, mode, settle - 1).warning is not None
+    assert measure_gain(trace, field, mode, settle).warning is None
+    assert measure_gain(trace, field, mode, settle - 1).warning is not None
 
 
 def test_settle_rounds_of_the_temporal_criterion():
@@ -353,13 +354,13 @@ def test_fit_rounds_covers_two_periods_and_at_least_64_rounds():
     assert fit_rounds(0.05) == 252
 
 
-@pytest.mark.parametrize("scheme, param, message", [
-    ("exp_spatial", 1.5, r"^rho must lie strictly inside \(0, 1\), got 1\.5$"),
-    ("exp_temporal", -0.2, r"^rho must lie strictly inside \(0, 1\), got -0\.2$"),
-    ("window_spatial", 0, r"^half_width must be an integer >= 1, got 0$"),
-    ("window_temporal", 2.5, r"^half_width must be an integer >= 1, got 2\.5$"),
+@pytest.mark.parametrize("rule, param, message", [
+    (ExponentialWeighting, 1.5, r"^rho must lie strictly inside \(0, 1\), got 1\.5$"),
+    (DynamicExponential, -0.2, r"^rho must lie strictly inside \(0, 1\), got -0\.2$"),
+    (FiniteWindow, 0, r"^half_width must be an integer >= 1, got 0$"),
+    (DynamicWindow, 2.5, r"^half_width must be an integer >= 1, got 2\.5$"),
 ])
-def test_bandwidth_rejects_a_parameter_outside_the_rule_s_domain(scheme, param, message):
+def test_bandwidth_rejects_a_parameter_outside_the_rule_s_domain(rule, param, message):
     # before, these gave a finite root or "saturated" from a meaningless gain
     with pytest.raises(ValidationError, match=message):
-        bandwidth(scheme, param)
+        bandwidth(rule(param))

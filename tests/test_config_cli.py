@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lacsim.cli as cli
+import lacsim.config as config
 from lacsim import (DynamicExponential, ExponentialWeighting, ValidationError, WeightTable,
                     h_exp, k_temporal_exp, k_temporal_window, settle_rounds)
 from lacsim.cli import main
@@ -15,9 +16,9 @@ from lacsim.config import config_to_ini, merge_settings, read_ini, resolve
 from lacsim.figures import OMEGA_FULL, OMEGA_ORIGIN, RHO_GRID, WINDOW_GRID
 
 
-def _resolve(text, command="simulate", overrides=(), **kwargs):
+def _resolve(text, command="simulate", overrides=()):
     raw = merge_settings(read_ini(text), list(overrides))
-    return resolve(raw, command, Path.cwd(), **kwargs)
+    return resolve(raw, command, Path.cwd())
 
 
 def test_defaults_round_trip():
@@ -89,10 +90,34 @@ def test_stochastic_runs_require_seed():
         _resolve("[field]\nnoise_sigma = 1.0\n")
     ok = _resolve("[field]\nnoise_sigma = 1.0\n[chain]\nmaster_seed = 7\n")
     assert ok.field.noise.seed == 7
-    viaflag = _resolve("[field]\nnoise_sigma = 1.0\n", seed_override=9)
-    assert viaflag.field.noise.seed == 9
+    viaset = _resolve("[field]\nnoise_sigma = 1.0\n", overrides=["chain.master_seed=9"])
+    assert viaset.field.noise.seed == 9
     with pytest.raises(ValidationError):
         _resolve("", command="noise")
+
+
+@pytest.mark.parametrize("argv, ini, code, seed, out", [
+    (["--seed", "2"], "[chain]\nmaster_seed = 1\n", 0, 2, "out"),
+    (["--set", "chain.master_seed=1", "--seed", "2"], "", 0, 2, "out"),
+    (["--seed", "2", "--set", "chain.master_seed=1"], "[chain]\nmaster_seed = 3\n", 0, 2, "out"),
+    (["--out", "b"], "[output]\ndir = a\n", 0, 0, "b"),
+    (["--set", "output.dir=a", "--out", "b"], "", 0, 0, "b"),
+    (["--out", "b", "--set", "output.dir=a"], "[output]\ndir = c\n", 0, 0, "b"),
+    (["--set", "chain.master_seed=1", "--set", "output.dir=a"],
+     "[chain]\nmaster_seed = 3\n[output]\ndir = c\n", 0, 1, "a"),
+    (["--seed", "-2"], "", 1, None, None),
+])
+def test_seed_and_out_flags_win_over_the_file_and_set(tmp_path, monkeypatch, capsys, argv, ini,
+                                                      code, seed, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.ini").write_text(ini)
+    command = "simulate" if code == 0 else "noise"
+    assert main([command, "--config", "exp.ini", "--set", "chain.n=4", *argv]) == code
+    if code == 0:
+        meta = json.loads((tmp_path / out / "run_metadata.json").read_text())
+        assert (meta["seed"], meta["config"]["output"]["dir"]) == (seed, out)
+    else:
+        assert "seed" in capsys.readouterr().err
 
 
 _FIELD_TEXT = {
@@ -152,11 +177,53 @@ def test_resolved_echo_round_trips(tmp_path, case):
 def test_analysis_echo_holds_every_default(command, choice, echo):
     # in key-table order, so `config_ini` keeps its layout; no key the choice cannot read
     selector = next(iter(echo))
-    overrides = [f"analysis.{selector}={choice}"]
-    resolved = _resolve("", command=command, overrides=overrides, seed_override=1).resolved
+    overrides = ["chain.master_seed=1", f"analysis.{selector}={choice}"]
+    resolved = _resolve("", command=command, overrides=overrides).resolved
     assert list(resolved["analysis"].items()) == list(echo.items())
     if choice in ("exponential", "exp_density"):  # the defaults
-        assert _resolve("", command=command, seed_override=1).resolved == resolved
+        assert _resolve("", command=command, overrides=overrides[:1]).resolved == resolved
+
+
+# every settable key: each command reads the shared sections' keys and its own [analysis] keys
+_SHARED_KEYS = {
+    "chain": "boundary n rounds master_seed",
+    "field": "kind noise_sigma noise_distribution value center amplitude omega phase csv "
+             "components",
+    "field.<name>": "kind value center amplitude omega phase csv components",
+    "algorithm": "variant rho rho_b rho_f L lengths weights_csv K row_tol",
+    "output": "dir prefix",
+}
+_ANALYSIS_KEYS = {
+    "simulate": "",
+    "freq-spatial": "harmonic settle",
+    "freq-temporal": "omegas settle",
+    "noise": "noise_target rho L count sigma replicates",
+    "spacing": "law rho eta replicates tail_eps",
+    "figures": "",
+}
+
+
+def test_the_settable_keys_are_pinned():
+    def union(common, kinds):  # the keys of every choice's table, selector included
+        return {key for table, _ in kinds.values() for key in {**common, **table}}
+
+    found = set()
+    for command, analysis in config._ANALYSIS.items():
+        sections = {
+            "chain": union({"boundary": None, **config._CHAIN}, config._BOUNDARIES),
+            "field": union({"kind": None, **config._FIELD}, config._FIELD_KINDS),
+            "field.<name>": union({"kind": None}, config._FIELD_KINDS),
+            "algorithm": union({"variant": None}, config._VARIANTS),
+            "analysis": (union({analysis[0]: None}, analysis[2]) if isinstance(analysis, tuple)
+                         else set(analysis)),
+            "output": set(config._OUTPUT),
+        }
+        found |= {(command, section, key) for section, keys in sections.items() for key in keys}
+    expected = {(command, section, key) for command in _ANALYSIS_KEYS
+                for section, keys in _SHARED_KEYS.items() for key in keys.split()}
+    expected |= {(command, "analysis", key) for command, keys in _ANALYSIS_KEYS.items()
+                 for key in keys.split()}
+    assert found == expected
 
 
 @pytest.mark.parametrize("command, text", [
@@ -307,7 +374,7 @@ def test_cli_malformed_table_csv_is_a_validation_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("kind", ["field", "weights"])
 def test_cli_table_sensor_past_the_chain_is_a_validation_error(tmp_path, capsys, kind):
     # a sensor index past the chain is rejected before a dense array sized by it
-    # (80 MB here) is allocated; steps and offsets stay unbounded
+    # (80 MB here) is allocated
     csv = tmp_path / "table.csv"
     if kind == "field":
         csv.write_text("sensor,step,value\n0,0,1.0\n10000000,0,2.0\n")

@@ -336,11 +336,11 @@ def _kinds(draw, n, steps):
         return SpatialCosine(draw(st.floats(-2, 2)), draw(st.floats(0, 3)), draw(st.floats(-1, 1)))
     if kind == "temporal":
         return TemporalCosine(draw(st.floats(-2, 2)), draw(st.floats(0, 3)))
-    first = draw(st.integers(-2, 0))  # a table may cover more than sensors 0..n-1
-    shape = (n - first,) if kind == "table" else (n - first, steps + draw(st.integers(0, 2)))
+    rows = n + draw(st.integers(0, 2))  # a table may cover more than sensors 0..n-1
+    shape = (rows,) if kind == "table" else (rows, steps + draw(st.integers(0, 2)))
     cell = st.sampled_from((0.0, -0.0, 1.0, -2.5)) | st.floats(-1e3, 1e3)
     values = draw(st.lists(cell, min_size=math.prod(shape), max_size=math.prod(shape)))
-    return TableField(np.reshape(values, shape), first_sensor=first)
+    return TableField(np.reshape(values, shape))
 
 
 @st.composite

@@ -110,6 +110,10 @@ def _simulate_weights(tmp_path, text):
     ("sensor,value\n0,1\n1,2\n1_0,3\n", "row 4 '1_0,3': expected integer sensor and a number"),
     ("sensor,value\n0,1\n1,2\n2,1_0.5\n", "row 4 '2,1_0.5': expected integer sensor"),
     ("sensor,value\n0,1\n\n1,2\n2,3\n", "row 3 '': empty line"),
+    # no round of a 2-round run reads step 3 or later; the dense array was sized by it
+    ("sensor,step,value\n0,0,1\n1,0,2\n2,0,3\n0,3000000,4\n",
+     "row 5 '0,3000000,4': step outside 0..2"),
+    ("sensor,step,value\n0,0,1\n1,0,2\n2,3,3\n", "row 4 '2,3,3': step outside 0..2"),
 ])
 def test_table_csv_rejects_bad_indices_naming_the_row(tmp_path, capsys, text, message):
     assert _simulate_table(tmp_path, text) == 1
@@ -126,6 +130,11 @@ def test_table_csv_rejects_bad_indices_naming_the_row(tmp_path, capsys, text, me
     # the old weight reader ignored cells past the third
     ("sensor,offset,weight\n0,0,1\n1,0,1,9\n2,0,1\n",
      "row 3 '1,0,1,9': expected integer sensor,offset"),
+    # an offset of 3 or more weights no sensor of a 3-sensor chain; the dense
+    # array was sized by it
+    ("sensor,offset,weight\n0,0,1\n1,0,1\n2,5000000,1\n",
+     "row 4 '2,5000000,1': offset outside -2..2"),
+    ("sensor,offset,weight\n0,0,1\n1,-3,1\n2,0,1\n", "row 3 '1,-3,1': offset outside -2..2"),
 ])
 def test_weight_csv_rejects_bad_indices_naming_the_row(tmp_path, capsys, text, message):
     assert _simulate_weights(tmp_path, text) == 1
