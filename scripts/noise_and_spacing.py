@@ -59,9 +59,8 @@ def spacing_table(replicates, seed):
                      (UniformGaps(0.3), 0.5), (UniformGaps(0.3), 0.9)):
         rep, us, faults = timed(
             lambda: monte_carlo_spacing(rho, SpacingModel(law, seed), replicates), replicates)
-        var_a = "-" if rep.var_analytic is None else f"{rep.var_analytic:13.6f}"
-        print(f"{rep.law:>18} {rho:8.4f} {rep.k_analytic:8.4f} "
-              f"{rep.mean:8.5f} {rep.var_sampled:9.6f} {var_a:>13} {us:7.2f} {faults:7d}")
+        print(f"{rep.law:>18} {rho:8.4f} {rep.k_analytic:8.4f} {rep.mean:8.5f} "
+              f"{rep.var_sampled:9.6f} {rep.var_analytic:13.6f} {us:7.2f} {faults:7d}")
 
 
 def main():

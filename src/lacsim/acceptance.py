@@ -235,7 +235,9 @@ def criterion_8() -> CriterionResult:
 
     mcu = monte_carlo_spacing(0.9, SpacingModel(UniformGaps(0.3), 778), 20000)
     mean_u_ok = abs(mcu.mean - 1.0) <= 3.0 * mcu.mean_se
+    var_u_ok = abs(mcu.var_sampled - mcu.var_analytic) <= 0.1 * mcu.var_analytic
     parts.append(f"uniform mean {mcu.mean:.5f} (3SE {3 * mcu.mean_se:.2e}): {mean_u_ok}")
+    parts.append(f"var {mcu.var_sampled:.6f} vs {mcu.var_analytic:.6f} within 10%: {var_u_ok}")
 
     worst_id = 0.0
     for r in np.linspace(0.02, 0.98, 50):
@@ -246,7 +248,8 @@ def criterion_8() -> CriterionResult:
     parts.append(f"identity worst {worst_id:.2e} (tol 1e-14): {id_ok}")
 
     elapsed = time.perf_counter() - t0
-    passed = k_exact and mean_ok and var_ok and mean_u_ok and id_ok and elapsed < 30.0
+    passed = (k_exact and mean_ok and var_ok and mean_u_ok and var_u_ok and id_ok
+              and elapsed < 30.0)
     return CriterionResult(8, "random-spacing constants, moments, and Monte Carlo", passed,
                            "; ".join(parts) + f"; runtime {elapsed:.2f}s < 30s", elapsed)
 

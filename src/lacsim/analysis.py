@@ -19,11 +19,12 @@ from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 from .fields import Cosine, MeasurementField
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
-                           PerSensorWindow, _check_integer)
-from .streams import check_seed, replicate_generators
+                           PerSensorWindow, _check_integer, generator)
 
 SETTLE_TAIL = 1e-9
 BISECTION_TOL = 1e-10
+# replicates per block of `monte_carlo_noise`
+_NOISE_BLOCK = 1024
 
 
 def h_exp(rho: float, omega: float) -> float:
@@ -296,42 +297,42 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     """Sample variance of the converged consensus value over seeded replicates
     of pure measurement noise on a constant field, against the closed form.
 
-    Replicate r draws its noise from the stream spawned at (master_seed, r).
-    The running sums add one block of 2048 replicates at a time, so a parallel
-    split merges to the identical result only at multiples of 2048
-    replicates, its parts' block sums added in block order.  Each block is
-    filtered in place, 2^15 values (or one row) at a time, so a call holds
-    one block of draws and one chunk's spectrum.
+    All replicates draw from the one stream `np.random.default_rng(master_seed)`,
+    a block of `_NOISE_BLOCK` rows at a time; numpy fills a block in order,
+    and the sums add one replicate after another, so the report does not
+    depend on the block size.  Each block is filtered in place, 2^15 values
+    (or one row) at a time, and its squares go to a second block, so a call
+    holds two blocks and one chunk's spectrum.
     """
     replicates = _check_integer("replicates", replicates, 100)
     if not 0.0 <= sigma < math.inf:
         raise ValidationError(f"sigma must be finite and >= 0, got {sigma!r}")
-    check_seed(master_seed)
+    rng = generator(master_seed)
     kernel, analytic = _noise_kernel(target)
     n = len(kernel)
     kernel_hat = np.fft.rfft(kernel)  # symmetric kernel: transform is real
-    sums = np.zeros(n)
-    sq_sums = np.zeros(n)
-    block = 2048
     chunk = max(1, (1 << 15) // n)  # rows per transform
-    eps_buf = np.empty((min(block, replicates), n))  # every block's draws
-    done = 0
-    while done < replicates:
-        count = min(block, replicates - done)
-        eps = eps_buf[:count]
-        for row, gen in zip(eps, replicate_generators(master_seed, done, count)):
-            gen.standard_normal(out=row)
-        eps *= sigma  # sigma z, where gen.normal gives 0.0 + sigma z: the same but for -0.0
+    # row 0 of each half holds the running sum of the outputs and of their
+    # squares; rows 1.. hold a block's outputs and their squares
+    buf = np.zeros((2, min(_NOISE_BLOCK, replicates) + 1, n))
+    for done in range(0, replicates, _NOISE_BLOCK):
+        count = min(_NOISE_BLOCK, replicates - done)
+        eps = buf[0, 1:count + 1]
+        rng.standard_normal(out=eps)
+        eps *= sigma  # sigma z, where rng.normal gives 0.0 + sigma z: the same but for -0.0
         # rows transform independently; numpy 1.22's FFTs take no out=
         for lo in range(0, count, chunk):
             rows = eps[lo:lo + chunk]
             spectrum = np.fft.rfft(rows, axis=1)
             spectrum *= kernel_hat
             rows[...] = np.fft.irfft(spectrum, n=n, axis=1)
-        sums += eps.sum(axis=0)
-        eps *= eps
-        sq_sums += eps.sum(axis=0)
-        done += count
+        np.square(eps, out=buf[1, 1:count + 1])
+        # accumulate adds row after row for any n, where a sum over one
+        # column would be pairwise
+        running = buf[:, :count + 1]
+        np.add.accumulate(running, axis=1, out=running)
+        buf[:, 0] = buf[:, count]
+    sums, sq_sums = buf[:, 0]
     per_sensor = (sq_sums - sums ** 2 / replicates) / (replicates - 1)
     sampled = float(per_sensor.mean())
     analytic *= sigma * sigma

@@ -239,7 +239,9 @@ def read_ini(text: str) -> dict:
 
 
 def merge_settings(base: dict, overrides: list) -> dict:
-    """Apply `section.key=value` override strings over a parsed config."""
+    """Apply `section.key=value` override strings over a parsed config.  A
+    blank value removes the key, as a blank INI value does, so its default
+    applies."""
     merged = {s: dict(kv) for s, kv in base.items()}
     for item in overrides:
         if "=" not in item:
@@ -248,7 +250,11 @@ def merge_settings(base: dict, overrides: list) -> dict:
         if "." not in path:
             raise ValidationError(f"override {item!r} is not of the form section.key=value")
         section, key = path.rsplit(".", 1)
-        merged.setdefault(section, {})[key] = value.strip()
+        entries = merged.setdefault(section, {})
+        if value.strip():
+            entries[key] = value.strip()
+        else:
+            entries.pop(key, None)
     return merged
 
 

@@ -1,9 +1,11 @@
 """Measurement fields: deterministic signals over (sensor, step) plus seeded noise.
 
-A field assigns a bounded value x_i(k) to every sensor index i and time step
-k >= 0.  Noise, when configured, is drawn from a counter-based stream keyed by
-(seed, i, k), so evaluation order never matters and repeated evaluation of the
-same point is bit-identical.
+A field assigns a bounded value x_i(k) to every sensor index i >= 0 and time
+step k >= 0.  Noise, when configured, comes from numpy's Philox generator:
+step k's noise is the first n draws of `Generator(Philox(key=<the seed's two
+64-bit words>, counter=[0, k, 0, 0]))`, and sensor i takes draw i.  So a
+row's first values do not depend on the chain length, and the rows of any
+block of steps are those of the whole grid.
 
 `evaluate_field` is the point-by-point reference; `evaluate_grid` gives the
 same values for a whole (step, sensor) grid at once.  Each kind's `grid(n,
@@ -19,15 +21,11 @@ from typing import Union
 
 import numpy as np
 
-from . import philox
 from .errors import OutOfDomainError, ValidationError
-from .streams import generator
+from .static_rules import generator
 
 _MASK64 = (1 << 64) - 1
 _ROOT3 = math.sqrt(3.0)
-# noise points per Philox call: enough to spread numpy's cost per call, few
-# enough that the 0.8 MB of word buffers stay in cache
-_BLOCK = 8192
 
 
 def _require_finite(name, *values):
@@ -206,64 +204,57 @@ class MeasurementField:
         return m
 
 
-def _noise_at(noise: Noise, i: int, k: int) -> float:
-    # Philox counter (k, i) under a fixed key: an order-independent stream
-    # that is reproducible per (seed, i, k).  The words go in as uint64
-    # arrays: from a list of Python ints numpy rounds a word >= 2**63
-    # through float64, so seeds would collide and `_noise_grid` would differ
-    gen = np.random.Generator(np.random.Philox(
-        counter=np.array([k & _MASK64, i & _MASK64, 0, 0], dtype=np.uint64),
-        key=np.array([noise.seed & _MASK64, (noise.seed >> 64) & _MASK64], dtype=np.uint64)))
+def _philox_key(seed: int) -> np.ndarray:
+    # a uint64 array: from a list of Python ints numpy rounds a word >= 2**63
+    # through float64, so seeds would collide
+    return np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
+
+
+def _fill(noise: Noise, gen: np.random.Generator, out: np.ndarray) -> None:
+    """The next out.size noise values of `gen`, in order, into `out`."""
     if noise.distribution == "gaussian":
-        return noise.sigma * float(gen.standard_normal())
-    return float(gen.uniform(-_ROOT3 * noise.sigma, _ROOT3 * noise.sigma))
+        gen.standard_normal(out=out)
+        out *= noise.sigma
+    else:
+        low, high = -_ROOT3 * noise.sigma, _ROOT3 * noise.sigma
+        gen.random(out=out)
+        out *= high - low  # Generator.uniform's own arithmetic, low + (high - low) u
+        out += low
+
+
+def _noise_at(noise: Noise, i: int, k: int) -> float:
+    """Draw i of step k's generator, built afresh."""
+    gen = np.random.Generator(np.random.Philox(
+        key=_philox_key(noise.seed), counter=np.array([0, k, 0, 0], dtype=np.uint64)))
+    row = np.empty(i + 1)
+    _fill(noise, gen, row)
+    return float(row[i])
 
 
 def _noise_grid(noise: Noise, n: int, steps: int) -> np.ndarray:
-    """`_noise_at` over the (steps, n) grid, bit for bit.  Point (i, k) draws
-    from word 0 of Philox4x64-10 at counter [k + 1, i, 0, 0], computed for
-    `_BLOCK` points at a time; the few Gaussian points whose word the
-    ziggurat does not accept at once are drawn again one by one."""
-    out = np.empty(steps * n)
-    bits = philox.Philox(noise.seed, min(_BLOCK, out.size))
-    half = _ROOT3 * noise.sigma
-    redraw = []
-    for start in range(0, out.size, _BLOCK):
-        k, i = np.divmod(np.arange(start, min(start + _BLOCK, out.size), dtype=np.uint64),
-                         np.uint64(n))
-        words = bits.first_words(k + np.uint64(1), i)
-        block = out[start:start + len(words)]
-        if noise.distribution == "gaussian":
-            redraw += (start + np.flatnonzero(philox.normal_accepts(words, block))).tolist()
-        else:
-            block[...] = philox.uniform(words, -half, half)
-    if noise.distribution == "gaussian":
-        if redraw:
-            _normal_at(noise.seed, n, redraw, out)
-        out *= noise.sigma
-    return out.reshape(steps, n)
-
-
-def _normal_at(seed: int, n: int, points: list, out: np.ndarray) -> None:
-    """`standard_normal()` of `_noise_at` at each flat grid point p = k n + i
-    into out[p], from one generator: before each draw its Philox counter is
-    reset to the state the point's own generator starts in."""
-    key = np.array([seed & _MASK64, (seed >> 64) & _MASK64], dtype=np.uint64)
+    """`_noise_at` over the (steps, n) grid, bit for bit, one row per step.
+    One Philox serves every row: setting its state to the one a fresh
+    generator for step k starts in costs far less than building that
+    generator, which seeds a throwaway SeedSequence from OS entropy."""
+    key = _philox_key(noise.seed)
     bits = np.random.Philox(key=key)
     gen = np.random.Generator(bits)
-    state = {"bit_generator": "Philox", "state": {"counter": None, "key": key},
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for p in points:
-        k, i = divmod(p, n)
-        state["state"]["counter"] = [k, i, 0, 0]
+    out = np.empty((steps, n))
+    for k, row in enumerate(out):
+        state["state"]["counter"][1] = k
         bits.state = state
-        out[p] = gen.standard_normal()
+        _fill(noise, gen, row)
+    return out
 
 
 def evaluate_field(field: MeasurementField, i: int, k: int) -> float:
     """x_i(k): the deterministic kind plus the seeded noise term, if any."""
     if k < 0:
         raise ValidationError(f"time step must be >= 0, got {k}")
+    if i < 0:
+        raise ValidationError(f"sensor index must be >= 0, got {i}")
     v = field.kind.at(i, k)
     if field.noise is not None and field.noise.sigma > 0:
         v += _noise_at(field.noise, i, k)

@@ -19,9 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NeedsMoreSensorsError, ValidationError
-from .fields import MeasurementField, evaluate_field
-from .static_rules import _check_integer, _check_rho
-from .streams import check_seed, generator, replicate_generators
+from .fields import MeasurementField, evaluate_grid
+from .static_rules import _check_integer, _check_rho, generator
 
 # replicates per block of `monte_carlo_spacing`, bounded so that a block's
 # gap arrays hold at most _BLOCK_ELEMENTS values each
@@ -53,15 +52,6 @@ SpacingLaw = Union[ExpGaps, UniformGaps]
 
 
 @dataclass(frozen=True)
-class _UnitUniform:
-    """U[0, 1) variates: uniform gaps before `monte_carlo_spacing` maps a
-    whole block of them to [1 - eta, 1 + eta) at once."""
-
-
-_UNIT_UNIFORM = _UnitUniform()
-
-
-@dataclass(frozen=True)
 class SpacingModel:
     law: SpacingLaw
     seed: int = 0
@@ -88,12 +78,9 @@ class SpacingDraw:
         return self.gaps.size + 1
 
 
-def _draw_gaps(law: SpacingLaw | _UnitUniform, count: int,
-               rng: np.random.Generator) -> np.ndarray:
+def _draw_gaps(law: SpacingLaw, count: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(law, ExpGaps):
         return rng.standard_exponential(count)
-    if isinstance(law, _UnitUniform):
-        return rng.random(count)
     return rng.uniform(1.0 - law.eta, 1.0 + law.eta, count)
 
 
@@ -133,26 +120,52 @@ class SpacingMoments:
     var_y: float    # variance of the normalized consensus value
 
 
-def spacing_moments(rho: float) -> SpacingMoments:
-    """Moment chain for e^{-d} gaps; the two routes to var_u (closed form and
-    the product-variance fixed point) are checked against each other."""
+def _sinhc_minus_one(x: float) -> float:
+    """sinh(x)/x - 1 for x >= 0, by its series below 1, where the plain form
+    cancels."""
+    if x >= 1.0:
+        return math.sinh(x) / x - 1.0
+    x2, term, total = x * x, 1.0, 0.0
+    for j in range(2, 24, 2):  # x^j / (j + 1)!
+        term *= x2 / (j * (j + 1))
+        total += term
+    return total
+
+
+def spacing_moments(rho: float, law: SpacingLaw = ExpGaps()) -> SpacingMoments:
+    """Moment chain of xi = rho^gap, the same for either law: the one-sided
+    sum U = xi (1 + U') has var_u = var_xi / ((1 - e_xi)^2 (1 - e_xi2)),
+    K = (1 - e_xi) / (1 + e_xi) and var_y = 2 K^2 var_u.  Only the moments
+    of xi depend on the law: with s = -log rho, E[rho^(a gap)] is 1/(1 + a s)
+    for e^{-d} gaps and rho^a sinh(a s eta)/(a s eta), that is
+    (rho^(a(1-eta)) - rho^(a(1+eta))) / (2 eta a s), for uniform ones.  Each
+    difference is taken in a form that keeps its digits as rho -> 1 or
+    eta -> 0.  For e^{-d} gaps var_u and var_y also have closed forms, which
+    the chain must match and which are returned."""
     _check_rho("rho", rho)
     s = -math.log(rho)
-    e_xi = 1.0 / (1.0 + s)
-    e_xi2 = 1.0 / (1.0 + 2.0 * s)
-    # cancellation-free form of e_xi2 - e_xi^2; the plain subtraction loses
-    # everything as rho -> 1
-    var_xi = s * s / ((1.0 + 2.0 * s) * (1.0 + s) ** 2)
-    var_u = 1.0 / (2.0 * s)
-    e_u = (1.0 + s) / s
-    one_minus_e_xi2 = 2.0 * s / (1.0 + 2.0 * s)  # 1 - e_xi2 without cancellation
-    fixed_point = var_xi * e_u * e_u / one_minus_e_xi2
-    if not math.isclose(fixed_point, var_u, rel_tol=1e-12):
-        raise AssertionError(f"moment chain inconsistent: {fixed_point} vs {var_u}")
-    var_y = s / (2.0 + s) ** 2
-    k = k_poisson(rho)
-    if abs(var_y - 2.0 * k * k * var_u) > 1e-14:
-        raise AssertionError("var_y identity 2 K^2 var_u violated")
+    if isinstance(law, ExpGaps):
+        e_xi, e_xi2 = 1.0 / (1.0 + s), 1.0 / (1.0 + 2.0 * s)
+        one_minus = (s / (1.0 + s), 2.0 * s / (1.0 + 2.0 * s))
+        var_xi = s * s / ((1.0 + 2.0 * s) * (1.0 + s) ** 2)
+    else:
+        x = s * law.eta
+        m1, m2 = _sinhc_minus_one(x), _sinhc_minus_one(2.0 * x)
+        e_xi, e_xi2 = rho * (1.0 + m1), rho * rho * (1.0 + m2)
+        one_minus = (-math.expm1(-s) - rho * m1, -math.expm1(-2.0 * s) - rho * rho * m2)
+        # S(2x) = S(x) cosh x for S(x) = sinh(x)/x, so var_xi = rho^2 (S(2x) - S(x)^2)
+        # is rho^2 S(x) ((cosh x - 1) - (S(x) - 1))
+        var_xi = rho * rho * (1.0 + m1) * (2.0 * math.sinh(0.5 * x) ** 2 - m1)
+    k = one_minus[0] / (1.0 + e_xi)
+    var_u = var_xi / one_minus[0] ** 2 / one_minus[1]
+    var_y = 2.0 * k * k * var_u
+    if isinstance(law, ExpGaps):
+        closed_u, closed_y = 1.0 / (2.0 * s), s / (2.0 + s) ** 2
+        if not math.isclose(var_u, closed_u, rel_tol=1e-12):
+            raise AssertionError(f"moment chain inconsistent: {var_u} vs {closed_u}")
+        if not math.isclose(var_y, closed_y, rel_tol=1e-12):
+            raise AssertionError(f"var_y identity 2 K^2 var_u violated: {var_y} vs {closed_y}")
+        var_u, var_y = closed_u, closed_y
     return SpacingMoments(e_xi=e_xi, e_xi2=e_xi2, var_xi=var_xi, var_u=var_u, var_y=var_y)
 
 
@@ -178,7 +191,8 @@ def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: flo
         raise ValidationError(f"sensor {i} outside draw of {draw.sensors} sensors")
     _check_rho("tail_eps", tail_eps)
     gaps = draw.gaps
-    total = evaluate_field(field, i, 0)
+    x = evaluate_grid(field, draw.sensors, 1)[0].tolist()  # step 0 of every sensor
+    total = x[i]
     for step, stop in ((1, draw.sensors - 1), (-1, 0)):
         cum = 0.0
         j = i
@@ -192,7 +206,7 @@ def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: flo
             w = rho ** cum
             if w < tail_eps:
                 break
-            total += w * evaluate_field(field, j, 0)
+            total += w * x[j]
     return k_norm * total
 
 
@@ -203,7 +217,7 @@ class SpacingMCReport:
     k_analytic: float
     mean: float
     mean_se: float
-    var_analytic: float | None
+    var_analytic: float
     var_sampled: float
     var_se: float
     replicates: int
@@ -236,49 +250,35 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     """Sample mean and variance of the normalized consensus value on an
     all-ones field over independent spacing draws.
 
-    Each replicate draws both directions from the stream spawned at
-    (model.seed, replicate), so the merge is order-independent.
+    All replicates draw from the one stream `np.random.default_rng(model.seed)`,
+    one call of `_draw_gaps` per block of replicates; numpy fills a block in
+    order and each replicate's value depends on its own draws alone, so the
+    report does not depend on the block size.
     """
     replicates = _check_integer("replicates", replicates, 1000)
     _check_rho("tail_eps", tail_eps)
-    check_seed(model.seed)
+    rng = generator(model.seed)
     law = model.law
     if isinstance(law, ExpGaps):
         k_norm = k_poisson(rho)
         law_name = "exp_density"
-        var_analytic = spacing_moments(rho).var_y
-        drawn = law
     else:
         k_norm = k_uniform(rho, law.eta)
         law_name = f"uniform(eta={law.eta})"
-        var_analytic = None
-        # drawn as U[0, 1) and mapped a block at a time with Generator.uniform's
-        # own arithmetic, low + (high - low) u: the gaps rng.uniform would give
-        drawn = _UNIT_UNIFORM
-        low, high = 1.0 - law.eta, 1.0 + law.eta
+    var_analytic = spacing_moments(rho, law).var_y
     gap_count = _required_sensors(rho, law, tail_eps)
     block = max(1, min(_BLOCK_REPLICATES, _BLOCK_ELEMENTS // (2 * gap_count)))
     limit = (math.log(tail_eps) - _LOG_MARGIN) / math.log(rho) * (1.0 + _LOG_MARGIN)
-    # every block's draws and rho^c reuse these, so no block faults in fresh pages
-    size = 2 * min(block, replicates) * gap_count
-    cum_buf, w_buf = np.empty(size), np.empty(size)
     values = np.empty(replicates)
     for done in range(0, replicates, block):
         count = min(block, replicates - done)
-        # one draw of 2g values is the two sides' consecutive draws of g:
-        # rows 2r and 2r + 1 are replicate r's sides
-        draws = [_draw_gaps(drawn, 2 * gap_count, rng)
-                 for rng in replicate_generators(model.seed, done, count)]
-        cum = np.concatenate(draws, out=cum_buf[:2 * count * gap_count])
-        if drawn is _UNIT_UNIFORM:
-            cum *= high - low
-            cum += low
-        cum = cum.reshape(2 * count, gap_count)
+        # rows 2r and 2r + 1 are replicate r's two sides, drawn one after the other
+        cum = _draw_gaps(law, 2 * count * gap_count, rng).reshape(2 * count, gap_count)
         np.cumsum(cum, axis=-1, out=cum)
         # c grows along each side, so its column minima do too: the columns in
         # which any side can keep a term are a prefix
         reach = int(np.count_nonzero(cum.min(axis=0) <= limit))
-        w = np.power(rho, cum[:, :reach], out=w_buf[:2 * count * reach].reshape(2 * count, reach))
+        w = np.power(rho, cum[:, :reach], out=cum[:, :reach])
         # w never increases along a side, so the kept terms are a prefix
         sides = _side_sums(w, (w >= tail_eps).sum(axis=-1)).reshape(count, 2)
         # a replicate is k (1 + ((0.0 + s0) + s1)); no sum of w is -0.0, so 0.0 + s0 is s0

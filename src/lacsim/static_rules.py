@@ -16,6 +16,7 @@ sensors; the engine steps the whole chain in one call.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,18 @@ def _check_integer(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_seed(seed) -> None:
+    """A seed is a non-negative integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def generator(seed) -> np.random.Generator:
+    """numpy's default generator for `seed`, `Generator(PCG64(SeedSequence(seed)))`."""
+    check_seed(seed)
+    return np.random.default_rng(seed)
 
 
 def _check_half_width(name: str, value) -> int:

@@ -312,6 +312,23 @@ def test_cli_rewrites_outputs_in_place_to_the_bytes_of_a_fresh_run(tmp_path, mon
         assert rewritten == simulate(tmp_path / f"fresh{j}", rounds)
 
 
+def test_cli_blank_set_values_take_the_defaults(tmp_path, monkeypatch):
+    # a blank --set value removes the key, as a blank INI value does: the
+    # outputs go to out/run_*, not to ./_*, and the echoed config reruns them
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--set", "output.dir=", "--set", "output.prefix= ",
+                 "--set", "chain.n=6", "--set", "chain.rounds=4",
+                 "--set", "field.noise_sigma=0.5", "--seed", "3"]) == 0
+    out = tmp_path / "out"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert (meta["config"]["output"]["dir"], meta["config"]["output"]["prefix"]) == ("out", "run")
+    (tmp_path / "replay.ini").write_text(meta["config_ini"])
+    assert main(["simulate", "--config", "replay.ini", "--out", "again"]) == 0
+    assert (tmp_path / "again" / "run_trace.csv").read_bytes() == \
+        (out / "run_trace.csv").read_bytes()
+
+
 def test_cli_rerun_from_embedded_config(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

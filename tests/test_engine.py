@@ -267,7 +267,7 @@ GOLDEN = {
     "dyn_window/ring": "c531db98a30f6a6647a27f63b3835f07e5a7b652165e323b92ed22d566061bfe",
     "dyn_window/zero_halo": "72fe2def600132fdf49bd3780df33b2e6d3a3f95e7adaaf67650c5800a2131eb",
     "dyn_window/truncated": "c73518a6681f7e9fdc6069b27c0929c50c7f02f0782ce0f9b08d782281d0c9bd",
-    "exp/noisy": "ea8032fe59bd444c4c7c539bf0ed626ebfd88ece2d75e5cbf418b26ced03d805",
+    "exp/noisy": "ce73320ca1a03485dbe3488fdd0757cfeed8fc9dd6025c9860814ab5ea7a2b63",
 }
 
 

@@ -10,9 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lacsim import (Constant, Cosine, Impulse, MeasurementField, Noise, OutOfDomainError,
                     SpatialCosine, SumField, TableField, TemporalCosine, ValidationError,
                     evaluate_field, evaluate_grid)
-from lacsim import philox
-from lacsim._ziggurat import WI
-from lacsim.fields import _noise_at, _noise_grid
+from lacsim.fields import _noise_grid
 
 
 def test_constant_field():
@@ -103,9 +101,11 @@ def test_non_finite_parameters_rejected():
         Noise(1.0, distribution="cauchy")
 
 
-def test_negative_step_rejected():
-    with pytest.raises(ValidationError):
+def test_negative_step_or_sensor_rejected():
+    with pytest.raises(ValidationError, match="time step"):
         evaluate_field(MeasurementField(Constant(1.0)), 0, -1)
+    with pytest.raises(ValidationError, match="sensor index"):
+        evaluate_field(MeasurementField(Constant(1.0)), -1, 0)
 
 
 def test_noise_is_reproducible_per_point():
@@ -227,43 +227,39 @@ _SEEDS = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(2 ** 63, 2 ** 64 - 1
                    st.integers(2 ** 64, 2 ** 128 - 1))
 
 
-def _noise_pointwise(noise, n, steps):
-    return np.array([[_noise_at(noise, i, k) for i in range(n)] for k in range(steps)])
+def _numpy_rows(noise, n, steps):
+    """Row k: the first n draws of numpy's own `Generator(Philox(key=<the
+    seed's two words>, counter=[0, k, 0, 0]))`, built afresh for each row."""
+    key = np.array([noise.seed % 2 ** 64, noise.seed >> 64], dtype=np.uint64)
+    half = math.sqrt(3.0) * noise.sigma
+    rows = []
+    for k in range(steps):
+        gen = np.random.Generator(np.random.Philox(
+            key=key, counter=np.array([0, k, 0, 0], dtype=np.uint64)))
+        rows.append(noise.sigma * gen.standard_normal(n) if noise.distribution == "gaussian"
+                    else gen.uniform(-half, half, n))
+    return np.array(rows).reshape(steps, n)
 
 
 @settings(max_examples=25, deadline=None)
 @given(_SEEDS, st.sampled_from(["gaussian", "uniform"]), st.floats(0.01, 10.0),
-       st.integers(1, 2200))
-def test_noise_grid_matches_the_point_spec_on_grids_with_rejections(seed, distribution,
-                                                                   sigma, n):
-    # 2,000 to 4,000 points: a Gaussian grid has about 1.5 % of its points
-    # outside the ziggurat's accept path
-    steps = -(-2000 // n)
+       st.integers(1, 2200), st.integers(1, 6))
+def test_noise_rows_are_numpys_philox_streams(seed, distribution, sigma, n, steps):
     noise = Noise(sigma, distribution, seed)
-    assert _noise_grid(noise, n, steps).tobytes() == _noise_pointwise(noise, n, steps).tobytes()
+    assert _noise_grid(noise, n, steps).tobytes() == _numpy_rows(noise, n, steps).tobytes()
 
 
-@pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
-def test_noise_grid_matches_the_point_spec_across_blocks(distribution):
-    # 12,297 points: a second block of the generator starts inside row 1
-    noise = Noise(0.5, distribution, 2 ** 64 + 3)
-    assert _noise_grid(noise, 4099, 3).tobytes() == _noise_pointwise(noise, 4099, 3).tobytes()
-
-
-def test_noise_grid_matches_the_point_spec_on_layer_zero():
-    # seed 1 on 50 x 40: point (36, 0) falls in the base layer (idx 0) and is
-    # rejected into the tail, beyond r = 3.654..; point (36, 17) is accepted there
-    n, steps, noise = 50, 40, Noise(1.0, "gaussian", 1)
-    k, i = np.divmod(np.arange(n * steps, dtype=np.uint64), np.uint64(n))
-    words = philox.Philox(1, n * steps).first_words(k + np.uint64(1), i)
-    layer = (words & np.uint64(0xFF)).reshape(steps, n)
-    rejected = philox.normal_accepts(words, np.empty(n * steps)).reshape(steps, n)
-    assert layer[0, 36] == 0 and rejected[0, 36]
-    assert layer[17, 36] == 0 and not rejected[17, 36]
-    grid = _noise_grid(noise, n, steps)
-    r = WI[255] * 2.0 ** 52  # where the tail starts
-    assert abs(grid[0, 36]) > r > abs(grid[17, 36])
-    assert grid.tobytes() == _noise_pointwise(noise, n, steps).tobytes()
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.sampled_from(["gaussian", "uniform"]), st.integers(1, 300),
+       st.integers(0, 300), st.integers(0, 12), st.integers(1, 12), st.integers(0, 12))
+def test_a_block_of_steps_or_sensors_is_a_slice_of_the_whole_grid(seed, distribution, n, more,
+                                                                  first, block, later):
+    # the rows of steps first..first+block-1 do not depend on the rows after
+    # them, and a row's first values do not depend on the chain length
+    field = MeasurementField(SpatialCosine(1.0, 0.3), noise=Noise(0.8, distribution, seed))
+    whole = evaluate_grid(field, n + more, first + block + later)
+    assert evaluate_grid(field, n, first + block)[first:].tobytes() == \
+        whole[first:first + block, :n].tobytes()
 
 
 def test_short_table_grid_raises_the_pointwise_scan_error():
@@ -288,5 +284,4 @@ def test_noise_words_at_or_above_two_to_the_63_are_kept_exactly(seed):
             grid = evaluate_grid(field, 5, 3)
             assert grid.tobytes() == _pointwise(field, 5, 3).tobytes()
             assert evaluate_field(field, 0, 0) != evaluate_field(nearby, 0, 0)
-            # sensor -1 is counter word 2**64 - 1, not sensor 0's stream
-            assert evaluate_field(field, -1, 0) != evaluate_field(field, 0, 0)
+            assert evaluate_field(field, 0, 1) != evaluate_field(field, 0, 0)

@@ -12,8 +12,8 @@ import pytest
 import lacsim
 
 PACKAGE = Path(lacsim.__file__).parent
-ENGINE = ("chain", "static_rules", "dynamic_rules", "arbitrary_weights", "fields", "philox",
-          "g17", "streams", "tables", "errors")
+ENGINE = ("chain", "static_rules", "dynamic_rules", "arbitrary_weights", "fields", "g17",
+          "tables", "errors")
 ABOVE = {"oracle", "analysis", "spacing", "config", "cli", "acceptance", "figures"}
 
 

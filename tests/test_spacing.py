@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacsim import (BandedWeighting, ChainConfig, Constant, ExpGaps, Impulse,
-                    MeasurementField, NeedsMoreSensorsError, SpacingDraw, SpacingModel,
-                    TableField, UniformGaps, ValidationError, ZeroHalo, k_poisson,
-                    k_uniform, monte_carlo_spacing, run, sample_spacings, spacing_moments,
-                    table_from_draw, weighted_target)
+                    MeasurementField, NeedsMoreSensorsError, Noise, SpacingDraw, SpacingModel,
+                    SpatialCosine, TableField, UniformGaps, ValidationError, ZeroHalo,
+                    evaluate_grid, k_poisson, k_uniform, monte_carlo_spacing, run,
+                    sample_spacings, spacing_moments, table_from_draw, weighted_target)
 from lacsim import oracle
 
 
@@ -175,6 +175,35 @@ def test_variance_vanishes_as_rho_to_one():
     assert spacing_moments(1 - 1e-9).var_y == pytest.approx(0.0, abs=1e-8)
 
 
+def test_moment_chain_under_uniform_gaps():
+    # the value of the raw moment recursion of perfbench/checks.py's
+    # spacing_closed_form, derived apart from this chain
+    m = spacing_moments(0.5, UniformGaps(0.3))
+    assert m.var_y == pytest.approx(0.004341520801739848, rel=1e-6)
+    # K is the same chain's (1 - E xi) / (1 + E xi)
+    assert k_uniform(0.5, 0.3) == pytest.approx((1 - m.e_xi) / (1 + m.e_xi), rel=1e-12)
+    assert m.var_y == pytest.approx(2 * k_uniform(0.5, 0.3) ** 2 * m.var_u, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
+def test_uniform_moments_keep_their_digits_as_eta_vanishes(rho):
+    # to leading order in x = -eta log(rho), Var xi = rho^2 x^2 / 3, so
+    # var_y = 2 rho^2 x^2 / (3 (1 + rho)^2 (1 - rho^2)); the plain
+    # E[xi^2] - E[xi]^2 read 164 times too much at eta = 1e-6
+    for eta in (1e-6, 1e-9):
+        x = -eta * math.log(rho)
+        m = spacing_moments(rho, UniformGaps(eta))
+        assert m.var_xi == pytest.approx(rho * rho * x * x / 3, rel=1e-9)
+        assert m.var_y == pytest.approx(2 * rho * rho * x * x
+                                        / (3 * (1 + rho) ** 2 * (1 - rho * rho)), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.02, 0.98))
+def test_exponential_moments_are_the_default_law(rho):
+    assert spacing_moments(rho) == spacing_moments(rho, ExpGaps())
+
+
 def test_weighted_target_unit_spacing_reduction():
     # degenerate unit gaps with the deterministic constant reproduce the
     # exponential target exactly
@@ -194,6 +223,18 @@ def test_weighted_target_single_spike():
     field = MeasurementField(Impulse(center=3))
     got = weighted_target(draw, field, 1, rho, k_norm)
     assert got == pytest.approx(k_norm * rho ** 2.25, abs=1e-15)
+
+
+def test_weighted_target_reads_a_noisy_field_from_its_grid_row():
+    draw = sample_spacings(SpacingModel(UniformGaps(0.3), 3), 200)
+    rho, k_norm, i = 0.5, 0.4, 100
+    field = MeasurementField(SpatialCosine(1.0, 0.3), noise=Noise(0.5, seed=17))
+    x = evaluate_grid(field, draw.sensors, 1)[0]
+    d = np.concatenate(([0.0], np.cumsum(draw.gaps)))  # positions along the chain
+    w = rho ** np.abs(d - d[i])
+    kept = w >= 1e-12
+    assert weighted_target(draw, field, i, rho, k_norm) == \
+        pytest.approx(k_norm * float((w * x)[kept].sum()), rel=1e-12)
 
 
 def test_weighted_target_needs_longer_draw():
@@ -231,7 +272,8 @@ def test_monte_carlo_spacing_exp_gaps():
 def test_monte_carlo_spacing_uniform_gaps():
     rep = monte_carlo_spacing(0.9, SpacingModel(UniformGaps(0.3), 4), 2000)
     assert abs(rep.mean - 1.0) <= 4 * rep.mean_se
-    assert rep.var_analytic is None
+    assert rep.var_analytic == spacing_moments(0.9, UniformGaps(0.3)).var_y
+    assert abs(rep.var_sampled - rep.var_analytic) <= 4 * rep.var_se
     assert rep.law == "uniform(eta=0.3)"
 
 

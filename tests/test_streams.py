@@ -1,6 +1,7 @@
-"""Replicate streams: the precomputed seeding words against numpy's own
-SeedSequence, and both Monte Carlo drivers against their per-replicate
-SeedSequence loops, kept here verbatim as the reference."""
+"""Monte Carlo streams: each call draws all its replicates from the one
+generator `np.random.default_rng(seed)`, a block at a time.  Both drivers are
+checked against per-replicate loops over that stream, kept here as the
+reference, and against themselves at other block sizes."""
 import json
 import math
 import os
@@ -17,15 +18,19 @@ from hypothesis import strategies as st
 from lacsim import (Constant, ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
                     MeasurementField, SpacingDraw, SpacingModel, UniformGaps, ValidationError,
                     monte_carlo_noise, monte_carlo_spacing, sample_spacings, weighted_target)
-from lacsim import spacing
+from lacsim import analysis, spacing
 from lacsim.analysis import NoiseReport, _noise_kernel
 from lacsim.cli import main
 from lacsim.fields import random_space_time_table, random_spatial_table
 from lacsim.spacing import SpacingMCReport
-from lacsim.streams import _seed_words, generator, replicate_generators, spawned_words
+from lacsim.static_rules import generator
 
 
-# -- reference: the per-replicate SeedSequence loops --------------------------
+# -- reference: the per-replicate loops over one stream -------------------------
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
 
 def reference_noise(target, sigma: float, replicates: int, master_seed: int) -> NoiseReport:
     if replicates < 100:
@@ -33,32 +38,19 @@ def reference_noise(target, sigma: float, replicates: int, master_seed: int) -> 
     kernel, analytic = _noise_kernel(target)
     n = len(kernel)
     kernel_hat = np.fft.rfft(kernel)  # symmetric kernel: transform is real
+    rng = _rng(master_seed)
     sums = np.zeros(n)
     sq_sums = np.zeros(n)
-    block = 2048
-    done = 0
-    while done < replicates:
-        count = min(block, replicates - done)
-        eps = np.empty((count, n))
-        for r in range(count):
-            seq = np.random.SeedSequence(master_seed, spawn_key=(done + r,))
-            eps[r] = np.random.Generator(np.random.PCG64(seq)).normal(0.0, sigma, n)
-        y = np.fft.irfft(np.fft.rfft(eps, axis=1) * kernel_hat, n=n, axis=1)
-        sums += y.sum(axis=0)
-        sq_sums += (y * y).sum(axis=0)
-        done += count
+    for _ in range(replicates):
+        y = np.fft.irfft(np.fft.rfft(rng.normal(0.0, sigma, n)) * kernel_hat, n=n)
+        sums += y
+        sq_sums += y * y
     per_sensor = (sq_sums - sums ** 2 / replicates) / (replicates - 1)
     sampled = float(per_sensor.mean())
     analytic *= sigma * sigma
     se = sampled * math.sqrt(2.0 / (replicates - 1))
     return NoiseReport(analytic_variance=analytic, sampled_variance=sampled,
                        replicates=replicates, standard_error=se)
-
-
-def _rng(seed: int, replicate: int | None = None) -> np.random.Generator:
-    key = np.random.SeedSequence(seed) if replicate is None else \
-        np.random.SeedSequence(seed, spawn_key=(replicate,))
-    return np.random.Generator(np.random.PCG64(key))
 
 
 def reference_spacing(rho: float, model: SpacingModel, replicates: int,
@@ -72,15 +64,13 @@ def reference_spacing(rho: float, model: SpacingModel, replicates: int,
     if isinstance(law, ExpGaps):
         k_norm = k_poisson(rho)
         law_name = "exp_density"
-        var_analytic = spacing_moments(rho).var_y
     else:
         k_norm = k_uniform(rho, law.eta)
         law_name = f"uniform(eta={law.eta})"
-        var_analytic = None
     gap_count = _required_sensors(rho, law, tail_eps)
+    rng = _rng(model.seed)
     values = np.empty(replicates)
     for r in range(replicates):
-        rng = _rng(model.seed, r)
         sides = 0.0
         for _ in range(2):
             cum = np.cumsum(_draw_gaps(law, gap_count, rng))
@@ -93,51 +83,12 @@ def reference_spacing(rho: float, model: SpacingModel, replicates: int,
     m4 = float(((values - mean) ** 4).mean())
     var_se = math.sqrt(max(m4 - var * var, 0.0) / replicates)
     return SpacingMCReport(rho=rho, law=law_name, k_analytic=k_norm, mean=mean,
-                           mean_se=mean_se, var_analytic=var_analytic,
+                           mean_se=mean_se, var_analytic=spacing_moments(rho, law).var_y,
                            var_sampled=var, var_se=var_se, replicates=replicates)
 
 
-# -- seeding words --------------------------------------------------------------
-
 SEEDS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64),
                   st.integers(2 ** 128 + 1, 2 ** 200))
-
-
-def _reference_words(seed, first, count):
-    return np.array([np.random.SeedSequence(seed, spawn_key=(first + j,))
-                     .generate_state(4, np.uint64) for j in range(count)],
-                    dtype=np.uint64).reshape(count, 4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(SEEDS, st.integers(1990, 2060), st.integers(0, 80))
-def test_spawned_words_match_seed_sequence(seed, first, count):
-    words = spawned_words(seed, first, count)
-    assert words.dtype == np.uint64 and words.shape == (count, 4)
-    assert np.array_equal(words, _reference_words(seed, first, count))
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2 ** 32, 2 ** 96 - 1, 2 ** 128 + 3])
-def test_spawned_words_up_to_the_last_one_word_index(seed):
-    first = 2 ** 32 - 4
-    assert np.array_equal(spawned_words(seed, first, 4), _reference_words(seed, first, 4))
-
-
-@pytest.mark.parametrize("seed, first, count", [
-    (-1, 0, 1), (1.5, 0, 1), ("3", 0, 1), (None, 0, 1), (3, -1, 1), (3, 2 ** 32 - 1, 2),
-    (3, 2 ** 48, 1)])
-def test_spawned_words_rejections(seed, first, count):
-    # an index >= 2**32 is two spawn words: rejected, never silently different
-    with pytest.raises(ValidationError):
-        spawned_words(seed, first, count)
-
-
-def test_replicate_generators_draw_the_spawned_streams():
-    gens = list(replicate_generators(11, 2046, 4))
-    for j, gen in enumerate(gens):
-        ref = _rng(11, 2046 + j)
-        assert np.array_equal(gen.normal(0.0, 1.5, 200), ref.normal(0.0, 1.5, 200))
-        assert np.array_equal(gen.standard_exponential(50), ref.standard_exponential(50))
 
 
 def test_importing_lacsim_does_not_load_numpy_random():
@@ -148,12 +99,6 @@ def test_importing_lacsim_does_not_load_numpy_random():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
-
-
-def test_words_serve_pcg64_seeding_only():
-    words = _seed_words()(np.zeros(4, dtype=np.uint64))
-    with pytest.raises(ValueError):
-        words.generate_state(8, np.uint32)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 + 1, 2 ** 130])
@@ -170,14 +115,14 @@ def test_seeded_generator_helpers_keep_their_values(seed):
 
 # -- the drivers against the reference loops ------------------------------------
 
-REPLICATES = st.one_of(st.sampled_from([2048, 2049, 4097]), st.integers(1000, 3000))
+REPLICATES = st.one_of(st.sampled_from([1024, 1025, 2048, 2049, 4097]), st.integers(1000, 3000))
+NOISE_TARGETS = st.one_of(st.floats(0.05, 0.95).map(ExponentialWeighting),
+                          st.integers(1, 6).map(FiniteWindow),
+                          st.integers(1, 120).map(GlobalAverage))
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.one_of(st.floats(0.05, 0.95).map(ExponentialWeighting),
-                 st.integers(1, 6).map(FiniteWindow),
-                 st.integers(1, 120).map(GlobalAverage)),
-       st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+@given(NOISE_TARGETS, st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
        st.one_of(st.integers(100, 300), REPLICATES), SEEDS)
 def test_monte_carlo_noise_equals_the_per_replicate_loop(target, sigma, replicates, seed):
     assert monte_carlo_noise(target, sigma, replicates, seed) == \
@@ -194,15 +139,33 @@ def test_monte_carlo_spacing_equals_the_per_replicate_loop(rho, eta, replicates,
         reference_spacing(rho, model, replicates, tail_eps=tail_eps)
 
 
+@settings(max_examples=15, deadline=None)
+@given(NOISE_TARGETS, st.integers(1, 400), st.integers(100, 700), SEEDS)
+def test_monte_carlo_noise_does_not_depend_on_the_block_size(target, block, replicates, seed):
+    whole = monte_carlo_noise(target, 1.0, replicates, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_NOISE_BLOCK", block)  # shorter than the replicate count
+        assert monte_carlo_noise(target, 1.0, replicates, seed) == whole
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.1, 0.9), st.one_of(st.just(None), st.floats(0.01, 0.99)),
+       st.integers(1, 400), st.integers(1000, 1500), SEEDS)
+def test_monte_carlo_spacing_does_not_depend_on_the_block_size(rho, eta, block, replicates,
+                                                              seed):
+    model = SpacingModel(ExpGaps() if eta is None else UniformGaps(eta), seed)
+    whole = monte_carlo_spacing(rho, model, replicates)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spacing, "_BLOCK_REPLICATES", block)  # shorter than the replicate count
+        assert monte_carlo_spacing(rho, model, replicates) == whole
+
+
 def _kept_terms(rho, law, tail_eps, seed, replicates):
     """How many terms each side of the first replicates keeps."""
     gap_count = spacing._required_sensors(rho, law, tail_eps)
-    kept = []
-    for r in range(replicates):
-        rng = _rng(seed, r)
-        kept += [int((rho ** np.cumsum(spacing._draw_gaps(law, gap_count, rng)) >= tail_eps).sum())
-                 for _ in range(2)]
-    return kept
+    rng = _rng(seed)
+    return [int((rho ** np.cumsum(spacing._draw_gaps(law, gap_count, rng)) >= tail_eps).sum())
+            for _ in range(2 * replicates)]
 
 
 # The side sums are grouped by kept count.  numpy's pairwise sum changes shape
@@ -226,7 +189,7 @@ def test_grouped_side_sums_equal_the_per_replicate_loop(rho, law, tail_eps, repl
 
 
 @pytest.mark.parametrize("law", [ExpGaps(), UniformGaps(0.3)], ids=["exp", "uniform"])
-def test_spacing_draws_count_two_sides_per_replicate(monkeypatch, law):
+def test_spacing_draws_once_per_block(monkeypatch, law):
     calls = []
     draw = spacing._draw_gaps
 
@@ -236,12 +199,14 @@ def test_spacing_draws_count_two_sides_per_replicate(monkeypatch, law):
 
     monkeypatch.setattr(spacing, "_draw_gaps", counting)
     monte_carlo_spacing(0.5, SpacingModel(law, 1), 1000)
-    assert calls == [2 * spacing._required_sensors(0.5, law, 1e-12)] * 1000
+    # two sides per replicate, 2048 replicates per block unless 2^16 values cap it
+    sides = 2 * spacing._required_sensors(0.5, law, 1e-12)
+    block = min(2048, (1 << 16) // sides)
+    assert calls == [sides * min(block, 1000 - done) for done in range(0, 1000, block)]
 
 
 # -- golden values ---------------------------------------------------------------
-# Sampled on the per-replicate SeedSequence construction; any change to the
-# streams fails here.
+# Sampled on one stream per call; any change to the streams fails here.
 
 def test_golden_criterion_6_reports():
     cases = [(ExponentialWeighting(0.5), 2024), (FiniteWindow(2), 2025),
@@ -249,12 +214,12 @@ def test_golden_criterion_6_reports():
     got = [repr(monte_carlo_noise(target, 1.0, 10 ** 4, seed)) for target, seed in cases]
     assert got == [
         "NoiseReport(analytic_variance=0.18518518518518517, "
-        "sampled_variance=0.18502312988729877, replicates=10000, "
-        "standard_error=0.0026167530373163374)",
-        "NoiseReport(analytic_variance=0.2, sampled_variance=0.20118054758855525, "
-        "replicates=10000, standard_error=0.0028452648556533486)",
-        "NoiseReport(analytic_variance=0.01, sampled_variance=0.010109954289644502, "
-        "replicates=10000, standard_error=0.00014298349406731474)",
+        "sampled_variance=0.18690233037785983, replicates=10000, "
+        "standard_error=0.0026433302744131118)",
+        "NoiseReport(analytic_variance=0.2, sampled_variance=0.19775069045430957, "
+        "replicates=10000, standard_error=0.0027967569254336764)",
+        "NoiseReport(analytic_variance=0.01, sampled_variance=0.009706724345331827, "
+        "replicates=10000, standard_error=0.00013728067635928112)",
     ]
 
 
@@ -263,12 +228,13 @@ def test_golden_criterion_8_reports():
            repr(monte_carlo_spacing(0.9, SpacingModel(UniformGaps(0.3), 778), 20000))]
     assert got == [
         "SpacingMCReport(rho=0.36787944117144233, law='exp_density', "
-        "k_analytic=0.3333333333333333, mean=0.999513870757887, "
-        "mean_se=0.0023455672720539386, var_analytic=0.1111111111111111, "
-        "var_sampled=0.11003371655461111, var_se=0.0012256641876812226, replicates=20000)",
+        "k_analytic=0.3333333333333333, mean=0.9997911416286753, "
+        "mean_se=0.0023566740748131227, var_analytic=0.1111111111111111, "
+        "var_sampled=0.11107825389792578, var_se=0.0012323974685899697, replicates=20000)",
         "SpacingMCReport(rho=0.9, law='uniform(eta=0.3)', k_analytic=0.05254855568844584, "
-        "mean=0.9996050019869699, mean_se=0.00019876917549564775, var_analytic=None, "
-        "var_sampled=0.0007901837025443923, var_se=7.845613833193985e-06, replicates=20000)",
+        "mean=1.000223592704419, mean_se=0.00020005332128022522, "
+        "var_analytic=0.0007888848279848709, var_sampled=0.0008004266271049803, "
+        "var_se=7.936254338585896e-06, replicates=20000)",
     ]
 
 
@@ -281,12 +247,12 @@ def test_golden_cli_reports(tmp_path):
     spaced = json.loads((tmp_path / "run_spacing.json").read_text())["report"]
     assert repr(noise) == (
         "{'analytic_variance': 0.18518518518518517, 'replicates': 4097, "
-        "'sampled_variance': 0.18499257605996364, 'standard_error': 0.004087797031286515}")
+        "'sampled_variance': 0.1842879537877043, 'standard_error': 0.004072226931696213}")
     assert repr(spaced) == (
         "{'K_analytic': 0.45621611258844885, 'law': 'uniform(eta=0.3)', "
-        "'mean': 1.0006490609659184, 'mean_se': 0.0013103775522283463, 'replicates': 3001, "
-        "'rho': 0.36787944117144233, 'var_analytic': None, "
-        "'var_sampled': 0.005152985077481242, 'var_se': 0.00011954974178720451}")
+        "'mean': 0.9995035297507805, 'mean_se': 0.001315852716549913, 'replicates': 3001, "
+        "'rho': 0.36787944117144233, 'var_analytic': 0.005148460140538431, "
+        "'var_sampled': 0.005196136583327009, 'var_se': 0.00012056086354893682}")
 
 
 # -- memory and validation ------------------------------------------------------
@@ -308,8 +274,9 @@ def test_spacing_memory_is_bounded_by_the_block():
 
 
 def test_noise_memory_is_bounded_by_the_block():
-    # one (2048, n) block of draws, filtered in place a chunk at a time;
-    # transforms of the whole block would hold three blocks at once
+    # a (1024, n) block of draws, filtered in place a chunk at a time, and a
+    # block of their squares; transforms of the whole block would hold three
+    # blocks at once
     target = ExponentialWeighting(0.95)
     n = len(_noise_kernel(target)[0])
     assert n == 539
