@@ -206,7 +206,9 @@ class MeasurementField:
 
 def _philox_key(seed: int) -> np.ndarray:
     # a uint64 array: from a list of Python ints numpy rounds a word >= 2**63
-    # through float64, so seeds would collide
+    # through float64, so seeds would collide; and a numpy integer seed is
+    # split as a Python int, since its own `& _MASK64` overflows
+    seed = int(seed)
     return np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
 
 

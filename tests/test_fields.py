@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lacsim import (Constant, Cosine, Impulse, MeasurementField, Noise, OutOfDomainError,
                     SpatialCosine, SumField, TableField, TemporalCosine, ValidationError,
                     evaluate_field, evaluate_grid)
-from lacsim.fields import _noise_grid
+from lacsim.fields import _noise_at, _noise_grid
 
 
 def test_constant_field():
@@ -101,9 +101,12 @@ def test_non_finite_parameters_rejected():
         Noise(1.0, distribution="cauchy")
 
 
-def test_negative_step_or_sensor_rejected():
+def test_negative_step_rejected():
     with pytest.raises(ValidationError, match="time step"):
         evaluate_field(MeasurementField(Constant(1.0)), 0, -1)
+
+
+def test_negative_sensor_rejected():
     with pytest.raises(ValidationError, match="sensor index"):
         evaluate_field(MeasurementField(Constant(1.0)), -1, 0)
 
@@ -124,6 +127,16 @@ def test_noise_seed_outside_the_philox_key_is_rejected(seed):
     with pytest.raises(ValidationError, match="noise seed"):
         Noise(1.0, seed=seed)
     Noise(1.0, seed=2 ** 128 - 1)
+
+
+@pytest.mark.parametrize("seed", [np.uint8(200), np.int32(7), np.int64(2 ** 62 + 3),
+                                  np.uint64(2 ** 64 - 1)])
+def test_numpy_integer_noise_seeds_draw_the_python_ints_noise(seed):
+    def field(s):
+        return MeasurementField(Constant(0.0), noise=Noise(1.0, seed=s))
+    assert evaluate_grid(field(seed), 6, 3).tobytes() == \
+        evaluate_grid(field(int(seed)), 6, 3).tobytes()
+    assert evaluate_field(field(seed), 5, 2) == evaluate_field(field(int(seed)), 5, 2)
 
 
 def test_noise_seed_changes_stream():
@@ -247,6 +260,46 @@ def _numpy_rows(noise, n, steps):
 def test_noise_rows_are_numpys_philox_streams(seed, distribution, sigma, n, steps):
     noise = Noise(sigma, distribution, seed)
     assert _noise_grid(noise, n, steps).tobytes() == _numpy_rows(noise, n, steps).tobytes()
+
+
+def _noise_pointwise(noise, n, steps):
+    return np.array([[_noise_at(noise, i, k) for i in range(n)] for k in range(steps)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_SEEDS, st.sampled_from(["gaussian", "uniform"]), st.floats(0.01, 10.0),
+       st.integers(1, 2200))
+def test_noise_grid_matches_the_point_spec_on_grids_with_rejections(seed, distribution,
+                                                                   sigma, n):
+    # 2,000 to 4,000 points: a Gaussian grid has about 1.5 % of its points
+    # outside the ziggurat's accept path, each drawing extra words
+    steps = -(-2000 // n)
+    noise = Noise(sigma, distribution, seed)
+    assert _noise_grid(noise, n, steps).tobytes() == _noise_pointwise(noise, n, steps).tobytes()
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
+def test_noise_grid_matches_the_point_spec_across_blocks(distribution):
+    # Philox hands out its words four to a counter block; a 4,099-value row
+    # leaves words of its last block unused, and the next row must not start
+    # on them
+    noise = Noise(0.5, distribution, 2 ** 64 + 3)
+    assert _noise_grid(noise, 4099, 3).tobytes() == _noise_pointwise(noise, 4099, 3).tobytes()
+
+
+def test_noise_grid_matches_the_point_spec_on_layer_zero():
+    # seed 1 on 50 x 40: step 36's first word falls in the ziggurat's base
+    # layer (low byte 0) and is rejected into the tail beyond r = 3.654..,
+    # which draws further words; every later draw of that row is shifted
+    n, steps, noise = 50, 40, Noise(1.0, "gaussian", 1)
+    bits = np.random.Philox(key=np.array([1, 0], dtype=np.uint64),
+                            counter=np.array([0, 36, 0, 0], dtype=np.uint64))
+    assert int(bits.random_raw()) & 0xFF == 0
+    grid = _noise_grid(noise, n, steps)
+    r = 3.6541528853610088  # where numpy's normal ziggurat's tail starts
+    assert abs(grid[36, 0]) > r
+    assert np.count_nonzero(np.abs(grid) > r) == 1
+    assert grid.tobytes() == _noise_pointwise(noise, n, steps).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

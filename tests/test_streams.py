@@ -113,6 +113,16 @@ def test_seeded_generator_helpers_keep_their_values(seed):
                           _rng(seed).standard_exponential(30))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+def test_seeded_generator_helpers_reject_what_is_not_a_seed(seed):
+    # None would draw a fresh seed from the OS, and a float or bool would
+    # pass for an integer seed
+    for call in (lambda: generator(seed), lambda: random_spatial_table(4, seed),
+                 lambda: random_space_time_table(4, 3, seed)):
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer"):
+            call()
+
+
 # -- the drivers against the reference loops ------------------------------------
 
 REPLICATES = st.one_of(st.sampled_from([1024, 1025, 2048, 2049, 4097]), st.integers(1000, 3000))
@@ -203,6 +213,28 @@ def test_spacing_draws_once_per_block(monkeypatch, law):
     sides = 2 * spacing._required_sensors(0.5, law, 1e-12)
     block = min(2048, (1 << 16) // sides)
     assert calls == [sides * min(block, 1000 - done) for done in range(0, 1000, block)]
+
+
+@pytest.mark.parametrize("law", [ExpGaps(), UniformGaps(0.3)], ids=["exp", "uniform"])
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 700), st.integers(1000, 1500))
+def test_spacing_draws_count_two_sides_per_replicate(law, block, replicates):
+    # whatever the block, each call draws both sides of whole replicates, and
+    # the calls together draw two sides for every replicate, once
+    calls = []
+    draw = spacing._draw_gaps
+
+    def counting(law, count, rng):
+        calls.append(count)
+        return draw(law, count, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spacing, "_draw_gaps", counting)
+        patch.setattr(spacing, "_BLOCK_REPLICATES", block)
+        monte_carlo_spacing(0.5, SpacingModel(law, 1), replicates)
+    sides = 2 * spacing._required_sensors(0.5, law, 1e-12)
+    assert all(count % sides == 0 and 0 < count <= sides * block for count in calls)
+    assert sum(calls) == sides * replicates
 
 
 # -- golden values ---------------------------------------------------------------
