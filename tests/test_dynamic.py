@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lacsim import (ChainConfig, Constant, DynamicExponential, DynamicWindow,
+from lacsim import (ChainConfig, Constant, DivergedError, DynamicExponential, DynamicWindow,
                     ExponentialWeighting, FiniteWindow, MeasurementField, Ring, TableField,
-                    ZeroHalo, assemble_y, random_space_time_table,
+                    TemporalCosine, Truncated, ZeroHalo, assemble_y, random_space_time_table,
                     random_spatial_table, run, z_slot_transition)
 from lacsim import oracle
 from lacsim.dynamic_rules import slot_phase
@@ -187,3 +189,40 @@ def test_assemble_y_zero_slots_contribute_nothing():
 
 def test_z_slot_zero_before_birth():
     assert z_slot_transition(1, 2, (0.0,), (0.0,), (0.0,), 9.9, 2) == 0.0
+
+
+_ALTERNATING = 1.79e308 * (-1.0) ** np.arange(9)  # x(k) of rounds 0..8, near the float limit
+
+
+@pytest.mark.parametrize("algo, rows, expected", [
+    # every sensor measures x(k): the first slot past its restart overflows
+    (DynamicWindow(3), slice(None), {Ring: (0, 3), ZeroHalo: (2, 3), Truncated: (2, 3)}),
+    (DynamicWindow(2), slice(None), {Ring: (0, 2), ZeroHalo: (1, 2), Truncated: (1, 2)}),
+    # sensor 3 alone measures x(k): its temporal difference overflows
+    (DynamicExponential(0.9), 3, {Ring: (3, 1), ZeroHalo: (3, 1), Truncated: (3, 1)}),
+])
+@pytest.mark.parametrize("boundary", [Ring, ZeroHalo, Truncated])
+def test_dynamic_rules_name_the_first_diverged_sensor_and_round(algo, rows, expected, boundary):
+    values = np.zeros((8, 9))
+    values[rows] = _ALTERNATING
+    with pytest.raises(DivergedError) as err:
+        run(ChainConfig(n=8, boundary=boundary(), rounds=8),
+            MeasurementField(TableField(values)), algo)
+    assert (err.value.sensor, err.value.round) == expected[boundary]
+
+
+def test_dyn_window_peak_memory_is_a_few_slot_blocks():
+    # beyond the trace, the engine holds three (L+1, n+2) state buffers and
+    # the (R+1, n) measurements; stepping the slots may add only temporaries
+    # of a few slot blocks at a time, never one per slot per operation
+    n, rounds, L = 4096, 30, 20
+    config = ChainConfig(n=n, boundary=Ring(), rounds=rounds)
+    field = MeasurementField(TemporalCosine(1.0, 0.3))
+    tracemalloc.start()
+    try:
+        trace = run(config, field, DynamicWindow(L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (L + 1) * (n + 2) * 8
+    assert peak <= trace.y.nbytes + trace.z.nbytes + 7 * block

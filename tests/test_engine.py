@@ -144,9 +144,13 @@ def _cases(draw):
     kind = draw(st.sampled_from(["exp", "asym", "window", "variable_window", "arbitrary",
                                  "dyn_exp", "dyn_window"]))
     boundary = draw(st.sampled_from(["ring", "zero_halo", "truncated"]))
-    rounds = draw(st.integers(0, 9))
-    reach = draw(st.integers(1, 4))
-    n = draw(st.integers(max(3, 2 * reach + 1 if boundary == "ring" else 3), 16))
+    if kind == "dyn_window":  # enough slots and rounds for groups of several slots to wrap
+        reach = draw(st.integers(1, 8))
+        rounds = draw(st.integers(0, 3 * (reach + 1)))
+    else:
+        reach, rounds = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    least = 2 * reach + 1 if boundary == "ring" else 3
+    n = draw(st.integers(least, max(least, 16)))
     rho = draw(st.floats(0.05, 0.95))
     if boundary == "ring":
         bnd = Ring()
