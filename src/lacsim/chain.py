@@ -21,19 +21,20 @@ Boundary policies:
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .arbitrary_weights import (BandedWeighting, FBState, fb_transition, glue,
                                 validate_weights)
-from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
-                            dyn_exp_transition, z_slot_transition)
+# assemble_y, z_slot_transition and evaluate_field are not called here, but
+# stay names of this module: perfbench/tracer.py wraps them
+from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,  # noqa: F401
+                            dyn_exp_transition, phase_groups, z_slot_transition)
 from .errors import DivergedError, ValidationError
-# evaluate_field is not called here, but stays a name of this module:
-# perfbench/tracer.py wraps lacsim.chain.evaluate_field
 from .fields import MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
 from .g17 import WIDTH, write_g17
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
@@ -102,7 +103,7 @@ class ConsensusTrace:
     def rounds(self) -> int:
         return self.y.shape[1] - 1
 
-    @cached_property
+    @functools.cached_property
     def audit(self) -> np.ndarray:
         """MessageRecord rows in delivery order (per round, each active receiver
         hears its left, then its right neighbor), derived from `run`'s topology."""
@@ -175,67 +176,79 @@ def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
 
 
 def _wrap(padded: np.ndarray, ring: bool) -> None:
-    """Fill the pad columns of a (rows, size + 2) array with the ring-wrap
-    copies of its end columns; other boundaries leave them as they are."""
+    """On a ring, copy columns size and 1 of a (rows, size + 2) array into
+    its pad columns 0 and size + 1; other boundaries leave the pads alone."""
     if ring:
-        padded[:, 0] = padded[:, -2]
-        padded[:, -1] = padded[:, 1]
+        size = padded.shape[1] - 2
+        padded[:, ::size + 1] = padded[:, size:0:1 - size]
 
 
-def _rule(algo: AlgorithmSpec, x: np.ndarray, n: int, topo: tuple, ring: bool):
+def _rule(algo: AlgorithmSpec, x: np.ndarray, topo: tuple, views: list, ring: bool):
     """Bind `algo`'s transition to whole-chain arrays.
 
-    Returns (step, readout).  `step(t, own, lh, rh)` gives the round-t state
-    rows of every engine index from histories of shape (rows, size), most
-    recent first; `readout(state, prev, t)` gives y of the real sensors.
+    Returns (step, readout).  `step(t, p, new)` writes round t's state rows
+    of every engine index into `new` from the histories `views[p]`.
+    `readout(state, prev, t)` gives y of every engine index from the padded
+    states of rounds t and t - 1, non-finite where `state` is.
     """
     off, _, _, _, stop = topo
-    real = slice(off, off + n)
     x0 = x[0]
-
     if isinstance(algo, DynamicWindow):
-        L = algo.half_width
-        return (lambda t, own, lh, rh: [
-            z_slot_transition(t, j, [h[j] for h in own], [h[j] for h in lh],
-                              [h[j] for h in rh], x[t], L) for j in range(L + 1)],
-            lambda state, prev, t: assemble_y(state[:, real], prev[:, real], t, L))
-    if not isinstance(algo, BandedWeighting):  # one state row, which is y
-        if isinstance(algo, ExponentialWeighting):
-            value = lambda t, own, lh, rh: exp_transition(t, own, lh, rh, x0, algo.rho)
-        elif isinstance(algo, AsymmetricWeighting):
-            value = lambda t, own, lh, rh: asym_transition(
-                t, own, lh, rh, x0, algo.rho_back, algo.rho_forward)
-        elif isinstance(algo, FiniteWindow):
-            value = lambda t, own, lh, rh: window_transition(t, own, lh, rh, x0, algo.half_width)
-        elif isinstance(algo, PerSensorWindow):
-            # each index stops at its own half-width; a frozen index's value is
-            # discarded, so its half-width need only pass the termination check
-            value = lambda t, own, lh, rh: variable_window_transition(
-                t, own, lh, rh, x0, np.maximum(stop, t))
-        else:
-            value = lambda t, own, lh, rh: dyn_exp_transition(
-                t, own, lh, rh, x[max(t - 3, 0):t + 1][::-1], algo.rho)
-        return (lambda t, own, lh, rh: (value(t, own, lh, rh),),
-                lambda state, prev, t: state[0, real])
-    table = algo.table
-    # weight rows as columns, so band[offset + radius] holds one weight per
-    # sensor (ghosts reuse the edge sensor's row), padded like the histories;
-    # a pad of ones stands in for a missing neighbor
-    band = np.ones((2 * table.radius + 1, len(x0) + 2))
-    band[:, 1:-1] = np.pad(table.weights, ((off, off), (0, 0)), mode="edge").T
-    _wrap(band, ring)
-    own_band, left_band, right_band = band[:, 1:-1], band[:, :-2], band[:, 2:]
+        L, width = algo.half_width, len(x0) + 2
+        terms = np.empty((L + 2, width))
+        # a round's groups (from round L on they repeat every L + 1 rounds),
+        # and the histories of the slots lo..hi-1, sliced once per rotation
+        groups = functools.cache(lambda k: phase_groups(k, L, max(1, _BLOCK_VALUES // width)))
+        slots = functools.cache(lambda p, lo, hi: [[h[lo:hi] for h in v] for v in views[p]])
 
-    return (lambda t, own, lh, rh: fb_transition(
-                t, [FBState(*h) for h in own], [FBState(*h) for h in rh],
-                [FBState(*h) for h in lh], x0, own_band, right_band, left_band, table.row_sum),
-            lambda state, prev, t: glue(FBState(*state[:, real]), x0[real],
-                                        own_band[table.radius, real], table.row_sum))
+        def step(t, p, new):
+            for k, lo, hi in groups(min(t, L + (t - L) % (L + 1))):
+                new[lo:hi] = window_transition(k, *slots(p, lo, hi), x[t], L)
 
+        def readout(state, prev, t):
+            # assemble_y's sum in its order: restart slot j, then the others'
+            # increments.  Adding -0.0 changes no value, so it starts the sum and
+            # stands in for slot j's; along the slow axis, rows add in order
+            np.subtract(state, prev, out=terms[1:])
+            terms[0], terms[t % (L + 1) + 1] = state[t % (L + 1)], -0.0
+            return np.add.reduce(terms[:, 1:-1], axis=0, initial=-0.0)
 
-# `run`'s three state buffers, most recent first, after 0, 1 and 2 rounds
-# (mod 3): each round overwrites the oldest, which becomes the most recent
-_ORDERS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+        return step, readout
+    if isinstance(algo, BandedWeighting):
+        table = algo.table
+        # weight rows as columns, so band[offset + radius] holds one weight per
+        # sensor (ghosts reuse the edge sensor's row), padded like the
+        # histories; a pad of ones stands in for a missing neighbor
+        band = np.ones((2 * table.radius + 1, len(x0) + 2))
+        band[:, 1:-1] = np.pad(table.weights, ((off, off), (0, 0)), mode="edge").T
+        _wrap(band, ring)
+        own_band, left_band, right_band = band[:, 1:-1], band[:, :-2], band[:, 2:]
+        states = [[[FBState(*h) for h in v] for v in (own, rh, lh)] for own, lh, rh in views]
+
+        def step(t, p, new):  # forward sums come from the right, backward from the left
+            new[0], new[1] = fb_transition(t, *states[p], x0, own_band, right_band, left_band,
+                                           table.row_sum)
+
+        return step, lambda state, prev, t: glue(FBState(*state[:, 1:-1]), x0,
+                                                  own_band[table.radius], table.row_sum)
+    # one state row, which is y
+    if isinstance(algo, ExponentialWeighting):
+        def step(t, p, new):
+            new[0] = exp_transition(t, *views[p], x0, algo.rho)
+    elif isinstance(algo, AsymmetricWeighting):
+        def step(t, p, new):
+            new[0] = asym_transition(t, *views[p], x0, algo.rho_back, algo.rho_forward)
+    elif isinstance(algo, (FiniteWindow, PerSensorWindow)):
+        def step(t, p, new):
+            # each index stops at its half-width and a frozen index's value is
+            # discarded, so past round 0 the half-width t passes for all
+            new[0] = variable_window_transition(t, *views[p], x0, t or stop)
+    else:
+        recent, last = x[::-1], len(x) - 1  # x(t), x(t-1), ... from row last - t
+
+        def step(t, p, new):
+            new[0] = dyn_exp_transition(t, *views[p], recent[last - t:last - t + 4], algo.rho)
+    return step, lambda state, prev, t: state[0, 1:-1]
 
 
 def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> ConsensusTrace:
@@ -250,7 +263,6 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
     x = np.zeros((rounds + 1 if time_varying else 1, size))  # ghosts measure zero
     x[:, off:off + n] = evaluate_grid(field_, n, x.shape[0])
-    step, readout = _rule(algo, x, n, topo, ring)
 
     # round-major storage; the trace holds transposed views of it
     y = np.empty((rounds + 1, n))
@@ -258,36 +270,35 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     # three reused state buffers, zero before round 0, padded by one column
     # per side with ring-wrap copies, or zeros for a missing neighbor: [:, 1:-1]
     # holds each index's own state, [:, :-2] its left and [:, 2:] its right
-    # neighbor's.  These views are built once; after p rounds `views[p]`
-    # holds them most recent first, as the transitions read them.
+    # neighbor's.  Each round overwrites the oldest, so after t rounds they are
+    # orders[t % 3] most recent first; views[t % 3] holds the views so.
     hist = [np.zeros((rows, size + 2)) for _ in range(3)]
     own, lh, rh = ([h[:, s] for h in hist] for s in (np.s_[1:-1], np.s_[:-2], np.s_[2:]))
-    views = [([own[b] for b in order], [lh[b] for b in order[:2]], [rh[b] for b in order[:2]])
-             for order in _ORDERS]
-    p = 0
+    orders = [[(b - p) % 3 for b in range(3)] for p in range(3)]
+    views = [([own[b] for b in o], [lh[b] for b in o[:2]], [rh[b] for b in o[:2]]) for o in orders]
+    step, readout = _rule(algo, x, topo, views, ring)
     all_step, any_step = stop.min(), stop.max()  # the last rounds every / some index steps
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         for t in range(rounds + 1):
-            if t <= any_step:  # frozen sensors keep broadcasting their last state
-                latest, _, oldest = _ORDERS[p]
-                new = own[oldest]  # transitions return fresh arrays
-                own_t, lh_t, rh_t = views[p]
-                state = step(t, own_t[:t], lh_t[:t], rh_t[:t])
-                for row, value in zip(new, state):
-                    row[...] = value
-                if t > all_step:
-                    np.copyto(new, own[latest], where=stop < t)
-                if not np.isfinite(new).all():
-                    bad = ~np.isfinite(new).all(axis=0)
+            if t > any_step:  # every index is frozen, and so is y
+                y[t] = y[t - 1]
+                continue
+            latest, _, oldest = orders[t % 3]
+            new = own[oldest]
+            step(t, t % 3, new)
+            if t > all_step:  # frozen indices keep broadcasting their last state
+                np.copyto(new, own[latest], where=stop < t)
+            _wrap(hist[oldest], ring)
+            row = readout(hist[oldest], hist[latest], t)
+            # its sum of squares is finite only if every state value is; if it
+            # overflows, the state is checked value by value
+            if not math.isfinite(np.vdot(row, row)):
+                bad = ~np.isfinite(new).all(axis=0)
+                if bad.any():
                     raise DivergedError(int(bad.argmax()) - off, t)
-                _wrap(hist[oldest], ring)
-                p = (p + 1) % 3
-            # once every sensor is frozen the state stays put, and only the
-            # dynamic window, which never freezes, reads the previous state
-            latest, previous, _ = _ORDERS[p]
-            y[t] = readout(own[latest], own[previous], t)
+            y[t] = row[off:off + n]
             if z is not None:
-                z[t] = own[latest][:, off:off + n].T
+                z[t] = new[:, off:off + n].T
 
     return ConsensusTrace(y=y.T, z=None if z is None else z.transpose(1, 0, 2),
                           config=config, algo=algo)

@@ -61,6 +61,18 @@ def slot_phase(k: int, slot: int, half_width: int) -> int | None:
     return (k - slot) % (half_width + 1)
 
 
+def phase_groups(k: int, half_width: int, most: int) -> list:
+    """(phase, first slot, end slot) of the runs of at most `most` slots that
+    window stages step in round k: the slots at phases 0, 1 and 2, and the
+    cyclic run at phases 3..half_width, which share a stage (given as 3).
+    Slots still at their zero initialization are in none."""
+    m, deep = half_width + 1, min(k, half_width)
+    first, end = (k - deep) % m, (k - deep) % m + deep - 2  # the run, mod m
+    return ([(p, (k - p) % m, (k - p) % m + 1) for p in range(min(deep, 2) + 1)]
+            + [(3, lo, min(lo + most, b)) for a, b in ((first, min(end, m)), (0, end - m))
+               for lo in range(a, b, most)])
+
+
 def z_slot_transition(k, slot, own, left, right, x_k, half_width):
     """Slot value z_{i,slot}(k).
 

@@ -123,10 +123,25 @@ def _need(k: int, own, left, right, n_own: int, n_nb: int) -> None:
             f"got {len(own)}/{len(left)}/{len(right)}")
 
 
+class _Unit:
+    """The window rule's weight 1.0: a product with it is exact, so it is
+    the other factor itself, and no array arithmetic is done for it."""
+
+    __array_ufunc__ = None  # an array times _UNIT comes here too
+
+    def __mul__(self, other):
+        return other
+
+    __rmul__ = __mul__
+
+
+_UNIT = _Unit()
+
+
 def _stencil(k, own, left, right, a, b):
     """Round k >= 1 with backward weight a (left) and forward weight b (right)
     per hop: the asymmetric rule, the exponential rule from round 2 (a = b =
-    rho) and the window rule (a = b = 1.0, whose products are exact)."""
+    rho) and the window rule (a = b = `_UNIT`, 1.0 with its products skipped)."""
     if k == 1:
         _need(k, own, left, right, 1, 1)
         return own[0] + a * left[0] + b * right[0]
@@ -171,7 +186,7 @@ def window_transition(k, own, left, right, x_i, half_width):
             f"window recursion terminates at round {last}; asked for round {k}")
     if k == 0:
         return x_i / (2.0 * half_width + 1.0)
-    return _stencil(k, own, left, right, 1.0, 1.0)
+    return _stencil(k, own, left, right, _UNIT, _UNIT)
 
 
 # The per-sensor-window rule is the window rule with one half-width per

@@ -8,7 +8,7 @@ from lacsim import (ChainConfig, Constant, DivergedError, DynamicExponential, Dy
                     TemporalCosine, Truncated, ZeroHalo, assemble_y, random_space_time_table,
                     random_spatial_table, run, z_slot_transition)
 from lacsim import oracle
-from lacsim.dynamic_rules import slot_phase
+from lacsim.dynamic_rules import phase_groups, slot_phase
 
 
 def test_dyn_exp_first_rounds_closed_form():
@@ -53,6 +53,21 @@ def test_slot_phase_bookkeeping():
     assert slot_phase(3, 0, 2) == 0      # restart: 3 = 0 mod 3
     assert slot_phase(3, 1, 2) == 2
     assert slot_phase(3, 2, 2) == 1
+
+
+@pytest.mark.parametrize("half_width", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("most", [1, 2, 100])
+def test_phase_groups_hold_each_started_slot_once_at_its_stage(half_width, most):
+    for k in range(3 * (half_width + 1)):
+        stages = {}
+        for phase, lo, hi in phase_groups(k, half_width, most):
+            assert 0 <= lo < hi <= min(lo + most, half_width + 1)
+            for slot in range(lo, hi):
+                assert slot not in stages
+                stages[slot] = phase
+        phases = {j: slot_phase(k, j, half_width) for j in range(half_width + 1)}
+        # phases 3..half_width are one stage of the window recursion
+        assert stages == {j: min(p, 3) for j, p in phases.items() if p is not None}
 
 
 def test_slot_worked_sequence_half_width_two():

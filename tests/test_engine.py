@@ -459,3 +459,43 @@ def test_transitions_leave_array_inputs_unmodified():
         assemble_y(z_now, z_prev, k, L)
         for b, v in zip(before, inputs):
             assert _bits(np.asarray(v)) == _bits(b)
+    # (slots, size) slices of one padded block, as `run` passes a run of
+    # dynamic-window slots: large enough for numpy to reuse temporaries
+    block = rng.uniform(-1.0, 1.0, (3, L + 1, 2 ** 14 + 2))
+    before = block.copy()
+    for k in range(L + 1):
+        for lo, hi in (0, 1), (1, 3), (1, L + 1):
+            rows = block[:, lo:hi]
+            window_transition(k, list(rows[:min(k, 3), :, 1:-1]), list(rows[:min(k, 2), :, :-2]),
+                              list(rows[:min(k, 2), :, 2:]), block[0, 0, 1:-1], L)
+    assert _bits(block) == _bits(before)
+
+
+@pytest.mark.parametrize("boundary", [Ring(), ZeroHalo(), Truncated()])
+@pytest.mark.parametrize("algo", [DynamicWindow(1), DynamicWindow(2), DynamicWindow(5),
+                                  DynamicExponential(0.5), ExponentialWeighting(0.5)])
+def test_run_matches_per_sensor_transitions_on_signed_zeros(boundary, algo):
+    # measurements of -0.0 and +0.0 make sums whose sign depends on the order
+    # of their terms and on how a sum starts
+    rng = np.random.default_rng(9)
+    shape = (11, 13) if isinstance(algo, _DYNAMIC) else 11
+    case = (ChainConfig(n=11, boundary=boundary, rounds=12),
+            MeasurementField(TableField(rng.choice([-0.0, -0.0, 0.0, 1.0], shape))), algo)
+    trace = run(*case)
+    y, z, _ = _reference(*case)
+    assert _bits(trace.y) == _bits(y)
+    assert _bits(trace.z) == _bits(z)
+
+
+@pytest.mark.parametrize("boundary", [Ring(), ZeroHalo(), Truncated()])
+def test_run_matches_per_sensor_transitions_when_slot_runs_are_split(boundary, monkeypatch):
+    # long chains step a run of dynamic-window slots in cache-sized pieces:
+    # here one or two slots per call
+    monkeypatch.setattr(chain_module, "_BLOCK_VALUES", 40)
+    rng = np.random.default_rng(8)
+    case = (ChainConfig(n=17, boundary=boundary, rounds=20),
+            MeasurementField(TableField(rng.uniform(-1.0, 1.0, (17, 21)))), DynamicWindow(8))
+    trace = run(*case)
+    y, z, _ = _reference(*case)
+    assert _bits(trace.y) == _bits(y)
+    assert _bits(trace.z) == _bits(z)

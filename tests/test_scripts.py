@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("scale_run.py", ["--n", "1024", "--rounds", "5"]),
     ("scale_run.py", ["--rule", "dyn_exponential", "--n", "1024", "--rounds", "5",
                       "--noise-sigma", "0.3"]),
+    ("scale_run.py", ["--rule", "dyn_window", "--half-width", "20", "--n", "256", "--rounds", "30",
+                      "--repeat", "2"]),
 ])
 def test_script_exits_zero(script, args):
     env = dict(os.environ)
