@@ -3,13 +3,15 @@
 One round = one synchronous exchange: every sensor broadcasts its state, then
 every sensor updates from the same round snapshot.  Sensors see only the last
 two messages from each immediate neighbor and at most three rounds of their
-own history, so locality is enforced by construction.  `run` makes one call
-of the rule's transition per round on whole-chain arrays: each update rule is
-a 3-point stencil, so a sensor's own, left and right histories are three
-shifted views of one padded state buffer, and each round's y is written into
-round-major (rounds + 1, n) storage.  The audit, one integer row per delivered
-message, is derived on read from the chain's neighbor arrays and last active
-rounds.
+own history, so locality is enforced by construction.  `run` calls the rule's
+transition on whole-chain arrays: each update rule is a 3-point stencil, so a
+sensor's own, left and right histories are three shifted views of one padded
+state buffer, built once per run.  The dynamic window's slots are rows of one
+buffer, stepped with one call per group of slots at one stage (`phase_groups`),
+and its y sums their increments in `assemble_y`'s order.  Each round's y is
+written into round-major (rounds + 1, n) storage.  The audit, one integer row
+per delivered message, is derived on read from the chain's neighbor arrays
+and last active rounds.
 
 Boundary policies:
   Ring       indices wrap modulo n (exact for spatially periodic fields);
@@ -59,8 +61,9 @@ class Truncated:
 
 Boundary = Union[Ring, ZeroHalo, Truncated]
 
-# values per block of trace_to_csv: its temporaries stay cache-sized and its
-# memory bounded, whatever the trace size
+# values per block of trace_to_csv, and at most per call stepping dynamic
+# window slots (one slot at least): temporaries stay cache-sized and memory
+# bounded, whatever the trace size
 _BLOCK_VALUES = 16384
 
 AlgorithmSpec = Union[ExponentialWeighting, AsymmetricWeighting, FiniteWindow,
@@ -175,12 +178,11 @@ def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
     return off, left, right, rows, stop
 
 
-def _wrap(padded: np.ndarray, ring: bool) -> None:
-    """On a ring, copy columns size and 1 of a (rows, size + 2) array into
-    its pad columns 0 and size + 1; other boundaries leave the pads alone."""
-    if ring:
-        size = padded.shape[1] - 2
-        padded[:, ::size + 1] = padded[:, size:0:1 - size]
+def _pads(padded: np.ndarray) -> tuple:
+    """The pad columns 0 and size + 1 of a (rows, size + 2) array, and its
+    columns size and 1, which a ring copies into them."""
+    size = padded.shape[1] - 2
+    return padded[:, ::size + 1], padded[:, size:0:1 - size]
 
 
 def _rule(algo: AlgorithmSpec, x: np.ndarray, topo: tuple, views: list, ring: bool):
@@ -221,7 +223,8 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, topo: tuple, views: list, ring: bo
         # histories; a pad of ones stands in for a missing neighbor
         band = np.ones((2 * table.radius + 1, len(x0) + 2))
         band[:, 1:-1] = np.pad(table.weights, ((off, off), (0, 0)), mode="edge").T
-        _wrap(band, ring)
+        if ring:
+            np.copyto(*_pads(band))
         own_band, left_band, right_band = band[:, 1:-1], band[:, :-2], band[:, 2:]
         states = [[[FBState(*h) for h in v] for v in (own, rh, lh)] for own, lh, rh in views]
 
@@ -277,6 +280,7 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     orders = [[(b - p) % 3 for b in range(3)] for p in range(3)]
     views = [([own[b] for b in o], [lh[b] for b in o[:2]], [rh[b] for b in o[:2]]) for o in orders]
     step, readout = _rule(algo, x, topo, views, ring)
+    pads = [_pads(h) for h in hist]
     all_step, any_step = stop.min(), stop.max()  # the last rounds every / some index steps
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         for t in range(rounds + 1):
@@ -288,7 +292,8 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
             step(t, t % 3, new)
             if t > all_step:  # frozen indices keep broadcasting their last state
                 np.copyto(new, own[latest], where=stop < t)
-            _wrap(hist[oldest], ring)
+            if ring:
+                np.copyto(*pads[oldest])
             row = readout(hist[oldest], hist[latest], t)
             # its sum of squares is finite only if every state value is; if it
             # overflows, the state is checked value by value

@@ -7,7 +7,9 @@ the measurement does not change; it needs no neighbor measurements.  The
 window variant keeps a vector of half_width+1 tracker slots per sensor; slot j
 restarts from the current measurement whenever k = j (mod half_width+1) and
 otherwise replays the static window recursion, so each measurement time is
-owned by exactly one slot.
+owned by exactly one slot.  `z_slot_transition` and `assemble_y` step one
+slot and sum the slots; the engine steps whole runs of slots at one stage,
+as `phase_groups` gives them, with the same arithmetic.
 """
 from __future__ import annotations
 
