@@ -31,7 +31,7 @@ class WeightTable:
 
     `row_sum` is the common row total: dividing by it makes constant fields
     pass through unchanged.  `row_tol` is the tolerance for the per-row total
-    check; None skips the check at run time (used when rows intentionally
+    check `BandedWeighting` makes; None skips it (used when rows intentionally
     differ, e.g. random-spacing weights run as raw sums with row_sum = 1).
     """
 
@@ -96,38 +96,39 @@ class WeightTable:
         return out.getvalue()
 
 
-@dataclass(frozen=True, eq=False)
-class BandedWeighting:
-    """Algorithm selector wrapping a weight table."""
-
-    table: WeightTable
-
-
 @dataclass(frozen=True)
 class WeightReport:
     ok: bool
     zero_entries: tuple          # (sensor, offset) pairs
     bad_rows: tuple              # (sensor, row_total) pairs
-    tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "zero_entries": [list(e) for e in self.zero_entries],
-            "bad_rows": [[s, t] for s, t in self.bad_rows],
-            "tol": self.tol,
-        }
 
 
 def validate_weights(table: WeightTable, tol: float) -> WeightReport:
     """Check every stored entry is nonzero and every row total matches the
     declared common sum within `tol`; offenders are listed, never raised."""
     zeros = [(s, c - table.radius) for s, c in np.argwhere(table.weights == 0.0).tolist()]
-    totals = table.row_totals()
+    with np.errstate(over="ignore"):  # a total past float range misses any finite one
+        totals = table.row_totals()
     outside = np.flatnonzero(np.abs(totals - table.row_sum) > tol)
     bad = [(s, float(totals[s])) for s in outside.tolist()]
-    return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros),
-                        bad_rows=tuple(bad), tol=tol)
+    return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros), bad_rows=tuple(bad))
+
+
+@dataclass(frozen=True, eq=False)
+class BandedWeighting:
+    """Algorithm selector wrapping a weight table, checked once here for the engine
+    and the oracle: no zero weight (the ratios divide by them), rows within `row_tol`."""
+
+    table: WeightTable
+
+    def __post_init__(self):
+        tol = self.table.row_tol
+        report = validate_weights(self.table, math.inf if tol is None else tol)
+        if report.zero_entries:
+            raise ValidationError("weight table contains zero entries")
+        if report.bad_rows:
+            raise ValidationError(
+                f"weight rows deviate from the common total beyond {tol}: {report.bad_rows[:4]}")
 
 
 def fb_transition(k, own, fwd, bwd, x_i, own_row, fwd_row, bwd_row, row_sum):

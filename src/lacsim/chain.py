@@ -10,8 +10,7 @@ state buffer, built once per run.  The dynamic window's slots are rows of one
 buffer, stepped with one call per group of slots at one stage (`phase_groups`),
 and its y sums their increments in `assemble_y`'s order.  Each round's y is
 written into round-major (rounds + 1, n) storage.  The audit, one integer row
-per delivered message, is derived on read from the chain's neighbor arrays
-and last active rounds.
+per delivered message, is derived on read from the last active rounds.
 
 Boundary policies:
   Ring       indices wrap modulo n (exact for spatially periodic fields);
@@ -30,10 +29,10 @@ from typing import Union
 
 import numpy as np
 
-from .arbitrary_weights import (BandedWeighting, FBState, fb_transition, glue,
+# assemble_y, z_slot_transition, validate_weights and evaluate_field are not
+# called here, but stay names of this module: perfbench/tracer.py wraps them
+from .arbitrary_weights import (BandedWeighting, FBState, fb_transition, glue,  # noqa: F401
                                 validate_weights)
-# assemble_y, z_slot_transition and evaluate_field are not called here, but
-# stay names of this module: perfbench/tracer.py wraps them
 from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,  # noqa: F401
                             dyn_exp_transition, phase_groups, z_slot_transition)
 from .errors import DivergedError, ValidationError
@@ -109,12 +108,15 @@ class ConsensusTrace:
     @functools.cached_property
     def audit(self) -> np.ndarray:
         """MessageRecord rows in delivery order (per round, each active receiver
-        hears its left, then its right neighbor), derived from `run`'s topology."""
-        off, left, right, rows, stop = _topology(self.config, self.algo)
-        receiver = np.repeat(np.arange(len(left)), 2)
-        sender = np.column_stack((left, right)).ravel()
+        e hears e - 1, then e + 1), derived from `run`'s topology."""
+        off, rows, stop = _topology(self.config, self.algo)
+        size = len(stop)
+        receiver = np.repeat(np.arange(size), 2)
+        # a ring wraps; past the ends of a line the sender is size, missing
+        wrap = size if isinstance(self.config.boundary, Ring) else size + 1
+        sender = (receiver + np.tile((-1, 1), size)) % wrap
         rounds = np.arange(1, self.config.rounds + 1)[:, None]
-        active = (stop[receiver] >= rounds) & (sender != len(left))  # row-major: round, message
+        active = (stop[receiver] >= rounds) & (sender != size)  # row-major: round, message
         audit = np.empty(np.count_nonzero(active), MessageRecord)
         audit["size"] = rows
         for name, v in ("round", rounds), ("receiver", receiver - off), ("sender", sender - off):
@@ -149,16 +151,12 @@ def check_fit(algo: AlgorithmSpec, n: int, ring: bool) -> int | None:
 
 
 def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
-    """Who hears whom in which round, for `run` and the audit: the halo depth
-    off (engine index e is sensor e - off), the neighbor engine indices left
-    and right (len(left) for a missing neighbor), the state rows (a message's
-    length) and the last round each index updates.  Raises ValidationError
-    unless `algo` fits the chain (`check_fit`) with weights it can divide by."""
-    n, off, ring = config.n, config.halo_depth(), isinstance(config.boundary, Ring)
-    size = n + 2 * off
-    left, right = np.arange(-1, size - 1), np.arange(1, size + 1)
-    left[0], right[-1] = (size - 1, 0) if ring else (size, size)
-    rows, reach, stop = 1, check_fit(algo, n, ring), np.full(size, config.rounds)
+    """What `run` steps: the halo depth off (engine index e is sensor e - off),
+    the state rows (a message's length) and the last round each index
+    updates.  Raises ValidationError unless `algo` fits the chain (`check_fit`)."""
+    n, off = config.n, config.halo_depth()
+    reach = check_fit(algo, n, isinstance(config.boundary, Ring))
+    rows, stop = 1, np.full(n + 2 * off, config.rounds)
     if isinstance(algo, (FiniteWindow, BandedWeighting)):
         stop[:] = reach  # past it a sensor is frozen
     elif isinstance(algo, PerSensorWindow):  # ghosts reuse the edge sensor's half-width
@@ -166,16 +164,8 @@ def _topology(config: ChainConfig, algo: AlgorithmSpec) -> tuple:
     elif isinstance(algo, DynamicWindow):
         rows = reach + 1
     if isinstance(algo, BandedWeighting):
-        table, rows = algo.table, 2
-        if np.any(table.weights == 0.0):
-            raise ValidationError("weight table contains zero entries")
-        if table.row_tol is not None:
-            report = validate_weights(table, table.row_tol)
-            if not report.ok:
-                raise ValidationError(
-                    f"weight rows deviate from the common total beyond {table.row_tol}: "
-                    f"{report.bad_rows[:4]}")
-    return off, left, right, rows, stop
+        rows = 2  # the forward and backward sums
+    return off, rows, stop
 
 
 def _pads(padded: np.ndarray) -> tuple:
@@ -193,7 +183,7 @@ def _rule(algo: AlgorithmSpec, x: np.ndarray, topo: tuple, views: list, ring: bo
     `readout(state, prev, t)` gives y of every engine index from the padded
     states of rounds t and t - 1, non-finite where `state` is.
     """
-    off, _, _, _, stop = topo
+    off, _, stop = topo
     x0 = x[0]
     if isinstance(algo, DynamicWindow):
         L, width = algo.half_width, len(x0) + 2
@@ -260,8 +250,8 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     Deterministic in (config, field_, algo) including the noise seed; raises
     ValidationError up front and DivergedError if a value leaves float range.
     """
-    off, left, _, rows, stop = topo = _topology(config, algo)
-    n, rounds, size = config.n, config.rounds, len(left)
+    off, rows, stop = topo = _topology(config, algo)
+    n, rounds, size = config.n, config.rounds, len(stop)
     ring = isinstance(config.boundary, Ring)
     time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
     x = np.zeros((rounds + 1 if time_varying else 1, size))  # ghosts measure zero

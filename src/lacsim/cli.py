@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import analysis as ana
 from . import oracle
-from .arbitrary_weights import BandedWeighting, validate_weights
+# not called here, but kept: perfbench/tracer.py wraps lacsim.cli.validate_weights
+from .arbitrary_weights import validate_weights  # noqa: F401
 from .chain import ChainConfig, Ring, Truncated, run, trace_to_csv
 from .config import Experiment, config_to_ini, merge_settings, read_ini, resolve
 from .dynamic_rules import DynamicExponential, DynamicWindow
@@ -76,19 +77,8 @@ def _cmd_simulate(exp: Experiment) -> list:
     trace = run(exp.chain, exp.field, exp.algorithm)
     csv_path = exp.out_dir / f"{exp.prefix}_trace.csv"
     _write_text(csv_path, trace_to_csv(trace))
-    written = [csv_path]
-    if isinstance(exp.algorithm, BandedWeighting):
-        table = exp.algorithm.table
-        report = validate_weights(table, table.row_tol if table.row_tol is not None
-                                  else math.inf)
-        payload = report.to_dict()
-        if not math.isfinite(payload["tol"]):
-            payload["tol"] = None  # null: row totals intentionally differ
-        report_path = exp.out_dir / f"{exp.prefix}_weight_report.json"
-        _write_json(report_path, payload)
-        written.append(report_path)
     meta_path = exp.out_dir / f"{exp.prefix}_metadata.json"
-    meta = _metadata("simulate", exp, [p.name for p in written])
+    meta = _metadata("simulate", exp, [csv_path.name])
     if isinstance(exp.algorithm, PerSensorWindow) and \
             not isinstance(exp.chain.boundary, Truncated):
         # final-value coefficient totals, which need not equal one for a
@@ -97,7 +87,7 @@ def _cmd_simulate(exp: Experiment) -> list:
                            exp.chain.boundary)
         meta["trace_metadata"] = {"weight_sums": sums.tolist()}
     _write_json(meta_path, meta)
-    return written + [meta_path]
+    return [csv_path, meta_path]
 
 
 # mode -> (the rules whose closed-form gain lies on that axis, their variants)

@@ -1,6 +1,6 @@
 """Measurement fields: deterministic signals over (sensor, step) plus seeded noise.
 
-A field assigns a bounded value x_i(k) to every sensor index i >= 0 and time
+A field assigns a finite value x_i(k) to every sensor index i >= 0 and time
 step k >= 0.  Noise, when configured, comes from numpy's Philox generator:
 step k's noise is the first n draws of `Generator(Philox(key=<the seed's two
 64-bit words>, counter=[0, k, 0, 0]))`, and sensor i takes draw i.  So a
@@ -8,9 +8,9 @@ row's first values do not depend on the chain length, and the rows of any
 block of steps are those of the whole grid.
 
 `evaluate_field` is the point-by-point reference; `evaluate_grid` gives the
-same values for a whole (step, sensor) grid at once.  Each kind's `grid(n,
-steps)` returns its values for sensors 0..n-1 and steps 0..steps-1 in any
-shape that broadcasts to (steps, n).
+same values for a whole (step, sensor) grid at once.  A kind gives `at(i, k)`
+and `grid(n, steps)`, its values for sensors 0..n-1 and steps 0..steps-1 in
+any shape that broadcasts to (steps, n), and no bound: one is read off a grid.
 """
 from __future__ import annotations
 
@@ -47,9 +47,6 @@ class Constant:
     def grid(self, n: int, steps: int) -> np.ndarray:
         return np.array(float(self.value))
 
-    def sup(self) -> float:
-        return abs(self.value)
-
 
 @dataclass(frozen=True)
 class Impulse:
@@ -66,9 +63,6 @@ class Impulse:
 
     def grid(self, n: int, steps: int) -> np.ndarray:
         return (np.arange(n) == self.center).astype(float)
-
-    def sup(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,6 @@ class Cosine:
         times = range(steps) if self.omega_t else (0,)
         return np.array([[self.at(i, k) for i in sensors] for k in times],
                         dtype=float).reshape(len(times), len(sensors))
-
-    def sup(self) -> float:
-        return abs(self.amplitude)
 
 
 def SpatialCosine(amplitude: float, omega: float, phase: float = 0.0) -> Cosine:
@@ -139,9 +130,6 @@ class TableField:
             raise OutOfDomainError(f"table does not cover {n} sensors and {steps} steps")
         return self.values[:n] if self.values.ndim == 1 else self.values[:n, :steps].T
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 @dataclass(frozen=True)
 class SumField:
@@ -160,9 +148,6 @@ class SumField:
         for p in self.parts:
             total = total + p.grid(n, steps)
         return total
-
-    def sup(self) -> float:
-        return sum(p.sup() for p in self.parts)
 
 
 FieldKind = Union[Constant, Impulse, Cosine, TableField, SumField]
@@ -194,14 +179,6 @@ class MeasurementField:
 
     kind: FieldKind
     noise: Noise | None = None
-
-    def bound_m(self) -> float:
-        """Bound M used for truncation tails.  Gaussian noise is unbounded,
-        so the value allows 6 sigma."""
-        m = self.kind.sup()
-        if self.noise is not None and self.noise.sigma > 0:
-            m += (6.0 if self.noise.distribution == "gaussian" else _ROOT3) * self.noise.sigma
-        return m
 
 
 def _philox_key(seed: int) -> np.ndarray:

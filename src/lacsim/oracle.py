@@ -34,7 +34,8 @@ Boundary semantics: a Ring wraps indices modulo n; ZeroHalo means the
 zero-extended line, where indices outside 0..n-1 contribute zero.  Targets
 exist for the chain's own sensors 0..n-1, which a trace holds; Truncated
 chains have none.  A case is checked as `run` checks it: the rule's numbers
-by its class, its fit to the chain by `chain.check_fit`.
+(a banded rule's table too) by its class, its fit to the chain by
+`chain.check_fit`.  A geometric tail is bounded by M = max |x| on the chain.
 """
 from __future__ import annotations
 
@@ -209,7 +210,7 @@ class _Memo:
         with self.lock:
             last, plan, rows = self.last
             if plan is None or not all(map(operator.is_, case, last)):
-                plan, rows = _plan(self.rule(*numbers), field, n, boundary, eps), {}
+                plan, rows = _plan(self.rule(*numbers), n, boundary, eps), {}
                 self.last, self.x, self.run = (case, plan, rows), None, None
             hops, steps = _reach(plan, k)
             if not 0 <= i < n:
@@ -224,10 +225,12 @@ class _Memo:
 
 
 def _carry(plan, x, hops, run):
-    """A plan's row after `hops` hops over the field grid `x`, and the run
-    (sum, hops, total) that a later row goes on from: a static row (step 0
-    alone) goes on from `run` unless `run` has passed `hops`."""
-    *_, sums, finish = plan
+    """A plan's row after `hops` hops over the field grid `x` (None: its tail
+    hops), and the run (sum, hops, total) that a later row goes on from: a
+    static row (step 0 alone) goes on from `run` unless `run` has passed `hops`."""
+    _, tail, _, sums, finish = plan
+    if hops is None:  # M: step 0 at sensors 0..n-1 holds every value the sum adds
+        hops = tail(float(np.abs(x[0]).max()))
     static = len(x) == 1
     gen, done, total = (run if static and run and run[1] <= hops
                         else (sums(x, hops), -1, None))
@@ -236,33 +239,27 @@ def _carry(plan, x, hops, run):
     return finish(total), (gen, hops, total) if static else None
 
 
-def _tail_hops(decay: float, bound_m: float, eps: float) -> int:
-    """Hops needed before the geometric tail drops below eps."""
-    if bound_m <= 0.0:
-        return 0
-    target = eps * (1.0 - decay) / (2.0 * bound_m)
-    if target >= 1.0:
-        return 0
-    return max(1, math.ceil(math.log(target) / math.log(decay)))
+def _tail_hops(decay: float, m: float, eps: float) -> int:
+    """Hops needed before the geometric tail on values |x| <= m drops below eps."""
+    target = eps * (1.0 - decay) / (2.0 * m) if m > 0.0 else math.inf
+    return 0 if target >= 1.0 else max(1, math.ceil(math.log(target) / math.log(decay)))
 
 
-def _tail(field, eps, decay, scale):
-    """`eps` checked, and the hops of k=None: to a tail of `decay` on
-    scale * M below eps (default 1e-12 * max(M, 1)), the field's bound M
-    read only when they are asked for."""
+def _tail(eps, decay, scale):
+    """`eps` checked, and the hops of k=None for M = max |x|: to a tail of
+    `decay` on scale * M below eps (default 1e-12 * max(M, 1))."""
     if eps is not None and not eps > 0:
         raise ValidationError(f"eps must be > 0, got {eps!r}")
-    return lambda: _tail_hops(decay, scale * field.bound_m(),
-                              DEFAULT_TAIL * max(field.bound_m(), 1.0) if eps is None else eps)
+    return lambda m: _tail_hops(decay, scale * m,
+                                DEFAULT_TAIL * max(m, 1.0) if eps is None else eps)
 
 
 def _reach(plan, k):
-    """(hops, steps) of row k: k checked, its hops up to the plan's cap, or for
-    k=None the plan's tail hops, over the field's steps 0..k (a dynamic
-    target) or step 0 (a static one)."""
+    """(hops, steps) of row k: k checked and its hops capped, or None for
+    k=None (the tail hops), over the field's steps 0..k (dynamic) or 0 (static)."""
     cap, tail, dynamic = plan[:3]
     if k is None and tail is not None:
-        return tail(), 1
+        return None, 1
     k = _check_integer("time step", k, 0)
     return min(k, cap), k + 1 if dynamic else 1
 
@@ -271,54 +268,55 @@ def _reach(plan, k):
 # finish), which `_plan` heads with the rule's cap of hops and `_reach` turns
 # into a row's hops and steps: `sums(x, hops)` yields the running totals from
 # the field grid `x` of those steps, and the target is `finish` of the total
-# after those hops.  A target without a `tail` needs k.
+# after those hops.  `tail(M)` gives the hops of k=None, and a target without
+# one needs k.
 
-def _plan_exp(algo, field, n, boundary, eps):
+def _plan_exp(algo, n, boundary, eps):
     rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
-    return (_tail(field, eps, rho, lam), False,
+    return (_tail(eps, rho, lam), False,
             lambda x, hops: _geometric(_shifts(x[0], n, boundary, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_asym(algo, field, n, boundary, eps):
+def _plan_asym(algo, n, boundary, eps):
     rb, rf = algo.rho_back, algo.rho_forward
     c = (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf)
-    return (_tail(field, eps, max(rb, rf), 1.0), False,
+    return (_tail(eps, max(rb, rf), 1.0), False,
             lambda x, hops: _asymmetric(_shifts(x[0], n, boundary, hops), rb, rf),
             lambda total: c * total)
 
 
-def _plan_window(algo, field, n, boundary, eps):
+def _plan_window(algo, n, boundary, eps):
     half_width = algo.half_width
-    return (lambda: half_width, False,
+    return (lambda m: half_width, False,
             lambda x, hops: _window(_shifts(x[0], n, boundary, half_width)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
-def _plan_variable_window(algo, field, n, boundary, eps):
+def _plan_variable_window(algo, n, boundary, eps):
     widths = algo.half_widths
     reach = max(widths)
-    return (lambda: reach, False, lambda x, hops: _variable_window(
+    return (lambda m: reach, False, lambda x, hops: _variable_window(
         _shifts(x[0], n, boundary, reach), _shifts(np.asarray(widths), n, boundary, reach)),
         lambda total: total)
 
 
-def _plan_arbitrary(algo, field, n, boundary, eps):
+def _plan_arbitrary(algo, n, boundary, eps):
     table = algo.table
     return (None, False, lambda x, hops: _banded(
         _shifts(x[0], n, boundary, table.radius), table.weights.T, table.radius),
         lambda total: total / table.row_sum)
 
 
-def _plan_dyn_exp(algo, field, n, boundary, eps):
+def _plan_dyn_exp(algo, n, boundary, eps):
     rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
     return (None, True, lambda x, hops: _dyn_geometric(_cone(x, n, boundary, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_dyn_window(algo, field, n, boundary, eps):
+def _plan_dyn_window(algo, n, boundary, eps):
     half_width = algo.half_width
     return (None, True, lambda x, hops: _dyn_window(_cone(x, n, boundary, hops)),
             lambda total: total / (2.0 * half_width + 1.0))
@@ -330,7 +328,7 @@ _PLANS = {ExponentialWeighting: _plan_exp, AsymmetricWeighting: _plan_asym,
           DynamicWindow: _plan_dyn_window}
 
 
-def _plan(algo, field, n, boundary, eps):
+def _plan(algo, n, boundary, eps):
     """The plan of the rule object `algo` on a chain of n sensors, once the
     case is checked: its boundary, its `eps` and its fit by `check_fit`."""
     if type(algo) not in _PLANS:
@@ -344,15 +342,16 @@ def _plan(algo, field, n, boundary, eps):
         raise ValidationError(f"eps sets a geometric tail, which {type(algo).__name__} lacks")
     reach = check_fit(algo, n, isinstance(boundary, Ring))
     return (math.inf if reach is None else reach,
-            *_PLANS[type(algo)](algo, field, n, boundary, eps))
+            *_PLANS[type(algo)](algo, n, boundary, eps))
 
 
 def rows(algo, field, n, boundary=Ring(), ks=None, *, eps=None) -> np.ndarray:
     """The target of the rule `algo` at every sensor 0..n-1: row k for an int
     `ks`, the final value for None (the exponential and asymmetric rules to
-    tail tolerance `eps`, default 1e-12 * M), or for a range one (len(ks), n)
-    block from one field read, a static sum going on from row to row."""
-    plan = _plan(algo, field, n, boundary, eps)
+    tail tolerance `eps`, default 1e-12 * max(M, 1), M = max |x| on the
+    chain), or for a range one (len(ks), n) block from one field read, a
+    static sum going on from row to row."""
+    plan = _plan(algo, n, boundary, eps)
     block = isinstance(ks, range)
     reach = [_reach(plan, k) for k in (ks if block else (ks,))]
     x = evaluate_grid(field, n, max((steps for _, steps in reach), default=0))
@@ -368,7 +367,7 @@ _MEMOS = {rule: _Memo(rule) for rule in _PLANS}
 def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
     """Symmetric geometric average: lam * (x_i + sum_j rho**j (x_{i-j} + x_{i+j})).
 
-    Truncate at `k` hops, or at tail tolerance `eps` (default 1e-12 * M).
+    Truncate at `k` hops, or at tail tolerance `eps` (default 1e-12 * max(M, 1)).
     """
     return _MEMOS[ExponentialWeighting].at(i, k, field, n, boundary, eps, rho)
 

@@ -23,7 +23,7 @@ from .fields import MeasurementField, evaluate_grid
 from .static_rules import _check_integer, _check_rho, generator
 
 # replicates per block of `monte_carlo_spacing`, bounded so that a block's
-# gap arrays hold at most _BLOCK_ELEMENTS values each
+# gap arrays hold at most max(_BLOCK_ELEMENTS, one replicate's) values each
 _BLOCK_REPLICATES = 2048
 _BLOCK_ELEMENTS = 1 << 16
 # a computed rho**c can pass `>= tail_eps` only if c is at most
@@ -253,7 +253,9 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     All replicates draw from the one stream `np.random.default_rng(model.seed)`,
     one call of `_draw_gaps` per block of replicates; numpy fills a block in
     order and each replicate's value depends on its own draws alone, so the
-    report does not depend on the block size.
+    report does not depend on the block size.  A block holds one replicate at
+    least, so its gap array holds up to max(_BLOCK_ELEMENTS, 2 g) values, g =
+    `_required_sensors`: 2 g = 552,626 for uniform gaps at eta = 0.9999.
     """
     replicates = _check_integer("replicates", replicates, 1000)
     _check_rho("tail_eps", tail_eps)
@@ -296,7 +298,7 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
 def table_from_draw(draw: SpacingDraw, rho: float, radius: int):
     """Banded weights rho^{d(i, i+offset)} for the draw's chain, with unit
     normalization so the distributed rule computes raw weighted sums.  Row
-    totals genuinely differ here, so the run-time row check is disabled;
+    totals genuinely differ here, so the row check is disabled (row_tol None);
     normalize afterwards by the law's K or by per-row totals."""
     from .arbitrary_weights import WeightTable
 

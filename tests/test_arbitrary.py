@@ -55,8 +55,7 @@ def _validate_weights_by_entry(table, tol):
     for s, total in enumerate(table.row_totals()):
         if abs(total - table.row_sum) > tol:
             bad.append((s, float(total)))
-    return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros),
-                        bad_rows=tuple(bad), tol=tol)
+    return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros), bad_rows=tuple(bad))
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,12 +74,6 @@ def test_validate_weights_matches_per_entry_loop(seed, n, radius, tol):
     assert all(type(s) is int and type(c) is int for s, c in got.zero_entries)
     if tol == math.inf:
         assert got.bad_rows == ()
-
-
-def test_report_serializes():
-    report = validate_weights(WeightTable.geometric(0.4, 5, 4), 1e-1)
-    d = report.to_dict()
-    assert d["ok"] is True and d["tol"] == 1e-1
 
 
 def test_fb_initialization_identity():
@@ -174,6 +167,62 @@ def test_run_rejects_zero_entries_and_bad_rows():
     trace = run(cfg, MeasurementField(Constant(1.0)),
                 BandedWeighting(WeightTable(weights2, table.row_sum, 4, row_tol=None)))
     assert trace.y.shape == (10, 4)
+
+
+def _message(call):
+    with pytest.raises(ValidationError) as err:
+        call()
+    return str(err.value)
+
+
+def test_oracle_rejects_the_tables_run_rejects_with_its_messages():
+    # before, the oracle never checked a table: it summed one with a zero
+    # weight that run rejects (0.10722752791522454 at sensor 0, k=3)
+    n, radius = 16, 3
+    geometric = WeightTable.geometric(0.6, radius, n)
+    zero = geometric.weights.copy()
+    zero[5, radius + 1] = 0.0
+    scaled = geometric.weights.copy()
+    scaled[7] *= 2.0  # its total misses row_sum by more than row_tol
+    field = MeasurementField(random_spatial_table(n, 11))
+    cfg = ChainConfig(n=n, boundary=Ring(), rounds=radius)
+    for weights, match in ((zero, "weight table contains zero entries"),
+                           (scaled, "weight rows deviate from the common total beyond")):
+        table = WeightTable(weights, geometric.row_sum, radius, row_tol=geometric.row_tol)
+        messages = {_message(lambda: run(cfg, field, BandedWeighting(table))),
+                    _message(lambda: oracle.rows(BandedWeighting(table), field, n, Ring(), 3)),
+                    _message(lambda: oracle.arbitrary_target(field, 0, table, 3, n=n))}
+        assert len(messages) == 1 and messages.pop().startswith(match)
+    # without row_tol, rows may miss row_sum, and all three take the table
+    table = WeightTable(scaled, geometric.row_sum, radius, row_tol=None)
+    trace = run(cfg, field, BandedWeighting(table))
+    row = oracle.rows(BandedWeighting(table), field, n, Ring(), radius)
+    assert oracle.arbitrary_target(field, 7, table, radius, n=n) == row[7]
+    assert np.allclose(trace.y[:, radius], row, rtol=0, atol=1e-12)
+
+
+def test_a_banded_rule_checks_its_table_once_when_built(monkeypatch):
+    import lacsim.arbitrary_weights
+    import lacsim.chain
+
+    calls = []
+
+    def counted(table, tol):
+        calls.append(table)
+        return validate_weights(table, tol)
+
+    monkeypatch.setattr(lacsim.arbitrary_weights, "validate_weights", counted)
+    monkeypatch.setattr(lacsim.chain, "validate_weights", counted)
+    table = WeightTable.geometric(0.5, 4, 12)
+    algo = BandedWeighting(table)
+    assert calls == [table]
+    field = MeasurementField(random_spatial_table(12, 5))
+    for rounds in (0, 2, 4):
+        run(ChainConfig(n=12, boundary=Ring(), rounds=rounds), field, algo)
+    # the scalar oracle builds its rule object, and so checks it, once per case
+    for i in range(12):
+        oracle.arbitrary_target(field, i, table, 3, n=12)
+    assert calls == [table, table]
 
 
 def test_csv_round_trip():

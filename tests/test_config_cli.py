@@ -582,20 +582,24 @@ def test_cli_window_round_five_equals_wrapped_means(tmp_path):
     assert checked == 64
 
 
-def test_cli_arbitrary_emits_weight_report(tmp_path):
+def test_cli_arbitrary_writes_the_trace_and_metadata_only(tmp_path):
+    # the table is checked when the rule is built, so a run that succeeds has
+    # nothing to report on it; the metadata's config echo holds row_tol
     table = WeightTable.geometric(0.5, 4, 10)
     csv = tmp_path / "w.csv"
     csv.write_text(table.to_csv())
-    code = main(["simulate", "--out", str(tmp_path),
+    out = tmp_path / "out"
+    code = main(["simulate", "--out", str(out),
                  "--set", "chain.n=10", "--set", "chain.rounds=4",
                  "--set", "algorithm.variant=arbitrary",
                  "--set", f"algorithm.weights_csv={csv}",
                  "--set", "algorithm.K=3.0",
                  "--set", f"algorithm.row_tol={2 * 0.5 ** 4 / 0.5!r}"])
     assert code == 0
-    report = json.loads((tmp_path / "run_weight_report.json").read_text())
-    assert report["ok"] is True
-    assert report["zero_entries"] == [] and report["bad_rows"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["run_metadata.json", "run_trace.csv"]
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert meta["outputs"] == ["run_trace.csv"]
+    assert float(meta["config"]["algorithm"]["row_tol"]) == 2 * 0.5 ** 4 / 0.5
 
 
 @pytest.mark.parametrize("command", ["simulate", "freq-spatial"])

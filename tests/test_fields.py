@@ -16,7 +16,6 @@ from lacsim.fields import _noise_at, _noise_grid
 def test_constant_field():
     f = MeasurementField(Constant(3.5))
     assert evaluate_field(f, 7, 12) == 3.5
-    assert f.bound_m() == 3.5
 
 
 def test_impulse_field():
@@ -85,7 +84,6 @@ def test_sum_field_adds_parts():
     f = MeasurementField(SumField((Constant(1.0), Impulse(center=2))))
     assert evaluate_field(f, 2, 0) == 2.0
     assert evaluate_field(f, 3, 0) == 1.0
-    assert f.bound_m() == 2.0
 
 
 def test_non_finite_parameters_rejected():
@@ -159,11 +157,6 @@ def test_uniform_noise_stays_in_range():
 def test_noise_pure_in_point_and_seed(seed, i, k):
     f = MeasurementField(Constant(0.0), noise=Noise(1.0, seed=seed))
     assert evaluate_field(f, i, k) == evaluate_field(f, i, k)
-
-
-def test_bound_allows_six_sigma_of_gaussian_noise():
-    g = MeasurementField(Constant(1.0), noise=Noise(2.0, seed=0))
-    assert g.bound_m() == 1.0 + 12.0  # 6 sigma allowance
 
 
 # values whose sums of up to three parts and noise stay finite

@@ -1,7 +1,9 @@
 """The engine layer stands alone: it imports nothing from the modules built
 on top of it, so the recursions and the closed-form oracles they are checked
-against stay two independent implementations."""
+against stay two independent implementations.  Imports a module keeps only
+for the benchmark's tracer must still be ones it patches."""
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -59,6 +61,41 @@ def test_import_scan_sees_function_level_and_package_imports(tmp_path):
 def test_no_module_keeps_state_in_a_global_statement(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+
+
+def _tracer_patches() -> set:
+    """(module name, attribute) pairs of lacsim modules that installing
+    perfbench/tracer.py's tracer replaces."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = [importlib.import_module(f"lacsim.{p.stem}") for p in PACKAGE.glob("*.py")]
+    before = {(m.__name__, name): value for m in modules for name, value in vars(m).items()}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        return {key for key, value in before.items()
+                if vars(sys.modules[key[0]]).get(key[1]) is not value}
+    finally:
+        t.uninstall()
+
+
+def test_unused_imports_are_kept_only_for_the_tracer():
+    # a name imported under `# noqa: F401` must be used in its module or be
+    # one the tracer patches, so imports kept for it go when it stops needing them
+    patched, stale = _tracer_patches(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "noqa: F401" in "".join(lines[node.lineno - 1:node.end_lineno])):
+                stale += [f"{path.stem}.{name}" for name in
+                          ((a.asname or a.name).split(".")[0] for a in node.names)
+                          if name not in used and (f"lacsim.{path.stem}", name) not in patched]
+    assert not stale, f"imported under noqa but neither used nor traced: {stale}"
 
 
 def test_the_oracle_keeps_no_copy_of_the_rule_and_chain_checks():

@@ -49,16 +49,16 @@ def test_exp_target_harmonic_gain():
         assert direct == pytest.approx(gain * math.cos(omega * i), abs=1e-11)
 
 
-def exp_tail_bound(rho: float, k: int, bound_m: float) -> float:
-    """Magnitude of everything the k-term partial sum discards."""
+def exp_tail_bound(rho: float, k: int, m: float) -> float:
+    """Magnitude of everything the k-term partial sum of values |x| <= m discards."""
     lam = (1.0 - rho) / (1.0 + rho)
-    return lam * 2.0 * bound_m * rho ** (k + 1) / (1.0 - rho)
+    return lam * 2.0 * m * rho ** (k + 1) / (1.0 - rho)
 
 
 def test_exp_tail_bound_is_a_bound():
     rho, n = 0.7, 16
     f = MeasurementField(random_spatial_table(n, 3))
-    m = f.bound_m()
+    m = _chain_max(f, n)
     full = oracle.exp_target(f, 5, rho, n=n, eps=1e-16)
     for k in (0, 2, 6, 12):
         part = oracle.exp_target(f, 5, rho, n=n, k=k)
@@ -180,15 +180,20 @@ def _check_boundary(boundary):
 _tail_hops, DEFAULT_TAIL = oracle._tail_hops, oracle.DEFAULT_TAIL
 
 
+def _chain_max(field, n):
+    """M of a k=None tail: the largest |x| at step 0 on sensors 0..n-1, which
+    are all the values a static sum adds on a ring or the zero-extended line."""
+    return max(abs(evaluate_field(field, i, 0)) for i in range(n))
+
+
 def ref_exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
     _check_boundary(boundary)
     if not 0.0 < rho < 1.0:
         raise ValidationError("rho must lie strictly inside (0, 1)")
     lam = (1.0 - rho) / (1.0 + rho)
     if k is None:
-        if eps is None:
-            eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
-        k = _tail_hops(rho, lam * field.bound_m(), eps)
+        m = _chain_max(field, n)
+        k = _tail_hops(rho, lam * m, DEFAULT_TAIL * max(m, 1.0) if eps is None else eps)
     total = _x(field, i, 0, boundary, n)
     power = 1.0
     for j in range(1, k + 1):
@@ -203,9 +208,8 @@ def ref_asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=No
         raise ValidationError("rates must lie strictly inside (0, 1)")
     rb, rf = rho_back, rho_forward
     if k is None:
-        if eps is None:
-            eps = DEFAULT_TAIL * max(field.bound_m(), 1.0)
-        k = _tail_hops(max(rb, rf), field.bound_m(), eps)
+        m = _chain_max(field, n)
+        k = _tail_hops(max(rb, rf), m, DEFAULT_TAIL * max(m, 1.0) if eps is None else eps)
     total = _x(field, i, 0, boundary, n)
     pb = pf = 1.0
     for j in range(1, k + 1):
@@ -253,6 +257,11 @@ def ref_arbitrary_target(field, i, table: WeightTable, k, *, n, boundary=Ring())
     _check_boundary(boundary)
     if isinstance(boundary, Ring) and n < 2 * table.radius + 1:
         raise ValidationError(f"ring of {n} sensors cannot host radius {table.radius}")
+    if np.any(table.weights == 0.0):
+        raise ValidationError("weight table contains zero entries")
+    if table.row_tol is not None and np.any(
+            np.abs(table.row_totals() - table.row_sum) > table.row_tol):
+        raise ValidationError("weight rows deviate from the common total")
 
     def row_at(idx):
         if isinstance(boundary, Ring):
@@ -439,6 +448,26 @@ def test_array_and_scalar_targets_equal_the_per_sensor_loops(sweep):
         name, field, *rest = case
         assert _outcome(lambda: _scalar(name, field, i, *rest)) == expected[id(case), i], \
             (name, rest, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 12), st.sampled_from((Ring(), ZeroHalo())), st.floats(0.05, 0.95),
+       st.floats(0.05, 0.95), st.sampled_from((None, 1e-9, 1e-3)), st.data())
+def test_limit_rows_stop_within_the_tail_tolerance_on_the_chain_max(n, boundary, rb, rf, eps,
+                                                                   data):
+    # M = max |x| on the chain bounds every value a static sum adds, noise
+    # included, so the k=None row is within eps of a sum of many more hops,
+    # up to the rounding of the extra hops' additions
+    field = data.draw(_fields(n, 1))
+    m = _chain_max(field, n)
+    tol = DEFAULT_TAIL * max(m, 1.0) if eps is None else eps
+    for algo, decay, scale in ((ExponentialWeighting(rb), rb, (1.0 - rb) / (1.0 + rb)),
+                               (AsymmetricWeighting(rb, rf), max(rb, rf), 1.0)):
+        more = 4 * _tail_hops(decay, scale * m, tol) + 64
+        limit = oracle.rows(algo, field, n, boundary, eps=eps)
+        longer = oracle.rows(algo, field, n, boundary, more)
+        rounding = 2.0 * more * 2.0 ** -52 * m * (1.0 + decay) / (1.0 - decay)
+        assert np.all(np.abs(limit - longer) <= tol + rounding)
 
 
 def _cases_64(rounds):

@@ -66,7 +66,7 @@ def test_recursion_increment_identity():
 def test_geometric_convergence_bound():
     n, rho, rounds = 16, 0.8, 30
     field = MeasurementField(random_spatial_table(n, 6))
-    m = field.bound_m()
+    m = np.abs(field.kind.values).max()
     lam = (1 - rho) / (1 + rho)
     cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds)
     trace = run(cfg, field, ExponentialWeighting(rho))
