@@ -22,13 +22,15 @@ them to the running total in hop order: a few numpy calls, not k Python steps.
 The scalar forms (`exp_target`, ...) index the same rows.  Each keeps a memo
 of its latest case only: the (field, n, boundary, eps, parameters) objects,
 the case's plan, the grid read for it and its rows by k.  A call names the
-same case only with the very same objects; any other, even an equal one (a
-fresh list of half-widths, `np.float64(0.8)` for 0.8), starts a new case,
-whose rule object is built, and so checked, and planned once.  A sweep over
-one case's (i, k) points, in any order, therefore reads the field once (a
-dynamic target once per larger k) and builds each row once.  Built rows are
-kept as memoryviews, which a hit indexes for its float with no lock, plan or
-check beyond the identity of its arguments.
+same case only with the very same objects, n aside: a plain int equal to the
+last n (such as a fresh `len(values)`) is the same n.  Any other object, even
+an equal one (a fresh list of half-widths, `np.float64(0.8)` for 0.8), starts
+a new case, whose rule object is built, and so checked, and planned once.  A
+sweep over one case's (i, k) points, in any order, therefore reads the field
+once (a dynamic target once per larger k) and builds each row once.  Built
+rows are kept as memoryviews, which a hit indexes for its float with no lock,
+plan or check beyond the `is` tests of its arguments, made in line in
+`_Memo.at`.
 
 Boundary semantics: a Ring wraps indices modulo n; ZeroHalo means the
 zero-extended line, where indices outside 0..n-1 contribute zero.  Targets
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import threading
 
 import numpy as np
@@ -183,34 +184,40 @@ def _banded(at, w, radius):
         total = total + w[radius + j] * at(j)
 
 
+_NO = object()  # no second number: a None one is passed on, and rejected
+
+
 class _Memo:
     """One scalar target's latest case with its plan and rows by k, the field
     grid read for it and, for a static target, its running sum (generator,
-    hops done, total).  A call with any other object starts a new case."""
+    hops done, total).  A case is its objects, n by value: a hit tests each
+    part with `is` in line, and any other object starts a new case."""
 
     def __init__(self, rule):
         self.rule = rule  # the rule class, built from a new case's numbers
-        self.last, self.x, self.run = ((), None, {}), None, None
+        self.last, self.x, self.run = ((_NO,) * 6, None, {}), None, None
         self.lock = threading.Lock()  # one case at a time, whatever the thread
 
-    def at(self, i, k, *case):
-        """The target at sensor i of the case (field, n, boundary, eps,
-        *numbers) of `rule(*numbers)`, row k.  The very objects of the last
-        case, with an int i and an int or None k that names a built row, are
-        served without the lock: `last` holds a case, its plan and its rows,
-        read and replaced as one."""
-        last, plan, rows = self.last
-        if (i.__class__ is int and (k is None or k.__class__ is int)
-                and all(map(operator.is_, case, last)) and (row := rows.get(k)) is not None
-                and 0 <= i < case[1]):
+    def at(self, i, k, field, n, boundary, eps, a, b=_NO):
+        """The target at sensor i of the case (field, n, boundary, eps, a, b)
+        of `rule(a)` or `rule(a, b)`, row k.  The very objects of the last
+        case, n equal to its n if a plain int, with an int i and an int or
+        None k that names a built row, are served without the lock: `last`
+        holds a case, its plan and its rows, read and replaced as one."""
+        last = self.last
+        (lf, ln, lboundary, leps, la, lb), plan, rows = last
+        if ((same := field is lf and (n is ln or n.__class__ is int and n == ln)
+                and boundary is lboundary and eps is leps and a is la and b is lb)
+                and i.__class__ is int and (k is None or k.__class__ is int)
+                and (row := rows.get(k)) is not None and 0 <= i < n):
             return row[i]
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
             raise ValidationError(f"sensor index must be an integer, got {i!r}")
-        field, n, boundary, eps, *numbers = case
         with self.lock:
-            last, plan, rows = self.last
-            if plan is None or not all(map(operator.is_, case, last)):
-                plan, rows = _plan(self.rule(*numbers), n, boundary, eps), {}
+            if not same or self.last is not last:  # a new case, or `last` replaced since
+                rule = self.rule(a) if b is _NO else self.rule(a, b)
+                plan, rows = _plan(rule, n, boundary, eps), {}
+                case = (field, n, boundary, eps, a, b)
                 self.last, self.x, self.run = (case, plan, rows), None, None
             hops, steps = _reach(plan, k)
             if not 0 <= i < n:
@@ -361,7 +368,9 @@ def rows(algo, field, n, boundary=Ring(), ks=None, *, eps=None) -> np.ndarray:
     return out if block else out[0]
 
 
-_MEMOS = {rule: _Memo(rule) for rule in _PLANS}
+# each target's memo, in the order of _PLANS, its `at` bound once
+(_exp_at, _asym_at, _window_at, _variable_window_at, _arbitrary_at, _dyn_exp_at,
+ _dyn_window_at) = (_Memo(rule).at for rule in _PLANS)
 
 
 def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
@@ -369,35 +378,35 @@ def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
 
     Truncate at `k` hops, or at tail tolerance `eps` (default 1e-12 * max(M, 1)).
     """
-    return _MEMOS[ExponentialWeighting].at(i, k, field, n, boundary, eps, rho)
+    return _exp_at(i, k, field, n, boundary, eps, rho)
 
 
 def asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None, eps=None):
     """Direction-dependent geometric average."""
-    return _MEMOS[AsymmetricWeighting].at(i, k, field, n, boundary, eps, rho_back, rho_forward)
+    return _asym_at(i, k, field, n, boundary, eps, rho_back, rho_forward)
 
 
 def window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
     """Mean of the 2*half_width+1 window; `k` truncates to the growing phase."""
-    return _MEMOS[FiniteWindow].at(i, k, field, n, boundary, None, half_width)
+    return _window_at(i, k, field, n, boundary, None, half_width)
 
 
 def variable_window_target(field, i, half_widths, *, n, boundary=Ring(), k=None):
     """Per-sensor-window final value: each neighbor enters with the weight of
     its own window length, so the coefficients need not sum to one."""
-    return _MEMOS[PerSensorWindow].at(i, k, field, n, boundary, None, tuple(half_widths))
+    return _variable_window_at(i, k, field, n, boundary, None, tuple(half_widths))
 
 
 def arbitrary_target(field, i, table: WeightTable, k, *, n, boundary=Ring()):
     """Partial sum of the banded weighted average after k rounds."""
-    return _MEMOS[BandedWeighting].at(i, k, field, n, boundary, None, table)
+    return _arbitrary_at(i, k, field, n, boundary, None, table)
 
 
 def dyn_exp_target(field, i, k, rho, *, n, boundary=Ring()):
     """Geometric average with lagged time arguments."""
-    return _MEMOS[DynamicExponential].at(i, k, field, n, boundary, None, rho)
+    return _dyn_exp_at(i, k, field, n, boundary, None, rho)
 
 
 def dyn_window_target(field, i, k, half_width, *, n, boundary=Ring()):
     """Lagged window mean; the reach grows with k until the window is full."""
-    return _MEMOS[DynamicWindow].at(i, k, field, n, boundary, None, half_width)
+    return _dyn_window_at(i, k, field, n, boundary, None, half_width)

@@ -25,8 +25,8 @@ from .errors import HistoryError, TerminatedError, ValidationError
 
 
 def _check_rho(name: str, value: float) -> None:
-    """Reject a decay rate, or any other value, not strictly inside (0, 1)."""
-    if not 0.0 < value < 1.0:
+    """Reject a decay rate, or any other value, not a real number strictly inside (0, 1)."""
+    if not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
         raise ValidationError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 

@@ -746,6 +746,129 @@ def test_one_case_swept_over_its_rounds_is_planned_once(monkeypatch, k_outer):
             assert plans == [name], (name, len(plans))  # not once per row, 41 times
 
 
+def _counted_plans(monkeypatch):
+    """The names of the targets planned from now on, in order."""
+    plans = []
+
+    def counted(name):
+        make = oracle._PLANS[RULES[name]]
+        return lambda *case: plans.append(name) or make(*case)
+
+    for name in TARGETS:
+        monkeypatch.setitem(oracle._PLANS, RULES[name], counted(name))
+    return plans
+
+
+def _profiled(call, *args, **kwargs):
+    """The Python functions entered and the builtins called by `call`."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code.co_name)
+        elif event == "c_call":
+            seen.append(arg.__qualname__)
+
+    sys.setprofile(profile)
+    try:
+        call(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    assert seen.pop() == "setprofile"
+    return seen
+
+
+def test_a_hit_runs_the_target_and_its_memo_and_calls_only_dict_get():
+    # a hit tests its case's objects in line in `_Memo.at`: no tuple of them
+    # and no `all(map(...))` over it, nor a copy of the test in each target
+    boundary = Ring()
+    for name, field, params in _cases_64(3):
+        args, kw = _args(name, params, 2, None)
+        target = getattr(oracle, f"{name}_target")
+        want = target(field, 5, *args, n=64, boundary=boundary, **kw)
+        assert _profiled(target, field, 5, *args, n=64, boundary=boundary, **kw) == [
+            f"{name}_target", "at", "dict.get"], name
+        assert _bits(target(field, 5, *args, n=64, boundary=boundary, **kw)) == _bits(want)
+
+
+def test_a_chain_size_is_matched_by_value(monkeypatch):
+    # len() gives a new int object above 256 on every call: matched by
+    # identity, each call planned the case again and rebuilt its row
+    values = list(random_spatial_table(1024, 4).values)
+    field = MeasurementField(TableField(values))
+    assert len(values) is not len(values)
+    plans = _counted_plans(monkeypatch)
+    got = {_bits(oracle.exp_target(field, 7, 0.8, n=len(values), k=5)) for _ in range(200)}
+    assert plans == ["exp"] and len(got) == 1
+    # a float or a bool n is a new case, and rejected; a numpy integer one
+    # is a new case with the same bits
+    for bad in (1024.0, True):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            oracle.exp_target(field, 7, 0.8, n=bad, k=5)
+    assert {_bits(oracle.exp_target(field, 7, 0.8, n=np.int64(1024), k=5))} == got
+    assert plans == ["exp", "exp"]
+
+
+@pytest.mark.parametrize("bad", [None, "0.8", [0.5], np.array(0.8), np.array([0.5, 0.6])])
+def test_a_rate_that_is_not_a_real_number_is_rejected(bad):
+    # before, None, "0.8" and [0.5] raised a bare TypeError, an array of two
+    # numpy's ambiguity ValueError, and a 0-d array passed
+    field = MeasurementField(Constant(1.0))
+    calls = [lambda: ExponentialWeighting(bad), lambda: DynamicExponential(bad),
+             lambda: AsymmetricWeighting(bad, 0.5), lambda: AsymmetricWeighting(0.5, bad),
+             lambda: WeightTable.geometric(bad, 2, 8),
+             lambda: oracle.rows(ExponentialWeighting(bad), field, 8, Ring(), 2),
+             lambda: oracle.rows(AsymmetricWeighting(0.5, bad), field, 8, Ring(), 2),
+             lambda: oracle.exp_target(field, 0, bad, n=8, k=2),
+             lambda: oracle.asym_target(field, 0, bad, 0.5, n=8, k=2),
+             lambda: oracle.asym_target(field, 0, 0.5, bad, n=8, k=2),
+             lambda: oracle.dyn_exp_target(field, 0, 2, bad, n=8)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"rho\w* must lie strictly inside \(0, 1\)"):
+            call()
+
+
+def test_a_case_is_known_by_its_objects(monkeypatch):
+    # each part of a case swapped for an equal but distinct object starts
+    # one new case, with the same bits; the same objects start none
+    n, rounds = 16, 3
+    kind = random_space_time_table(n, rounds + 1, 7)
+    field, boundary, eps = MeasurementField(kind), Ring(), 1e-3
+    widths = (2, 3, 3, 2) * 4
+    table = WeightTable.geometric(0.6, 3, n)
+    params = {"exp": (0.8,), "asym": (0.5, 0.25), "window": (2,), "variable_window": (widths,),
+              "arbitrary": (table,), "dyn_exp": (0.8,), "dyn_window": (2,)}
+    fresh_eps = float(str(eps))
+    assert fresh_eps == eps and fresh_eps is not eps
+
+    def sweep(name, field, params, eps, boundary):
+        return [[_bits(_scalar(name, field, i, params, k, eps, n, boundary)) for i in range(n)]
+                for k in range(rounds + 1)]
+
+    plans = _counted_plans(monkeypatch)
+    for name in TARGETS:
+        base = (field, params[name], eps if name in ("exp", "asym") else None, boundary)
+        variants = [(MeasurementField(kind),) + base[1:], base[:3] + (Ring(),)]
+        if name in ("exp", "asym"):
+            variants.append(base[:2] + (fresh_eps, boundary))
+        if name in ("exp", "asym", "dyn_exp"):
+            variants.append((field, (np.float64(params[name][0]),) + params[name][1:]) + base[2:])
+        if name == "asym":
+            variants.append((field, (0.5, np.float64(0.25))) + base[2:])
+        if name == "variable_window":
+            variants.append((field, (tuple(list(widths)),)) + base[2:])
+        if name == "arbitrary":
+            other = WeightTable(table.weights, table.row_sum, table.radius, table.row_tol)
+            variants.append((field, (other,)) + base[2:])
+        plans.clear()
+        want = sweep(name, *base)
+        assert sweep(name, *base) == want and plans == [name]
+        for variant in variants:
+            plans.clear()
+            assert sweep(name, *variant) == want, (name, variant)
+            assert sweep(name, *variant) == want and plans == [name], (name, variant)
+
+
 def _all_params(n):
     return {**_static_params(n), "dyn_exp": (0.8,), "dyn_window": (2,)}
 

@@ -61,14 +61,55 @@ def test_bench_pairs_summary_of_fixed_results():
         "  setup_s (lower is better, s)",
         "    parent 0.5 [0.5, 0.5]",
         "    change 0.4 [0.3, 0.5]",
-        "    change -20.0 %, better in 2 of 6 pairs",
+        "    change -20.0 %, better in 2 of 4 pairs",
         "  rate (higher is better, 1/s)",
         "    parent 100 [98, 102]",
         "    change 110 [102, 120]",
-        "    change +10.0 %, better in 2 of 6 pairs",
+        "    change +10.0 %, better in 2 of 4 pairs",
         "  parent incorrect runs: seeds 11",
         "  parent runs with failed operations: seeds 12",
         "  change failed runs: seeds 10",
+    ]
+
+
+_STDERR = """\
+simulate seed 7: 12 measured rounds
+raw {"x_per_s": %s, "y_per_s": 3.0} kernel_s %s
+check: a problem
+"""
+
+
+def test_bench_pairs_reports_raw_throughputs_and_kernel_times_from_stderr():
+    module = _bench_pairs()
+    assert module.raw_figures(_STDERR % (120.0, 0.004)) == {
+        "raw": {"x_per_s": 120.0, "y_per_s": 3.0, "kernel_s": 0.004}}
+    assert module.raw_figures("simulate seed 7: 12 measured rounds\n") == {}
+    spec = {"end_to_end": [
+        {"name": "x_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+
+    def result(rate, raw, kernel, correct=True):
+        return {"correct": correct, "attempted": 10, "failed": 0,
+                "metrics": {"x_per_s": {"value": rate, "unit": "1/s"}},
+                **module.raw_figures(_STDERR % (raw, kernel))}
+
+    pairs = [
+        (7, {"parent": result(100.0, 90.0, 0.005), "change": result(95.0, 99.0, 0.004)}),
+        (8, {"parent": result(104.0, 80.0, 0.006), "change": result(98.0, 88.0, 0.005)}),
+        (9, {"parent": result(1.0, 1.0, 1.0, correct=False), "change": result(97.0, 95.0, 0.004)}),
+    ]
+    # normalised, the change reads lower; raw, it reads higher, and the
+    # reference kernel ran faster beside it
+    assert module.summarize(spec, "simulate", pairs) == [
+        "simulate: 3 pairs, seeds 7, 8, 9",
+        "  x_per_s (higher is better, 1/s)",
+        "    parent 102 [101, 103]",
+        "    change 97 [96, 97.5]",
+        "    change -4.9 %, better in 0 of 2 pairs",
+        "  raw medians, before normalisation by the reference kernel",
+        "    x_per_s: parent 85, change 95, change +11.8 %",
+        "    kernel_s: parent 0.0055, change 0.004, change -27.3 %",
+        "  parent incorrect runs: seeds 9",
     ]
 
 
