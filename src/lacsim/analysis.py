@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWind
 
 SETTLE_TAIL = 1e-9
 BISECTION_TOL = 1e-10
-# replicates per block of `monte_carlo_noise`
-_NOISE_BLOCK = 1024
+# values per step of `monte_carlo_noise`
+_NOISE_CHUNK = 1 << 15
 
 
 def h_exp(rho: float, omega: float) -> float:
@@ -298,41 +299,37 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     of pure measurement noise on a constant field, against the closed form.
 
     All replicates draw from the one stream `np.random.default_rng(master_seed)`,
-    a block of `_NOISE_BLOCK` rows at a time; numpy fills a block in order,
-    and the sums add one replicate after another, so the report does not
-    depend on the block size.  Each block is filtered in place, 2^15 values
-    (or one row) at a time, and its squares go to a second block, so a call
-    holds two blocks and one chunk's spectrum.
+    `_NOISE_CHUNK` values (or one row when a row is longer) per step.  numpy
+    fills a chunk in order and the sums add one replicate after another, so
+    the report does not depend on the chunk size.  A step's outputs and their
+    squares go to one (rows + 1, 2, n) buffer whose row 0 holds the running
+    sums, reduced over its rows in order; the pair sits inside each row, as
+    numpy would reduce a contiguous axis (n = 1 with the pair outside) pairwise.
     """
     replicates = _check_integer("replicates", replicates, 100)
-    if not 0.0 <= sigma < math.inf:
+    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real) \
+            or not 0.0 <= sigma < math.inf:
         raise ValidationError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = generator(master_seed)
     kernel, analytic = _noise_kernel(target)
     n = len(kernel)
     kernel_hat = np.fft.rfft(kernel)  # symmetric kernel: transform is real
-    chunk = max(1, (1 << 15) // n)  # rows per transform
-    # row 0 of each half holds the running sum of the outputs and of their
-    # squares; rows 1.. hold a block's outputs and their squares
-    buf = np.zeros((2, min(_NOISE_BLOCK, replicates) + 1, n))
-    for done in range(0, replicates, _NOISE_BLOCK):
-        count = min(_NOISE_BLOCK, replicates - done)
-        eps = buf[0, 1:count + 1]
-        rng.standard_normal(out=eps)
-        eps *= sigma  # sigma z, where rng.normal gives 0.0 + sigma z: the same but for -0.0
+    chunk = min(max(1, _NOISE_CHUNK // n), replicates)  # rows per step
+    eps = np.empty((chunk, n))
+    buf = np.zeros((chunk + 1, 2, n))
+    for done in range(0, replicates, chunk):
+        count = min(chunk, replicates - done)
+        rows = eps[:count]
+        rng.standard_normal(out=rows)
+        rows *= sigma  # sigma z, where rng.normal gives 0.0 + sigma z: the same but for -0.0
         # rows transform independently; numpy 1.22's FFTs take no out=
-        for lo in range(0, count, chunk):
-            rows = eps[lo:lo + chunk]
-            spectrum = np.fft.rfft(rows, axis=1)
-            spectrum *= kernel_hat
-            rows[...] = np.fft.irfft(spectrum, n=n, axis=1)
-        np.square(eps, out=buf[1, 1:count + 1])
-        # accumulate adds row after row for any n, where a sum over one
-        # column would be pairwise
-        running = buf[:, :count + 1]
-        np.add.accumulate(running, axis=1, out=running)
-        buf[:, 0] = buf[:, count]
-    sums, sq_sums = buf[:, 0]
+        spectrum = np.fft.rfft(rows, axis=1)
+        spectrum *= kernel_hat
+        out = buf[1:count + 1]
+        out[:, 0] = np.fft.irfft(spectrum, n=n, axis=1)
+        np.square(out[:, 0], out=out[:, 1])
+        buf[0] = np.add.reduce(buf[:count + 1], axis=0)
+    sums, sq_sums = buf[0]
     per_sensor = (sq_sums - sums ** 2 / replicates) / (replicates - 1)
     sampled = float(per_sensor.mean())
     analytic *= sigma * sigma

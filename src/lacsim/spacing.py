@@ -51,10 +51,18 @@ class UniformGaps:
 SpacingLaw = Union[ExpGaps, UniformGaps]
 
 
+def _check_law(law) -> None:
+    if not isinstance(law, (ExpGaps, UniformGaps)):
+        raise ValidationError(f"law must be ExpGaps() or UniformGaps(eta), got {law!r}")
+
+
 @dataclass(frozen=True)
 class SpacingModel:
     law: SpacingLaw
     seed: int = 0
+
+    def __post_init__(self):
+        _check_law(self.law)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +151,7 @@ def spacing_moments(rho: float, law: SpacingLaw = ExpGaps()) -> SpacingMoments:
     eta -> 0.  For e^{-d} gaps var_u and var_y also have closed forms, which
     the chain must match and which are returned."""
     _check_rho("rho", rho)
+    _check_law(law)
     s = -math.log(rho)
     if isinstance(law, ExpGaps):
         e_xi, e_xi2 = 1.0 / (1.0 + s), 1.0 / (1.0 + 2.0 * s)

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
                       "--noise-sigma", "0.3"]),
     ("scale_run.py", ["--rule", "dyn_window", "--half-width", "20", "--n", "256", "--rounds", "30",
                       "--repeat", "2"]),
+    ("noise_and_spacing.py", ["--replicates", "1000", "--repeat", "2"]),
 ])
 def test_script_exits_zero(script, args):
     env = dict(os.environ)

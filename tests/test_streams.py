@@ -1,7 +1,7 @@
 """Monte Carlo streams: each call draws all its replicates from the one
-generator `np.random.default_rng(seed)`, a block at a time.  Both drivers are
-checked against per-replicate loops over that stream, kept here as the
-reference, and against themselves at other block sizes."""
+generator `np.random.default_rng(seed)`, a chunk or block at a time.  Both
+drivers are checked against per-replicate loops over that stream, kept here as
+the reference, and against themselves at other chunk and block sizes."""
 import json
 import math
 import os
@@ -149,12 +149,26 @@ def test_monte_carlo_spacing_equals_the_per_replicate_loop(rho, eta, replicates,
         reference_spacing(rho, model, replicates, tail_eps=tail_eps)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("replicates", [100, 1025, 4097])
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_monte_carlo_noise_of_one_and_two_sensors_equals_the_per_replicate_loop(
+        count, replicates, sigma):
+    # with n = 1 the replicates are numpy's contiguous axis, which a sum over
+    # them would add pairwise; the strategies above rarely draw count 1
+    target = GlobalAverage(count)
+    assert monte_carlo_noise(target, sigma, replicates, 13) == \
+        reference_noise(target, sigma, replicates, 13)
+
+
 @settings(max_examples=15, deadline=None)
-@given(NOISE_TARGETS, st.integers(1, 400), st.integers(100, 700), SEEDS)
-def test_monte_carlo_noise_does_not_depend_on_the_block_size(target, block, replicates, seed):
+@given(NOISE_TARGETS, st.integers(100, 700), SEEDS, st.data())
+def test_monte_carlo_noise_does_not_depend_on_the_chunk_size(target, replicates, seed, data):
     whole = monte_carlo_noise(target, 1.0, replicates, seed)
+    n = len(_noise_kernel(target)[0])
+    chunk = data.draw(st.integers(1, 8 * n), label="chunk")  # 1 to 8 rows, fewer than replicates
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_NOISE_BLOCK", block)  # shorter than the replicate count
+        patch.setattr(analysis, "_NOISE_CHUNK", chunk)
         assert monte_carlo_noise(target, 1.0, replicates, seed) == whole
 
 
@@ -305,13 +319,14 @@ def test_spacing_memory_is_bounded_by_the_block():
     assert large <= 1.5 * small
 
 
-def test_noise_memory_is_bounded_by_the_block():
-    # a (1024, n) block of draws, filtered in place a chunk at a time, and a
-    # block of their squares; transforms of the whole block would hold three
-    # blocks at once
-    target = ExponentialWeighting(0.95)
-    n = len(_noise_kernel(target)[0])
-    assert n == 539
+@pytest.mark.parametrize("rho, n", [(0.95, 539), (0.8, 124)])
+def test_noise_memory_is_bounded_by_the_chunk(rho, n):
+    # one chunk of draws, its spectrum, its inverse and a buffer of twice the
+    # chunk for the outputs and their squares: about five chunks, whatever n
+    # (1.254 MiB at n = 539 and 1.264 MiB at n = 124 with numpy 2.4, where a
+    # (1024, n) block of draws and one of squares held 8.94 and 2.45 MiB)
+    target = ExponentialWeighting(rho)
+    assert len(_noise_kernel(target)[0]) == n
     monte_carlo_noise(target, 1.0, 2049, 7)  # warm-up: numpy's FFT plan caches
     tracemalloc.start()
     try:
@@ -319,7 +334,7 @@ def test_noise_memory_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 2048 * n * 8
+    assert peak <= 6 * analysis._NOISE_CHUNK * 8
 
 
 @pytest.mark.parametrize("call", [
@@ -349,6 +364,15 @@ def test_noise_memory_is_bounded_by_the_block():
                             0.3),
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100, True),
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), True), 1000),
+    # a sigma that is not a real number, and a law that is not a law
+    lambda: monte_carlo_noise(GlobalAverage(10), None, 100, 0),
+    lambda: monte_carlo_noise(GlobalAverage(10), "1.0", 100, 0),
+    lambda: monte_carlo_noise(GlobalAverage(10), np.array([1.0, 2.0]), 100, 0),
+    lambda: monte_carlo_noise(GlobalAverage(10), True, 100, 0),
+    lambda: monte_carlo_spacing(0.5, SpacingModel("uniform", 1), 1000),
+    lambda: monte_carlo_spacing(0.5, SpacingModel(None, 1), 1000),
+    lambda: sample_spacings(SpacingModel(ExpGaps, 1), 10),
+    lambda: spacing.spacing_moments(0.5, "exp"),
 ])
 def test_monte_carlo_inputs_rejected_up_front(call):
     with pytest.raises(ValidationError):
