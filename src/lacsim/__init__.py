@@ -10,14 +10,14 @@ from .chain import (AlgorithmSpec, Boundary, ChainConfig, ConsensusTrace, Messag
                     Ring, Truncated, ZeroHalo, run, trace_to_csv)
 from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,
                             dyn_exp_transition, z_slot_transition)
-from .errors import (DivergedError, HistoryError, NeedsMoreSensorsError, OutOfDomainError,
-                     TerminatedError, ValidationError)
+from .errors import (DivergedError, HistoryError, OutOfDomainError, TerminatedError,
+                     ValidationError)
 from .fields import (Constant, Cosine, Impulse, MeasurementField, Noise, SpatialCosine,
                      SumField, TableField, TemporalCosine, evaluate_field, evaluate_grid,
                      random_space_time_table, random_spatial_table)
-from .spacing import (ExpGaps, SpacingDraw, SpacingMCReport, SpacingModel, SpacingMoments,
-                      UniformGaps, k_poisson, k_uniform, monte_carlo_spacing,
-                      sample_spacings, spacing_moments, table_from_draw, weighted_target)
+from .spacing import (ExpGaps, SpacingMCReport, SpacingModel, SpacingMoments, UniformGaps,
+                      k_poisson, k_uniform, monte_carlo_spacing, sample_spacings,
+                      spacing_moments, table_from_draw)
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow, asym_transition, exp_transition,
                            variable_window_transition, window_transition)

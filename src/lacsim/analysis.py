@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 from .fields import Cosine, MeasurementField
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
-                           PerSensorWindow, _check_integer, generator)
+                           PerSensorWindow, _check_integer, _check_real, generator)
 
 SETTLE_TAIL = 1e-9
 BISECTION_TOL = 1e-10
@@ -307,9 +306,7 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     numpy would reduce a contiguous axis (n = 1 with the pair outside) pairwise.
     """
     replicates = _check_integer("replicates", replicates, 100)
-    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real) \
-            or not 0.0 <= sigma < math.inf:
-        raise ValidationError(f"sigma must be finite and >= 0, got {sigma!r}")
+    _check_real("sigma", sigma, "finite and >= 0", lambda s: 0.0 <= s < math.inf)
     rng = generator(master_seed)
     kernel, analytic = _noise_kernel(target)
     n = len(kernel)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TerminatedError, ValidationError
-from .static_rules import _check_rho
+from .static_rules import _check_integer, _check_real, _check_rho
 from .tables import read_index_csv
 
 
@@ -41,17 +41,22 @@ class WeightTable:
     row_tol: float | None = None
 
     def __post_init__(self):
+        radius = _check_integer("radius", self.radius, 0)
         # an owned, read-only copy, as for TableField.values
         arr = np.array(self.weights, dtype=float)
         arr.flags.writeable = False
-        if arr.ndim != 2 or arr.shape[1] != 2 * self.radius + 1:
+        if arr.ndim != 2 or arr.shape[1] != 2 * radius + 1:
             raise ValidationError(
-                f"weight table must have shape (n, {2 * self.radius + 1}), got {arr.shape}")
+                f"weight table must have shape (n, {2 * radius + 1}), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("weight table contains non-finite entries")
-        if not math.isfinite(self.row_sum) or self.row_sum == 0:
-            raise ValidationError(f"row_sum must be finite and nonzero, got {self.row_sum!r}")
+        _check_real("row_sum", self.row_sum, "finite and nonzero",
+                    lambda s: math.isfinite(s) and s != 0)
+        if self.row_tol is not None:
+            _check_real("row_tol", self.row_tol, "None or finite and >= 0",
+                        lambda t: 0.0 <= t < math.inf)
         object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "radius", radius)
 
     @property
     def n(self) -> int:

@@ -24,11 +24,3 @@ class DivergedError(RuntimeError):
         self.sensor = sensor
         self.round = round_
         super().__init__(f"simulation diverged at sensor {sensor}, round {round_}")
-
-
-class NeedsMoreSensorsError(ValueError):
-    """A spacing draw is too short to reach the requested tail attenuation."""
-
-    def __init__(self, message: str, required: int):
-        self.required = required
-        super().__init__(message)

@@ -22,16 +22,10 @@ from typing import Union
 import numpy as np
 
 from .errors import OutOfDomainError, ValidationError
-from .static_rules import generator
+from .static_rules import _check_real, generator
 
 _MASK64 = (1 << 64) - 1
 _ROOT3 = math.sqrt(3.0)
-
-
-def _require_finite(name, *values):
-    for v in values:
-        if not math.isfinite(v):
-            raise ValidationError(f"{name}: non-finite parameter {v!r}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        _require_finite("constant", self.value)
+        _check_real("constant value", self.value)
 
     def at(self, i: int, k: int) -> float:
         return self.value
@@ -75,7 +69,8 @@ class Cosine:
     phase: float = 0.0
 
     def __post_init__(self):
-        _require_finite("cosine", self.amplitude, self.omega_s, self.omega_t, self.phase)
+        for name in ("amplitude", "omega_s", "omega_t", "phase"):
+            _check_real(f"cosine {name}", getattr(self, name))
 
     def at(self, i: int, k: int) -> float:
         return self.amplitude * math.cos(self.omega_s * i + self.omega_t * k + self.phase)
@@ -160,9 +155,7 @@ class Noise:
     seed: int = 0
 
     def __post_init__(self):
-        _require_finite("noise", self.sigma)
-        if self.sigma < 0:
-            raise ValidationError("noise sigma must be >= 0")
+        _check_real("noise sigma", self.sigma, "finite and >= 0", lambda s: 0.0 <= s < math.inf)
         if self.distribution not in ("gaussian", "uniform"):
             raise ValidationError(f"unknown noise distribution {self.distribution!r}")
         # the seed is the two 64-bit words of the Philox key: any other

@@ -6,6 +6,10 @@ The normalization constant K makes a constant field pass through with unit
 mean; the output then remains random, and its variance follows from the
 moment chain of xi = rho**gap.
 
+A spaced chain runs through the distributed rules one way: `table_from_draw`
+turns the gaps `sample_spacings` draws into banded weights rho**d for
+`BandedWeighting`, whose raw weighted sums K then normalizes.
+
 Naming note: the mean-1 density e^{-d} is an exponential law; the analysis
 refers to the process it generates, so the class name says what is sampled.
 """
@@ -18,8 +22,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NeedsMoreSensorsError, ValidationError
-from .fields import MeasurementField, evaluate_grid
+from .errors import ValidationError
 from .static_rules import _check_integer, _check_rho, generator
 
 # replicates per block of `monte_carlo_spacing`, bounded so that a block's
@@ -65,37 +68,17 @@ class SpacingModel:
         _check_law(self.law)
 
 
-@dataclass(frozen=True, eq=False)
-class SpacingDraw:
-    """One realization of consecutive gaps d_{g,g+1} for sensors 0..len(gaps),
-    with the law that drew them (None for gaps given as they are)."""
-
-    gaps: np.ndarray
-    law: SpacingLaw | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.gaps, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError("a draw needs a non-empty 1-D gap array")
-        if not np.all((arr > 0) & np.isfinite(arr)):
-            raise ValidationError("gaps must be finite and strictly positive")
-        object.__setattr__(self, "gaps", arr)
-
-    @property
-    def sensors(self) -> int:
-        return self.gaps.size + 1
-
-
 def _draw_gaps(law: SpacingLaw, count: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(law, ExpGaps):
         return rng.standard_exponential(count)
     return rng.uniform(1.0 - law.eta, 1.0 + law.eta, count)
 
 
-def sample_spacings(model: SpacingModel, count: int) -> SpacingDraw:
-    """Deterministic draw of `count` gaps; same seed, same gaps."""
+def sample_spacings(model: SpacingModel, count: int) -> np.ndarray:
+    """Deterministic draw of `count` gaps d_{g,g+1} for sensors 0..count; same
+    seed, same gaps."""
     count = _check_integer("gap count", count, 1)
-    return SpacingDraw(_draw_gaps(model.law, count, generator(model.seed)), model.law)
+    return _draw_gaps(model.law, count, generator(model.seed))
 
 
 def k_poisson(rho: float) -> float:
@@ -186,39 +169,6 @@ def _required_sensors(rho: float, law: SpacingLaw, tail_eps: float) -> int:
     return math.ceil(needed + 10.0 * math.sqrt(needed) + 20.0)
 
 
-def weighted_target(draw: SpacingDraw, field: MeasurementField, i: int, rho: float,
-                    k_norm: float, tail_eps: float = 1e-12) -> float:
-    """K [x_i + sum_j rho^{d(i,i+j)} x_{i+j} + sum_j rho^{d(i,i-j)} x_{i-j}],
-    truncated once the attenuation drops below tail_eps on each side.
-
-    The draw must be long enough to reach that attenuation on both sides;
-    otherwise a NeedsMoreSensorsError reports a sufficient sensor count for
-    the draw's law (the exponential law's for gaps given without one).
-    """
-    _check_rho("rho", rho)
-    if not 0 <= i < draw.sensors:
-        raise ValidationError(f"sensor {i} outside draw of {draw.sensors} sensors")
-    _check_rho("tail_eps", tail_eps)
-    gaps = draw.gaps
-    x = evaluate_grid(field, draw.sensors, 1)[0].tolist()  # step 0 of every sensor
-    total = x[i]
-    for step, stop in ((1, draw.sensors - 1), (-1, 0)):
-        cum = 0.0
-        j = i
-        while True:
-            if j == stop:
-                raise NeedsMoreSensorsError(
-                    f"attenuation rho^{cum:.3g} has not reached {tail_eps} at sensor {j}",
-                    required=_required_sensors(rho, draw.law or ExpGaps(), tail_eps))
-            cum += gaps[j] if step == 1 else gaps[j - 1]
-            j += step
-            w = rho ** cum
-            if w < tail_eps:
-                break
-            total += w * x[j]
-    return k_norm * total
-
-
 @dataclass(frozen=True)
 class SpacingMCReport:
     rho: float
@@ -304,16 +254,22 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
                            var_sampled=var, var_se=var_se, replicates=replicates)
 
 
-def table_from_draw(draw: SpacingDraw, rho: float, radius: int):
-    """Banded weights rho^{d(i, i+offset)} for the draw's chain, with unit
-    normalization so the distributed rule computes raw weighted sums.  Row
-    totals genuinely differ here, so the row check is disabled (row_tol None);
-    normalize afterwards by the law's K or by per-row totals."""
+def table_from_draw(gaps, rho: float, radius: int):
+    """Banded weights rho^{d(i, i+offset)} for the chain of len(gaps) + 1
+    sensors with consecutive gaps `gaps`, with unit normalization so the
+    distributed rule computes raw weighted sums.  Row totals genuinely differ
+    here, so the row check is disabled (row_tol None); normalize afterwards by
+    the law's K or by per-row totals."""
     from .arbitrary_weights import WeightTable
 
+    gaps = np.asarray(gaps, dtype=float)
+    if gaps.ndim != 1 or gaps.size == 0:
+        raise ValidationError("a draw needs a non-empty 1-D gap array")
+    if not np.all((gaps > 0) & np.isfinite(gaps)):
+        raise ValidationError("gaps must be finite and strictly positive")
     _check_rho("rho", rho)
     radius = _check_integer("radius", radius, 1)
-    n = draw.sensors
+    n = gaps.size + 1
     if n < 2 * radius + 1:
         raise ValidationError(f"draw of {n} sensors cannot host radius {radius}")
     # past the chain ends rho^|offset|: it only ever multiplies a zero
@@ -322,7 +278,7 @@ def table_from_draw(draw: SpacingDraw, rho: float, radius: int):
     weights = np.tile(np.float_power(rho, np.abs(np.arange(-radius, radius + 1.0))), (n, 1))
     for j in range(1, radius + 1):
         # d(s, s + j), summed in the order of gaps[s:s + j].sum()
-        w = np.float_power(rho, sliding_window_view(draw.gaps, j).sum(axis=1))
+        w = np.float_power(rho, sliding_window_view(gaps, j).sum(axis=1))
         weights[:n - j, radius + j] = w
         weights[j:, radius - j] = w
     return WeightTable(weights, 1.0, radius, row_tol=None)

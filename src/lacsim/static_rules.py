@@ -16,6 +16,7 @@ sensors; the engine steps the whole chain in one call.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -36,6 +37,13 @@ def _check_integer(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_real(name: str, value, rule: str = "finite", ok=math.isfinite) -> None:
+    """Reject `value` unless it is a real number, a Python or numpy one but not a
+    bool, for which `ok` holds; the message says `name` must be `rule`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_seed(seed) -> None:

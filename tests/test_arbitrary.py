@@ -250,6 +250,35 @@ def test_table_rejects_a_row_sum_that_is_not_finite_and_nonzero(row_sum):
         WeightTable(np.ones((4, 3)), row_sum, 1)
 
 
+
+@pytest.mark.parametrize("change, message", [
+    ({"radius": 2.0}, r"^radius must be an integer >= 0, got 2\.0$"),
+    ({"radius": -1}, r"^radius must be an integer >= 0, got -1$"),
+    ({"radius": True}, r"^radius must be an integer >= 0, got True$"),
+    ({"row_sum": None}, r"^row_sum must be finite and nonzero, got None$"),
+    ({"row_sum": "3"}, r"^row_sum must be finite and nonzero, got '3'$"),
+    ({"row_sum": True}, r"^row_sum must be finite and nonzero, got True$"),
+    ({"row_tol": math.nan}, r"^row_tol must be None or finite and >= 0, got nan$"),
+    ({"row_tol": -1.0}, r"^row_tol must be None or finite and >= 0, got -1\.0$"),
+    ({"row_tol": math.inf}, r"^row_tol must be None or finite and >= 0, got inf$"),
+    ({"row_tol": "0.1"}, r"^row_tol must be None or finite and >= 0, got '0\.1'$"),
+], ids=["radius-float", "radius-negative", "radius-bool", "row_sum-None", "row_sum-str",
+        "row_sum-bool", "row_tol-nan", "row_tol-negative", "row_tol-inf", "row_tol-str"])
+def test_table_rejects_numbers_out_of_domain_up_front(change, message):
+    # a float radius built and then failed inside `run` with a bare TypeError,
+    # a bool row_sum passed as 1, a NaN row_tol turned the row check off, and
+    # a negative one rejected every table
+    args = {"weights": np.ones((8, 5)), "row_sum": 5.0, "radius": 2, "row_tol": None} | change
+    with pytest.raises(ValidationError, match=message):
+        WeightTable(**args)
+
+
+def test_table_takes_radius_zero_and_numpy_numbers():
+    # `from_csv` yields radius 0 for a band of offset 0 alone
+    table = WeightTable(np.full((3, 1), 2.0), np.float64(2.0), np.int64(0), row_tol=np.float32(0))
+    assert type(table.radius) is int and table.radius == 0
+    BandedWeighting(table)
+
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
 def test_geometric_table_names_the_rate_it_rejects(rho):
     with pytest.raises(ValidationError,

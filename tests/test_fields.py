@@ -99,6 +99,28 @@ def test_non_finite_parameters_rejected():
         Noise(1.0, distribution="cauchy")
 
 
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Noise(True), r"^noise sigma must be finite and >= 0, got True$"),
+    (lambda: Noise("1.0"), r"^noise sigma must be finite and >= 0, got '1\.0'$"),
+    (lambda: Noise(-1.0), r"^noise sigma must be finite and >= 0, got -1\.0$"),
+    (lambda: Constant(None), r"^constant value must be finite, got None$"),
+    (lambda: Constant(False), r"^constant value must be finite, got False$"),
+    (lambda: SpatialCosine(1.0, "0.1"), r"^cosine omega_s must be finite, got '0\.1'$"),
+    (lambda: TemporalCosine(None, 0.1), r"^cosine amplitude must be finite, got None$"),
+], ids=["sigma-bool", "sigma-str", "sigma-negative", "constant-None", "constant-bool",
+        "cosine-str", "cosine-None"])
+def test_field_parameters_must_be_real_numbers(make, message):
+    # Noise(True) built with sigma = 1, and a string or None raised a bare TypeError
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+def test_field_parameters_may_be_numpy_numbers():
+    assert Constant(np.float32(0.5)).at(0, 0) == 0.5
+    assert Noise(np.int64(2)).sigma == 2
+    assert SpatialCosine(np.float64(1.0), np.int8(0)).at(3, 0) == 1.0
+
 def test_negative_step_rejected():
     with pytest.raises(ValidationError, match="time step"):
         evaluate_field(MeasurementField(Constant(1.0)), 0, -1)

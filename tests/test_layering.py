@@ -110,6 +110,26 @@ def test_the_oracle_keeps_no_copy_of_the_rule_and_chain_checks():
     assert "_check_ring" not in defined
 
 
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a name the package exports earns its place by a use in the package
+    # itself, a script or the benchmark: a load, an attribute or an import,
+    # not its own definition and not `__init__.py`'s re-export
+    root = PACKAGE.parents[1]
+    exports = {a.asname or a.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = set()
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    for path in paths + sorted(root.glob("scripts/*.py")) + sorted(root.glob("perfbench/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(exports - used) == []
+
 def test_per_sensor_window_run_leaves_the_oracle_unloaded():
     script = (
         "import sys\n"

@@ -11,13 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, args", [
-    ("noise_and_spacing.py", ["--replicates", "1000"]),
+    ("noise_and_spacing.py", ["--replicates", "1000", "--sensors", "1024"]),
     ("scale_run.py", ["--n", "1024", "--rounds", "5"]),
     ("scale_run.py", ["--rule", "dyn_exponential", "--n", "1024", "--rounds", "5",
                       "--noise-sigma", "0.3"]),
     ("scale_run.py", ["--rule", "dyn_window", "--half-width", "20", "--n", "256", "--rounds", "30",
                       "--repeat", "2"]),
-    ("noise_and_spacing.py", ["--replicates", "1000", "--repeat", "2"]),
+    ("noise_and_spacing.py", ["--replicates", "1000", "--repeat", "2", "--sensors", "1024"]),
 ])
 def test_script_exits_zero(script, args):
     env = dict(os.environ)

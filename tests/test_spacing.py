@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacsim import (BandedWeighting, ChainConfig, Constant, ExpGaps, Impulse,
-                    MeasurementField, NeedsMoreSensorsError, Noise, SpacingDraw, SpacingModel,
-                    SpatialCosine, TableField, UniformGaps, ValidationError, ZeroHalo,
-                    evaluate_grid, k_poisson, k_uniform, monte_carlo_spacing, run,
-                    sample_spacings, spacing_moments, table_from_draw, weighted_target)
+                    MeasurementField, Noise, SpacingModel, SpatialCosine, TableField, Truncated,
+                    UniformGaps, ValidationError, ZeroHalo, evaluate_grid, k_poisson, k_uniform,
+                    monte_carlo_spacing, run, sample_spacings, spacing_moments, table_from_draw)
 from lacsim import oracle
 
 
@@ -17,21 +16,21 @@ def test_sampler_deterministic():
     model = SpacingModel(ExpGaps(), seed=5)
     a = sample_spacings(model, 50)
     b = sample_spacings(model, 50)
-    assert np.array_equal(a.gaps, b.gaps)
+    assert np.array_equal(a, b)
     c = sample_spacings(SpacingModel(ExpGaps(), seed=6), 50)
-    assert not np.array_equal(a.gaps, c.gaps)
+    assert not np.array_equal(a, c)
 
 
 def test_sampler_law_ranges():
     uni = sample_spacings(SpacingModel(UniformGaps(0.3), seed=1), 2000)
-    assert np.all(uni.gaps >= 0.7) and np.all(uni.gaps <= 1.3)
-    assert uni.gaps.mean() == pytest.approx(1.0, rel=0.02)
+    assert np.all(uni >= 0.7) and np.all(uni <= 1.3)
+    assert uni.mean() == pytest.approx(1.0, rel=0.02)
     # eta -> 0 degenerates to unit spacing
     tight = sample_spacings(SpacingModel(UniformGaps(1e-12), seed=1), 100)
-    assert np.allclose(tight.gaps, 1.0, atol=1e-11)
+    assert np.allclose(tight, 1.0, atol=1e-11)
     exp = sample_spacings(SpacingModel(ExpGaps(), seed=2), 10 ** 5)
-    assert np.all(exp.gaps > 0)
-    assert exp.gaps.mean() == pytest.approx(1.0, rel=0.01)
+    assert np.all(exp > 0)
+    assert exp.mean() == pytest.approx(1.0, rel=0.01)
 
 
 def test_sampler_validation():
@@ -43,35 +42,58 @@ def test_sampler_validation():
         sample_spacings(SpacingModel(ExpGaps(), 0), 0)
 
 
-def _distance(draw, i, j):
+def _distance(gaps, i, j):
     """Cumulative distance between sensors i and j (gap exponents add): the
     per-pair reference for `table_from_draw`."""
     lo, hi = sorted((i, j))
-    assert 0 <= lo and hi <= draw.gaps.size
-    return float(draw.gaps[lo:hi].sum())
+    assert 0 <= lo and hi <= gaps.size
+    return float(gaps[lo:hi].sum())
 
 
-def _table_per_pair(draw, rho, radius):
+def _table_per_pair(gaps, rho, radius):
     """`table_from_draw`'s weights one entry at a time, as it once built them."""
-    n = draw.sensors
+    n = gaps.size + 1
     weights = np.empty((n, 2 * radius + 1))
     for s in range(n):
         for off in range(-radius, radius + 1):
             t = s + off
-            weights[s, off + radius] = rho ** (_distance(draw, s, t) if 0 <= t < n
+            weights[s, off + radius] = rho ** (_distance(gaps, s, t) if 0 <= t < n
                                                else abs(off))
     return weights
 
 
+def _weighted_target(gaps, field, i, rho, k_norm, tail_eps=1e-12):
+    """K [x_i + sum_j rho^{d(i,i+j)} x_{i+j} + sum_j rho^{d(i,i-j)} x_{i-j}],
+    truncated once the attenuation drops below tail_eps on each side: the
+    scalar reference for a banded run on `table_from_draw` weights.  The chain
+    must reach that attenuation on both sides of sensor i."""
+    n = gaps.size + 1
+    x = evaluate_grid(field, n, 1)[0].tolist()  # step 0 of every sensor
+    total = x[i]
+    for step, stop in ((1, n - 1), (-1, 0)):
+        cum = 0.0
+        j = i
+        while True:
+            assert j != stop, f"attenuation rho^{cum:.3g} has not reached {tail_eps} at {j}"
+            cum += gaps[j] if step == 1 else gaps[j - 1]
+            j += step
+            w = rho ** cum
+            if w < tail_eps:
+                break
+            total += w * x[j]
+    return k_norm * total
+
+
 def test_draw_distances_telescope():
-    draw = SpacingDraw(np.array([1.0, 2.0, 0.5]))
-    assert draw.sensors == 4
-    assert _distance(draw, 0, 3) == pytest.approx(3.5)
-    assert _distance(draw, 2, 1) == pytest.approx(2.0)
-    for bad in ([1.0, -0.5], [1.0, 0.0], [], [[1.0]], [1.0, np.nan, 1.0, 1.0],
-                [1.0, np.inf], [-np.inf, 1.0]):
-        with pytest.raises(ValidationError):
-            SpacingDraw(np.array(bad))
+    gaps = np.array([1.0, 2.0, 0.5])
+    assert _distance(gaps, 0, 3) == pytest.approx(3.5)
+    assert _distance(gaps, 2, 1) == pytest.approx(2.0)
+    for bad in ([], [[1.0]]):
+        with pytest.raises(ValidationError, match="^a draw needs a non-empty 1-D gap array$"):
+            table_from_draw(np.array(bad), 0.5, 1)
+    for bad in ([1.0, -0.5], [1.0, 0.0], [1.0, np.nan, 1.0, 1.0], [1.0, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(ValidationError, match="^gaps must be finite and strictly positive$"):
+            table_from_draw(np.array(bad), 0.5, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,9 +101,9 @@ def test_draw_distances_telescope():
        st.sampled_from([0.5, 0.9, math.exp(-1.0)]) | st.floats(0.01, 0.99),
        st.integers(1, 40), st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
 def test_table_from_draw_equals_the_per_pair_table_bit_for_bit(law, rho, radius, extra, seed):
-    draw = sample_spacings(SpacingModel(law, seed), 2 * radius + extra)
-    table = table_from_draw(draw, rho, radius)
-    expected = _table_per_pair(draw, rho, radius)
+    gaps = sample_spacings(SpacingModel(law, seed), 2 * radius + extra)
+    table = table_from_draw(gaps, rho, radius)
+    expected = _table_per_pair(gaps, rho, radius)
     assert table.weights.tobytes() == expected.tobytes()
 
 
@@ -94,16 +116,14 @@ def test_table_from_draw_equals_the_per_pair_table_bit_for_bit(law, rho, radius,
     (0.5, 0, r"^radius must be an integer >= 1, got 0$"),
 ])
 def test_table_from_draw_rejects_a_rate_or_radius_out_of_domain(rho, radius, message):
-    draw = SpacingDraw(np.ones(20))
     with pytest.raises(ValidationError, match=message):
-        table_from_draw(draw, rho, radius)
+        table_from_draw(np.ones(20), rho, radius)
 
 
 def test_table_from_draw_keeps_a_numpy_radius_as_an_int():
-    draw = SpacingDraw(np.ones(20))
-    table = table_from_draw(draw, 0.5, np.int64(2))
+    table = table_from_draw(np.ones(20), 0.5, np.int64(2))
     assert type(table.radius) is int
-    assert table.weights.tobytes() == table_from_draw(draw, 0.5, 2).weights.tobytes()
+    assert table.weights.tobytes() == table_from_draw(np.ones(20), 0.5, 2).weights.tobytes()
 
 
 def test_k_poisson_values():
@@ -208,56 +228,31 @@ def test_weighted_target_unit_spacing_reduction():
     # degenerate unit gaps with the deterministic constant reproduce the
     # exponential target exactly
     n, rho = 161, 0.6
-    draw = SpacingDraw(np.ones(n - 1))
     field = MeasurementField(TableField(np.sin(np.arange(n))))
     i = n // 2
-    got = weighted_target(draw, field, i, rho, (1 - rho) / (1 + rho), tail_eps=1e-13)
+    got = _weighted_target(np.ones(n - 1), field, i, rho, (1 - rho) / (1 + rho), tail_eps=1e-13)
     want = oracle.exp_target(field, i, rho, n=n, boundary=ZeroHalo(), eps=1e-15)
     assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_weighted_target_single_spike():
     gaps = np.array([45.0, 2.0, 0.25, 45.0, 45.0])
-    draw = SpacingDraw(gaps)
     rho, k_norm = 0.5, 0.37
     field = MeasurementField(Impulse(center=3))
-    got = weighted_target(draw, field, 1, rho, k_norm)
+    got = _weighted_target(gaps, field, 1, rho, k_norm)
     assert got == pytest.approx(k_norm * rho ** 2.25, abs=1e-15)
 
 
 def test_weighted_target_reads_a_noisy_field_from_its_grid_row():
-    draw = sample_spacings(SpacingModel(UniformGaps(0.3), 3), 200)
+    gaps = sample_spacings(SpacingModel(UniformGaps(0.3), 3), 200)
     rho, k_norm, i = 0.5, 0.4, 100
     field = MeasurementField(SpatialCosine(1.0, 0.3), noise=Noise(0.5, seed=17))
-    x = evaluate_grid(field, draw.sensors, 1)[0]
-    d = np.concatenate(([0.0], np.cumsum(draw.gaps)))  # positions along the chain
+    x = evaluate_grid(field, gaps.size + 1, 1)[0]
+    d = np.concatenate(([0.0], np.cumsum(gaps)))  # positions along the chain
     w = rho ** np.abs(d - d[i])
     kept = w >= 1e-12
-    assert weighted_target(draw, field, i, rho, k_norm) == \
+    assert _weighted_target(gaps, field, i, rho, k_norm) == \
         pytest.approx(k_norm * float((w * x)[kept].sum()), rel=1e-12)
-
-
-def test_weighted_target_needs_longer_draw():
-    draw = SpacingDraw(np.full(4, 0.1))
-    with pytest.raises(NeedsMoreSensorsError) as err:
-        weighted_target(draw, MeasurementField(Constant(1.0)), 2, 0.9, 0.05)
-    assert err.value.required > 4
-
-
-@pytest.mark.parametrize("law, required", [(UniformGaps(0.3), 59), (ExpGaps(), 124)],
-                         ids=["uniform", "exp"])
-def test_weighted_target_names_the_sensor_count_of_its_draws_law(law, required):
-    # rho = 0.5 needs ceil(log(1e-12) / log(0.5) / (1 - eta)) + 2 = 59 uniform
-    # gaps, and the exponential law's margin gives 124; gaps given without a
-    # law keep the exponential count
-    draw = sample_spacings(SpacingModel(law, 5), 20)
-    field = MeasurementField(Constant(1.0))
-    with pytest.raises(NeedsMoreSensorsError) as err:
-        weighted_target(draw, field, 10, 0.5, 1.0)
-    assert err.value.required == required
-    with pytest.raises(NeedsMoreSensorsError) as err:
-        weighted_target(SpacingDraw(draw.gaps), field, 10, 0.5, 1.0)
-    assert err.value.required == 124
 
 
 def test_monte_carlo_spacing_exp_gaps():
@@ -314,16 +309,16 @@ def test_distributed_run_on_spacing_weights():
     # per-row normalization makes a constant field exactly one
     rho, radius = math.exp(-1.0), 25
     model = SpacingModel(ExpGaps(), seed=21)
-    draw = sample_spacings(model, 140)
-    n = draw.sensors
-    table = table_from_draw(draw, rho, radius)
+    gaps = sample_spacings(model, 140)
+    n = gaps.size + 1
+    table = table_from_draw(gaps, rho, radius)
     field = MeasurementField(TableField(np.cos(0.3 * np.arange(n))))
     cfg = ChainConfig(n=n, boundary=ZeroHalo(), rounds=radius)
     trace = run(cfg, field, BandedWeighting(table))
     i = n // 2
     raw = trace.y[i, radius]
     # law-constant normalization vs the tail-truncated direct sum
-    direct = weighted_target(draw, field, i, rho, k_poisson(rho), tail_eps=1e-13)
+    direct = _weighted_target(gaps, field, i, rho, k_poisson(rho), tail_eps=1e-13)
     assert k_poisson(rho) * raw == pytest.approx(direct, abs=1e-8)
     # per-row normalization: constant field lands exactly on 1
     ones = MeasurementField(Constant(1.0))
@@ -334,6 +329,33 @@ def test_distributed_run_on_spacing_weights():
         assert s in interior_rows
         assert trace_ones.y[s, radius] / row_sums[s] == pytest.approx(1.0, abs=1e-10)
 
+
+
+def _batch_means(values, size=256):
+    """The mean of `values` and its batch-means standard error over blocks of
+    `size` consecutive values; a last, partial block is dropped."""
+    blocks = values[:values.size // size * size].reshape(-1, size).mean(axis=1)
+    return float(blocks.mean()), float(blocks.std(ddof=1)) / math.sqrt(blocks.size)
+
+
+@pytest.mark.parametrize("law, seed, k_norm", [(ExpGaps(), 31, k_poisson(0.5)),
+                                               (UniformGaps(0.3), 37, k_uniform(0.5, 0.3))],
+                         ids=["exp", "uniform"])
+def test_banded_run_on_a_drawn_chain_matches_the_moment_chain(law, seed, k_norm):
+    # a constant field through the banded rule on a drawn chain: K y has mean 1
+    # and variance var_y.  Neighbours share most of their terms, so the errors
+    # are batch means over blocks of 256 sensors (Geyer 1992); the seeds were
+    # fixed before the first run, and the band's tail past radius 80 is far
+    # below them (rho^56.7 for the shortest uniform gaps)
+    rho, radius, n = 0.5, 80, 2 ** 14
+    table = table_from_draw(sample_spacings(SpacingModel(law, seed), n - 1), rho, radius)
+    trace = run(ChainConfig(n=n, boundary=Truncated(), rounds=radius),
+                MeasurementField(Constant(1.0)), BandedWeighting(table))
+    values = k_norm * trace.y[radius:n - radius, radius]  # sensors with the whole band
+    mean, mean_se = _batch_means(values)
+    var, var_se = _batch_means((values - mean) ** 2)
+    assert abs(mean - 1.0) <= 3 * mean_se
+    assert abs(var - spacing_moments(rho, law).var_y) <= 3 * var_se
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
 def test_spacing_constants_name_the_rate_they_reject(rho):

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacsim import (Constant, ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
-                    MeasurementField, SpacingDraw, SpacingModel, UniformGaps, ValidationError,
-                    monte_carlo_noise, monte_carlo_spacing, sample_spacings, weighted_target)
+from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage, SpacingModel,
+                    UniformGaps, ValidationError, monte_carlo_noise, monte_carlo_spacing,
+                    sample_spacings)
 from lacsim import analysis, spacing
 from lacsim.analysis import NoiseReport, _noise_kernel
 from lacsim.cli import main
@@ -108,8 +108,8 @@ def test_seeded_generator_helpers_keep_their_values(seed):
     assert np.array_equal(random_space_time_table(4, 3, seed).values,
                           _rng(seed).uniform(-1.0, 1.0, (4, 3)))
     model = SpacingModel(UniformGaps(0.3), seed)
-    assert np.array_equal(sample_spacings(model, 30).gaps, _rng(seed).uniform(0.7, 1.3, 30))
-    assert np.array_equal(sample_spacings(SpacingModel(ExpGaps(), seed), 30).gaps,
+    assert np.array_equal(sample_spacings(model, 30), _rng(seed).uniform(0.7, 1.3, 30))
+    assert np.array_equal(sample_spacings(SpacingModel(ExpGaps(), seed), 30),
                           _rng(seed).standard_exponential(30))
 
 
@@ -354,14 +354,6 @@ def test_noise_memory_is_bounded_by_the_chunk(rho, n):
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100.5, 0),
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, "200", 0),
     lambda: sample_spacings(SpacingModel(ExpGaps(), 1), 2.5),
-    lambda: weighted_target(SpacingDraw(np.ones(50)), MeasurementField(Constant(1.0)), 25, 0.5,
-                            0.3, tail_eps=0.0),
-    lambda: weighted_target(SpacingDraw(np.ones(40)), MeasurementField(Constant(1.0)), 20, 0.0,
-                            0.3),
-    lambda: weighted_target(SpacingDraw(np.ones(40)), MeasurementField(Constant(1.0)), 20, -0.5,
-                            0.3),
-    lambda: weighted_target(SpacingDraw(np.ones(40)), MeasurementField(Constant(1.0)), 20, 1.5,
-                            0.3),
     lambda: monte_carlo_noise(GlobalAverage(10), 1.0, 100, True),
     lambda: monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), True), 1000),
     # a sigma that is not a real number, and a law that is not a law
