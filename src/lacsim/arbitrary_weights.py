@@ -7,8 +7,6 @@ consensus value, subtracting the doubly counted initial term.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,12 +60,6 @@ class WeightTable:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def weight(self, sensor: int, offset: int) -> float:
-        return float(self.weights[sensor, offset + self.radius])
-
-    def row(self, sensor: int) -> np.ndarray:
-        return self.weights[sensor]
-
     def row_totals(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
@@ -91,32 +83,21 @@ class WeightTable:
         weights = read_index_csv(text, ("sensor,offset,weight",), "weight CSV", ("offset",), bounds)
         return cls(weights, row_sum, weights.shape[1] // 2, row_tol=row_tol)
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["sensor", "offset", "weight"])
-        for s in range(self.n):
-            for off in range(-self.radius, self.radius + 1):
-                writer.writerow([s, off, format(self.weight(s, off), ".17g")])
-        return out.getvalue()
 
-
-@dataclass(frozen=True)
-class WeightReport:
-    ok: bool
-    zero_entries: tuple          # (sensor, offset) pairs
-    bad_rows: tuple              # (sensor, row_total) pairs
-
-
-def validate_weights(table: WeightTable, tol: float) -> WeightReport:
-    """Check every stored entry is nonzero and every row total matches the
-    declared common sum within `tol`; offenders are listed, never raised."""
-    zeros = [(s, c - table.radius) for s, c in np.argwhere(table.weights == 0.0).tolist()]
-    with np.errstate(over="ignore"):  # a total past float range misses any finite one
-        totals = table.row_totals()
-    outside = np.flatnonzero(np.abs(totals - table.row_sum) > tol)
-    bad = [(s, float(totals[s])) for s in outside.tolist()]
-    return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros), bad_rows=tuple(bad))
+def validate_weights(table: WeightTable) -> None:
+    """Raise ValidationError unless every stored entry is nonzero and, when
+    `row_tol` is set, every row total matches the common sum within it; the
+    message names the first four rows outside, as (sensor, total) pairs."""
+    if (table.weights == 0.0).any():
+        raise ValidationError("weight table contains zero entries")
+    tol = table.row_tol
+    if tol is not None:
+        with np.errstate(over="ignore"):  # a total past float range misses any finite one
+            totals = table.row_totals()
+        bad = np.flatnonzero(np.abs(totals - table.row_sum) > tol)[:4].tolist()
+        if bad:
+            raise ValidationError(f"weight rows deviate from the common total beyond {tol}: "
+                                  f"{tuple((s, float(totals[s])) for s in bad)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +108,7 @@ class BandedWeighting:
     table: WeightTable
 
     def __post_init__(self):
-        tol = self.table.row_tol
-        report = validate_weights(self.table, math.inf if tol is None else tol)
-        if report.zero_entries:
-            raise ValidationError("weight table contains zero entries")
-        if report.bad_rows:
-            raise ValidationError(
-                f"weight rows deviate from the common total beyond {tol}: {report.bad_rows[:4]}")
+        validate_weights(self.table)
 
 
 def fb_transition(k, own, fwd, bwd, x_i, own_row, fwd_row, bwd_row, row_sum):

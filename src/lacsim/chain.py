@@ -285,10 +285,11 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
             if ring:
                 np.copyto(*pads[oldest])
             row = readout(hist[oldest], hist[latest], t)
-            # its sum of squares is finite only if every state value is; if it
-            # overflows, the state is checked value by value
+            # its sum of squares is finite only if every y value is (a
+            # non-finite state gives a non-finite y); if it overflows, y is
+            # checked value by value
             if not math.isfinite(np.vdot(row, row)):
-                bad = ~np.isfinite(new).all(axis=0)
+                bad = ~np.isfinite(row)
                 if bad.any():
                     raise DivergedError(int(bad.argmax()) - off, t)
             y[t] = row[off:off + n]

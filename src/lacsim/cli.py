@@ -6,8 +6,8 @@ then --seed and --out), writes its data files with full float precision, and emb
 resolved configuration in a metadata JSON so outputs are reproducible
 byte-for-byte; timestamps live only in metadata.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime divergence,
-3 acceptance failure (verify only).
+Exit codes: 0 success, 1 validation failure or a file that cannot be read
+or written, 2 runtime divergence, 3 acceptance failure (verify only).
 """
 from __future__ import annotations
 
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
         exp = resolve(merge_settings(raw, args.overrides + flags), args.command, base_dir)
         _check_out_dir(exp.out_dir)
         written = _HANDLERS[args.command](exp)
-    except (ValidationError, OutOfDomainError, FileNotFoundError) as exc:
+    except (ValidationError, OutOfDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergedError as exc:

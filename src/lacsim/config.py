@@ -227,7 +227,9 @@ def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict, chain: dict
 
 def read_ini(text: str) -> dict:
     """Parse INI text into {section: {key: raw string}}, dropping blank values."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is read as a section of
+    # its own, which `resolve` rejects like any unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keys such as L and K are case-sensitive
     try:
         parser.read_string(text)

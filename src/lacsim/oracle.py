@@ -20,7 +20,7 @@ padded slab, forms all k hop terms with one add and one multiply and adds
 them to the running total in hop order: a few numpy calls, not k Python steps.
 
 The scalar forms (`exp_target`, ...) index the same rows.  Each keeps a memo
-of its latest case only: the (field, n, boundary, eps, parameters) objects,
+of its latest case only: the (field, n, boundary, parameters) objects,
 the case's plan, the grid read for it and its rows by k.  A call names the
 same case only with the very same objects, n aside: a plain int equal to the
 last n (such as a fresh `len(values)`) is the same n.  Any other object, even
@@ -195,19 +195,19 @@ class _Memo:
 
     def __init__(self, rule):
         self.rule = rule  # the rule class, built from a new case's numbers
-        self.last, self.x, self.run = ((_NO,) * 6, None, {}), None, None
+        self.last, self.x, self.run = ((_NO,) * 5, None, {}), None, None
         self.lock = threading.Lock()  # one case at a time, whatever the thread
 
-    def at(self, i, k, field, n, boundary, eps, a, b=_NO):
-        """The target at sensor i of the case (field, n, boundary, eps, a, b)
+    def at(self, i, k, field, n, boundary, a, b=_NO):
+        """The target at sensor i of the case (field, n, boundary, a, b)
         of `rule(a)` or `rule(a, b)`, row k.  The very objects of the last
         case, n equal to its n if a plain int, with an int i and an int or
         None k that names a built row, are served without the lock: `last`
         holds a case, its plan and its rows, read and replaced as one."""
         last = self.last
-        (lf, ln, lboundary, leps, la, lb), plan, rows = last
+        (lf, ln, lboundary, la, lb), plan, rows = last
         if ((same := field is lf and (n is ln or n.__class__ is int and n == ln)
-                and boundary is lboundary and eps is leps and a is la and b is lb)
+                and boundary is lboundary and a is la and b is lb)
                 and i.__class__ is int and (k is None or k.__class__ is int)
                 and (row := rows.get(k)) is not None and 0 <= i < n):
             return row[i]
@@ -216,8 +216,8 @@ class _Memo:
         with self.lock:
             if not same or self.last is not last:  # a new case, or `last` replaced since
                 rule = self.rule(a) if b is _NO else self.rule(a, b)
-                plan, rows = _plan(rule, n, boundary, eps), {}
-                case = (field, n, boundary, eps, a, b)
+                plan, rows = _plan(rule, n, boundary), {}
+                case = (field, n, boundary, a, b)
                 self.last, self.x, self.run = (case, plan, rows), None, None
             hops, steps = _reach(plan, k)
             if not 0 <= i < n:
@@ -252,13 +252,10 @@ def _tail_hops(decay: float, m: float, eps: float) -> int:
     return 0 if target >= 1.0 else max(1, math.ceil(math.log(target) / math.log(decay)))
 
 
-def _tail(eps, decay, scale):
-    """`eps` checked, and the hops of k=None for M = max |x|: to a tail of
-    `decay` on scale * M below eps (default 1e-12 * max(M, 1))."""
-    if eps is not None and not eps > 0:
-        raise ValidationError(f"eps must be > 0, got {eps!r}")
-    return lambda m: _tail_hops(decay, scale * m,
-                                DEFAULT_TAIL * max(m, 1.0) if eps is None else eps)
+def _tail(decay, scale):
+    """The hops of k=None for M = max |x|: to a tail of `decay` on scale * M
+    below 1e-12 * max(M, 1)."""
+    return lambda m: _tail_hops(decay, scale * m, DEFAULT_TAIL * max(m, 1.0))
 
 
 def _reach(plan, k):
@@ -278,30 +275,30 @@ def _reach(plan, k):
 # after those hops.  `tail(M)` gives the hops of k=None, and a target without
 # one needs k.
 
-def _plan_exp(algo, n, boundary, eps):
+def _plan_exp(algo, n, boundary):
     rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
-    return (_tail(eps, rho, lam), False,
+    return (_tail(rho, lam), False,
             lambda x, hops: _geometric(_shifts(x[0], n, boundary, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_asym(algo, n, boundary, eps):
+def _plan_asym(algo, n, boundary):
     rb, rf = algo.rho_back, algo.rho_forward
     c = (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf)
-    return (_tail(eps, max(rb, rf), 1.0), False,
+    return (_tail(max(rb, rf), 1.0), False,
             lambda x, hops: _asymmetric(_shifts(x[0], n, boundary, hops), rb, rf),
             lambda total: c * total)
 
 
-def _plan_window(algo, n, boundary, eps):
+def _plan_window(algo, n, boundary):
     half_width = algo.half_width
     return (lambda m: half_width, False,
             lambda x, hops: _window(_shifts(x[0], n, boundary, half_width)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
-def _plan_variable_window(algo, n, boundary, eps):
+def _plan_variable_window(algo, n, boundary):
     widths = algo.half_widths
     reach = max(widths)
     return (lambda m: reach, False, lambda x, hops: _variable_window(
@@ -309,21 +306,21 @@ def _plan_variable_window(algo, n, boundary, eps):
         lambda total: total)
 
 
-def _plan_arbitrary(algo, n, boundary, eps):
+def _plan_arbitrary(algo, n, boundary):
     table = algo.table
     return (None, False, lambda x, hops: _banded(
         _shifts(x[0], n, boundary, table.radius), table.weights.T, table.radius),
         lambda total: total / table.row_sum)
 
 
-def _plan_dyn_exp(algo, n, boundary, eps):
+def _plan_dyn_exp(algo, n, boundary):
     rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
     return (None, True, lambda x, hops: _dyn_geometric(_cone(x, n, boundary, hops), rho),
             lambda total: lam * total)
 
 
-def _plan_dyn_window(algo, n, boundary, eps):
+def _plan_dyn_window(algo, n, boundary):
     half_width = algo.half_width
     return (None, True, lambda x, hops: _dyn_window(_cone(x, n, boundary, hops)),
             lambda total: total / (2.0 * half_width + 1.0))
@@ -335,9 +332,9 @@ _PLANS = {ExponentialWeighting: _plan_exp, AsymmetricWeighting: _plan_asym,
           DynamicWindow: _plan_dyn_window}
 
 
-def _plan(algo, n, boundary, eps):
+def _plan(algo, n, boundary):
     """The plan of the rule object `algo` on a chain of n sensors, once the
-    case is checked: its boundary, its `eps` and its fit by `check_fit`."""
+    case is checked: its boundary and its fit by `check_fit`."""
     if type(algo) not in _PLANS:
         raise ValidationError(f"{type(algo).__name__} has no closed-form target")
     n = _check_integer("n", n, 1)
@@ -345,20 +342,18 @@ def _plan(algo, n, boundary, eps):
         raise ValidationError("truncated chains have no closed-form target"
                               if isinstance(boundary, Truncated) else
                               f"boundary must be Ring() or ZeroHalo(), got {boundary!r}")
-    if eps is not None and not isinstance(algo, (ExponentialWeighting, AsymmetricWeighting)):
-        raise ValidationError(f"eps sets a geometric tail, which {type(algo).__name__} lacks")
     reach = check_fit(algo, n, isinstance(boundary, Ring))
     return (math.inf if reach is None else reach,
-            *_PLANS[type(algo)](algo, n, boundary, eps))
+            *_PLANS[type(algo)](algo, n, boundary))
 
 
-def rows(algo, field, n, boundary=Ring(), ks=None, *, eps=None) -> np.ndarray:
+def rows(algo, field, n, boundary=Ring(), ks=None) -> np.ndarray:
     """The target of the rule `algo` at every sensor 0..n-1: row k for an int
-    `ks`, the final value for None (the exponential and asymmetric rules to
-    tail tolerance `eps`, default 1e-12 * max(M, 1), M = max |x| on the
-    chain), or for a range one (len(ks), n) block from one field read, a
+    `ks`, the final value for None (the exponential and asymmetric rules to a
+    tail below 1e-12 * max(M, 1), M = max |x| on the chain; a deeper sum
+    needs k), or for a range one (len(ks), n) block from one field read, a
     static sum going on from row to row."""
-    plan = _plan(algo, n, boundary, eps)
+    plan = _plan(algo, n, boundary)
     block = isinstance(ks, range)
     reach = [_reach(plan, k) for k in (ks if block else (ks,))]
     x = evaluate_grid(field, n, max((steps for _, steps in reach), default=0))
@@ -373,40 +368,40 @@ def rows(algo, field, n, boundary=Ring(), ks=None, *, eps=None) -> np.ndarray:
  _dyn_window_at) = (_Memo(rule).at for rule in _PLANS)
 
 
-def exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
+def exp_target(field, i, rho, *, n, boundary=Ring(), k=None):
     """Symmetric geometric average: lam * (x_i + sum_j rho**j (x_{i-j} + x_{i+j})).
 
-    Truncate at `k` hops, or at tail tolerance `eps` (default 1e-12 * max(M, 1)).
+    Truncate at `k` hops, or for None once the tail is below 1e-12 * max(M, 1).
     """
-    return _exp_at(i, k, field, n, boundary, eps, rho)
+    return _exp_at(i, k, field, n, boundary, rho)
 
 
-def asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None, eps=None):
+def asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None):
     """Direction-dependent geometric average."""
-    return _asym_at(i, k, field, n, boundary, eps, rho_back, rho_forward)
+    return _asym_at(i, k, field, n, boundary, rho_back, rho_forward)
 
 
 def window_target(field, i, half_width, *, n, boundary=Ring(), k=None):
     """Mean of the 2*half_width+1 window; `k` truncates to the growing phase."""
-    return _window_at(i, k, field, n, boundary, None, half_width)
+    return _window_at(i, k, field, n, boundary, half_width)
 
 
 def variable_window_target(field, i, half_widths, *, n, boundary=Ring(), k=None):
     """Per-sensor-window final value: each neighbor enters with the weight of
     its own window length, so the coefficients need not sum to one."""
-    return _variable_window_at(i, k, field, n, boundary, None, tuple(half_widths))
+    return _variable_window_at(i, k, field, n, boundary, tuple(half_widths))
 
 
 def arbitrary_target(field, i, table: WeightTable, k, *, n, boundary=Ring()):
     """Partial sum of the banded weighted average after k rounds."""
-    return _arbitrary_at(i, k, field, n, boundary, None, table)
+    return _arbitrary_at(i, k, field, n, boundary, table)
 
 
 def dyn_exp_target(field, i, k, rho, *, n, boundary=Ring()):
     """Geometric average with lagged time arguments."""
-    return _dyn_exp_at(i, k, field, n, boundary, None, rho)
+    return _dyn_exp_at(i, k, field, n, boundary, rho)
 
 
 def dyn_window_target(field, i, k, half_width, *, n, boundary=Ring()):
     """Lagged window mean; the reach grows with k until the window is full."""
-    return _dyn_window_at(i, k, field, n, boundary, None, half_width)
+    return _dyn_window_at(i, k, field, n, boundary, half_width)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,45 +7,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacsim import (BandedWeighting, ChainConfig, Constant, ExponentialWeighting, FBState,
-                    MeasurementField, Ring, TerminatedError, ValidationError, WeightReport,
-                    WeightTable, ZeroHalo, fb_transition, glue, random_spatial_table, run,
-                    validate_weights)
+                    MeasurementField, Ring, TerminatedError, ValidationError, WeightTable,
+                    ZeroHalo, fb_transition, glue, random_spatial_table, run, validate_weights)
 from lacsim import oracle
 
 
 def test_geometric_table_passes_validation_at_tail_tolerance():
     rho, radius = 0.5, 10
     table = WeightTable.geometric(rho, radius, 8)
-    tol = 2.0 * rho ** radius / (1.0 - rho)
-    report = validate_weights(table, tol)
-    assert report.ok
-    assert report.zero_entries == ()
-    assert report.bad_rows == ()
+    assert table.row_tol == 2.0 * rho ** radius / (1.0 - rho)
+    assert validate_weights(table) is None
 
 
-def test_scaled_row_named_in_report():
+def test_scaled_row_named_in_the_error():
     table = WeightTable.geometric(0.5, 6, 8)
     weights = table.weights.copy()
     weights[3] *= 1.5
-    bad = WeightTable(weights, table.row_sum, table.radius)
-    report = validate_weights(bad, 2.0 * 0.5 ** 6 / 0.5)
-    assert not report.ok
-    assert [s for s, _ in report.bad_rows] == [3]
-    assert report.bad_rows[0][1] == pytest.approx(1.5 * table.row_totals()[0])
+    bad = WeightTable(weights, table.row_sum, table.radius, row_tol=table.row_tol)
+    total = float(bad.row_totals()[3])
+    assert total == pytest.approx(1.5 * table.row_totals()[0])
+    message = f"weight rows deviate from the common total beyond {table.row_tol}: ((3, {total!r}),)"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        validate_weights(bad)
 
 
-def test_zero_entry_reported():
+def test_zero_entry_raises():
     table = WeightTable.geometric(0.5, 4, 6)
     weights = table.weights.copy()
     weights[2, 4 + 1] = 0.0
-    report = validate_weights(WeightTable(weights, table.row_sum, 4), 1.0)
-    assert not report.ok
-    assert (2, 1) in report.zero_entries
+    for row_tol in (1.0, None):
+        with pytest.raises(ValidationError, match="^weight table contains zero entries$"):
+            validate_weights(WeightTable(weights, table.row_sum, 4, row_tol=row_tol))
 
 
-def _validate_weights_by_entry(table, tol):
-    """validate_weights as one Python comparison per entry and per row, kept
-    as the reference for the array form."""
+def _validate_weights_by_entry(table):
+    """The offenders validate_weights looks for, found by one Python
+    comparison per entry and per row, kept as the reference for the array
+    form: the zero entries as (sensor, offset) and, with `row_tol` set, the
+    rows outside it as (sensor, total)."""
     zeros = []
     rows, cols = table.weights.shape
     for s in range(rows):
@@ -53,27 +53,32 @@ def _validate_weights_by_entry(table, tol):
                 zeros.append((s, c - table.radius))
     bad = []
     for s, total in enumerate(table.row_totals()):
-        if abs(total - table.row_sum) > tol:
+        if table.row_tol is not None and abs(total - table.row_sum) > table.row_tol:
             bad.append((s, float(total)))
-    return WeightReport(ok=not zeros and not bad, zero_entries=tuple(zeros), bad_rows=tuple(bad))
+    return zeros, bad
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 6),
-       st.sampled_from([0.0, 1e-12, 0.05, 0.5, math.inf]))
+       st.sampled_from([0.0, 1e-12, 0.05, 0.5, None]))
 def test_validate_weights_matches_per_entry_loop(seed, n, radius, tol):
+    # it raises exactly when the reference finds an offender: a zero entry
+    # first, else the first four rows outside `row_tol`
     rng = np.random.default_rng(seed)
     base = WeightTable.geometric(0.5, radius, n)
     weights = base.weights * rng.choice([1.0, 1.0, 1.0, 0.9, 2.5], size=(n, 1))
-    weights[rng.random(weights.shape) < 0.15] = 0.0
-    table = WeightTable(weights, base.row_sum, radius)
-    got, expected = validate_weights(table, tol), _validate_weights_by_entry(table, tol)
-    assert got == expected
-    for s, total in got.bad_rows:
-        assert type(s) is int and type(total) is float
-    assert all(type(s) is int and type(c) is int for s, c in got.zero_entries)
-    if tol == math.inf:
-        assert got.bad_rows == ()
+    if rng.random() < 0.5:
+        weights[rng.random(weights.shape) < 0.15] = 0.0
+    table = WeightTable(weights, base.row_sum, radius, row_tol=tol)
+    zeros, bad = _validate_weights_by_entry(table)
+    if not zeros and not bad:
+        assert validate_weights(table) is None
+        return
+    with pytest.raises(ValidationError) as err:
+        validate_weights(table)
+    assert str(err.value) == ("weight table contains zero entries" if zeros else
+                              f"weight rows deviate from the common total beyond {tol}: "
+                              f"{tuple(bad[:4])}")
 
 
 def test_fb_initialization_identity():
@@ -207,9 +212,9 @@ def test_a_banded_rule_checks_its_table_once_when_built(monkeypatch):
 
     calls = []
 
-    def counted(table, tol):
+    def counted(table):
         calls.append(table)
-        return validate_weights(table, tol)
+        return validate_weights(table)
 
     monkeypatch.setattr(lacsim.arbitrary_weights, "validate_weights", counted)
     monkeypatch.setattr(lacsim.chain, "validate_weights", counted)
@@ -225,9 +230,15 @@ def test_a_banded_rule_checks_its_table_once_when_built(monkeypatch):
     assert calls == [table, table]
 
 
+def _weights_csv(table):
+    """`sensor,offset,weight` rows of `table`, each weight to 17 digits."""
+    return "sensor,offset,weight\n" + "".join(
+        f"{s},{j - table.radius},{w:.17g}\n" for (s, j), w in np.ndenumerate(table.weights))
+
+
 def test_csv_round_trip():
     table = WeightTable.geometric(0.45, 3, 5)
-    text = table.to_csv()
+    text = _weights_csv(table)
     parsed = WeightTable.from_csv(text, table.row_sum, row_tol=table.row_tol)
     assert parsed.radius == 3
     assert np.allclose(parsed.weights, table.weights, rtol=0, atol=0)

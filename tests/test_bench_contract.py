@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps lacsim functions at
 module attributes named in its tables.  Every attribute it names must exist,
 be replaced while the tracer is installed and be the original again after
-`uninstall()`, or traced benchmark runs break."""
+`uninstall()`, and what its hooks read of a run (the trace's audit, the
+chain's halo depth, the CSV text) must still be there, or traced benchmark
+runs break."""
 import importlib.util
 from pathlib import Path
 
@@ -61,3 +63,38 @@ def test_simulate_writes_what_cli_trace_to_csv_returns(tmp_path, monkeypatch):
     assert len(args) == 1 and not kwargs
     assert isinstance(returned[0], str)
     assert (tmp_path / "run_trace.csv").read_bytes() == returned[0].encode()
+
+
+def test_a_traced_simulate_counts_its_runs_audit_sensor_rounds_and_csv(tmp_path, monkeypatch):
+    # one `lacsim simulate` per case under the tracer, as `perfbench/run.py
+    # --trace 1` runs them: the run and CSV hooks read the trace's audit, the
+    # chain's halo depth and the str that becomes <prefix>_trace.csv
+    weights = tmp_path / "w.csv"
+    weights.write_text("sensor,offset,weight\n"
+                       + "".join(f"{s},{o},1\n" for s in range(6) for o in (-1, 0, 1)))
+    cases = [(["chain.n=9", "chain.rounds=4", "chain.boundary=zero_halo",
+               "algorithm.variant=dyn_window", "algorithm.L=2"], (9 + 2 * 4) * 4),
+             (["chain.n=6", "chain.rounds=2", "algorithm.variant=arbitrary",
+               f"algorithm.weights_csv={weights}", "algorithm.K=3.0"], 6 * 2)]
+    tracer, original, traces = _load_tracer(), lacsim.cli.run, []
+
+    def keep(*args):
+        traces.append(original(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(lacsim.cli, "run", keep)
+    for i, (settings, engine_sensor_rounds) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        t = tracer.Tracer()
+        t.install()
+        try:
+            code = lacsim.cli.main(["simulate", "--out", str(out)]
+                                   + [a for kv in settings for a in ("--set", kv)])
+        finally:
+            t.uninstall()
+        assert code == 0
+        metrics = t.layer_metrics(1, 0)
+        assert metrics["chain.run_calls"] == 1
+        assert metrics["chain.engine_sensor_rounds"] == engine_sensor_rounds
+        assert metrics["chain.audit_records"] == len(traces[-1].audit) > 0
+        assert t.csv_bytes == len((out / "run_trace.csv").read_bytes())

@@ -16,6 +16,12 @@ from lacsim.config import config_to_ini, merge_settings, read_ini, resolve
 from lacsim.figures import OMEGA_FULL, OMEGA_ORIGIN, RHO_GRID, WINDOW_GRID
 
 
+def _weights_csv(table):
+    """`sensor,offset,weight` rows of `table`, each weight to 17 digits."""
+    return "sensor,offset,weight\n" + "".join(
+        f"{s},{j - table.radius},{w:.17g}\n" for (s, j), w in np.ndenumerate(table.weights))
+
+
 def _resolve(text, command="simulate", overrides=()):
     raw = merge_settings(read_ini(text), list(overrides))
     return resolve(raw, command, Path.cwd())
@@ -36,6 +42,19 @@ def test_unknown_section_and_key_rejected():
         _resolve("[nonsense]\na = 1\n")
     with pytest.raises(ValidationError):
         _resolve("[chain]\nn = 8\nbogus = 1\n")
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nrounds = 3\n",
+                                  "[DEFAULT]\nrounds = 3\n[chain]\nn = 8\n"],
+                         ids=["alone", "beside-chain"])
+def test_cli_rejects_a_default_section(tmp_path, capsys, text):
+    # configparser read [DEFAULT] as its defaults: alone it was dropped, and
+    # beside [chain] its keys were copied into every section
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_inapplicable_key_rejected():
@@ -148,7 +167,7 @@ def test_resolved_echo_round_trips(tmp_path, case):
     command = list(_ANALYSIS_TEXT)[case % 6]
     (tmp_path / "vals.csv").write_text("sensor,value\n" + "".join(
         f"{i},{i * 0.5 - 1}\n" for i in range(8)))
-    (tmp_path / "w.csv").write_text(WeightTable.geometric(0.5, 2, 8).to_csv())
+    (tmp_path / "w.csv").write_text(_weights_csv(WeightTable.geometric(0.5, 2, 8)))
     boundary = "boundary = zero_halo\n" if case % 2 else ""
     text = (f"[chain]\nn = 8\nrounds = 4\nmaster_seed = 3\n{boundary}"
             f"[field]\n{_FIELD_TEXT[kind]}"
@@ -246,7 +265,7 @@ def test_cli_rerun_from_config_ini_saved_beside_outputs(tmp_path):
     # relative input paths are echoed absolute, so the embedded config runs
     # from any directory
     (tmp_path / "vals.csv").write_text("sensor,value\n0,1.5\n1,2.5\n2,-0.5\n3,4.0\n")
-    (tmp_path / "w.csv").write_text(WeightTable.geometric(0.5, 1, 4).to_csv())
+    (tmp_path / "w.csv").write_text(_weights_csv(WeightTable.geometric(0.5, 1, 4)))
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[chain]\nn = 4\nrounds = 3\n[field]\nkind = table\ncsv = vals.csv\n"
                    "[algorithm]\nvariant = arbitrary\nweights_csv = w.csv\nK = 3.0\n")
@@ -344,7 +363,7 @@ def test_cli_rerun_from_embedded_config(tmp_path):
 @pytest.mark.parametrize("variant", ["window", "dyn_window", "arbitrary"])
 def test_cli_rerun_from_embedded_config_with_case_sensitive_keys(tmp_path, variant):
     csv = tmp_path / "w.csv"
-    csv.write_text(WeightTable.geometric(0.5, 3, 9).to_csv())
+    csv.write_text(_weights_csv(WeightTable.geometric(0.5, 3, 9)))
     params = {"window": ["algorithm.L=3"], "dyn_window": ["algorithm.L=2"],
               "arbitrary": [f"algorithm.weights_csv={csv}", "algorithm.K=3.0"]}[variant]
     args = ["--set", "chain.n=9", "--set", "chain.rounds=4",
@@ -363,7 +382,7 @@ def test_cli_rerun_from_embedded_config_with_case_sensitive_keys(tmp_path, varia
 @pytest.mark.parametrize("variant", sorted(_VARIANT_TEXT))
 @pytest.mark.parametrize("boundary", ["ring", "zero_halo", "truncated"])
 def test_cli_writes_trace_metadata_for_the_per_sensor_window_only(tmp_path, variant, boundary):
-    (tmp_path / "w.csv").write_text(WeightTable.geometric(0.5, 2, 8).to_csv())
+    (tmp_path / "w.csv").write_text(_weights_csv(WeightTable.geometric(0.5, 2, 8)))
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[chain]\nn = 8\nrounds = 3\nboundary = {boundary}\n"
                    f"[algorithm]\nvariant = {variant}\n{_VARIANT_TEXT[variant]}\n")
@@ -417,7 +436,7 @@ def test_cli_validation_exit_code(tmp_path):
 def test_cli_divergence_exit_code(tmp_path):
     weights = np.array([[1e308] * 3, [1e-308] * 3, [1.0] * 3])
     csv = tmp_path / "w.csv"
-    csv.write_text(WeightTable(weights, 1.0, 1, row_tol=None).to_csv())
+    csv.write_text(_weights_csv(WeightTable(weights, 1.0, 1, row_tol=None)))
     code = main(["simulate", "--out", str(tmp_path),
                  "--set", "chain.n=3", "--set", "chain.rounds=2",
                  "--set", "algorithm.variant=arbitrary",
@@ -587,7 +606,7 @@ def test_cli_arbitrary_writes_the_trace_and_metadata_only(tmp_path):
     # nothing to report on it; the metadata's config echo holds row_tol
     table = WeightTable.geometric(0.5, 4, 10)
     csv = tmp_path / "w.csv"
-    csv.write_text(table.to_csv())
+    csv.write_text(_weights_csv(table))
     out = tmp_path / "out"
     code = main(["simulate", "--out", str(out),
                  "--set", "chain.n=10", "--set", "chain.rounds=4",
@@ -617,6 +636,18 @@ def test_cli_rejects_an_output_path_under_a_file_before_running(command, tmp_pat
         assert err.startswith("error: ") and "not a directory" in err
         assert "Traceback" not in err
     assert blocker.read_text() == ""
+
+
+def test_cli_input_and_output_errors_exit_1_with_a_message(tmp_path, capsys):
+    # a config path that is a directory, and a trace path taken by one, ended
+    # in an IsADirectoryError traceback
+    (tmp_path / "run_trace.csv").mkdir()
+    for args in (["--config", str(tmp_path)], ["--out", str(tmp_path)]):
+        assert main(["simulate", "--set", "chain.n=8", "--set", "chain.rounds=2"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert "Traceback" not in err
+    assert (tmp_path / "run_trace.csv").is_dir()
 
 
 @pytest.mark.parametrize("boundary", ["zero_halo", "truncated"])

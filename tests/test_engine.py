@@ -76,7 +76,7 @@ def _reference(config, field, algo):
         stop, payload = (lambda e: table.radius), 2
 
         def row(e):
-            return None if e is None else table.row(clamp(e))
+            return None if e is None else table.weights[clamp(e)]
 
         def step(t, e, own, lh, rh):
             le, ri = nb(e)

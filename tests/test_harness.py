@@ -153,7 +153,8 @@ def test_truncated_end_effect():
 
 def test_divergence_reported_with_sensor_and_round():
     # a pathological weight band: the neighbor-row denominator underflows the
-    # coefficient ratio into overflow
+    # coefficient ratio into overflow at round 1, but y at sensor 0 already
+    # leaves float range at round 0: (1e308 + 1e308) - 1e308
     from lacsim import BandedWeighting, WeightTable
 
     weights = np.array([[1e308] * 3, [1e-308] * 3, [1.0] * 3])
@@ -161,7 +162,7 @@ def test_divergence_reported_with_sensor_and_round():
     with pytest.raises(DivergedError) as err:
         run(ChainConfig(n=3, boundary=Ring(), rounds=2),
             MeasurementField(Constant(1.0)), BandedWeighting(table))
-    assert err.value.round == 1
+    assert err.value.round == 0
     assert err.value.sensor == 0
 
 
@@ -195,6 +196,18 @@ def test_divergence_names_the_first_of_several_sensors(boundary, sensor):
         run(ChainConfig(n=8, boundary=boundary, rounds=2), _table([1.0] * 8),
             BandedWeighting(WeightTable(weights, 1.0, 1)))
     assert (err.value.sensor, err.value.round) == (sensor, 1)
+
+
+@pytest.mark.parametrize("value, rounds, round_", [(1e308, 0, 0), (6e307, 2, 1)])
+def test_divergence_of_y_alone_is_reported(value, rounds, round_):
+    # the glue f + b - w x / K overflows while both sums stay finite; before,
+    # `run` returned y = inf at every sensor with no error
+    from lacsim import BandedWeighting, WeightTable
+
+    with pytest.raises(DivergedError) as err:
+        run(ChainConfig(n=5, boundary=Ring(), rounds=rounds), MeasurementField(Constant(value)),
+            BandedWeighting(WeightTable(np.ones((5, 3)), 1.0, 1)))
+    assert (err.value.sensor, err.value.round) == (0, round_)
 
 
 def test_trace_csv_round_trips():

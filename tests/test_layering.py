@@ -110,18 +110,35 @@ def test_the_oracle_keeps_no_copy_of_the_rule_and_chain_checks():
     assert "_check_ring" not in defined
 
 
+def _callers() -> dict:
+    """{path: syntax tree} of the code that may call the package: its modules
+    but `__init__.py`, the scripts and the benchmark's non-test files."""
+    root = PACKAGE.parents[1]
+    paths = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+             + sorted(root.glob("scripts/*.py"))
+             + [p for p in sorted(root.glob("perfbench/*.py")) if not p.name.startswith("test_")])
+    return {path: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+def _public_classes(callers):
+    return [node for path, tree in callers.items() if path.parent == PACKAGE
+            for node in tree.body if isinstance(node, ast.ClassDef) and node.name[0] != "_"]
+
+
+def _public_methods(cls):
+    return [node for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_"]
+
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
     # a name the package exports earns its place by a use in the package
     # itself, a script or the benchmark: a load, an attribute or an import,
     # not its own definition and not `__init__.py`'s re-export
-    root = PACKAGE.parents[1]
     exports = {a.asname or a.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
                if isinstance(node, ast.ImportFrom) for a in node.names}
     used = set()
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    for path in paths + sorted(root.glob("scripts/*.py")) + sorted(root.glob("perfbench/*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in _callers().values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -129,6 +146,71 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(exports - used) == []
+
+
+def test_every_public_method_has_a_caller_outside_its_class():
+    # a method or property of a public class earns its place by an attribute
+    # of its name outside the class: one reached only from its own class
+    # (`WeightTable.weight`, once used only by `to_csv`) is not public surface
+    callers = _callers()
+    unreached = []
+    for cls in _public_classes(callers):
+        inside = set(map(id, ast.walk(cls)))
+        reached = {node.attr for tree in callers.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and id(node) not in inside}
+        unreached += [f"{cls.name}.{m.name}" for m in _public_methods(cls) if m.name not in reached]
+    assert unreached == []
+
+
+def _defaulted(args: ast.arguments, bound: bool) -> list:
+    """(name, position in a call or None for keyword-only) of each parameter
+    with a default, the position counted after `self` or `cls` if `bound`."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, j - bound) for j, a in enumerate(positional) if j >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def test_every_public_option_is_passed_by_a_caller():
+    # a defaulted parameter of a public function or method, or a defaulted
+    # field of a public dataclass, earns its place when some call of that
+    # name outside its own definition passes it: by keyword, by position or
+    # through * or **.  `cls(...)` in a class calls that class
+    callers = _callers()
+    calls = []  # (called name, call)
+    for tree in callers.values():
+        of_cls = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in ast.walk(cls) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "cls"}
+        calls += [(of_cls.get(id(node)) or getattr(node.func, "id", None)
+                   or getattr(node.func, "attr", None), node)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passed(name, param, position, inside):
+        return any(called == name and id(call) not in inside and (
+            any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, param) for k in call.keywords)
+            or position is not None and len(call.args) > position) for called, call in calls)
+
+    options = []  # (name, parameter, position, ids of the nodes of its own definition)
+    for path, tree in callers.items():
+        if path.parent == PACKAGE:
+            options += [(f.name, *p, set(map(id, ast.walk(f)))) for f in tree.body
+                        if isinstance(f, ast.FunctionDef) and f.name[0] != "_"
+                        for p in _defaulted(f.args, False)]
+    for cls in _public_classes(callers):
+        for m in _public_methods(cls):
+            bound = not any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+            options += [(m.name, *p, set(map(id, ast.walk(m)))) for p in _defaulted(m.args, bound)]
+        if any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list):
+            fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
+            options += [(cls.name, f.target.id, j, set())
+                        for j, f in enumerate(fields) if f.value is not None]
+    unpassed = [f"{name}({param})" for name, param, position, inside in options
+                if not passed(name, param, position, inside)]
+    assert unpassed == []
+
 
 def test_per_sensor_window_run_leaves_the_oracle_unloaded():
     script = (

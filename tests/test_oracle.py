@@ -27,13 +27,13 @@ def test_exp_target_constant_partial_sums():
     for k in (0, 1, 5):
         expected = c * lam * (1 + 2 * sum(rho ** j for j in range(1, k + 1)))
         assert oracle.exp_target(f, 3, rho, n=9, k=k) == pytest.approx(expected, abs=1e-14)
-    # epsilon truncation approaches the limit c
-    assert oracle.exp_target(f, 3, rho, n=9, eps=1e-13) == pytest.approx(c, abs=1e-11)
+    # a deep truncation approaches the limit c
+    assert oracle.exp_target(f, 3, rho, n=9, k=100) == pytest.approx(c, abs=1e-11)
 
 
 def test_exp_target_impulse_zero_extension():
     f = MeasurementField(Impulse(center=0))
-    vals = [oracle.exp_target(f, i, 0.5, n=8, boundary=ZeroHalo(), eps=1e-15)
+    vals = [oracle.exp_target(f, i, 0.5, n=8, boundary=ZeroHalo(), k=60)
             for i in (0, 1, 2)]
     assert vals == pytest.approx([1 / 3, 1 / 6, 1 / 12], abs=1e-13)
 
@@ -45,7 +45,7 @@ def test_exp_target_harmonic_gain():
     f = MeasurementField(SpatialCosine(1.0, omega))
     gain = analysis.h_exp(rho, omega)
     for i in (0, 3, 17):
-        direct = oracle.exp_target(f, i, rho, n=n, eps=1e-14)
+        direct = oracle.exp_target(f, i, rho, n=n, k=200)
         assert direct == pytest.approx(gain * math.cos(omega * i), abs=1e-11)
 
 
@@ -59,7 +59,7 @@ def test_exp_tail_bound_is_a_bound():
     rho, n = 0.7, 16
     f = MeasurementField(random_spatial_table(n, 3))
     m = _chain_max(f, n)
-    full = oracle.exp_target(f, 5, rho, n=n, eps=1e-16)
+    full = oracle.exp_target(f, 5, rho, n=n, k=150)
     for k in (0, 2, 6, 12):
         part = oracle.exp_target(f, 5, rho, n=n, k=k)
         assert abs(full - part) <= exp_tail_bound(rho, k, m) + 1e-12
@@ -88,7 +88,7 @@ def test_variable_window_target_uniform_reduction():
 def test_asym_target_forward_weight():
     f = MeasurementField(Impulse(center=1))
     # one hop forward of the spike: scale * rho_f
-    val = oracle.asym_target(f, 0, 0.5, 0.25, n=8, boundary=ZeroHalo(), eps=1e-15)
+    val = oracle.asym_target(f, 0, 0.5, 0.25, n=8, boundary=ZeroHalo(), k=60)
     assert val == pytest.approx(3 / 28, abs=1e-13)
 
 
@@ -186,14 +186,14 @@ def _chain_max(field, n):
     return max(abs(evaluate_field(field, i, 0)) for i in range(n))
 
 
-def ref_exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
+def ref_exp_target(field, i, rho, *, n, boundary=Ring(), k=None):
     _check_boundary(boundary)
     if not 0.0 < rho < 1.0:
         raise ValidationError("rho must lie strictly inside (0, 1)")
     lam = (1.0 - rho) / (1.0 + rho)
     if k is None:
         m = _chain_max(field, n)
-        k = _tail_hops(rho, lam * m, DEFAULT_TAIL * max(m, 1.0) if eps is None else eps)
+        k = _tail_hops(rho, lam * m, DEFAULT_TAIL * max(m, 1.0))
     total = _x(field, i, 0, boundary, n)
     power = 1.0
     for j in range(1, k + 1):
@@ -202,14 +202,14 @@ def ref_exp_target(field, i, rho, *, n, boundary=Ring(), k=None, eps=None):
     return lam * total
 
 
-def ref_asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None, eps=None):
+def ref_asym_target(field, i, rho_back, rho_forward, *, n, boundary=Ring(), k=None):
     _check_boundary(boundary)
     if not (0.0 < rho_back < 1.0 and 0.0 < rho_forward < 1.0):
         raise ValidationError("rates must lie strictly inside (0, 1)")
     rb, rf = rho_back, rho_forward
     if k is None:
         m = _chain_max(field, n)
-        k = _tail_hops(max(rb, rf), m, DEFAULT_TAIL * max(m, 1.0) if eps is None else eps)
+        k = _tail_hops(max(rb, rf), m, DEFAULT_TAIL * max(m, 1.0))
     total = _x(field, i, 0, boundary, n)
     pb = pf = 1.0
     for j in range(1, k + 1):
@@ -265,8 +265,8 @@ def ref_arbitrary_target(field, i, table: WeightTable, k, *, n, boundary=Ring())
 
     def row_at(idx):
         if isinstance(boundary, Ring):
-            return table.row(idx % n)
-        return table.row(min(max(idx, 0), n - 1))
+            return table.weights[idx % n]
+        return table.weights[min(max(idx, 0), n - 1)]
 
     radius = table.radius
     row = row_at(i)
@@ -307,29 +307,27 @@ RULES = dict(zip(TARGETS, (ExponentialWeighting, AsymmetricWeighting, FiniteWind
                            PerSensorWindow, BandedWeighting, DynamicExponential, DynamicWindow)))
 
 
-def _args(name, params, k, eps):
+def _args(name, params, k):
     """(positional parameters after the field and i, keywords) of a target."""
-    if name in ("exp", "asym"):
-        return params, {"k": k, "eps": eps}
-    if name in ("window", "variable_window"):
+    if name in ("exp", "asym", "window", "variable_window"):
         return params, {"k": k}
     if name == "arbitrary":
         return params + (k,), {}
     return (k,) + params, {}  # the dynamic targets take k first
 
 
-def _reference(name, field, i, params, k, eps, n, boundary):
-    args, kw = _args(name, params, k, eps)
+def _reference(name, field, i, params, k, n, boundary):
+    args, kw = _args(name, params, k)
     return REFERENCE[name](field, i, *args, n=n, boundary=boundary, **kw)
 
 
-def _scalar(name, field, i, params, k, eps, n, boundary):
-    args, kw = _args(name, params, k, eps)
+def _scalar(name, field, i, params, k, n, boundary):
+    args, kw = _args(name, params, k)
     return getattr(oracle, f"{name}_target")(field, i, *args, n=n, boundary=boundary, **kw)
 
 
-def _array(name, field, params, ks, eps, n, boundary):
-    return oracle.rows(RULES[name](*params), field, n, boundary, ks, eps=eps)
+def _array(name, field, params, ks, n, boundary):
+    return oracle.rows(RULES[name](*params), field, n, boundary, ks)
 
 
 def _bits(v):
@@ -389,7 +387,7 @@ def _params(draw, name, n):
 def _sweeps(draw):
     """Two fields, two parameter sets per target and both boundaries, with
     the (case, i) points to call them at, i = 0..n-1, in shuffled order.  A
-    case is (target, field, parameters, k, eps, n, boundary)."""
+    case is (target, field, parameters, k, n, boundary)."""
     n, rounds = draw(st.integers(3, 7)), draw(st.integers(0, 4))
     fields = [draw(_fields(n, rounds + 1)) for _ in range(2)]
     points = []
@@ -397,13 +395,12 @@ def _sweeps(draw):
         for params in (draw(_params(name, n)), draw(_params(name, n))):
             for field in fields:
                 for boundary in (Ring(), ZeroHalo()):
-                    if name in ("exp", "asym") and draw(st.booleans()):
-                        k, eps = None, draw(st.sampled_from((None, 1e-3, 0.1)))
-                    elif name in ("window", "variable_window") and draw(st.booleans()):
-                        k, eps = None, None
+                    if (name in ("exp", "asym", "window", "variable_window")
+                            and draw(st.booleans())):
+                        k = None
                     else:
-                        k, eps = draw(st.integers(0, rounds)), None
-                    case = (name, field, params, k, eps, n, boundary)
+                        k = draw(st.integers(0, rounds))
+                    case = (name, field, params, k, n, boundary)
                     points += [(case, i) for i in range(n)]
     return n, rounds, draw(st.permutations(points))
 
@@ -431,16 +428,16 @@ def test_array_and_scalar_targets_equal_the_per_sensor_loops(sweep):
                 for key, case in cases.items() for i in range(n)}
     # the array form: one row per case, and one block of its rows 0..rounds
     for key, case in cases.items():
-        name, field, params, _, eps, _, boundary = case
+        name, field, params, _, _, boundary = case
         want = [expected[key, i] for i in range(n)]
-        block = [[_outcome(lambda: _reference(name, field, i, params, k, eps, n, boundary))
+        block = [[_outcome(lambda: _reference(name, field, i, params, k, n, boundary))
                   for i in range(n)] for k in range(rounds + 1)]
         want, block = (want[0] if isinstance(want[0], type) else want,
                        block[0][0] if isinstance(block[0][0], type) else block)
         if key in unfit:
             want = block = ValidationError
         assert _outcome(lambda: _array(*case)) == want
-        assert _outcome(lambda: _array(name, field, params, range(rounds + 1), eps, n,
+        assert _outcome(lambda: _array(name, field, params, range(rounds + 1), n,
                                        boundary)) == block
     # the scalar view, called in shuffled order across fields, parameters and
     # boundaries, so a row served for the wrong key would show
@@ -452,19 +449,18 @@ def test_array_and_scalar_targets_equal_the_per_sensor_loops(sweep):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(3, 12), st.sampled_from((Ring(), ZeroHalo())), st.floats(0.05, 0.95),
-       st.floats(0.05, 0.95), st.sampled_from((None, 1e-9, 1e-3)), st.data())
-def test_limit_rows_stop_within_the_tail_tolerance_on_the_chain_max(n, boundary, rb, rf, eps,
-                                                                   data):
+       st.floats(0.05, 0.95), st.data())
+def test_limit_rows_stop_within_the_tail_tolerance_on_the_chain_max(n, boundary, rb, rf, data):
     # M = max |x| on the chain bounds every value a static sum adds, noise
-    # included, so the k=None row is within eps of a sum of many more hops,
-    # up to the rounding of the extra hops' additions
+    # included, so the k=None row is within 1e-12 * max(M, 1) of a sum of many
+    # more hops, up to the rounding of the extra hops' additions
     field = data.draw(_fields(n, 1))
     m = _chain_max(field, n)
-    tol = DEFAULT_TAIL * max(m, 1.0) if eps is None else eps
+    tol = DEFAULT_TAIL * max(m, 1.0)
     for algo, decay, scale in ((ExponentialWeighting(rb), rb, (1.0 - rb) / (1.0 + rb)),
                                (AsymmetricWeighting(rb, rf), max(rb, rf), 1.0)):
         more = 4 * _tail_hops(decay, scale * m, tol) + 64
-        limit = oracle.rows(algo, field, n, boundary, eps=eps)
+        limit = oracle.rows(algo, field, n, boundary)
         longer = oracle.rows(algo, field, n, boundary, more)
         rounding = 2.0 * more * 2.0 ** -52 * m * (1.0 + decay) / (1.0 - decay)
         assert np.all(np.abs(limit - longer) <= tol + rounding)
@@ -501,7 +497,7 @@ def test_a_sweep_reads_the_field_by_grid_not_by_point(monkeypatch, k_outer):
             calls.update(evaluate_field=0, evaluate_grid=0)
             points = [(i, k) for k in range(rounds + 1) for i in range(n)]
             for i, k in points if k_outer else sorted(points):
-                _scalar(name, field, i, params, k, None, n, boundary)
+                _scalar(name, field, i, params, k, n, boundary)
             assert calls["evaluate_field"] == 0, name
             assert 1 <= calls["evaluate_grid"] <= rounds + 1, name
 
@@ -514,15 +510,15 @@ def test_target_errors_are_kept():
              "variable_window": ((4,) * n,), "arbitrary": (table,), "dyn_exp": (0.5,),
              "dyn_window": (4,)}
     for name, params in calls.items():
-        for call in (lambda: _scalar(name, field, 0, params, 2, None, n, Truncated()),
-                     lambda: _array(name, field, params, 2, None, n, Truncated())):
+        for call in (lambda: _scalar(name, field, 0, params, 2, n, Truncated()),
+                     lambda: _array(name, field, params, 2, n, Truncated())):
             with pytest.raises(ValidationError, match="truncated"):
                 call()
         if name in ("window", "variable_window", "arbitrary", "dyn_window"):
             with pytest.raises(ValidationError, match="cannot host"):
-                _scalar(name, field, 0, params, 2, None, n, Ring())
+                _scalar(name, field, 0, params, 2, n, Ring())
             with pytest.raises(ValidationError, match="cannot host"):
-                _array(name, field, params, 2, None, n, Ring())
+                _array(name, field, params, 2, n, Ring())
     for rho in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValidationError, match="rho"):
             oracle.exp_target(field, 0, rho, n=n, k=2)
@@ -530,7 +526,7 @@ def test_target_errors_are_kept():
             oracle.rows(ExponentialWeighting(rho), field, n, Ring(), 2)
     for name in ("dyn_exp", "dyn_window"):
         with pytest.raises(ValidationError, match="time step"):
-            _scalar(name, field, 0, calls[name], -1, None, n, ZeroHalo())
+            _scalar(name, field, 0, calls[name], -1, n, ZeroHalo())
     with pytest.raises(ValidationError, match="one half-width per sensor"):
         oracle.variable_window_target(field, 0, (1,) * (n - 1), n=n)
 
@@ -609,12 +605,12 @@ def test_table_shorter_than_the_chain_raises_at_every_sensor():
         for boundary in (Ring(), ZeroHalo()):
             for i in range(n):
                 with pytest.raises(OutOfDomainError):
-                    _scalar(name, short, i, params, 1, None, n, boundary)
+                    _scalar(name, short, i, params, 1, n, boundary)
             with pytest.raises(OutOfDomainError):
-                _array(name, short, params, 1, None, n, boundary)
+                _array(name, short, params, 1, n, boundary)
             if name.startswith("dyn"):
                 with pytest.raises(OutOfDomainError):
-                    _scalar(name, few_steps, 0, params, 3, None, n, boundary)
+                    _scalar(name, few_steps, 0, params, 3, n, boundary)
 
 
 def test_table_arrays_are_owned_and_read_only():
@@ -742,7 +738,7 @@ def test_one_case_swept_over_its_rounds_is_planned_once(monkeypatch, k_outer):
             plans.clear()
             points = [(i, k) for k in range(rounds + 1) for i in range(n)]
             for i, k in points if k_outer else sorted(points):
-                _scalar(name, field, i, params, k, None, n, boundary)
+                _scalar(name, field, i, params, k, n, boundary)
             assert plans == [name], (name, len(plans))  # not once per row, 41 times
 
 
@@ -783,7 +779,7 @@ def test_a_hit_runs_the_target_and_its_memo_and_calls_only_dict_get():
     # and no `all(map(...))` over it, nor a copy of the test in each target
     boundary = Ring()
     for name, field, params in _cases_64(3):
-        args, kw = _args(name, params, 2, None)
+        args, kw = _args(name, params, 2)
         target = getattr(oracle, f"{name}_target")
         want = target(field, 5, *args, n=64, boundary=boundary, **kw)
         assert _profiled(target, field, 5, *args, n=64, boundary=boundary, **kw) == [
@@ -833,24 +829,20 @@ def test_a_case_is_known_by_its_objects(monkeypatch):
     # one new case, with the same bits; the same objects start none
     n, rounds = 16, 3
     kind = random_space_time_table(n, rounds + 1, 7)
-    field, boundary, eps = MeasurementField(kind), Ring(), 1e-3
+    field, boundary = MeasurementField(kind), Ring()
     widths = (2, 3, 3, 2) * 4
     table = WeightTable.geometric(0.6, 3, n)
     params = {"exp": (0.8,), "asym": (0.5, 0.25), "window": (2,), "variable_window": (widths,),
               "arbitrary": (table,), "dyn_exp": (0.8,), "dyn_window": (2,)}
-    fresh_eps = float(str(eps))
-    assert fresh_eps == eps and fresh_eps is not eps
 
-    def sweep(name, field, params, eps, boundary):
-        return [[_bits(_scalar(name, field, i, params, k, eps, n, boundary)) for i in range(n)]
+    def sweep(name, field, params, boundary):
+        return [[_bits(_scalar(name, field, i, params, k, n, boundary)) for i in range(n)]
                 for k in range(rounds + 1)]
 
     plans = _counted_plans(monkeypatch)
     for name in TARGETS:
-        base = (field, params[name], eps if name in ("exp", "asym") else None, boundary)
-        variants = [(MeasurementField(kind),) + base[1:], base[:3] + (Ring(),)]
-        if name in ("exp", "asym"):
-            variants.append(base[:2] + (fresh_eps, boundary))
+        base = (field, params[name], boundary)
+        variants = [(MeasurementField(kind),) + base[1:], base[:2] + (Ring(),)]
         if name in ("exp", "asym", "dyn_exp"):
             variants.append((field, (np.float64(params[name][0]),) + params[name][1:]) + base[2:])
         if name == "asym":
@@ -881,8 +873,8 @@ def test_targets_and_rows_reject_a_chain_size_that_is_not_an_integer_of_at_least
     field = MeasurementField(Constant(1.0))
     for name, params in _all_params(8).items():
         for boundary in (Ring(), ZeroHalo()):
-            for call in (lambda: _scalar(name, field, 0, params, 2, None, bad, boundary),
-                         lambda: _array(name, field, params, 2, None, bad, boundary)):
+            for call in (lambda: _scalar(name, field, 0, params, 2, bad, boundary),
+                         lambda: _array(name, field, params, 2, bad, boundary)):
                 with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
                     call()
 
@@ -895,9 +887,9 @@ def test_targets_reject_a_sensor_index_that_is_not_an_integer(bad):
     field = MeasurementField(random_spatial_table(n, 7))
     for name, params in _all_params(n).items():
         for boundary in (Ring(), ZeroHalo()):
-            _scalar(name, field, 1, params, 2, None, n, boundary)  # row 2 built
+            _scalar(name, field, 1, params, 2, n, boundary)  # row 2 built
             with pytest.raises(ValidationError, match=r"^sensor index must be an integer, got "):
-                _scalar(name, field, bad, params, 2, None, n, boundary)
+                _scalar(name, field, bad, params, 2, n, boundary)
 
 
 def test_targets_take_numpy_integer_sensor_indices_and_reject_those_off_the_chain():
@@ -908,13 +900,13 @@ def test_targets_take_numpy_integer_sensor_indices_and_reject_those_off_the_chai
     for name, params in _all_params(n).items():
         for boundary in (Ring(), ZeroHalo()):
             for i in (0, 5, n - 1):
-                want = _bits(_reference(name, field, i, params, 2, None, n, boundary))
+                want = _bits(_reference(name, field, i, params, 2, n, boundary))
                 for index in (i, np.int64(i), np.int32(i)):
-                    assert _bits(_scalar(name, field, index, params, 2, None, n, boundary)) \
+                    assert _bits(_scalar(name, field, index, params, 2, n, boundary)) \
                         == want, (name, boundary, i)
             for index in (-1, n, np.int64(-1), np.int32(n)):
                 with pytest.raises(ValidationError, match=r"^sensor index must lie in 0\.\.7"):
-                    _scalar(name, field, index, params, 2, None, n, boundary)
+                    _scalar(name, field, index, params, 2, n, boundary)
 
 
 STATIC = ("exp", "asym", "window", "variable_window", "arbitrary")
@@ -934,12 +926,12 @@ def test_static_targets_and_rows_reject_a_step_that_is_not_an_integer_of_at_leas
     field = MeasurementField(Constant(1.0))
     params = _static_params(n)[name]
     # a built row for the int equal to `bad` must not serve it
-    _scalar(name, field, 0, params, 2, None, n, Ring())
-    _scalar(name, field, 0, params, 1, None, n, Ring())
+    _scalar(name, field, 0, params, 2, n, Ring())
+    _scalar(name, field, 0, params, 1, n, Ring())
     for boundary in (Ring(), ZeroHalo()):
-        for call in (lambda: _scalar(name, field, 0, params, bad, None, n, boundary),
-                     lambda: _scalar(name, field, -1, params, bad, None, n, boundary),
-                     lambda: _array(name, field, params, bad, None, n, boundary)):
+        for call in (lambda: _scalar(name, field, 0, params, bad, n, boundary),
+                     lambda: _scalar(name, field, -1, params, bad, n, boundary),
+                     lambda: _array(name, field, params, bad, n, boundary)):
             with pytest.raises(ValidationError, match=r"^time step must be an integer >= 0"):
                 call()
 
@@ -959,36 +951,20 @@ def test_static_targets_take_numpy_integer_steps(name):
     field = MeasurementField(random_spatial_table(n, 4))
     params = _static_params(n)[name]
     for k in (0, 1, 3):
-        want = _bits(_array(name, field, params, k, None, n, ZeroHalo()))
-        assert _bits(_array(name, field, params, np.int64(k), None, n, ZeroHalo())) == want
-        assert [_bits(_scalar(name, field, i, params, np.int32(k), None, n, ZeroHalo()))
+        want = _bits(_array(name, field, params, k, n, ZeroHalo()))
+        assert _bits(_array(name, field, params, np.int64(k), n, ZeroHalo())) == want
+        assert [_bits(_scalar(name, field, i, params, np.int32(k), n, ZeroHalo()))
                 for i in range(n)] == want
-
-
-@pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, math.nan])
-def test_exp_and_asym_reject_a_tolerance_that_is_not_positive(eps):
-    # before, eps=-1.0 failed with "ValueError: math domain error"
-    field = MeasurementField(Constant(1.0))
-    for k in (None, 2):
-        for call in (lambda: oracle.exp_target(field, 0, 0.8, n=8, k=k, eps=eps),
-                     lambda: oracle.rows(ExponentialWeighting(0.8), field, 8, Ring(), k, eps=eps),
-                     lambda: oracle.asym_target(field, 0, 0.5, 0.25, n=8, k=k, eps=eps),
-                     lambda: oracle.rows(AsymmetricWeighting(0.5, 0.25), field, 8, Ring(), k,
-                                         eps=eps)):
-            with pytest.raises(ValidationError, match=r"^eps must be > 0"):
-                call()
 
 
 def test_every_rule_has_an_oracle_plan():
     assert set(typing.get_args(AlgorithmSpec)) <= set(oracle._PLANS)
 
 
-def test_rows_reject_a_rule_without_a_plan_and_eps_without_a_tail():
+def test_rows_reject_a_rule_without_a_plan():
     field = MeasurementField(Constant(1.0))
     with pytest.raises(ValidationError, match="^GlobalAverage has no closed-form target"):
         oracle.rows(GlobalAverage(5), field, 8)
-    with pytest.raises(ValidationError, match="^eps .* FiniteWindow"):
-        oracle.rows(FiniteWindow(2), field, 8, eps=0.1)
 
 
 def _k_orders(rounds, with_none):
@@ -1009,15 +985,15 @@ def test_static_rows_extended_hop_by_hop_equal_the_row_forms(boundary):
         if name not in STATIC:
             continue
         with_none = name in ("exp", "asym", "window")
-        want = {k: _bits(_array(name, field, params, k, None, n, boundary))
+        want = {k: _bits(_array(name, field, params, k, n, boundary))
                 for k in list(range(rounds + 1)) + ([None] if with_none else [])}
-        assert _bits(_array(name, field, params, range(rounds + 1), None, n, boundary)) \
+        assert _bits(_array(name, field, params, range(rounds + 1), n, boundary)) \
             == [want[k] for k in range(rounds + 1)], name
         for order in _k_orders(rounds, with_none):
             # a fresh field object each time, so every sweep starts a new case
             field = MeasurementField(field.kind)
             for k in order:
-                got = [_bits(_scalar(name, field, i, params, k, None, n, boundary))
+                got = [_bits(_scalar(name, field, i, params, k, n, boundary))
                        for i in range(n)]
                 assert got == want[k], (name, k)
 
@@ -1043,7 +1019,7 @@ def test_an_increasing_static_sweep_takes_one_hop_per_round(monkeypatch, k_outer
             hops[0] = 0
             points = [(i, k) for k in range(rounds + 1) for i in range(n)]
             for i, k in points if k_outer else sorted(points):
-                _scalar(name, field, i, params, k, None, n, boundary)
+                _scalar(name, field, i, params, k, n, boundary)
             # rebuilt from hop 0 for every k, the rows would take 861 steps
             assert 1 <= hops[0] <= 2 * rounds + 2, (name, hops[0])
 
@@ -1059,12 +1035,12 @@ def test_long_dynamic_cones_equal_the_per_sensor_loops(boundary):
             ("dyn_exp", (0.8,)), ("dyn_exp", (0.37,)), ("dyn_window", (3,)), ("dyn_window", (31,)))):
         block = []
         for k in range(rounds + 1):
-            want = [_bits(_reference(name, field, i, params, k, None, n, boundary))
+            want = [_bits(_reference(name, field, i, params, k, n, boundary))
                     for i in range(n)]
-            assert _bits(_array(name, field, params, k, None, n, boundary)) == want, \
+            assert _bits(_array(name, field, params, k, n, boundary)) == want, \
                 (name, params, k)
-            assert [_bits(_scalar(name, field, i, params, k, None, n, boundary))
+            assert [_bits(_scalar(name, field, i, params, k, n, boundary))
                     for i in range(n)] == want, (name, params, k)
             block.append(want)
-        assert _bits(_array(name, field, params, range(rounds + 1), None, n, boundary)) \
+        assert _bits(_array(name, field, params, range(rounds + 1), n, boundary)) \
             == block, (name, params)

@@ -231,7 +231,7 @@ def test_weighted_target_unit_spacing_reduction():
     field = MeasurementField(TableField(np.sin(np.arange(n))))
     i = n // 2
     got = _weighted_target(np.ones(n - 1), field, i, rho, (1 - rho) / (1 + rho), tail_eps=1e-13)
-    want = oracle.exp_target(field, i, rho, n=n, boundary=ZeroHalo(), eps=1e-15)
+    want = oracle.exp_target(field, i, rho, n=n, boundary=ZeroHalo(), k=100)
     assert got == pytest.approx(want, abs=1e-10)
 
 

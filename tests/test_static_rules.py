@@ -70,7 +70,7 @@ def test_geometric_convergence_bound():
     lam = (1 - rho) / (1 + rho)
     cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds)
     trace = run(cfg, field, ExponentialWeighting(rho))
-    limit = np.array([oracle.exp_target(field, i, rho, n=n, eps=1e-15) for i in range(n)])
+    limit = np.array([oracle.exp_target(field, i, rho, n=n, k=200) for i in range(n)])
     for k in range(rounds + 1):
         bound = lam * 2 * m * rho ** (k + 1) / (1 - rho)
         assert np.all(np.abs(trace.y[:, k] - limit) <= bound + 1e-12)
