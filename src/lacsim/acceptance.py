@@ -1,6 +1,8 @@
 """Acceptance criteria, runnable standalone (CLI `verify`) or under pytest.
 
 Each criterion runs at its stated tolerance and reports one pass/fail line.
+A criterion is a body that returns (passed, detail); `_criterion` times it,
+and for the criteria that state a runtime bound, fails it past that bound.
 Known-red criteria are implemented exactly as stated rather than loosened:
 the spatial-window bandwidth rule 1.7/(L+1/2) sits ~11.5-11.8% from the true
 half-gain root (criterion 4 demands 10%), and the variance-match ratio at
@@ -8,6 +10,7 @@ L = 5 is exactly 935/729 ~ 1.2826 (criterion 7 demands <= 1.25).
 """
 from __future__ import annotations
 
+import functools
 import math
 import tempfile
 import time
@@ -21,9 +24,9 @@ from .analysis import GlobalAverage
 from .arbitrary_weights import BandedWeighting, WeightTable
 from .chain import ChainConfig, Ring, ZeroHalo, run
 from .dynamic_rules import DynamicExponential, DynamicWindow
-from .fields import (MeasurementField, SpatialCosine, TableField, TemporalCosine,
-                     random_space_time_table, random_spatial_table)
-from .figures import OMEGA_FULL, OMEGA_ORIGIN, RHO_GRID, WINDOW_GRID, write_figures
+from .fields import (MeasurementField, TableField, random_space_time_table,
+                     random_spatial_table)
+from .figures import FIGURES, write_figures
 from .spacing import ExpGaps, SpacingModel, UniformGaps, k_poisson, monte_carlo_spacing
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow)
@@ -36,6 +39,23 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed: float
+
+
+def _criterion(index: int, name: str, limit: float | None = None):
+    """Make a body returning (passed, detail) criterion `index`: timed, and
+    failed past `limit` seconds, with its runtime in the detail, given one."""
+    def wrap(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            elapsed = time.perf_counter() - t0
+            if limit is not None:
+                passed = passed and elapsed < limit
+                detail += f", runtime {elapsed:.2f}s < {limit:g}s"
+            return CriterionResult(index, name, passed, detail, elapsed)
+        return criterion
+    return wrap
 
 
 def _profile(n: int) -> tuple:
@@ -60,8 +80,8 @@ def _oracle_cases(n: int, rounds: int, seed: int):
     ]
 
 
-def criterion_1() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(1, "trace equals oracle for all seven rules", limit=5.0)
+def criterion_1() -> tuple:
     tol = 1e-10
     n, rounds = 64, 40
     worst = 0.0
@@ -78,15 +98,11 @@ def criterion_1() -> CriterionResult:
                 if err[k, i] > worst:
                     worst = err[k, i]
                     worst_case = f"{name} seed={seed} {type(boundary).__name__} i={i} k={k}"
-    elapsed = time.perf_counter() - t0
-    passed = worst <= tol and elapsed < 5.0
-    return CriterionResult(1, "trace equals oracle for all seven rules", passed,
-                           f"worst |trace-oracle| = {worst:.3e} at {worst_case or 'n/a'} "
-                           f"(tol {tol}), runtime {elapsed:.2f}s < 5s", elapsed)
+    return worst <= tol, f"worst |trace-oracle| = {worst:.3e} at {worst_case or 'n/a'} (tol {tol})"
 
 
-def criterion_2() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(2, "dynamic window first rounds match their lagged sums at L=2")
+def criterion_2() -> tuple:
     tol = 1e-12
     n, L = 16, 2
     worst = 0.0
@@ -104,35 +120,23 @@ def criterion_2() -> CriterionResult:
             ]
             for k in range(4):
                 worst = max(worst, abs(trace.y[i, k] - expected[k]))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(2, "dynamic window first rounds match their lagged sums at L=2",
-                           worst <= tol, f"worst deviation {worst:.3e} (tol {tol})", elapsed)
+    return worst <= tol, f"worst deviation {worst:.3e} (tol {tol})"
 
 
-def criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
-    n = 256
-    omega = 2.0 * math.pi * 8 / n
-    field = MeasurementField(SpatialCosine(1.0, omega))
-
-    def fit(algo, rounds):
-        trace = run(ChainConfig(n=n, boundary=Ring(), rounds=rounds), field, algo)
-        est = ana.measure_gain(trace, field, "spatial", rounds)
-        return abs(est.gain - ana.closed_form_gain(algo, omega)), abs(est.phase)
-
-    gain_err, phase_err = fit(ExponentialWeighting(0.9), 220)
-    win_err, _ = fit(FiniteWindow(5), 5)
-
-    elapsed = time.perf_counter() - t0
-    passed = gain_err <= 1e-6 and phase_err < 1e-9 and win_err <= 1e-10 and elapsed < 2.0
-    return CriterionResult(3, "measured spatial gain matches the closed forms", passed,
-                           f"exp gain err {gain_err:.2e} (tol 1e-6), phase {phase_err:.2e} "
-                           f"(tol 1e-9), window gain err {win_err:.2e} (tol 1e-10), "
-                           f"runtime {elapsed:.2f}s < 2s", elapsed)
+@_criterion(3, "measured spatial gain matches the closed forms", limit=2.0)
+def criterion_3() -> tuple:
+    omegas = [2.0 * math.pi * 8 / 256]
+    [(_, gain, est)] = ana.sweep(ExponentialWeighting(0.9), 256, omegas, "spatial", 220)
+    gain_err, phase_err = abs(est.gain - gain), abs(est.phase)
+    [(_, gain, est)] = ana.sweep(FiniteWindow(5), 256, omegas, "spatial", 5)
+    win_err = abs(est.gain - gain)
+    passed = gain_err <= 1e-6 and phase_err < 1e-9 and win_err <= 1e-10
+    return passed, (f"exp gain err {gain_err:.2e} (tol 1e-6), phase {phase_err:.2e} "
+                    f"(tol 1e-9), window gain err {win_err:.2e} (tol 1e-10)")
 
 
-def criterion_4() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "half-gain rules of thumb at their stated tolerances")
+def criterion_4() -> tuple:
     parts = []
     ok = True
     for rho in (0.9, 0.95, 0.99):
@@ -152,35 +156,27 @@ def criterion_4() -> CriterionResult:
         good = dev <= 0.15
         ok &= good
         parts.append(f"temporal L={L} dev={100 * dev:.1f}%{'' if good else '>15%!'}")
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(4, "half-gain rules of thumb at their stated tolerances", ok,
-                           "; ".join(parts), elapsed)
+    return ok, "; ".join(parts)
 
 
-def criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(5, "measured temporal gain matches the closed form")
+def criterion_5() -> tuple:
     worst = 0.0
     dc_worst = 0.0
     for rho in (0.8, 0.9):
         algo = DynamicExponential(rho)
-        settle = ana.settle_rounds(algo)
-        for omega in (0.05, 0.1, 0.5, 0.0):
-            cfg = ChainConfig(n=5, boundary=Ring(), rounds=settle + ana.fit_rounds(omega))
-            field = MeasurementField(TemporalCosine(1.0, omega))
-            est = ana.measure_gain(run(cfg, field, algo), field, "temporal", settle)
+        for omega, gain, est in ana.sweep(algo, 5, (0.05, 0.1, 0.5, 0.0), "temporal",
+                                          ana.settle_rounds(algo)):
             if omega:
-                worst = max(worst, abs(est.gain - ana.closed_form_gain(algo, omega)))
+                worst = max(worst, abs(est.gain - gain))
             else:
                 dc_worst = max(dc_worst, abs(est.gain - 1.0))
-    elapsed = time.perf_counter() - t0
     passed = worst <= 1e-3 and dc_worst <= 1e-9
-    return CriterionResult(5, "measured temporal gain matches the closed form", passed,
-                           f"worst gain err {worst:.2e} (tol 1e-3), DC err {dc_worst:.2e} "
-                           f"(tol 1e-9)", elapsed)
+    return passed, f"worst gain err {worst:.2e} (tol 1e-3), DC err {dc_worst:.2e} (tol 1e-9)"
 
 
-def criterion_6() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "Monte Carlo noise variance matches the closed forms", limit=30.0)
+def criterion_6() -> tuple:
     reps = 10 ** 4
     checks = [
         ("exp rho=0.5", ExponentialWeighting(0.5), 5.0 / 27.0, 2024),
@@ -196,14 +192,11 @@ def criterion_6() -> CriterionResult:
         ok &= good
         parts.append(f"{name}: sampled {report.sampled_variance:.5f} vs {expected:.5f} "
                      f"({100 * rel:.2f}%{'' if good else '>5%!'})")
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 30.0
-    return CriterionResult(6, "Monte Carlo noise variance matches the closed forms", ok,
-                           "; ".join(parts) + f"; runtime {elapsed:.2f}s < 30s", elapsed)
+    return ok, "; ".join(parts)
 
 
-def criterion_7() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "variance-match ratio decreases toward 1 and stays <= 1.25")
+def criterion_7() -> tuple:
     ratios = []
     for L in (5, 10, 20, 50, 200):
         matched = ana.variance_match_rho(L)
@@ -212,16 +205,13 @@ def criterion_7() -> CriterionResult:
     toward_one = all(r > 1.0 for r in ratios) and ratios[-1] <= 1.01
     bounded = all(r <= 1.25 for r in ratios)
     passed = decreasing and toward_one and bounded
-    elapsed = time.perf_counter() - t0
     txt = ", ".join(f"L={L}: {r:.4f}" for L, r in zip((5, 10, 20, 50, 200), ratios))
-    return CriterionResult(7, "variance-match ratio decreases toward 1 and stays <= 1.25",
-                           passed,
-                           f"{txt}; decreasing={decreasing}, toward 1={toward_one}, "
-                           f"all <= 1.25: {bounded}", elapsed)
+    return passed, (f"{txt}; decreasing={decreasing}, toward 1={toward_one}, "
+                    f"all <= 1.25: {bounded}")
 
 
-def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "random-spacing constants, moments, and Monte Carlo", limit=30.0)
+def criterion_8() -> tuple:
     parts = []
     rho_e = math.exp(-1.0)
     k_exact = k_poisson(rho_e) == 1.0 / 3.0
@@ -247,46 +237,36 @@ def criterion_8() -> CriterionResult:
     id_ok = worst_id <= 1e-14
     parts.append(f"identity worst {worst_id:.2e} (tol 1e-14): {id_ok}")
 
-    elapsed = time.perf_counter() - t0
-    passed = (k_exact and mean_ok and var_ok and mean_u_ok and var_u_ok and id_ok
-              and elapsed < 30.0)
-    return CriterionResult(8, "random-spacing constants, moments, and Monte Carlo", passed,
-                           "; ".join(parts) + f"; runtime {elapsed:.2f}s < 30s", elapsed)
+    passed = k_exact and mean_ok and var_ok and mean_u_ok and var_u_ok and id_ok
+    return passed, "; ".join(parts)
 
 
-def criterion_9() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "figure CSVs reproduce the analytic curves pointwise")
+def criterion_9() -> tuple:
     tol = 1e-12
-    name = "figure CSVs reproduce the analytic curves pointwise"
-    gain_fns = {
-        "fig1_spatial_exp_origin": (ana.h_exp, RHO_GRID, OMEGA_ORIGIN),
-        "fig2_spatial_exp_full": (ana.h_exp, RHO_GRID, OMEGA_FULL),
-        "fig3_temporal_exp_origin": (lambda p, w: ana.k_temporal_exp(p, w)[0],
-                                     RHO_GRID, OMEGA_ORIGIN),
-        "fig4_temporal_exp_full": (lambda p, w: ana.k_temporal_exp(p, w)[0],
-                                   RHO_GRID, OMEGA_FULL),
-        "fig5_temporal_window_full": (lambda p, w: ana.k_temporal_window(int(p), w)[0],
-                                      WINDOW_GRID, OMEGA_FULL),
+    # each figure's rule class -> its gain formula of (param, omega)
+    formulas = {
+        ExponentialWeighting: ana.h_exp,
+        DynamicExponential: lambda p, w: ana.k_temporal_exp(p, w)[0],
+        DynamicWindow: lambda p, w: ana.k_temporal_window(int(p), w)[0],
     }
     worst = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for path in write_figures(tmp):
-            fn, params, omegas = gain_fns[path.stem]
+            rule, params, omegas = FIGURES[path.stem]
+            fn = formulas[rule]
             rows = path.read_text().strip().splitlines()[1:]
             expected_count = len(params) * len(omegas)
             if len(rows) != expected_count:
-                return CriterionResult(9, name, False, f"{path.name}: {len(rows)} rows, "
-                                       f"expected {expected_count}", time.perf_counter() - t0)
+                return False, f"{path.name}: {len(rows)} rows, expected {expected_count}"
             for row in rows:
                 w_txt, g_txt, p_txt = row.split(",")
                 worst = max(worst, abs(float(g_txt) - fn(float(p_txt), float(w_txt))))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(9, name, worst <= tol,
-                           f"worst |csv-formula| = {worst:.2e} (tol {tol})", elapsed)
+    return worst <= tol, f"worst |csv-formula| = {worst:.2e} (tol {tol})"
 
 
-def criterion_10() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(10, "structural properties (locality, linearity, determinism)")
+def criterion_10() -> tuple:
     parts = []
     ok = True
     n, rounds = 24, 12
@@ -353,9 +333,7 @@ def criterion_10() -> CriterionResult:
     ok &= causal
     parts.append(f"lag causality {causal}")
 
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(10, "structural properties (locality, linearity, determinism)",
-                           ok, "; ".join(parts), elapsed)
+    return ok, "; ".join(parts)
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -1,10 +1,10 @@
 """Frequency responses, noise-variance formulas, and trace-based estimators.
 
 Closed forms cover the spatial gain of the exponential and window rules, the
-temporal gain of their time-varying counterparts, half-gain bandwidths with
-the usual rules of thumb, and steady-state noise variances.  Estimators
-measure the same quantities from simulation traces (least-squares sinusoid
-fits) and from seeded Monte Carlo noise runs.
+temporal gain of their time-varying counterparts and half-gain bandwidths with
+the usual rules of thumb (one table, `GAINS`), and steady-state noise variances.
+Estimators measure the same quantities from simulation traces (least-squares
+sinusoid fits over one frequency `sweep`) and from seeded Monte Carlo runs.
 """
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ConsensusTrace, Ring
+from .chain import ChainConfig, ConsensusTrace, Ring, run
 from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
-from .fields import Cosine, MeasurementField
+from .fields import Cosine, MeasurementField, SpatialCosine, TemporalCosine
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow, _check_integer, _check_real, generator)
 
@@ -71,19 +71,31 @@ def k_temporal_window(half_width: int, omega: float) -> tuple[float, float]:
     return abs(val), cmath.phase(val)
 
 
+# rule class -> (the axis its closed-form gain lies on, that gain at omega,
+# its rule-of-thumb half-gain frequency)
+GAINS = {
+    ExponentialWeighting: ("spatial", lambda algo, w: h_exp(algo.rho, w),
+                           lambda algo: 1.0 - algo.rho),
+    FiniteWindow: ("spatial", lambda algo, w: abs(h_window(algo.half_width, w)),
+                   lambda algo: 1.7 / (algo.half_width + 0.5)),
+    DynamicExponential: ("temporal", lambda algo, w: k_temporal_exp(algo.rho, w)[0],
+                         lambda algo: 1.0 - algo.rho),
+    DynamicWindow: ("temporal", lambda algo, w: k_temporal_window(algo.half_width, w)[0],
+                    lambda algo: 4.0 / (algo.half_width + 0.5)),
+}
+
+
+def _gain_facts(algo, what: str) -> tuple:
+    facts = GAINS.get(type(algo))
+    if facts is None:
+        raise ValidationError(f"no {what} for {type(algo).__name__}")
+    return facts
+
+
 def closed_form_gain(algo, omega: float) -> float:
-    """The closed-form gain of `algo` at `omega`: the spatial gain of the
-    exponential and window rules, the temporal gain of their dynamic forms.
-    Other rules have none here and raise ValidationError."""
-    if isinstance(algo, ExponentialWeighting):
-        return h_exp(algo.rho, omega)
-    if isinstance(algo, FiniteWindow):
-        return abs(h_window(algo.half_width, omega))
-    if isinstance(algo, DynamicExponential):
-        return k_temporal_exp(algo.rho, omega)[0]
-    if isinstance(algo, DynamicWindow):
-        return k_temporal_window(algo.half_width, omega)[0]
-    raise ValidationError(f"no closed-form gain for {type(algo).__name__}")
+    """The closed-form gain of `algo` at `omega`, from `GAINS`; other rules
+    have none and raise ValidationError."""
+    return _gain_facts(algo, "closed-form gain")[1](algo, omega)
 
 
 def fit_rounds(omega: float) -> int:
@@ -99,33 +111,21 @@ class BandwidthResult:
     saturated: bool
 
 
-# rule class -> its rule-of-thumb half-gain frequency
-_RULES_OF_THUMB = {
-    ExponentialWeighting: lambda algo: 1.0 - algo.rho,
-    FiniteWindow: lambda algo: 1.7 / (algo.half_width + 0.5),
-    DynamicExponential: lambda algo: 1.0 - algo.rho,
-    DynamicWindow: lambda algo: 4.0 / (algo.half_width + 0.5),
-}
-
-
 def bandwidth(algo) -> BandwidthResult:
     """Half-gain frequency of `algo`'s closed-form gain: the first root of
     gain = 1/2 on (0, pi], found by bisection to 1e-10, together with the
     rule-of-thumb value of the rule's class (ValidationError for a class
     without one).  Saturated means the gain stays above 1/2 everywhere."""
-    try:
-        rule = _RULES_OF_THUMB[type(algo)]
-    except KeyError:
-        raise ValidationError(f"no rule-of-thumb bandwidth for {type(algo).__name__}") from None
+    _, gain, rule = _gain_facts(algo, "rule-of-thumb bandwidth")
     grid = np.linspace(1e-9, math.pi, 4097)
     lo = None
     for a, b in zip(grid, grid[1:]):
-        if closed_form_gain(algo, b) < 0.5:
+        if gain(algo, b) < 0.5:
             lo, hi = float(a), float(b)
             break
     if lo is None:
         return BandwidthResult(None, rule(algo), True)
-    f = lambda w: closed_form_gain(algo, w) - 0.5
+    f = lambda w: gain(algo, w) - 0.5
     fa = f(lo)
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
@@ -254,6 +254,22 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, mode: str,
         steps = np.arange(settle, rounds + 1, dtype=float)
         gain, phase = _fit_cosine(series, steps, kind.amplitude, omega, kind.phase)
     return GainEstimate(gain=gain, phase=phase, warning=_settle_warning(trace.algo, settle))
+
+
+def sweep(algo, n: int, omegas, mode: str, settle: int) -> list:
+    """(omega, closed-form gain, GainEstimate) at each frequency of `omegas`:
+    `algo` runs on a ring of n sensors from the unit cosine along `mode`, for
+    max(settle, 1) rounds in spatial mode or settle + fit_rounds(omega) in
+    temporal mode, and `measure_gain` fits its response past `settle`."""
+    spatial = mode == "spatial"
+    rows = []
+    for omega in omegas:
+        field = MeasurementField((SpatialCosine if spatial else TemporalCosine)(1.0, omega))
+        rounds = max(settle, 1) if spatial else settle + fit_rounds(omega)
+        trace = run(ChainConfig(n=n, boundary=Ring(), rounds=rounds), field, algo)
+        rows.append((omega, closed_form_gain(algo, omega),
+                     measure_gain(trace, field, mode, settle)))
+    return rows
 
 
 @dataclass(frozen=True)

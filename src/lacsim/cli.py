@@ -7,11 +7,13 @@ resolved configuration in a metadata JSON so outputs are reproducible
 byte-for-byte; timestamps live only in metadata.
 
 Exit codes: 0 success, 1 validation failure or a file that cannot be read
-or written, 2 runtime divergence, 3 acceptance failure (verify only).
+or written, 2 runtime divergence, 3 acceptance failure (verify only).  Output
+files are checked before a command does any work.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -24,30 +26,27 @@ from . import analysis as ana
 from . import oracle
 # not called here, but kept: perfbench/tracer.py wraps lacsim.cli.validate_weights
 from .arbitrary_weights import validate_weights  # noqa: F401
-from .chain import ChainConfig, Ring, Truncated, run, trace_to_csv
+from .chain import Ring, Truncated, run, trace_to_csv
 from .config import Experiment, config_to_ini, merge_settings, read_ini, resolve
-from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import DivergedError, OutOfDomainError, ValidationError
-from .fields import Constant, MeasurementField, SpatialCosine, TemporalCosine
-from .figures import write_figures
+from .fields import Constant, MeasurementField
+from .figures import FIGURES, write_figures
 from .spacing import SpacingModel, monte_carlo_spacing
-from .static_rules import ExponentialWeighting, FiniteWindow, PerSensorWindow
+from .static_rules import PerSensorWindow
 
 SCHEMA_VERSION = 1
 
 
-def _metadata(command: str, exp: Experiment | None, outputs: list) -> dict:
-    meta = {
+def _metadata(command: str, exp: Experiment, outputs: list) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "outputs": sorted(str(o) for o in outputs),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "config": exp.resolved,
+        "config_ini": config_to_ini(exp.resolved),
+        "seed": exp.seed,
     }
-    if exp is not None:
-        meta["config"] = exp.resolved
-        meta["config_ini"] = config_to_ini(exp.resolved)
-        meta["seed"] = exp.seed
-    return meta
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -63,21 +62,37 @@ def _write_text(path: Path, text: str) -> None:
         out.truncate()
 
 
-def _check_out_dir(out_dir: Path) -> None:
-    """Reject an output directory that cannot be created because its
-    nearest existing path is not a directory, before any work is done."""
-    for path in (out_dir, *out_dir.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise ValidationError(f"output directory {out_dir}: {path} is not a directory")
-            return
+# command -> the files it writes under the output directory, "{}" standing
+# for the output prefix
+_OUTPUTS = {
+    "simulate": ("{}_trace.csv", "{}_metadata.json"),
+    "freq-spatial": ("{}_freq_spatial.csv", "{}_freq_spatial_metadata.json"),
+    "freq-temporal": ("{}_freq_temporal.csv", "{}_freq_temporal_metadata.json"),
+    "noise": ("{}_noise.json",),
+    "spacing": ("{}_spacing.json",),
+    "figures": (*(f"{name}.csv" for name in FIGURES), "{}_figures_metadata.json"),
+}
 
 
-def _cmd_simulate(exp: Experiment) -> list:
+def _output_paths(exp: Experiment, command: str) -> list:
+    """The files `command` writes, checked before any work is done: each one
+    that exists must be a file, and the nearest existing path above each a
+    directory, so that it can be created."""
+    paths = [exp.out_dir / name.format(exp.prefix) for name in _OUTPUTS[command]]
+    for path in paths:
+        if path.exists() and not path.is_file():
+            kind = "Is a directory" if path.is_dir() else "not a regular file"
+            raise ValidationError(f"output file {path}: {kind}")
+        above = next(p for p in path.parents if p.exists())
+        if not above.is_dir():
+            raise ValidationError(f"output file {path}: {above} is not a directory")
+    return paths
+
+
+def _cmd_simulate(exp: Experiment, paths: list) -> None:
+    csv_path, meta_path = paths
     trace = run(exp.chain, exp.field, exp.algorithm)
-    csv_path = exp.out_dir / f"{exp.prefix}_trace.csv"
     _write_text(csv_path, trace_to_csv(trace))
-    meta_path = exp.out_dir / f"{exp.prefix}_metadata.json"
     meta = _metadata("simulate", exp, [csv_path.name])
     if isinstance(exp.algorithm, PerSensorWindow) and \
             not isinstance(exp.chain.boundary, Truncated):
@@ -87,86 +102,62 @@ def _cmd_simulate(exp: Experiment) -> list:
                            exp.chain.boundary)
         meta["trace_metadata"] = {"weight_sums": sums.tolist()}
     _write_json(meta_path, meta)
-    return [csv_path, meta_path]
 
 
-# mode -> (the rules whose closed-form gain lies on that axis, their variants)
-_FREQ_RULES = {
-    "spatial": ((ExponentialWeighting, FiniteWindow), "exponential or window"),
-    "temporal": ((DynamicExponential, DynamicWindow), "dyn_exponential or dyn_window"),
-}
+# axis -> the variants whose closed-form gain lies on it in `analysis.GAINS`
+_FREQ_VARIANTS = {"spatial": "exponential or window", "temporal": "dyn_exponential or dyn_window"}
 
 
-def _cmd_freq(exp: Experiment, mode: str) -> list:
-    """Measured against closed-form gain at each frequency of the sweep: ring
-    harmonics 2 pi m / n in spatial mode, `analysis.omegas` in temporal mode."""
+def _cmd_freq(exp: Experiment, paths: list, mode: str) -> None:
+    """Closed-form against measured gain at each frequency of `analysis.sweep`:
+    ring harmonics 2 pi m / n in spatial mode, `analysis.omegas` in temporal mode."""
     command = f"freq-{mode}"
     algo = exp.algorithm
-    rules, variants = _FREQ_RULES[mode]
-    if not isinstance(algo, rules):
-        raise ValidationError(f"{command} needs algorithm.variant {variants}")
+    axis, *_ = ana.GAINS.get(type(algo), (None,))
+    if axis != mode:
+        raise ValidationError(f"{command} needs algorithm.variant {_FREQ_VARIANTS[mode]}")
     if not isinstance(exp.chain.boundary, Ring):
         raise ValidationError(f"{command} needs chain.boundary = ring")
     n = exp.chain.n
     settle = exp.analysis.get("settle", ana.settle_rounds(algo))
-    spatial = mode == "spatial"
-    cosine = SpatialCosine if spatial else TemporalCosine
-    omegas = ([2.0 * math.pi * m / n for m in exp.analysis["harmonic"]] if spatial
+    omegas = ([2.0 * math.pi * m / n for m in exp.analysis["harmonic"]] if mode == "spatial"
               else exp.analysis["omegas"])
+    rows = ana.sweep(algo, n, omegas, mode, settle)
     lines = ["omega,gain_analytic,gain_measured,phase_measured"]
-    warnings = []  # measure_gain's, each once: a short settle taints every row
-    for omega in omegas:
-        field = MeasurementField(cosine(1.0, omega))
-        rounds = max(settle, 1) if spatial else settle + ana.fit_rounds(omega)
-        cfg = ChainConfig(n=n, boundary=Ring(), rounds=rounds)
-        est = ana.measure_gain(run(cfg, field, algo), field, mode, settle)
-        gain = ana.closed_form_gain(algo, omega)
-        lines.append(",".join(format(v, ".17g") for v in (omega, gain, est.gain, est.phase)))
-        if est.warning is not None and est.warning not in warnings:
-            warnings.append(est.warning)
-    csv_path = exp.out_dir / f"{exp.prefix}_freq_{mode}.csv"
+    lines += [",".join(format(v, ".17g") for v in (omega, gain, est.gain, est.phase))
+              for omega, gain, est in rows]
+    # measure_gain's warnings, each once: a short settle taints every row
+    warnings = list(dict.fromkeys(est.warning for _, _, est in rows if est.warning is not None))
+    csv_path, meta_path = paths
     _write_text(csv_path, "\n".join(lines) + "\n")
-    meta_path = exp.out_dir / f"{exp.prefix}_freq_{mode}_metadata.json"
     meta = _metadata(command, exp, [csv_path.name])
     if warnings:
         meta["warnings"] = warnings
     _write_json(meta_path, meta)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return [csv_path, meta_path]
 
 
-def _cmd_noise(exp: Experiment) -> list:
+def _cmd_noise(exp: Experiment, paths: list) -> None:
     report = ana.monte_carlo_noise(exp.sampled, exp.analysis["sigma"],
                                    exp.analysis["replicates"], exp.seed)
     payload = _metadata("noise", exp, [])
-    payload["report"] = {
-        "analytic_variance": report.analytic_variance,
-        "sampled_variance": report.sampled_variance,
-        "replicates": report.replicates,
-        "standard_error": report.standard_error,
-    }
-    path = exp.out_dir / f"{exp.prefix}_noise.json"
-    _write_json(path, payload)
-    return [path]
+    payload["report"] = dataclasses.asdict(report)
+    _write_json(paths[0], payload)
 
 
-def _cmd_spacing(exp: Experiment) -> list:
+def _cmd_spacing(exp: Experiment, paths: list) -> None:
     model = SpacingModel(exp.sampled, exp.seed)
     report = monte_carlo_spacing(exp.analysis["rho"], model, exp.analysis["replicates"],
                                  tail_eps=exp.analysis["tail_eps"])
     payload = _metadata("spacing", exp, [])
     payload["report"] = report.to_dict()
-    path = exp.out_dir / f"{exp.prefix}_spacing.json"
-    _write_json(path, payload)
-    return [path]
+    _write_json(paths[0], payload)
 
 
-def _cmd_figures(exp: Experiment) -> list:
+def _cmd_figures(exp: Experiment, paths: list) -> None:
     written = write_figures(exp.out_dir)
-    meta_path = exp.out_dir / f"{exp.prefix}_figures_metadata.json"
-    _write_json(meta_path, _metadata("figures", exp, [p.name for p in written]))
-    return written + [meta_path]
+    _write_json(paths[-1], _metadata("figures", exp, [p.name for p in written]))
 
 
 def _cmd_verify() -> int:
@@ -226,15 +217,15 @@ def main(argv=None) -> int:
         flags = [f"chain.master_seed={args.seed}"] if args.seed is not None else []
         flags += [f"output.dir={args.out}"] if args.out else []
         exp = resolve(merge_settings(raw, args.overrides + flags), args.command, base_dir)
-        _check_out_dir(exp.out_dir)
-        written = _HANDLERS[args.command](exp)
+        paths = _output_paths(exp, args.command)
+        _HANDLERS[args.command](exp, paths)
     except (ValidationError, OutOfDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for path in written:
+    for path in paths:
         print(path)
     return 0
 

@@ -22,19 +22,14 @@ OMEGA_ORIGIN = np.linspace(0.0, 0.5, 251)
 OMEGA_FULL = np.linspace(0.0, math.pi, 601)
 
 
-def _rows(rule, params, omegas):
-    return [(w, closed_form_gain(rule(p), w), p) for p in params for w in omegas]
-
-
-def figure_tables() -> dict:
-    """Figure name -> list of (omega, gain, param) rows."""
-    return {
-        "fig1_spatial_exp_origin": _rows(ExponentialWeighting, RHO_GRID, OMEGA_ORIGIN),
-        "fig2_spatial_exp_full": _rows(ExponentialWeighting, RHO_GRID, OMEGA_FULL),
-        "fig3_temporal_exp_origin": _rows(DynamicExponential, RHO_GRID, OMEGA_ORIGIN),
-        "fig4_temporal_exp_full": _rows(DynamicExponential, RHO_GRID, OMEGA_FULL),
-        "fig5_temporal_window_full": _rows(DynamicWindow, WINDOW_GRID, OMEGA_FULL),
-    }
+# figure name -> (rule class, parameters, frequencies) of its rows
+FIGURES = {
+    "fig1_spatial_exp_origin": (ExponentialWeighting, RHO_GRID, OMEGA_ORIGIN),
+    "fig2_spatial_exp_full": (ExponentialWeighting, RHO_GRID, OMEGA_FULL),
+    "fig3_temporal_exp_origin": (DynamicExponential, RHO_GRID, OMEGA_ORIGIN),
+    "fig4_temporal_exp_full": (DynamicExponential, RHO_GRID, OMEGA_FULL),
+    "fig5_temporal_window_full": (DynamicWindow, WINDOW_GRID, OMEGA_FULL),
+}
 
 
 def table_to_csv(rows) -> str:
@@ -48,7 +43,8 @@ def write_figures(out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, rows in figure_tables().items():
+    for name, (rule, params, omegas) in FIGURES.items():
+        rows = [(w, closed_form_gain(rule(p), w), p) for p in params for w in omegas]
         path = out / f"{name}.csv"
         path.write_text(table_to_csv(rows))
         written.append(path)

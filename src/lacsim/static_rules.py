@@ -46,15 +46,11 @@ def _check_real(name: str, value, rule: str = "finite", ok=math.isfinite) -> Non
         raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
-def check_seed(seed) -> None:
-    """A seed is a non-negative integer, not a bool."""
+def generator(seed) -> np.random.Generator:
+    """numpy's default generator for `seed`, `Generator(PCG64(SeedSequence(seed)))`;
+    a seed is a non-negative integer, not a bool."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def generator(seed) -> np.random.Generator:
-    """numpy's default generator for `seed`, `Generator(PCG64(SeedSequence(seed)))`."""
-    check_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -62,14 +58,14 @@ def _check_half_width(name: str, value) -> int:
     return _check_integer(name, value, 1)
 
 
-def _check_half_widths(widths, adjacent: bool = False) -> tuple:
-    """`widths` as a tuple checked by `_check_half_width`, if `adjacent` each within
-    one of the next: plain ints as a whole, else, or on a failure, one by one."""
+def _check_half_widths(widths) -> tuple:
+    """`widths` as a tuple checked by `_check_half_width`, each within one of the
+    next: plain ints as a whole, else, or on a failure, one by one."""
     widths = tuple(widths)
-    if set(map(type, widths)) != {int} or min(widths) < 1 or (
-            adjacent and np.abs(np.diff(widths)).max(initial=0) > 1):
+    if set(map(type, widths)) != {int} or min(widths) < 1 or \
+            np.abs(np.diff(widths)).max(initial=0) > 1:
         widths = tuple(_check_half_width("half-widths", w) for w in widths)
-        for a, b in zip(widths, widths[1:]) if adjacent else ():
+        for a, b in zip(widths, widths[1:]):
             if abs(a - b) > 1:
                 raise ValidationError(f"adjacent half-widths differ by more than one: {a}, {b}")
     return widths
@@ -118,7 +114,7 @@ class PerSensorWindow:
     half_widths: tuple
 
     def __post_init__(self):
-        widths = _check_half_widths(self.half_widths, adjacent=True)
+        widths = _check_half_widths(self.half_widths)
         object.__setattr__(self, "half_widths", widths)
         if not widths:
             raise ValidationError("half_widths must be non-empty")

@@ -41,6 +41,16 @@ def test_criterion(criterion):
         assert re.sub(r"runtime \d+\.\d+s", "runtime", result.detail) == DETAILS[result.index]
 
 
+def test_a_criterion_past_its_runtime_bound_fails():
+    body = lambda: (True, "ok")
+    late = acceptance._criterion(11, "trivial", limit=0.0)(body)()
+    assert not late.passed and "runtime" in late.detail
+    assert late.detail.startswith("ok, runtime ") and late.detail.endswith("s < 0s")
+    free = acceptance._criterion(11, "trivial")(body)()
+    assert free.passed and free.detail == "ok"
+    assert (free.index, free.name, free.elapsed >= 0.0) == (11, "trivial", True)
+
+
 def test_criterion_10_fails_when_a_rule_reads_two_hops_away(monkeypatch):
     # the exponential rule made to read the sensor two hops to its left as
     # well: a bump then moves y_i(k) at a distance k + 1

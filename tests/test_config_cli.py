@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import pickle
 from pathlib import Path
 
@@ -628,6 +629,7 @@ def test_cli_rejects_an_output_path_under_a_file_before_running(command, tmp_pat
         raise AssertionError("the engine ran before the output path was checked")
 
     monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli.ana, "run", no_run)  # the freq-* sweep's engine
     blocker = tmp_path / "taken"
     blocker.write_text("")
     for out in (blocker, blocker / "sub"):
@@ -636,6 +638,30 @@ def test_cli_rejects_an_output_path_under_a_file_before_running(command, tmp_pat
         assert err.startswith("error: ") and "not a directory" in err
         assert "Traceback" not in err
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, name, make", [
+    ("simulate", "run_trace.csv", os.mkdir), ("simulate", "run_metadata.json", os.mkdir),
+    ("freq-spatial", "run_freq_spatial_metadata.json", os.mkdir),
+    ("freq-temporal", "run_freq_temporal.csv", os.mkdir),
+    ("noise", "run_noise.json", os.mkdir), ("noise", "run_noise.json", os.mkfifo),
+    ("spacing", "run_spacing.json", os.mkdir),
+    ("figures", "fig3_temporal_exp_origin.csv", os.mkdir),
+    ("figures", "run_figures_metadata.json", os.mkdir),
+])
+def test_cli_rejects_an_output_file_that_is_not_a_file_before_running(command, name, make,
+                                                                      tmp_path, capsys,
+                                                                      monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command worked before its output files were checked")
+
+    for module, attr in ((cli, "run"), (cli.ana, "run"), (cli.ana, "monte_carlo_noise"),
+                         (cli, "monte_carlo_spacing"), (cli, "write_figures")):
+        monkeypatch.setattr(module, attr, no_work)
+    make(tmp_path / name)
+    kind = "Is a directory" if make is os.mkdir else "not a regular file"
+    assert main([command, "--out", str(tmp_path), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: output file {tmp_path / name}: {kind}\n"
 
 
 def test_cli_input_and_output_errors_exit_1_with_a_message(tmp_path, capsys):

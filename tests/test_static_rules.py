@@ -419,10 +419,10 @@ def test_per_sensor_window_rejects_fractional_half_widths_instead_of_rounding_do
     assert widths == (2, 3, 3) and all(type(w) is int for w in widths)
 
 
-def _per_element_half_widths(widths, adjacent):
+def _per_element_half_widths(widths):
     """The per-element check that `_check_half_widths` replaced."""
     widths = tuple(static_rules._check_half_width("half-widths", w) for w in widths)
-    for a, b in zip(widths, widths[1:]) if adjacent else ():
+    for a, b in zip(widths, widths[1:]):
         if abs(a - b) > 1:
             raise ValidationError(f"adjacent half-widths differ by more than one: {a}, {b}")
     return widths
@@ -434,14 +434,14 @@ _WIDTHS = st.lists(st.one_of(st.integers(-1, 5), st.integers(2 ** 62, 2 ** 65),
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_WIDTHS, st.lists(st.integers(1, 4), max_size=12)), st.booleans())
-def test_half_widths_checked_as_a_whole_as_one_by_one(widths, adjacent):
+@given(st.one_of(_WIDTHS, st.lists(st.integers(1, 4), max_size=12)))
+def test_half_widths_checked_as_a_whole_as_one_by_one(widths):
     try:
-        want = _per_element_half_widths(widths, adjacent)
+        want = _per_element_half_widths(widths)
     except ValidationError as exc:
         with pytest.raises(ValidationError) as got:
-            static_rules._check_half_widths(widths, adjacent)
+            static_rules._check_half_widths(widths)
         assert str(got.value) == str(exc)
     else:
-        got = static_rules._check_half_widths(widths, adjacent)
+        got = static_rules._check_half_widths(widths)
         assert got == want and all(type(w) is int for w in got)
