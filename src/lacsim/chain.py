@@ -37,7 +37,7 @@ from .dynamic_rules import (DynamicExponential, DynamicWindow, assemble_y,  # no
                             dyn_exp_transition, phase_groups, z_slot_transition)
 from .errors import DivergedError, ValidationError
 from .fields import MeasurementField, evaluate_field, evaluate_grid  # noqa: F401
-from .g17 import WIDTH, write_g17
+from .g17 import TEXT4, WIDTH, write_g17
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
                            PerSensorWindow, _check_integer, asym_transition, exp_transition,
                            variable_window_transition, window_transition)
@@ -60,10 +60,13 @@ class Truncated:
 
 Boundary = Union[Ring, ZeroHalo, Truncated]
 
-# values per block of trace_to_csv, and at most per call stepping dynamic
-# window slots (one slot at least): temporaries stay cache-sized and memory
-# bounded, whatever the trace size
+# values at most per call stepping dynamic window slots (one slot at least):
+# temporaries stay cache-sized and memory bounded, whatever the chain length
 _BLOCK_VALUES = 16384
+# values per block of trace_to_csv (one row at least): each of its 8-byte
+# temporaries, 64 KiB, stays below glibc's default 128 KiB mmap threshold,
+# so a block reuses heap memory whatever ran before it
+_CSV_BLOCK = 8192
 
 AlgorithmSpec = Union[ExponentialWeighting, AsymmetricWeighting, FiniteWindow,
                       PerSensorWindow, BandedWeighting, DynamicExponential, DynamicWindow]
@@ -305,10 +308,16 @@ def _labels(count: int, lead: int, end: int) -> np.ndarray:
     range(count), ending at byte `end` of `lead`, and nul elsewhere."""
     text = np.zeros((count, lead), dtype=np.uint8)
     text[:, end - 1] = ord(",")
+    digits = len(str(count - 1))
     i = np.arange(count)
-    for p in range(len(str(count - 1))):
-        shifted = i // 10 ** p
-        text[:, end - 2 - p] = (shifted % 10 + ord("0")) * ((shifted > 0) | (p == 0))
+    for p in range(0, digits, 4):  # 4 digits at a time, from the table
+        size = min(4, digits - p)
+        group = i // 10 ** p
+        if p + 4 < digits:
+            group %= 10 ** 4
+        text[:, end - 1 - p - size:end - 1 - p] = np.take(TEXT4, group, axis=0)[:, 4 - size:]
+    for p in range(1, digits):  # i < 10**p has no digit at place p
+        text[:10 ** p, end - 2 - p] = 0
     return text.view(np.uint64)
 
 
@@ -323,7 +332,8 @@ def trace_to_csv(trace: ConsensusTrace) -> str:
 
 def _csv_chunks(trace: ConsensusTrace):
     """The header line, then the text of successive blocks of rows.  A block
-    is built as fixed-width byte rows, and the nul bytes between their
+    is built as fixed-width byte rows in one reused buffer, its values
+    formatted by one `write_g17` call, and the nul bytes between their
     characters are deleted."""
     slots = trace.z.shape[2] if trace.z is not None else 0
     yield "round,sensor,y" + "".join(f",z{j}" for j in range(slots)) + "\n"
@@ -337,20 +347,27 @@ def _csv_chunks(trace: ConsensusTrace):
     lead = -(-(wr + ws) // 8) * 8  # keeps the value columns 8-byte aligned
     rounds, sensors = _labels(cols, lead, wr)[:, None], _labels(n, lead, wr + ws)
     # a block is whole rounds, or a slice of one round that outgrows a block
-    step = max(1, _BLOCK_VALUES // width)
+    step = max(1, _CSV_BLOCK // width)
     per_block, per_slice = min(max(1, step // n), cols), min(step, n)
-    # one block buffer per call: a fresh one per block costs page faults
-    buffer = np.empty((per_block * per_slice, lead + width * WIDTH), dtype=np.uint8)
+    # one block buffer per call, a bytearray so that a full block's nul bytes
+    # are deleted with no copy; [y | z] of a block gathered in one array
+    size = per_block * per_slice
+    buffer = bytearray(size * (lead + width * WIDTH))
+    rows = np.frombuffer(buffer, dtype=np.uint8).reshape(size, -1)
+    gathered = np.empty((size, width)) if slots else None
     for t, i in ((t, i) for t in range(0, cols, per_block) for i in range(0, n, per_slice)):
         r, s = min(per_block, cols - t), min(per_slice, n - i)
         start, count = t * n + i, r * s
-        block = buffer[:count]
+        block = rows[:count]
         np.bitwise_or(rounds[t:t + r], sensors[i:i + s],
                       out=block[:, :lead].view(np.uint64).reshape(r, s, -1))
         cells = block[:, lead:].reshape(count, width, WIDTH)
-        write_g17(y[start:start + count], cells[:, :1])
+        values = y[start:start + count]
         if slots:
-            write_g17(z[start:start + count], cells[:, 1:])
+            values = gathered[:count]
+            values[:, :1], values[:, 1:] = y[start:start + count], z[start:start + count]
+        write_g17(values, cells)
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
-        yield block.tobytes().translate(None, b"\0").decode("ascii")
+        text = buffer if count == size else buffer[:block.nbytes]
+        yield text.translate(None, b"\0").decode("ascii")

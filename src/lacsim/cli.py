@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,7 +29,7 @@ from .chain import Ring, Truncated, run, trace_to_csv
 from .config import Experiment, config_to_ini, merge_settings, read_ini, resolve
 from .errors import DivergedError, OutOfDomainError, ValidationError
 from .fields import Constant, MeasurementField
-from .figures import FIGURES, write_figures
+from .figures import FIGURES, write_figures, write_text
 from .spacing import SpacingModel, monte_carlo_spacing
 from .static_rules import PerSensorWindow
 
@@ -50,16 +49,7 @@ def _metadata(command: str, exp: Experiment, outputs: list) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    """Write `text` to `path` in place, then cut it to length: truncating first
-    would free the blocks of an existing file only to fill new ones."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as out:
-        out.write(text)
-        out.truncate()
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # command -> the files it writes under the output directory, "{}" standing
@@ -92,7 +82,7 @@ def _output_paths(exp: Experiment, command: str) -> list:
 def _cmd_simulate(exp: Experiment, paths: list) -> None:
     csv_path, meta_path = paths
     trace = run(exp.chain, exp.field, exp.algorithm)
-    _write_text(csv_path, trace_to_csv(trace))
+    write_text(csv_path, trace_to_csv(trace))
     meta = _metadata("simulate", exp, [csv_path.name])
     if isinstance(exp.algorithm, PerSensorWindow) and \
             not isinstance(exp.chain.boundary, Truncated):
@@ -129,7 +119,7 @@ def _cmd_freq(exp: Experiment, paths: list, mode: str) -> None:
     # measure_gain's warnings, each once: a short settle taints every row
     warnings = list(dict.fromkeys(est.warning for _, _, est in rows if est.warning is not None))
     csv_path, meta_path = paths
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    write_text(csv_path, "\n".join(lines) + "\n")
     meta = _metadata(command, exp, [csv_path.name])
     if warnings:
         meta["warnings"] = warnings

@@ -8,6 +8,7 @@ grid.  Rows are `omega,gain,param`; plotting is out of scope.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,24 @@ def table_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path: Path, text: str) -> None:
+    """Write `text` to `path` in place, then cut it to length: truncating first
+    would free the blocks of an existing file only to fill new ones."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as out:
+        out.write(text)
+        out.truncate()
+
+
 def write_figures(out_dir) -> list:
+    """Write each figure's CSV under `out_dir` by `write_text`, and return
+    their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name, (rule, params, omegas) in FIGURES.items():
         rows = [(w, closed_form_gain(rule(p), w), p) for p in params for w in omegas]
         path = out / f"{name}.csv"
-        path.write_text(table_to_csv(rows))
+        write_text(path, table_to_csv(rows))
         written.append(path)
     return written

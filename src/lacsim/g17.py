@@ -15,6 +15,13 @@ as ph + pl; ph >= 2**53 is an even integer, so the digits are ph + rint(pl).
 digits, d and the sign alone.  Every other value (inf, nan, the smallest and
 largest magnitudes, and the few near a power of ten whose log10 estimate of d
 is off by one) is formatted by Python, one at a time.
+
+A row is five native uint64 words.  Each word is built for the whole array
+as one contiguous row: a table lookup of its group of four digits, masked to
+the digits the text keeps and overlaid with the sign, "0.000" and the point,
+by a layout key of d, the significant-digit count and the sign.  Each row is
+then stored into its column of the output.  `TEXT4`, the digits of the
+groups "0000".."9999", also builds labels.
 """
 from __future__ import annotations
 
@@ -26,17 +33,19 @@ WIDTH = 40
 _DIGITS = slice(6, WIDTH, 2)
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
-_POW10 = np.array([float(10 ** s) for s in range(21)])  # exact: 5**20 < 2**53
+# 10**s for s = 16 - d = 20 - e, indexed by e = d + 4 in [0, 18]: exact, since 5**20 < 2**53
+_SCALE = np.array([float(10 ** (20 - e)) for e in range(19)])
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split: v = hi + lo exactly, each half of at most 26 bits."""
     t = v * _SPLIT
-    hi = t - (t - v)
-    return hi, v - hi
+    hi = t - v
+    np.subtract(t, hi, out=hi)
+    return hi, np.subtract(v, hi, out=t)
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
 
 
 def _quads() -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +66,8 @@ def _layout() -> tuple[np.ndarray, np.ndarray]:
     """For each key ((d + 4) * 18 + c) * 2 + negative, with decimal exponent
     d in [-4, 14] and significant-digit count c in [0, 17]: the mask of the
     digit bytes kept, and the other bytes of the text (sign, "0.000",
-    point), each as a row of WIDTH // 8 native uint64 words."""
+    point), each as a column of WIDTH // 8 native uint64 words, so that
+    row j holds word j of every key."""
     template = np.frombuffer(b"-0.000" + b"\0." * 17, dtype=np.uint8)
     keep = np.zeros((19, 18, 2, WIDTH), dtype=bool)
     keep[:, :, 1, 0] = True  # the sign
@@ -72,33 +82,50 @@ def _layout() -> tuple[np.ndarray, np.ndarray]:
                 row[:, _DIGITS][:, :c] = True
     keep = keep.reshape(-1, WIDTH)
     rows = (np.where(keep & (template == 0), 0xFF, 0), np.where(keep, template, 0))
-    return tuple(r.astype(np.uint8).view(np.uint64) for r in rows)
+    return tuple(np.ascontiguousarray(r.astype(np.uint8).view(np.uint64).T) for r in rows)
 
 
 _QUADS, _COUNTS = _quads()
 _KEEP, _OVERLAY = _layout()
+# word 0 of the digits, "000" and the first digit, keeps that digit alone
+# under every key with c >= 1 (key 2 is d = -4, c = 1); 100 entries, as a
+# wrong estimate of d can give a first "digit" up to 99
+_FIRST = _QUADS[:100] & _KEEP[0, 2]
+# "0000".."9999", 4 bytes each
+TEXT4 = np.ascontiguousarray(_QUADS.view(np.uint8).reshape(-1, 8)[:, ::2])
 
 
 def _digits17(a: np.ndarray):
-    """(q, d, exact) for 1e-4 <= a < 1e15: q the 17 significant digits of a
-    as an int64 in [10**16, 10**17) and d its decimal exponent, with `exact`
-    False where the estimate of d was wrong and q is not set."""
-    d = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.intp)
-    s = 16 - d
-    # a * 10**s = ph + pl exactly, by Dekker's product of the split halves
+    """(q, e, exact) for 1e-4 <= a < 1e15: q the 17 significant digits of a
+    as an int64 in [10**16, 10**17) and e = d + 4 for d its decimal exponent,
+    with `exact` False where the estimate of d was wrong and q means nothing."""
+    f = np.log10(a)
+    np.floor(f, out=f)
+    np.clip(f, -4.0, 14.0, out=f)
+    f += 4.0
+    e = f.astype(np.intp)
+    # a * 10**s = ph + pl exactly, by Dekker's product of the split halves,
+    # summed in the order ((ah bh - ph) + ah bl + al bh) + al bl
     ah, al = _split(a)
-    bh, bl = np.take(_POW10_HI, s), np.take(_POW10_LO, s)
-    ph = a * np.take(_POW10, s)
-    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    bh, bl = _SCALE_HI.take(e), _SCALE_LO.take(e)
+    ph = _SCALE.take(e)
+    ph *= a
+    pl = ah * bh
+    pl -= ph
+    pl += np.multiply(ah, bl, out=ah)
+    pl += np.multiply(al, bh, out=bh)
+    pl += np.multiply(al, bl, out=al)
     # a * 10**s >= 10**16, since ph - 1e16 is exact near 1e16 and outweighs pl
     # elsewhere; then ph >= 2**53 is even, and rint(pl) rounds the sum half to even
-    exact = (ph - 1e16) + pl >= 0.0
-    q = ph.astype(np.int64) + np.rint(pl).astype(np.int64)  # < 10**18
+    sign = np.subtract(ph, 1e16, out=bl)
+    sign += pl
+    exact = sign >= 0.0
+    q = ph.astype(np.int64)
+    q += np.rint(pl, out=pl).astype(np.int64)  # < 10**18
     # q < 10**17 also after rounding: no double in the window lies within half
     # a unit of the 17th digit below a power of ten, so no carry to an 18th
     exact &= q < 10 ** 17
-    q[~exact] = 10 ** 16
-    return q, d, exact
+    return q, e, exact
 
 
 def write_g17(values: np.ndarray, out: np.ndarray) -> None:
@@ -106,33 +133,48 @@ def write_g17(values: np.ndarray, out: np.ndarray) -> None:
     matching row of `out`, a uint8 array of shape values.shape + (WIDTH,)
     whose rows are contiguous and 8-byte aligned, with nul bytes between the
     characters and in the last byte of each row."""
-    a = np.abs(values)
-    fast = (a >= 1e-4) & (a < 1e15)
-    zero = values == 0.0
-    q, d, exact = _digits17(np.where(fast, a, 1.0))  # 1.0 gives q = 10**16, d = 0
-    fast &= exact
-    q[zero] = 0  # "0": d = 0 and one significant digit
-    top = q // 10 ** 16
-    rest = q - top * 10 ** 16
-    mid = rest // 10 ** 8
-    low = rest - mid * 10 ** 8
-    quads = [top]
-    for half in (mid, low):
-        hi4 = half // 10 ** 4
-        quads += [hi4, half - hi4 * 10 ** 4]
+    v = values.ravel()
+    a = np.abs(v)
+    done = a >= 1e-4
+    done &= a < 1e15
+    zero = v == 0.0
+    np.copyto(a, 1.0, where=~done)  # 1.0 gives q = 10**16, d = 0
+    q, key, exact = _digits17(a)
+    done &= exact
+    done |= zero
+    np.copyto(q, 0, where=zero)  # "0": d = 0 and one significant digit
     # 20 digits in 5 words; the first 3 are always "0" and fall on the sign
-    # and "0.000" bytes, whose keep-mask is clear.  The words are built apart
-    # from `out`: bitwise ops on its strided rows run several times slower
-    words = np.empty(values.shape + (5,), dtype=np.uint64)
-    for j, quad in enumerate(quads):  # "clip" writes to the strided column unbuffered
-        np.take(_QUADS, quad, out=words[..., j], mode="clip")
-    count = np.max([np.take(c, g) for c, g in zip(_COUNTS, quads[1:])], axis=0)
-    key = ((d + 4) * 18 + count) * 2 + np.signbit(values)
-    words &= np.take(_KEEP, key, axis=0)
-    words |= np.take(_OVERLAY, key, axis=0)
-    out.view(np.uint64)[...] = words
-    done = fast | zero
+    # and "0.000" bytes, whose keep-mask is clear
+    top = q // 10 ** 16
+    q -= top * 10 ** 16
+    high = q // 10 ** 8
+    q -= high * 10 ** 8
+    quads = [top]
+    for half in (high, q):
+        first = half // 10 ** 4
+        half -= first * 10 ** 4
+        quads += [first, half]
+    count = _COUNTS[0].take(quads[1])
+    for counts, quad in zip(_COUNTS[1:], quads[2:]):
+        np.maximum(count, counts.take(quad), out=count)
+    key *= 18
+    key += count
+    key *= 2
+    key += np.signbit(v)
+    # each word is built as a contiguous row, then stored into its column of
+    # `out`: bitwise ops on strided rows run several times slower.  Every
+    # index is in range; "clip" only lets `take` write into `out=` unbuffered
+    words = out.view(np.uint64)
+    word, mask = np.empty_like(q, dtype=np.uint64), np.empty_like(q, dtype=np.uint64)
+    for j, quad in enumerate(quads):
+        if j:
+            _QUADS.take(quad, out=word, mode="clip")
+            word &= _KEEP[j].take(key, out=mask, mode="clip")
+        else:
+            _FIRST.take(quad, out=word, mode="clip")
+        word |= _OVERLAY[j].take(key, out=mask, mode="clip")
+        words[..., j] = word.reshape(values.shape)
     if not done.all():
-        slow = np.nonzero(~done)
-        text = [("%.17g" % v).encode() for v in values[slow].tolist()]
+        slow = np.nonzero(~done.reshape(values.shape))
+        text = [("%.17g" % x).encode() for x in values[slow].tolist()]
         out[slow] = np.array(text, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)

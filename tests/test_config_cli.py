@@ -332,6 +332,27 @@ def test_cli_rewrites_outputs_in_place_to_the_bytes_of_a_fresh_run(tmp_path, mon
         assert rewritten == simulate(tmp_path / f"fresh{j}", rounds)
 
 
+def test_cli_figures_rewrites_its_csvs_in_place(tmp_path, monkeypatch):
+    names = [f"{name}.csv" for name in cli.FIGURES]
+    assert main(["figures", "--out", str(tmp_path / "fresh")]) == 0
+    assert main(["figures", "--out", str(tmp_path / "out")]) == 0
+    for name in names:  # a longer old file: the rewrite must cut its tail
+        with open(tmp_path / "out" / name, "a") as old:
+            old.write("0,0,0\n" * 100)
+    flags, real_open = {}, os.open
+
+    def spy(path, mode, *args, **kwargs):
+        flags[Path(path).name] = mode
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main(["figures", "--out", str(tmp_path / "out")]) == 0
+    # every figure CSV is opened through os.open, none of them truncating
+    assert {name: flags.get(name, -1) & os.O_TRUNC for name in names} == dict.fromkeys(names, 0)
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_cli_blank_set_values_take_the_defaults(tmp_path, monkeypatch):
     # a blank --set value removes the key, as a blank INI value does: the
     # outputs go to out/run_*, not to ./_*, and the echoed config reruns them

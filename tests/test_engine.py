@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lacsim.chain as chain_module
+import lacsim.g17 as g17
 from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, ConsensusTrace,
                     DynamicExponential, DynamicWindow, ExponentialWeighting, FBState,
                     FiniteWindow, MeasurementField, MessageRecord, Noise, PerSensorWindow, Ring,
@@ -429,6 +430,82 @@ def test_trace_csv_peak_memory_within_template_writer():
             tracemalloc.stop()
 
     assert peak(trace_to_csv) <= peak(_template_csv)
+
+
+def _layout_key(v):
+    """(decimal exponent, significant digits, negative) of '%.17g' % v."""
+    mantissa, exponent = f"{abs(v):.16e}".split("e")
+    return int(exponent), len(mantissa.replace(".", "").rstrip("0")), math.copysign(1.0, v) < 0
+
+
+def _layout_values():
+    """One double for each layout key of `g17.write_g17` (exponent -4..14, 1..17
+    significant digits, either sign), then the edges of its fast window and
+    values only the per-value fallback writes."""
+    rng = np.random.default_rng(23)
+    values = []
+    for d in range(-4, 15):
+        for c in range(1, 18):
+            # c-digit decimals, the last digit nonzero; the first whose nearest
+            # double keeps exactly those digits at 17 significant digits
+            while True:
+                digits = rng.integers([1] + [0] * (c - 2) + [1] * (c > 1), 10).astype(str)
+                v = float(f"{digits[0]}.{''.join(digits[1:])}e{d}")
+                if _layout_key(v) == (d, c, False):
+                    values += [v, -v]
+                    break
+    below = np.nextafter
+    values += [0.0, -0.0, 1e-4, below(1e-4, 0.0), 1e15, below(1e15, 0.0), 9.9999999999999995e14,
+               math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308 / 3]
+    return np.array(values + [-v for v in values[-12:]])
+
+
+def test_trace_csv_writes_every_layout_key_and_the_fallback_values():
+    values = _layout_values()
+    keys = {_layout_key(v) for v in values[:-24]}
+    assert keys == {(d, c, s) for d in range(-4, 15) for c in range(1, 18) for s in (False, True)}
+    out = np.zeros((len(values), g17.WIDTH), dtype=np.uint8)
+    g17.write_g17(values, out)
+    assert [row.tobytes().translate(None, b"\0").decode() for row in out] == \
+        ["%.17g" % v for v in values]
+    for slots in (0, 4):  # a y-only trace and [y | z] rows
+        grid = values[:len(values) // (1 + slots) * (1 + slots)].reshape(-1, 1, 1 + slots)
+        trace = ConsensusTrace(y=grid[:, :, 0], z=grid[:, :, 1:] if slots else None,
+                               config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
+        assert trace_to_csv(trace) == _template_csv(trace)
+
+
+@pytest.mark.parametrize("n, cols", [(3, 10001), (100003, 1)])
+def test_trace_csv_labels_past_four_and_five_digits(n, cols):
+    # round labels to 10000 and sensor labels to 100002: two 4-digit groups
+    values = np.random.default_rng(n).choice([0.5, -1.25, 3.0, 1e-300], (n, cols))
+    trace = ConsensusTrace(y=values, z=None, config=ChainConfig(n=3),
+                           algo=ExponentialWeighting(0.5))
+    assert trace_to_csv(trace) == _template_csv(trace)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_trace_csv_matches_template_writer_in_tiny_blocks(block, monkeypatch):
+    # a block of one row, or of a slice of one round: labels and [y | z]
+    # gathered per block
+    monkeypatch.setattr(chain_module, "_CSV_BLOCK", block)
+    values = np.random.default_rng(block).choice(_layout_values(), (5, 4, 4))
+    trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:], config=ChainConfig(n=3),
+                           algo=ExponentialWeighting(0.5))
+    assert trace_to_csv(trace) == _template_csv(trace)
+    y_only = ConsensusTrace(y=values[:, :, 0], z=None, config=ChainConfig(n=3),
+                            algo=ExponentialWeighting(0.5))
+    assert trace_to_csv(y_only) == _template_csv(y_only)
+
+
+def test_block_tests_cross_and_slice_the_writer_blocks():
+    # the two hypothesis tests above guard their shapes by _BLOCK_VALUES,
+    # which sizes the slot stepping; the writer's blocks are _CSV_BLOCK values
+    block = chain_module._CSV_BLOCK
+    for n, cols, slots in ((4099, 5, 0), (1000, 7, 2)):  # ..._across_blocks
+        assert n * cols * (1 + slots) > block and (n * cols * (1 + slots)) % block
+    for n, cols, slots in ((16411, 2, 0), (3299, 3, 4)):  # ..._when_blocks_slice_a_round
+        assert n * (1 + slots) > block and (n * (1 + slots)) % block
 
 
 def test_transitions_leave_array_inputs_unmodified():

@@ -1,5 +1,6 @@
 """The example scripts run end to end on small inputs."""
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -126,3 +127,21 @@ def test_bench_pairs_alternates_the_side_that_runs_first():
     assert calls == [("P", 3), ("C", 3), ("C", 4), ("P", 4), ("P", 5), ("C", 5)]
     assert [seed for seed, _ in pairs] == [3, 4, 5]
     assert pairs[1][1]["parent"]["metrics"]["setup_s"]["value"] == 12
+
+
+def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--label", "toy",
+                             "--out", str(tmp_path), "--toy"],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "BENCH_toy.json").read_text())
+    assert {"label", "python", "numpy", "commit", "cpu_count", "trace_to_csv"} <= set(report)
+    cases = report["trace_to_csv"]
+    assert set(cases) == {"exponential_ring_n64_r12", "exponential_ring_n1024_r12",
+                          "exponential_ring_n65536_r3", "dyn_window3_zero_halo_n512_r24"}
+    for case in cases.values():
+        assert case["values"] > 0 and case["bytes"] > 0
+        for mode in ("cold", "warm", "warm_4mib"):
+            assert case[mode]["ns_per_value"] > 0 and case[mode]["minflt"] >= 0
+        for mode in ("warm", "warm_4mib"):
+            assert case[mode]["ns_per_value_median"] >= case[mode]["ns_per_value"]
