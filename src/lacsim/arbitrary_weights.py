@@ -74,13 +74,14 @@ class WeightTable:
                    row_tol=2.0 * rho ** radius / (1.0 - rho))
 
     @classmethod
-    def from_csv(cls, text: str, row_sum: float, row_tol: float | None = None,
-                 n: int | None = None) -> "WeightTable":
-        """Parse `sensor,offset,weight` rows; the normalization total comes in
-        separately since the CSV carries only the band.  Given `n`, a sensor
-        and |offset| must be below it: a longer offset weights no sensor."""
-        bounds = None if n is None else {"sensor": n, "offset": n}
-        weights = read_index_csv(text, ("sensor,offset,weight",), "weight CSV", ("offset",), bounds)
+    def from_csv(cls, text: str, row_sum: float, n: int,
+                 row_tol: float | None = None) -> "WeightTable":
+        """Parse `sensor,offset,weight` rows for a chain of `n` sensors; the
+        normalization total comes in separately since the CSV carries only the
+        band.  A sensor and |offset| must be below n: a longer offset weights
+        no sensor."""
+        weights = read_index_csv(text, ("sensor,offset,weight",), "weight CSV",
+                                 {"sensor": n, "offset": n}, ("offset",))
         return cls(weights, row_sum, weights.shape[1] // 2, row_tol=row_tol)
 
 

@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Subcommands: simulate, freq-spatial, freq-temporal, noise, spacing, figures,
-verify.  Every run resolves its configuration (file, then --set overrides,
-then --seed and --out), writes its data files with full float precision, and embeds the
-resolved configuration in a metadata JSON so outputs are reproducible
-byte-for-byte; timestamps live only in metadata.
+verify.  Every run but `verify`, which takes no flags, resolves its
+configuration (file, then --set overrides, then --seed and --out), writes its
+data files with full float precision, and embeds the resolved configuration,
+each key of which can change the output, in a metadata JSON so outputs are
+reproducible byte-for-byte; timestamps live only in metadata.
 
 Exit codes: 0 success, 1 validation failure or a file that cannot be read
-or written, 2 runtime divergence, 3 acceptance failure (verify only).  Output
-files are checked before a command does any work.
+or written, 2 runtime divergence or a usage error, 3 acceptance failure
+(verify only).  Output files are checked before a command does any work.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from . import analysis as ana
 from . import oracle
 # not called here, but kept: perfbench/tracer.py wraps lacsim.cli.validate_weights
 from .arbitrary_weights import validate_weights  # noqa: F401
-from .chain import Ring, Truncated, run, trace_to_csv
+from .chain import Truncated, run, trace_to_csv
 from .config import Experiment, config_to_ini, merge_settings, read_ini, resolve
 from .errors import DivergedError, OutOfDomainError, ValidationError
 from .fields import Constant, MeasurementField
@@ -94,20 +95,12 @@ def _cmd_simulate(exp: Experiment, paths: list) -> None:
     _write_json(meta_path, meta)
 
 
-# axis -> the variants whose closed-form gain lies on it in `analysis.GAINS`
-_FREQ_VARIANTS = {"spatial": "exponential or window", "temporal": "dyn_exponential or dyn_window"}
-
-
 def _cmd_freq(exp: Experiment, paths: list, mode: str) -> None:
     """Closed-form against measured gain at each frequency of `analysis.sweep`:
-    ring harmonics 2 pi m / n in spatial mode, `analysis.omegas` in temporal mode."""
+    ring harmonics 2 pi m / n in spatial mode, `analysis.omegas` in temporal mode.
+    The config offers only the variants whose closed-form gain lies on `mode`'s axis."""
     command = f"freq-{mode}"
     algo = exp.algorithm
-    axis, *_ = ana.GAINS.get(type(algo), (None,))
-    if axis != mode:
-        raise ValidationError(f"{command} needs algorithm.variant {_FREQ_VARIANTS[mode]}")
-    if not isinstance(exp.chain.boundary, Ring):
-        raise ValidationError(f"{command} needs chain.boundary = ring")
     n = exp.chain.n
     settle = exp.analysis.get("settle", ana.settle_rounds(algo))
     omegas = ([2.0 * math.pi * m / n for m in exp.analysis["harmonic"]] if mode == "spatial"
@@ -167,18 +160,19 @@ def _cmd_verify() -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared: parsing
-    leaves it unchanged (argparse copies the `--set` list default)."""
+    leaves it unchanged (argparse copies the `--set` list default).  `verify`
+    takes no flags."""
     parser = argparse.ArgumentParser(prog="lacsim",
                                      description="local average consensus simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "freq-spatial", "freq-temporal", "noise", "spacing",
-                 "figures", "verify"):
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="INI experiment file")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override chain.master_seed")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="override one config key")
+    sub.add_parser("verify")
     return parser
 
 

@@ -1,13 +1,13 @@
 """Experiment configuration: INI sections, strict validation, full echo.
 
-Sections are [chain], [field], [algorithm], [analysis], [output]; summed
-fields add [field.<name>] subsections.  One key table per section, boundary,
-field kind, variant, command, noise target and spacing law names every
-accepted key with its parser and default.  Keys outside the table are
-rejected, and the fully resolved key set (defaults included) is echoed into
-every output's metadata so each artifact is self-describing and
-reproducible.  A master seed must be given explicitly
-for any stochastic run.
+Each command reads only the sections and keys that can change its output
+(`_READS`; summed fields add [field.<name>] subsections).  One key table per
+section, boundary, field kind, variant, command, noise target and spacing
+law names every accepted key with its parser and default.  Any other key or
+section is rejected, and the fully resolved key set (defaults included) is
+echoed into every output's metadata so each artifact is self-describing and
+reproducible.  A master seed is read, and must be given, by a stochastic run
+alone: `noise`, `spacing`, or `simulate` on a field with noise_sigma > 0.
 """
 from __future__ import annotations
 
@@ -63,6 +63,14 @@ def _list(item):
     return parse
 
 
+def _natural(parse):
+    def checked(text):
+        if (value := parse(text)) < 0:
+            raise ValueError(f"must be >= 0, got {text!r}")
+        return value
+    return checked
+
+
 def _choice(*names):
     def parse(text):
         if text not in names:
@@ -75,11 +83,11 @@ def _table_from_csv(path: Path, chain: dict) -> TableField:
     # no round reads a step past the last one
     return TableField(read_index_csv(path.read_text(), ("sensor,value", "sensor,step,value"),
                                      f"csv: table file {path}",
-                                     bounds={"sensor": chain["n"], "step": chain["rounds"] + 1}))
+                                     {"sensor": chain["n"], "step": chain["rounds"] + 1}))
 
 
 def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> BandedWeighting:
-    return BandedWeighting(WeightTable.from_csv(path.read_text(), row_sum, row_tol=row_tol, n=n))
+    return BandedWeighting(WeightTable.from_csv(path.read_text(), row_sum, n, row_tol=row_tol))
 
 
 # Key tables: key -> (parser, default).  A parser of `Path` names an input
@@ -88,15 +96,19 @@ def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> Banded
 # maps each choice to its own key table and a builder of the object the
 # choice stands for (a table file's builder also takes the [chain] values,
 # bound by `_sized`).
-_CHAIN = {"n": (_int, 64), "rounds": (_int, 40), "master_seed": (_int, 0)}
+_N = {"n": (_int, 64)}
+_CHAIN = {**_N, "rounds": (_int, 40)}
+_SEED = {"master_seed": (_natural(_int), REQUIRED)}  # read by a stochastic run alone
 _BOUNDARIES = {
     "ring": ({}, lambda v: Ring()),
     "zero_halo": ({}, lambda v: ZeroHalo()),
     "truncated": ({}, lambda v: Truncated()),
 }
 
-_FIELD = {"noise_sigma": (_float, 0.0), "noise_distribution": (str, "gaussian")}
+_SIGMA = (_natural(_float), 0.0)
+_NOISE_LAW = {"noise_distribution": (_choice("gaussian", "uniform"), "gaussian")}
 _COSINE = {"amplitude": (_float, REQUIRED), "omega": (_float, REQUIRED), "phase": (_float, 0.0)}
+# the kinds of a [field.<name>] component; [field] adds `sum`, built from them
 _FIELD_KINDS = {
     "constant": ({"value": (_float, 1.0)}, lambda v: Constant(v["value"])),
     "impulse": ({"center": (_int, 0)}, lambda v: Impulse(v["center"])),
@@ -104,8 +116,8 @@ _FIELD_KINDS = {
     "temporal_cosine": (_COSINE,
                         lambda v: TemporalCosine(v["amplitude"], v["omega"], v["phase"])),
     "table": ({"csv": (Path, REQUIRED)}, lambda v, c: _table_from_csv(v["csv"], c)),
-    "sum": ({"components": (_list(str), REQUIRED)}, None),  # built from [field.<name>]
 }
+_SUM = {"components": (_list(str), REQUIRED)}
 
 _VARIANTS = {
     "exponential": ({"rho": (_float, 0.8)}, lambda v: ExponentialWeighting(v["rho"])),
@@ -125,25 +137,31 @@ _SETTLE = (_int, None)  # None: the rule's own settle_rounds
 _NOISE = {"sigma": (_float, 1.0), "replicates": (_int, 10000)}
 _SPACING = {"replicates": (_int, 20000), "tail_eps": (_float, 1e-12)}
 _E_INV = (_float, math.exp(-1.0))
-# command -> its [analysis] key table, or (selector, default, choices) when a
-# selector key picks what the command samples: the noise target's rule or
-# the spacing law's gaps.  The shared keys sit inside each choice's table,
-# which keeps the echo's key order
-_ANALYSIS = {
-    "simulate": {},
-    "freq-spatial": {"harmonic": (_list(_int), (8,)), "settle": _SETTLE},
-    "freq-temporal": {"omegas": (_list(_float), (0.05, 0.1, 0.5)), "settle": _SETTLE},
-    "noise": ("noise_target", "exponential", {
+# command -> the sections it reads before [output], besides the [chain],
+# [field] and [algorithm] of `_simulate`: each a key table, or (selector,
+# default, choices) when a selector key picks one choice: the rule whose gains
+# `freq-*` measure (a variant whose `analysis.GAINS` axis is theirs), the
+# noise target's rule or the spacing law's gaps.  The shared keys sit inside
+# each choice's table, which keeps the echo's key order
+_READS = {
+    "simulate": {"analysis": {}},
+    "freq-spatial": {"chain": _N, "algorithm": ("variant", "exponential", {
+        k: _VARIANTS[k] for k in ("exponential", "window")}),
+        "analysis": {"harmonic": (_list(_int), (8,)), "settle": _SETTLE}},
+    "freq-temporal": {"chain": _N, "algorithm": ("variant", "dyn_exponential", {
+        k: _VARIANTS[k] for k in ("dyn_exponential", "dyn_window")}),
+        "analysis": {"omegas": (_list(_float), (0.05, 0.1, 0.5)), "settle": _SETTLE}},
+    "noise": {"chain": _SEED, "analysis": ("noise_target", "exponential", {
         "exponential": ({"rho": (_float, 0.5), **_NOISE},
                         lambda v: ExponentialWeighting(v["rho"])),
         "window": ({"L": (_int, 2), **_NOISE}, lambda v: FiniteWindow(v["L"])),
         "global": ({"count": (_int, 100), **_NOISE}, lambda v: GlobalAverage(v["count"])),
-    }),
-    "spacing": ("law", "exp_density", {
+    })},
+    "spacing": {"chain": _SEED, "analysis": ("law", "exp_density", {
         "exp_density": ({"rho": _E_INV, **_SPACING}, lambda v: ExpGaps()),
         "uniform": ({"rho": _E_INV, "eta": (_float, 0.3), **_SPACING},
                     lambda v: UniformGaps(v["eta"])),
-    }),
+    })},
     "figures": {},
 }
 _OUTPUT = {"dir": (str, "out"), "prefix": (str, "run")}
@@ -193,36 +211,17 @@ def _sized(kinds: dict, name: str, chain: dict) -> dict:
 
 
 def _read_kind(section: str, entries: dict, selector: str, default: str, kinds: dict,
-               common: dict, base_dir: Path) -> tuple:
+               base_dir: Path, common: dict | None = None) -> tuple:
     """Read a section whose `selector` key picks one of `kinds`, and build
     that choice's object (None when it has no builder)."""
     name = _parse(section, selector, _choice(*kinds), entries.get(selector, default), base_dir)
     table, build = kinds[name]
-    values, echo = _read(section, entries, {selector: (str, default), **common, **table},
+    values, echo = _read(section, entries, {selector: (str, default), **(common or {}), **table},
                          base_dir)
     try:
         return (build(values) if build else None), values, echo
     except ValueError as exc:
         raise ValidationError(f"[{section}] {exc}") from None
-
-
-def _field_kind(raw: dict, section: str, base_dir: Path, echo: dict, chain: dict) -> tuple:
-    """The field kind of [field] or of one [field.<name>] component on the
-    chain of [chain] values `chain`; writes each section's echo into `echo`."""
-    top = section == "field"
-    kind, values, echo[section] = _read_kind(section, raw.get(section, {}), "kind", "constant",
-                                             _sized(_FIELD_KINDS, "table", chain),
-                                             _FIELD if top else {}, base_dir)
-    if values["kind"] != "sum":
-        return kind, values
-    if not top:
-        raise _err(section, "kind", "summed fields cannot nest")
-    parts = []
-    for name in values["components"]:
-        if f"field.{name}" not in raw:
-            raise _err(section, "components", f"missing section [field.{name}]")
-        parts.append(_field_kind(raw, f"field.{name}", base_dir, echo, chain)[0])
-    return SumField(tuple(parts)), values
 
 
 def read_ini(text: str) -> dict:
@@ -262,56 +261,80 @@ def merge_settings(base: dict, overrides: list) -> dict:
 
 @dataclass
 class Experiment:
-    chain: ChainConfig
-    seed: int  # [chain] master_seed
-    field: MeasurementField
+    """A command's typed settings; None for what the command does not read."""
+
+    chain: ChainConfig | None  # `freq-*`: a ring of [chain] n sensors
+    seed: int | None  # [chain] master_seed
+    field: MeasurementField | None
     algorithm: object
-    analysis: dict
-    sampled: object  # what `noise` or `spacing` samples (a rule, a gap law); else None
+    analysis: dict | None
+    sampled: object  # what `noise` or `spacing` samples (a rule, a gap law)
     out_dir: Path
     prefix: str
     resolved: dict = dc_field(default_factory=dict)
+
+
+def _simulate(raw: dict, base_dir: Path, resolved: dict) -> tuple:
+    """`simulate`'s chain, seed, field and rule, each section's echo written
+    into `resolved`.  A table file is sized by the [chain] values; only a
+    noisy field reads the master seed and the noise distribution."""
+    entries = raw.get("field", {})
+    noisy = _parse("field", "noise_sigma", _SIGMA[0], entries.get("noise_sigma", "0"),
+                   base_dir) > 0
+    boundary, chain, resolved["chain"] = _read_kind(
+        "chain", raw.get("chain", {}), "boundary", "ring", _BOUNDARIES, base_dir,
+        {**_CHAIN, **(_SEED if noisy else {})})
+    parts = _sized(_FIELD_KINDS, "table", chain)
+    kind, field, resolved["field"] = _read_kind(
+        "field", entries, "kind", "constant", {**parts, "sum": (_SUM, None)}, base_dir,
+        {"noise_sigma": _SIGMA, **(_NOISE_LAW if noisy else {})})
+    if field["kind"] == "sum":
+        components = []
+        for section in (f"field.{name}" for name in field["components"]):
+            if section not in raw:
+                raise _err("field", "components", f"missing section [{section}]")
+            part, _, resolved[section] = _read_kind(section, raw[section], "kind", "constant",
+                                                    parts, base_dir)
+            components.append(part)
+        kind = SumField(tuple(components))
+    noise = Noise(field["noise_sigma"], field["noise_distribution"], chain["master_seed"]) \
+        if noisy else None
+    algorithm, _, resolved["algorithm"] = _read_kind(
+        "algorithm", raw.get("algorithm", {}), "variant", "exponential",
+        _sized(_VARIANTS, "arbitrary", chain), base_dir)
+    return (ChainConfig(n=chain["n"], boundary=boundary, rounds=chain["rounds"]),
+            chain.get("master_seed"), MeasurementField(kind, noise), algorithm)
 
 
 def resolve(raw: dict, command: str, base_dir: Path) -> Experiment:
     """Validate and build the typed experiment for one command.
 
     `raw` is the merged {section: {key: value}} mapping.  The echo in
-    `resolved` contains exactly the keys the command will act on, defaults
-    included, in canonical string form.
+    `resolved` holds exactly the keys the command reads, defaults included,
+    in canonical string form: each of them can change the command's output.
     """
-    resolved = {}
-    chain_entries = raw.get("chain", {})
-    boundary, chain, resolved["chain"] = _read_kind("chain", chain_entries, "boundary", "ring",
-                                                    _BOUNDARIES, _CHAIN, base_dir)
-    kind, field = _field_kind(raw, "field", base_dir, resolved, chain)
-    stochastic = command in ("noise", "spacing") or field["noise_sigma"] > 0
-    if stochastic and "master_seed" not in chain_entries:
-        raise _err("chain", "master_seed", "required for stochastic runs (or pass --seed)")
-    # built even when noise_sigma is 0, so that its keys are checked
-    noise = Noise(field["noise_sigma"], field["noise_distribution"], chain["master_seed"])
-    algorithm, _, resolved["algorithm"] = _read_kind(
-        "algorithm", raw.get("algorithm", {}), "variant", "exponential",
-        _sized(_VARIANTS, "arbitrary", chain), {}, base_dir)
-    table, sampled = _ANALYSIS[command], None
-    if isinstance(table, tuple):
-        sampled, analysis, resolved["analysis"] = _read_kind(
-            "analysis", raw.get("analysis", {}), *table, {}, base_dir)
-    else:
-        analysis, resolved["analysis"] = _read("analysis", raw.get("analysis", {}), table,
-                                               base_dir)
-    output, resolved["output"] = _read("output", raw.get("output", {}), _OUTPUT, base_dir)
+    resolved, values, built = {}, {}, {}
+    chain = seed = field = None
+    if command == "simulate":
+        chain, seed, field, built["algorithm"] = _simulate(raw, base_dir, resolved)
+    for section, table in {**_READS[command], "output": _OUTPUT}.items():
+        entries = raw.get(section, {})
+        if isinstance(table, tuple):
+            built[section], values[section], resolved[section] = _read_kind(
+                section, entries, *table, base_dir)
+        else:
+            values[section], resolved[section] = _read(section, entries, table, base_dir)
     for section in raw:
         if section not in resolved:
             hint = " (no [field] components list names it)" if section.startswith("field.") \
                 else ""
             raise ValidationError(f"unknown config section [{section}]{hint}")
+    read = values.get("chain", {})
     return Experiment(
-        chain=ChainConfig(n=chain["n"], boundary=boundary, rounds=chain["rounds"]),
-        seed=chain["master_seed"],
-        field=MeasurementField(kind, noise=noise if noise.sigma > 0 else None),
-        algorithm=algorithm, analysis=analysis, sampled=sampled, out_dir=Path(output["dir"]),
-        prefix=output["prefix"], resolved=resolved)
+        chain=ChainConfig(read["n"]) if "n" in read else chain, seed=read.get("master_seed", seed),
+        field=field, algorithm=built.get("algorithm"), analysis=values.get("analysis"),
+        sampled=built.get("analysis"), out_dir=Path(values["output"]["dir"]),
+        prefix=values["output"]["prefix"], resolved=resolved)
 
 
 def config_to_ini(resolved: dict) -> str:

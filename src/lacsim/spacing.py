@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .arbitrary_weights import WeightTable
 from .errors import ValidationError
 from .static_rules import _check_integer, _check_rho, generator
 
@@ -260,8 +261,6 @@ def table_from_draw(gaps, rho: float, radius: int):
     distributed rule computes raw weighted sums.  Row totals genuinely differ
     here, so the row check is disabled (row_tol None); normalize afterwards by
     the law's K or by per-row totals."""
-    from .arbitrary_weights import WeightTable
-
     gaps = np.asarray(gaps, dtype=float)
     if gaps.ndim != 1 or gaps.size == 0:
         raise ValidationError("a draw needs a non-empty 1-D gap array")

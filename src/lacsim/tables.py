@@ -16,13 +16,14 @@ def _parse(rows: list, dtype: np.dtype) -> np.ndarray:
     return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = (),
-                   bounds: dict | None = None) -> np.ndarray:
+def read_index_csv(text: str, headers: tuple, source: str, bounds: dict,
+                   centered: tuple = ()) -> np.ndarray:
     """Parse CSV `text` whose header is one of `headers`: integer index
     columns, then one float value column.  Returns the values scattered into a
     zero array whose shape covers every index.  A column named in `centered`
     may be negative and is shifted so that its zero sits in the middle; every
-    other index must be >= 0, and any index below its `bounds` entry in magnitude.
+    other index must be >= 0, and every index below its `bounds` entry in
+    magnitude, so that no index sizes the array unchecked.
 
     Raises ValidationError, prefixed with `source`, for a header outside
     `headers`, no data rows, a row that does not parse (its line number and
@@ -60,8 +61,7 @@ def read_index_csv(text: str, headers: tuple, source: str, centered: tuple = (),
         negative = np.flatnonzero(data[name] < 0)
         if len(negative):
             raise bad(negative[0], f"negative {name}")
-    bounds = bounds or {}
-    for name in (name for name in index if name in bounds):  # before an array is sized by it
+    for name in index:  # before an array is sized by it
         over = np.flatnonzero(np.abs(data[name]) >= bounds[name])
         if len(over):
             low = 1 - bounds[name] if name in centered else 0

@@ -239,11 +239,11 @@ def _weights_csv(table):
 def test_csv_round_trip():
     table = WeightTable.geometric(0.45, 3, 5)
     text = _weights_csv(table)
-    parsed = WeightTable.from_csv(text, table.row_sum, row_tol=table.row_tol)
+    parsed = WeightTable.from_csv(text, table.row_sum, 5, row_tol=table.row_tol)
     assert parsed.radius == 3
     assert np.allclose(parsed.weights, table.weights, rtol=0, atol=0)
     with pytest.raises(ValidationError):
-        WeightTable.from_csv("bogus,header\n1,2\n", 1.0)
+        WeightTable.from_csv("bogus,header\n1,2\n", 1.0, 5)
 
 
 def test_table_shape_validation():

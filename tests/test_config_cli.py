@@ -120,9 +120,9 @@ def test_stochastic_runs_require_seed():
     (["--seed", "2"], "[chain]\nmaster_seed = 1\n", 0, 2, "out"),
     (["--set", "chain.master_seed=1", "--seed", "2"], "", 0, 2, "out"),
     (["--seed", "2", "--set", "chain.master_seed=1"], "[chain]\nmaster_seed = 3\n", 0, 2, "out"),
-    (["--out", "b"], "[output]\ndir = a\n", 0, 0, "b"),
-    (["--set", "output.dir=a", "--out", "b"], "", 0, 0, "b"),
-    (["--out", "b", "--set", "output.dir=a"], "[output]\ndir = c\n", 0, 0, "b"),
+    (["--out", "b"], "[output]\ndir = a\n", 0, None, "b"),
+    (["--set", "output.dir=a", "--out", "b"], "", 0, None, "b"),
+    (["--out", "b", "--set", "output.dir=a"], "[output]\ndir = c\n", 0, None, "b"),
     (["--set", "chain.master_seed=1", "--set", "output.dir=a"],
      "[chain]\nmaster_seed = 3\n[output]\ndir = c\n", 0, 1, "a"),
     (["--seed", "-2"], "", 1, None, None),
@@ -131,8 +131,12 @@ def test_seed_and_out_flags_win_over_the_file_and_set(tmp_path, monkeypatch, cap
                                                       code, seed, out):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "exp.ini").write_text(ini)
-    command = "simulate" if code == 0 else "noise"
-    assert main([command, "--config", "exp.ini", "--set", "chain.n=4", *argv]) == code
+    # the seed acts on a noisy field alone: without noise `simulate` reads no
+    # seed, and `seed` is null; `noise` reads no chain length
+    command, settings = ("simulate", ["chain.n=4"]) if code == 0 else ("noise", [])
+    settings += ["field.noise_sigma=0.5"] if code == 0 and seed is not None else []
+    assert main([command, "--config", "exp.ini", *(a for kv in settings for a in ("--set", kv)),
+                 *argv]) == code
     if code == 0:
         meta = json.loads((tmp_path / out / "run_metadata.json").read_text())
         assert (meta["seed"], meta["config"]["output"]["dir"]) == (seed, out)
@@ -154,32 +158,48 @@ _VARIANT_TEXT = {
     "variable_window": "lengths = 2,2,3,3,3,2,2,2", "arbitrary": "weights_csv = w.csv\nK = 3.0",
     "dyn_exponential": "rho = 0.6", "dyn_window": "L = 2",
 }
-_ANALYSIS_TEXT = {
-    "simulate": "", "freq-spatial": "harmonic = 1, 2\nsettle = 5\n",
-    "freq-temporal": "omegas = 0.1\n", "noise": "noise_target = window\nL = 3\n",
-    "spacing": "law = uniform\n", "figures": "",
+# each command but simulate with what it reads, and the sections of its echo
+_COMMAND_TEXT = {
+    "freq-spatial": ("[chain]\nn = 8\n[algorithm]\nvariant = window\nL = 2\n"
+                     "[analysis]\nharmonic = 1, 2\nsettle = 5\n",
+                     ["chain", "algorithm", "analysis"]),
+    "freq-temporal": ("[chain]\nn = 8\n[algorithm]\nvariant = dyn_exponential\nrho = 0.6\n"
+                      "[analysis]\nomegas = 0.1\n", ["chain", "algorithm", "analysis"]),
+    "noise": ("[chain]\nmaster_seed = 3\n[analysis]\nnoise_target = window\nL = 3\n",
+              ["chain", "analysis"]),
+    "spacing": ("[chain]\nmaster_seed = 3\n[analysis]\nlaw = uniform\n", ["chain", "analysis"]),
+    "figures": ("[output]\nprefix = f\n", []),
 }
 
 
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(12))
 def test_resolved_echo_round_trips(tmp_path, case):
-    # seven configs that between them use every field kind, variant and command
-    kind, variant = list(_FIELD_TEXT)[case % 6], list(_VARIANT_TEXT)[case]
-    command = list(_ANALYSIS_TEXT)[case % 6]
+    # seven simulate configs that between them use every field kind and
+    # variant, then each other command; each echo holds only the sections
+    # its command reads
     (tmp_path / "vals.csv").write_text("sensor,value\n" + "".join(
         f"{i},{i * 0.5 - 1}\n" for i in range(8)))
     (tmp_path / "w.csv").write_text(_weights_csv(WeightTable.geometric(0.5, 2, 8)))
-    boundary = "boundary = zero_halo\n" if case % 2 else ""
-    text = (f"[chain]\nn = 8\nrounds = 4\nmaster_seed = 3\n{boundary}"
-            f"[field]\n{_FIELD_TEXT[kind]}"
-            f"[algorithm]\nvariant = {variant}\n{_VARIANT_TEXT[variant]}\n"
-            f"[analysis]\n{_ANALYSIS_TEXT[command]}")
+    if case < 7:
+        command, kind, variant = "simulate", list(_FIELD_TEXT)[case % 6], list(_VARIANT_TEXT)[case]
+        boundary = "boundary = zero_halo\n" if case % 2 else ""
+        seed = "master_seed = 3\n" if "noise_sigma" in _FIELD_TEXT[kind] else ""
+        text = (f"[chain]\nn = 8\nrounds = 4\n{seed}{boundary}"
+                f"[field]\n{_FIELD_TEXT[kind]}"
+                f"[algorithm]\nvariant = {variant}\n{_VARIANT_TEXT[variant]}\n")
+        sections = ["chain", "field", *(["field.a", "field.b"] if kind == "sum" else []),
+                    "algorithm", "analysis"]
+    else:
+        command = list(_COMMAND_TEXT)[case - 7]
+        text, sections = _COMMAND_TEXT[command]
     exp = resolve(read_ini(text), command, tmp_path)
+    assert list(exp.resolved) == sections + ["output"]
+    assert (exp.seed is None) == ("master_seed" not in text)
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     again = resolve(read_ini(config_to_ini(exp.resolved)), command, elsewhere)
     assert again.resolved == exp.resolved
-    for name in ("chain", "field", "algorithm", "analysis"):
+    for name in ("chain", "seed", "field", "algorithm", "analysis", "sampled"):
         assert pickle.dumps(getattr(again, name)) == pickle.dumps(getattr(exp, name))
 
 
@@ -204,46 +224,50 @@ def test_analysis_echo_holds_every_default(command, choice, echo):
         assert _resolve("", command=command, overrides=overrides[:1]).resolved == resolved
 
 
-# every settable key: each command reads the shared sections' keys and its own [analysis] keys
-_SHARED_KEYS = {
-    "chain": "boundary n rounds master_seed",
-    "field": "kind noise_sigma noise_distribution value center amplitude omega phase csv "
-             "components",
-    "field.<name>": "kind value center amplitude omega phase csv components",
-    "algorithm": "variant rho rho_b rho_f L lengths weights_csv K row_tol",
-    "output": "dir prefix",
+# every settable key: each command reads only the keys that can change its output
+_OUTPUT_KEYS = {"output": "dir prefix"}
+_SETTABLE = {
+    "simulate": {"chain": "boundary n rounds master_seed",
+                 "field": "kind noise_sigma noise_distribution value center amplitude omega phase "
+                          "csv components",
+                 "field.<name>": "kind value center amplitude omega phase csv",
+                 "algorithm": "variant rho rho_b rho_f L lengths weights_csv K row_tol",
+                 **_OUTPUT_KEYS},
+    "freq-spatial": {"chain": "n", "algorithm": "variant rho L", "analysis": "harmonic settle",
+                     **_OUTPUT_KEYS},
+    "freq-temporal": {"chain": "n", "algorithm": "variant rho L", "analysis": "omegas settle",
+                      **_OUTPUT_KEYS},
+    "noise": {"chain": "master_seed", "analysis": "noise_target rho L count sigma replicates",
+              **_OUTPUT_KEYS},
+    "spacing": {"chain": "master_seed", "analysis": "law rho eta replicates tail_eps",
+                **_OUTPUT_KEYS},
+    "figures": _OUTPUT_KEYS,
 }
-_ANALYSIS_KEYS = {
-    "simulate": "",
-    "freq-spatial": "harmonic settle",
-    "freq-temporal": "omegas settle",
-    "noise": "noise_target rho L count sigma replicates",
-    "spacing": "law rho eta replicates tail_eps",
-    "figures": "",
-}
+_SETTABLE_TRIPLES = {(command, section, key) for command, sections in _SETTABLE.items()
+                     for section, keys in sections.items() for key in keys.split()}
+
+
+def _keys(table, selector=None):
+    """The keys of a key table, or of every choice's table and the selector."""
+    if selector is None:
+        return set(table)
+    return {selector} | {key for choice, _ in table.values() for key in choice}
 
 
 def test_the_settable_keys_are_pinned():
-    def union(common, kinds):  # the keys of every choice's table, selector included
-        return {key for table, _ in kinds.values() for key in {**common, **table}}
-
-    found = set()
-    for command, analysis in config._ANALYSIS.items():
-        sections = {
-            "chain": union({"boundary": None, **config._CHAIN}, config._BOUNDARIES),
-            "field": union({"kind": None, **config._FIELD}, config._FIELD_KINDS),
-            "field.<name>": union({"kind": None}, config._FIELD_KINDS),
-            "algorithm": union({"variant": None}, config._VARIANTS),
-            "analysis": (union({analysis[0]: None}, analysis[2]) if isinstance(analysis, tuple)
-                         else set(analysis)),
-            "output": set(config._OUTPUT),
-        }
-        found |= {(command, section, key) for section, keys in sections.items() for key in keys}
-    expected = {(command, section, key) for command in _ANALYSIS_KEYS
-                for section, keys in _SHARED_KEYS.items() for key in keys.split()}
-    expected |= {(command, "analysis", key) for command, keys in _ANALYSIS_KEYS.items()
-                 for key in keys.split()}
-    assert found == expected
+    found = {(command, section, key) for command, reads in config._READS.items()
+             for section, spec in {**reads, "output": config._OUTPUT}.items()
+             for key in (_keys(spec[2], spec[0]) if isinstance(spec, tuple) else _keys(spec))}
+    # simulate's [chain] and [field] read, besides their choices' keys, the seed
+    # and the noise distribution when the field is noisy
+    found |= {("simulate", section, key) for section, keys in {
+        "chain": _keys(config._BOUNDARIES, "boundary") | _keys({**config._CHAIN, **config._SEED}),
+        "field": (_keys(config._FIELD_KINDS, "kind") | _keys(config._SUM)
+                  | {"noise_sigma"} | _keys(config._NOISE_LAW)),
+        "field.<name>": _keys(config._FIELD_KINDS, "kind"),
+        "algorithm": _keys(config._VARIANTS, "variant")}.items() for key in keys}
+    assert found == _SETTABLE_TRIPLES
+    assert len(found) == 67  # 213 when every command read every shared section
 
 
 @pytest.mark.parametrize("command, text", [
@@ -548,6 +572,27 @@ def test_cli_parser_reuse_keeps_no_overrides(tmp_path):
         assert len((out / "run_trace.csv").read_text().splitlines()) == 1 + n * (rounds + 1)
 
 
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent"], ["--seed", "5"],
+                                  ["--set", "chain.n=3"], ["--out", "zz"]])
+def test_cli_verify_takes_no_config_flags(tmp_path, monkeypatch, capsys, flag):
+    # argparse rejects the flag as a usage error, exit 2, before any criterion runs
+    import lacsim.acceptance
+
+    def no_run():
+        raise AssertionError("verify ran with a config flag")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(lacsim.acceptance, "run_all", no_run)
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    # every handled command, and verify, is a subcommand
+    for command in [*cli._HANDLERS, "verify"]:
+        assert cli.build_parser().parse_args([command]).command == command
+
+
 def test_cli_noise_report(tmp_path):
     code = main(["noise", "--out", str(tmp_path), "--seed", "5",
                  "--set", "analysis.noise_target=window", "--set", "analysis.L=2",
@@ -681,7 +726,11 @@ def test_cli_rejects_an_output_file_that_is_not_a_file_before_running(command, n
         monkeypatch.setattr(module, attr, no_work)
     make(tmp_path / name)
     kind = "Is a directory" if make is os.mkdir else "not a regular file"
-    assert main([command, "--out", str(tmp_path), "--seed", "1"]) == 1
+    # what the command requires: no other run reads a seed, and freq-temporal's
+    # default variant has no default rho
+    required = {"noise": ["--seed", "1"], "spacing": ["--seed", "1"],
+                "freq-temporal": ["--set", "algorithm.rho=0.8"]}.get(command, [])
+    assert main([command, "--out", str(tmp_path), *required]) == 1
     assert capsys.readouterr().err == f"error: output file {tmp_path / name}: {kind}\n"
 
 
@@ -699,73 +748,220 @@ def test_cli_input_and_output_errors_exit_1_with_a_message(tmp_path, capsys):
 
 @pytest.mark.parametrize("boundary", ["zero_halo", "truncated"])
 def test_cli_freq_temporal_rejects_a_line_boundary(tmp_path, capsys, boundary):
-    # the sweep runs on a ring, so the metadata would echo a boundary it never used
+    # the sweep runs on a ring, so the boundary is no key of freq-temporal
     code = main(["freq-temporal", "--out", str(tmp_path), "--set", f"chain.boundary={boundary}",
                  "--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.8"])
     assert code == 1
-    assert "chain.boundary = ring" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: [chain] boundary: unknown key\n"
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
-def test_cli_rejects_a_seed_outside_the_philox_key(tmp_path, capsys, seed):
-    # without noise too: the config checks the noise keys of every run
-    assert main(["simulate", "--out", str(tmp_path), "--seed", seed]) == 1
-    assert "noise seed" in capsys.readouterr().err
+@pytest.mark.parametrize("seed, error", [
+    ("-1", "[chain] master_seed: must be >= 0, got '-1'"),
+    (str(2 ** 128), f"noise seed must be an integer in [0, 2**128), got {2 ** 128}")],
+    ids=["-1", str(2 ** 128)])
+def test_cli_rejects_a_seed_outside_the_philox_key(tmp_path, capsys, seed, error):
+    # a noisy run: only there does simulate read the seed
+    assert main(["simulate", "--out", str(tmp_path), "--set", "field.noise_sigma=0.5",
+                 "--seed", seed]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not list(tmp_path.iterdir())
 
 
 # -- every setting acts -----------------------------------------------------------
 
-_CHOICES = {"noise": ("noise_target", ("exponential", "window", "global"), "200"),
-            "spacing": ("law", ("exp_density", "uniform"), "1000")}
-# another valid value for each [analysis] key of `noise` and `spacing`
-_OTHER = {"rho": "0.7", "L": "3", "count": "50", "sigma": "2.0", "replicates": "1100",
-          "eta": "0.1", "tail_eps": "1e-6"}
+_SELECTORS = {"boundary", "kind", "variant", "noise_target", "law"}
+# two valid values of each other key (`csv` and `weights_csv` take a second
+# file): a changed run takes the first that differs from the echoed value
+_OTHER = {
+    "n": ("11", "12"), "rounds": ("5", "6"), "master_seed": ("4", "5"),
+    "noise_sigma": ("0.75", "1.0"), "noise_distribution": ("uniform", "gaussian"),
+    "value": ("0.5", "1.5"), "center": ("1", "5"), "amplitude": ("0.5", "1.5"),
+    "omega": ("0.5", "0.7"), "phase": ("1.0", "1.5"), "components": ("a,b,a", "a,b"),
+    "rho": ("0.7", "0.6"), "rho_b": ("0.7", "0.6"), "rho_f": ("0.7", "0.6"), "L": ("3", "2"),
+    "lengths": ("1,1,2,2,2,1,1,1", "2,2,2,2,2,2,2,2"), "K": ("2.0", "3.0"),
+    # row_tol acts by accepting or rejecting a table: this one rejects the base's rows
+    "row_tol": ("1e-09", "1e-10"),
+    "harmonic": ("2", "3"), "omegas": ("0.7", "0.9"), "settle": ("1", "2"),
+    "count": ("50", "60"), "sigma": ("2.0", "3.0"), "replicates": ("1100", "1200"),
+    "eta": ("0.1", "0.2"), "tail_eps": ("1e-06", "1e-05"),
+    "dir": ("elsewhere", "out"), "prefix": ("other", "run"),
+}
 
 
-def _mc_payload(out, command, settings):
-    args = [command, "--seed", "3", "--out", str(out)]
-    for setting in settings:
-        args += ["--set", setting]
-    assert main(args) == 0
-    return json.loads((out / f"run_{command}.json").read_text())
+def _bases(inputs):
+    """command -> the settings of runs that between them take every choice of
+    every selector."""
+    chain, impulse = ["chain.n=8", "chain.rounds=3"], ["field.kind=impulse", "field.center=2"]
+    fields = [["field.kind=constant", "field.value=2.5"],
+              ["field.kind=spatial_cosine", "field.amplitude=1.0", "field.omega=0.25"],
+              # a static rule reads step 0 alone, where omega cannot act
+              ["field.kind=temporal_cosine", "field.amplitude=2", "field.omega=0.1",
+               "field.phase=0.5", "algorithm.variant=dyn_exponential", "algorithm.rho=0.8"],
+              ["field.kind=table", f"field.csv={inputs / 'vals.csv'}", "field.noise_sigma=0.5",
+               "chain.master_seed=3"],
+              ["field.kind=sum", "field.components=a, b", "field.noise_sigma=0.25",
+               "field.noise_distribution=uniform", "chain.master_seed=3", "field.a.kind=impulse",
+               "field.b.kind=table", f"field.b.csv={inputs / 'vals.csv'}"],
+              ["field.kind=sum", "field.components=a, b", "field.a.kind=constant",
+               "field.a.value=2.0", "field.b.kind=spatial_cosine", "field.b.amplitude=0.5",
+               "field.b.omega=0.3"]]
+    variants = [["algorithm.rho_b=0.5", "algorithm.rho_f=0.25"], ["algorithm.L=2"],
+                ["algorithm.lengths=2,2,3,3,3,2,2,2"],
+                [f"algorithm.weights_csv={inputs / 'w.csv'}", "algorithm.K=5.0",
+                 "algorithm.row_tol=10.0"],
+                ["algorithm.rho=0.6"], ["algorithm.L=2"]]
+    names = ["asymmetric", "window", "variable_window", "arbitrary", "dyn_exponential",
+             "dyn_window"]
+    # an impulse no sensor end sees by round 3 would leave zero_halo and truncated alike
+    simulate = [chain + [f"chain.boundary={b}"] for b in ("ring", "zero_halo", "truncated")]
+    simulate += [chain + f for f in fields]
+    simulate += [chain + impulse + [f"algorithm.variant={name}"] + v
+                 for name, v in zip(names, variants)]
+    # a temporal sweep's sensors agree, so its n acts through the rounding of
+    # their mean alone: from 5 or 7 sensors to 11 it moves the last digits
+    return {"simulate": simulate,
+            "freq-spatial": [["chain.n=8", "analysis.harmonic=1", "analysis.settle=60"],
+                             ["chain.n=8", "algorithm.variant=window", "algorithm.L=2",
+                              "analysis.harmonic=1", "analysis.settle=3"]],
+            "freq-temporal": [["chain.n=5", "algorithm.rho=0.6", "analysis.omegas=0.5",
+                               "analysis.settle=40"],
+                              ["chain.n=7", "algorithm.variant=dyn_window", "algorithm.L=2",
+                               "analysis.omegas=0.5", "analysis.settle=8"]],
+            "noise": [[f"analysis.noise_target={t}", "analysis.replicates=200",
+                       "chain.master_seed=3"] for t in ("exponential", "window", "global")],
+            "spacing": [[f"analysis.law={law}", "analysis.replicates=1000",
+                         "chain.master_seed=3"] for law in ("exp_density", "uniform")],
+            "figures": [[]]}
 
 
-@pytest.mark.parametrize("command, choice", [(c, choice) for c, (_, choices, _) in
-                                             _CHOICES.items() for choice in choices])
-def test_every_echoed_analysis_key_changes_the_report(tmp_path, command, choice):
-    selector, choices, replicates = _CHOICES[command]
-    base = [f"analysis.{selector}={choice}", f"analysis.replicates={replicates}"]
-    payload = _mc_payload(tmp_path / "base", command, base)
-    other = {**_OTHER, selector: next(c for c in choices if c != choice)}
-    for key in payload["config"]["analysis"]:
-        changed = _mc_payload(tmp_path / key, command, base + [f"analysis.{key}={other[key]}"])
-        assert changed["report"] != payload["report"], key
+def _outcome(monkeypatch, where, command, settings):
+    """Run `command` with `settings` in the fresh directory `where`: its exit
+    code, its echo and {output path: data}, where a JSON file's data leaves
+    out the echo (config, config_ini, seed) and the timestamp."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    code = main([command, *(a for kv in settings for a in ("--set", kv))])
+    data, echo = {}, None
+    for path in sorted(p for p in where.rglob("*") if p.is_file()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            echo = payload.pop("config")
+            for key in ("config_ini", "seed", "timestamp"):
+                del payload[key]
+            data[str(path.relative_to(where))] = payload
+        else:
+            data[str(path.relative_to(where))] = path.read_bytes()
+    return code, echo, data
 
 
-@pytest.mark.parametrize("args, key", [
+@pytest.mark.parametrize("command", list(_SETTABLE))
+def test_every_echoed_key_changes_the_output(tmp_path, monkeypatch, command):
+    # each echoed key, set to another valid value, changes an output byte, a
+    # report value or an output path; each selector's choices give different
+    # outputs; between them the runs set every settable key of the command
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name, shift in (("vals", 1.0), ("vals2", 0.25)):
+        (inputs / f"{name}.csv").write_text("sensor,value\n" + "".join(
+            f"{i},{i * 0.5 - shift}\n" for i in range(8)))
+    rows = np.random.default_rng(5).uniform(0.5, 1.5, (8, 5))
+    for name, scale in (("w", 1.0), ("w2", 2.0)):
+        (inputs / f"{name}.csv").write_text(_weights_csv(WeightTable(rows ** scale, 1.0, 2,
+                                                                     row_tol=None)))
+    files = {"csv": (str(inputs / "vals2.csv"), str(inputs / "vals.csv")),
+             "weights_csv": (str(inputs / "w2.csv"), str(inputs / "w.csv"))}
+    other, seen, outcomes = {**_OTHER, **files}, set(), []
+    for b, settings in enumerate(_bases(inputs)[command]):
+        # a table file or a per-sensor list fixes the chain length
+        fixed = {"n"} if any(k in kv for kv in settings for k in ("csv=", "lengths=")) else set()
+        code, echo, data = _outcome(monkeypatch, tmp_path / f"{b}", command, settings)
+        assert code == 0, settings
+        outcomes.append(data)
+        for section, keys in echo.items():
+            generic = "field.<name>" if section.startswith("field.") else section
+            seen |= {(command, generic, key) for key in keys}
+            for key in (k for k in keys if k not in _SELECTORS and k not in fixed):
+                value = next(v for v in other[key] if v != keys[key])
+                change = [f"{section}.{key}={value}"]
+                if key == "noise_sigma" and "master_seed" not in echo["chain"]:
+                    change.append("chain.master_seed=3")  # a noisy field reads a seed
+                changed = _outcome(monkeypatch, tmp_path / f"{b}-{section}-{key}", command,
+                                   settings + change)
+                assert changed[0] == (1 if key == "row_tol" else 0), (settings, section, key)
+                assert changed[2] != data, (settings, section, key)
+    assert all(a != b for i, a in enumerate(outcomes) for b in outcomes[i + 1:])
+    assert seen == {t for t in _SETTABLE_TRIPLES if t[0] == command}
+
+
+_KINDS = "constant, impulse, spatial_cosine, temporal_cosine, table"
+
+
+@pytest.mark.parametrize("args, error", [
     (["simulate", "--set", "chain.boundary=zero_halo", "--set", "chain.halo_depth=40"],
-     "[chain] halo_depth"),
-    (["simulate", "--set", "field.bound=4.0"], "[field] bound"),
-    (["noise", "--set", "analysis.L=3"], "[analysis] L"),
-    (["noise", "--set", "analysis.count=50"], "[analysis] count"),
-    (["noise", "--set", "analysis.noise_target=window", "--set", "analysis.rho=0.5"],
-     "[analysis] rho"),
-    (["noise", "--set", "analysis.noise_target=window", "--set", "analysis.count=50"],
-     "[analysis] count"),
-    (["noise", "--set", "analysis.noise_target=global", "--set", "analysis.rho=0.5"],
-     "[analysis] rho"),
-    (["noise", "--set", "analysis.noise_target=global", "--set", "analysis.L=3"],
-     "[analysis] L"),
-    (["spacing", "--set", "analysis.eta=0.3"], "[analysis] eta"),
-    (["spacing", "--set", "analysis.law=exp_density", "--set", "analysis.eta=0.1"],
-     "[analysis] eta"),
+     "[chain] halo_depth: unknown key"),
+    (["simulate", "--set", "field.bound=4.0"], "[field] bound: unknown key"),
+    # without noise, simulate reads neither the seed nor the noise distribution
+    (["simulate", "--seed", "1"], "[chain] master_seed: unknown key"),
+    (["simulate", "--set", "field.noise_distribution=uniform"],
+     "[field] noise_distribution: unknown key"),
+    (["simulate", "--set", "field.noise_sigma=0", "--set", "field.noise_distribution=uniform"],
+     "[field] noise_distribution: unknown key"),
+    # a component is no sum, so it has no components
+    (["simulate", "--set", "field.kind=sum", "--set", "field.components=a",
+      "--set", "field.a.kind=sum"], f"[field.a] kind: must be one of {_KINDS}; got 'sum'"),
+    (["simulate", "--set", "field.kind=sum", "--set", "field.components=a",
+      "--set", "field.a.components=a"], "[field.a] components: unknown key"),
+    # a sweep reads its ring's length and its rule, no field, rounds or boundary
+    (["freq-spatial", "--set", "field.noise_sigma=0.5"], "unknown config section [field]"),
+    (["freq-temporal", "--set", "algorithm.rho=0.8", "--set", "chain.rounds=3"],
+     "[chain] rounds: unknown key"),
+    (["freq-spatial", "--set", "chain.boundary=ring"], "[chain] boundary: unknown key"),
+    (["freq-spatial", "--seed", "1"], "[chain] master_seed: unknown key"),
+    (["freq-spatial", "--set", "algorithm.variant=dyn_window", "--set", "algorithm.L=2"],
+     "[algorithm] variant: must be one of exponential, window; got 'dyn_window'"),
+    (["freq-temporal", "--set", "algorithm.variant=asymmetric"],
+     "[algorithm] variant: must be one of dyn_exponential, dyn_window; got 'asymmetric'"),
+    # noise and spacing read a seed and their own [analysis] keys
+    (["noise", "--seed", "1", "--set", "algorithm.variant=window"],
+     "unknown config section [algorithm]"),
+    (["spacing", "--seed", "1", "--set", "chain.n=8"], "[chain] n: unknown key"),
+    (["noise", "--seed", "1", "--set", "analysis.L=3"], "[analysis] L: unknown key"),
+    (["noise", "--seed", "1", "--set", "analysis.count=50"], "[analysis] count: unknown key"),
+    (["noise", "--seed", "1", "--set", "analysis.noise_target=window",
+      "--set", "analysis.rho=0.5"], "[analysis] rho: unknown key"),
+    (["noise", "--seed", "1", "--set", "analysis.noise_target=window",
+      "--set", "analysis.count=50"], "[analysis] count: unknown key"),
+    (["noise", "--seed", "1", "--set", "analysis.noise_target=global",
+      "--set", "analysis.rho=0.5"], "[analysis] rho: unknown key"),
+    (["noise", "--seed", "1", "--set", "analysis.noise_target=global",
+      "--set", "analysis.L=3"], "[analysis] L: unknown key"),
+    (["spacing", "--seed", "1", "--set", "analysis.eta=0.3"], "[analysis] eta: unknown key"),
+    (["spacing", "--seed", "1", "--set", "analysis.law=exp_density",
+      "--set", "analysis.eta=0.1"], "[analysis] eta: unknown key"),
+    (["noise"], "[chain] master_seed: required"),
+    (["spacing", "--seed", "-1"], "[chain] master_seed: must be >= 0, got '-1'"),
+    # figures reads [output] alone
+    (["figures", "--seed", "1"], "unknown config section [chain]"),
+    (["figures", "--set", "analysis.settle=3"], "unknown config section [analysis]"),
 ])
-def test_a_key_that_cannot_act_is_an_unknown_key(tmp_path, capsys, args, key):
-    assert main(args + ["--seed", "1", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"error: {key}: unknown key\n"
+def test_a_key_that_cannot_act_is_an_unknown_key(tmp_path, capsys, args, error):
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["spatial", "temporal"])
+def test_freq_reads_the_variants_whose_gain_lies_on_its_axis(tmp_path, mode):
+    (tmp_path / "w.csv").write_text(_weights_csv(WeightTable.geometric(0.5, 2, 8)))
+    for variant, text in _VARIANT_TEXT.items():
+        raw = read_ini(f"[chain]\nn = 8\n[algorithm]\nvariant = {variant}\n{text}\n")
+        algo = resolve(raw, "simulate", tmp_path).algorithm
+        if cli.ana.GAINS.get(type(algo), ("",))[0] == mode:
+            assert resolve(raw, f"freq-{mode}", tmp_path).algorithm == algo
+        else:
+            with pytest.raises(ValidationError, match="variant: must be one of"):
+                resolve(raw, f"freq-{mode}", tmp_path)
 
 
 @pytest.mark.parametrize("mode, args", [

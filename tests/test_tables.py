@@ -14,6 +14,8 @@ from lacsim.cli import main
 from lacsim.tables import read_index_csv
 
 _FIELD_HEADERS = ("sensor,value", "sensor,step,value")
+# past every index the table strategies below draw
+_BOUNDS = {"sensor": 8, "step": 5, "offset": 8}
 
 
 def _scalar_table(text):
@@ -72,12 +74,12 @@ def test_reader_matches_the_per_cell_parse(case):
     layout, text = case
     if layout == "weights":
         expected, radius = _scalar_weights(text)
-        table = WeightTable.from_csv(text, 1.0)
+        table = WeightTable.from_csv(text, 1.0, _BOUNDS["sensor"])
         assert table.radius == radius
         got = table.weights
     else:
         expected = _scalar_table(text)
-        got = read_index_csv(text, _FIELD_HEADERS, "csv")
+        got = read_index_csv(text, _FIELD_HEADERS, "csv", _BOUNDS)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -197,5 +199,5 @@ def test_reader_names_the_first_repeated_key_in_file_order(case):
     line = text.splitlines()[row + 1]
     names = ",".join(header.split(",")[:-1])
     with pytest.raises(ValidationError) as err:
-        read_index_csv(text, (header,), "csv", centered)
+        read_index_csv(text, (header,), "csv", _BOUNDS, centered)
     assert str(err.value) == f"csv: row {row + 2} {line!r}: repeats an earlier ({names})"
