@@ -126,9 +126,9 @@ def criterion_2() -> tuple:
 @_criterion(3, "measured spatial gain matches the closed forms", limit=2.0)
 def criterion_3() -> tuple:
     omegas = [2.0 * math.pi * 8 / 256]
-    [(_, gain, est)] = ana.sweep(ExponentialWeighting(0.9), 256, omegas, "spatial", 220)
+    [(_, gain, est)] = ana.sweep(ExponentialWeighting(0.9), omegas, 220, 256)
     gain_err, phase_err = abs(est.gain - gain), abs(est.phase)
-    [(_, gain, est)] = ana.sweep(FiniteWindow(5), 256, omegas, "spatial", 5)
+    [(_, gain, est)] = ana.sweep(FiniteWindow(5), omegas, 5, 256)
     win_err = abs(est.gain - gain)
     passed = gain_err <= 1e-6 and phase_err < 1e-9 and win_err <= 1e-10
     return passed, (f"exp gain err {gain_err:.2e} (tol 1e-6), phase {phase_err:.2e} "
@@ -165,7 +165,7 @@ def criterion_5() -> tuple:
     dc_worst = 0.0
     for rho in (0.8, 0.9):
         algo = DynamicExponential(rho)
-        for omega, gain, est in ana.sweep(algo, 5, (0.05, 0.1, 0.5, 0.0), "temporal",
+        for omega, gain, est in ana.sweep(algo, (0.05, 0.1, 0.5, 0.0),
                                           ana.settle_rounds(algo)):
             if omega:
                 worst = max(worst, abs(est.gain - gain))

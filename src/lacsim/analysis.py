@@ -256,19 +256,20 @@ def measure_gain(trace: ConsensusTrace, field: MeasurementField, mode: str,
     return GainEstimate(gain=gain, phase=phase, warning=_settle_warning(trace.algo, settle))
 
 
-def sweep(algo, n: int, omegas, mode: str, settle: int) -> list:
-    """(omega, closed-form gain, GainEstimate) at each frequency of `omegas`:
-    `algo` runs on a ring of n sensors from the unit cosine along `mode`, for
-    max(settle, 1) rounds in spatial mode or settle + fit_rounds(omega) in
-    temporal mode, and `measure_gain` fits its response past `settle`."""
-    spatial = mode == "spatial"
+def sweep(algo, omegas, settle: int, n: int | None = None) -> list:
+    """(omega, closed-form gain, GainEstimate) at each frequency of `omegas`: `algo`
+    runs from the unit cosine along a ring of n sensors for max(settle, 1) rounds,
+    or without n in time, for settle + fit_rounds(omega) rounds on the smallest
+    ring it fits, and `measure_gain` fits its response past `settle`."""
+    spatial = n is not None
+    n = n or (2 * algo.half_width + 1 if isinstance(algo, DynamicWindow) else 3)
     rows = []
     for omega in omegas:
         field = MeasurementField((SpatialCosine if spatial else TemporalCosine)(1.0, omega))
         rounds = max(settle, 1) if spatial else settle + fit_rounds(omega)
         trace = run(ChainConfig(n=n, boundary=Ring(), rounds=rounds), field, algo)
         rows.append((omega, closed_form_gain(algo, omega),
-                     measure_gain(trace, field, mode, settle)))
+                     measure_gain(trace, field, "spatial" if spatial else "temporal", settle)))
     return rows
 
 

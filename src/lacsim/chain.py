@@ -70,6 +70,7 @@ _CSV_BLOCK = 8192
 
 AlgorithmSpec = Union[ExponentialWeighting, AsymmetricWeighting, FiniteWindow,
                       PerSensorWindow, BandedWeighting, DynamicExponential, DynamicWindow]
+TIME_VARYING = (DynamicExponential, DynamicWindow)  # the rules that read the field past step 0
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,7 @@ def run(config: ChainConfig, field_: MeasurementField, algo: AlgorithmSpec) -> C
     off, rows, stop = topo = _topology(config, algo)
     n, rounds, size = config.n, config.rounds, len(stop)
     ring = isinstance(config.boundary, Ring)
-    time_varying = isinstance(algo, (DynamicExponential, DynamicWindow))
-    x = np.zeros((rounds + 1 if time_varying else 1, size))  # ghosts measure zero
+    x = np.zeros((rounds + 1 if isinstance(algo, TIME_VARYING) else 1, size))  # ghosts measure 0
     x[:, off:off + n] = evaluate_grid(field_, n, x.shape[0])
 
     # round-major storage; the trace holds transposed views of it

@@ -96,16 +96,16 @@ def _cmd_simulate(exp: Experiment, paths: list) -> None:
 
 
 def _cmd_freq(exp: Experiment, paths: list, mode: str) -> None:
-    """Closed-form against measured gain at each frequency of `analysis.sweep`:
-    ring harmonics 2 pi m / n in spatial mode, `analysis.omegas` in temporal mode.
-    The config offers only the variants whose closed-form gain lies on `mode`'s axis."""
+    """Closed-form against measured gain at each frequency of `analysis.sweep`: ring
+    harmonics 2 pi m / n in spatial mode, `analysis.omegas` (no [chain]) in temporal
+    mode.  The config offers only the variants whose closed-form gain lies on `mode`'s axis."""
     command = f"freq-{mode}"
     algo = exp.algorithm
-    n = exp.chain.n
+    n = exp.chain.n if exp.chain else None
     settle = exp.analysis.get("settle", ana.settle_rounds(algo))
     omegas = ([2.0 * math.pi * m / n for m in exp.analysis["harmonic"]] if mode == "spatial"
               else exp.analysis["omegas"])
-    rows = ana.sweep(algo, n, omegas, mode, settle)
+    rows = ana.sweep(algo, omegas, settle, n)
     lines = ["omega,gain_analytic,gain_measured,phase_measured"]
     lines += [",".join(format(v, ".17g") for v in (omega, gain, est.gain, est.phase))
               for omega, gain, est in rows]

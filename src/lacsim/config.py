@@ -1,9 +1,10 @@
 """Experiment configuration: INI sections, strict validation, full echo.
 
 Each command reads only the sections and keys that can change its output
-(`_READS`; summed fields add [field.<name>] subsections).  One key table per
-section, boundary, field kind, variant, command, noise target and spacing
-law names every accepted key with its parser and default.  Any other key or
+(`_READS`; summed fields add [field.<name>] subsections, and a static rule
+takes no field kind that varies in time).  One key table per section,
+boundary, field kind, variant, command, noise target and spacing law names
+every accepted key with its parser and default.  Any other key or
 section is rejected, and the fully resolved key set (defaults included) is
 echoed into every output's metadata so each artifact is self-describing and
 reproducible.  A master seed is read, and must be given, by a stochastic run
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .analysis import GlobalAverage
 from .arbitrary_weights import BandedWeighting, WeightTable
-from .chain import ChainConfig, Ring, Truncated, ZeroHalo
+from .chain import TIME_VARYING, ChainConfig, Ring, Truncated, ZeroHalo
 from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 from .fields import (Constant, Impulse, MeasurementField, Noise, SpatialCosine, SumField,
@@ -63,10 +64,11 @@ def _list(item):
     return parse
 
 
-def _natural(parse):
+def _natural(parse, bound=math.inf):
     def checked(text):
-        if (value := parse(text)) < 0:
-            raise ValueError(f"must be >= 0, got {text!r}")
+        if not 0 <= (value := parse(text)) < bound:
+            raise ValueError(f"must be >= 0, got {text!r}" if bound == math.inf else
+                             f"must lie in 0..{bound - 1}, got {text!r}")
         return value
     return checked
 
@@ -79,13 +81,6 @@ def _choice(*names):
     return parse
 
 
-def _table_from_csv(path: Path, chain: dict) -> TableField:
-    # no round reads a step past the last one
-    return TableField(read_index_csv(path.read_text(), ("sensor,value", "sensor,step,value"),
-                                     f"csv: table file {path}",
-                                     {"sensor": chain["n"], "step": chain["rounds"] + 1}))
-
-
 def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> BandedWeighting:
     return BandedWeighting(WeightTable.from_csv(path.read_text(), row_sum, n, row_tol=row_tol))
 
@@ -94,8 +89,8 @@ def _banded(path: Path, row_sum: float, row_tol: float | None, n: int) -> Banded
 # file, resolved against the config's directory and echoed absolute.  A
 # section with a selector key (boundary, kind, variant, noise_target, law)
 # maps each choice to its own key table and a builder of the object the
-# choice stands for (a table file's builder also takes the [chain] values,
-# bound by `_sized`).
+# choice stands for (the weight table's builder also takes the [chain]
+# values, bound by `_sized`; the field kinds are bound by `_field_kinds`).
 _N = {"n": (_int, 64)}
 _CHAIN = {**_N, "rounds": (_int, 40)}
 _SEED = {"master_seed": (_natural(_int), REQUIRED)}  # read by a stochastic run alone
@@ -108,16 +103,26 @@ _BOUNDARIES = {
 _SIGMA = (_natural(_float), 0.0)
 _NOISE_LAW = {"noise_distribution": (_choice("gaussian", "uniform"), "gaussian")}
 _COSINE = {"amplitude": (_float, REQUIRED), "omega": (_float, REQUIRED), "phase": (_float, 0.0)}
-# the kinds of a [field.<name>] component; [field] adds `sum`, built from them
-_FIELD_KINDS = {
-    "constant": ({"value": (_float, 1.0)}, lambda v: Constant(v["value"])),
-    "impulse": ({"center": (_int, 0)}, lambda v: Impulse(v["center"])),
-    "spatial_cosine": (_COSINE, lambda v: SpatialCosine(v["amplitude"], v["omega"], v["phase"])),
-    "temporal_cosine": (_COSINE,
-                        lambda v: TemporalCosine(v["amplitude"], v["omega"], v["phase"])),
-    "table": ({"csv": (Path, REQUIRED)}, lambda v, c: _table_from_csv(v["csv"], c)),
-}
 _SUM = {"components": (_list(str), REQUIRED)}
+
+
+def _field_kinds(chain: dict, time_varying: bool) -> dict:
+    """The kinds of a [field.<name>] component ([field] adds `sum`): an impulse
+    or a table indexes only sensors of the chain, and a table no step past its
+    last round.  A static rule reads its field at step 0 alone, so it takes no
+    temporal cosine, and a table of one value a sensor."""
+    return {
+        "constant": ({"value": (_float, 1.0)}, lambda v: Constant(v["value"])),
+        "impulse": ({"center": (_natural(_int, chain["n"]), 0)}, lambda v: Impulse(v["center"])),
+        "spatial_cosine": (_COSINE,
+                           lambda v: SpatialCosine(v["amplitude"], v["omega"], v["phase"])),
+        **({"temporal_cosine": (_COSINE, lambda v: TemporalCosine(
+            v["amplitude"], v["omega"], v["phase"]))} if time_varying else {}),
+        "table": ({"csv": (Path, REQUIRED)}, lambda v: TableField(read_index_csv(
+            v["csv"].read_text(), ("sensor,value", "sensor,step,value")[:1 + time_varying],
+            f"csv: table file {v['csv']}", {"sensor": chain["n"], "step": chain["rounds"] + 1}))),
+    }
+
 
 _VARIANTS = {
     "exponential": ({"rho": (_float, 0.8)}, lambda v: ExponentialWeighting(v["rho"])),
@@ -148,7 +153,7 @@ _READS = {
     "freq-spatial": {"chain": _N, "algorithm": ("variant", "exponential", {
         k: _VARIANTS[k] for k in ("exponential", "window")}),
         "analysis": {"harmonic": (_list(_int), (8,)), "settle": _SETTLE}},
-    "freq-temporal": {"chain": _N, "algorithm": ("variant", "dyn_exponential", {
+    "freq-temporal": {"algorithm": ("variant", "dyn_exponential", {
         k: _VARIANTS[k] for k in ("dyn_exponential", "dyn_window")}),
         "analysis": {"omegas": (_list(_float), (0.05, 0.1, 0.5)), "settle": _SETTLE}},
     "noise": {"chain": _SEED, "analysis": ("noise_target", "exponential", {
@@ -284,7 +289,10 @@ def _simulate(raw: dict, base_dir: Path, resolved: dict) -> tuple:
     boundary, chain, resolved["chain"] = _read_kind(
         "chain", raw.get("chain", {}), "boundary", "ring", _BOUNDARIES, base_dir,
         {**_CHAIN, **(_SEED if noisy else {})})
-    parts = _sized(_FIELD_KINDS, "table", chain)
+    # the rule comes before the field, whose kinds depend on its family
+    algorithm, _, echo = _read_kind("algorithm", raw.get("algorithm", {}), "variant",
+                                    "exponential", _sized(_VARIANTS, "arbitrary", chain), base_dir)
+    parts = _field_kinds(chain, isinstance(algorithm, TIME_VARYING))
     kind, field, resolved["field"] = _read_kind(
         "field", entries, "kind", "constant", {**parts, "sum": (_SUM, None)}, base_dir,
         {"noise_sigma": _SIGMA, **(_NOISE_LAW if noisy else {})})
@@ -299,9 +307,7 @@ def _simulate(raw: dict, base_dir: Path, resolved: dict) -> tuple:
         kind = SumField(tuple(components))
     noise = Noise(field["noise_sigma"], field["noise_distribution"], chain["master_seed"]) \
         if noisy else None
-    algorithm, _, resolved["algorithm"] = _read_kind(
-        "algorithm", raw.get("algorithm", {}), "variant", "exponential",
-        _sized(_VARIANTS, "arbitrary", chain), base_dir)
+    resolved["algorithm"] = echo  # the echo lists the rule after the field
     return (ChainConfig(n=chain["n"], boundary=boundary, rounds=chain["rounds"]),
             chain.get("master_seed"), MeasurementField(kind, noise), algorithm)
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pickle
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -163,8 +165,8 @@ _COMMAND_TEXT = {
     "freq-spatial": ("[chain]\nn = 8\n[algorithm]\nvariant = window\nL = 2\n"
                      "[analysis]\nharmonic = 1, 2\nsettle = 5\n",
                      ["chain", "algorithm", "analysis"]),
-    "freq-temporal": ("[chain]\nn = 8\n[algorithm]\nvariant = dyn_exponential\nrho = 0.6\n"
-                      "[analysis]\nomegas = 0.1\n", ["chain", "algorithm", "analysis"]),
+    "freq-temporal": ("[algorithm]\nvariant = dyn_exponential\nrho = 0.6\n"
+                      "[analysis]\nomegas = 0.1\n", ["algorithm", "analysis"]),
     "noise": ("[chain]\nmaster_seed = 3\n[analysis]\nnoise_target = window\nL = 3\n",
               ["chain", "analysis"]),
     "spacing": ("[chain]\nmaster_seed = 3\n[analysis]\nlaw = uniform\n", ["chain", "analysis"]),
@@ -175,13 +177,14 @@ _COMMAND_TEXT = {
 @pytest.mark.parametrize("case", range(12))
 def test_resolved_echo_round_trips(tmp_path, case):
     # seven simulate configs that between them use every field kind and
-    # variant, then each other command; each echo holds only the sections
-    # its command reads
+    # variant (the temporal cosine under a time-varying rule), then each other
+    # command; each echo holds only the sections its command reads
     (tmp_path / "vals.csv").write_text("sensor,value\n" + "".join(
         f"{i},{i * 0.5 - 1}\n" for i in range(8)))
     (tmp_path / "w.csv").write_text(_weights_csv(WeightTable.geometric(0.5, 2, 8)))
     if case < 7:
-        command, kind, variant = "simulate", list(_FIELD_TEXT)[case % 6], list(_VARIANT_TEXT)[case]
+        command, kind = "simulate", list(_FIELD_TEXT)[(case + 4) % 6]
+        variant = list(_VARIANT_TEXT)[case]
         boundary = "boundary = zero_halo\n" if case % 2 else ""
         seed = "master_seed = 3\n" if "noise_sigma" in _FIELD_TEXT[kind] else ""
         text = (f"[chain]\nn = 8\nrounds = 4\n{seed}{boundary}"
@@ -235,8 +238,7 @@ _SETTABLE = {
                  **_OUTPUT_KEYS},
     "freq-spatial": {"chain": "n", "algorithm": "variant rho L", "analysis": "harmonic settle",
                      **_OUTPUT_KEYS},
-    "freq-temporal": {"chain": "n", "algorithm": "variant rho L", "analysis": "omegas settle",
-                      **_OUTPUT_KEYS},
+    "freq-temporal": {"algorithm": "variant rho L", "analysis": "omegas settle", **_OUTPUT_KEYS},
     "noise": {"chain": "master_seed", "analysis": "noise_target rho L count sigma replicates",
               **_OUTPUT_KEYS},
     "spacing": {"chain": "master_seed", "analysis": "law rho eta replicates tail_eps",
@@ -259,15 +261,18 @@ def test_the_settable_keys_are_pinned():
              for section, spec in {**reads, "output": config._OUTPUT}.items()
              for key in (_keys(spec[2], spec[0]) if isinstance(spec, tuple) else _keys(spec))}
     # simulate's [chain] and [field] read, besides their choices' keys, the seed
-    # and the noise distribution when the field is noisy
+    # and the noise distribution when the field is noisy; a time-varying rule
+    # reads every field kind
+    kinds = config._field_kinds({"n": 8, "rounds": 3}, True)
     found |= {("simulate", section, key) for section, keys in {
         "chain": _keys(config._BOUNDARIES, "boundary") | _keys({**config._CHAIN, **config._SEED}),
-        "field": (_keys(config._FIELD_KINDS, "kind") | _keys(config._SUM)
+        "field": (_keys(kinds, "kind") | _keys(config._SUM)
                   | {"noise_sigma"} | _keys(config._NOISE_LAW)),
-        "field.<name>": _keys(config._FIELD_KINDS, "kind"),
+        "field.<name>": _keys(kinds, "kind"),
         "algorithm": _keys(config._VARIANTS, "variant")}.items() for key in keys}
     assert found == _SETTABLE_TRIPLES
-    assert len(found) == 67  # 213 when every command read every shared section
+    # 213 when every command read every shared section, 67 when freq-temporal read [chain] n
+    assert len(found) == 66
 
 
 @pytest.mark.parametrize("command, text", [
@@ -305,7 +310,8 @@ def test_cli_rerun_from_config_ini_saved_beside_outputs(tmp_path):
 def test_table_field_csv(tmp_path):
     csv = tmp_path / "vals.csv"
     csv.write_text("sensor,step,value\n0,0,1.5\n1,0,2.5\n0,1,3.5\n1,1,4.5\n")
-    raw = read_ini(f"[chain]\nn = 3\n[field]\nkind = table\ncsv = {csv}\n")
+    raw = read_ini(f"[chain]\nn = 3\n[field]\nkind = table\ncsv = {csv}\n"
+                   "[algorithm]\nvariant = dyn_exponential\nrho = 0.5\n")
     exp = resolve(raw, "simulate", tmp_path)
     assert exp.field.kind.at(1, 1) == 4.5
 
@@ -460,7 +466,8 @@ def test_cli_table_sensor_past_the_chain_is_a_validation_error(tmp_path, capsys,
     csv = tmp_path / "table.csv"
     if kind == "field":
         csv.write_text("sensor,step,value\n0,0,1.0\n10000000,0,2.0\n")
-        args = ["--set", "field.kind=table", "--set", f"field.csv={csv}"]
+        args = ["--set", "field.kind=table", "--set", f"field.csv={csv}",
+                "--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.5"]
     else:
         csv.write_text("sensor,offset,weight\n0,0,1.0\n10000000,0,2.0\n")
         args = ["--set", "algorithm.variant=arbitrary", "--set", "algorithm.K=1.0",
@@ -517,8 +524,8 @@ def test_cli_freq_spatial(tmp_path):
 
 def test_cli_freq_temporal(tmp_path):
     code = main(["freq-temporal", "--out", str(tmp_path),
-                 "--set", "chain.n=5", "--set", "algorithm.variant=dyn_exponential",
-                 "--set", "algorithm.rho=0.8", "--set", "analysis.omegas=0.1,0.5"])
+                 "--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.8",
+                 "--set", "analysis.omegas=0.1,0.5"])
     assert code == 0
     lines = (tmp_path / "run_freq_temporal.csv").read_text().strip().splitlines()
     assert len(lines) == 3
@@ -529,7 +536,9 @@ def test_cli_freq_temporal(tmp_path):
 
 
 # generated by the engine that kept y sensor-major: the measured gains are
-# means over y, so their last bits depend on the order numpy sums them in
+# means over y, so their last bits depend on the order numpy sums them in.  A
+# temporal sweep runs on the smallest ring its rule fits: dyn_exponential's
+# digest is that of 3 sensors, and dyn_window's (L = 3) that of 7, 8 or 9
 FREQ_GOLDEN = {
     ("freq-spatial", "exponential"): (
         ["--set", "chain.n=64", "--set", "algorithm.rho=0.8",
@@ -540,11 +549,11 @@ FREQ_GOLDEN = {
          "--set", "analysis.harmonic=2,5,7"],
         "f453a6c6d49695b351c2f2a8bd203cdae07f93fd5e493dbdb160934afd0acb49"),
     ("freq-temporal", "dyn_exponential"): (
-        ["--set", "chain.n=7", "--set", "algorithm.variant=dyn_exponential",
-         "--set", "algorithm.rho=0.8", "--set", "analysis.omegas=0.05,0.1,0.5,2"],
-        "2f83ceab938018ff15c71556fb1f643c9636f25f0bfc71a3c7edfaf032bc9314"),
+        ["--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.8",
+         "--set", "analysis.omegas=0.05,0.1,0.5,2"],
+        "a4b06439fba07feeb8a15becfcfb01ab072fb013dc1361b6bd3944c964db79de"),
     ("freq-temporal", "dyn_window"): (
-        ["--set", "chain.n=9", "--set", "algorithm.variant=dyn_window", "--set", "algorithm.L=3",
+        ["--set", "algorithm.variant=dyn_window", "--set", "algorithm.L=3",
          "--set", "analysis.omegas=0.1,0.7,1.5"],
         "2a5fde6abf3e36fc178aeab0f0f57482181dc8ff86f796a84eaeb4f01470b71d"),
 }
@@ -748,11 +757,11 @@ def test_cli_input_and_output_errors_exit_1_with_a_message(tmp_path, capsys):
 
 @pytest.mark.parametrize("boundary", ["zero_halo", "truncated"])
 def test_cli_freq_temporal_rejects_a_line_boundary(tmp_path, capsys, boundary):
-    # the sweep runs on a ring, so the boundary is no key of freq-temporal
+    # the sweep runs on the smallest ring its rule fits, so freq-temporal reads no [chain]
     code = main(["freq-temporal", "--out", str(tmp_path), "--set", f"chain.boundary={boundary}",
                  "--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.8"])
     assert code == 1
-    assert capsys.readouterr().err == "error: [chain] boundary: unknown key\n"
+    assert capsys.readouterr().err == "error: unknown config section [chain]\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -791,42 +800,43 @@ _OTHER = {
 
 def _bases(inputs):
     """command -> the settings of runs that between them take every choice of
-    every selector."""
-    chain, impulse = ["chain.n=8", "chain.rounds=3"], ["field.kind=impulse", "field.center=2"]
+    every selector: `simulate` runs each rule with each field kind it reads,
+    on each boundary."""
+    vals, steps = inputs / "vals.csv", inputs / "steps.csv"
+    # an impulse at an end sensor, which every boundary and window length acts on
     fields = [["field.kind=constant", "field.value=2.5"],
+              ["field.kind=impulse", "field.center=0"],
               ["field.kind=spatial_cosine", "field.amplitude=1.0", "field.omega=0.25"],
-              # a static rule reads step 0 alone, where omega cannot act
-              ["field.kind=temporal_cosine", "field.amplitude=2", "field.omega=0.1",
-               "field.phase=0.5", "algorithm.variant=dyn_exponential", "algorithm.rho=0.8"],
-              ["field.kind=table", f"field.csv={inputs / 'vals.csv'}", "field.noise_sigma=0.5",
+              ["field.kind=table", f"field.csv={vals}", "field.noise_sigma=0.5",
                "chain.master_seed=3"],
               ["field.kind=sum", "field.components=a, b", "field.noise_sigma=0.25",
                "field.noise_distribution=uniform", "chain.master_seed=3", "field.a.kind=impulse",
-               "field.b.kind=table", f"field.b.csv={inputs / 'vals.csv'}"],
+               "field.b.kind=table", f"field.b.csv={vals}"],
               ["field.kind=sum", "field.components=a, b", "field.a.kind=constant",
                "field.a.value=2.0", "field.b.kind=spatial_cosine", "field.b.amplitude=0.5",
                "field.b.omega=0.3"]]
-    variants = [["algorithm.rho_b=0.5", "algorithm.rho_f=0.25"], ["algorithm.L=2"],
-                ["algorithm.lengths=2,2,3,3,3,2,2,2"],
-                [f"algorithm.weights_csv={inputs / 'w.csv'}", "algorithm.K=5.0",
-                 "algorithm.row_tol=10.0"],
-                ["algorithm.rho=0.6"], ["algorithm.L=2"]]
-    names = ["asymmetric", "window", "variable_window", "arbitrary", "dyn_exponential",
-             "dyn_window"]
-    # an impulse no sensor end sees by round 3 would leave zero_halo and truncated alike
-    simulate = [chain + [f"chain.boundary={b}"] for b in ("ring", "zero_halo", "truncated")]
-    simulate += [chain + f for f in fields]
-    simulate += [chain + impulse + [f"algorithm.variant={name}"] + v
-                 for name, v in zip(names, variants)]
-    # a temporal sweep's sensors agree, so its n acts through the rounding of
-    # their mean alone: from 5 or 7 sensors to 11 it moves the last digits
+    # a time-varying rule reads every step of its field, a static rule step 0 alone
+    in_time = [["field.kind=temporal_cosine", "field.amplitude=2", "field.omega=0.1",
+                "field.phase=0.5"],
+               ["field.kind=table", f"field.csv={steps}"],
+               ["field.kind=sum", "field.components=a, b", "field.a.kind=temporal_cosine",
+                "field.a.amplitude=0.5", "field.a.omega=0.3", "field.b.kind=table",
+                f"field.b.csv={steps}"]]
+    rules = {"exponential": [], "asymmetric": ["algorithm.rho_b=0.5", "algorithm.rho_f=0.25"],
+             "window": ["algorithm.L=2"], "variable_window": ["algorithm.lengths=2,2,3,3,3,2,2,2"],
+             "arbitrary": [f"algorithm.weights_csv={inputs / 'w.csv'}", "algorithm.K=5.0",
+                           "algorithm.row_tol=10.0"],
+             "dyn_exponential": ["algorithm.rho=0.6"], "dyn_window": ["algorithm.L=2"]}
+    simulate = [["chain.n=8", "chain.rounds=3", f"chain.boundary={boundary}",
+                 f"algorithm.variant={name}", *keys, *field]
+                for boundary in ("ring", "zero_halo", "truncated") for name, keys in rules.items()
+                for field in fields + (in_time if name.startswith("dyn_") else [])]
     return {"simulate": simulate,
             "freq-spatial": [["chain.n=8", "analysis.harmonic=1", "analysis.settle=60"],
                              ["chain.n=8", "algorithm.variant=window", "algorithm.L=2",
                               "analysis.harmonic=1", "analysis.settle=3"]],
-            "freq-temporal": [["chain.n=5", "algorithm.rho=0.6", "analysis.omegas=0.5",
-                               "analysis.settle=40"],
-                              ["chain.n=7", "algorithm.variant=dyn_window", "algorithm.L=2",
+            "freq-temporal": [["algorithm.rho=0.6", "analysis.omegas=0.5", "analysis.settle=40"],
+                              ["algorithm.variant=dyn_window", "algorithm.L=2",
                                "analysis.omegas=0.5", "analysis.settle=8"]],
             "noise": [[f"analysis.noise_target={t}", "analysis.replicates=200",
                        "chain.master_seed=3"] for t in ("exponential", "window", "global")],
@@ -865,16 +875,20 @@ def test_every_echoed_key_changes_the_output(tmp_path, monkeypatch, command):
     for name, shift in (("vals", 1.0), ("vals2", 0.25)):
         (inputs / f"{name}.csv").write_text("sensor,value\n" + "".join(
             f"{i},{i * 0.5 - shift}\n" for i in range(8)))
+    (inputs / "steps.csv").write_text("sensor,step,value\n" + "".join(
+        f"{i},{k},{(i - 2 * k) * 0.5}\n" for i in range(8) for k in range(4)))
     rows = np.random.default_rng(5).uniform(0.5, 1.5, (8, 5))
     for name, scale in (("w", 1.0), ("w2", 2.0)):
         (inputs / f"{name}.csv").write_text(_weights_csv(WeightTable(rows ** scale, 1.0, 2,
                                                                      row_tol=None)))
     files = {"csv": (str(inputs / "vals2.csv"), str(inputs / "vals.csv")),
              "weights_csv": (str(inputs / "w2.csv"), str(inputs / "w.csv"))}
-    other, seen, outcomes = {**_OTHER, **files}, set(), []
-    for b, settings in enumerate(_bases(inputs)[command]):
-        # a table file or a per-sensor list fixes the chain length
+    other, seen, outcomes, bases = {**_OTHER, **files}, set(), [], _bases(inputs)[command]
+    for b, settings in enumerate(bases):
+        # a table file or a per-sensor list fixes the chain length, and a step
+        # table the rounds
         fixed = {"n"} if any(k in kv for kv in settings for k in ("csv=", "lengths=")) else set()
+        fixed |= {"rounds"} if any("steps.csv" in kv for kv in settings) else set()
         code, echo, data = _outcome(monkeypatch, tmp_path / f"{b}", command, settings)
         assert code == 0, settings
         outcomes.append(data)
@@ -890,11 +904,34 @@ def test_every_echoed_key_changes_the_output(tmp_path, monkeypatch, command):
                                    settings + change)
                 assert changed[0] == (1 if key == "row_tol" else 0), (settings, section, key)
                 assert changed[2] != data, (settings, section, key)
-    assert all(a != b for i, a in enumerate(outcomes) for b in outcomes[i + 1:])
+    # each selector's choices give different outputs, but for banded weights,
+    # which run the zero-extended sums on either line boundary
+    def alike(settings):
+        banded = "algorithm.variant=arbitrary" in settings
+        return [kv.replace("truncated", "zero_halo") if banded else kv for kv in settings]
+
+    for i, a in enumerate(outcomes):
+        for j in range(i + 1, len(outcomes)):
+            assert (a == outcomes[j]) == (alike(bases[i]) == alike(bases[j])), (bases[i], bases[j])
     assert seen == {t for t in _SETTABLE_TRIPLES if t[0] == command}
 
 
-_KINDS = "constant, impulse, spatial_cosine, temporal_cosine, table"
+# the kinds of a field component under a static rule, which reads its field at
+# step 0 alone; [field] adds sum
+_KINDS = "constant, impulse, spatial_cosine, table"
+_STATIC_RULES = {
+    "exponential": ["algorithm.variant=exponential"],
+    "asymmetric": ["algorithm.variant=asymmetric", "algorithm.rho_b=0.5", "algorithm.rho_f=0.25"],
+    "window": ["algorithm.variant=window", "algorithm.L=2"],
+    "variable_window": ["algorithm.variant=variable_window", "algorithm.lengths=2,2,3,3,3,2,2,2"],
+    "arbitrary": ["algorithm.variant=arbitrary", "algorithm.weights_csv={inputs}/w.csv",
+                  "algorithm.K=3.0"],
+}
+_STEPS = "header must be sensor,value"
+
+
+def _sets(*settings):
+    return [a for kv in settings for a in ("--set", kv)]
 
 
 @pytest.mark.parametrize("args, error", [
@@ -915,7 +952,10 @@ _KINDS = "constant, impulse, spatial_cosine, temporal_cosine, table"
     # a sweep reads its ring's length and its rule, no field, rounds or boundary
     (["freq-spatial", "--set", "field.noise_sigma=0.5"], "unknown config section [field]"),
     (["freq-temporal", "--set", "algorithm.rho=0.8", "--set", "chain.rounds=3"],
-     "[chain] rounds: unknown key"),
+     "unknown config section [chain]"),
+    # nor its ring's length: every sensor sees the same input, on the smallest ring
+    (["freq-temporal", "--set", "algorithm.rho=0.8", "--set", "chain.n=9"],
+     "unknown config section [chain]"),
     (["freq-spatial", "--set", "chain.boundary=ring"], "[chain] boundary: unknown key"),
     (["freq-spatial", "--seed", "1"], "[chain] master_seed: unknown key"),
     (["freq-spatial", "--set", "algorithm.variant=dyn_window", "--set", "algorithm.L=2"],
@@ -944,11 +984,43 @@ _KINDS = "constant, impulse, spatial_cosine, temporal_cosine, table"
     # figures reads [output] alone
     (["figures", "--seed", "1"], "unknown config section [chain]"),
     (["figures", "--set", "analysis.settle=3"], "unknown config section [analysis]"),
+    # a static rule reads its field at step 0 alone: no temporal cosine, in
+    # [field] or in a component, and no step table
+    *((["simulate", *_sets("chain.n=8", *rule, "field.kind=temporal_cosine",
+                           "field.amplitude=1.0", "field.omega=0.1")],
+       f"[field] kind: must be one of {_KINDS}, sum; got 'temporal_cosine'")
+      for rule in _STATIC_RULES.values()),
+    (["simulate", *_sets("chain.n=8", "field.kind=sum", "field.components=a",
+                         "field.a.kind=temporal_cosine", "field.a.amplitude=1.0",
+                         "field.a.omega=0.1")],
+     f"[field.a] kind: must be one of {_KINDS}; got 'temporal_cosine'"),
+    (["simulate", *_sets("chain.n=8", *_STATIC_RULES["window"], "field.kind=table",
+                         "field.csv={inputs}/steps.csv")],
+     f"[field] csv: table file {{inputs}}/steps.csv: {_STEPS}"),
+    (["simulate", *_sets("chain.n=8", *_STATIC_RULES["arbitrary"], "field.kind=sum",
+                         "field.components=a, b", "field.a.kind=constant", "field.b.kind=table",
+                         "field.b.csv={inputs}/steps.csv")],
+     f"[field.b] csv: table file {{inputs}}/steps.csv: {_STEPS}"),
+    # an impulse centre lies on the chain, in [field] and in each component
+    *((["simulate", *_sets("chain.n=8", "field.kind=impulse", f"field.center={c}")],
+       f"[field] center: must lie in 0..7, got '{c}'") for c in (500, -3, 63, 8)),
+    (["simulate", *_sets("chain.n=8", "field.kind=sum", "field.components=a, b",
+                         "field.a.kind=impulse", "field.b.kind=impulse", "field.b.center=8")],
+     "[field.b] center: must lie in 0..7, got '8'"),
+    # the rule is read before the field, whose kinds depend on the rule's family
+    (["simulate", *_sets("field.kind=temporal_cosine", "field.amplitude=1.0", "field.omega=0.1",
+                         "algorithm.variant=window")], "[algorithm] L: required"),
 ])
 def test_a_key_that_cannot_act_is_an_unknown_key(tmp_path, capsys, args, error):
-    assert main(args + ["--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
-    assert not list(tmp_path.iterdir())
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    (inputs / "steps.csv").write_text("sensor,step,value\n" + "".join(
+        f"{i},{k},{i - k}\n" for i in range(8) for k in range(4)))
+    (inputs / "w.csv").write_text(_weights_csv(WeightTable.geometric(0.5, 2, 8)))
+    args = [a.replace("{inputs}", str(inputs)) for a in args]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error.replace('{inputs}', str(inputs))}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["spatial", "temporal"])
@@ -957,6 +1029,8 @@ def test_freq_reads_the_variants_whose_gain_lies_on_its_axis(tmp_path, mode):
     for variant, text in _VARIANT_TEXT.items():
         raw = read_ini(f"[chain]\nn = 8\n[algorithm]\nvariant = {variant}\n{text}\n")
         algo = resolve(raw, "simulate", tmp_path).algorithm
+        if mode == "temporal":  # a temporal sweep reads no [chain]
+            del raw["chain"]
         if cli.ana.GAINS.get(type(algo), ("",))[0] == mode:
             assert resolve(raw, f"freq-{mode}", tmp_path).algorithm == algo
         else:
@@ -966,8 +1040,8 @@ def test_freq_reads_the_variants_whose_gain_lies_on_its_axis(tmp_path, mode):
 
 @pytest.mark.parametrize("mode, args", [
     ("spatial", ["--set", "algorithm.rho=0.8"]),
-    ("temporal", ["--set", "chain.n=5", "--set", "algorithm.variant=dyn_exponential",
-                  "--set", "algorithm.rho=0.8", "--set", "analysis.omegas=0.1,0.5"]),
+    ("temporal", ["--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.8",
+                  "--set", "analysis.omegas=0.1,0.5"]),
 ])
 def test_cli_freq_reports_a_short_settle(tmp_path, capsys, mode, args):
     command = f"freq-{mode}"
@@ -981,3 +1055,21 @@ def test_cli_freq_reports_a_short_settle(tmp_path, capsys, mode, args):
     warning = f"{type(rule).__name__} needs settle >= {settle_rounds(rule)}, got 2"
     assert json.loads(meta_path.read_text())["warnings"] == [warning]
     assert capsys.readouterr().err == f"warning: {warning}\n"
+
+
+def test_the_readme_examples_run(tmp_path, monkeypatch):
+    # README's INI example through `simulate`, and each concrete `lacsim` line of
+    # its code blocks but `verify` and the bracketed synopsis, each in a fresh
+    # directory; between them they run every command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, re.M | re.S)
+    [ini] = [body for lang, body in blocks if lang == "ini"]
+    (tmp_path / "example.ini").write_text(ini)
+    runs = [["simulate", "--config", str(tmp_path / "example.ini")]]
+    runs += [shlex.split(line)[1:] for _, body in blocks for line in body.splitlines()
+             if line.startswith("lacsim ") and "[" not in line and line != "lacsim verify"]
+    assert {argv[0] for argv in runs} == set(cli._HANDLERS)
+    for j, argv in enumerate(runs):
+        (tmp_path / f"{j}").mkdir()
+        monkeypatch.chdir(tmp_path / f"{j}")
+        assert main(argv) == 0, argv

@@ -118,7 +118,9 @@ def _simulate_weights(tmp_path, text):
     ("sensor,step,value\n0,0,1\n1,0,2\n2,3,3\n", "row 4 '2,3,3': step outside 0..2"),
 ])
 def test_table_csv_rejects_bad_indices_naming_the_row(tmp_path, capsys, text, message):
-    assert _simulate_table(tmp_path, text) == 1
+    # only a time-varying rule reads a step table
+    rule = ["--set", "algorithm.variant=dyn_exponential", "--set", "algorithm.rho=0.5"]
+    assert _simulate_table(tmp_path, text, *(rule if "step" in text else [])) == 1
     err = capsys.readouterr().err
     assert "[field] csv: table file" in err
     assert message in err
