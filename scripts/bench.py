@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Time `lacsim.trace_to_csv` and count its page faults; write BENCH_<label>.json.
+"""Time the trace writer and the Monte Carlo drivers, count their page faults: BENCH_<label>.json.
 
     python3 scripts/bench.py --label mine
 
-For each of four traces (y-only exponential rings at n = 64, 1024 and 65536
-with R = 12, 12 and 3 rounds, and the dynamic window L = 3 on a zero-halo
-chain of n = 512 for R = 24 rounds) it reports the nanoseconds per written
-value and the minor page faults (`ru_minflt`) per call, three ways:
+Two layers are measured.  The writer: for each of four traces (y-only
+exponential rings at n = 64, 1024 and 65536 with R = 12, 12 and 3 rounds, and
+the dynamic window L = 3 on a zero-halo chain of n = 512 for R = 24 rounds) it
+reports the nanoseconds per written value.  The Monte Carlo drivers: for the
+five cases of the benchmark's `monte-carlo` workload (`monte_carlo_noise` on
+the exponential rule at rho = 0.8, the window L = 5 and the global average of
+100 sensors; `monte_carlo_spacing` at rho = 0.5 with e^{-d} gaps and with
+uniform gaps at eta = 0.3), 10,000 replicates a call, it reports the
+microseconds per replicate.  Beside each time it gives the minor page faults
+(`ru_minflt`) per call, three ways:
 
   cold          the first call in a fresh process: the median over
                 PROCESSES (9) processes;
@@ -19,12 +25,12 @@ value and the minor page faults (`ru_minflt`) per call, three ways:
                 heap instead.
 
 Each measurement runs in its own process, which imports `lacsim` from this
-checkout's `src`, builds the trace with `lacsim.run` and then calls the
-writer; the processes go round the cases and modes in turn.  The file also
-holds the Python and numpy versions, the commit and the CPU count.  Every
-file is measured the same way, so that files of different trees compare.
-`--toy` shrinks every trace and runs one process of one call, for a quick
-check of the file.
+checkout's `src`, builds its input (the writer's trace with `lacsim.run`) and
+then calls the layer; the processes go round the cases and modes in turn.  The
+file also holds the Python and numpy versions, the commit and the CPU count.
+Every file is measured the same way, so that files of different trees compare.
+`--toy` shrinks every trace, runs 1,000 replicates a Monte Carlo call and one
+process of one call, for a quick check of the file.
 """
 from __future__ import annotations
 
@@ -51,7 +57,21 @@ CASES = {
 }
 TOY = {"exponential_ring_n64_r12": 8, "exponential_ring_n1024_r12": 16,
        "exponential_ring_n65536_r3": 32, "dyn_window3_zero_halo_n512_r24": 12}
+# Monte Carlo case -> (driver, target or gap law, its parameter), at the seed
+# and replicate count below (--toy: 1,000 replicates)
+MC_CASES = {
+    "noise_exponential_0.8": ("noise", "exponential", 0.8),
+    "noise_window_5": ("noise", "window", 5),
+    "noise_global_100": ("noise", "global", 100),
+    "spacing_exp_rho0.5": ("spacing", "exp", None),
+    "spacing_uniform0.3_rho0.5": ("spacing", "uniform", 0.3),
+}
+MC_REPLICATES = 10_000
+MC_SEED = 1
 MODES = ("cold", "warm", "warm_4mib")
+# layer -> (its cases, what a case counts, the key of its time per unit)
+LAYERS = {"trace_to_csv": (CASES, "values", "ns_per_value"),
+          "monte_carlo": (MC_CASES, "replicates", "us_per_replicate")}
 PRIMER_BYTES = 4 << 20
 REPEAT = 10  # warm calls per process
 PROCESSES = 9  # fresh processes per case and mode
@@ -81,13 +101,24 @@ def _prime():
     np.ones(PRIMER_BYTES // 8).sum()
 
 
-def child(case: str, mode: str, toy: bool) -> dict:
-    """Time the writer in this process, as `mode` says: [(ns per value,
-    faults)] of each timed call."""
-    from lacsim import trace_to_csv
+def _monte_carlo(case: str, toy: bool):
+    """The call of Monte Carlo `case` and its replicate count."""
+    from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
+                        SpacingModel, UniformGaps, monte_carlo_noise, monte_carlo_spacing)
 
-    trace = _trace(case, toy)
-    values = trace.y.size + (trace.z.size if trace.z is not None else 0)
+    driver, kind, param = MC_CASES[case]
+    replicates = 1000 if toy else MC_REPLICATES
+    if driver == "noise":
+        target = {"exponential": ExponentialWeighting, "window": FiniteWindow,
+                  "global": GlobalAverage}[kind](param)
+        return (lambda: monte_carlo_noise(target, 1.0, replicates, MC_SEED)), replicates
+    model = SpacingModel(ExpGaps() if kind == "exp" else UniformGaps(param), MC_SEED)
+    return (lambda: monte_carlo_spacing(0.5, model, replicates)), replicates
+
+
+def _timed_calls(call, mode: str, toy: bool, summary):
+    """summary(the last result) and [(ns, faults)] of each timed call of
+    `call` in this process, as `mode` says."""
     calls = []
     for _ in range(1 if mode == "cold" else (1 if toy else REPEAT) + 1):
         if mode == "warm_4mib":
@@ -95,17 +126,34 @@ def child(case: str, mode: str, toy: bool) -> dict:
         gc.collect()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter_ns()
-        text = trace_to_csv(trace)
+        result = call()
         elapsed = time.perf_counter_ns() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        calls.append((elapsed / values, faults))
-        size, text = len(text), None
+        calls.append((elapsed, faults))
+        info, result = summary(result), None
     # after a cold call, the first call only warms up
-    return {"values": values, "bytes": size, "calls": calls if mode == "cold" else calls[1:]}
+    return info, calls if mode == "cold" else calls[1:]
 
 
-def _run_child(case: str, mode: str, toy: bool) -> dict:
-    args = [sys.executable, str(Path(__file__).resolve()), "--child", case, mode] + (
+def child(layer: str, case: str, mode: str, toy: bool) -> dict:
+    """Time `layer` in this process, as `mode` says: [(ns per value or us per
+    replicate, faults)] of each timed call."""
+    if layer == "monte_carlo":
+        call, replicates = _monte_carlo(case, toy)
+        _, calls = _timed_calls(call, mode, toy, lambda report: None)
+        return {"replicates": replicates,
+                "calls": [(ns / 1000 / replicates, faults) for ns, faults in calls]}
+    from lacsim import trace_to_csv
+
+    trace = _trace(case, toy)
+    values = trace.y.size + (trace.z.size if trace.z is not None else 0)
+    size, calls = _timed_calls(lambda: trace_to_csv(trace), mode, toy, len)
+    return {"values": values, "bytes": size,
+            "calls": [(ns / values, faults) for ns, faults in calls]}
+
+
+def _run_child(layer: str, case: str, mode: str, toy: bool) -> dict:
+    args = [sys.executable, str(Path(__file__).resolve()), "--child", layer, case, mode] + (
         ["--toy"] if toy else [])
     proc = subprocess.run(args, stdout=subprocess.PIPE, check=True, timeout=600)
     return json.loads(proc.stdout)
@@ -127,23 +175,25 @@ def measure(toy: bool) -> dict:
 
     # round-robin over cases and modes, so that a slow spell of the host
     # falls on one process of each rather than on every process of one
-    runs = {(case, mode): [] for case in CASES for mode in MODES}
+    runs = {(layer, case, mode): [] for layer, (cases, _, _) in LAYERS.items()
+            for case in cases for mode in MODES}
     for _ in range(1 if toy else PROCESSES):
-        for (case, mode), results in runs.items():
-            results.append(_run_child(case, mode, toy))
-    cases = {}
-    for (case, mode), results in runs.items():
-        entry = cases.setdefault(case, {"values": results[0]["values"],
-                                        "bytes": results[0]["bytes"]})
+        for key, results in runs.items():
+            results.append(_run_child(*key, toy))
+    report = {layer: {} for layer in LAYERS}
+    for (layer, case, mode), results in runs.items():
+        _, units, time_key = LAYERS[layer]
+        entry = report[layer].setdefault(case, {
+            key: results[0][key] for key in (units, "bytes") if key in results[0]})
         calls = [call for result in results for call in result["calls"]]
-        best = [min(ns for ns, _ in result["calls"]) for result in results]
+        best = [min(t for t, _ in result["calls"]) for result in results]
         entry[mode] = {
-            "ns_per_value": statistics.median(best) if mode == "cold" else min(best),
+            time_key: statistics.median(best) if mode == "cold" else min(best),
             "minflt": statistics.median(faults for _, faults in calls),
             "runs": best,
         }
         if mode != "cold":
-            entry[mode]["ns_per_value_median"] = statistics.median(best)
+            entry[mode][f"{time_key}_median"] = statistics.median(best)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -152,7 +202,7 @@ def measure(toy: bool) -> dict:
         "machine": platform.machine(),
         "repeat": 1 if toy else REPEAT,
         "processes": 1 if toy else PROCESSES,
-        "trace_to_csv": cases,
+        **report,
     }
 
 
@@ -162,8 +212,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT,
                         help="directory of the file (default: the repository root)")
     parser.add_argument("--toy", action="store_true",
-                        help="tiny traces, one process of one call, for a quick check")
-    parser.add_argument("--child", nargs=2, metavar=("CASE", "MODE"), help=argparse.SUPPRESS)
+                        help="tiny inputs, one process of one call, for a quick check")
+    parser.add_argument("--child", nargs=3, metavar=("LAYER", "CASE", "MODE"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     if args.child:

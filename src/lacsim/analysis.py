@@ -19,11 +19,11 @@ from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 from .fields import Cosine, MeasurementField, SpatialCosine, TemporalCosine
 from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWindow,
-                           PerSensorWindow, _check_integer, _check_real, generator)
+                           PerSensorWindow, _check_integer, _check_real, _overlap, generator)
 
 SETTLE_TAIL = 1e-9
 BISECTION_TOL = 1e-10
-# values per step of `monte_carlo_noise`
+# values in the two draw slots of `monte_carlo_noise` together
 _NOISE_CHUNK = 1 << 15
 
 
@@ -315,9 +315,11 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     of pure measurement noise on a constant field, against the closed form.
 
     All replicates draw from the one stream `np.random.default_rng(master_seed)`,
-    `_NOISE_CHUNK` values (or one row when a row is longer) per step.  numpy
-    fills a chunk in order and the sums add one replicate after another, so
-    the report does not depend on the chunk size.  A step's outputs and their
+    in blocks of `_NOISE_CHUNK // (2 n)` rows (or one row).  This thread draws
+    each block into one of two slots while a worker thread transforms the block
+    before it and adds it to the sums (`_overlap`).  numpy fills a block in
+    order and the sums add one replicate after another, so the report depends
+    neither on the block size nor on the threads.  A block's outputs and their
     squares go to one (rows + 1, 2, n) buffer whose row 0 holds the running
     sums, reduced over its rows in order; the pair sits inside each row, as
     numpy would reduce a contiguous axis (n = 1 with the pair outside) pairwise.
@@ -328,21 +330,26 @@ def monte_carlo_noise(target, sigma: float, replicates: int, master_seed: int) -
     kernel, analytic = _noise_kernel(target)
     n = len(kernel)
     kernel_hat = np.fft.rfft(kernel)  # symmetric kernel: transform is real
-    chunk = min(max(1, _NOISE_CHUNK // n), replicates)  # rows per step
-    eps = np.empty((chunk, n))
+    chunk = min(max(1, _NOISE_CHUNK // (2 * n)), replicates)  # rows per block
+    slots = np.empty((2, chunk, n))
     buf = np.zeros((chunk + 1, 2, n))
-    for done in range(0, replicates, chunk):
-        count = min(chunk, replicates - done)
-        rows = eps[:count]
-        rng.standard_normal(out=rows)
-        rows *= sigma  # sigma z, where rng.normal gives 0.0 + sigma z: the same but for -0.0
+
+    def draws():
+        for j, done in enumerate(range(0, replicates, chunk)):
+            rows = rng.standard_normal(out=slots[j % 2, :min(chunk, replicates - done)])
+            rows *= sigma  # sigma z, where rng.normal gives 0.0 + sigma z: the same but for -0.0
+            yield rows
+
+    def add(rows):
         # rows transform independently; numpy 1.22's FFTs take no out=
         spectrum = np.fft.rfft(rows, axis=1)
         spectrum *= kernel_hat
-        out = buf[1:count + 1]
+        out = buf[1:len(rows) + 1]
         out[:, 0] = np.fft.irfft(spectrum, n=n, axis=1)
         np.square(out[:, 0], out=out[:, 1])
-        buf[0] = np.add.reduce(buf[:count + 1], axis=0)
+        buf[0] = np.add.reduce(buf[:len(rows) + 1], axis=0)
+
+    _overlap(draws(), add)
     sums, sq_sums = buf[0]
     per_sensor = (sq_sums - sums ** 2 / replicates) / (replicates - 1)
     sampled = float(per_sensor.mean())

@@ -17,8 +17,8 @@ Boundary policies:
   ZeroHalo   `rounds` ghost sensors running the same rule with x = 0 pad
              each end; nothing beyond them can reach a real sensor, making
              the zero-extended-line targets exact;
-  Truncated  missing neighbors contribute zero to every difference term,
-             which exhibits the boundary end effect.
+  Truncated  missing neighbors contribute zero to every difference term: an end
+             effect, except under banded weights, where ZeroHalo's ghosts send zeros.
 """
 from __future__ import annotations
 

@@ -24,10 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .arbitrary_weights import WeightTable
 from .errors import ValidationError
-from .static_rules import _check_integer, _check_rho, generator
+from .static_rules import _check_integer, _check_rho, _overlap, generator
 
-# replicates per block of `monte_carlo_spacing`, bounded so that a block's
-# gap arrays hold at most max(_BLOCK_ELEMENTS, one replicate's) values each
+# replicates per block of `monte_carlo_spacing`: a block's gaps hold at most max(_BLOCK_ELEMENTS,
+# one replicate's) values, and one above _BLOCK_ELEMENTS is drawn only once the last is freed
 _BLOCK_REPLICATES = 2048
 _BLOCK_ELEMENTS = 1 << 16
 # a computed rho**c can pass `>= tail_eps` only if c is at most
@@ -213,9 +213,10 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     All replicates draw from the one stream `np.random.default_rng(model.seed)`,
     one call of `_draw_gaps` per block of replicates; numpy fills a block in
     order and each replicate's value depends on its own draws alone, so the
-    report does not depend on the block size.  A block holds one replicate at
-    least, so its gap array holds up to max(_BLOCK_ELEMENTS, 2 g) values, g =
-    `_required_sensors`: 2 g = 552,626 for uniform gaps at eta = 0.9999.
+    report does not depend on the block size.  This thread draws and sums each
+    block's gaps while a worker thread evaluates the one before (`_overlap`),
+    unless a block, which holds one replicate at least, exceeds _BLOCK_ELEMENTS
+    values: 2 g = 552,626, g = `_required_sensors`, for uniform gaps at eta = 0.9999.
     """
     replicates = _check_integer("replicates", replicates, 1000)
     _check_rho("tail_eps", tail_eps)
@@ -232,19 +233,27 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     block = max(1, min(_BLOCK_REPLICATES, _BLOCK_ELEMENTS // (2 * gap_count)))
     limit = (math.log(tail_eps) - _LOG_MARGIN) / math.log(rho) * (1.0 + _LOG_MARGIN)
     values = np.empty(replicates)
-    for done in range(0, replicates, block):
-        count = min(block, replicates - done)
-        # rows 2r and 2r + 1 are replicate r's two sides, drawn one after the other
-        cum = _draw_gaps(law, 2 * count * gap_count, rng).reshape(2 * count, gap_count)
-        np.cumsum(cum, axis=-1, out=cum)
+
+    def draws():
+        for done in range(0, replicates, block):
+            count = min(block, replicates - done)
+            # rows 2r and 2r + 1 are replicate r's two sides, drawn one after the other
+            cum = _draw_gaps(law, 2 * count * gap_count, rng).reshape(2 * count, gap_count)
+            yield done, np.cumsum(cum, axis=-1, out=cum)
+            del cum  # not held while the next block is drawn
+
+    def evaluate(item):
+        done, cum = item
         # c grows along each side, so its column minima do too: the columns in
         # which any side can keep a term are a prefix
         reach = int(np.count_nonzero(cum.min(axis=0) <= limit))
         w = np.power(rho, cum[:, :reach], out=cum[:, :reach])
         # w never increases along a side, so the kept terms are a prefix
-        sides = _side_sums(w, (w >= tail_eps).sum(axis=-1)).reshape(count, 2)
+        sides = _side_sums(w, (w >= tail_eps).sum(axis=-1)).reshape(-1, 2)
         # a replicate is k (1 + ((0.0 + s0) + s1)); no sum of w is -0.0, so 0.0 + s0 is s0
-        values[done:done + count] = k_norm * (1.0 + (sides[:, 0] + sides[:, 1]))
+        values[done:done + len(sides)] = k_norm * (1.0 + (sides[:, 0] + sides[:, 1]))
+
+    _overlap(draws(), evaluate, int(2 * gap_count <= _BLOCK_ELEMENTS))
     mean = float(values.mean())
     var = float(values.var(ddof=1))
     mean_se = math.sqrt(var / replicates)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,38 @@ def generator(seed) -> np.random.Generator:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
+
+
+def _overlap(blocks, work, ahead: int = 1) -> None:
+    """`work(block)` for each of `blocks` in order on one worker thread, while this thread
+    draws the next once at most `ahead` are left to the worker; its exception is raised here."""
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(ahead):  # blocks the caller may hand on before it waits
+        done.put(None)
+
+    def serve():
+        try:
+            while (block := todo.get()) is not None:
+                work(block)
+                del block  # freed before the caller may draw again
+                done.put(None)
+        except BaseException as exc:  # raised again on the calling thread
+            done.put(exc)
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    try:
+        for block in blocks:  # not enumerate, whose result tuple keeps the last block
+            todo.put(block)
+            del block
+            if (exc := done.get()) is not None:
+                raise exc
+    finally:
+        todo.put(None)
+        worker.join()
+    while not done.empty():
+        if (exc := done.get()) is not None:
+            raise exc
 
 
 def _check_half_width(name: str, value) -> int:

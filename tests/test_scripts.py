@@ -135,7 +135,8 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "BENCH_toy.json").read_text())
-    assert {"label", "python", "numpy", "commit", "cpu_count", "trace_to_csv"} <= set(report)
+    assert {"label", "python", "numpy", "commit", "cpu_count", "trace_to_csv",
+            "monte_carlo"} <= set(report)
     cases = report["trace_to_csv"]
     assert set(cases) == {"exponential_ring_n64_r12", "exponential_ring_n1024_r12",
                           "exponential_ring_n65536_r3", "dyn_window3_zero_halo_n512_r24"}
@@ -145,3 +146,12 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
             assert case[mode]["ns_per_value"] > 0 and case[mode]["minflt"] >= 0
         for mode in ("warm", "warm_4mib"):
             assert case[mode]["ns_per_value_median"] >= case[mode]["ns_per_value"]
+    cases = report["monte_carlo"]
+    assert set(cases) == {"noise_exponential_0.8", "noise_window_5", "noise_global_100",
+                          "spacing_exp_rho0.5", "spacing_uniform0.3_rho0.5"}
+    for case in cases.values():
+        assert case["replicates"] == 1000
+        for mode in ("cold", "warm", "warm_4mib"):
+            assert case[mode]["us_per_replicate"] > 0 and case[mode]["minflt"] >= 0
+        for mode in ("warm", "warm_4mib"):
+            assert case[mode]["us_per_replicate_median"] >= case[mode]["us_per_replicate"]

@@ -1,14 +1,20 @@
 """Monte Carlo streams: each call draws all its replicates from the one
-generator `np.random.default_rng(seed)`, a chunk or block at a time.  Both
+generator `np.random.default_rng(seed)`, a block at a time, on the calling
+thread, while one worker thread turns the block before into sums.  Both
 drivers are checked against per-replicate loops over that stream, kept here as
-the reference, and against themselves at other chunk and block sizes."""
+the reference, against themselves at other block sizes and with one thread
+slowed, and for how errors and blocks pass between the two threads."""
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,6 +307,127 @@ def test_golden_cli_reports(tmp_path):
         "'var_sampled': 0.005196136583327009, 'var_se': 0.00012056086354893682}")
 
 
+# -- the two threads ---------------------------------------------------------------
+# 1000 replicates: noise on 100 sensors in 7 blocks of 163 rows, spacing at
+# rho = 0.5 with e^{-d} gaps in 4 blocks of 264 replicates (2 g = 248 values each)
+
+def _noise_call():
+    return monte_carlo_noise(GlobalAverage(100), 1.0, 1000, 5)
+
+
+def _spacing_call():
+    return monte_carlo_spacing(0.5, SpacingModel(ExpGaps(), 5), 1000)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _second_call_raises(fn, error):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise error
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def _slowed(fn, seconds, calls=None):
+    """`fn`, sleeping `seconds` before each of its first `calls` calls (all when None)."""
+    slept = []
+
+    def wrapped(*args, **kwargs):
+        if calls is None or len(slept) < calls:
+            slept.append(None)
+            time.sleep(seconds)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def _failing_noise_draws(error):
+    # the noise driver's draws are `standard_normal` calls on its generator
+    return lambda seed: SimpleNamespace(
+        standard_normal=_second_call_raises(generator(seed).standard_normal, error))
+
+
+# (call, module, attribute, replacement for the attribute given the error)
+_FAILURES = {
+    "noise draw": (_noise_call, analysis, "generator", _failing_noise_draws),
+    "noise worker": (_noise_call, np.fft, "irfft",
+                     lambda error: _second_call_raises(np.fft.irfft, error)),
+    "spacing draw": (_spacing_call, spacing, "_draw_gaps",
+                     lambda error: _second_call_raises(spacing._draw_gaps, error)),
+    "spacing worker": (_spacing_call, spacing, "_side_sums",
+                       lambda error: _second_call_raises(spacing._side_sums, error)),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_an_error_on_either_thread_reaches_the_caller(monkeypatch, case):
+    call, module, name, failing = _FAILURES[case]
+    error = _Stop(case)
+    threads = threading.active_count()
+    monkeypatch.setattr(module, name, failing(error))
+    with pytest.raises(_Stop) as raised:
+        call()
+    assert raised.value is error
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("call, module, name", [
+    (_noise_call, np.fft, "irfft"), (_spacing_call, spacing, "_side_sums")],
+    ids=["noise", "spacing"])
+def test_a_slow_worker_gives_the_same_report(monkeypatch, call, module, name):
+    # the worker falls behind the draws at every block, and the threads switch
+    # as often as the interpreter allows
+    whole = call()
+    monkeypatch.setattr(module, name, _slowed(getattr(module, name), 0.002))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert call() == whole
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cap, over", [(1000, False), (100, True)], ids=["normal", "over_cap"])
+def test_spacing_draws_no_block_over_the_cap_beside_another(monkeypatch, cap, over):
+    # 2 g = 248 values a replicate: blocks of 4 replicates (992 values) under a
+    # cap of 1000, of one replicate over a cap of 100.  The worker sleeps in its
+    # first blocks, so an overlap that ignored the cap would hold a block then
+    alive, refs = [], []
+    draw = spacing._draw_gaps
+
+    def tracking(law, count, rng):
+        alive.append(sum(ref() is not None for ref in refs))
+        gaps = draw(law, count, rng)
+        refs.append(weakref.ref(gaps))
+        return gaps
+
+    monkeypatch.setattr(spacing, "_BLOCK_ELEMENTS", cap)
+    monkeypatch.setattr(spacing, "_draw_gaps", tracking)
+    monkeypatch.setattr(spacing, "_side_sums", _slowed(spacing._side_sums, 0.005, 4))
+    _spacing_call()
+    assert len(refs) == (1000 if over else 250)
+    assert max(alive) <= (0 if over else 1)
+
+
+def test_a_test_that_leaves_a_thread_running_fails(tmp_path):
+    # tests/conftest.py's check, run on a test that starts a thread and returns
+    (tmp_path / "conftest.py").write_text((Path(__file__).parent / "conftest.py").read_text())
+    (tmp_path / "test_leak.py").write_text(
+        "import threading\n\n"
+        "def test_leaks():\n"
+        "    threading.Thread(target=threading.Event().wait, args=(2,), daemon=True).start()\n")
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             str(tmp_path)], cwd=tmp_path, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 1, result.stdout
+    assert "still running after the test" in result.stdout
+
+
 # -- memory and validation ------------------------------------------------------
 
 def _peak_bytes(replicates):
@@ -321,10 +448,11 @@ def test_spacing_memory_is_bounded_by_the_block():
 
 @pytest.mark.parametrize("rho, n", [(0.95, 539), (0.8, 124)])
 def test_noise_memory_is_bounded_by_the_chunk(rho, n):
-    # one chunk of draws, its spectrum, its inverse and a buffer of twice the
-    # chunk for the outputs and their squares: about five chunks, whatever n
-    # (1.254 MiB at n = 539 and 1.264 MiB at n = 124 with numpy 2.4, where a
-    # (1024, n) block of draws and one of squares held 8.94 and 2.45 MiB)
+    # two slots of half a chunk of draws each, and the worker's spectrum,
+    # inverse and buffer for a block's outputs and their squares: about three
+    # chunks, whatever n (0.765 MiB at n = 539 and 0.763 MiB at n = 124 with
+    # numpy 2.4; one thread with one-chunk blocks held 1.254 and 1.264 MiB, and
+    # a (1024, n) block of draws and one of squares 8.94 and 2.45 MiB)
     target = ExponentialWeighting(rho)
     assert len(_noise_kernel(target)[0]) == n
     monte_carlo_noise(target, 1.0, 2049, 7)  # warm-up: numpy's FFT plan caches
