@@ -307,7 +307,7 @@ def test_golden_cli_reports(tmp_path):
         "'var_sampled': 0.005196136583327009, 'var_se': 0.00012056086354893682}")
 
 
-# -- the two threads ---------------------------------------------------------------
+# -- the two threads ------------------------------------------------------------
 # 1000 replicates: noise on 100 sensors in 7 blocks of 163 rows, spacing at
 # rho = 0.5 with e^{-d} gaps in 4 blocks of 264 replicates (2 g = 248 values each)
 
