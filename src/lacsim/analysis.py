@@ -71,16 +71,15 @@ def k_temporal_window(half_width: int, omega: float) -> tuple[float, float]:
     return abs(val), cmath.phase(val)
 
 
-# rule class -> (the axis its closed-form gain lies on, that gain at omega,
-# its rule-of-thumb half-gain frequency)
+# rule class -> (its closed-form gain at omega, its rule-of-thumb half-gain
+# frequency)
 GAINS = {
-    ExponentialWeighting: ("spatial", lambda algo, w: h_exp(algo.rho, w),
-                           lambda algo: 1.0 - algo.rho),
-    FiniteWindow: ("spatial", lambda algo, w: abs(h_window(algo.half_width, w)),
+    ExponentialWeighting: (lambda algo, w: h_exp(algo.rho, w), lambda algo: 1.0 - algo.rho),
+    FiniteWindow: (lambda algo, w: abs(h_window(algo.half_width, w)),
                    lambda algo: 1.7 / (algo.half_width + 0.5)),
-    DynamicExponential: ("temporal", lambda algo, w: k_temporal_exp(algo.rho, w)[0],
+    DynamicExponential: (lambda algo, w: k_temporal_exp(algo.rho, w)[0],
                          lambda algo: 1.0 - algo.rho),
-    DynamicWindow: ("temporal", lambda algo, w: k_temporal_window(algo.half_width, w)[0],
+    DynamicWindow: (lambda algo, w: k_temporal_window(algo.half_width, w)[0],
                     lambda algo: 4.0 / (algo.half_width + 0.5)),
 }
 
@@ -95,13 +94,13 @@ def _gain_facts(algo, what: str) -> tuple:
 def closed_form_gain(algo, omega: float) -> float:
     """The closed-form gain of `algo` at `omega`, from `GAINS`; other rules
     have none and raise ValidationError."""
-    return _gain_facts(algo, "closed-form gain")[1](algo, omega)
+    return _gain_facts(algo, "closed-form gain")[0](algo, omega)
 
 
 def fit_rounds(omega: float) -> int:
     """Rounds a temporal fit at `omega` runs past its settle: two periods but
-    at least 64 rounds, or 32 for a constant input."""
-    return 32 if omega == 0 else max(math.ceil(4.0 * math.pi / omega), 64)
+    at least 64 rounds, for either sign of `omega`, or 32 for a constant input."""
+    return 32 if omega == 0 else max(math.ceil(4.0 * math.pi / abs(omega)), 64)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def bandwidth(algo) -> BandwidthResult:
     gain = 1/2 on (0, pi], found by bisection to 1e-10, together with the
     rule-of-thumb value of the rule's class (ValidationError for a class
     without one).  Saturated means the gain stays above 1/2 everywhere."""
-    _, gain, rule = _gain_facts(algo, "rule-of-thumb bandwidth")
+    gain, rule = _gain_facts(algo, "rule-of-thumb bandwidth")
     grid = np.linspace(1e-9, math.pi, 4097)
     lo = None
     for a, b in zip(grid, grid[1:]):
@@ -301,9 +300,8 @@ def _noise_kernel(target) -> tuple[np.ndarray, float]:
         w = lam * (rho ** d + rho ** (n - d)) / (1.0 - rho ** n)
         w[0] = lam * (1.0 + rho ** n) / (1.0 - rho ** n)
         return w, noise_var_exp(rho)
-    if isinstance(target, FiniteWindow):
-        n = 2 * target.half_width + 1
-        return np.full(n, 1.0 / n), noise_var_window(target.half_width)
+    if isinstance(target, FiniteWindow):  # the same kernel and variance as the mean of 2L + 1
+        target = GlobalAverage(2 * target.half_width + 1)
     if isinstance(target, GlobalAverage):
         n = target.count
         return np.full(n, 1.0 / n), noise_var_global(n)

@@ -138,16 +138,17 @@ _VARIANTS = {
     "dyn_window": ({"L": (_int, REQUIRED)}, lambda v: DynamicWindow(v["L"])),
 }
 
-_SETTLE = (_int, None)  # None: the rule's own settle_rounds
+_SETTLE = (_natural(_int), None)  # None: the rule's own settle_rounds
 _NOISE = {"sigma": (_float, 1.0), "replicates": (_int, 10000)}
 _SPACING = {"replicates": (_int, 20000), "tail_eps": (_float, 1e-12)}
 _E_INV = (_float, math.exp(-1.0))
 # command -> the sections it reads before [output], besides the [chain],
 # [field] and [algorithm] of `_simulate`: each a key table, or (selector,
 # default, choices) when a selector key picks one choice: the rule whose gains
-# `freq-*` measure (a variant whose `analysis.GAINS` axis is theirs), the
-# noise target's rule or the spacing law's gaps.  The shared keys sit inside
-# each choice's table, which keeps the echo's key order
+# `freq-*` measure (a variant with a closed form in `analysis.GAINS`, static for
+# `freq-spatial`, time varying for `freq-temporal`), the noise target's rule or
+# the spacing law's gaps.  The shared keys sit inside each choice's table,
+# which keeps the echo's key order
 _READS = {
     "simulate": {"analysis": {}},
     "freq-spatial": {"chain": _N, "algorithm": ("variant", "exponential", {

@@ -3,9 +3,12 @@
 Everything here is computed from the limit/partial-sum formulas alone, never
 from the distributed recursions, so trace-versus-oracle agreement is a genuine
 two-implementation check.  Each static target is the time-frozen case of its
-dynamic form: the exponential and window hop terms are written once, and hop
-j of a static target reads the field at step 0, where the dynamic target
-reads the lagged time argument x_{i +- j}(k - j).
+dynamic form: hop j of a static target reads the field at step 0, where the
+dynamic target reads the lagged time argument x_{i +- j}(k - j).  Three static
+sums serve the five static rules: the window is the exponential sum at
+rho = 1, the asymmetric and banded rules share one two-sided weighted sum
+(running powers of their two rates, or the table's rows taken outward), and
+the per-sensor window, whose terms are divisions, keeps its own.
 
 `rows(algo, field, n, boundary, ks)` gives the target of a rule object
 (`ExponentialWeighting(0.8)`, ...) at every sensor 0..n-1 for one k, or a
@@ -43,12 +46,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 
 import numpy as np
 
 from .arbitrary_weights import BandedWeighting, WeightTable
-from .chain import Ring, Truncated, ZeroHalo, check_fit
+from .chain import TIME_VARYING, Ring, Truncated, ZeroHalo, check_fit
 from .dynamic_rules import DynamicExponential, DynamicWindow
 from .errors import ValidationError
 # evaluate_field is not called here, but stays a name of this module:
@@ -101,22 +105,20 @@ def _cone(x: np.ndarray, n: int, boundary, reach: int):
             flat[reach:reach + (reach + 1) * ahead].reshape(reach + 1, ahead)[:, :n])
 
 
-# Hop j's terms, sensors i - j and i + j: each sum's one definition, taken
-# one hop at a time by a static sum and for all hops of a cone at once.
+# Hop j's terms of the exponential sum, sensors i - j and i + j: one
+# definition, taken one hop at a time by `_geometric` and for all hops of a
+# cone at once by `_dyn_geometric`.
 
 def _geometric_hop(back, ahead, power):
     return power * (back + ahead)
-
-
-def _window_hop(back, ahead):
-    return back + ahead
 
 
 # Each sum yields its running total over `at` after hops 0, 1, 2, ...: hop j
 # adds the terms of sensors i - j and i + j, in the order of the defining sum.
 
 def _geometric(at, rho):
-    """x_i + sum_j rho**j (x_{i-j} + x_{i+j})."""
+    """x_i + sum_j rho**j (x_{i-j} + x_{i+j}); at rho = 1.0, where every
+    product with a power is exact, the window's x_i + sum_j (x_{i-j} + x_{i+j})."""
     total, power = at(0), 1.0
     for j in itertools.count(1):
         yield total
@@ -124,23 +126,14 @@ def _geometric(at, rho):
         total = total + _geometric_hop(at(-j), at(j), power)
 
 
-def _asymmetric(at, rb, rf):
-    """x_i + sum_j (rb**j x_{i-j} + rf**j x_{i+j})."""
-    total, pb, pf = at(0), 1.0, 1.0
+def _two_sided(at, w0, back, ahead):
+    """w0 x_i + sum_j (b_j x_{i-j} + a_j x_{i+j}), with b_j and a_j taken in
+    turn from the weight iterators `back` and `ahead`."""
+    total = w0 * at(0)
     for j in itertools.count(1):
         yield total
-        pb *= rb
-        pf *= rf
-        total = total + pb * at(-j)
-        total = total + pf * at(j)
-
-
-def _window(at):
-    """x_i + sum_j (x_{i-j} + x_{i+j})."""
-    total = at(0)
-    for j in itertools.count(1):
-        yield total
-        total = total + _window_hop(at(-j), at(j))
+        total = total + next(back) * at(-j)
+        total = total + next(ahead) * at(j)
 
 
 def _cone_totals(first, terms):
@@ -159,8 +152,8 @@ def _dyn_geometric(cone, rho):
 
 
 def _dyn_window(cone):
-    """`_window` over a `_cone`."""
-    return _cone_totals(cone[0][0], _window_hop(*cone))
+    """`_geometric` at rho = 1.0 over a `_cone`, its products with 1.0 left out."""
+    return _cone_totals(cone[0][0], cone[0] + cone[1])
 
 
 def _variable_window(at, width):
@@ -172,16 +165,6 @@ def _variable_window(at, width):
         yield total
         for d in (-j, j):
             total = np.where(j <= li, total + at(d) / (2.0 * width(d) + 1.0), total)
-
-
-def _banded(at, w, radius):
-    """w_0 x_i + sum_{j <= radius} (w_{-j} x_{i-j} + w_j x_{i+j}), from the
-    weight rows `w` (offsets -radius..radius first)."""
-    total = w[radius] * at(0)
-    for j in itertools.count(1):
-        yield total
-        total = total + w[radius - j] * at(-j)
-        total = total + w[radius + j] * at(j)
 
 
 _NO = object()  # no second number: a None one is passed on, and rejected
@@ -235,7 +218,7 @@ def _carry(plan, x, hops, run):
     """A plan's row after `hops` hops over the field grid `x` (None: its tail
     hops), and the run (sum, hops, total) that a later row goes on from: a
     static row (step 0 alone) goes on from `run` unless `run` has passed `hops`."""
-    _, tail, _, sums, finish = plan
+    _, _, tail, sums, finish = plan
     if hops is None:  # M: step 0 at sensors 0..n-1 holds every value the sum adds
         hops = tail(float(np.abs(x[0]).max()))
     static = len(x) == 1
@@ -261,24 +244,24 @@ def _tail(decay, scale):
 def _reach(plan, k):
     """(hops, steps) of row k: k checked and its hops capped, or None for
     k=None (the tail hops), over the field's steps 0..k (dynamic) or 0 (static)."""
-    cap, tail, dynamic = plan[:3]
+    cap, dynamic, tail = plan[:3]
     if k is None and tail is not None:
         return None, 1
     k = _check_integer("time step", k, 0)
     return min(k, cap), k + 1 if dynamic else 1
 
 
-# Each `_plan_*` takes a checked case and returns (tail, dynamic, sums,
-# finish), which `_plan` heads with the rule's cap of hops and `_reach` turns
-# into a row's hops and steps: `sums(x, hops)` yields the running totals from
-# the field grid `x` of those steps, and the target is `finish` of the total
-# after those hops.  `tail(M)` gives the hops of k=None, and a target without
-# one needs k.
+# Each `_plan_*` takes a checked case and returns (tail, sums, finish), which
+# `_plan` heads with the rule's cap of hops and whether it reads the field past
+# step 0 (`chain.TIME_VARYING`), and `_reach` turns into a row's hops and
+# steps: `sums(x, hops)` yields the running totals from the field grid `x` of
+# those steps, and the target is `finish` of the total after those hops.
+# `tail(M)` gives the hops of k=None, and a target without one needs k.
 
 def _plan_exp(algo, n, boundary):
     rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
-    return (_tail(rho, lam), False,
+    return (_tail(rho, lam),
             lambda x, hops: _geometric(_shifts(x[0], n, boundary, hops), rho),
             lambda total: lam * total)
 
@@ -286,43 +269,46 @@ def _plan_exp(algo, n, boundary):
 def _plan_asym(algo, n, boundary):
     rb, rf = algo.rho_back, algo.rho_forward
     c = (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf)
-    return (_tail(max(rb, rf), 1.0), False,
-            lambda x, hops: _asymmetric(_shifts(x[0], n, boundary, hops), rb, rf),
-            lambda total: c * total)
+    # the weights rb**j and rf**j as running products, a hop loop's `p *= rb`
+    return (_tail(max(rb, rf), 1.0), lambda x, hops: _two_sided(
+        _shifts(x[0], n, boundary, hops), 1.0,
+        *(itertools.accumulate(itertools.repeat(r), operator.mul) for r in (rb, rf))),
+        lambda total: c * total)
 
 
 def _plan_window(algo, n, boundary):
     half_width = algo.half_width
-    return (lambda m: half_width, False,
-            lambda x, hops: _window(_shifts(x[0], n, boundary, half_width)),
+    return (lambda m: half_width,
+            lambda x, hops: _geometric(_shifts(x[0], n, boundary, half_width), 1.0),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
 def _plan_variable_window(algo, n, boundary):
     widths = algo.half_widths
     reach = max(widths)
-    return (lambda m: reach, False, lambda x, hops: _variable_window(
+    return (lambda m: reach, lambda x, hops: _variable_window(
         _shifts(x[0], n, boundary, reach), _shifts(np.asarray(widths), n, boundary, reach)),
         lambda total: total)
 
 
 def _plan_arbitrary(algo, n, boundary):
-    table = algo.table
-    return (None, False, lambda x, hops: _banded(
-        _shifts(x[0], n, boundary, table.radius), table.weights.T, table.radius),
+    table, r = algo.table, algo.table.radius
+    w = table.weights.T  # rows by offset -r..r
+    return (None, lambda x, hops: _two_sided(
+        _shifts(x[0], n, boundary, r), w[r], iter(w[:r][::-1]), iter(w[r + 1:])),
         lambda total: total / table.row_sum)
 
 
 def _plan_dyn_exp(algo, n, boundary):
     rho = algo.rho
     lam = (1.0 - rho) / (1.0 + rho)
-    return (None, True, lambda x, hops: _dyn_geometric(_cone(x, n, boundary, hops), rho),
+    return (None, lambda x, hops: _dyn_geometric(_cone(x, n, boundary, hops), rho),
             lambda total: lam * total)
 
 
 def _plan_dyn_window(algo, n, boundary):
     half_width = algo.half_width
-    return (None, True, lambda x, hops: _dyn_window(_cone(x, n, boundary, hops)),
+    return (None, lambda x, hops: _dyn_window(_cone(x, n, boundary, hops)),
             lambda total: total / (2.0 * half_width + 1.0))
 
 
@@ -343,7 +329,7 @@ def _plan(algo, n, boundary):
                               if isinstance(boundary, Truncated) else
                               f"boundary must be Ring() or ZeroHalo(), got {boundary!r}")
     reach = check_fit(algo, n, isinstance(boundary, Ring))
-    return (math.inf if reach is None else reach,
+    return (math.inf if reach is None else reach, isinstance(algo, TIME_VARYING),
             *_PLANS[type(algo)](algo, n, boundary))
 
 

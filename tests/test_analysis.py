@@ -12,7 +12,7 @@ from lacsim import (AsymmetricWeighting, ChainConfig, DynamicExponential, Dynami
                     ZeroHalo, bandwidth, h_exp, h_window, k_temporal_exp, k_temporal_window,
                     measure_gain, monte_carlo_noise, noise_var_exp, noise_var_global,
                     noise_var_window, run, settle_rounds, variance_match_rho)
-from lacsim.analysis import closed_form_gain, fit_rounds
+from lacsim.analysis import closed_form_gain, fit_rounds, sweep
 from lacsim.arbitrary_weights import BandedWeighting, WeightTable
 
 
@@ -352,6 +352,18 @@ def test_fit_rounds_covers_two_periods_and_at_least_64_rounds():
     assert fit_rounds(0.5) == 64
     assert fit_rounds(0.1) == math.ceil(40 * math.pi) == 126
     assert fit_rounds(0.05) == 252
+
+
+@pytest.mark.parametrize("algo", [DynamicExponential(0.9), DynamicWindow(5)],
+                         ids=lambda a: type(a).__name__)
+def test_a_negative_temporal_frequency_is_fitted_over_two_periods_too(algo):
+    # a fit once ran 64 rounds at -0.02 (a fifth of a period) against 629 at
+    # +0.02: the response at -w is the conjugate of the one at +w
+    for w in (0.02, 0.05):
+        assert fit_rounds(-w) == fit_rounds(w)
+        (_, _, neg), (_, _, pos) = sweep(algo, (-w, w), settle_rounds(algo))
+        assert neg.gain == pytest.approx(pos.gain, abs=1e-12)
+        assert neg.phase + pos.phase == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("rule, param, message", [

@@ -7,6 +7,8 @@ runs break."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import lacsim.cli
 import lacsim.spacing
 
@@ -98,3 +100,42 @@ def test_a_traced_simulate_counts_its_runs_audit_sensor_rounds_and_csv(tmp_path,
         assert metrics["chain.engine_sensor_rounds"] == engine_sensor_rounds
         assert metrics["chain.audit_records"] == len(traces[-1].audit) > 0
         assert t.csv_bytes == len((out / "run_trace.csv").read_bytes())
+
+
+# each variant's settings on a chain of 8 sensors, and the tracer layer its
+# round transitions are counted under: the dynamic window steps its slots
+# through the static window transition
+_FAMILIES = {
+    "exponential": (["algorithm.rho=0.7"], "static_rules"),
+    "asymmetric": (["algorithm.rho_b=0.5", "algorithm.rho_f=0.25"], "static_rules"),
+    "window": (["algorithm.L=2"], "static_rules"),
+    "variable_window": (["algorithm.lengths=2,2,3,3,3,2,2,2"], "static_rules"),
+    "dyn_window": (["algorithm.L=2"], "static_rules"),
+    "dyn_exponential": (["algorithm.rho=0.6"], "dynamic_rules"),
+    "arbitrary": (["algorithm.weights_csv={w}", "algorithm.K=3.0"], "arbitrary_weights"),
+}
+
+
+@pytest.mark.parametrize("variant", _FAMILIES)
+def test_a_traced_simulate_counts_transitions_under_its_rule_family_alone(tmp_path, variant):
+    # a transition bound once into a table would bypass the module attributes
+    # the tracer patches, and its family's count would drop to 0
+    weights = tmp_path / "w.csv"
+    weights.write_text("sensor,offset,weight\n"
+                       + "".join(f"{s},{o},1\n" for s in range(8) for o in (-1, 0, 1)))
+    rule, family = _FAMILIES[variant]
+    settings = ["chain.n=8", "chain.rounds=4", f"algorithm.variant={variant}",
+                *(kv.format(w=weights) for kv in rule)]
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        code = lacsim.cli.main(["simulate", "--out", str(tmp_path / "out")]
+                               + [a for kv in settings for a in ("--set", kv)])
+    finally:
+        t.uninstall()
+    assert code == 0
+    metrics = t.layer_metrics(1, 0)
+    counts = {layer: metrics[f"{layer}.calls"]
+              for layer in ("static_rules", "dynamic_rules", "arbitrary_weights")}
+    assert counts.pop(family) > 0
+    assert counts == {layer: 0 for layer in counts}

@@ -14,6 +14,7 @@ import lacsim.cli as cli
 import lacsim.config as config
 from lacsim import (DynamicExponential, ExponentialWeighting, ValidationError, WeightTable,
                     h_exp, k_temporal_exp, k_temporal_window, settle_rounds)
+from lacsim.chain import TIME_VARYING
 from lacsim.cli import main
 from lacsim.config import config_to_ini, merge_settings, read_ini, resolve
 from lacsim.figures import OMEGA_FULL, OMEGA_ORIGIN, RHO_GRID, WINDOW_GRID
@@ -289,6 +290,18 @@ def test_keys_outside_the_tables_rejected(command, text):
 def test_cli_rejects_another_commands_analysis_key(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path), "--set", "analysis.sigma=2"]) == 1
     assert "[analysis] sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["freq-spatial", "freq-temporal"])
+def test_cli_rejects_a_negative_settle_before_any_sweep(tmp_path, capsys, monkeypatch, command):
+    # a negative settle once ran the engine, then failed naming no section
+    def never(*args):
+        raise AssertionError("analysis.sweep called")
+
+    monkeypatch.setattr(cli.ana, "sweep", never)
+    assert main([command, "--out", str(tmp_path), "--set", "algorithm.rho=0.8",
+                 "--set", "analysis.settle=-1"]) == 1
+    assert capsys.readouterr().err == "error: [analysis] settle: must be >= 0, got '-1'\n"
 
 
 def test_cli_rerun_from_config_ini_saved_beside_outputs(tmp_path):
@@ -1031,7 +1044,8 @@ def test_freq_reads_the_variants_whose_gain_lies_on_its_axis(tmp_path, mode):
         algo = resolve(raw, "simulate", tmp_path).algorithm
         if mode == "temporal":  # a temporal sweep reads no [chain]
             del raw["chain"]
-        if cli.ana.GAINS.get(type(algo), ("",))[0] == mode:
+        if (type(algo) in cli.ana.GAINS
+                and isinstance(algo, TIME_VARYING) == (mode == "temporal")):
             assert resolve(raw, f"freq-{mode}", tmp_path).algorithm == algo
         else:
             with pytest.raises(ValidationError, match="variant: must be one of"):

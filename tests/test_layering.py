@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lacsim
+from lacsim.static_rules import _check_integer
 
 PACKAGE = Path(lacsim.__file__).parent
 ENGINE = ("chain", "static_rules", "dynamic_rules", "arbitrary_weights", "fields", "g17",
@@ -108,6 +109,24 @@ def test_the_oracle_keeps_no_copy_of_the_rule_and_chain_checks():
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert imported & {"_check_rho", "_check_half_width", "_check_half_widths"} == set()
     assert "_check_ring" not in defined
+
+
+def test_the_oracle_borrows_no_code_of_the_rule_modules():
+    # the oracle is the implementation the engine is checked against: of the
+    # rule modules it takes only the rule classes and the integer check, so a
+    # transition never enters it, directly or through a module re-exporting it
+    rules = ("static_rules", "dynamic_rules", "arbitrary_weights")
+    borrowed = []
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"lacsim.{node.module}")
+            for a in node.names:
+                obj = getattr(module, a.name)
+                if not (isinstance(obj, type) or obj is _check_integer
+                        or node.module not in rules
+                        and getattr(obj, "__module__", "").split(".")[-1] not in rules):
+                    borrowed.append(f"{node.module}.{a.name}")
+    assert not borrowed, f"the oracle imports code of the rule modules: {borrowed}"
 
 
 def _callers() -> dict:

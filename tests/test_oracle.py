@@ -1010,7 +1010,7 @@ def test_an_increasing_static_sweep_takes_one_hop_per_round(monkeypatch, k_outer
                 yield total
         return wrapper
 
-    for sums in ("_geometric", "_asymmetric", "_window", "_variable_window", "_banded"):
+    for sums in ("_geometric", "_two_sided", "_variable_window"):
         monkeypatch.setattr(lacsim.oracle, sums, counted(getattr(lacsim.oracle, sums)))
     for name, field, params in _cases_64(rounds):
         if name not in STATIC:
