@@ -3,10 +3,16 @@
 
     python3 scripts/bench.py --label mine
 
-Two layers are measured.  The writer: for each of four traces (y-only
-exponential rings at n = 64, 1024 and 65536 with R = 12, 12 and 3 rounds, and
-the dynamic window L = 3 on a zero-halo chain of n = 512 for R = 24 rounds) it
-reports the nanoseconds per written value.  The Monte Carlo drivers: for the
+Two layers are measured.  The writer: for each of six traces it reports the
+nanoseconds per written value.  Three hold no repeated rows: exponential
+rings (rho = 0.8) on a random table at n = 64, 1024 and 65536 with R = 12, 12
+and 3 rounds.  Three repeat rows, which the writer copies rather than
+formats: the dynamic window L = 3 on a temporal cosine, a zero-halo chain of
+n = 512 for R = 24 rounds (the benchmark's reference case), whose interior
+sensors repeat their neighbours; the window L = 5 on a random table, a ring of
+n = 1024 for R = 40 rounds, whose rounds past 5 repeat round 5; and the
+exponential rule on a constant field, a ring of n = 1024 for R = 12 rounds,
+every sensor of a round equal.  The Monte Carlo drivers: for the
 five cases of the benchmark's `monte-carlo` workload (`monte_carlo_noise` on
 the exponential rule at rho = 0.8, the window L = 5 and the global average of
 100 sensors; `monte_carlo_spacing` at rho = 0.5 with e^{-d} gaps and with
@@ -48,15 +54,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# case -> (rule, boundary, n, rounds), full size and --toy
+# case -> (rule, field, boundary, n, rounds), full size; --toy: n below, at
+# most 4 rounds
 CASES = {
-    "exponential_ring_n64_r12": ("exponential", "ring", 64, 12),
-    "exponential_ring_n1024_r12": ("exponential", "ring", 1024, 12),
-    "exponential_ring_n65536_r3": ("exponential", "ring", 65536, 3),
-    "dyn_window3_zero_halo_n512_r24": ("dyn_window", "zero_halo", 512, 24),
+    "exponential_ring_n64_r12": ("exponential", "table", "ring", 64, 12),
+    "exponential_ring_n1024_r12": ("exponential", "table", "ring", 1024, 12),
+    "exponential_ring_n65536_r3": ("exponential", "table", "ring", 65536, 3),
+    "dyn_window3_zero_halo_n512_r24": ("dyn_window", "temporal_cosine", "zero_halo", 512, 24),
+    "window5_ring_n1024_r40": ("window", "table", "ring", 1024, 40),
+    "constant_exponential_ring_n1024_r12": ("exponential", "constant", "ring", 1024, 12),
 }
 TOY = {"exponential_ring_n64_r12": 8, "exponential_ring_n1024_r12": 16,
-       "exponential_ring_n65536_r3": 32, "dyn_window3_zero_halo_n512_r24": 12}
+       "exponential_ring_n65536_r3": 32, "dyn_window3_zero_halo_n512_r24": 12,
+       "window5_ring_n1024_r40": 16, "constant_exponential_ring_n1024_r12": 16}
 # Monte Carlo case -> (driver, target or gap law, its parameter), at the seed
 # and replicate count below (--toy: 1,000 replicates)
 MC_CASES = {
@@ -80,18 +90,21 @@ PROCESSES = 9  # fresh processes per case and mode
 def _trace(case: str, toy: bool):
     import numpy as np
 
-    from lacsim import (ChainConfig, DynamicWindow, ExponentialWeighting, MeasurementField,
-                        Ring, TableField, TemporalCosine, ZeroHalo, run)
+    from lacsim import (ChainConfig, Constant, DynamicWindow, ExponentialWeighting, FiniteWindow,
+                        MeasurementField, Ring, TableField, TemporalCosine, ZeroHalo, run)
 
-    rule, boundary, n, rounds = CASES[case]
+    rule, kind, boundary, n, rounds = CASES[case]
     if toy:
         n, rounds = TOY[case], min(rounds, 4)
     config = ChainConfig(n=n, boundary=Ring() if boundary == "ring" else ZeroHalo(),
                          rounds=rounds)
-    if rule == "exponential":
-        values = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        return run(config, MeasurementField(TableField(values)), ExponentialWeighting(0.8))
-    return run(config, MeasurementField(TemporalCosine(1.0, 0.3)), DynamicWindow(3))
+    if kind == "table":
+        field = TableField(np.random.default_rng(n).uniform(-1.0, 1.0, n))
+    else:
+        field = Constant(0.7) if kind == "constant" else TemporalCosine(1.0, 0.3)
+    algo = {"exponential": ExponentialWeighting(0.8), "window": FiniteWindow(5),
+            "dyn_window": DynamicWindow(3)}[rule]
+    return run(config, MeasurementField(field), algo)
 
 
 def _prime():

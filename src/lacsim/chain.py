@@ -11,6 +11,10 @@ buffer, stepped with one call per group of slots at one stage (`phase_groups`),
 and its y sums their increments in `assemble_y`'s order.  Each round's y is
 written into round-major (rounds + 1, n) storage.  The audit, one integer row
 per delivered message, is derived on read from the last active rounds.
+`trace_to_csv` formats each distinct row once: a round that repeats the one
+before it, as every round past a window's or band's last active round does,
+is a relabelled copy of its text, and a run of equal neighboring rows, as a
+spatially uniform input gives, is its first row's text copied.
 
 Boundary policies:
   Ring       indices wrap modulo n (exact for spatially periodic fields);
@@ -330,11 +334,45 @@ def trace_to_csv(trace: ConsensusTrace) -> str:
     return "".join(_csv_chunks(trace))
 
 
+def _relabelled(text: bytes, label: int, first: int, stop: int, rounds: np.ndarray, end: int,
+                out: bytearray):
+    """The text of rounds first..stop-1, each a copy of `text`, round
+    `label`'s lines, with the round label rewritten: (rounds, bytes) uint8
+    arrays in `out`, one per digit count, each to be read before the next.
+    Row u of `rounds` holds the label `u,` ending at byte `end` (`_labels`)."""
+    digits = rounds.view(np.uint8).reshape(len(rounds), -1)
+    while first < stop:
+        d = len(str(first))
+        last = min(stop, 10 ** d)
+        if d != len(str(label)):
+            # every line starts with `label,` after a newline, and no value's
+            # text holds a newline or a comma: so these are exactly the labels
+            text = (b"\n" + text).replace(b"\n%d," % label, b"\n%d," % first)[1:]
+            label = first
+        template = np.frombuffer(text, dtype=np.uint8)
+        starts = np.flatnonzero(template[:-1] == ord("\n")) + 1
+        at = np.concatenate(([0], starts))[:, None] + np.arange(d)
+        copies = np.frombuffer(out, dtype=np.uint8, count=(last - first) * len(text))
+        copies = copies.reshape(last - first, -1)
+        copies[:] = template
+        copies[:, at] = digits[first:last, None, end - 1 - d:end - 1]
+        yield copies
+        first = last
+
+
 def _csv_chunks(trace: ConsensusTrace):
-    """The header line, then the text of successive blocks of rows.  A block
-    is built as fixed-width byte rows in one reused buffer, its values
-    formatted by one `write_g17` call, and the nul bytes between their
-    characters are deleted."""
+    """The header line, then the text of successive blocks of rows.
+
+    Each distinct row is formatted once.  A round whose y (and z) repeat the
+    round before it bit for bit, as every round past the last active one of
+    a window or banded run does, is that round's text with its round labels
+    rewritten (`_relabelled`).  The rows of a block's other rounds are built
+    as fixed-width byte rows in one reused buffer, and their nul bytes are
+    deleted.  When a sample shows at least a quarter of a block's rows
+    repeating the row before them, only the first row of each run is
+    formatted, and its compacted text, nul-padded to the longest, is copied
+    along the run.  Rows compare by their bits, so that -0.0 and 0.0, whose
+    texts differ, never match."""
     slots = trace.z.shape[2] if trace.z is not None else 0
     yield "round,sensor,y" + "".join(f",z{j}" for j in range(slots)) + "\n"
     n, cols = trace.y.shape
@@ -343,6 +381,9 @@ def _csv_chunks(trace: ConsensusTrace):
     # `run`'s storage, copied only for a trace built with another layout
     y = np.ascontiguousarray(trace.y.T).reshape(-1, 1)
     z = np.ascontiguousarray(trace.z.transpose(1, 0, 2)).reshape(-1, slots) if slots else None
+    # bit patterns, so that rows match only when their texts do: -0.0 and
+    # 0.0 compare equal as floats
+    ybits, zbits = y.view(np.uint64).ravel(), z.view(np.uint64) if slots else None
     wr, ws = len(str(cols - 1)) + 1, len(str(n - 1)) + 1
     lead = -(-(wr + ws) // 8) * 8  # keeps the value columns 8-byte aligned
     rounds, sensors = _labels(cols, lead, wr)[:, None], _labels(n, lead, wr + ws)
@@ -355,19 +396,98 @@ def _csv_chunks(trace: ConsensusTrace):
     buffer = bytearray(size * (lead + width * WIDTH))
     rows = np.frombuffer(buffer, dtype=np.uint8).reshape(size, -1)
     gathered = np.empty((size, width)) if slots else None
-    for t, i in ((t, i) for t in range(0, cols, per_block) for i in range(0, n, per_slice)):
-        r, s = min(per_block, cols - t), min(per_slice, n - i)
-        start, count = t * n + i, r * s
-        block = rows[:count]
-        np.bitwise_or(rounds[t:t + r], sensors[i:i + s],
-                      out=block[:, :lead].view(np.uint64).reshape(r, s, -1))
-        cells = block[:, lead:].reshape(count, width, WIDTH)
-        values = y[start:start + count]
+    # whether to look for repeats at all: a slice of a round repeats the
+    # round before only if its first value does, and a sample of every
+    # 16th row shows whether rows repeat the row before them
+    firsts = ybits.reshape(cols, n)[:, ::per_slice]
+    look_back = np.count_nonzero(firsts[1:] == firsts[:-1]) > 0
+    look_along = np.count_nonzero(ybits[1::16] == ybits[:-1:16]) > 0
+
+    def run_heads(a, b):
+        """The rows of a..b-1 that differ from the row before them, the
+        first always; None when a sample of every 16th row, or all rows,
+        show fewer than a quarter repeating."""
+        if 4 * np.count_nonzero(ybits[a + 1:b:16] == ybits[a:b - 1:16]) < len(range(a + 1, b, 16)):
+            return None
+        differ = ybits[a + 1:b] != ybits[a:b - 1]
         if slots:
-            values = gathered[:count]
-            values[:, :1], values[:, 1:] = y[start:start + count], z[start:start + count]
+            differ |= (zbits[a + 1:b] != zbits[a:b - 1]).any(axis=1)
+        heads = np.flatnonzero(np.concatenate(([True], differ)))
+        return heads if 4 * len(heads) <= 3 * (b - a) else None
+
+    def formatted(t, r, i, s):
+        """The text of the rows of rounds t..t+r-1 at sensors i..i+s-1."""
+        start, count = t * n + i, r * s
+        heads = run_heads(start, start + count) if look_along and count > 1 else None
+        if heads is None:
+            block = rows[:count]
+            cells = block[:, lead:].reshape(count, width, WIDTH)
+            values = y[start:start + count]
+            if slots:
+                values = gathered[:count]
+                values[:, :1], values[:, 1:] = y[start:start + count], z[start:start + count]
+        else:  # the first row of each run alone, copied along it below
+            cells = np.empty((len(heads), width, WIDTH), dtype=np.uint8)
+            values = y[start + heads]
+            if slots:
+                values = np.concatenate((values, z[start + heads]), axis=1)
         write_g17(values, cells)
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
-        text = buffer if count == size else buffer[:block.nbytes]
-        yield text.translate(None, b"\0").decode("ascii")
+        if heads is not None:
+            # each run's text, nul-padded to the longest, after an empty
+            # label: the rows copied along the runs are that much narrower
+            text = np.array(cells.tobytes().translate(None, b"\0").splitlines(keepends=True))
+            first = np.zeros((len(heads), lead + -(-text.itemsize // 8) * 8), dtype=np.uint8)
+            first[:, lead:lead + text.itemsize] = text.view(np.uint8).reshape(len(heads), -1)
+            block = np.frombuffer(buffer, dtype=np.uint8, count=count * first.shape[1])
+            block = block.reshape(count, -1)
+            ends = np.empty_like(heads)
+            ends[:-1], ends[-1] = heads[1:], count
+            np.take(first, np.repeat(np.arange(len(heads)), ends - heads), axis=0, out=block,
+                    mode="clip")
+        # the labels go in last, over the copies' empty labels
+        np.bitwise_or(rounds[t:t + r], sensors[i:i + s],
+                      out=block[:, :lead].view(np.uint64).reshape(r, s, -1))
+        return (buffer if block.nbytes == len(buffer) else buffer[:block.nbytes]).translate(
+            None, b"\0")
+
+    def repeats(t, r, i, s):
+        """Whether the next round repeats each of rounds t..t+r-1 at sensors
+        i..i+s-1 (whole rounds when r > 1); None when none is repeated."""
+        m = min(r, cols - 1 - t)  # the rounds that have a next one
+        a = t * n + i
+        b = a + (m - 1) * n + s
+        # a round is repeated only if its first sensor is
+        if m <= 0 or not np.count_nonzero(ybits[a + n:b + n:n] == ybits[a:b:n]):
+            return None
+        same = np.zeros(r, dtype=bool)
+        same[:m] = (ybits[a + n:b + n] == ybits[a:b]).reshape(m, -1).all(axis=1)
+        if slots:
+            same[:m] &= (zbits[a + n:b + n] == zbits[a:b]).reshape(m, -1).all(axis=1)
+        return same if np.count_nonzero(same) else None
+
+    # slice start -> (round, the text of its slice) while the next round repeats it
+    kept = {}
+    for t, i in ((t, i) for t in range(0, cols, per_block) for i in range(0, n, per_slice)):
+        r, s = min(per_block, cols - t), min(per_slice, n - i)
+        ahead, base = repeats(t, r, i, s) if look_back else None, kept.pop(i, None)
+        if ahead is None and base is None:  # no round repeats another
+            yield formatted(t, r, i, s).decode("ascii")
+            continue
+        ahead = np.zeros(r, dtype=bool) if ahead is None else ahead
+        frozen = np.concatenate(([base is not None], ahead[:-1]))
+        edges = [0, *(np.flatnonzero(frozen[1:] != frozen[:-1]) + 1).tolist(), r]
+        for a, b in zip(edges, edges[1:]):
+            if frozen[a]:
+                for text in _relabelled(base[1], base[0], t + a, t + b, rounds, wr, buffer):
+                    yield str(text, "ascii")
+                base = t + b - 1, text[-1].tobytes()  # fewer label rewrites
+                continue
+            text = formatted(t + a, b - a, i, s)
+            yield text.decode("ascii")
+            if b < r or ahead[-1]:  # the last round's text is copied next
+                last = t + b - 1
+                base = last, text[text.rfind(b"\n%d,%d," % (last, i)) + 1:]
+        if ahead[-1]:
+            kept[i] = base

@@ -30,7 +30,8 @@ last n (such as a fresh `len(values)`) is the same n.  Any other object, even
 an equal one (a fresh list of half-widths, `np.float64(0.8)` for 0.8), starts
 a new case, whose rule object is built, and so checked, and planned once.  A
 sweep over one case's (i, k) points, in any order, therefore reads the field
-once (a dynamic target once per larger k) and builds each row once.  Built
+once (a dynamic target again only when k passes the steps held, each read
+twice as long as the last) and builds each row once.  Built
 rows are kept as memoryviews, which a hit indexes for its float with no lock,
 plan or check beyond the `is` tests of its arguments, made in line in
 `_Memo.at`.
@@ -54,7 +55,7 @@ import numpy as np
 from .arbitrary_weights import BandedWeighting, WeightTable
 from .chain import TIME_VARYING, Ring, Truncated, ZeroHalo, check_fit
 from .dynamic_rules import DynamicExponential, DynamicWindow
-from .errors import ValidationError
+from .errors import OutOfDomainError, ValidationError
 # evaluate_field is not called here, but stays a name of this module:
 # perfbench/tracer.py wraps lacsim.oracle.evaluate_field
 from .fields import evaluate_field, evaluate_grid  # noqa: F401
@@ -172,13 +173,14 @@ _NO = object()  # no second number: a None one is passed on, and rejected
 
 class _Memo:
     """One scalar target's latest case with its plan and rows by k, the field
-    grid read for it and, for a static target, its running sum (generator,
-    hops done, total).  A case is its objects, n by value: a hit tests each
-    part with `is` in line, and any other object starts a new case."""
+    grid read for it (`exact` once a longer read met the end of a table) and,
+    for a static target, its running sum (generator, hops done, total).  A
+    case is its objects, n by value: a hit tests each part with `is` in line,
+    and any other object starts a new case."""
 
     def __init__(self, rule):
         self.rule = rule  # the rule class, built from a new case's numbers
-        self.last, self.x, self.run = ((_NO,) * 5, None, {}), None, None
+        self.last, self.x, self.exact, self.run = ((_NO,) * 5, None, {}), None, False, None
         self.lock = threading.Lock()  # one case at a time, whatever the thread
 
     def at(self, i, k, field, n, boundary, a, b=_NO):
@@ -201,17 +203,31 @@ class _Memo:
                 rule = self.rule(a) if b is _NO else self.rule(a, b)
                 plan, rows = _plan(rule, n, boundary), {}
                 case = (field, n, boundary, a, b)
-                self.last, self.x, self.run = (case, plan, rows), None, None
+                self.last, self.x, self.exact, self.run = (case, plan, rows), None, False, None
             hops, steps = _reach(plan, k)
             if not 0 <= i < n:
                 raise ValidationError(f"sensor index must lie in 0..{n - 1}, got {i!r}")
             if (row := rows.get(k)) is None:
                 if self.x is None or len(self.x) < steps:
-                    self.x = evaluate_grid(field, n, steps)
+                    self.x = self._read(field, n, steps)
                 row, self.run = _carry(plan, self.x[:steps], hops, self.run)
                 # a memoryview: a hit indexes it for a float without `item`
                 row = rows[k] = memoryview(row)
             return row[i]
+
+    def _read(self, field, n, steps):
+        """The case's field grid to at least `steps` steps.  A read after the
+        first takes twice the steps held, so a sweep to larger k reads the
+        field O(log k) times; rows are keyed by step, so a longer grid holds
+        the same values.  Once a longer read meets the end of a table, every
+        read takes exactly `steps`, and raises, or not, as that read does."""
+        more = 0 if self.x is None or self.exact else 2 * len(self.x)
+        if more > steps:
+            try:
+                return evaluate_grid(field, n, more)
+            except OutOfDomainError:
+                self.exact = True
+        return evaluate_grid(field, n, steps)
 
 
 def _carry(plan, x, hops, run):

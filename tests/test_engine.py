@@ -19,10 +19,11 @@ from hypothesis.extra.numpy import arrays
 
 import lacsim.chain as chain_module
 import lacsim.g17 as g17
-from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, ConsensusTrace,
+from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, ConsensusTrace, Constant,
                     DynamicExponential, DynamicWindow, ExponentialWeighting, FBState,
-                    FiniteWindow, MeasurementField, MessageRecord, Noise, PerSensorWindow, Ring,
-                    SpatialCosine, TableField, Truncated, WeightTable, ZeroHalo,
+                    FiniteWindow, Impulse, MeasurementField, MessageRecord, Noise,
+                    PerSensorWindow, Ring, SpatialCosine, TableField, TemporalCosine, Truncated,
+                    WeightTable, ZeroHalo,
                     asym_transition, assemble_y, dyn_exp_transition, evaluate_field,
                     exp_transition, fb_transition, glue, run, trace_to_csv,
                     variable_window_transition, window_transition, z_slot_transition)
@@ -506,6 +507,174 @@ def test_block_tests_cross_and_slice_the_writer_blocks():
         assert n * cols * (1 + slots) > block and (n * cols * (1 + slots)) % block
     for n, cols, slots in ((16411, 2, 0), (3299, 3, 4)):  # ..._when_blocks_slice_a_round
         assert n * (1 + slots) > block and (n * (1 + slots)) % block
+
+
+def _trace_of(values):
+    """A trace of (n, rounds + 1, 1 + slots) values: y, then z if slots."""
+    return ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:] if values.shape[2] > 1 else None,
+                          config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
+
+
+def _repeat_shares(trace):
+    """The shares of rows that repeat the row before them (round-major) and
+    of rounds that repeat the round before them, bit for bit."""
+    rows = np.ascontiguousarray(trace.y.T)[:, :, None]
+    if trace.z is not None:
+        rows = np.concatenate((rows, trace.z.transpose(1, 0, 2)), axis=2)
+    bits = rows.view(np.uint64)
+    flat = bits.reshape(-1, bits.shape[2])
+    rounds = bits.reshape(len(bits), -1)
+    return (flat[1:] == flat[:-1]).all(axis=1).mean(), (rounds[1:] == rounds[:-1]).all(axis=1).mean()
+
+
+_BOUNDARIES = {"ring": Ring(), "zero_halo": ZeroHalo(), "truncated": Truncated()}
+_REPEATING = {"constant": Constant(0.7), "temporal_cosine": TemporalCosine(1.0, 0.3),
+              "impulse": Impulse(center=500)}
+
+
+@pytest.mark.parametrize("algo", [ExponentialWeighting(0.6), FiniteWindow(3), DynamicWindow(2)],
+                         ids=["exp", "window", "dyn_window"])
+@pytest.mark.parametrize("boundary", sorted(_BOUNDARIES))
+@pytest.mark.parametrize("kind", sorted(_REPEATING))
+def test_trace_csv_matches_row_by_row_writer_on_repeating_fields(kind, boundary, algo):
+    # uniform and impulse inputs give long runs of equal neighbors, the
+    # window's rounds past L repeat, and the dynamic window's slots repeat
+    # with y: rows and rounds that the writer copies, over several blocks
+    trace = run(ChainConfig(n=1000, boundary=_BOUNDARIES[boundary], rounds=12),
+                MeasurementField(_REPEATING[kind]), algo)
+    assert _repeat_shares(trace)[0] >= 0.5
+    assert trace_to_csv(trace) == _csv_rows(trace)
+
+
+def _frozen_rules(n, rng):
+    widths = _widths(rng.choice([-1, 0, 1], n - 1), 2)
+    return {"window": FiniteWindow(3), "variable_window": PerSensorWindow(
+                tuple(min(w, 3, 1 + i, n - i) for i, w in enumerate(widths))),
+            "banded": BandedWeighting(WeightTable(rng.uniform(0.5, 1.5, (n, 5)), 5.0, 2))}
+
+
+@pytest.mark.parametrize("boundary", sorted(_BOUNDARIES))
+@pytest.mark.parametrize("rule", ["window", "variable_window", "banded"])
+def test_trace_csv_matches_row_by_row_writer_past_the_last_active_round(rule, boundary):
+    # every round past the last active one repeats it; 8 rounds a block, so
+    # the frozen stretch starts inside a block and runs on over the next two
+    n, rng = 1000, np.random.default_rng(7)
+    trace = run(ChainConfig(n=n, boundary=_BOUNDARIES[boundary], rounds=20),
+                MeasurementField(TableField(rng.uniform(-1.0, 1.0, n))), _frozen_rules(n, rng)[rule])
+    assert _repeat_shares(trace)[1] >= 0.75
+    assert trace_to_csv(trace) == _csv_rows(trace)
+
+
+def test_trace_csv_formats_each_distinct_row_once(monkeypatch):
+    written = []
+
+    def counted(values, cells):
+        written.append(values.shape[0])
+        g17.write_g17(values, cells)
+
+    monkeypatch.setattr(chain_module, "write_g17", counted)
+    n = 1000
+    field = MeasurementField(TableField(np.random.default_rng(7).uniform(-1.0, 1.0, n)))
+    # the window stops at round 3: rounds 4..20 copy round 3's text
+    trace = run(ChainConfig(n=n, rounds=20), field, FiniteWindow(3))
+    assert trace_to_csv(trace) == _csv_rows(trace)
+    assert sum(written) == 4 * n
+    # a constant field on a ring: every sensor equal in a round, no round
+    # repeating the last
+    written.clear()
+    trace = run(ChainConfig(n=n, rounds=6), MeasurementField(Constant(0.7)),
+                ExponentialWeighting(0.6))
+    assert _repeat_shares(trace)[1] == 0.0
+    assert trace_to_csv(trace) == _csv_rows(trace)
+    assert sum(written) == 7
+    # the dynamic window's reference case: runs of rows of y and 4 slots
+    written.clear()
+    trace = run(ChainConfig(n=512, boundary=ZeroHalo(), rounds=24),
+                MeasurementField(TemporalCosine(1.0, 0.3)), DynamicWindow(3))
+    assert trace_to_csv(trace) == _csv_rows(trace)
+    assert sum(written) < 0.05 * 512 * 25
+
+
+@pytest.mark.parametrize("slots", [0, 3])
+def test_trace_csv_tells_signed_zeros_apart_in_copied_rows_and_rounds(slots):
+    # rows of zeros, every 7th ending in -0.0; round 3 repeats round 2 but at
+    # sensor 302, whose last zero turns to -0.0; rounds 4 and 5 repeat round 3
+    n, cols = 600, 6
+    values = np.zeros((n, cols, 1 + slots))
+    values[::7, :, -1] = -0.0
+    assert not np.signbit(values[302, 2, -1])
+    values[302, 3:, -1] = -0.0
+    trace = _trace_of(values)
+    along, back = _repeat_shares(trace)
+    assert along > 0.5 and back == 0.8
+    assert trace_to_csv(trace) == _csv_rows(trace)
+
+
+@pytest.mark.parametrize("sensor", [0, 1, 499, 999])
+def test_trace_csv_formats_a_round_that_differs_from_the_last_at_one_sensor(sensor):
+    rng = np.random.default_rng(sensor)
+    values = np.repeat(rng.uniform(-1.0, 1.0, (1000, 1, 3)), 20, axis=1)
+    values[sensor, 9:, 1] = 2.0  # round 9 is round 8 but at one sensor, in one z column
+    values[sensor, 14:, 0] = 3.0  # round 14 is round 13 but in y
+    trace = _trace_of(values)
+    assert _repeat_shares(trace)[1] == 17 / 19
+    assert trace_to_csv(trace) == _csv_rows(trace)
+
+
+_ZERO_POOL = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 0.1])
+
+
+@st.composite
+def _repeating_traces(draw):
+    """A writer block size and a trace built of runs of equal neighboring
+    rows and of rounds that repeat the last, or repeat it but for one value,
+    with signed zeros among the values."""
+    block = draw(st.sampled_from([1, 2, 3, 5, 8, 16, 33, 100]))
+    n, cols, width = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    rounds = []
+    for t in range(cols):
+        how = draw(st.sampled_from(["runs", "repeat", "repeat_but_one"])) if t else "runs"
+        if how == "runs":
+            row = []
+            while len(row) < n:
+                row += [[draw(_ZERO_POOL) for _ in range(width)]] * draw(st.integers(1, n))
+            rounds.append(np.array(row[:n]))
+        else:
+            rounds.append(rounds[-1].copy())
+            if how == "repeat_but_one":
+                rounds[-1][draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))] = \
+                    draw(_ZERO_POOL)
+    return block, np.stack(rounds, axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_traces())
+def test_trace_csv_matches_row_by_row_writer_on_runs_and_repeated_rounds(case):
+    # blocks of a few rows cut the runs and the repeated stretches anywhere:
+    # a block of whole rounds, or a slice of one round, starts mid-run, and a
+    # repeated round's text comes from a round of an earlier block
+    block, values = case
+    trace = _trace_of(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module, "_CSV_BLOCK", block)
+        assert trace_to_csv(trace) == _csv_rows(trace)
+
+
+def test_trace_csv_copies_runs_and_rounds_across_full_size_blocks():
+    rng = np.random.default_rng(11)
+    block = chain_module._CSV_BLOCK
+    # one round outgrows a block: a run of equal rows and the slices of
+    # rounds 2..4, repeats of round 1, cross the slice boundary
+    values = np.repeat(rng.uniform(-1.0, 1.0, (block + 100, 1, 2)), 5, axis=1)
+    values[block - 50:block + 50] = values[block - 50]
+    values[:, 0] = rng.uniform(-1.0, 1.0, (block + 100, 2))
+    trace = _trace_of(values)
+    assert trace_to_csv(trace) == _csv_rows(trace)
+    # 8 rounds a block: rounds 6..19 repeat round 5, across two blocks
+    values = rng.uniform(-1.0, 1.0, (1000, 20, 1))
+    values[:, 6:] = values[:, 5:6]
+    trace = _trace_of(values)
+    assert trace_to_csv(trace) == _csv_rows(trace)
 
 
 def test_transitions_leave_array_inputs_unmodified():

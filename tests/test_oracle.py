@@ -383,6 +383,18 @@ def _params(draw, name, n):
                         draw(st.sampled_from((1.0, 0.7, -3.0))), radius),)
 
 
+class _Sweep(tuple):
+    """(n, rounds, points) as `_sweeps` draws them, shown by its sizes and two
+    fields: hypothesis's repr of the few hundred points passes 30 kB, which it
+    reports by a warning (an error under this suite's filterwarnings) in
+    place of the falsifying example.  Each assertion names its case."""
+
+    def __repr__(self):
+        n, rounds, points = self
+        fields = list({id(case[1]): case[1] for case, _ in points}.values())
+        return f"_Sweep(n={n}, rounds={rounds}, fields={fields!r}, points={len(points)})"
+
+
 @st.composite
 def _sweeps(draw):
     """Two fields, two parameter sets per target and both boundaries, with
@@ -402,7 +414,7 @@ def _sweeps(draw):
                         k = draw(st.integers(0, rounds))
                     case = (name, field, params, k, n, boundary)
                     points += [(case, i) for i in range(n)]
-    return n, rounds, draw(st.permutations(points))
+    return _Sweep((n, rounds, draw(st.permutations(points))))
 
 
 def _outcome(call):
@@ -436,15 +448,15 @@ def test_array_and_scalar_targets_equal_the_per_sensor_loops(sweep):
                        block[0][0] if isinstance(block[0][0], type) else block)
         if key in unfit:
             want = block = ValidationError
-        assert _outcome(lambda: _array(*case)) == want
+        assert _outcome(lambda: _array(*case)) == want, case
         assert _outcome(lambda: _array(name, field, params, range(rounds + 1), n,
-                                       boundary)) == block
+                                       boundary)) == block, (name, field, params, n, boundary)
     # the scalar view, called in shuffled order across fields, parameters and
     # boundaries, so a row served for the wrong key would show
     for case, i in points:
         name, field, *rest = case
         assert _outcome(lambda: _scalar(name, field, i, *rest)) == expected[id(case), i], \
-            (name, rest, i)
+            (name, field, rest, i)
 
 
 @settings(max_examples=80, deadline=None)
@@ -500,6 +512,44 @@ def test_a_sweep_reads_the_field_by_grid_not_by_point(monkeypatch, k_outer):
                 _scalar(name, field, i, params, k, n, boundary)
             assert calls["evaluate_field"] == 0, name
             assert 1 <= calls["evaluate_grid"] <= rounds + 1, name
+
+
+def _counted_reads(monkeypatch):
+    """The step counts of the oracle's `evaluate_grid` calls, as they come."""
+    reads, grid = [], lacsim.oracle.evaluate_grid
+
+    def counted(field, n, steps):
+        reads.append(steps)
+        return grid(field, n, steps)
+
+    monkeypatch.setattr(lacsim.oracle, "evaluate_grid", counted)
+    return reads
+
+
+@pytest.mark.parametrize("noise", [None, Noise(0.3, seed=5)])
+def test_a_dynamic_sweep_to_larger_k_reads_the_grid_a_few_times(monkeypatch, noise):
+    # steps 1, 2, 4, ..., 64 for k = 0..40: each read twice the last
+    reads = _counted_reads(monkeypatch)
+    field = MeasurementField(TemporalCosine(1.0, 0.3), noise=noise)
+    values = [oracle.dyn_exp_target(field, 5, k, 0.8, n=64) for k in range(41)]
+    assert len(reads) <= 7 and sum(reads) <= 127
+    assert values == [oracle.rows(DynamicExponential(0.8), field, 64, Ring(), k)[5]
+                      for k in range(41)]
+
+
+def test_a_read_past_a_tables_last_step_raises_as_the_exact_read_does(monkeypatch):
+    reads = _counted_reads(monkeypatch)
+    n, steps = 16, 41
+    field = MeasurementField(random_space_time_table(n, steps, 3))
+    values = [oracle.dyn_window_target(field, 3, k, 2, n=n) for k in range(steps)]
+    assert values == [oracle.rows(DynamicWindow(2), field, n, Ring(), k)[3] for k in range(steps)]
+    # 1, 2, 4, 8, 16, 32, then 64 past the table, and one exact read a step
+    assert reads[:8] == [1, 2, 4, 8, 16, 32, 64, 33]
+    with pytest.raises(OutOfDomainError) as past:
+        oracle.dyn_window_target(field, 3, steps, 2, n=n)
+    with pytest.raises(OutOfDomainError) as exact:
+        lacsim.fields.evaluate_grid(field, n, steps + 1)
+    assert str(past.value) == str(exact.value)
 
 
 def test_target_errors_are_kept():

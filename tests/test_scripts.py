@@ -139,7 +139,8 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
             "monte_carlo"} <= set(report)
     cases = report["trace_to_csv"]
     assert set(cases) == {"exponential_ring_n64_r12", "exponential_ring_n1024_r12",
-                          "exponential_ring_n65536_r3", "dyn_window3_zero_halo_n512_r24"}
+                          "exponential_ring_n65536_r3", "dyn_window3_zero_halo_n512_r24",
+                          "window5_ring_n1024_r40", "constant_exponential_ring_n1024_r12"}
     for case in cases.values():
         assert case["values"] > 0 and case["bytes"] > 0
         for mode in ("cold", "warm", "warm_4mib"):
