@@ -16,9 +16,11 @@ every sensor of a round equal.  The Monte Carlo drivers: for the
 five cases of the benchmark's `monte-carlo` workload (`monte_carlo_noise` on
 the exponential rule at rho = 0.8, the window L = 5 and the global average of
 100 sensors; `monte_carlo_spacing` at rho = 0.5 with e^{-d} gaps and with
-uniform gaps at eta = 0.3), 10,000 replicates a call, it reports the
-microseconds per replicate.  Beside each time it gives the minor page faults
-(`ru_minflt`) per call, three ways:
+uniform gaps at eta = 0.3), 10,000 replicates a call, and for uniform gaps at
+eta = 0.999, whose 2 g = 79,732 gaps a replicate exceed a block, 1,000, it
+reports the microseconds per replicate and the peak of one more call traced by
+`tracemalloc`.  Beside each time it gives the minor page faults (`ru_minflt`)
+per call, three ways:
 
   cold          the first call in a fresh process: the median over
                 PROCESSES (9) processes;
@@ -50,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,16 +70,16 @@ CASES = {
 TOY = {"exponential_ring_n64_r12": 8, "exponential_ring_n1024_r12": 16,
        "exponential_ring_n65536_r3": 32, "dyn_window3_zero_halo_n512_r24": 12,
        "window5_ring_n1024_r40": 16, "constant_exponential_ring_n1024_r12": 16}
-# Monte Carlo case -> (driver, target or gap law, its parameter), at the seed
-# and replicate count below (--toy: 1,000 replicates)
+# Monte Carlo case -> (driver, target or gap law, its parameter, replicates),
+# at the seed below (--toy: 1,000 replicates)
 MC_CASES = {
-    "noise_exponential_0.8": ("noise", "exponential", 0.8),
-    "noise_window_5": ("noise", "window", 5),
-    "noise_global_100": ("noise", "global", 100),
-    "spacing_exp_rho0.5": ("spacing", "exp", None),
-    "spacing_uniform0.3_rho0.5": ("spacing", "uniform", 0.3),
+    "noise_exponential_0.8": ("noise", "exponential", 0.8, 10_000),
+    "noise_window_5": ("noise", "window", 5, 10_000),
+    "noise_global_100": ("noise", "global", 100, 10_000),
+    "spacing_exp_rho0.5": ("spacing", "exp", None, 10_000),
+    "spacing_uniform0.3_rho0.5": ("spacing", "uniform", 0.3, 10_000),
+    "spacing_uniform0.999_rho0.5": ("spacing", "uniform", 0.999, 1000),
 }
-MC_REPLICATES = 10_000
 MC_SEED = 1
 MODES = ("cold", "warm", "warm_4mib")
 # layer -> (its cases, what a case counts, the key of its time per unit)
@@ -119,8 +122,8 @@ def _monte_carlo(case: str, toy: bool):
     from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
                         SpacingModel, UniformGaps, monte_carlo_noise, monte_carlo_spacing)
 
-    driver, kind, param = MC_CASES[case]
-    replicates = 1000 if toy else MC_REPLICATES
+    driver, kind, param, replicates = MC_CASES[case]
+    replicates = 1000 if toy else replicates
     if driver == "noise":
         target = {"exponential": ExponentialWeighting, "window": FiniteWindow,
                   "global": GlobalAverage}[kind](param)
@@ -148,13 +151,24 @@ def _timed_calls(call, mode: str, toy: bool, summary):
     return info, calls if mode == "cold" else calls[1:]
 
 
+def _traced_peak(call) -> int:
+    """The peak bytes `tracemalloc` sees during `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def child(layer: str, case: str, mode: str, toy: bool) -> dict:
     """Time `layer` in this process, as `mode` says: [(ns per value or us per
-    replicate, faults)] of each timed call."""
+    replicate, faults)] of each timed call; for a Monte Carlo case also the
+    traced peak of one call after them."""
     if layer == "monte_carlo":
         call, replicates = _monte_carlo(case, toy)
         _, calls = _timed_calls(call, mode, toy, lambda report: None)
-        return {"replicates": replicates,
+        return {"replicates": replicates, "traced_peak_bytes": _traced_peak(call),
                 "calls": [(ns / 1000 / replicates, faults) for ns, faults in calls]}
     from lacsim import trace_to_csv
 
@@ -207,6 +221,9 @@ def measure(toy: bool) -> dict:
         }
         if mode != "cold":
             entry[mode][f"{time_key}_median"] = statistics.median(best)
+        if "traced_peak_bytes" in results[0]:
+            entry[mode]["traced_peak_bytes"] = statistics.median(
+                result["traced_peak_bytes"] for result in results)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -27,9 +27,15 @@ from .errors import ValidationError
 from .static_rules import _check_integer, _check_rho, _overlap, generator
 
 # replicates per block of `monte_carlo_spacing`: a block's gaps hold at most max(_BLOCK_ELEMENTS,
-# one replicate's) values, and one above _BLOCK_ELEMENTS is drawn only once the last is freed
+# one replicate's) values, and one above _BLOCK_ELEMENTS is drawn only once the last is freed;
+# under uniform gaps such a block holds only the gaps its sides keep, the rest skipped unread
 _BLOCK_REPLICATES = 2048
 _BLOCK_ELEMENTS = 1 << 16
+# a chunk of `monte_carlo_spacing`'s columns: the limit plus this many spreads of
+# the count of gaps that passes it.  An e^{-d} side needs a second chunk with
+# odds below 4e-6 (1.6e-6 at rho = 0.5, whose blocks of 528 sides need one
+# about once in 1,200)
+_CHUNK_SPREADS = 5.0
 # a computed rho**c can pass `>= tail_eps` only if c is at most
 # log(tail_eps)/log(rho), up to pow's few-ulp error; `monte_carlo_spacing`
 # computes no term past that bound, widened by this margin (absolute on
@@ -213,10 +219,16 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     All replicates draw from the one stream `np.random.default_rng(model.seed)`,
     one call of `_draw_gaps` per block of replicates; numpy fills a block in
     order and each replicate's value depends on its own draws alone, so the
-    report does not depend on the block size.  This thread draws and sums each
-    block's gaps while a worker thread evaluates the one before (`_overlap`),
-    unless a block, which holds one replicate at least, exceeds _BLOCK_ELEMENTS
-    values: 2 g = 552,626, g = `_required_sensors`, for uniform gaps at eta = 0.9999.
+    report does not depend on the block size.  This thread draws each block's
+    gaps and forms their partial sums up to the first column in which every
+    side has passed `limit`, past which no side keeps a term, while a worker
+    thread evaluates the block before (`_overlap`), unless a block, which
+    holds one replicate at least, exceeds _BLOCK_ELEMENTS values: 2 g =
+    552,626, g = `_required_sensors`, for uniform gaps at eta = 0.9999.
+    Under uniform gaps such a block draws each side in chunks, a `_draw_gaps`
+    call each, only until it passes `limit`, and skips the side's other gaps
+    with the generator's jump-ahead, a uniform draw taking exactly one 64-bit
+    output; it then holds two sides of about `limit` gaps, not 2 g values.
     """
     replicates = _check_integer("replicates", replicates, 1000)
     _check_rho("tail_eps", tail_eps)
@@ -232,14 +244,59 @@ def monte_carlo_spacing(rho: float, model: SpacingModel, replicates: int,
     gap_count = _required_sensors(rho, law, tail_eps)
     block = max(1, min(_BLOCK_REPLICATES, _BLOCK_ELEMENTS // (2 * gap_count)))
     limit = (math.log(tail_eps) - _LOG_MARGIN) / math.log(rho) * (1.0 + _LOG_MARGIN)
+    # both laws have mean 1, so with gap spread s a side passes limit after
+    # limit + O(s sqrt(limit)) gaps
+    spread = 1.0 if isinstance(law, ExpGaps) else law.eta / math.sqrt(3.0)
+    chunk = min(gap_count,
+                math.ceil(limit + _CHUNK_SPREADS * spread * math.sqrt(limit + 1.0)) + 1)
+    skip = isinstance(law, UniformGaps) and 2 * gap_count > _BLOCK_ELEMENTS
     values = np.empty(replicates)
+
+    def partial_sums(cum) -> int:
+        """Sums the rows of `cum` in place, a chunk of columns at a time, up to the
+        first column past `limit` in every row, and returns the columns summed;
+        each chunk's first gap adds the running sum, as `cumsum` would."""
+        end = 0
+        while end < gap_count:
+            start, end = end, min(end + chunk, gap_count)
+            if start:
+                cum[:, start] += cum[:, start - 1]
+            np.cumsum(cum[:, start:end], axis=-1, out=cum[:, start:end])
+            if cum[:, end - 1].min() > limit:
+                break
+        return end
+
+    def side():
+        """One side's partial sums up to the first past `limit`, drawn a chunk at a
+        time; its other gaps are skipped, a uniform gap being one 64-bit output."""
+        sums, drawn = [], 0
+        while drawn < gap_count and (not sums or sums[-1][-1] <= limit):
+            gaps = _draw_gaps(law, min(chunk, gap_count - drawn), rng)
+            if sums:
+                gaps[0] += sums[-1][-1]
+            sums.append(np.cumsum(gaps))
+            drawn += len(gaps)
+            del gaps  # not held while the next chunk is drawn
+        rng.bit_generator.advance(gap_count - drawn)
+        return np.concatenate(sums)
+
+    def one_replicate():
+        """A one-replicate block of two `side`s; the one that stops short reads inf,
+        past `limit`, where the other goes on."""
+        first, second = side(), side()
+        cum = np.full((2, max(len(first), len(second))), np.inf)
+        cum[0, :len(first)], cum[1, :len(second)] = first, second
+        return cum
 
     def draws():
         for done in range(0, replicates, block):
+            if skip:
+                yield done, one_replicate()
+                continue
             count = min(block, replicates - done)
             # rows 2r and 2r + 1 are replicate r's two sides, drawn one after the other
             cum = _draw_gaps(law, 2 * count * gap_count, rng).reshape(2 * count, gap_count)
-            yield done, np.cumsum(cum, axis=-1, out=cum)
+            yield done, cum[:, :partial_sums(cum)]
             del cum  # not held while the next block is drawn
 
     def evaluate(item):

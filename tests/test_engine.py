@@ -283,6 +283,17 @@ def test_golden_trace_digests():
     assert digests == GOLDEN
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want.  A failure names the first line that differs: pytest's own
+    report would diff the two texts, which for megabytes does not finish."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+                 min(len(got_lines), len(want_lines)))
+        raise AssertionError(f"texts differ first at line {i + 1} of {len(got_lines)} and "
+                             f"{len(want_lines)}: {got_lines[i:i + 1]} != {want_lines[i:i + 1]}")
+
+
 def _csv_rows(trace):
     """trace_to_csv's bytes, written one row at a time."""
     slots = trace.z.shape[2] if trace.z is not None else 0
@@ -313,7 +324,7 @@ def _traces(draw):
 @settings(max_examples=200, deadline=None)
 @given(_traces())
 def test_trace_csv_matches_row_by_row_writer(trace):
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
 
 
 def _template_csv(trace):
@@ -378,7 +389,7 @@ def _block_traces(draw):
 @settings(max_examples=60, deadline=None)
 @given(_block_traces())
 def test_trace_csv_matches_template_writer(trace):
-    assert trace_to_csv(trace) == _template_csv(trace)
+    _assert_same_text(trace_to_csv(trace), _template_csv(trace))
 
 
 @settings(max_examples=5, deadline=None)
@@ -387,11 +398,11 @@ def test_trace_csv_matches_template_writer_across_blocks(pool, seed):
     # more values than one block holds, and a count that is no multiple of it
     rng = np.random.default_rng(seed)
     for n, cols, slots in ((4099, 5, 0), (1000, 7, 2)):
-        assert (n * cols * (1 + slots)) % chain_module._BLOCK_VALUES
+        assert (n * cols * (1 + slots)) % chain_module._CSV_BLOCK
         values = np.array(pool)[rng.integers(0, len(pool), (n, cols, 1 + slots))]
         trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:] if slots else None,
                                config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
-        assert trace_to_csv(trace) == _template_csv(trace)
+        _assert_same_text(trace_to_csv(trace), _template_csv(trace))
 
 
 @settings(max_examples=3, deadline=None)
@@ -400,12 +411,12 @@ def test_trace_csv_matches_template_writer_when_blocks_slice_a_round(pool, seed)
     # a round alone holds more values than one block, and no multiple of it
     rng = np.random.default_rng(seed)
     for n, cols, slots in ((16411, 2, 0), (3299, 3, 4)):
-        assert n * (1 + slots) > chain_module._BLOCK_VALUES
-        assert (n * (1 + slots)) % chain_module._BLOCK_VALUES
+        assert n * (1 + slots) > chain_module._CSV_BLOCK
+        assert (n * (1 + slots)) % chain_module._CSV_BLOCK
         values = np.array(pool)[rng.integers(0, len(pool), (n, cols, 1 + slots))]
         trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:] if slots else None,
                                config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
-        assert trace_to_csv(trace) == _template_csv(trace)
+        _assert_same_text(trace_to_csv(trace), _template_csv(trace))
 
 
 def test_trace_csv_matches_template_writer_on_random_values():
@@ -415,7 +426,7 @@ def test_trace_csv_matches_template_writer_on_random_values():
     values = np.concatenate((bits, spread)).reshape(-1, 8, 2)
     trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:], config=ChainConfig(n=3),
                            algo=ExponentialWeighting(0.5))
-    assert trace_to_csv(trace) == _template_csv(trace)
+    _assert_same_text(trace_to_csv(trace), _template_csv(trace))
 
 
 def test_trace_csv_peak_memory_within_template_writer():
@@ -473,7 +484,7 @@ def test_trace_csv_writes_every_layout_key_and_the_fallback_values():
         grid = values[:len(values) // (1 + slots) * (1 + slots)].reshape(-1, 1, 1 + slots)
         trace = ConsensusTrace(y=grid[:, :, 0], z=grid[:, :, 1:] if slots else None,
                                config=ChainConfig(n=3), algo=ExponentialWeighting(0.5))
-        assert trace_to_csv(trace) == _template_csv(trace)
+        _assert_same_text(trace_to_csv(trace), _template_csv(trace))
 
 
 @pytest.mark.parametrize("n, cols", [(3, 10001), (100003, 1)])
@@ -482,7 +493,7 @@ def test_trace_csv_labels_past_four_and_five_digits(n, cols):
     values = np.random.default_rng(n).choice([0.5, -1.25, 3.0, 1e-300], (n, cols))
     trace = ConsensusTrace(y=values, z=None, config=ChainConfig(n=3),
                            algo=ExponentialWeighting(0.5))
-    assert trace_to_csv(trace) == _template_csv(trace)
+    _assert_same_text(trace_to_csv(trace), _template_csv(trace))
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -493,15 +504,15 @@ def test_trace_csv_matches_template_writer_in_tiny_blocks(block, monkeypatch):
     values = np.random.default_rng(block).choice(_layout_values(), (5, 4, 4))
     trace = ConsensusTrace(y=values[:, :, 0], z=values[:, :, 1:], config=ChainConfig(n=3),
                            algo=ExponentialWeighting(0.5))
-    assert trace_to_csv(trace) == _template_csv(trace)
+    _assert_same_text(trace_to_csv(trace), _template_csv(trace))
     y_only = ConsensusTrace(y=values[:, :, 0], z=None, config=ChainConfig(n=3),
                             algo=ExponentialWeighting(0.5))
-    assert trace_to_csv(y_only) == _template_csv(y_only)
+    _assert_same_text(trace_to_csv(y_only), _template_csv(y_only))
 
 
 def test_block_tests_cross_and_slice_the_writer_blocks():
-    # the two hypothesis tests above guard their shapes by _BLOCK_VALUES,
-    # which sizes the slot stepping; the writer's blocks are _CSV_BLOCK values
+    # the shapes of the two hypothesis tests above, checked once outside them
+    # against the writer's blocks of _CSV_BLOCK values
     block = chain_module._CSV_BLOCK
     for n, cols, slots in ((4099, 5, 0), (1000, 7, 2)):  # ..._across_blocks
         assert n * cols * (1 + slots) > block and (n * cols * (1 + slots)) % block
@@ -543,7 +554,7 @@ def test_trace_csv_matches_row_by_row_writer_on_repeating_fields(kind, boundary,
     trace = run(ChainConfig(n=1000, boundary=_BOUNDARIES[boundary], rounds=12),
                 MeasurementField(_REPEATING[kind]), algo)
     assert _repeat_shares(trace)[0] >= 0.5
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
 
 
 def _frozen_rules(n, rng):
@@ -562,7 +573,7 @@ def test_trace_csv_matches_row_by_row_writer_past_the_last_active_round(rule, bo
     trace = run(ChainConfig(n=n, boundary=_BOUNDARIES[boundary], rounds=20),
                 MeasurementField(TableField(rng.uniform(-1.0, 1.0, n))), _frozen_rules(n, rng)[rule])
     assert _repeat_shares(trace)[1] >= 0.75
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
 
 
 def test_trace_csv_formats_each_distinct_row_once(monkeypatch):
@@ -577,7 +588,7 @@ def test_trace_csv_formats_each_distinct_row_once(monkeypatch):
     field = MeasurementField(TableField(np.random.default_rng(7).uniform(-1.0, 1.0, n)))
     # the window stops at round 3: rounds 4..20 copy round 3's text
     trace = run(ChainConfig(n=n, rounds=20), field, FiniteWindow(3))
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
     assert sum(written) == 4 * n
     # a constant field on a ring: every sensor equal in a round, no round
     # repeating the last
@@ -585,13 +596,13 @@ def test_trace_csv_formats_each_distinct_row_once(monkeypatch):
     trace = run(ChainConfig(n=n, rounds=6), MeasurementField(Constant(0.7)),
                 ExponentialWeighting(0.6))
     assert _repeat_shares(trace)[1] == 0.0
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
     assert sum(written) == 7
     # the dynamic window's reference case: runs of rows of y and 4 slots
     written.clear()
     trace = run(ChainConfig(n=512, boundary=ZeroHalo(), rounds=24),
                 MeasurementField(TemporalCosine(1.0, 0.3)), DynamicWindow(3))
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
     assert sum(written) < 0.05 * 512 * 25
 
 
@@ -607,7 +618,7 @@ def test_trace_csv_tells_signed_zeros_apart_in_copied_rows_and_rounds(slots):
     trace = _trace_of(values)
     along, back = _repeat_shares(trace)
     assert along > 0.5 and back == 0.8
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
 
 
 @pytest.mark.parametrize("sensor", [0, 1, 499, 999])
@@ -618,7 +629,7 @@ def test_trace_csv_formats_a_round_that_differs_from_the_last_at_one_sensor(sens
     values[sensor, 14:, 0] = 3.0  # round 14 is round 13 but in y
     trace = _trace_of(values)
     assert _repeat_shares(trace)[1] == 17 / 19
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
 
 
 _ZERO_POOL = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 0.1])
@@ -657,7 +668,7 @@ def test_trace_csv_matches_row_by_row_writer_on_runs_and_repeated_rounds(case):
     trace = _trace_of(values)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chain_module, "_CSV_BLOCK", block)
-        assert trace_to_csv(trace) == _csv_rows(trace)
+        _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
 
 
 def test_trace_csv_copies_runs_and_rounds_across_full_size_blocks():
@@ -669,12 +680,12 @@ def test_trace_csv_copies_runs_and_rounds_across_full_size_blocks():
     values[block - 50:block + 50] = values[block - 50]
     values[:, 0] = rng.uniform(-1.0, 1.0, (block + 100, 2))
     trace = _trace_of(values)
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
     # 8 rounds a block: rounds 6..19 repeat round 5, across two blocks
     values = rng.uniform(-1.0, 1.0, (1000, 20, 1))
     values[:, 6:] = values[:, 5:6]
     trace = _trace_of(values)
-    assert trace_to_csv(trace) == _csv_rows(trace)
+    _assert_same_text(trace_to_csv(trace), _csv_rows(trace))
 
 
 def test_transitions_leave_array_inputs_unmodified():

@@ -149,10 +149,12 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
             assert case[mode]["ns_per_value_median"] >= case[mode]["ns_per_value"]
     cases = report["monte_carlo"]
     assert set(cases) == {"noise_exponential_0.8", "noise_window_5", "noise_global_100",
-                          "spacing_exp_rho0.5", "spacing_uniform0.3_rho0.5"}
+                          "spacing_exp_rho0.5", "spacing_uniform0.3_rho0.5",
+                          "spacing_uniform0.999_rho0.5"}
     for case in cases.values():
         assert case["replicates"] == 1000
         for mode in ("cold", "warm", "warm_4mib"):
             assert case[mode]["us_per_replicate"] > 0 and case[mode]["minflt"] >= 0
+            assert case[mode]["traced_peak_bytes"] > 0
         for mode in ("warm", "warm_4mib"):
             assert case[mode]["us_per_replicate_median"] >= case[mode]["us_per_replicate"]

@@ -190,6 +190,23 @@ def test_monte_carlo_spacing_does_not_depend_on_the_block_size(rho, eta, block, 
         assert monte_carlo_spacing(rho, model, replicates) == whole
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.1, 0.9), st.one_of(st.just(None), st.floats(0.01, 0.99)),
+       st.sampled_from([0.0, 1.0]), st.booleans(), st.integers(1000, 1500), SEEDS)
+def test_monte_carlo_spacing_does_not_depend_on_the_chunk_size(rho, eta, spreads, over_cap,
+                                                              replicates, seed):
+    # chunks of about `limit` columns: most blocks, and about half the sides
+    # drawn on their own over the cap, sum more than one
+    model = SpacingModel(ExpGaps() if eta is None else UniformGaps(eta), seed)
+    whole = monte_carlo_spacing(rho, model, replicates)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spacing, "_CHUNK_SPREADS", spreads)
+        if over_cap:
+            patch.setattr(spacing, "_BLOCK_ELEMENTS",
+                          2 * spacing._required_sensors(rho, model.law, 1e-12) - 1)
+        assert monte_carlo_spacing(rho, model, replicates) == whole
+
+
 def _kept_terms(rho, law, tail_eps, seed, replicates):
     """How many terms each side of the first replicates keeps."""
     gap_count = spacing._required_sensors(rho, law, tail_eps)
@@ -201,7 +218,9 @@ def _kept_terms(rho, law, tail_eps, seed, replicates):
 # The side sums are grouped by kept count.  numpy's pairwise sum changes shape
 # at 8 and at 128 terms, and a side may keep none: among the first 64
 # replicates, each case's kept counts cover at least lo..hi.  Blocks hold
-# 1260, 780, 555, 128, 36 and 34 replicates; only 1024 is a multiple of its block.
+# 1260, 780, 555, 128, 36, 34 and 1 replicates; only 1024 is a multiple of its
+# block.  The last case's 2 g = 79,732 values pass _BLOCK_ELEMENTS, so each
+# side is drawn only to its first partial sum past the limit, the rest skipped.
 @pytest.mark.parametrize("rho, law, tail_eps, replicates, lo, hi", [
     (0.1, ExpGaps(), 0.5, 2049, 0, 1),
     (0.5, ExpGaps(), 0.1, 1000, 7, 8),
@@ -209,6 +228,7 @@ def _kept_terms(rho, law, tail_eps, seed, replicates):
     (0.8, ExpGaps(), 1e-12, 1024, 128, 129),
     (0.95, ExpGaps(), 1e-14, 1000, 600, 650),
     (0.97, UniformGaps(0.05), 1e-12, 1001, 905, 905),
+    (0.5, UniformGaps(0.999), 1e-12, 1000, 35, 45),
 ])
 def test_grouped_side_sums_equal_the_per_replicate_loop(rho, law, tail_eps, replicates, lo, hi):
     kept = _kept_terms(rho, law, tail_eps, 9, 64)
@@ -392,26 +412,34 @@ def test_a_slow_worker_gives_the_same_report(monkeypatch, call, module, name):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("cap, over", [(1000, False), (100, True)], ids=["normal", "over_cap"])
-def test_spacing_draws_no_block_over_the_cap_beside_another(monkeypatch, cap, over):
-    # 2 g = 248 values a replicate: blocks of 4 replicates (992 values) under a
-    # cap of 1000, of one replicate over a cap of 100.  The worker sleeps in its
-    # first blocks, so an overlap that ignored the cap would hold a block then
-    alive, refs = [], []
+@pytest.mark.parametrize("law, cap, over, calls", [
+    (ExpGaps(), 1000, False, 250), (ExpGaps(), 100, True, 1000),
+    (UniformGaps(0.3), 100, True, 2000)], ids=["normal", "over_cap", "uniform_over_cap"])
+def test_spacing_draws_no_block_over_the_cap_beside_another(monkeypatch, law, cap, over, calls):
+    # e^{-d} gaps, 2 g = 248 values a replicate: blocks of 4 replicates (992
+    # values) under a cap of 1000, of one replicate over a cap of 100.  Uniform
+    # gaps at eta = 0.3, 2 g = 118: over a cap of 100 each side is drawn on its
+    # own, here 47 gaps in one chunk, and its other 12 skipped.  The worker
+    # sleeps in its first blocks, so an overlap that ignored the cap would hold
+    # a block then
+    alive, refs, counts = [], [], []
     draw = spacing._draw_gaps
 
     def tracking(law, count, rng):
         alive.append(sum(ref() is not None for ref in refs))
         gaps = draw(law, count, rng)
         refs.append(weakref.ref(gaps))
+        counts.append(count)
         return gaps
 
     monkeypatch.setattr(spacing, "_BLOCK_ELEMENTS", cap)
     monkeypatch.setattr(spacing, "_draw_gaps", tracking)
     monkeypatch.setattr(spacing, "_side_sums", _slowed(spacing._side_sums, 0.005, 4))
-    _spacing_call()
-    assert len(refs) == (1000 if over else 250)
+    monte_carlo_spacing(0.5, SpacingModel(law, 5), 1000)
+    assert len(refs) == calls
     assert max(alive) <= (0 if over else 1)
+    if isinstance(law, UniformGaps):
+        assert set(counts) == {47}
 
 
 def test_a_test_that_leaves_a_thread_running_fails(tmp_path):
@@ -444,6 +472,22 @@ def test_spacing_memory_is_bounded_by_the_block():
     # the replicate count (8 bytes each)
     small, large = _peak_bytes(2000), _peak_bytes(20000)
     assert large <= 1.5 * small
+
+
+def test_spacing_skips_the_gaps_no_side_keeps():
+    # uniform gaps at eta = 0.999999 and rho = 1/e: 2 g = 55,262,048 values a
+    # replicate (442 MB), of which a side keeps about 28
+    monte_carlo_spacing(0.5, SpacingModel(UniformGaps(0.3), 3), 1000)  # warm-up: lazy imports
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        monte_carlo_spacing(math.exp(-1.0), SpacingModel(UniformGaps(0.999999), 3), 1000)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("rho, n", [(0.95, 539), (0.8, 124)])
