@@ -28,7 +28,7 @@ from .static_rules import _check_integer, _check_rho, _overlap, generator
 
 # replicates per block of `monte_carlo_spacing`: a block's gaps hold at most max(_BLOCK_ELEMENTS,
 # one replicate's) values, and one above _BLOCK_ELEMENTS is drawn only once the last is freed;
-# under uniform gaps such a block holds only the gaps its sides keep, the rest skipped unread
+# under uniform gaps such a block holds each side only up to its limit, the rest skipped unread
 _BLOCK_REPLICATES = 2048
 _BLOCK_ELEMENTS = 1 << 16
 # a chunk of `monte_carlo_spacing`'s columns: the limit plus this many spreads of
