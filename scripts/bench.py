@@ -1,49 +1,54 @@
 #!/usr/bin/env python3
-"""Time the trace writer and the Monte Carlo drivers, count their page faults: BENCH_<label>.json.
+"""Time the engine, the trace writer and the Monte Carlo drivers: BENCH_<label>.json.
 
     python3 scripts/bench.py --label mine
 
-Two layers are measured.  The writer: for each of six traces it reports the
-nanoseconds per written value.  Three hold no repeated rows: exponential
-rings (rho = 0.8) on a random table at n = 64, 1024 and 65536 with R = 12, 12
-and 3 rounds.  Three repeat rows, which the writer copies rather than
-formats: the dynamic window L = 3 on a temporal cosine, a zero-halo chain of
-n = 512 for R = 24 rounds (the benchmark's reference case), whose interior
-sensors repeat their neighbours; the window L = 5 on a random table, a ring of
-n = 1024 for R = 40 rounds, whose rounds past 5 repeat round 5; and the
-exponential rule on a constant field, a ring of n = 1024 for R = 12 rounds,
-every sensor of a round equal.  The Monte Carlo drivers: for the
-five cases of the benchmark's `monte-carlo` workload (`monte_carlo_noise` on
-the exponential rule at rho = 0.8, the window L = 5 and the global average of
-100 sensors; `monte_carlo_spacing` at rho = 0.5 with e^{-d} gaps and with
-uniform gaps at eta = 0.3), 10,000 replicates a call, and for uniform gaps at
-eta = 0.999, whose 2 g = 79,732 gaps a replicate exceed a block, 1,000, it
-reports the microseconds per replicate and the peak of one more call traced by
-`tracemalloc`.  Beside each time it gives the minor page faults (`ru_minflt`)
-per call, three ways:
+Four layers are measured, the engine on SpatialCosine(1.0, 0.3) +
+TemporalCosine(0.5, 0.2), its evaluation included:
+
+  long_chain    one `lacsim.run` a process: the wall time, ns per
+                sensor-round, the process's peak RSS and the trace's MiB of
+                the exponential rule (rho = 0.8) on a ring at n = 250,000,
+                R = 200 and at n = 2^20, R = 100, of the dynamic exponential
+                (rho = 0.8) on the first ring, with and without seeded
+                Gaussian noise (sigma 1.0), and of banded weights on a drawn
+                chain of 2^14 sensors (truncated, R = 80);
+  run_per_rule  ns per sensor-round of a whole `run` of each of the seven
+                rules on ring, zero_halo and truncated at n = 64, 1024 and
+                65536, R = 40 (25 at 65536);
+  trace_to_csv  ns per written value of six traces, three of which repeat
+                rows that the writer copies rather than formats;
+  monte_carlo   us per replicate of the benchmark's five `monte-carlo` cases,
+                10,000 replicates a call, and of uniform gaps at eta = 0.999
+                (2 g = 79,732 gaps, over a block), 1,000, the peak of one more
+                call traced by `tracemalloc` and a noise case's relative
+                distance from its closed form.
+
+Beside each time are the minor page faults (`ru_minflt`) per call, in each of
+a layer's modes:
 
   cold          the first call in a fresh process: the median over
-                PROCESSES (9) processes;
+                PROCESSES (9) processes (all but run_per_rule);
   warm          the calls after a first, untimed one: the best of REPEAT (10)
                 calls in each of PROCESSES fresh processes, the best of those
-                and their median, and the median faults per call;
-  warm_4mib     the same, with 4 MiB allocated and freed before each call,
+                and their median (all but long_chain);
+  warm_4mib     the same, after 4 MiB allocated and freed before each call,
                 which raises glibc's mmap threshold past every block
-                temporary, so the pages it would map afresh come from the
-                heap instead.
+                temporary (trace_to_csv and monte_carlo).
 
-Each measurement runs in its own process, which imports `lacsim` from this
-checkout's `src`, builds its input (the writer's trace with `lacsim.run`) and
-then calls the layer; the processes go round the cases and modes in turn.  The
-file also holds the Python and numpy versions, the commit and the CPU count.
-Every file is measured the same way, so that files of different trees compare.
-`--toy` shrinks every trace, runs 1,000 replicates a Monte Carlo call and one
-process of one call, for a quick check of the file.
+Each case and mode has processes of its own, which import `lacsim` from this
+checkout's `src`, build their input and then call the layer; the processes go
+round the layers, cases and modes in turn.  The file also holds the Python and
+numpy versions, the commit, the CPU count and the SHA-256 of this script:
+figures compare only between files with the same hash.  `--toy` shrinks every
+input, runs 1,000 replicates a Monte Carlo call and one call a mode, and takes
+all of a layer's cases for one mode in one process: it only checks the file.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -57,8 +62,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# case -> (rule, field, boundary, n, rounds), full size; --toy: n below, at
-# most 4 rounds
+# engine case -> (rule, boundary, n, rounds, noise sigma); every --toy case
+# has n = 64 and at most 4 rounds
+LONG_CASES = {
+    "exponential_ring_n250000_r200": ("exponential", "ring", 250_000, 200, 0.0),
+    "dyn_exponential_ring_n250000_r200": ("dyn_exponential", "ring", 250_000, 200, 0.0),
+    "dyn_exponential_ring_n250000_r200_noise1": ("dyn_exponential", "ring", 250_000, 200, 1.0),
+    "exponential_ring_n1048576_r100": ("exponential", "ring", 1 << 20, 100, 0.0),
+    "banded_drawn_truncated_n16384_r80": ("banded_drawn", "truncated", 1 << 14, 80, 0.0),
+}
+RULES = ("exponential", "asymmetric", "window", "variable_window", "arbitrary",
+         "dyn_exponential", "dyn_window")
+RULE_CASES = {f"{rule}_{boundary}_n{n}": (rule, boundary, n, 25 if n == 65536 else 40, 0.0)
+              for rule in RULES for boundary in ("ring", "zero_halo", "truncated")
+              for n in (64, 1024, 65536)}
+# writer case -> (rule, field, boundary, n, rounds)
 CASES = {
     "exponential_ring_n64_r12": ("exponential", "table", "ring", 64, 12),
     "exponential_ring_n1024_r12": ("exponential", "table", "ring", 1024, 12),
@@ -67,9 +85,6 @@ CASES = {
     "window5_ring_n1024_r40": ("window", "table", "ring", 1024, 40),
     "constant_exponential_ring_n1024_r12": ("exponential", "constant", "ring", 1024, 12),
 }
-TOY = {"exponential_ring_n64_r12": 8, "exponential_ring_n1024_r12": 16,
-       "exponential_ring_n65536_r3": 32, "dyn_window3_zero_halo_n512_r24": 12,
-       "window5_ring_n1024_r40": 16, "constant_exponential_ring_n1024_r12": 16}
 # Monte Carlo case -> (driver, target or gap law, its parameter, replicates),
 # at the seed below (--toy: 1,000 replicates)
 MC_CASES = {
@@ -82,12 +97,45 @@ MC_CASES = {
 }
 MC_SEED = 1
 MODES = ("cold", "warm", "warm_4mib")
-# layer -> (its cases, what a case counts, the key of its time per unit)
-LAYERS = {"trace_to_csv": (CASES, "values", "ns_per_value"),
-          "monte_carlo": (MC_CASES, "replicates", "us_per_replicate")}
+# layer -> (its cases, the key of its time per unit, its modes); one long chain
+# a process, so that the process's peak RSS is the run's
+LAYERS = {"trace_to_csv": (CASES, "ns_per_value", MODES),
+          "monte_carlo": (MC_CASES, "us_per_replicate", MODES),
+          "long_chain": (LONG_CASES, "ns_per_sensor_round", ("cold",)),
+          "run_per_rule": (RULE_CASES, "ns_per_sensor_round", ("warm",))}
 PRIMER_BYTES = 4 << 20
 REPEAT = 10  # warm calls per process
 PROCESSES = 9  # fresh processes per case and mode
+
+
+def _engine(rule: str, boundary: str, n: int, rounds: int, sigma: float):
+    """A call of one `run` of `rule` on the cosine field."""
+    from lacsim import (AsymmetricWeighting, BandedWeighting, ChainConfig, DynamicExponential,
+                        DynamicWindow, ExpGaps, ExponentialWeighting, FiniteWindow,
+                        MeasurementField, Noise, PerSensorWindow, Ring, SpacingModel,
+                        SpatialCosine, SumField, TemporalCosine, Truncated, WeightTable, ZeroHalo,
+                        run, sample_spacings, table_from_draw)
+
+    algo = {
+        "exponential": lambda: ExponentialWeighting(0.8),
+        "asymmetric": lambda: AsymmetricWeighting(0.5, 0.25),
+        "window": lambda: FiniteWindow(5),
+        # half-widths 3..6 by the distance to the nearer end, so neighbours
+        # (the ring's wrap pair included) differ by at most one
+        "variable_window": lambda: PerSensorWindow(
+            tuple(3 + abs(min(i, n - 1 - i) % 6 - 3) for i in range(n))),
+        "arbitrary": lambda: BandedWeighting(WeightTable.geometric(0.8, 12, n)),
+        "dyn_exponential": lambda: DynamicExponential(0.8),
+        "dyn_window": lambda: DynamicWindow(3),
+        # a spaced chain: e^{-d} gaps (seed 0) give the weights 0.5^d to R hops
+        "banded_drawn": lambda: BandedWeighting(table_from_draw(
+            sample_spacings(SpacingModel(ExpGaps(), 0), n - 1), 0.5, rounds)),
+    }[rule]()
+    config = ChainConfig(n=n, rounds=rounds, boundary={
+        "ring": Ring, "zero_halo": ZeroHalo, "truncated": Truncated}[boundary]())
+    field = MeasurementField(SumField((SpatialCosine(1.0, 0.3), TemporalCosine(0.5, 0.2))),
+                             noise=Noise(sigma) if sigma else None)
+    return lambda: run(config, field, algo)
 
 
 def _trace(case: str, toy: bool):
@@ -98,7 +146,7 @@ def _trace(case: str, toy: bool):
 
     rule, kind, boundary, n, rounds = CASES[case]
     if toy:
-        n, rounds = TOY[case], min(rounds, 4)
+        n, rounds = 64, min(rounds, 4)
     config = ChainConfig(n=n, boundary=Ring() if boundary == "ring" else ZeroHalo(),
                          rounds=rounds)
     if kind == "table":
@@ -118,18 +166,22 @@ def _prime():
 
 
 def _monte_carlo(case: str, toy: bool):
-    """The call of Monte Carlo `case` and its replicate count."""
+    """The call of Monte Carlo `case`, its replicate count and, for noise, the
+    closed form of the variance it samples."""
     from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
-                        SpacingModel, UniformGaps, monte_carlo_noise, monte_carlo_spacing)
+                        SpacingModel, UniformGaps, monte_carlo_noise, monte_carlo_spacing,
+                        noise_var_exp, noise_var_global, noise_var_window)
 
     driver, kind, param, replicates = MC_CASES[case]
     replicates = 1000 if toy else replicates
     if driver == "noise":
-        target = {"exponential": ExponentialWeighting, "window": FiniteWindow,
-                  "global": GlobalAverage}[kind](param)
-        return (lambda: monte_carlo_noise(target, 1.0, replicates, MC_SEED)), replicates
+        target, closed = {"exponential": (ExponentialWeighting, noise_var_exp),
+                          "window": (FiniteWindow, noise_var_window),
+                          "global": (GlobalAverage, noise_var_global)}[kind]
+        return (lambda: monte_carlo_noise(target(param), 1.0, replicates, MC_SEED),
+                replicates, closed(param))
     model = SpacingModel(ExpGaps() if kind == "exp" else UniformGaps(param), MC_SEED)
-    return (lambda: monte_carlo_spacing(0.5, model, replicates)), replicates
+    return (lambda: monte_carlo_spacing(0.5, model, replicates)), replicates, None
 
 
 def _timed_calls(call, mode: str, toy: bool, summary):
@@ -162,25 +214,42 @@ def _traced_peak(call) -> int:
 
 
 def child(layer: str, case: str, mode: str, toy: bool) -> dict:
-    """Time `layer` in this process, as `mode` says: [(ns per value or us per
-    replicate, faults)] of each timed call; for a Monte Carlo case also the
-    traced peak of one call after them."""
+    """Time `case` of `layer` in this process, as `mode` says: its sizes, [(time per unit,
+    faults)] of each timed call and, under "process", the process's figures (a traced
+    peak of one more call; a long chain's wall time and peak RSS)."""
     if layer == "monte_carlo":
-        call, replicates = _monte_carlo(case, toy)
-        _, calls = _timed_calls(call, mode, toy, lambda report: None)
-        return {"replicates": replicates, "traced_peak_bytes": _traced_peak(call),
-                "calls": [(ns / 1000 / replicates, faults) for ns, faults in calls]}
-    from lacsim import trace_to_csv
+        call, replicates, closed = _monte_carlo(case, toy)
+        report, calls = _timed_calls(call, mode, toy, lambda report: report)
+        result = {"replicates": replicates, "process": {"traced_peak_bytes": _traced_peak(call)},
+                  "calls": [(ns / 1000 / replicates, faults) for ns, faults in calls]}
+        if closed:  # so that a timed call that samples the wrong variance shows
+            result["rel_err"] = abs(report.sampled_variance - closed) / closed
+        return result
+    if layer == "trace_to_csv":
+        from lacsim import trace_to_csv
 
-    trace = _trace(case, toy)
-    values = trace.y.size + (trace.z.size if trace.z is not None else 0)
-    size, calls = _timed_calls(lambda: trace_to_csv(trace), mode, toy, len)
-    return {"values": values, "bytes": size,
-            "calls": [(ns / values, faults) for ns, faults in calls]}
+        trace = _trace(case, toy)
+        values = trace.y.size + (trace.z.size if trace.z is not None else 0)
+        size, calls = _timed_calls(lambda: trace_to_csv(trace), mode, toy, len)
+        return {"values": values, "bytes": size,
+                "calls": [(ns / values, faults) for ns, faults in calls]}
+    rule, boundary, n, rounds, sigma = LAYERS[layer][0][case]
+    if toy:
+        n, rounds = 64, min(rounds, 4)
+    sensor_rounds = n * (rounds + 1)
+    mib, calls = _timed_calls(_engine(rule, boundary, n, rounds, sigma), mode, toy,
+                              lambda trace: trace.y.nbytes / 2 ** 20)
+    result = {"sensor_rounds": sensor_rounds,
+              "calls": [(ns / sensor_rounds, faults) for ns, faults in calls]}
+    if layer == "long_chain":
+        result["trace_mib"] = mib
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        result["process"] = {"wall_s": calls[0][0] / 1e9, "peak_rss_mib": peak_kib / 1024}
+    return result
 
 
-def _run_child(layer: str, case: str, mode: str, toy: bool) -> dict:
-    args = [sys.executable, str(Path(__file__).resolve()), "--child", layer, case, mode] + (
+def _run_child(layer: str, mode: str, cases, toy: bool) -> dict:
+    args = [sys.executable, str(Path(__file__).resolve()), "--child", layer, mode, *cases] + (
         ["--toy"] if toy else [])
     proc = subprocess.run(args, stdout=subprocess.PIPE, check=True, timeout=600)
     return json.loads(proc.stdout)
@@ -200,34 +269,40 @@ def _commit() -> dict:
 def measure(toy: bool) -> dict:
     import numpy as np
 
-    # round-robin over cases and modes, so that a slow spell of the host
-    # falls on one process of each rather than on every process of one
-    runs = {(layer, case, mode): [] for layer, (cases, _, _) in LAYERS.items()
-            for case in cases for mode in MODES}
+    # round-robin over layers, cases and modes, so that a slow spell of the
+    # host falls on one process of each rather than on every process of one;
+    # under --toy one process takes all of a layer's cases for one mode
+    runs = {(layer, mode, group): [] for layer, (cases, _, modes) in LAYERS.items()
+            for group in ([tuple(cases)] if toy else [(case,) for case in cases])
+            for mode in modes}
     for _ in range(1 if toy else PROCESSES):
         for key, results in runs.items():
             results.append(_run_child(*key, toy))
     report = {layer: {} for layer in LAYERS}
-    for (layer, case, mode), results in runs.items():
-        _, units, time_key = LAYERS[layer]
-        entry = report[layer].setdefault(case, {
-            key: results[0][key] for key in (units, "bytes") if key in results[0]})
-        calls = [call for result in results for call in result["calls"]]
-        best = [min(t for t, _ in result["calls"]) for result in results]
-        entry[mode] = {
-            time_key: statistics.median(best) if mode == "cold" else min(best),
-            "minflt": statistics.median(faults for _, faults in calls),
-            "runs": best,
-        }
-        if mode != "cold":
-            entry[mode][f"{time_key}_median"] = statistics.median(best)
-        if "traced_peak_bytes" in results[0]:
-            entry[mode]["traced_peak_bytes"] = statistics.median(
-                result["traced_peak_bytes"] for result in results)
+    for (layer, mode, cases), children in runs.items():
+        _, time_key, _ = LAYERS[layer]
+        for case in cases:
+            results = [result[case] for result in children]
+            entry = report[layer].setdefault(case, {
+                key: value for key, value in results[0].items()
+                if key not in ("calls", "process")})
+            calls = [call for result in results for call in result["calls"]]
+            best = [min(t for t, _ in result["calls"]) for result in results]
+            entry[mode] = {
+                time_key: statistics.median(best) if mode == "cold" else min(best),
+                "minflt": statistics.median(faults for _, faults in calls),
+                "runs": best,
+            }
+            if mode != "cold":
+                entry[mode][f"{time_key}_median"] = statistics.median(best)
+            for key in results[0].get("process", ()):
+                entry[mode][key] = statistics.median(result["process"][key]
+                                                     for result in results)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         **_commit(),
+        "script_sha256": hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "repeat": 1 if toy else REPEAT,
@@ -242,13 +317,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT,
                         help="directory of the file (default: the repository root)")
     parser.add_argument("--toy", action="store_true",
-                        help="tiny inputs, one process of one call, for a quick check")
-    parser.add_argument("--child", nargs=3, metavar=("LAYER", "CASE", "MODE"),
-                        help=argparse.SUPPRESS)
+                        help="tiny inputs, one call a mode, one process a layer and mode")
+    parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)  # LAYER MODE CASE...
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     if args.child:
-        print(json.dumps(child(*args.child, args.toy)))
+        layer, mode, *cases = args.child
+        print(json.dumps({case: child(layer, case, mode, args.toy) for case in cases}))
         return 0
     if not args.label:
         parser.error("--label is required")

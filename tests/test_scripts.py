@@ -1,33 +1,13 @@
 """The example scripts run end to end on small inputs."""
+import hashlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.mark.parametrize("script, args", [
-    ("noise_and_spacing.py", ["--replicates", "1000", "--sensors", "1024"]),
-    ("scale_run.py", ["--n", "1024", "--rounds", "5"]),
-    ("scale_run.py", ["--rule", "dyn_exponential", "--n", "1024", "--rounds", "5",
-                      "--noise-sigma", "0.3"]),
-    ("scale_run.py", ["--rule", "dyn_window", "--half-width", "20", "--n", "256", "--rounds", "30",
-                      "--repeat", "2"]),
-    ("noise_and_spacing.py", ["--replicates", "1000", "--repeat", "2", "--sensors", "1024"]),
-])
-def test_script_exits_zero(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "scripts" / script)] + args,
-                            env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
 
 
 def _bench_pairs():
@@ -136,7 +116,9 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "BENCH_toy.json").read_text())
     assert {"label", "python", "numpy", "commit", "cpu_count", "trace_to_csv",
-            "monte_carlo"} <= set(report)
+            "monte_carlo", "long_chain", "run_per_rule"} <= set(report)
+    assert report["script_sha256"] == hashlib.sha256(
+        (ROOT / "scripts" / "bench.py").read_bytes()).hexdigest()
     cases = report["trace_to_csv"]
     assert set(cases) == {"exponential_ring_n64_r12", "exponential_ring_n1024_r12",
                           "exponential_ring_n65536_r3", "dyn_window3_zero_halo_n512_r24",
@@ -151,10 +133,28 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
     assert set(cases) == {"noise_exponential_0.8", "noise_window_5", "noise_global_100",
                           "spacing_exp_rho0.5", "spacing_uniform0.3_rho0.5",
                           "spacing_uniform0.999_rho0.5"}
-    for case in cases.values():
+    for name, case in cases.items():
         assert case["replicates"] == 1000
+        assert (case["rel_err"] >= 0) if name.startswith("noise") else "rel_err" not in case
         for mode in ("cold", "warm", "warm_4mib"):
             assert case[mode]["us_per_replicate"] > 0 and case[mode]["minflt"] >= 0
             assert case[mode]["traced_peak_bytes"] > 0
         for mode in ("warm", "warm_4mib"):
             assert case[mode]["us_per_replicate_median"] >= case[mode]["us_per_replicate"]
+    cases = report["long_chain"]
+    assert set(cases) == {"exponential_ring_n250000_r200", "dyn_exponential_ring_n250000_r200",
+                          "dyn_exponential_ring_n250000_r200_noise1",
+                          "exponential_ring_n1048576_r100", "banded_drawn_truncated_n16384_r80"}
+    for case in cases.values():
+        assert case["sensor_rounds"] > 0 and case["trace_mib"] > 0
+        assert set(case) == {"sensor_rounds", "trace_mib", "cold"}
+        assert case["cold"]["ns_per_sensor_round"] > 0 and case["cold"]["minflt"] >= 0
+        assert case["cold"]["wall_s"] > 0 and case["cold"]["peak_rss_mib"] > 0
+    cases = report["run_per_rule"]
+    assert set(cases) == {f"{rule}_{boundary}_n{n}" for rule in (
+        "exponential", "asymmetric", "window", "variable_window", "arbitrary", "dyn_exponential",
+        "dyn_window") for boundary in ("ring", "zero_halo", "truncated") for n in (64, 1024, 65536)}
+    for case in cases.values():
+        assert case["sensor_rounds"] > 0 and set(case) == {"sensor_rounds", "warm"}
+        assert case["warm"]["ns_per_sensor_round"] > 0 and case["warm"]["minflt"] >= 0
+        assert case["warm"]["ns_per_sensor_round_median"] >= case["warm"]["ns_per_sensor_round"]

@@ -74,13 +74,20 @@ def reference_spacing(rho: float, model: SpacingModel, replicates: int,
         k_norm = k_uniform(rho, law.eta)
         law_name = f"uniform(eta={law.eta})"
     gap_count = _required_sensors(rho, law, tail_eps)
+    # Partial sums only grow, so no term past the first sum beyond the limit
+    # log(tail_eps)/log(rho), by a margin no rounding of the power bridges, is
+    # kept: every gap is still drawn, but only the sums up to it are powered.
+    limit = math.log(tail_eps) / math.log(rho)
+    beyond = limit + 1e-9 * (1.0 + limit)
     rng = _rng(model.seed)
     values = np.empty(replicates)
     for r in range(replicates):
         sides = 0.0
         for _ in range(2):
             cum = np.cumsum(_draw_gaps(law, gap_count, rng))
-            w = rho ** cum
+            cut = int(np.searchsorted(cum, beyond, side="right"))
+            w = rho ** cum[:cut + 1]
+            assert cut == cum.size or w[cut] < tail_eps
             sides += float(w[w >= tail_eps].sum())
         values[r] = k_norm * (1.0 + sides)
     mean = float(values.mean())
