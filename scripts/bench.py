@@ -20,8 +20,9 @@ TemporalCosine(0.5, 0.2), its evaluation included:
                 rows that the writer copies rather than formats;
   monte_carlo   us per replicate of the benchmark's five `monte-carlo` cases,
                 10,000 replicates a call, and of uniform gaps at eta = 0.999
-                (2 g = 79,732 gaps, over a block), 1,000, and the peak of one
-                more call traced by `tracemalloc`.
+                (2 g = 79,732 gaps, over a block), 1,000, the peak of one more
+                call traced by `tracemalloc` and a noise case's relative
+                distance from its closed form.
 
 Beside each time are the minor page faults (`ru_minflt`) per call, in each of
 a layer's modes:
@@ -165,18 +166,22 @@ def _prime():
 
 
 def _monte_carlo(case: str, toy: bool):
-    """The call of Monte Carlo `case` and its replicate count."""
+    """The call of Monte Carlo `case`, its replicate count and, for noise, the
+    closed form of the variance it samples."""
     from lacsim import (ExpGaps, ExponentialWeighting, FiniteWindow, GlobalAverage,
-                        SpacingModel, UniformGaps, monte_carlo_noise, monte_carlo_spacing)
+                        SpacingModel, UniformGaps, monte_carlo_noise, monte_carlo_spacing,
+                        noise_var_exp, noise_var_global, noise_var_window)
 
     driver, kind, param, replicates = MC_CASES[case]
     replicates = 1000 if toy else replicates
     if driver == "noise":
-        target = {"exponential": ExponentialWeighting, "window": FiniteWindow,
-                  "global": GlobalAverage}[kind](param)
-        return (lambda: monte_carlo_noise(target, 1.0, replicates, MC_SEED)), replicates
+        target, closed = {"exponential": (ExponentialWeighting, noise_var_exp),
+                          "window": (FiniteWindow, noise_var_window),
+                          "global": (GlobalAverage, noise_var_global)}[kind]
+        return (lambda: monte_carlo_noise(target(param), 1.0, replicates, MC_SEED),
+                replicates, closed(param))
     model = SpacingModel(ExpGaps() if kind == "exp" else UniformGaps(param), MC_SEED)
-    return (lambda: monte_carlo_spacing(0.5, model, replicates)), replicates
+    return (lambda: monte_carlo_spacing(0.5, model, replicates)), replicates, None
 
 
 def _timed_calls(call, mode: str, toy: bool, summary):
@@ -213,10 +218,13 @@ def child(layer: str, case: str, mode: str, toy: bool) -> dict:
     faults)] of each timed call and, under "process", the process's figures (a traced
     peak of one more call; a long chain's wall time and peak RSS)."""
     if layer == "monte_carlo":
-        call, replicates = _monte_carlo(case, toy)
-        _, calls = _timed_calls(call, mode, toy, lambda report: None)
-        return {"replicates": replicates, "process": {"traced_peak_bytes": _traced_peak(call)},
-                "calls": [(ns / 1000 / replicates, faults) for ns, faults in calls]}
+        call, replicates, closed = _monte_carlo(case, toy)
+        report, calls = _timed_calls(call, mode, toy, lambda report: report)
+        result = {"replicates": replicates, "process": {"traced_peak_bytes": _traced_peak(call)},
+                  "calls": [(ns / 1000 / replicates, faults) for ns, faults in calls]}
+        if closed:  # so that a timed call that samples the wrong variance shows
+            result["rel_err"] = abs(report.sampled_variance - closed) / closed
+        return result
     if layer == "trace_to_csv":
         from lacsim import trace_to_csv
 

@@ -133,8 +133,9 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
     assert set(cases) == {"noise_exponential_0.8", "noise_window_5", "noise_global_100",
                           "spacing_exp_rho0.5", "spacing_uniform0.3_rho0.5",
                           "spacing_uniform0.999_rho0.5"}
-    for case in cases.values():
+    for name, case in cases.items():
         assert case["replicates"] == 1000
+        assert (case["rel_err"] >= 0) if name.startswith("noise") else "rel_err" not in case
         for mode in ("cold", "warm", "warm_4mib"):
             assert case[mode]["us_per_replicate"] > 0 and case[mode]["minflt"] >= 0
             assert case[mode]["traced_peak_bytes"] > 0
