@@ -6,16 +6,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs",
-                                                  ROOT / "scripts" / "bench_pairs.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
 
 
 def _result(rate, setup, correct=True, failed=0):
@@ -158,3 +163,34 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
         assert case["sensor_rounds"] > 0 and set(case) == {"sensor_rounds", "warm"}
         assert case["warm"]["ns_per_sensor_round"] > 0 and case["warm"]["minflt"] >= 0
         assert case["warm"]["ns_per_sensor_round_median"] >= case["warm"]["ns_per_sensor_round"]
+
+
+@pytest.mark.parametrize("case", ["exponential_ring_n250000_r200",
+                                  "dyn_exponential_ring_n250000_r200",
+                                  "dyn_exponential_ring_n250000_r200_noise1",
+                                  "exponential_ring_n1048576_r100",
+                                  "banded_drawn_truncated_n16384_r80"])
+def test_bench_long_chain_child_reports_the_run_it_times(case):
+    """A long chain's figures are those of its one run: n (R + 1) sensor-rounds,
+    a trace of 8 bytes each and a time per sensor-round that is its wall time
+    spread over them."""
+    bench = _script("bench")
+    _, _, _, rounds, _ = bench.LONG_CASES[case]
+    sensor_rounds = 64 * (min(rounds, 4) + 1)  # the --toy chain
+    result = bench.child("long_chain", case, "cold", True)
+    assert result["sensor_rounds"] == sensor_rounds
+    assert result["trace_mib"] == 8 * sensor_rounds / 2 ** 20
+    [(ns, faults)] = result["calls"]
+    assert ns * sensor_rounds == pytest.approx(result["process"]["wall_s"] * 1e9)
+    assert faults >= 0 and result["process"]["peak_rss_mib"] > 0
+
+
+def test_bench_noise_case_runs_the_seeded_noise_it_names():
+    """The noisy long chain times a run whose field carries seeded noise: the
+    same trace on every call, and not the noiseless one."""
+    bench = _script("bench")
+    noisy = bench._engine("dyn_exponential", "ring", 64, 4, 1.0)
+    first, again = noisy().y, noisy().y
+    clean = bench._engine("dyn_exponential", "ring", 64, 4, 0.0)().y
+    assert np.array_equal(first, again)
+    assert not np.allclose(first, clean)
