@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the engine, the trace writer and the Monte Carlo drivers: BENCH_<label>.json.
+"""Time the engine, the trace writer, the Monte Carlo drivers and the oracle: BENCH_<label>.json.
 
     python3 scripts/bench.py --label mine
 
-Four layers are measured, the engine on SpatialCosine(1.0, 0.3) +
+Seven layers are measured, the engine on SpatialCosine(1.0, 0.3) +
 TemporalCosine(0.5, 0.2), its evaluation included:
 
   long_chain    one `lacsim.run` a process: the wall time, ns per
@@ -22,16 +22,28 @@ TemporalCosine(0.5, 0.2), its evaluation included:
                 10,000 replicates a call, and of uniform gaps at eta = 0.999
                 (2 g = 79,732 gaps, over a block), 1,000, the peak of one more
                 call traced by `tracemalloc` and a noise case's relative
-                distance from its closed form.
+                distance from its closed form;
+  oracle_rows   us per `oracle.rows(algo, field, 64, boundary, range(41))`
+                of each of criterion 1's seven rules (its parameters, its
+                seed-11 fields) on ring and zero_halo;
+  oracle_sweep  ns per point of criterion 1's scalar check of the same
+                cases: every k = 0..40 of sensor 0, then of sensor 1, ...,
+                through the rule's target (`exp_target`, ...), each call on
+                a fresh field object and so a new case of the target's memo;
+  oracle_long_row  the wall time and the peak that `tracemalloc` sees of
+                one `oracle.rows(DynamicExponential(0.8), ...)` row on a ring
+                of 64 sensors at k = 1,000 and 3,000, the field's grid read
+                inside the call.
 
 Beside each time are the minor page faults (`ru_minflt`) per call, in each of
 a layer's modes:
 
   cold          the first call in a fresh process: the median over
-                PROCESSES (9) processes (all but run_per_rule);
+                PROCESSES (9) processes (trace_to_csv, monte_carlo,
+                long_chain and oracle_long_row);
   warm          the calls after a first, untimed one: the best of REPEAT (10)
                 calls in each of PROCESSES fresh processes, the best of those
-                and their median (all but long_chain);
+                and their median (all but long_chain and oracle_long_row);
   warm_4mib     the same, after 4 MiB allocated and freed before each call,
                 which raises glibc's mmap threshold past every block
                 temporary (trace_to_csv and monte_carlo).
@@ -41,8 +53,9 @@ checkout's `src`, build their input and then call the layer; the processes go
 round the layers, cases and modes in turn.  The file also holds the Python and
 numpy versions, the commit, the CPU count and the SHA-256 of this script:
 figures compare only between files with the same hash.  `--toy` shrinks every
-input, runs 1,000 replicates a Monte Carlo call and one call a mode, and takes
-all of a layer's cases for one mode in one process: it only checks the file.
+input (the oracle's to k = 0..4 and a long row at k = 50), runs 1,000
+replicates a Monte Carlo call and one call a mode, and takes all of a layer's
+cases for one mode in one process: it only checks the file.
 """
 from __future__ import annotations
 
@@ -96,13 +109,21 @@ MC_CASES = {
     "spacing_uniform0.999_rho0.5": ("spacing", "uniform", 0.999, 1000),
 }
 MC_SEED = 1
+# oracle case -> (rule, boundary): criterion 1's rules at n = 64, k = 0..40
+ORACLE_CASES = {f"{rule}_{boundary}_n64": (rule, boundary) for rule in RULES
+                for boundary in ("ring", "zero_halo")}
+# long oracle row -> k of one dynamic exponential row on a ring of 64 (--toy: 50)
+LONG_ROW_CASES = {"dyn_exponential_ring_n64_k1000": 1000, "dyn_exponential_ring_n64_k3000": 3000}
 MODES = ("cold", "warm", "warm_4mib")
 # layer -> (its cases, the key of its time per unit, its modes); one long chain
 # a process, so that the process's peak RSS is the run's
 LAYERS = {"trace_to_csv": (CASES, "ns_per_value", MODES),
           "monte_carlo": (MC_CASES, "us_per_replicate", MODES),
           "long_chain": (LONG_CASES, "ns_per_sensor_round", ("cold",)),
-          "run_per_rule": (RULE_CASES, "ns_per_sensor_round", ("warm",))}
+          "run_per_rule": (RULE_CASES, "ns_per_sensor_round", ("warm",)),
+          "oracle_rows": (ORACLE_CASES, "us_per_call", ("warm",)),
+          "oracle_sweep": (ORACLE_CASES, "ns_per_point", ("warm",)),
+          "oracle_long_row": (LONG_ROW_CASES, "wall_s", ("cold",))}
 PRIMER_BYTES = 4 << 20
 REPEAT = 10  # warm calls per process
 PROCESSES = 9  # fresh processes per case and mode
@@ -184,6 +205,53 @@ def _monte_carlo(case: str, toy: bool):
     return (lambda: monte_carlo_spacing(0.5, model, replicates)), replicates, None
 
 
+def _oracle(case: str, toy: bool):
+    """The `rows` call and the scalar sweep of oracle case `case`, and its points."""
+    from lacsim import (AsymmetricWeighting, BandedWeighting, DynamicExponential, DynamicWindow,
+                        ExponentialWeighting, FiniteWindow, MeasurementField, PerSensorWindow,
+                        Ring, WeightTable, ZeroHalo, oracle, random_space_time_table,
+                        random_spatial_table)
+
+    rule, boundary = ORACLE_CASES[case]
+    n, rounds = 64, 4 if toy else 40
+    b = Ring() if boundary == "ring" else ZeroHalo()
+    widths = (4, 4, 5, 5, 6, 6, 6, 6, 5, 5, 4, 4, 4, 4, 4, 4) * 4
+    table = WeightTable.geometric(0.6, 20, n)
+    algo, target = {
+        "exponential": (ExponentialWeighting(0.8), lambda f, i, k: oracle.exp_target(
+            f, i, 0.8, n=n, boundary=b, k=k)),
+        "asymmetric": (AsymmetricWeighting(0.5, 0.25), lambda f, i, k: oracle.asym_target(
+            f, i, 0.5, 0.25, n=n, boundary=b, k=k)),
+        "window": (FiniteWindow(5), lambda f, i, k: oracle.window_target(
+            f, i, 5, n=n, boundary=b, k=k)),
+        "variable_window": (PerSensorWindow(widths), lambda f, i, k: oracle.variable_window_target(
+            f, i, widths, n=n, boundary=b, k=k)),
+        "arbitrary": (BandedWeighting(table), lambda f, i, k: oracle.arbitrary_target(
+            f, i, table, k, n=n, boundary=b)),
+        "dyn_exponential": (DynamicExponential(0.8), lambda f, i, k: oracle.dyn_exp_target(
+            f, i, k, 0.8, n=n, boundary=b)),
+        "dyn_window": (DynamicWindow(3), lambda f, i, k: oracle.dyn_window_target(
+            f, i, k, 3, n=n, boundary=b)),
+    }[rule]
+    kind = (random_space_time_table(n, rounds + 1, 111) if rule.startswith("dyn")
+            else random_spatial_table(n, 11))
+
+    def sweep():
+        field = MeasurementField(kind)
+        return [[target(field, i, k) for k in range(rounds + 1)] for i in range(n)]
+    return (lambda: oracle.rows(algo, MeasurementField(kind), n, b, range(rounds + 1)), sweep,
+            n * (rounds + 1))
+
+
+def _long_row(case: str, toy: bool):
+    """The call of one long dynamic exponential row, its field built beforehand."""
+    from lacsim import DynamicExponential, MeasurementField, Ring, oracle, random_space_time_table
+
+    k = 50 if toy else LONG_ROW_CASES[case]
+    field = MeasurementField(random_space_time_table(64, k + 1, 5))
+    return lambda: oracle.rows(DynamicExponential(0.8), field, 64, Ring(), k)
+
+
 def _timed_calls(call, mode: str, toy: bool, summary):
     """summary(the last result) and [(ns, faults)] of each timed call of
     `call` in this process, as `mode` says."""
@@ -233,6 +301,18 @@ def child(layer: str, case: str, mode: str, toy: bool) -> dict:
         size, calls = _timed_calls(lambda: trace_to_csv(trace), mode, toy, len)
         return {"values": values, "bytes": size,
                 "calls": [(ns / values, faults) for ns, faults in calls]}
+    if layer == "oracle_long_row":
+        call = _long_row(case, toy)
+        _, calls = _timed_calls(call, mode, toy, len)
+        return {"calls": [(ns / 1e9, faults) for ns, faults in calls],
+                "process": {"traced_peak_bytes": _traced_peak(call)}}
+    if layer in ("oracle_rows", "oracle_sweep"):
+        rows, sweep, points = _oracle(case, toy)
+        if layer == "oracle_rows":
+            _, calls = _timed_calls(rows, mode, toy, len)
+            return {"calls": [(ns / 1000, faults) for ns, faults in calls]}
+        _, calls = _timed_calls(sweep, mode, toy, len)
+        return {"points": points, "calls": [(ns / points, faults) for ns, faults in calls]}
     rule, boundary, n, rounds, sigma = LAYERS[layer][0][case]
     if toy:
         n, rounds = 64, min(rounds, 4)

@@ -4,23 +4,28 @@ Everything here is computed from the limit/partial-sum formulas alone, never
 from the distributed recursions, so trace-versus-oracle agreement is a genuine
 two-implementation check.  Each static target is the time-frozen case of its
 dynamic form: hop j of a static target reads the field at step 0, where the
-dynamic target reads the lagged time argument x_{i +- j}(k - j).  Three static
-sums serve the five static rules: the window is the exponential sum at
-rho = 1, the asymmetric and banded rules share one two-sided weighted sum
-(running powers of their two rates, or the table's rows taken outward), and
-the per-sensor window, whose terms are divisions, keeps its own.
+dynamic target reads the lagged time argument x_{i +- j}(k - j).  Each sum is
+a running total over hops 0, 1, 2, ..., hop j adding the terms of sensors
+i - j and i + j in the order of the defining sum.  The window is the
+exponential sum at rho = 1, the asymmetric and banded rules share one
+two-sided weighted sum (running powers of their two rates, or the table's rows
+taken outward), and the per-sensor window adds each neighbor over its own
+window length, a term past L_i being -0.0, which leaves every total as it is.
 
 `rows(algo, field, n, boundary, ks)` gives the target of a rule object
 (`ExponentialWeighting(0.8)`, ...) at every sensor 0..n-1 for one k, or a
 block of rows for a range of k.  It reads the field once through
-`evaluate_grid` (steps 0..k for the dynamic targets) and adds shifted slices
-of that grid in the order of the defining sum, hop by hop with the same
-running products, so each entry equals, bit for bit, the sum taken one sensor
-at a time.  A static row k goes on from the running sum of the rows before
-it, so rows 0..K take K hops (a smaller k starts again from hop 0).  A
-dynamic row reads its own round's space-time cone once, as two views of one
-padded slab, forms all k hop terms with one add and one multiply and adds
-them to the running total in hop order: a few numpy calls, not k Python steps.
+`evaluate_grid` (steps 0..k for the dynamic targets) and sums all its rows in
+one loop over tiles of (hops x rows x sensors), of at most `_TILE_VALUES`
+values (one hop of one row at least).  A tile takes the grid's rows of its
+steps (0, or k - j for a dynamic target) at the columns of sensors i -+ j, a
+ring's modulo n and the line's off the chain a column of zeros, and reads its
+hop terms as diagonal views of them.  Its running totals go on from those the
+last tile carried, by `np.add.accumulate`, or by one add a hop where a hop has
+many values: the operands and their order are a hop loop's, so each entry is,
+bit for bit, the sum taken one sensor at a time.  A static block is one sum,
+read after each row's hops; a dynamic row is a sum of its own.  Memory is the
+grid and a few tiles, however long the sum.
 
 The scalar forms (`exp_target`, ...) index the same rows.  Each keeps a memo
 of its latest case only: the (field, n, boundary, parameters) objects,
@@ -29,12 +34,11 @@ same case only with the very same objects, n aside: a plain int equal to the
 last n (such as a fresh `len(values)`) is the same n.  Any other object, even
 an equal one (a fresh list of half-widths, `np.float64(0.8)` for 0.8), starts
 a new case, whose rule object is built, and so checked, and planned once.  A
-sweep over one case's (i, k) points, in any order, therefore reads the field
-once (a dynamic target again only when k passes the steps held, each read
-twice as long as the last) and builds each row once.  Built
-rows are kept as memoryviews, which a hit indexes for its float with no lock,
-plan or check beyond the `is` tests of its arguments, made in line in
-`_Memo.at`.
+sweep over one case's (i, k) points, in any order, reads the field a few
+times (`_Memo._read`) and builds each row once, a miss at row k building a
+block of rows from k on (`_Memo._build`).  Built rows are kept as
+memoryviews, which a hit indexes for its float with no lock, plan or check
+beyond the `is` tests of its arguments, made in line in `_Memo.at`.
 
 Boundary semantics: a Ring wraps indices modulo n; ZeroHalo means the
 zero-extended line, where indices outside 0..n-1 contribute zero.  Targets
@@ -45,9 +49,9 @@ chains have none.  A case is checked as `run` checks it: the rule's numbers
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-import operator
 import threading
 
 import numpy as np
@@ -63,109 +67,101 @@ from .static_rules import (AsymmetricWeighting, ExponentialWeighting, FiniteWind
                            PerSensorWindow, _check_integer)
 
 DEFAULT_TAIL = 1e-12
+# values of one tile of `_sums` (hops x rows x sensors; one hop of one row at
+# least), and at most of a memo's block of rows; set by timing criterion 1's sweeps
+_TILE_VALUES = 4096
+# values a hop from which a tile is summed by one add a hop, not by
+# `np.add.accumulate` (5-9 ns a value; an add 1.2 us a call, 2-core x86-64)
+_ADD_FROM = 256
 
 
-def _pad(values: np.ndarray, n: int, boundary, reach: int):
-    """`values` (last axis: sensors 0..n-1) at sensors -reach .. n-1+reach:
-    a ring wraps, the line gives 0.0 outside 0..n-1."""
-    if isinstance(boundary, Ring):
-        return values[..., np.arange(-reach, n + reach) % n]
-    padded = np.zeros(values.shape[:-1] + (n + 2 * reach,))
-    padded[..., reach:reach + n] = values
-    return padded
+def _diagonals(slab, shape, first, strides):
+    """A view of `slab`, a C-contiguous result of `take`, of `shape`, from its
+    value `first` on with `strides` counted in values."""
+    size = slab.itemsize
+    return np.ndarray(shape, slab.dtype, slab, first * size, [d * size for d in strides])
 
 
-def _shifts(values: np.ndarray, n: int, boundary, reach: int):
-    """`at(d)`: `values` at sensors d .. n-1+d, sliced from one `_pad` copy
-    for |d| <= reach, made again for reach 2|d| when a larger |d| comes."""
-    padded = _pad(values, n, boundary, reach)
+def _sums(plan, x, ks, run=None):
+    """The rows ks, checked and in increasing k by a fixed step (or [None], the
+    tail's row), over the field grid `x`, and the run (hops, total) that a later
+    static row goes on from: a static block goes on from `run` unless `run` has
+    passed its first row."""
+    cap, dynamic, ring, tail, source, first, terms, finish = plan
+    n = x.shape[1]
+    if not ks:
+        return np.empty((0, n)), run
+    hops = [tail(float(np.abs(x[0]).max())) if k is None else min(k, cap) for k in ks]
+    # a dynamic row is a sum of its own from its step k, a static block one sum;
+    # hops grow with k, so the sums still adding terms are the last ones
+    bases = list(ks) if dynamic else [0]
+    ends, top, lag = (hops if dynamic else hops[-1:]), hops[-1], int(dynamic)
+    gap = bases[-1] - bases[-2] if len(bases) > 1 else 0
+    src = source(x)
+    # the columns of sensors -top .. n - 1 + top: a ring wraps modulo n, and on
+    # the line a sensor off the chain is column n
+    cols = np.arange(-top, n + top)
+    cols = cols % n if ring else np.where((cols >= 0) & (cols < n), cols, n)
+    if dynamic or not run or run[0] > hops[0]:
+        j, carry = 1, first(src[bases])
+    else:
+        j, carry = run[0] + 1, np.array([run[1]])
+    out, at_hops = np.empty((len(hops), n)), np.array(hops)
+    seq = np.arange(len(hops)) if dynamic else np.zeros(len(hops), int)
+    if done := bisect.bisect_left(hops, j):
+        out[:done] = carry[seq[:done]]
+    while j <= top:
+        live = bisect.bisect_left(ends, j)
+        span = min(max(1, _TILE_VALUES // ((len(ends) - live) * n)), top - j + 1)
+        # the steps k - j - span + 1 .. k - j of the live rows (dynamic; a step
+        # below 0, past a row's own hops, reads step 0 for a sum not used) or
+        # step 0, at sensors i - j - span + 1 .. i - j and i + j .. i + j + span - 1
+        lo, hi = bases[live] - lag * (j + span - 1), bases[-1] - lag * j + 1
+        grid = src[lo:hi] if lo >= 0 else src[np.maximum(np.arange(lo, hi), 0)]
+        if not ring:  # a column of zeros for the sensors off the line
+            grid = np.concatenate((grid, np.zeros((len(grid), 1))), axis=1)
+        back = grid.take(cols[top - j - span + 1:top - j + n], axis=1)
+        ahead = grid.take(cols[top + j:top + j + n + span - 1], axis=1)
+        # hop j + h of live row r at sensor i: back[t, span - 1 - h + i] and
+        # ahead[t, h + i] of slab row t = span - 1 - h + r gap (dynamic) or 0
+        w, shape = back.shape[1], (span, len(ends) - live, n)
+        tile = terms(_diagonals(back, shape, (span - 1) * (lag * w + 1),
+                                (-lag * w - 1, lag * gap * w, 1)),
+                     _diagonals(ahead, shape, (span - 1) * lag * w,
+                                (1 - lag * w, lag * gap * w, 1)), np.arange(j, j + span))
+        tile[0] += carry[live:]
+        if tile[0].size < _ADD_FROM:
+            np.add.accumulate(tile, out=tile)
+        else:
+            for total, term in zip(tile, tile[1:]):
+                np.add(total, term, out=term)
+        per = len(tile) // span  # terms a hop: one, or two for a two-sided sum
+        if done < (end := bisect.bisect_left(hops, j + span)):  # rows ending here
+            now, done = slice(done, end), end
+            out[now] = tile[per * at_hops[now] - (per * (j - 1) + 1), seq[now] - live]
+        carry[live:] = tile[-1]
+        j += span
+    return finish(out), None if dynamic else (top, carry[0])
 
-    def at(d):
-        nonlocal reach, padded
-        if abs(d) > reach:
-            reach = 2 * abs(d)
-            padded = _pad(values, n, boundary, reach)
-        return padded[..., reach + d:reach + d + n]
+
+def _powers(rate):
+    """`at(js)`: rate**j for the hops js, the running products of a hop loop's
+    `p *= rate` from p = 1.0, made again twice as long when a larger j comes."""
+    table = np.ones(1)
+
+    def at(js):
+        nonlocal table
+        if js[-1] >= len(table):
+            table = np.full(2 * js[-1] + 1, rate)
+            table[0] = 1.0
+            table = np.multiply.accumulate(table)
+        return table[js, None, None]
     return at
 
 
-def _cone(x: np.ndarray, n: int, boundary, reach: int):
-    """The space-time cone of the last step of the (steps, sensors) grid `x`,
-    as two (reach + 1, n) views of one padded slab: row j of the first holds
-    x_{i-j} and of the second x_{i+j}, both j steps before the last, for the
-    sensors i = 0..n-1 (so both rows 0 hold x_i at the last step).  A static
-    target reads step 0, `_shifts(x[0], ...)`."""
-    slab = _pad(x[::-1][:reach + 1], n, boundary, reach)
-    # row j of a view starts j slab rows and -j or +j columns on from x_i at
-    # the last step, so the views are the flat slab cut into rows of width -+ 1
-    # values (at least n), with room after it for the last row of width + 1
-    width = slab.shape[1]
-    flat = np.concatenate((slab.ravel(), np.zeros(2 * reach + 1)))
-    back, ahead = max(width - 1, n), width + 1
-    return (flat[reach:reach + (reach + 1) * back].reshape(reach + 1, back)[:, :n],
-            flat[reach:reach + (reach + 1) * ahead].reshape(reach + 1, ahead)[:, :n])
-
-
-# Hop j's terms of the exponential sum, sensors i - j and i + j: one
-# definition, taken one hop at a time by `_geometric` and for all hops of a
-# cone at once by `_dyn_geometric`.
-
-def _geometric_hop(back, ahead, power):
-    return power * (back + ahead)
-
-
-# Each sum yields its running total over `at` after hops 0, 1, 2, ...: hop j
-# adds the terms of sensors i - j and i + j, in the order of the defining sum.
-
-def _geometric(at, rho):
-    """x_i + sum_j rho**j (x_{i-j} + x_{i+j}); at rho = 1.0, where every
-    product with a power is exact, the window's x_i + sum_j (x_{i-j} + x_{i+j})."""
-    total, power = at(0), 1.0
-    for j in itertools.count(1):
-        yield total
-        power *= rho
-        total = total + _geometric_hop(at(-j), at(j), power)
-
-
-def _two_sided(at, w0, back, ahead):
-    """w0 x_i + sum_j (b_j x_{i-j} + a_j x_{i+j}), with b_j and a_j taken in
-    turn from the weight iterators `back` and `ahead`."""
-    total = w0 * at(0)
-    for j in itertools.count(1):
-        yield total
-        total = total + next(back) * at(-j)
-        total = total + next(ahead) * at(j)
-
-
-def _cone_totals(first, terms):
-    """The running totals of a cone's sum, as rows: `first`, then hop j's row
-    of `terms` added for j = 1, 2, ... in order, as the hop loop adds them
-    (row 0 of `terms` is replaced by `first`)."""
-    terms[0] = first
-    return iter(np.add.accumulate(terms, axis=0))
-
-
-def _dyn_geometric(cone, rho):
-    """`_geometric` over a `_cone`, its powers by the same running products."""
-    powers = np.full((len(cone[0]), 1), rho)
-    powers[0] = 1.0
-    return _cone_totals(cone[0][0], _geometric_hop(*cone, np.multiply.accumulate(powers)))
-
-
-def _dyn_window(cone):
-    """`_geometric` at rho = 1.0 over a `_cone`, its products with 1.0 left out."""
-    return _cone_totals(cone[0][0], cone[0] + cone[1])
-
-
-def _variable_window(at, width):
-    """x_i / (2 L_i + 1) + sum_{j <= L_i} x_{i+-j} / (2 L_{i+-j} + 1), with
-    `width(d)` the half-widths L: each neighbor over its own window length."""
-    li = width(0)
-    total = at(0) / (2.0 * li + 1.0)
-    for j in itertools.count(1):
-        yield total
-        for d in (-j, j):
-            total = np.where(j <= li, total + at(d) / (2.0 * width(d) + 1.0), total)
+def _two_sided(back, ahead):
+    """Hop j's terms back then ahead, as terms 2j - 1 and 2j of the sum."""
+    return np.stack((back, ahead), axis=1).reshape(-1, *back.shape[1:])
 
 
 _NO = object()  # no second number: a None one is passed on, and rejected
@@ -174,9 +170,9 @@ _NO = object()  # no second number: a None one is passed on, and rejected
 class _Memo:
     """One scalar target's latest case with its plan and rows by k, the field
     grid read for it (`exact` once a longer read met the end of a table) and,
-    for a static target, its running sum (generator, hops done, total).  A
-    case is its objects, n by value: a hit tests each part with `is` in line,
-    and any other object starts a new case."""
+    for a static target, its run (hops, total).  A case is its objects, n by
+    value: a hit tests each part with `is` in line, and any other object
+    starts a new case."""
 
     def __init__(self, rule):
         self.rule = rule  # the rule class, built from a new case's numbers
@@ -204,45 +200,52 @@ class _Memo:
                 plan, rows = _plan(rule, n, boundary), {}
                 case = (field, n, boundary, a, b)
                 self.last, self.x, self.exact, self.run = (case, plan, rows), None, False, None
-            hops, steps = _reach(plan, k)
+            steps = _steps(plan, k)
             if not 0 <= i < n:
                 raise ValidationError(f"sensor index must lie in 0..{n - 1}, got {i!r}")
             if (row := rows.get(k)) is None:
                 if self.x is None or len(self.x) < steps:
                     self.x = self._read(field, n, steps)
-                row, self.run = _carry(plan, self.x[:steps], hops, self.run)
-                # a memoryview: a hit indexes it for a float without `item`
-                row = rows[k] = memoryview(row)
+                row = self._build(plan, rows, k, n)
             return row[i]
+
+    def _build(self, plan, rows, k, n):
+        """Row k, built with the rows after it that fit the cap's values and, for
+        a dynamic target, the steps held, stopping before a row built; a static
+        block goes on from the run."""
+        block = [None]
+        if k is not None:
+            end = int(k) + max(1, _TILE_VALUES // n)
+            block = list(itertools.takewhile(lambda j: j not in rows, range(
+                int(k), min(end, len(self.x)) if plan[1] else end)))
+        built, self.run = _sums(plan, self.x, block, self.run)
+        # memoryviews: a hit indexes one for a float without `item`
+        rows.update(zip(block, map(memoryview, built)))
+        return rows[k]
 
     def _read(self, field, n, steps):
         """The case's field grid to at least `steps` steps.  A read after the
         first takes twice the steps held, so a sweep to larger k reads the
         field O(log k) times; rows are keyed by step, so a longer grid holds
-        the same values.  Once a longer read meets the end of a table, every
-        read takes exactly `steps`, and raises, or not, as that read does."""
+        the same values.  Where that read meets the end of a table, the read
+        of exactly `steps` is made, and raises, or not, as it does; then the
+        longest read short of the failed one, found by halving the gap, so
+        that the rows up to the table's end are built as one block.  Every
+        read after that takes exactly `steps`."""
         more = 0 if self.x is None or self.exact else 2 * len(self.x)
         if more > steps:
             try:
                 return evaluate_grid(field, n, more)
             except OutOfDomainError:
                 self.exact = True
-        return evaluate_grid(field, n, steps)
-
-
-def _carry(plan, x, hops, run):
-    """A plan's row after `hops` hops over the field grid `x` (None: its tail
-    hops), and the run (sum, hops, total) that a later row goes on from: a
-    static row (step 0 alone) goes on from `run` unless `run` has passed `hops`."""
-    _, _, tail, sums, finish = plan
-    if hops is None:  # M: step 0 at sensors 0..n-1 holds every value the sum adds
-        hops = tail(float(np.abs(x[0]).max()))
-    static = len(x) == 1
-    gen, done, total = (run if static and run and run[1] <= hops
-                        else (sums(x, hops), -1, None))
-    if hops > done:
-        total = next(itertools.islice(gen, hops - done - 1, None))
-    return finish(total), (gen, hops, total) if static else None
+        x = evaluate_grid(field, n, steps)
+        while more - steps > 1:  # a read of `steps` steps fits, of `more` does not
+            half = (steps + more) // 2
+            try:
+                x, steps = evaluate_grid(field, n, half), half
+            except OutOfDomainError:
+                more = half
+        return x
 
 
 def _tail_hops(decay: float, m: float, eps: float) -> int:
@@ -257,81 +260,77 @@ def _tail(decay, scale):
     return lambda m: _tail_hops(decay, scale * m, DEFAULT_TAIL * max(m, 1.0))
 
 
-def _reach(plan, k):
-    """(hops, steps) of row k: k checked and its hops capped, or None for
-    k=None (the tail hops), over the field's steps 0..k (dynamic) or 0 (static)."""
-    cap, dynamic, tail = plan[:3]
+def _steps(plan, k):
+    """The field steps that row k reads, 0..k (dynamic) or 0 (static), once k
+    is checked: an integer >= 0, or None where the rule has a tail."""
+    _, dynamic, _, tail = plan[:4]
     if k is None and tail is not None:
-        return None, 1
+        return 1
     k = _check_integer("time step", k, 0)
-    return min(k, cap), k + 1 if dynamic else 1
+    return k + 1 if dynamic else 1
 
 
-# Each `_plan_*` takes a checked case and returns (tail, sums, finish), which
-# `_plan` heads with the rule's cap of hops and whether it reads the field past
-# step 0 (`chain.TIME_VARYING`), and `_reach` turns into a row's hops and
-# steps: `sums(x, hops)` yields the running totals from the field grid `x` of
-# those steps, and the target is `finish` of the total after those hops.
-# `tail(M)` gives the hops of k=None, and a target without one needs k.
+# Each `_plan_*` takes a checked rule and returns (tail, source, first, terms,
+# finish), which `_plan` heads with the rule's cap of hops, whether it reads
+# the field past step 0 (`chain.TIME_VARYING`) and whether the chain is a ring,
+# and which `_steps` and `_sums` use: a row sums over the grid `source(x)`, its
+# total after hop 0 is `first` of the grid's values at sensors i, and hop j adds
+# `terms(back, ahead, js)` of the values at sensors i - j and i + j, tiled
+# (hops js, rows, sensors); the target is `finish` of the total.  `tail(M)`
+# gives the hops of k=None, and a target without one needs k.
 
-def _plan_exp(algo, n, boundary):
-    rho = algo.rho
+def _same(values):
+    return values
+
+
+def _plan_exp(algo):
+    rho, powers = algo.rho, _powers(algo.rho)
     lam = (1.0 - rho) / (1.0 + rho)
-    return (_tail(rho, lam),
-            lambda x, hops: _geometric(_shifts(x[0], n, boundary, hops), rho),
-            lambda total: lam * total)
+    return (_tail(rho, lam), _same, _same,
+            lambda back, ahead, js: powers(js) * (back + ahead), lambda total: lam * total)
 
 
-def _plan_asym(algo, n, boundary):
+def _plan_asym(algo):
     rb, rf = algo.rho_back, algo.rho_forward
     c = (1.0 - rb) * (1.0 - rf) / (1.0 - rb * rf)
-    # the weights rb**j and rf**j as running products, a hop loop's `p *= rb`
-    return (_tail(max(rb, rf), 1.0), lambda x, hops: _two_sided(
-        _shifts(x[0], n, boundary, hops), 1.0,
-        *(itertools.accumulate(itertools.repeat(r), operator.mul) for r in (rb, rf))),
-        lambda total: c * total)
+    back_w, ahead_w = _powers(rb), _powers(rf)  # rb**j and rf**j, as a hop loop's `p *= rb`
+    return (_tail(max(rb, rf), 1.0), _same, _same,
+            lambda back, ahead, js: _two_sided(back_w(js) * back, ahead_w(js) * ahead),
+            lambda total: c * total)
 
 
-def _plan_window(algo, n, boundary):
+def _plan_window(algo):
+    # the exponential sum at rho = 1.0, its products with 1.0 left out
     half_width = algo.half_width
-    return (lambda m: half_width,
-            lambda x, hops: _geometric(_shifts(x[0], n, boundary, half_width), 1.0),
+    return (lambda m: half_width, _same, _same, lambda back, ahead, js: back + ahead,
             lambda total: total / (2.0 * half_width + 1.0))
 
 
-def _plan_variable_window(algo, n, boundary):
-    widths = algo.half_widths
-    reach = max(widths)
-    return (lambda m: reach, lambda x, hops: _variable_window(
-        _shifts(x[0], n, boundary, reach), _shifts(np.asarray(widths), n, boundary, reach)),
-        lambda total: total)
+def _plan_variable_window(algo):
+    widths = np.asarray(algo.half_widths)
+    reach = max(algo.half_widths)
+
+    def terms(back, ahead, js):
+        past = js[:, None, None] > widths  # hop j past sensor i's L_i adds -0.0
+        return _two_sided(np.where(past, -0.0, back), np.where(past, -0.0, ahead))
+    # each value over its own sensor's window length
+    return (lambda m: reach, lambda x: x / (2.0 * widths + 1.0), _same, terms, _same)
 
 
-def _plan_arbitrary(algo, n, boundary):
+def _plan_arbitrary(algo):
     table, r = algo.table, algo.table.radius
     w = table.weights.T  # rows by offset -r..r
-    return (None, lambda x, hops: _two_sided(
-        _shifts(x[0], n, boundary, r), w[r], iter(w[:r][::-1]), iter(w[r + 1:])),
-        lambda total: total / table.row_sum)
+    return (None, _same, lambda values: w[r] * values,
+            lambda back, ahead, js: _two_sided(w[r - js, None] * back, w[r + js, None] * ahead),
+            lambda total: total / table.row_sum)
 
 
-def _plan_dyn_exp(algo, n, boundary):
-    rho = algo.rho
-    lam = (1.0 - rho) / (1.0 + rho)
-    return (None, lambda x, hops: _dyn_geometric(_cone(x, n, boundary, hops), rho),
-            lambda total: lam * total)
-
-
-def _plan_dyn_window(algo, n, boundary):
-    half_width = algo.half_width
-    return (None, lambda x, hops: _dyn_window(_cone(x, n, boundary, hops)),
-            lambda total: total / (2.0 * half_width + 1.0))
-
-
+# a dynamic rule's plan is its static form's, without a tail
 _PLANS = {ExponentialWeighting: _plan_exp, AsymmetricWeighting: _plan_asym,
           FiniteWindow: _plan_window, PerSensorWindow: _plan_variable_window,
-          BandedWeighting: _plan_arbitrary, DynamicExponential: _plan_dyn_exp,
-          DynamicWindow: _plan_dyn_window}
+          BandedWeighting: _plan_arbitrary,
+          DynamicExponential: lambda algo: (None,) + _plan_exp(algo)[1:],
+          DynamicWindow: lambda algo: (None,) + _plan_window(algo)[1:]}
 
 
 def _plan(algo, n, boundary):
@@ -346,23 +345,24 @@ def _plan(algo, n, boundary):
                               f"boundary must be Ring() or ZeroHalo(), got {boundary!r}")
     reach = check_fit(algo, n, isinstance(boundary, Ring))
     return (math.inf if reach is None else reach, isinstance(algo, TIME_VARYING),
-            *_PLANS[type(algo)](algo, n, boundary))
+            isinstance(boundary, Ring), *_PLANS[type(algo)](algo))
 
 
 def rows(algo, field, n, boundary=Ring(), ks=None) -> np.ndarray:
     """The target of the rule `algo` at every sensor 0..n-1: row k for an int
     `ks`, the final value for None (the exponential and asymmetric rules to a
     tail below 1e-12 * max(M, 1), M = max |x| on the chain; a deeper sum
-    needs k), or for a range one (len(ks), n) block from one field read, a
-    static sum going on from row to row."""
+    needs k), or for a range one (len(ks), n) block from one field read."""
     plan = _plan(algo, n, boundary)
     block = isinstance(ks, range)
-    reach = [_reach(plan, k) for k in (ks if block else (ks,))]
-    x = evaluate_grid(field, n, max((steps for _, steps in reach), default=0))
-    out, run = np.empty((len(reach), n)), None
-    for row, (hops, steps) in zip(out, reach):
-        row[:], run = _carry(plan, x[:steps], hops, run)
-    return out if block else out[0]
+    if not (block or ks is None or isinstance(ks, (int, np.integer))):
+        raise ValidationError(f"time step must be an integer >= 0, None or a range of them, "
+                              f"got {ks!r}")
+    ks = ks if block else [ks]
+    x = evaluate_grid(field, n, max((_steps(plan, k) for k in ks), default=0))
+    up = not block or ks.step > 0  # the sums take their rows in increasing k
+    out = _sums(plan, x, ks if up else ks[::-1])[0]
+    return out[0] if not block else out if up else out[::-1].copy()
 
 
 # each target's memo, in the order of _PLANS, its `at` bound once

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import typing
 
 import numpy as np
@@ -542,9 +543,10 @@ def test_a_read_past_a_tables_last_step_raises_as_the_exact_read_does(monkeypatc
     n, steps = 16, 41
     field = MeasurementField(random_space_time_table(n, steps, 3))
     values = [oracle.dyn_window_target(field, 3, k, 2, n=n) for k in range(steps)]
+    # 1, 2, 4, 8, 16, 32, then 64 past the table and the exact read of 33,
+    # then the longest read short of 64 by halving, 41: rows 32..40 one block
+    assert reads == [1, 2, 4, 8, 16, 32, 64, 33, 48, 40, 44, 42, 41]
     assert values == [oracle.rows(DynamicWindow(2), field, n, Ring(), k)[3] for k in range(steps)]
-    # 1, 2, 4, 8, 16, 32, then 64 past the table, and one exact read a step
-    assert reads[:8] == [1, 2, 4, 8, 16, 32, 64, 33]
     with pytest.raises(OutOfDomainError) as past:
         oracle.dyn_window_target(field, 3, steps, 2, n=n)
     with pytest.raises(OutOfDomainError) as exact:
@@ -1050,18 +1052,24 @@ def test_static_rows_extended_hop_by_hop_equal_the_row_forms(boundary):
 
 @pytest.mark.parametrize("k_outer", [True, False])
 def test_an_increasing_static_sweep_takes_one_hop_per_round(monkeypatch, k_outer):
+    # memo blocks of four rows, each going on from the total the last one
+    # ended with: (row, hop) terms are counted as the tile loop forms them
     n, rounds = 64, 40
     hops = [0]
+    monkeypatch.setattr(lacsim.oracle, "_TILE_VALUES", 4 * n)
 
-    def counted(sums):
-        def wrapper(*args):
-            for total in sums(*args):
-                hops[0] += 1
-                yield total
-        return wrapper
+    def counted(make):
+        def plan(algo):
+            tail, source, first, terms, finish = make(algo)
 
-    for sums in ("_geometric", "_two_sided", "_variable_window"):
-        monkeypatch.setattr(lacsim.oracle, sums, counted(getattr(lacsim.oracle, sums)))
+            def counted_terms(back, ahead, js):
+                hops[0] += back.shape[0] * back.shape[1]  # hops x sums
+                return terms(back, ahead, js)
+            return tail, source, first, counted_terms, finish
+        return plan
+
+    for name in STATIC:
+        monkeypatch.setitem(oracle._PLANS, RULES[name], counted(oracle._PLANS[RULES[name]]))
     for name, field, params in _cases_64(rounds):
         if name not in STATIC:
             continue
@@ -1070,7 +1078,7 @@ def test_an_increasing_static_sweep_takes_one_hop_per_round(monkeypatch, k_outer
             points = [(i, k) for k in range(rounds + 1) for i in range(n)]
             for i, k in points if k_outer else sorted(points):
                 _scalar(name, field, i, params, k, n, boundary)
-            # rebuilt from hop 0 for every k, the rows would take 861 steps
+            # each block rebuilt from hop 0, the rows would take 240 hops
             assert 1 <= hops[0] <= 2 * rounds + 2, (name, hops[0])
 
 
@@ -1094,3 +1102,83 @@ def test_long_dynamic_cones_equal_the_per_sensor_loops(boundary):
             block.append(want)
         assert _bits(_array(name, field, params, range(rounds + 1), n, boundary)) \
             == block, (name, params)
+
+
+def _ranges(rounds):
+    """Ascending, descending, strided, offset, empty and one-element ranges."""
+    return (range(rounds + 1), range(rounds, -1, -1), range(0, rounds + 1, 2),
+            range(1, rounds + 1), range(2, 2), range(rounds, rounds + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 6), st.sampled_from(TARGETS), st.data())
+def test_rows_and_sweeps_keep_their_bits_whatever_the_tile_cap(n, rounds, name, data):
+    # a cap of one value makes every tile one hop of one row, and every memo
+    # block one row; a cap of three rows splits blocks and sums between tiles,
+    # by `np.add.accumulate` or, with `_ADD_FROM` at 0, by one add a hop
+    field = data.draw(_fields(n, rounds + 1))
+    params = data.draw(_params(name, n))
+    tails = [None] if name in ("exp", "asym", "window", "variable_window") else []
+    for boundary in (Ring(), ZeroHalo()):
+        want = _outcome(lambda: _array(name, field, params, range(rounds + 1), n, boundary))
+        if not isinstance(want, type) and tails:
+            want.append(_bits(_array(name, field, params, None, n, boundary)))
+
+        def expected(k, i=None):
+            if isinstance(want, type):
+                return want
+            row = want[-1 if k is None else k]
+            return row if i is None else row[i]
+
+        for cap, add_from in ((1, oracle._ADD_FROM), (3 * n, oracle._ADD_FROM), (3 * n, 0)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_TILE_VALUES", cap)
+                patch.setattr(oracle, "_ADD_FROM", add_from)
+                for ks in _ranges(rounds):
+                    got = _outcome(lambda: _array(name, field, params, ks, n, boundary))
+                    assert got == (want if isinstance(want, type) else
+                                   [expected(k) for k in ks]), (cap, ks)
+                for k_outer in (True, False):
+                    fresh = type(boundary)()  # a new case, its memo built under this cap
+                    points = [(i, k) for k in list(range(rounds + 1)) + tails for i in range(n)]
+                    for i, k in points if k_outer else sorted(points, key=lambda p: p[0]):
+                        assert _outcome(lambda: _scalar(name, field, i, params, k, n, fresh)) \
+                            == expected(k, i), (cap, k_outer, i, k)
+
+
+def test_a_dynamic_exponential_row_at_k_1e5_takes_bounded_memory_and_time():
+    # a travelling wave cos(w_s i + w_t k), w_s = 2 pi 5/64 and w_t = 2 pi 7/64,
+    # its phases reduced modulo 2 pi in integers so that the table and the
+    # closed form take the same angles
+    n, k, rho = 64, 100_000, 0.8
+    phase = lambda i, k: 2.0 * math.pi * ((5 * i + 7 * k) % 64) / 64
+    field = MeasurementField(TableField(np.cos(phase(np.arange(n)[:, None], np.arange(k + 1)))))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        row = oracle.rows(DynamicExponential(rho), field, n, Ring(), k)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 100e6, (elapsed, peak)  # the grid alone is 51.2 MB
+    # H = lam (1 + q+/(1 - q+) + q-/(1 - q-)), q+- = rho e^{-i (w_t -+ w_s)}, the
+    # tail past k hops below rho**k.  Tolerance, fixed beforehand: terms below
+    # half an ulp of the total leave it as it is, and the ~170 hops above
+    # (rho**170 ~ 3e-17) round at most 2 additions each by half an ulp of
+    # |total| <= 1, about 4e-14; the complex arithmetic adds ~1e-15
+    w_s, w_t = 2.0 * math.pi * 5 / 64, 2.0 * math.pi * 7 / 64
+    q = rho * np.exp(-1j * np.array([w_t - w_s, w_t + w_s]))
+    gain = (1.0 - rho) / (1.0 + rho) * (1.0 + (q / (1.0 - q)).sum())
+    want = (gain * np.exp(1j * phase(np.arange(n), k))).real
+    assert np.abs(row - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [[1, 2], (1, 2), np.arange(3), "2", 2.5, np.float64(1.0)])
+def test_rows_reject_steps_of_the_wrong_kind_naming_the_kinds_they_take(bad):
+    # before, ks=[1, 2] was reported as a time step that must be an integer
+    field = MeasurementField(Constant(1.0))
+    for algo in (ExponentialWeighting(0.5), DynamicWindow(2)):
+        with pytest.raises(ValidationError, match=r"^time step must be an integer >= 0, None "
+                                                  r"or a range of them, got "):
+            oracle.rows(algo, field, 8, Ring(), bad)

@@ -121,7 +121,8 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "BENCH_toy.json").read_text())
     assert {"label", "python", "numpy", "commit", "cpu_count", "trace_to_csv",
-            "monte_carlo", "long_chain", "run_per_rule"} <= set(report)
+            "monte_carlo", "long_chain", "run_per_rule", "oracle_rows", "oracle_sweep",
+            "oracle_long_row"} <= set(report)
     assert report["script_sha256"] == hashlib.sha256(
         (ROOT / "scripts" / "bench.py").read_bytes()).hexdigest()
     cases = report["trace_to_csv"]
@@ -163,6 +164,21 @@ def test_bench_writes_its_file_with_every_case_and_mode(tmp_path):
         assert case["sensor_rounds"] > 0 and set(case) == {"sensor_rounds", "warm"}
         assert case["warm"]["ns_per_sensor_round"] > 0 and case["warm"]["minflt"] >= 0
         assert case["warm"]["ns_per_sensor_round_median"] >= case["warm"]["ns_per_sensor_round"]
+    for layer, key, extra in (("oracle_rows", "us_per_call", set()),
+                              ("oracle_sweep", "ns_per_point", {"points"})):
+        cases = report[layer]
+        assert set(cases) == {f"{rule}_{boundary}_n64" for rule in (
+            "exponential", "asymmetric", "window", "variable_window", "arbitrary",
+            "dyn_exponential", "dyn_window") for boundary in ("ring", "zero_halo")}
+        for case in cases.values():
+            assert set(case) == {"warm"} | extra and case.get("points", 64 * 5) == 64 * 5
+            assert case["warm"][key] > 0 and case["warm"]["minflt"] >= 0
+            assert case["warm"][f"{key}_median"] >= case["warm"][key]
+    cases = report["oracle_long_row"]
+    assert set(cases) == {"dyn_exponential_ring_n64_k1000", "dyn_exponential_ring_n64_k3000"}
+    for case in cases.values():
+        assert set(case) == {"cold"} and case["cold"]["wall_s"] > 0
+        assert case["cold"]["minflt"] >= 0 and case["cold"]["traced_peak_bytes"] > 0
 
 
 @pytest.mark.parametrize("case", ["exponential_ring_n250000_r200",
